@@ -151,6 +151,21 @@ def _require(d: dict, key: str, pointer: str):
     return d[key]
 
 
+def _specs(doc: dict, section: str):
+    """(name, spec, pointer) for each entry of a top-level section, in name
+    order; the section and every spec in it must be JSON objects."""
+    specs = doc.get(section, {})
+    if not isinstance(specs, dict):
+        raise CliError(EXIT_PARSE, f"{section} must be a JSON object",
+                       f"/{section}")
+    for name, spec in sorted(specs.items()):
+        ptr = f"/{section}/{name}"
+        if not isinstance(spec, dict):
+            raise CliError(EXIT_PARSE,
+                           f"{section[:-1]} spec must be a JSON object", ptr)
+        yield name, spec, ptr
+
+
 def _parse_table_algebra(f, w, spec: dict, pointer: str) -> DGAlgebra:
     basis = {}
     for ds, labels in _require(spec, "basis", pointer).items():
@@ -209,8 +224,7 @@ def parse_presentation(path: str) -> Store:
     w = DegreeWindow(win[0], win[1])
     store = Store(f, w)
 
-    for name, spec in sorted(doc.get("algebras", {}).items()):
-        ptr = f"/algebras/{name}"
+    for name, spec, ptr in _specs(doc, "algebras"):
         kind = spec.get("kind", "table")
         if kind == "trivial":
             a = dgstruct.trivial_algebra(f, w)
@@ -236,8 +250,7 @@ def parse_presentation(path: str) -> Store:
                            f"{'; '.join(rep.violations[:3])}", ptr)
         store.algebras[name] = a
 
-    for name, spec in sorted(doc.get("coalgebras", {}).items()):
-        ptr = f"/coalgebras/{name}"
+    for name, spec, ptr in _specs(doc, "coalgebras"):
         kind = spec.get("kind", "exterior")
         if kind == "exterior":
             gens = [tuple(g) for g in _require(spec, "generators", ptr)]
@@ -255,8 +268,7 @@ def parse_presentation(path: str) -> Store:
                            f"{'; '.join(rep.violations[:3])}", ptr)
         store.coalgebras[name] = c
 
-    for name, spec in sorted(doc.get("modules", {}).items()):
-        ptr = f"/modules/{name}"
+    for name, spec, ptr in _specs(doc, "modules"):
         kind = _require(spec, "kind", ptr)
         if kind == "trivial":
             m = dgstruct.trivial_module(
@@ -287,8 +299,7 @@ def parse_presentation(path: str) -> Store:
                            f"{'; '.join(rep.violations[:3])}", ptr)
         store.modules[name] = m
 
-    for name, spec in sorted(doc.get("comodules", {}).items()):
-        ptr = f"/comodules/{name}"
+    for name, spec, ptr in _specs(doc, "comodules"):
         kind = _require(spec, "kind", ptr)
         over = _require(spec, "over", ptr)
         if over not in store.coalgebras:
@@ -342,8 +353,7 @@ def emit(report: dict, args) -> None:
 def homology_dims(cx: Complex) -> dict:
     dims = {}
     for n in range(cx.space.window.lo, cx.space.window.hi + 1):
-        if not (cx.space.complete_at(n - 1) and cx.space.complete_at(n)
-                and cx.space.complete_at(n + 1)):
+        if not cx.space.homology_computable(n):
             continue
         h = homology(cx, n)
         if h.dimension:
@@ -555,7 +565,12 @@ def cmd_duality_check(args) -> int:
     elif args.module == "trivial":
         m = dgstruct.trivial_module(sv)
     elif args.module.startswith("truncated:"):
-        power = int(args.module.split(":", 1)[1])
+        try:
+            power = int(args.module.split(":", 1)[1])
+        except ValueError:
+            raise CliError(EXIT_PARSE,
+                           f"bad module spec {args.module!r}: power must "
+                           "be an integer")
         m = dgstruct.truncated_module(sv, "y1",
                                       pair.generator_degrees[0], power)
     else:

@@ -985,11 +985,6 @@ def module_shift(m: DGModule, k: int) -> DGModule:
                     name=f"Σ^{k}{m.name}" if m.name else "")
 
 
-def comodule_shift(n: DGComodule, k: int) -> DGComodule:
-    cx = shift_complex(n.carrier, k)
-    return DGComodule(cx, n.over, n.coaction, name=f"Σ^{k}{n.name}" if n.name else "")
-
-
 def module_direct_sum(ms: list, tags: list | None = None):
     """Direct sum of right modules over a common algebra; returns
     (module, inclusions, projections)."""

@@ -2,30 +2,18 @@
 
 Every rank/kernel/solve computation in the engine funnels through this
 module.  Arithmetic is exact: canonical residues over a prime field,
-``fractions.Fraction`` over the rationals.  Row reduction over F_p is
-dispatched to a compiled kernel when available, with a pure-Python
-fallback selected at import time.
+``fractions.Fraction`` over the rationals.  Both fields share one sparse
+Gauss–Jordan elimination (``_rref_rows``) over row dicts keyed by leading
+column, in the spirit of Faugère–Lachartre (PASCO 2010).
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-try:
-    from dgkoszul import _fpkernel as _kernel
-
-    KERNEL = "compiled"
-except ImportError:  # pragma: no cover - depends on build environment
-    from dgkoszul import _fpkernel_py as _kernel
-
-    KERNEL = "python"
-
-from dgkoszul import _fpkernel_py
-
-# dense buffers above this many cells fall back to sparse elimination
-DENSE_CELL_LIMIT = 4_000_000
+# the one elimination path; perfbench records it with every run
+KERNEL = "sparse"
 
 
 class FieldMismatchError(ValueError):
@@ -53,7 +41,7 @@ class FieldSpec:
             if p is None or not _is_prime(p):
                 raise ValueError(f"not a prime: {p!r}")
             if p >= 2**31:
-                raise ValueError("prime too large for the dense kernel")
+                raise ValueError(f"prime too large: {p} (limit 2**31)")
         elif kind == "rationals":
             if p is not None:
                 raise ValueError("rationals take no characteristic")
@@ -292,86 +280,81 @@ class RrefResult:
     rref_rows: list     # canonical RREF, list of sparse row dicts
 
 
-def _rref_rows_generic(m: SparseMatrix) -> tuple[list, list]:
-    """Sparse-dict Gaussian elimination; returns (rref rows, pivots)."""
-    f = m.field
+def _rref_rows(m: SparseMatrix) -> tuple[list, list]:
+    """Canonical RREF rows (zero rows last) and pivot columns.
+
+    Each row is reduced against a dict pivot column -> normalised row until
+    its leading column is new; the pivot rows are then back-substituted from
+    the highest pivot column down.  Over F_p scalars stay plain ints reduced
+    mod a local p; over Q they are Fractions and p is None.
+    """
+    p = m.field.p
+    inv = m.field.inv
     rows = [dict() for _ in range(m.rows)]
     for (r, c), v in m.entries.items():
         rows[r][c] = v
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        if r == len(rows):
-            break
-        piv = -1
-        for i in range(r, len(rows)):
-            if not f.is_zero(rows[i].get(c, f.zero)):
-                piv = i
+    piv: dict = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            prow = piv.get(c)
+            if prow is None:
+                a = inv(row[c])
+                if p is None:
+                    piv[c] = {k: a * v for k, v in row.items()}
+                else:
+                    piv[c] = {k: a * v % p for k, v in row.items()}
                 break
-        if piv < 0:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = f.inv(rows[r][c])
-        if inv != f.one:
-            rows[r] = {k: f.mul(inv, v) for k, v in rows[r].items()}
-        for i in range(len(rows)):
-            if i == r:
-                continue
-            factor = rows[i].get(c, f.zero)
-            if not f.is_zero(factor):
-                rows[i] = vec_addmul(f, rows[i], f.neg(factor), rows[r])
-        pivots.append(c)
-        r += 1
-    return rows, pivots
+            _sub_multiple(row, row[c], prow, p)
+    pivots = sorted(piv)
+    for c in reversed(pivots):
+        prow = piv[c]
+        for k in [k for k in prow if k != c and k in piv]:
+            _sub_multiple(prow, prow[k], piv[k], p)
+    out = [piv[c] for c in pivots]
+    out += [dict() for _ in range(m.rows - len(pivots))]
+    return out, pivots
 
 
-def _rref_rows_dense_fp(m: SparseMatrix) -> tuple[list, list]:
-    p = m.field.p
-    buf = array("q", bytes(8 * m.rows * m.cols))
-    for (r, c), v in m.entries.items():
-        buf[r * m.cols + c] = v
-    pivots = list(_kernel.rref_inplace(buf, m.rows, m.cols, p))
-    rows = []
-    for i in range(m.rows):
-        row = {}
-        base = i * m.cols
-        for j in range(m.cols):
-            v = buf[base + j]
-            if v:
-                row[j] = v
-        rows.append(row)
-    return rows, pivots
+def _sub_multiple(row: dict, a, prow: dict, p) -> None:
+    """row -= a * prow in place, dropping entries that cancel."""
+    get = row.get
+    if p is None:
+        for k, v in prow.items():
+            x = get(k, 0) - a * v
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+    else:
+        a = p - a
+        for k, v in prow.items():
+            x = (get(k, 0) + a * v) % p
+            if x:
+                row[k] = x
+            else:
+                del row[k]
 
 
 def rref(m: SparseMatrix) -> RrefResult:
     """Canonical reduced row echelon form with rank, kernel and image data.
 
-    Pivoting: columns in order, lowest available row first; the result is
-    the unique RREF, so all derived bases are deterministic.
+    The RREF is unique, so all derived bases are deterministic: one kernel
+    vector per free column, in column order, and the original pivot columns
+    as the image basis.
     """
     f = m.field
-    if (
-        f.kind == "prime"
-        and m.rows
-        and m.cols
-        and m.rows * m.cols <= DENSE_CELL_LIMIT
-    ):
-        rows, pivots = _rref_rows_dense_fp(m)
-    else:
-        rows, pivots = _rref_rows_generic(m)
+    rows, pivots = _rref_rows(m)
     pivot_set = set(pivots)
-    kernel = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = {free: f.one}
-        for i, pc in enumerate(pivots):
-            coef = rows[i].get(free, f.zero)
-            if not f.is_zero(coef):
-                v[pc] = f.neg(coef)
-        kernel.append(v)
-    image = [m.column(c) for c in pivots]
-    return RrefResult(len(pivots), pivots, kernel, image, rows)
+    kernel = {free: {free: f.one} for free in range(m.cols)
+              if free not in pivot_set}
+    for pc, row in zip(pivots, rows):
+        for k, coef in row.items():
+            if k != pc:
+                kernel[k][pc] = f.neg(coef)
+    columns = m.columns()
+    image = [columns[c] for c in pivots]
+    return RrefResult(len(pivots), pivots, list(kernel.values()), image, rows)
 
 
 def solve(m: SparseMatrix, b: dict) -> dict | None:
@@ -388,14 +371,7 @@ def solve(m: SparseMatrix, b: dict) -> dict | None:
         if not f.is_zero(v):
             aug_entries[(r, m.cols)] = v
     aug = SparseMatrix(m.rows, m.cols + 1, f, aug_entries)
-    if (
-        f.kind == "prime"
-        and aug.rows
-        and aug.rows * aug.cols <= DENSE_CELL_LIMIT
-    ):
-        rows, pivots = _rref_rows_dense_fp(aug)
-    else:
-        rows, pivots = _rref_rows_generic(aug)
+    rows, pivots = _rref_rows(aug)
     if pivots and pivots[-1] == m.cols:
         return None
     x = {}
@@ -404,14 +380,3 @@ def solve(m: SparseMatrix, b: dict) -> dict | None:
         if not f.is_zero(v):
             x[pc] = v
     return x
-
-
-def rref_fallback(m: SparseMatrix) -> RrefResult:
-    """Force the pure-Python kernel; used by the benchmark."""
-    global _kernel
-    saved = _kernel
-    try:
-        _kernel = _fpkernel_py
-        return rref(m)
-    finally:
-        _kernel = saved

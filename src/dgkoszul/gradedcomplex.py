@@ -117,6 +117,12 @@ class GradedSpace:
         blo, bhi = self.bounds
         return n < blo or n > bhi
 
+    def homology_computable(self, n: int) -> bool:
+        """Whether homology at degree n can be computed exactly: the bases
+        at n-1, n and n+1 are all complete."""
+        return (self.complete_at(n - 1) and self.complete_at(n)
+                and self.complete_at(n + 1))
+
     def combo_degree(self, combo: dict):
         """Degree of a homogeneous combination, or None for 0."""
         degs = {self._deg[l] for l in combo}

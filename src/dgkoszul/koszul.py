@@ -107,16 +107,6 @@ def eta(pair: KoszulPair, m: DGModule,
 # level duality
 # -------------------------------------------------------------------------
 
-def _span_rank(field, vectors, dim):
-    if not vectors or not dim:
-        return 0
-    entries = {}
-    for j, v in enumerate(vectors):
-        for i, c in v.items():
-            entries[(i, j)] = c
-    return rref(SparseMatrix(dim, len(vectors), field, entries)).rank
-
-
 def _act_on_combo(mod: DGModule, alabel: str, combo: dict) -> dict:
     """a·x for a left module, label times combination."""
     f = mod.field
@@ -141,8 +131,7 @@ def loewy_length(mod: DGModule) -> dict:
     cx = mod.carrier
     hdata = {}
     for n in cx.space.degrees():
-        if (cx.space.complete_at(n - 1) and cx.space.complete_at(n)
-                and cx.space.complete_at(n + 1)):
+        if cx.space.homology_computable(n):
             h = homology(cx, n)
             if h.dimension:
                 hdata[n] = h
@@ -294,8 +283,7 @@ def _qiso_onto_single_class(cx: Complex) -> bool:
     exhibited by an explicit chain map from the shifted ground field."""
     found = None
     for n in cx.space.degrees():
-        if not (cx.space.complete_at(n - 1) and cx.space.complete_at(n)
-                and cx.space.complete_at(n + 1)):
+        if not cx.space.homology_computable(n):
             continue
         h = homology(cx, n)
         if h.dimension:
@@ -322,7 +310,7 @@ def ext_algebra(a: DGAlgebra, window: DegreeWindow | None = None) -> dict:
     representatives: Ext_A(K, K)."""
     b = bar(a, window)
     dual = graded_dual_coalgebra(b)
-    hd = _homology_algebra(dual)
+    hd = _homology_algebra(dual.carrier)
     dims = {n: h.dimension for n, h in hd.items() if h.dimension}
     reps = {(n, i): h.representatives[i]
             for n, h in hd.items() for i in range(h.dimension)}
@@ -373,26 +361,20 @@ def exterior_tor_check(field, gen_degrees,
     cx = b.carrier
     dims = {}
     for n in cx.space.degrees():
-        if (cx.space.complete_at(n - 1) and cx.space.complete_at(n)
-                and cx.space.complete_at(n + 1)):
+        if cx.space.homology_computable(n):
             h = homology(cx, n)
             if h.dimension:
                 dims[n] = h.dimension
     checkable = [n for n in range(window.lo, window.hi + 1)
-                 if cx.space.complete_at(n - 1) and cx.space.complete_at(n)
-                 and cx.space.complete_at(n + 1)]
+                 if cx.space.homology_computable(n)]
     expected = _poly_dims([d - 1 for d in gen_degrees],
                           window.lo, window.hi)
     expected = {n: v for n, v in expected.items() if n in checkable}
-    primitive = all(not _reduced_comult_of_word(b, f"[{nm}]")
+    primitive = all(not b.reduced_comult(f"[{nm}]")
                     for nm in names if f"[{nm}]" in b.space)
     ok = dims == expected and primitive
     return {"ok": ok, "dims": dims, "expected": expected,
             "primitive_ok": primitive, "checkable": checkable}
-
-
-def _reduced_comult_of_word(b: DGCoalgebra, label: str) -> list:
-    return b.reduced_comult(label)
 
 
 def cobar_polynomial_check(field, gen_degrees,
@@ -410,14 +392,12 @@ def cobar_polynomial_check(field, gen_degrees,
     cx = om.carrier
     dims = {}
     for n in cx.space.degrees():
-        if (cx.space.complete_at(n - 1) and cx.space.complete_at(n)
-                and cx.space.complete_at(n + 1)):
+        if cx.space.homology_computable(n):
             h = homology(cx, n)
             if h.dimension:
                 dims[n] = h.dimension
     checkable = [n for n in range(window.lo, window.hi + 1)
-                 if cx.space.complete_at(n - 1) and cx.space.complete_at(n)
-                 and cx.space.complete_at(n + 1)]
+                 if cx.space.homology_computable(n)]
     expected = _poly_dims([-d + 1 for d in gen_degrees],
                           window.lo, window.hi)
     expected = {n: v for n, v in expected.items() if n in checkable}

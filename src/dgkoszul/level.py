@@ -616,13 +616,6 @@ def tree_coproduct(nodes, tags, base: Complex):
     raise StructureError(f"cannot form a coproduct of shapes {kinds}")
 
 
-def cert_retract(c: LevelCertificate, subject: Complex,
-                 section: GradedMap,
-                 retraction: GradedMap) -> LevelCertificate:
-    tree = RetractNode(subject, c.tree, section, retraction)
-    return LevelCertificate(c.base, subject, tree, c.comparison_note)
-
-
 def cert_transport(functor, c: LevelCertificate) -> LevelCertificate:
     """Transport along an additive exact construction given as an object
     with on_complex(cx) and on_map(gm, src', tgt') methods; witnesses are

@@ -387,15 +387,13 @@ def lemma1_report(m: DGModule, a: DGAlgebra, depth: int | None = None):
             "ok": dim >= cls}
 
 
-def _homology_algebra(a: DGAlgebra):
-    """Homology of a DG algebra as (classes per degree, product on
-    classes); degrees restricted to the verifiable interior."""
-    cx = a.carrier
+def _homology_algebra(cx: Complex) -> dict:
+    """Homology of the carrier of a DG algebra or module at every degree
+    of its window where it is computable."""
     win = cx.space.window
     data = {}
     for n in range(win.lo, win.hi + 1):
-        if not (cx.space.complete_at(n - 1) and cx.space.complete_at(n)
-                and cx.space.complete_at(n + 1)):
+        if not cx.space.homology_computable(n):
             continue
         data[n] = homology(cx, n)
     return data
@@ -407,8 +405,8 @@ def is_free_over_homology(m: DGModule, a: DGAlgebra,
     H(M)⊗Ā⊗Ā → H(M)⊗Ā → H(M); free iff Tor_1 vanishes in window."""
     from dgkoszul.gradedcomplex import homology_class
     f = a.field
-    ha = _homology_algebra(a)
-    hm = _homology_algebra_module(m)
+    ha = _homology_algebra(a.carrier)
+    hm = _homology_algebra(m.carrier)
     # homology classes as (degree, index); the bar of H(A) uses only the
     # augmentation ideal part (degrees != 0)
     abar = [(n, i) for n, h in ha.items() if n != 0
@@ -493,15 +491,3 @@ def is_free_over_homology(m: DGModule, a: DGAlgebra,
         tor1[t] = len(k1) - rref(mat2).rank
     free = all(v == 0 for v in tor1.values())
     return {"free": free, "tor1": tor1, "window_exhausted_at": flagged}
-
-
-def _homology_algebra_module(m: DGModule):
-    cx = m.carrier
-    win = cx.space.window
-    data = {}
-    for n in range(win.lo, win.hi + 1):
-        if not (cx.space.complete_at(n - 1) and cx.space.complete_at(n)
-                and cx.space.complete_at(n + 1)):
-            continue
-        data[n] = homology(cx, n)
-    return data

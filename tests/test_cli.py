@@ -148,6 +148,29 @@ def test_exit_dangling_reference(tmp_path):
     assert main(["validate", "-p", str(p)]) == 4
 
 
+@pytest.mark.parametrize("section,name", [
+    ("algebras", "S"), ("coalgebras", "C"), ("modules", "K"),
+    ("comodules", "Kc"), ("algebras", None)])
+def test_exit_parse_error_spec_not_object(tmp_path, capsys, section, name):
+    bad = json.loads(json.dumps(PRESENTATION))
+    if name is None:
+        bad[section] = ["polynomial"]
+        pointer = f"/{section}"
+    else:
+        bad[section][name] = ["polynomial"]
+        pointer = f"/{section}/{name}"
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(bad))
+    assert main(["validate", "-p", str(p)]) == 2
+    assert capsys.readouterr().err.endswith(f"at {pointer}\n")
+
+
+def test_exit_parse_error_bad_module_power(capsys):
+    assert main(["duality-check", "--degrees", "2",
+                 "--module", "truncated:x"]) == 2
+    assert "truncated:x" in capsys.readouterr().err
+
+
 def test_json_reports_are_byte_identical(tmp_path, pres):
     outs = []
     for i in range(2):

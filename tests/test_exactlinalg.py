@@ -1,5 +1,5 @@
 """Exact linear algebra: rank/kernel oracles, solve, and agreement of the
-compiled kernel with the pure-Python fallback."""
+sparse elimination with a dense reference Gauss–Jordan."""
 
 from fractions import Fraction
 
@@ -11,7 +11,6 @@ from dgkoszul.exactlinalg import (
     FieldSpec,
     SparseMatrix,
     rref,
-    rref_fallback,
     solve,
     vec_add,
     vec_addmul,
@@ -109,18 +108,94 @@ def test_rank_nullity_and_kernel(m):
         assert solve(m, v) is not None
 
 
-@settings(max_examples=60, deadline=None)
-@given(sparse_matrices())
-def test_compiled_and_fallback_agree(m):
-    a = rref(m)
-    b = rref_fallback(m)
-    assert a.rank == b.rank
-    assert a.pivots == b.pivots
-    assert a.rref_rows == b.rref_rows
+def reference_rref(m):
+    """Dense textbook Gauss–Jordan: (RREF rows as dense lists, pivots)."""
+    f = m.field
+    a = [[m.entry(r, c) for c in range(m.cols)] for r in range(m.rows)]
+    pivots = []
+    for c in range(m.cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, m.rows) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = f.inv(a[r][c])
+        a[r] = [f.mul(inv, x) for x in a[r]]
+        for i in range(m.rows):
+            if i != r and a[i][c]:
+                fac = a[i][c]
+                a[i] = [f.sub(x, f.mul(fac, y)) for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def reference_solve(m, b):
+    aug = SparseMatrix(m.rows, m.cols + 1, m.field,
+                       {**m.entries, **{(r, m.cols): v for r, v in b.items()}})
+    a, pivots = reference_rref(aug)
+    if pivots and pivots[-1] == m.cols:
+        return None
+    return {pc: a[i][m.cols] for i, pc in enumerate(pivots) if a[i][m.cols]}
+
+
+FIELDS = [FieldSpec.prime(2), FieldSpec.prime(5), FieldSpec.prime(31),
+          FieldSpec.rationals()]
+
+
+def scalars(f):
+    if f.kind == "prime":
+        return st.integers(0, f.p - 1)
+    return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
+@st.composite
+def matrices_with_rhs(draw):
+    """A matrix over F_2, F_5, F_31 or Q (0 rows or 0 columns allowed) and a
+    right-hand side m·x for a random x."""
+    f = draw(st.sampled_from(FIELDS))
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 6))
+    cells = draw(st.lists(scalars(f), min_size=rows * cols,
+                          max_size=rows * cols))
+    entries = {(i // cols, i % cols): v for i, v in enumerate(cells) if v}
+    m = SparseMatrix(rows, cols, f, entries)
+    x = {c: v for c, v in enumerate(
+        draw(st.lists(scalars(f), min_size=cols, max_size=cols))) if v}
+    return m, m.matvec(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices_with_rhs())
+def test_rref_and_solve_match_reference(case):
+    m, b = case
+    f = m.field
+    a, pivots = reference_rref(m)
+    r = rref(m)
+    assert r.rank == len(pivots)
+    assert r.pivots == pivots
+    assert r.rref_rows == [{j: x for j, x in enumerate(row) if x}
+                           for row in a]
+    assert r.kernel_basis == [
+        {free: f.one, **{pc: f.neg(a[i][free])
+                         for i, pc in enumerate(pivots) if a[i][free]}}
+        for free in range(m.cols) if free not in pivots]
+    assert r.image_basis == [m.column(c) for c in pivots]
+    # consistent right-hand side: the canonical solution, free variables 0
+    x = solve(m, b)
+    assert x == reference_solve(m, b)
+    assert m.matvec(x) == b
+    # inconsistent right-hand side: a unit vector outside the image
+    for i in range(m.rows):
+        e = {i: f.one}
+        if reference_solve(m, e) is None:
+            assert solve(m, e) is None
+            break
+    else:
+        assert r.rank == m.rows
 
 
 def test_kernel_selected():
-    assert KERNEL in ("compiled", "python")
+    assert KERNEL == "sparse"
 
 
 def test_non_prime_rejected():
