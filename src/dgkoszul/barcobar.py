@@ -9,8 +9,6 @@ certificate that they are consistent.
 
 from __future__ import annotations
 
-import itertools
-
 from dgkoszul.exactlinalg import vec_addmul
 from dgkoszul.gradedcomplex import (
     Complex,
@@ -31,10 +29,12 @@ from dgkoszul.dgstruct import (
     DGComodule,
     DGModule,
     TwistingCochain,
+    degree_compatible,
     dual_complex,
     dual_label,
     free_module,
     graded_dual_algebra,
+    merge_terms,
 )
 
 
@@ -236,7 +236,8 @@ def cobar(c: DGCoalgebra, window: DegreeWindow | None = None,
     if not letters:
         osp = GradedSpace(f, w, {0: [unit]}, bounds=(0, 0))
         cx = Complex(osp, GradedMap.zero(osp, osp, 1))
-        return DGAlgebra(cx, unit, {(unit, unit): {unit: f.one}},
+        one = {unit: f.one}
+        return DGAlgebra(cx, unit, lambda a, b: one,
                          "non-negative", simply_connected=True,
                          name=f"Ω({c.name})" if c.name else "Ω")
     pol = _letter_polarity([d for _, d in letters], "cobar construction")
@@ -251,8 +252,15 @@ def cobar(c: DGCoalgebra, window: DegreeWindow | None = None,
         win = DegreeWindow(min(lo, 0), min(w.hi, 0))
         bounds = (NEG_INF, 0)
     words = _enumerate_words(letters, win, pol)
-    basis = {nn: tuple(cobar_word_label(entries) for entries in ws)
-             for nn, ws in sorted(words.items())}
+    entries_of = {}
+    basis = {}
+    for nn, ws in sorted(words.items()):
+        labels = []
+        for entries in ws:
+            label = cobar_word_label(entries)
+            entries_of[label] = entries
+            labels.append(label)
+        basis[nn] = tuple(labels)
     osp = GradedSpace(f, win, basis, bounds=bounds)
     minus_one = f.from_int(-1)
     cols: dict = {}
@@ -285,17 +293,17 @@ def cobar(c: DGCoalgebra, window: DegreeWindow | None = None,
             if col:
                 cols[cobar_word_label(entries)] = col
     cx = Complex(osp, GradedMap(osp, osp, 1, cols))
-    mult = {}
-    all_words = [(nn, entries) for nn, ws in sorted(words.items())
-                 for entries in ws]
-    for (na, ea), (nb, eb) in itertools.product(all_words, repeat=2):
-        la, lb = cobar_word_label(ea), cobar_word_label(eb)
-        if na + nb in win:
-            label = cobar_word_label(ea + eb)
-            mult[(la, lb)] = {label: f.one} if label in osp else {}
+
+    def mult_pair(a: str, b: str) -> dict:
+        # the tensor algebra multiplies by concatenation; every word whose
+        # degree lies in the window is a basis label
+        if osp.deg(a) + osp.deg(b) not in win:
+            return {}
+        return {cobar_word_label(entries_of[a] + entries_of[b]): f.one}
+
     polarity = "non-negative" if pol > 0 else "non-positive"
     sc = cx.space.dim(1 if pol > 0 else -1) == 0
-    return DGAlgebra(cx, unit, mult, polarity, simply_connected=sc,
+    return DGAlgebra(cx, unit, mult_pair, polarity, simply_connected=sc,
                      name=f"Ω({c.name})" if c.name else "Ω")
 
 
@@ -439,6 +447,7 @@ def twisted_tensor_left(n: DGComodule, t: TwistingCochain,
     win = tensor_window(n.space, a.space, window)
     sp = _tensor_space(n.space, a.space, win)
     cols: dict = {}
+    factors: dict = {}
     minus_one = f.from_int(-1)
     for i in n.space.degrees():
         for nl in n.space.labels(i):
@@ -448,6 +457,7 @@ def twisted_tensor_left(n: DGComodule, t: TwistingCochain,
                     continue
                 for al in a.space.labels(j):
                     label = tensor_label(nl, al)
+                    factors[label] = (nl, al)
                     col: dict = {}
                     for tl, v in n.carrier.d(nl).items():
                         tgt = tensor_label(tl, al)
@@ -478,22 +488,21 @@ def twisted_tensor_left(n: DGComodule, t: TwistingCochain,
                     if col:
                         cols[label] = col
     cx = Complex(sp, GradedMap(sp, sp, 1, cols))
-    action: dict = {}
-    for nn in sp.degrees():
-        for label in sp.labels(nn):
-            nl, al = _split_tensor_label(label, n.space)
-            for k in a.space.degrees():
-                for bl in a.space.labels(k):
-                    if nn + k not in win:
-                        continue
-                    combo = {}
-                    for tl, v in a.mult_pair(al, bl).items():
-                        tgt = tensor_label(nl, tl)
-                        if tgt in sp:
-                            combo = vec_addmul(f, combo, v, {tgt: f.one})
-                    action[(label, bl)] = combo
+
+    def act_pair(label: str, bl: str) -> dict:
+        """(n ⊗ a)·b = n ⊗ ab."""
+        if sp.deg(label) + a.space.deg(bl) not in win:
+            return {}
+        nl, al = factors[label]
+        combo = {}
+        for tl, v in a.mult_pair(al, bl).items():
+            tgt = tensor_label(nl, tl)
+            if tgt in sp:
+                combo = vec_addmul(f, combo, v, {tgt: f.one})
+        return combo
+
     nm = f"{n.name}⊗τ{a.name}" if n.name and a.name else ""
-    return DGModule(cx, a, action, side="right", name=nm)
+    return DGModule(cx, a, act_pair, side="right", name=nm)
 
 
 # -------------------------------------------------------------------------
@@ -553,28 +562,20 @@ def _dual_module_comodule(m: DGModule) -> DGComodule:
     dcx = dual_complex(m.carrier)
     coaction: dict = {}
     msp, asp = m.space, m.over.space
-    for i in msp.degrees():
-        for ml in msp.labels(i):
-            for j in asp.degrees():
-                for al in asp.labels(j):
-                    combo = m.action.get((ml, al))
-                    if not combo:
-                        continue
-                    # pairing <m*⊗a*, m⊗a> = (-1)^{|a*||m|} δ
-                    sgn = f.from_int(-1 if (i * j) % 2 else 1)
-                    for tl, v in combo.items():
-                        dm, da = dual_label(ml), dual_label(al)
-                        if da not in dual.space:
-                            continue
-                        coaction.setdefault(dual_label(tl), []).append(
-                            (dm, da, f.mul(sgn, v)))
-    merged = {}
-    for l, terms in coaction.items():
-        acc: dict = {}
-        for l1, l2, v in terms:
-            acc[(l1, l2)] = f.add(acc.get((l1, l2), f.zero), v)
-        merged[l] = [(l1, l2, v) for (l1, l2), v in sorted(acc.items())
-                     if not f.is_zero(v)]
+    for ml, al in degree_compatible((msp, asp),
+                                    lambda s: s in msp.window):
+        combo = m.act_pair(ml, al)
+        if not combo:
+            continue
+        # pairing <m*⊗a*, m⊗a> = (-1)^{|a*||m|} δ
+        sgn = f.from_int(-1 if (msp.deg(ml) * asp.deg(al)) % 2 else 1)
+        for tl, v in combo.items():
+            dm, da = dual_label(ml), dual_label(al)
+            if da not in dual.space:
+                continue
+            coaction.setdefault(dual_label(tl), []).append(
+                (dm, da, f.mul(sgn, v)))
+    merged = {l: merge_terms(f, terms) for l, terms in coaction.items()}
     return DGComodule(dcx, dual, merged,
                       name=f"({m.name})^" if m.name else "")
 

@@ -145,10 +145,29 @@ class Store:
         raise CliError(EXIT_DANGLING, f"unknown object {name!r}", f"/{name}")
 
 
-def _require(d: dict, key: str, pointer: str):
+_JSON_TYPES = {"object": dict, "array": list, "string": str,
+               "integer": int, "boolean": bool}
+
+
+def _typed(value, kind: str, pointer: str):
+    """``value`` after checking that it has the JSON type ``kind``, as
+    schema/presentation.schema.json requires."""
+    if not isinstance(value, _JSON_TYPES[kind]) or (
+            kind == "integer" and isinstance(value, bool)):
+        raise CliError(EXIT_PARSE, f"expected a JSON {kind}", pointer)
+    return value
+
+
+def _require(d: dict, key: str, pointer: str, kind: str | None = None):
     if key not in d:
         raise CliError(EXIT_PARSE, f"missing key {key!r}", pointer)
-    return d[key]
+    if kind is None:
+        return d[key]
+    return _typed(d[key], kind, f"{pointer}/{key}")
+
+
+def _optional(d: dict, key: str, pointer: str, kind: str, default):
+    return _require(d, key, pointer, kind) if key in d else default
 
 
 def _specs(doc: dict, section: str):
@@ -166,44 +185,71 @@ def _specs(doc: dict, section: str):
         yield name, spec, ptr
 
 
+def _generators(spec: dict, pointer: str) -> list:
+    """The [name, degree] pairs of a preset spec."""
+    gens = []
+    for i, g in enumerate(_require(spec, "generators", pointer, "array")):
+        ptr = f"{pointer}/generators/{i}"
+        if not isinstance(g, list) or len(g) != 2:
+            raise CliError(EXIT_PARSE, "generator must be [name, degree]",
+                           ptr)
+        gens.append((_typed(g[0], "string", f"{ptr}/0"),
+                     _typed(g[1], "integer", f"{ptr}/1")))
+    return gens
+
+
+def _parse_combo(f, combo, labels: set, pointer: str) -> dict:
+    """A combination {label: scalar} over known labels."""
+    out = {}
+    for t, v in _typed(combo, "object", pointer).items():
+        if t not in labels:
+            raise CliError(EXIT_DANGLING, f"unknown label {t!r}", pointer)
+        out[t] = parse_scalar(f, v, pointer)
+    return out
+
+
 def _parse_table_algebra(f, w, spec: dict, pointer: str) -> DGAlgebra:
     basis = {}
-    for ds, labels in _require(spec, "basis", pointer).items():
-        basis[int(ds)] = tuple(labels)
+    for ds, labels in _require(spec, "basis", pointer, "object").items():
+        ptr = f"{pointer}/basis/{ds}"
+        try:
+            n = int(ds)
+        except ValueError:
+            raise CliError(EXIT_PARSE, f"basis degree must be an integer, "
+                           f"got {ds!r}", ptr)
+        basis[n] = tuple(_typed(l, "string", f"{ptr}/{i}")
+                         for i, l in enumerate(_typed(labels, "array", ptr)))
     all_labels = {l for ls in basis.values() for l in ls}
     sp = GradedSpace(f, w, basis,
                      bounds=(min(basis), max(basis)) if basis else (1, 0))
     dcols = {}
-    for l, combo in spec.get("differential", {}).items():
+    for l, combo in _optional(spec, "differential", pointer, "object",
+                              {}).items():
+        ptr = f"{pointer}/differential/{l}"
         if l not in all_labels:
-            raise CliError(EXIT_DANGLING, f"unknown label {l!r}",
-                           f"{pointer}/differential/{l}")
-        col = {}
-        for t, v in combo.items():
-            if t not in all_labels:
-                raise CliError(EXIT_DANGLING, f"unknown label {t!r}",
-                               f"{pointer}/differential/{l}")
-            col[t] = parse_scalar(f, v, f"{pointer}/differential/{l}")
+            raise CliError(EXIT_DANGLING, f"unknown label {l!r}", ptr)
+        col = _parse_combo(f, combo, all_labels, ptr)
         if col:
             dcols[l] = col
     cx = Complex(sp, GradedMap(sp, sp, 1, dcols))
     mult = {}
-    for key, combo in _require(spec, "mult", pointer).items():
+    for key, combo in _require(spec, "mult", pointer, "object").items():
+        ptr = f"{pointer}/mult/{key}"
         try:
             a, b = key.split("|")
         except ValueError:
             raise CliError(EXIT_PARSE, f"mult key must be 'a|b', got "
-                           f"{key!r}", f"{pointer}/mult/{key}")
-        for l in (a, b, *combo):
+                           f"{key!r}", ptr)
+        for l in (a, b):
             if l not in all_labels:
-                raise CliError(EXIT_DANGLING, f"unknown label {l!r}",
-                               f"{pointer}/mult/{key}")
-        mult[(a, b)] = {t: parse_scalar(f, v, f"{pointer}/mult/{key}")
-                        for t, v in combo.items()}
-    return DGAlgebra(cx, _require(spec, "unit", pointer), mult,
-                     _require(spec, "polarity", pointer),
-                     simply_connected=spec.get("simply_connected", False),
-                     name=spec.get("name", ""))
+                raise CliError(EXIT_DANGLING, f"unknown label {l!r}", ptr)
+        mult[(a, b)] = _parse_combo(f, combo, all_labels, ptr)
+    return DGAlgebra.from_table(
+        cx, _require(spec, "unit", pointer, "string"), mult,
+        _require(spec, "polarity", pointer, "string"),
+        simply_connected=_optional(spec, "simply_connected", pointer,
+                                   "boolean", False),
+        name=_optional(spec, "name", pointer, "string", ""))
 
 
 def parse_presentation(path: str) -> Store:
@@ -229,16 +275,14 @@ def parse_presentation(path: str) -> Store:
         if kind == "trivial":
             a = dgstruct.trivial_algebra(f, w)
         elif kind == "polynomial":
-            gens = [tuple(g) for g in _require(spec, "generators", ptr)]
-            a = dgstruct.polynomial_algebra(f, w, gens)
+            a = dgstruct.polynomial_algebra(f, w, _generators(spec, ptr))
         elif kind == "exterior":
-            gens = [tuple(g) for g in _require(spec, "generators", ptr)]
-            a = dgstruct.exterior_algebra(f, w, gens)
+            a = dgstruct.exterior_algebra(f, w, _generators(spec, ptr))
         elif kind == "truncated_polynomial":
             a = dgstruct.truncated_polynomial_algebra(
-                f, w, _require(spec, "name", ptr),
-                _require(spec, "degree", ptr),
-                _require(spec, "power", ptr))
+                f, w, _require(spec, "name", ptr, "string"),
+                _require(spec, "degree", ptr, "integer"),
+                _require(spec, "power", ptr, "integer"))
         elif kind == "table":
             a = _parse_table_algebra(f, w, spec, ptr)
         else:
@@ -253,11 +297,10 @@ def parse_presentation(path: str) -> Store:
     for name, spec, ptr in _specs(doc, "coalgebras"):
         kind = spec.get("kind", "exterior")
         if kind == "exterior":
-            gens = [tuple(g) for g in _require(spec, "generators", ptr)]
-            c = dgstruct.exterior_coalgebra(f, w, gens)
+            c = dgstruct.exterior_coalgebra(f, w, _generators(spec, ptr))
         elif kind == "dual":
             c = dgstruct.graded_dual_algebra(
-                store.algebra(_require(spec, "of", ptr)))
+                store.algebra(_require(spec, "of", ptr, "string")))
         else:
             raise CliError(EXIT_PARSE, f"unknown coalgebra kind {kind!r}",
                            ptr)
@@ -272,23 +315,24 @@ def parse_presentation(path: str) -> Store:
         kind = _require(spec, "kind", ptr)
         if kind == "trivial":
             m = dgstruct.trivial_module(
-                store.algebra(_require(spec, "over", ptr)))
+                store.algebra(_require(spec, "over", ptr, "string")))
         elif kind == "free":
             m = dgstruct.free_module(
-                store.algebra(_require(spec, "over", ptr)))
+                store.algebra(_require(spec, "over", ptr, "string")))
         elif kind == "truncated":
             m = dgstruct.truncated_module(
-                store.algebra(_require(spec, "over", ptr)),
-                _require(spec, "name", ptr),
-                _require(spec, "degree", ptr),
-                _require(spec, "power", ptr))
+                store.algebra(_require(spec, "over", ptr, "string")),
+                _require(spec, "name", ptr, "string"),
+                _require(spec, "degree", ptr, "integer"),
+                _require(spec, "power", ptr, "integer"))
         elif kind == "shift":
             m = dgstruct.module_shift(
-                store.module(_require(spec, "of", ptr)),
-                _require(spec, "k", ptr))
+                store.module(_require(spec, "of", ptr, "string")),
+                _require(spec, "k", ptr, "integer"))
         elif kind == "direct_sum":
-            parts = [store.module(nm)
-                     for nm in _require(spec, "of", ptr)]
+            parts = [store.module(_typed(nm, "string", f"{ptr}/of/{i}"))
+                     for i, nm in enumerate(
+                         _require(spec, "of", ptr, "array"))]
             m, _, _ = dgstruct.module_direct_sum(parts)
         else:
             raise CliError(EXIT_PARSE, f"unknown module kind {kind!r}", ptr)
@@ -301,7 +345,7 @@ def parse_presentation(path: str) -> Store:
 
     for name, spec, ptr in _specs(doc, "comodules"):
         kind = _require(spec, "kind", ptr)
-        over = _require(spec, "over", ptr)
+        over = _require(spec, "over", ptr, "string")
         if over not in store.coalgebras:
             raise CliError(EXIT_DANGLING, f"unknown coalgebra {over!r}",
                            ptr)
@@ -472,8 +516,9 @@ def cmd_level_bound(args) -> int:
     store = parse_presentation(args.presentation)
     m = store.module(args.module)
     a = store.algebra(args.over)
-    fib = derived_fiber(m, a, args.depth)
-    free = is_free_over_homology(m, a, args.depth)
+    r = minimize(semifree_resolve(m, a, args.depth))
+    fib = derived_fiber(r)
+    free = is_free_over_homology(m, a)
     report = base_report("level-bound", store.field, store.window)
     report["module"] = args.module
     report["over"] = args.over
@@ -481,7 +526,6 @@ def cmd_level_bound(args) -> int:
     report["fiber_dim_total"] = sum(fib.dimensions.values())
     report["exhausted"] = fib.exhausted
     report["lower_bound"] = 1 if free["free"] else 2
-    r = minimize(semifree_resolve(m, a, args.depth))
     cls, exhausted = class_of(r)
     report["class"] = cls
     verdict_ok = True

@@ -1,9 +1,15 @@
-"""DG algebras, modules, coalgebras and comodules with explicit structure
-tables on named bases; graded dualization; the comodule-to-module functor
-and its dual; the cocompleteness filtration; twisting cochain validation.
+"""DG algebras, modules, coalgebras and comodules on named bases; graded
+dualization; the comodule-to-module functor and its dual; the
+cocompleteness filtration; twisting cochain validation.
 
-Structure constants are stored as explicit tables so that every axiom is
-decidable by exhaustive checking on the window bases.
+Products and actions are given by rules, ``mult_pair(a, b)`` and
+``act_pair(m, a)``, that compute the product of two basis labels on
+demand: presets from per-label keys (exponent vectors, subsets, words),
+graded duals from the transposed structure maps, table presentations from
+their explicit table.  Coproducts and coactions are stored per label.
+Every axiom stays decidable by exhaustive checking on the window bases;
+the validators visit only the label pairs and triples whose degrees fit
+the window.
 """
 
 from __future__ import annotations
@@ -39,25 +45,89 @@ class ValidationReport:
         self.violations.append(msg)
 
 
-class DGAlgebra:
-    """DG algebra with multiplication table on basis pairs.
+def _table_rule(table: dict, left: GradedSpace, right: GradedSpace,
+                window: DegreeWindow, what: str):
+    """Product rule read from an explicit table (label, label) ->
+    combination.  A pair missing from the table is a zero product when its
+    degree falls outside ``window`` (truncation) and a gap, raised as
+    StructureError, inside it."""
+    def rule(a: str, b: str) -> dict:
+        combo = table.get((a, b))
+        if combo is not None:
+            return combo
+        if left.deg(a) + right.deg(b) in window:
+            raise StructureError(f"{what} table gap at ({a!r}, {b!r})")
+        return {}
+    return rule
 
-    ``mult`` maps (label, label) -> combination; pairs whose product degree
-    falls outside the window may be absent (truncated).  The augmentation
-    of a connected algebra is projection onto the unit coefficient.
+
+def _sparse_rule(nonzero: dict):
+    """Product rule of a derived structure whose nonzero products are
+    indexed by label pair; a missing pair is a zero product."""
+    def rule(a: str, b: str) -> dict:
+        return nonzero.get((a, b), {})
+    return rule
+
+
+def degree_compatible(spaces, total_ok):
+    """Label tuples (l_1, ..., l_k), l_i a basis label of ``spaces[i]``,
+    whose degree sum s satisfies ``total_ok(s)``, in lexicographic basis
+    order.  Only degree groups that can still reach an accepted sum are
+    visited."""
+    degs = [sp.degrees() for sp in spaces]
+    reach = [{0}]
+    for ds in degs:
+        reach.append({s + n for s in reach[-1] for n in ds})
+    good = [set() for _ in reach]
+    good[-1] = {s for s in reach[-1] if total_ok(s)}
+    for i in range(len(degs) - 1, 0, -1):
+        good[i] = {s for s in reach[i]
+                   if any(s + n in good[i + 1] for n in degs[i])}
+
+    def rec(i, s, prefix):
+        if i == len(spaces):
+            yield prefix
+            return
+        for n in degs[i]:
+            if s + n in good[i + 1]:
+                for l in spaces[i].labels(n):
+                    yield from rec(i + 1, s + n, prefix + (l,))
+
+    return rec(0, 0, ())
+
+
+class DGAlgebra:
+    """DG algebra whose multiplication is the rule ``mult_pair``.
+
+    ``mult_pair(a, b)`` returns the product of two basis labels as a
+    combination, and {} when the product degree falls outside the window
+    (truncated).  Each call costs O(1) in the basis size; no pair table is
+    built.  ``from_table`` wraps an explicit table.  The augmentation of a
+    connected algebra is projection onto the unit coefficient.
     """
 
-    def __init__(self, carrier: Complex, unit: str, mult: dict,
+    def __init__(self, carrier: Complex, unit: str, mult_pair,
                  polarity: str, simply_connected: bool = False,
                  name: str = ""):
         if polarity not in ("non-negative", "non-positive"):
             raise ValueError(f"bad polarity {polarity!r}")
         self.carrier = carrier
         self.unit = unit
-        self.mult = mult
+        self.mult_pair = mult_pair
         self.polarity = polarity
         self.simply_connected = simply_connected
         self.name = name
+
+    @classmethod
+    def from_table(cls, carrier: Complex, unit: str, table: dict,
+                   polarity: str, simply_connected: bool = False,
+                   name: str = "") -> "DGAlgebra":
+        """Algebra whose products are read from ``table``; a gap inside
+        the window raises StructureError when the pair is multiplied."""
+        sp = carrier.space
+        return cls(carrier, unit,
+                   _table_rule(table, sp, sp, sp.window, "multiplication"),
+                   polarity, simply_connected=simply_connected, name=name)
 
     @property
     def field(self):
@@ -66,17 +136,6 @@ class DGAlgebra:
     @property
     def space(self):
         return self.carrier.space
-
-    def mult_pair(self, a: str, b: str) -> dict:
-        """Product of two basis labels; {} when the product degree is
-        outside the window (truncated), error when the table has a gap
-        inside the window."""
-        if (a, b) in self.mult:
-            return self.mult[(a, b)]
-        n = self.space.deg(a) + self.space.deg(b)
-        if n in self.space.window:
-            raise StructureError(f"multiplication table gap at ({a!r}, {b!r})")
-        return {}
 
     def multiply(self, x: dict, y: dict) -> dict:
         f = self.field
@@ -131,20 +190,16 @@ def validate_algebra(a: DGAlgebra) -> ValidationReport:
             rep.fail(f"right unit law fails at {l!r}")
             break
     win = sp.window
-    for x, y in itertools.product(labels, repeat=2):
-        nx, ny = sp.deg(x), sp.deg(y)
-        if nx + ny not in win or nx + ny + 1 not in win:
-            continue
+    for x, y in degree_compatible(
+            (sp, sp), lambda s: s in win and s + 1 in win):
         lhs = a.carrier.d(a.mult_pair(x, y))
         rhs = a.multiply(a.carrier.d(x), {y: f.one})
-        sgn = f.from_int(-1 if nx % 2 else 1)
+        sgn = f.from_int(-1 if sp.deg(x) % 2 else 1)
         rhs = vec_add(f, rhs, vec_scale(f, sgn, a.multiply({x: f.one}, a.carrier.d(y))))
         if lhs != rhs:
             rep.fail(f"Leibniz fails at ({x!r}, {y!r})")
             break
-    for x, y, z in itertools.product(labels, repeat=3):
-        if sp.deg(x) + sp.deg(y) + sp.deg(z) not in win:
-            continue
+    for x, y, z in degree_compatible((sp, sp, sp), lambda s: s in win):
         lhs = a.multiply(a.mult_pair(x, y), {z: f.one})
         rhs = a.multiply({x: f.one}, a.mult_pair(y, z))
         if lhs != rhs:
@@ -161,21 +216,36 @@ def validate_algebra(a: DGAlgebra) -> ValidationReport:
 
 
 class DGModule:
-    """DG module over a DG algebra; ``side`` is "right" or "left".
+    """DG module over a DG algebra whose action is the rule ``act_pair``;
+    ``side`` is "right" or "left".
 
-    Right action table: (module label, algebra label) -> combination.
-    Left action table: (algebra label, module label) -> combination.
+    Right: ``act_pair(m, a)`` is m·a for a module label m and an algebra
+    label a.  Left: ``act_pair(a, m)`` is a·m.  Like ``mult_pair`` it
+    returns {} when the degree falls outside the module's window, costs
+    O(1) per call, and ``from_table`` wraps an explicit table.
     """
 
-    def __init__(self, carrier: Complex, over: DGAlgebra, action: dict,
+    def __init__(self, carrier: Complex, over: DGAlgebra, act_pair,
                  side: str = "right", name: str = ""):
         if side not in ("right", "left"):
             raise ValueError(f"bad side {side!r}")
         self.carrier = carrier
         self.over = over
-        self.action = action
+        self.act_pair = act_pair
         self.side = side
         self.name = name
+
+    @classmethod
+    def from_table(cls, carrier: Complex, over: DGAlgebra, table: dict,
+                   side: str = "right", name: str = "") -> "DGModule":
+        """Module whose action is read from ``table``, keyed (module,
+        algebra) label for a right module and (algebra, module) for a
+        left one."""
+        msp, asp = carrier.space, over.space
+        left, right = (msp, asp) if side == "right" else (asp, msp)
+        return cls(carrier, over,
+                   _table_rule(table, left, right, msp.window, "action"),
+                   side=side, name=name)
 
     @property
     def field(self):
@@ -184,20 +254,6 @@ class DGModule:
     @property
     def space(self):
         return self.carrier.space
-
-    def act_pair(self, m: str, a: str) -> dict:
-        """Right: m·a with (m, a) = (module, algebra) labels.
-        Left: a·m with (m, a) = (algebra, module) labels."""
-        key = (m, a)
-        if key in self.action:
-            return self.action[key]
-        if self.side == "right":
-            n = self.space.deg(m) + self.over.space.deg(a)
-        else:
-            n = self.over.space.deg(m) + self.space.deg(a)
-        if n in self.space.window:
-            raise StructureError(f"action table gap at {key!r}")
-        return {}
 
     def act(self, x: dict, y: dict) -> dict:
         """Right: x module combo, y algebra combo.  Left: x algebra, y module."""
@@ -217,55 +273,42 @@ def validate_module(m: DGModule) -> ValidationReport:
     dsq = check_d_squared(m.carrier)
     if not dsq:
         rep.fail(f"d^2 != 0 at degree {dsq.degree}")
-    mlabels = [l for n in sp.degrees() for l in sp.labels(n)]
-    alabels = [l for n in alg.space.degrees() for l in alg.space.labels(n)]
+    asp = alg.space
     one = {alg.unit: f.one}
     right = m.side == "right"
-    for l in mlabels:
+    for l in [l for n in sp.degrees() for l in sp.labels(n)]:
         out = m.act({l: f.one}, one) if right else m.act(one, {l: f.one})
         if out != {l: f.one}:
             rep.fail(f"unit does not act as identity at {l!r}")
             break
     win = sp.window
-    for l in mlabels:
-        for x, y in itertools.product(alabels, repeat=2):
-            if sp.deg(l) + alg.space.deg(x) + alg.space.deg(y) not in win:
-                continue
-            if right:
-                lhs = m.act(m.act_pair(l, x), {y: f.one})
-                rhs = m.act({l: f.one}, alg.mult_pair(x, y))
-            else:
-                lhs = m.act(alg.mult_pair(x, y), {l: f.one})
-                rhs = m.act({x: f.one}, m.act({y: f.one}, {l: f.one}))
-            if lhs != rhs:
-                rep.fail(f"action associativity fails at ({l!r}, {x!r}, {y!r})")
-                break
+    for l, x, y in degree_compatible((sp, asp, asp), lambda s: s in win):
+        if right:
+            lhs = m.act(m.act_pair(l, x), {y: f.one})
+            rhs = m.act({l: f.one}, alg.mult_pair(x, y))
         else:
-            continue
-        break
-    for l in mlabels:
-        for x in alabels:
-            dl, dx = sp.deg(l), alg.space.deg(x)
-            if dl + dx not in win or dl + dx + 1 not in win:
-                continue
-            if right:
-                lhs = m.carrier.d(m.act_pair(l, x))
-                rhs = m.act(m.carrier.d(l), {x: f.one})
-                sgn = f.from_int(-1 if dl % 2 else 1)
-                rhs = vec_add(f, rhs, vec_scale(
-                    f, sgn, m.act({l: f.one}, alg.carrier.d(x))))
-            else:
-                lhs = m.carrier.d(m.act_pair(x, l))
-                rhs = m.act(alg.carrier.d(x), {l: f.one})
-                sgn = f.from_int(-1 if dx % 2 else 1)
-                rhs = vec_add(f, rhs, vec_scale(
-                    f, sgn, m.act({x: f.one}, m.carrier.d(l))))
-            if lhs != rhs:
-                rep.fail(f"action Leibniz fails at ({l!r}, {x!r})")
-                break
+            lhs = m.act(alg.mult_pair(x, y), {l: f.one})
+            rhs = m.act({x: f.one}, m.act({y: f.one}, {l: f.one}))
+        if lhs != rhs:
+            rep.fail(f"action associativity fails at ({l!r}, {x!r}, {y!r})")
+            break
+    for l, x in degree_compatible(
+            (sp, asp), lambda s: s in win and s + 1 in win):
+        if right:
+            lhs = m.carrier.d(m.act_pair(l, x))
+            rhs = m.act(m.carrier.d(l), {x: f.one})
+            sgn = f.from_int(-1 if sp.deg(l) % 2 else 1)
+            rhs = vec_add(f, rhs, vec_scale(
+                f, sgn, m.act({l: f.one}, alg.carrier.d(x))))
         else:
-            continue
-        break
+            lhs = m.carrier.d(m.act_pair(x, l))
+            rhs = m.act(alg.carrier.d(x), {l: f.one})
+            sgn = f.from_int(-1 if asp.deg(x) % 2 else 1)
+            rhs = vec_add(f, rhs, vec_scale(
+                f, sgn, m.act({x: f.one}, m.carrier.d(l))))
+        if lhs != rhs:
+            rep.fail(f"action Leibniz fails at ({l!r}, {x!r})")
+            break
     return rep
 
 
@@ -546,33 +589,50 @@ def dual_complex(c: Complex) -> Complex:
     return Complex(space, GradedMap(space, space, 1, cols))
 
 
+def merge_terms(f: FieldSpec, terms: list) -> list:
+    """(l1, l2, coefficient) terms with the coefficients of a repeated
+    pair summed, zeros dropped and pairs sorted (deterministic)."""
+    acc: dict = {}
+    for l1, l2, v in terms:
+        acc[(l1, l2)] = f.add(acc.get((l1, l2), f.zero), v)
+    return [(l1, l2, v) for (l1, l2), v in sorted(acc.items())
+            if not f.is_zero(v)]
+
+
 def graded_dual_algebra(a: DGAlgebra) -> DGCoalgebra:
     """Dual coalgebra of a locally finite algebra, with the pairing
     convention ⟨f⊗g, x⊗y⟩ = (-1)^{|g||x|} f(x)g(y)."""
     f = a.field
+    sp = a.space
     cx = dual_complex(a.carrier)
     comult: dict = {}
-    for (x, y), combo in a.mult.items():
-        dx, dy = a.space.deg(x), a.space.deg(y)
-        sgn = f.from_int(koszul_sign(dx, dy))
+    for x, y in degree_compatible((sp, sp), lambda s: s in sp.window):
+        combo = a.mult_pair(x, y)
+        if not combo:
+            continue
+        sgn = f.from_int(koszul_sign(sp.deg(x), sp.deg(y)))
         for c, v in combo.items():
             comult.setdefault(dual_label(c), []).append(
                 (dual_label(x), dual_label(y), f.mul(sgn, v)))
-    # merge duplicates deterministically
-    merged = {}
-    for l, terms in comult.items():
-        acc: dict = {}
-        for l1, l2, v in terms:
-            acc[(l1, l2)] = f.add(acc.get((l1, l2), f.zero), v)
-        merged[l] = [(l1, l2, v) for (l1, l2), v in sorted(acc.items())
-                     if not f.is_zero(v)]
     counit = {dual_label(a.unit): f.one}
+    merged = {l: merge_terms(f, terms) for l, terms in comult.items()}
     return DGCoalgebra(cx, merged, counit, dual_label(a.unit),
                        name=f"({a.name})^" if a.name else "")
 
 
+def _accumulate(f, nonzero: dict, key, label: str, v) -> None:
+    """nonzero[key][label] += v, dropping the label when the sum is 0."""
+    col = nonzero.setdefault(key, {})
+    s = f.add(col.get(label, f.zero), v)
+    if f.is_zero(s):
+        col.pop(label, None)
+    else:
+        col[label] = s
+
+
 def graded_dual_coalgebra(c: DGCoalgebra) -> DGAlgebra:
-    """Dual algebra of a locally finite coalgebra."""
+    """Dual algebra of a locally finite coalgebra; its products are the
+    transposed coproduct, and a pair absent from it multiplies to 0."""
     f = c.field
     cx = dual_complex(c.carrier)
     mult: dict = {}
@@ -580,24 +640,13 @@ def graded_dual_coalgebra(c: DGCoalgebra) -> DGAlgebra:
         for l1, l2, v in terms:
             d1, d2 = c.space.deg(l1), c.space.deg(l2)
             sgn = f.from_int(koszul_sign(d1, d2))
-            key = (dual_label(l1), dual_label(l2))
-            col = mult.setdefault(key, {})
-            dl = dual_label(l)
-            s = f.add(col.get(dl, f.zero), f.mul(sgn, v))
-            if f.is_zero(s):
-                col.pop(dl, None)
-            else:
-                col[dl] = s
-    # fill in zero products inside the window
+            _accumulate(f, mult, (dual_label(l1), dual_label(l2)),
+                        dual_label(l), f.mul(sgn, v))
     sp = cx.space
-    labels = [l for n in sp.degrees() for l in sp.labels(n)]
-    for x, y in itertools.product(labels, repeat=2):
-        if (x, y) not in mult and sp.deg(x) + sp.deg(y) in sp.window:
-            mult[(x, y)] = {}
     degs = sp.degrees()
     polarity = "non-negative" if not degs or degs[0] >= 0 else "non-positive"
     sc = not sp.dim(1) if polarity == "non-negative" else not sp.dim(-1)
-    return DGAlgebra(cx, dual_label(c.coaug), mult, polarity,
+    return DGAlgebra(cx, dual_label(c.coaug), _sparse_rule(mult), polarity,
                      simply_connected=sc,
                      name=f"({c.name})^" if c.name else "")
 
@@ -605,31 +654,20 @@ def graded_dual_coalgebra(c: DGCoalgebra) -> DGAlgebra:
 def comodule_to_module_F(n: DGComodule) -> DGModule:
     """The functor from right C-comodules to left C^∨-modules with the same
     underlying complex: f·m = Σ (-1)^{|m_i||c_i|} f(c_i) m_i for
-    Δ_N(m) = Σ m_i ⊗ c_i."""
+    Δ_N(m) = Σ m_i ⊗ c_i.  A pair absent from the transposed coaction
+    acts by 0."""
     f = n.field
     dual = graded_dual_coalgebra(n.over)
     action: dict = {}
     sp = n.space
-    dsp = dual.space
     for l in [l for k in sp.degrees() for l in sp.labels(k)]:
         for m, c, v in n.coaction_label(l):
             fc = dual_label(c)
-            if fc not in dsp:
+            if fc not in dual.space:
                 continue
             sgn = f.from_int(koszul_sign(sp.deg(m), n.over.space.deg(c)))
-            key = (fc, l)
-            col = action.setdefault(key, {})
-            s = f.add(col.get(m, f.zero), f.mul(sgn, v))
-            if f.is_zero(s):
-                col.pop(m, None)
-            else:
-                col[m] = s
-    for k in dsp.degrees():
-        for a in dsp.labels(k):
-            for l in [l for j in sp.degrees() for l in sp.labels(j)]:
-                if (a, l) not in action and dsp.deg(a) + sp.deg(l) in sp.window:
-                    action[(a, l)] = {}
-    return DGModule(n.carrier, dual, action, side="left",
+            _accumulate(f, action, (fc, l), m, f.mul(sgn, v))
+    return DGModule(n.carrier, dual, _sparse_rule(action), side="left",
                     name=f"F({n.name})" if n.name else "")
 
 
@@ -640,32 +678,18 @@ def tD(n: DGComodule) -> DGModule:
     fm = comodule_to_module_F(n)
     dual_alg = fm.over
     dcx = dual_complex(n.carrier)
+    dsp = dcx.space
     action: dict = {}
     sp = n.space
-    for k in dual_alg.space.degrees():
-        for a in dual_alg.space.labels(k):
-            for l in [l for j in sp.degrees() for l in sp.labels(j)]:
-                img = fm.action.get((a, l), {})
-                # (m'^*)·a has coefficient (a·m)_{m'} on m^*
-                for mp, v in img.items():
-                    key = (dual_label(mp), a)
-                    if dcx.space.deg(dual_label(mp)) + k not in dcx.space.window:
-                        continue
-                    col = action.setdefault(key, {})
-                    dl = dual_label(l)
-                    s = f.add(col.get(dl, f.zero), v)
-                    if f.is_zero(s):
-                        col.pop(dl, None)
-                    else:
-                        col[dl] = s
-    dsp = dcx.space
-    for k in dual_alg.space.degrees():
-        for a in dual_alg.space.labels(k):
-            for j in dsp.degrees():
-                for phi in dsp.labels(j):
-                    if (phi, a) not in action and j + k in dsp.window:
-                        action[(phi, a)] = {}
-    return DGModule(dcx, dual_alg, action, side="right",
+    for a, l in degree_compatible((dual_alg.space, sp),
+                                  lambda s: s in sp.window):
+        k = dual_alg.space.deg(a)
+        # (m'^*)·a has coefficient (a·m)_{m'} on m^*
+        for mp, v in fm.act_pair(a, l).items():
+            if dsp.deg(dual_label(mp)) + k not in dsp.window:
+                continue
+            _accumulate(f, action, (dual_label(mp), a), dual_label(l), v)
+    return DGModule(dcx, dual_alg, _sparse_rule(action), side="right",
                     name=f"tD({n.name})" if n.name else "")
 
 
@@ -704,7 +728,8 @@ def cocomplete_filtration(n: DGComodule, max_level: int | None = None) -> dict:
 def trivial_algebra(field: FieldSpec, window: DegreeWindow) -> DGAlgebra:
     sp = GradedSpace(field, window, {0: ["1"]}, bounds=(0, 0))
     cx = Complex(sp, GradedMap.zero(sp, sp, 1))
-    return DGAlgebra(cx, "1", {("1", "1"): {"1": field.one}},
+    one = {"1": field.one}
+    return DGAlgebra(cx, "1", lambda a, b: one,
                      "non-negative", simply_connected=True, name="K")
 
 
@@ -753,15 +778,16 @@ def polynomial_algebra(field: FieldSpec, window: DegreeWindow,
     sp = GradedSpace(field, window, basis_sorted, bounds=(0, POS_INF))
     cx = Complex(sp, GradedMap.zero(sp, sp, 1))
     exps_of = {l: e for e, l in label_of.items()}
-    mult = {}
-    for la, ea in exps_of.items():
-        for lb, eb in exps_of.items():
-            s = tuple(x + y for x, y in zip(ea, eb))
-            deg = sum(x * d for x, d in zip(s, degs))
-            if deg <= maxdeg:
-                mult[(la, lb)] = {label_of[s]: field.one}
+
+    def mult_pair(a: str, b: str) -> dict:
+        if sp.deg(a) + sp.deg(b) > maxdeg:
+            return {}
+        s = tuple(x + y for x, y in zip(exps_of[a], exps_of[b]))
+        return {label_of[s]: field.one}
+
     nm = "K[" + ",".join(names) + "]"
-    return DGAlgebra(cx, "1", mult, "non-negative", simply_connected=True, name=nm)
+    return DGAlgebra(cx, "1", mult_pair, "non-negative", simply_connected=True,
+                     name=nm)
 
 
 def truncated_polynomial_algebra(field: FieldSpec, window: DegreeWindow,
@@ -780,18 +806,15 @@ def truncated_polynomial_algebra(field: FieldSpec, window: DegreeWindow,
     sp = GradedSpace(field, window, basis, bounds=(0, (power - 1) * degree))
     cx = Complex(sp, GradedMap.zero(sp, sp, 1))
     lab = {e: _monomial_label([name], (e,)) for e in range(power)}
-    mult = {}
-    for i in range(power):
-        if i * degree > window.hi:
-            continue
-        for j in range(power):
-            if j * degree > window.hi or (i + j) * degree > window.hi:
-                continue
-            if i + j < power:
-                mult[(lab[i], lab[j])] = {lab[i + j]: field.one}
-            else:
-                mult[(lab[i], lab[j])] = {}
-    return DGAlgebra(cx, "1", mult, "non-negative", simply_connected=True,
+    exp_of = {l: e for e, l in lab.items()}
+
+    def mult_pair(a: str, b: str) -> dict:
+        e = exp_of[a] + exp_of[b]
+        if e >= power or e * degree > window.hi:
+            return {}
+        return {lab[e]: field.one}
+
+    return DGAlgebra(cx, "1", mult_pair, "non-negative", simply_connected=True,
                      name=f"K[{name}]/({name}^{power})")
 
 
@@ -799,59 +822,52 @@ def _subset_label(names: list, subset: tuple) -> str:
     return "*".join(names[i] for i in subset) if subset else "1"
 
 
-def _merge_sign(degs_a: list, degs_b: list, idx_a: tuple, idx_b: tuple):
-    """Koszul sign for merging two increasing index tuples; None if they
-    overlap (square-zero)."""
-    if set(idx_a) & set(idx_b):
-        return None
-    sign = 1
-    for i in idx_a:
-        for j in idx_b:
-            if j < i:
-                sign *= koszul_sign(degs_a[i], degs_b[j])
-    return sign
-
-
-def exterior_algebra(field: FieldSpec, window: DegreeWindow,
-                     gens: list) -> DGAlgebra:
-    """Λ(x_1, ..., x_n) on odd-degree generators, zero differential."""
+def _exterior_carrier(field: FieldSpec, window: DegreeWindow, gens: list,
+                      what: str):
+    """Complex with zero differential on the subsets of odd-degree
+    generators, and the label of each subset (increasing index tuple)."""
     names = [g[0] for g in gens]
     degs = [g[1] for g in gens]
     for d in degs:
         if d % 2 == 0:
             raise ValueError(f"exterior generator degree must be odd, got {d}")
-    n = len(gens)
-    subsets = []
-    for r in range(n + 1):
-        subsets.extend(itertools.combinations(range(n), r))
+    label = {s: _subset_label(names, s)
+             for r in range(len(gens) + 1)
+             for s in itertools.combinations(range(len(gens)), r)}
     basis: dict = {}
-    for s in subsets:
+    for s, l in label.items():
         d = sum(degs[i] for i in s)
         if d not in window:
-            raise ValueError("window too small for the exterior algebra basis")
-        basis.setdefault(d, []).append((s, _subset_label(names, s)))
+            raise ValueError(f"window too small for the exterior {what} basis")
+        basis.setdefault(d, []).append((s, l))
     basis_sorted = {d: tuple(l for _, l in sorted(items))
                     for d, items in sorted(basis.items())}
-    bounds = (min(basis), max(basis))
-    sp = GradedSpace(field, window, basis_sorted, bounds=bounds)
-    cx = Complex(sp, GradedMap.zero(sp, sp, 1))
-    label = {s: _subset_label(names, s) for s in subsets}
-    mult = {}
-    for sa in subsets:
-        for sb in subsets:
-            sign = _merge_sign(degs, degs, sa, sb)
-            if sign is None:
-                mult[(label[sa], label[sb])] = {}
-            else:
-                merged = tuple(sorted(sa + sb))
-                # sign of sorting the concatenation sa+sb
-                seq = list(sa) + list(sb)
-                sgn = sign_of_sort(seq, [degs[i] for i in seq])
-                mult[(label[sa], label[sb])] = {label[merged]: field.from_int(sgn)}
+    sp = GradedSpace(field, window, basis_sorted,
+                     bounds=(min(basis), max(basis)))
+    return Complex(sp, GradedMap.zero(sp, sp, 1)), label
+
+
+def exterior_algebra(field: FieldSpec, window: DegreeWindow,
+                     gens: list) -> DGAlgebra:
+    """Λ(x_1, ..., x_n) on odd-degree generators, zero differential."""
+    cx, label = _exterior_carrier(field, window, gens, "algebra")
+    names = [g[0] for g in gens]
+    degs = [g[1] for g in gens]
+    subset_of = {l: s for s, l in label.items()}
+
+    def mult_pair(a: str, b: str) -> dict:
+        sa, sb = subset_of[a], subset_of[b]
+        if set(sa) & set(sb):
+            return {}
+        # sign of sorting the concatenation sa+sb
+        seq = sa + sb
+        sgn = sign_of_sort(seq, [degs[i] for i in seq])
+        return {label[tuple(sorted(seq))]: field.from_int(sgn)}
+
     polarity = "non-negative" if all(d > 0 for d in degs) else "non-positive"
     sc = all(abs(d) >= 2 for d in degs) if polarity == "non-negative" else \
         all(d <= -2 for d in degs)
-    return DGAlgebra(cx, "1", mult, polarity, simply_connected=sc,
+    return DGAlgebra(cx, "1", mult_pair, polarity, simply_connected=sc,
                      name="Λ(" + ",".join(names) + ")")
 
 
@@ -877,29 +893,11 @@ def exterior_coalgebra(field: FieldSpec, window: DegreeWindow,
                        gens: list) -> DGCoalgebra:
     """∧ΣV: primitively generated coalgebra on odd-degree generators whose
     underlying space is the exterior algebra; Δ by signed unshuffles."""
+    cx, label = _exterior_carrier(field, window, gens, "coalgebra")
     names = [g[0] for g in gens]
     degs = [g[1] for g in gens]
-    for d in degs:
-        if d % 2 == 0:
-            raise ValueError(f"generator degree must be odd, got {d}")
-    n = len(gens)
-    subsets = []
-    for r in range(n + 1):
-        subsets.extend(itertools.combinations(range(n), r))
-    basis: dict = {}
-    for s in subsets:
-        d = sum(degs[i] for i in s)
-        if d not in window:
-            raise ValueError("window too small for the exterior coalgebra basis")
-        basis.setdefault(d, []).append((s, _subset_label(names, s)))
-    basis_sorted = {d: tuple(l for _, l in sorted(items))
-                    for d, items in sorted(basis.items())}
-    sp = GradedSpace(field, window, basis_sorted,
-                     bounds=(min(basis), max(basis)))
-    cx = Complex(sp, GradedMap.zero(sp, sp, 1))
-    label = {s: _subset_label(names, s) for s in subsets}
     comult = {}
-    for s in subsets:
+    for s in label:
         terms = []
         members = list(s)
         for r in range(len(members) + 1):
@@ -929,8 +927,7 @@ def _unshuffle_sign(original: list, shuffled: list, degs: list) -> int:
 
 def free_module(a: DGAlgebra) -> DGModule:
     """A as a right module over itself."""
-    action = {(m, x): combo for (m, x), combo in a.mult.items()}
-    return DGModule(a.carrier, a, action, side="right", name=a.name)
+    return DGModule(a.carrier, a, a.mult_pair, side="right", name=a.name)
 
 
 def trivial_module(a: DGAlgebra, label: str = "1m") -> DGModule:
@@ -938,16 +935,17 @@ def trivial_module(a: DGAlgebra, label: str = "1m") -> DGModule:
     f = a.field
     sp = GradedSpace(f, a.space.window, {0: [label]}, bounds=(0, 0))
     cx = Complex(sp, GradedMap.zero(sp, sp, 1))
-    action = {}
-    for n in a.space.degrees():
-        for x in a.space.labels(n):
-            if n in sp.window:
-                action[(label, x)] = {label: f.one} if x == a.unit else {}
-    return DGModule(cx, a, action, side="right", name="K")
+    fixed = {label: f.one}
+
+    def act_pair(m: str, x: str) -> dict:
+        return fixed if x == a.unit else {}
+
+    return DGModule(cx, a, act_pair, side="right", name="K")
 
 
 def truncated_module(a: DGAlgebra, name: str, degree: int, power: int) -> DGModule:
-    """K[y]/(y^power) as a module over K[y] = a (single even generator)."""
+    """K[y]/(y^power) as a module over K[y] = a (single even generator);
+    an algebra label of degree n acts as y^(n // degree)."""
     f = a.field
     win = a.space.window
     labels = {}
@@ -961,33 +959,32 @@ def truncated_module(a: DGAlgebra, name: str, degree: int, power: int) -> DGModu
         basis[d] = (l,)
     sp = GradedSpace(f, win, basis, bounds=(0, (power - 1) * degree))
     cx = Complex(sp, GradedMap.zero(sp, sp, 1))
-    action = {}
-    for e, ml in labels.items():
-        for n in a.space.degrees():
-            for x in a.space.labels(n):
-                if e * degree + n > win.hi:
-                    continue
-                j = n // degree
-                if e + j < power:
-                    tgt = labels.get(e + j)
-                    action[(ml, x)] = {tgt: f.one} if tgt else {}
-                else:
-                    action[(ml, x)] = {}
-    return DGModule(cx, a, action, side="right",
+    exp_of = {l: e for e, l in labels.items()}
+
+    def act_pair(ml: str, x: str) -> dict:
+        e = exp_of[ml]
+        n = a.space.deg(x)
+        if e * degree + n > win.hi or e + n // degree >= power:
+            return {}
+        tgt = labels.get(e + n // degree)
+        return {tgt: f.one} if tgt else {}
+
+    return DGModule(cx, a, act_pair, side="right",
                     name=f"K[{name}]/({name}^{power})")
 
 
 def module_shift(m: DGModule, k: int) -> DGModule:
-    """Σ^k M with unchanged action table (the suspension symbol moves past
+    """Σ^k M with unchanged action (the suspension symbol moves past
     nothing on the action side); differential picks up (-1)^k."""
     cx = shift_complex(m.carrier, k)
-    return DGModule(cx, m.over, m.action, side=m.side,
+    return DGModule(cx, m.over, m.act_pair, side=m.side,
                     name=f"Σ^{k}{m.name}" if m.name else "")
 
 
 def module_direct_sum(ms: list, tags: list | None = None):
     """Direct sum of right modules over a common algebra; returns
-    (module, inclusions, projections)."""
+    (module, inclusions, projections).  Each summand acts by its own
+    rule on its tagged labels."""
     from dgkoszul.gradedcomplex import direct_sum as _ds
     if not ms:
         raise ValueError("empty direct sum")
@@ -999,15 +996,17 @@ def module_direct_sum(ms: list, tags: list | None = None):
             raise StructureError("direct sum of right modules only")
     tags = tags or [str(i) for i in range(len(ms))]
     total, incs, projs = _ds([m.carrier for m in ms], tags)
-    f = alg.field
-    action = {}
-    for tag, m in zip(tags, ms):
-        for (l, x), combo in m.action.items():
-            if f"{tag}:{l}" in total.space:
-                action[(f"{tag}:{l}", x)] = {
-                    f"{tag}:{t}": v for t, v in combo.items()
-                    if f"{tag}:{t}" in total.space}
-    dm = DGModule(total, alg, action, side="right",
+    summand = {f"{tag}:{l}": (tag, m, l)
+               for tag, m in zip(tags, ms)
+               for n in m.space.degrees() for l in m.space.labels(n)}
+    tsp = total.space
+
+    def act_pair(label: str, x: str) -> dict:
+        tag, m, l = summand[label]
+        return {f"{tag}:{t}": v for t, v in m.act_pair(l, x).items()
+                if f"{tag}:{t}" in tsp}
+
+    dm = DGModule(total, alg, act_pair, side="right",
                   name="⊕(" + ",".join(m.name or "?" for m in ms) + ")")
     return dm, incs, projs
 

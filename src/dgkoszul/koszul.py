@@ -247,7 +247,7 @@ def level_duality_check(pair: KoszulPair, m: DGModule,
         side_a["upper"] = cert.claimed_level
     else:
         side_a["upper"] = None
-    freeness = is_free_over_homology(m, sv, depth)
+    freeness = is_free_over_homology(m, sv)
     if cls == 0:
         side_a["lower"] = 0
     elif freeness["free"]:

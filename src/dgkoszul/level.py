@@ -14,7 +14,7 @@ cert_validate; the engine never emits one it cannot validate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from dgkoszul.gradedcomplex import (
     Complex,
@@ -29,10 +29,10 @@ from dgkoszul.gradedcomplex import (
     homology,
     induced_map_on_homology,
     is_chain_map,
-    is_null_homotopic_on_homology,
     shift_complex,
     solve_diagonal_chain_iso,
     TriangleRecord,
+    validate_triangle,
 )
 from dgkoszul.dgstruct import ValidationReport
 from dgkoszul.barcobar import restrict_complex
@@ -234,26 +234,13 @@ def cert_validate(c: LevelCertificate) -> ValidationReport:
 
 
 def _validate_triangle_strict(t: TriangleRecord):
-    """Triangle validation that rebuilds the cone from the base map rather
-    than trusting a stored cone complex."""
-    for name, fmap, src, tgt in (
-        ("f", t.f, t.m1, t.m),
-        ("g", t.g, t.m, t.m2),
-        ("h", t.h, t.m2, t.shifted_m1),
-    ):
-        ok, witness = is_chain_map(fmap, src, tgt)
-        if not ok:
-            raise StructureError(f"map {name} not a chain map at "
-                                 f"{witness[:2]}")
-    if not is_null_homotopic_on_homology(t.g.compose(t.f), t.m1, t.m2):
-        raise StructureError("g∘f nonzero on homology")
-    if not is_null_homotopic_on_homology(t.h.compose(t.g), t.m,
-                                         t.shifted_m1):
-        raise StructureError("h∘g nonzero on homology")
+    """``validate_triangle`` with the cone witness required and checked
+    against a cone rebuilt from the base map rather than the stored cone
+    complex."""
     if t.base_map is None or t.to_cone is None or t.from_cone is None:
         raise StructureError("missing cone witness")
     built, _ = cone(t.base_map, t.base_source, t.m1)
-    check_mutually_inverse(t.to_cone, t.from_cone, t.m, built)
+    validate_triangle(replace(t, cone_complex=built))
 
 
 # -------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dgkoszul.gradedcomplex import (
     is_chain_map,
     is_quasi_iso,
 )
-from dgkoszul.dgstruct import DGAlgebra, DGModule
+from dgkoszul.dgstruct import DGAlgebra, DGModule, merge_terms
 from dgkoszul.barcobar import tensor_label
 
 
@@ -228,19 +228,10 @@ def _substitute_out(field, a: DGAlgebra, expr, drop, h, h_expr, cap=200):
                         nxt.append((g2, t, field.mul(field.mul(c, c2), v)))
             else:
                 nxt.append((g, al, c))
-        terms = _merge_terms(field, nxt)
+        terms = merge_terms(field, nxt)
         if not again:
             return terms
     raise StructureError("cancellation substitution did not terminate")
-
-
-def _merge_terms(field, terms):
-    acc: dict = {}
-    for g, al, c in terms:
-        key = (g, al)
-        acc[key] = field.add(acc.get(key, field.zero), c)
-    return [(g, al, c) for (g, al), c in sorted(acc.items())
-            if not field.is_zero(c)]
 
 
 def minimize(r: SemifreeResolution) -> SemifreeResolution:
@@ -251,7 +242,7 @@ def minimize(r: SemifreeResolution) -> SemifreeResolution:
     f = a.field
     unit = a.unit
     gens = list(r.generators)
-    diff = {l: _merge_terms(f, terms) for l, terms in r.differential.items()}
+    diff = {l: merge_terms(f, terms) for l, terms in r.differential.items()}
     comp = {l: dict(c) for l, c in r.comparison.items()}
     while True:
         pair = None
@@ -350,18 +341,16 @@ def class_of(r: SemifreeResolution):
     return (len(stages), exhausted)
 
 
-def derived_fiber(m: DGModule, a: DGAlgebra,
-                  depth: int | None = None) -> DerivedFiber:
+def derived_fiber(r: SemifreeResolution) -> DerivedFiber:
     """F ⊗_A K for a minimal resolution F: zero differential, dimensions =
     minimal generator counts per degree."""
-    r = minimize(semifree_resolve(m, a, depth))
-    f = a.field
+    f = r.over.field
     dims: dict = {}
     basis: dict = {}
     for gl, d, _ in r.generators:
         dims[d] = dims.get(d, 0) + 1
         basis.setdefault(d, []).append(f"k:{gl}")
-    win = m.space.window
+    win = r.module.space.window
     basis = {d: tuple(sorted(ls)) for d, ls in sorted(basis.items())
              if d in win}
     if basis:
@@ -399,8 +388,7 @@ def _homology_algebra(cx: Complex) -> dict:
     return data
 
 
-def is_free_over_homology(m: DGModule, a: DGAlgebra,
-                          depth: int | None = None) -> dict:
+def is_free_over_homology(m: DGModule, a: DGAlgebra) -> dict:
     """Tor_1^{H(A)}(H(M), K) via the algebraic bar complex
     H(M)⊗Ā⊗Ā → H(M)⊗Ā → H(M); free iff Tor_1 vanishes in window."""
     from dgkoszul.gradedcomplex import homology_class

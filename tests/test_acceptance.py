@@ -377,7 +377,7 @@ def test_criterion_9_micro_world():
         # certificate via the engine's resolution machinery over K
         action = {(l, "1"): {l: f.one}
                   for n in cx.space.degrees() for l in cx.space.labels(n)}
-        mod = DGModule(cx, a, action, side="right")
+        mod = DGModule.from_table(cx, a, action, side="right")
         r = minimize(semifree_resolve(mod, a, depth=6))
         cert = cert_from_resolution(r)
         ok = ok and cert_validate(cert).ok

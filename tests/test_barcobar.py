@@ -76,7 +76,7 @@ def test_bar_rejects_mixed_polarity(F5, window):
     mult[("y", "x")] = {}
     mult[("x", "y")] = {}
     mult[("x", "x")] = {}
-    a = DGAlgebra(cx, "1", mult, "non-negative")
+    a = DGAlgebra.from_table(cx, "1", mult, "non-negative")
     with pytest.raises(StructureError):
         bar(a, window)
 

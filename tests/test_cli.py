@@ -165,6 +165,38 @@ def test_exit_parse_error_spec_not_object(tmp_path, capsys, section, name):
     assert capsys.readouterr().err.endswith(f"at {pointer}\n")
 
 
+TABLE_ALGEBRA = {"kind": "table", "basis": {"0": ["1"]},
+                 "unit": "1", "polarity": "non-negative",
+                 "mult": {"1|1": {"1": 1}}}
+
+
+@pytest.mark.parametrize("section,name,patch,pointer", [
+    pytest.param("algebras", "A", dict(TABLE_ALGEBRA, basis=[["1"]]),
+                 "/algebras/A/basis", id="basis-list"),
+    pytest.param("algebras", "S", {"kind": "polynomial", "generators": 5},
+                 "/algebras/S/generators", id="generators-int"),
+    pytest.param("algebras", "S",
+                 {"kind": "polynomial", "generators": [["y"]]},
+                 "/algebras/S/generators/0", id="generator-no-degree"),
+    pytest.param("modules", "M2",
+                 {"kind": "truncated", "over": "S", "name": "y",
+                  "degree": "2", "power": 2},
+                 "/modules/M2/degree", id="degree-string"),
+    pytest.param("algebras", "A",
+                 dict(TABLE_ALGEBRA, mult={"1|1": [["1", 1]]}),
+                 "/algebras/A/mult/1|1", id="mult-value-list"),
+])
+def test_exit_parse_error_malformed_nested_field(tmp_path, capsys, section,
+                                                 name, patch, pointer):
+    bad = json.loads(json.dumps(PRESENTATION))
+    bad[section][name] = patch
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(bad))
+    assert main(["validate", "-p", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"at {pointer}\n")
+
+
 def test_exit_parse_error_bad_module_power(capsys):
     assert main(["duality-check", "--degrees", "2",
                  "--module", "truncated:x"]) == 2

@@ -99,14 +99,14 @@ def test_minimize_removes_unit_arrows(F5, window):
 
 def test_derived_fiber_exterior_not_exhausted(F5, window):
     e = exterior_algebra(F5, window, [("x", -3)])
-    fib = derived_fiber(trivial_module(e), e)
+    fib = derived_fiber(resolve_min(trivial_module(e), e))
     assert fib.dimensions == {0: 1, -4: 1, -8: 1, -12: 1}
     assert not fib.exhausted  # the pattern continues past any window
 
 
 def test_derived_fiber_poly(F5, window):
     a = polynomial_algebra(F5, window, [("y", 2)])
-    fib = derived_fiber(trivial_module(a), a)
+    fib = derived_fiber(resolve_min(trivial_module(a), a))
     assert fib.dimensions == {0: 1, 1: 1}
     assert fib.exhausted
 
