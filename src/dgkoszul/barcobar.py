@@ -9,7 +9,7 @@ certificate that they are consistent.
 
 from __future__ import annotations
 
-from dgkoszul.exactlinalg import vec_addmul
+from dgkoszul.exactlinalg import vec_iadd
 from dgkoszul.gradedcomplex import (
     Complex,
     DegreeWindow,
@@ -18,7 +18,6 @@ from dgkoszul.gradedcomplex import (
     StructureError,
     NEG_INF,
     POS_INF,
-    check_d_squared,
     is_chain_map,
     is_quasi_iso,
     solve_diagonal_chain_iso,
@@ -149,7 +148,6 @@ def bar(a: DGAlgebra, window: DegreeWindow | None = None,
     basis = {n: tuple(bar_word_label(entries) for entries in ws)
              for n, ws in sorted(words.items())}
     bsp = GradedSpace(f, win, basis, bounds=bounds)
-    minus_one = f.from_int(-1)
     cols: dict = {}
     for n, ws in words.items():
         for entries in ws:
@@ -164,9 +162,7 @@ def bar(a: DGAlgebra, window: DegreeWindow | None = None,
                     word = entries[:i] + (t,) + entries[i + 1:]
                     label = bar_word_label(word)
                     if label in bsp:
-                        col = vec_addmul(f, col,
-                                         f.mul(minus_one, f.mul(psgn, v)),
-                                         {label: f.one})
+                        vec_iadd(f, col, f.neg(psgn), {label: v})
                 # merging part: (-1)^{deg x} s(x * next)
                 if i + 1 < len(entries):
                     msgn = f.from_int(-1 if sp.deg(x) % 2 else 1)
@@ -176,9 +172,7 @@ def bar(a: DGAlgebra, window: DegreeWindow | None = None,
                         word = entries[:i] + (t,) + entries[i + 2:]
                         label = bar_word_label(word)
                         if label in bsp:
-                            col = vec_addmul(f, col,
-                                             f.mul(msgn, f.mul(psgn, v)),
-                                             {label: f.one})
+                            vec_iadd(f, col, f.mul(msgn, psgn), {label: v})
                 prefix += sp.deg(x) - 1
             if col:
                 cols[bar_word_label(entries)] = col
@@ -262,7 +256,7 @@ def cobar(c: DGCoalgebra, window: DegreeWindow | None = None,
             labels.append(label)
         basis[nn] = tuple(labels)
     osp = GradedSpace(f, win, basis, bounds=bounds)
-    minus_one = f.from_int(-1)
+    reduced = {l: c.reduced_comult(l) for l, _ in letters}
     cols: dict = {}
     for nn, ws in words.items():
         for entries in ws:
@@ -277,18 +271,14 @@ def cobar(c: DGCoalgebra, window: DegreeWindow | None = None,
                     word = entries[:i] + (t,) + entries[i + 1:]
                     label = cobar_word_label(word)
                     if label in osp:
-                        col = vec_addmul(f, col,
-                                         f.mul(minus_one, f.mul(psgn, v)),
-                                         {label: f.one})
+                        vec_iadd(f, col, f.neg(psgn), {label: v})
                 # splitting part: -(-1)^{deg c'} <c'><c''>
-                for c1, c2, v in c.reduced_comult(x):
+                for c1, c2, v in reduced[x]:
                     ssgn = f.from_int(-1 if sp.deg(c1) % 2 else 1)
                     word = entries[:i] + (c1, c2) + entries[i + 1:]
                     label = cobar_word_label(word)
                     if label in osp:
-                        coefficient = f.mul(minus_one,
-                                            f.mul(ssgn, f.mul(psgn, v)))
-                        col = vec_addmul(f, col, coefficient, {label: f.one})
+                        vec_iadd(f, col, f.neg(f.mul(ssgn, psgn)), {label: v})
                 prefix += sp.deg(x) + 1
             if col:
                 cols[cobar_word_label(entries)] = col
@@ -407,12 +397,11 @@ def twisted_tensor_right(m: DGModule, t: TwistingCochain,
                     for tl, v in m.carrier.d(ml).items():
                         tgt = tensor_label(tl, cl)
                         if tgt in sp:
-                            col = vec_addmul(f, col, v, {tgt: f.one})
+                            vec_iadd(f, col, v, {tgt: f.one})
                     for tl, v in c.carrier.d(cl).items():
                         tgt = tensor_label(ml, tl)
                         if tgt in sp:
-                            col = vec_addmul(f, col, f.mul(sgn_m, v),
-                                             {tgt: f.one})
+                            vec_iadd(f, col, sgn_m, {tgt: v})
                     for c1, c2, v in c.comult_label(cl):
                         ta = t.apply_label(c1)
                         if not ta:
@@ -422,9 +411,7 @@ def twisted_tensor_right(m: DGModule, t: TwistingCochain,
                         for tl, u in acted.items():
                             tgt = tensor_label(tl, c2)
                             if tgt in sp:
-                                col = vec_addmul(f, col,
-                                                 f.mul(coefficient, u),
-                                                 {tgt: f.one})
+                                vec_iadd(f, col, coefficient, {tgt: u})
                     if col:
                         cols[label] = col
                     terms = []
@@ -448,7 +435,6 @@ def twisted_tensor_left(n: DGComodule, t: TwistingCochain,
     sp = _tensor_space(n.space, a.space, win)
     cols: dict = {}
     factors: dict = {}
-    minus_one = f.from_int(-1)
     for i in n.space.degrees():
         for nl in n.space.labels(i):
             sgn_n = f.from_int(-1 if i % 2 else 1)
@@ -462,12 +448,11 @@ def twisted_tensor_left(n: DGComodule, t: TwistingCochain,
                     for tl, v in n.carrier.d(nl).items():
                         tgt = tensor_label(tl, al)
                         if tgt in sp:
-                            col = vec_addmul(f, col, v, {tgt: f.one})
+                            vec_iadd(f, col, v, {tgt: f.one})
                     for tl, v in a.carrier.d(al).items():
                         tgt = tensor_label(nl, tl)
                         if tgt in sp:
-                            col = vec_addmul(f, col, f.mul(sgn_n, v),
-                                             {tgt: f.one})
+                            vec_iadd(f, col, sgn_n, {tgt: v})
                     for n1, cl, v in n.coaction_label(nl):
                         ta = t.apply_label(cl)
                         if not ta:
@@ -482,9 +467,7 @@ def twisted_tensor_left(n: DGComodule, t: TwistingCochain,
                         for tl, u in prod.items():
                             tgt = tensor_label(n1, tl)
                             if tgt in sp:
-                                col = vec_addmul(f, col,
-                                                 f.mul(coefficient, u),
-                                                 {tgt: f.one})
+                                vec_iadd(f, col, coefficient, {tgt: u})
                     if col:
                         cols[label] = col
     cx = Complex(sp, GradedMap(sp, sp, 1, cols))
@@ -498,7 +481,7 @@ def twisted_tensor_left(n: DGComodule, t: TwistingCochain,
         for tl, v in a.mult_pair(al, bl).items():
             tgt = tensor_label(nl, tl)
             if tgt in sp:
-                combo = vec_addmul(f, combo, v, {tgt: f.one})
+                vec_iadd(f, combo, v, {tgt: f.one})
         return combo
 
     nm = f"{n.name}⊗τ{a.name}" if n.name and a.name else ""

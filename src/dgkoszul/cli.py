@@ -21,6 +21,7 @@ from dgkoszul.gradedcomplex import (
     GradedSpace,
     check_d_squared,
     homology,
+    homology_by_degree,
 )
 from dgkoszul import dgstruct
 from dgkoszul.dgstruct import (
@@ -395,14 +396,8 @@ def emit(report: dict, args) -> None:
 
 
 def homology_dims(cx: Complex) -> dict:
-    dims = {}
-    for n in range(cx.space.window.lo, cx.space.window.hi + 1):
-        if not cx.space.homology_computable(n):
-            continue
-        h = homology(cx, n)
-        if h.dimension:
-            dims[str(n)] = h.dimension
-    return dims
+    return {str(n): h.dimension for n, h in homology_by_degree(cx).items()
+            if h.dimension}
 
 
 def space_dims(cx: Complex) -> dict:

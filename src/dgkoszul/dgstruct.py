@@ -17,14 +17,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 
-from dgkoszul.exactlinalg import FieldSpec, vec_add, vec_addmul, vec_scale
+from dgkoszul.exactlinalg import FieldSpec, bilinear, vec_iadd
 from dgkoszul.gradedcomplex import (
     Complex,
     DegreeWindow,
     GradedMap,
     GradedSpace,
     StructureError,
-    NEG_INF,
     POS_INF,
     check_d_squared,
     koszul_sign,
@@ -58,6 +57,7 @@ def _table_rule(table: dict, left: GradedSpace, right: GradedSpace,
         if left.deg(a) + right.deg(b) in window:
             raise StructureError(f"{what} table gap at ({a!r}, {b!r})")
         return {}
+    rule.table = table  # the validators check the grading of every entry
     return rule
 
 
@@ -138,12 +138,7 @@ class DGAlgebra:
         return self.carrier.space
 
     def multiply(self, x: dict, y: dict) -> dict:
-        f = self.field
-        out: dict = {}
-        for a, ca in x.items():
-            for b, cb in y.items():
-                out = vec_addmul(f, out, f.mul(ca, cb), self.mult_pair(a, b))
-        return out
+        return bilinear(self.field, self.mult_pair, x, y)
 
     def augmentation(self, x: dict):
         return x.get(self.unit, self.field.zero)
@@ -153,6 +148,11 @@ class DGAlgebra:
             for l in self.space.labels(n):
                 if l != self.unit:
                     yield l
+
+
+def _graded(space: GradedSpace, combo: dict, n: int) -> bool:
+    """Whether every label of ``combo`` is a basis label of degree n."""
+    return all(t in space and space.deg(t) == n for t in combo)
 
 
 def validate_algebra(a: DGAlgebra) -> ValidationReport:
@@ -180,6 +180,13 @@ def validate_algebra(a: DGAlgebra) -> ValidationReport:
         rep.fail(f"d^2 != 0 at degree {dsq.degree}, label {dsq.label!r}")
     if a.carrier.d(a.unit):
         rep.fail("d(unit) != 0")
+    win = sp.window
+    for x, y in itertools.chain(
+            degree_compatible((sp, sp), lambda s: s in win),
+            getattr(a.mult_pair, "table", ())):
+        if not _graded(sp, a.mult_pair(x, y), sp.deg(x) + sp.deg(y)):
+            rep.fail(f"product not of degree |x|+|y| at ({x!r}, {y!r})")
+            break
     labels = [l for n in degs for l in sp.labels(n)]
     one = {a.unit: f.one}
     for l in labels:
@@ -189,13 +196,12 @@ def validate_algebra(a: DGAlgebra) -> ValidationReport:
         if a.multiply({l: f.one}, one) != {l: f.one}:
             rep.fail(f"right unit law fails at {l!r}")
             break
-    win = sp.window
     for x, y in degree_compatible(
             (sp, sp), lambda s: s in win and s + 1 in win):
         lhs = a.carrier.d(a.mult_pair(x, y))
-        rhs = a.multiply(a.carrier.d(x), {y: f.one})
         sgn = f.from_int(-1 if sp.deg(x) % 2 else 1)
-        rhs = vec_add(f, rhs, vec_scale(f, sgn, a.multiply({x: f.one}, a.carrier.d(y))))
+        rhs = vec_iadd(f, a.multiply(a.carrier.d(x), {y: f.one}), sgn,
+                       a.multiply({x: f.one}, a.carrier.d(y)))
         if lhs != rhs:
             rep.fail(f"Leibniz fails at ({x!r}, {y!r})")
             break
@@ -257,12 +263,7 @@ class DGModule:
 
     def act(self, x: dict, y: dict) -> dict:
         """Right: x module combo, y algebra combo.  Left: x algebra, y module."""
-        f = self.field
-        out: dict = {}
-        for m, cm in x.items():
-            for a, ca in y.items():
-                out = vec_addmul(f, out, f.mul(cm, ca), self.act_pair(m, a))
-        return out
+        return bilinear(self.field, self.act_pair, x, y)
 
 
 def validate_module(m: DGModule) -> ValidationReport:
@@ -274,14 +275,22 @@ def validate_module(m: DGModule) -> ValidationReport:
     if not dsq:
         rep.fail(f"d^2 != 0 at degree {dsq.degree}")
     asp = alg.space
-    one = {alg.unit: f.one}
     right = m.side == "right"
+    win = sp.window
+    table_pairs = getattr(m.act_pair, "table", ())
+    for l, x in itertools.chain(
+            degree_compatible((sp, asp), lambda s: s in win),
+            (k if right else k[::-1] for k in table_pairs)):
+        combo = m.act_pair(l, x) if right else m.act_pair(x, l)
+        if not _graded(sp, combo, sp.deg(l) + asp.deg(x)):
+            rep.fail(f"action not of degree |m|+|a| at ({l!r}, {x!r})")
+            break
+    one = {alg.unit: f.one}
     for l in [l for n in sp.degrees() for l in sp.labels(n)]:
         out = m.act({l: f.one}, one) if right else m.act(one, {l: f.one})
         if out != {l: f.one}:
             rep.fail(f"unit does not act as identity at {l!r}")
             break
-    win = sp.window
     for l, x, y in degree_compatible((sp, asp, asp), lambda s: s in win):
         if right:
             lhs = m.act(m.act_pair(l, x), {y: f.one})
@@ -296,16 +305,14 @@ def validate_module(m: DGModule) -> ValidationReport:
             (sp, asp), lambda s: s in win and s + 1 in win):
         if right:
             lhs = m.carrier.d(m.act_pair(l, x))
-            rhs = m.act(m.carrier.d(l), {x: f.one})
             sgn = f.from_int(-1 if sp.deg(l) % 2 else 1)
-            rhs = vec_add(f, rhs, vec_scale(
-                f, sgn, m.act({l: f.one}, alg.carrier.d(x))))
+            rhs = vec_iadd(f, m.act(m.carrier.d(l), {x: f.one}), sgn,
+                           m.act({l: f.one}, alg.carrier.d(x)))
         else:
             lhs = m.carrier.d(m.act_pair(x, l))
-            rhs = m.act(alg.carrier.d(x), {l: f.one})
             sgn = f.from_int(-1 if asp.deg(x) % 2 else 1)
-            rhs = vec_add(f, rhs, vec_scale(
-                f, sgn, m.act({x: f.one}, m.carrier.d(l))))
+            rhs = vec_iadd(f, m.act(alg.carrier.d(x), {l: f.one}), sgn,
+                           m.act({x: f.one}, m.carrier.d(l)))
         if lhs != rhs:
             rep.fail(f"action Leibniz fails at ({l!r}, {x!r})")
             break
@@ -341,10 +348,10 @@ class DGCoalgebra:
             raise StructureError("reduced coproduct of the coaugmentation")
         acc: dict = {}
         for l1, l2, c in self.comult_label(l):
-            acc[(l1, l2)] = f.add(acc.get((l1, l2), f.zero), c)
-        for key in ((l, self.coaug), (self.coaug, l)):
-            acc[key] = f.sub(acc.get(key, f.zero), f.one)
-        return [(l1, l2, c) for (l1, l2), c in acc.items() if not f.is_zero(c)]
+            vec_iadd(f, acc, c, {(l1, l2): f.one})
+        vec_iadd(f, acc, f.from_int(-1),
+                 {(l, self.coaug): f.one, (self.coaug, l): f.one})
+        return [(l1, l2, c) for (l1, l2), c in acc.items()]
 
 
 def validate_coalgebra(c: DGCoalgebra) -> ValidationReport:
@@ -370,8 +377,8 @@ def validate_coalgebra(c: DGCoalgebra) -> ValidationReport:
         left: dict = {}
         right: dict = {}
         for l1, l2, v in c.comult_label(l):
-            left = vec_addmul(f, left, f.mul(eps(l1), v), {l2: f.one})
-            right = vec_addmul(f, right, f.mul(eps(l2), v), {l1: f.one})
+            vec_iadd(f, left, eps(l1), {l2: v})
+            vec_iadd(f, right, eps(l2), {l1: v})
         if left != {l: f.one} or right != {l: f.one}:
             rep.fail(f"counit law fails at {l!r}")
             break
@@ -380,13 +387,9 @@ def validate_coalgebra(c: DGCoalgebra) -> ValidationReport:
         rhs: dict = {}
         for l1, l2, v in c.comult_label(l):
             for l1a, l1b, w in c.comult_label(l1):
-                key = (l1a, l1b, l2)
-                lhs[key] = f.add(lhs.get(key, f.zero), f.mul(v, w))
+                vec_iadd(f, lhs, v, {(l1a, l1b, l2): w})
             for l2a, l2b, w in c.comult_label(l2):
-                key = (l1, l2a, l2b)
-                rhs[key] = f.add(rhs.get(key, f.zero), f.mul(v, w))
-        lhs = {k: v for k, v in lhs.items() if not f.is_zero(v)}
-        rhs = {k: v for k, v in rhs.items() if not f.is_zero(v)}
+                vec_iadd(f, rhs, v, {(l1, l2a, l2b): w})
         if lhs != rhs:
             rep.fail(f"coassociativity fails at {l!r}")
             break
@@ -397,19 +400,14 @@ def validate_coalgebra(c: DGCoalgebra) -> ValidationReport:
         lhs: dict = {}
         for t, v in c.carrier.d(l).items():
             for l1, l2, w in c.comult_label(t):
-                key = (l1, l2)
-                lhs[key] = f.add(lhs.get(key, f.zero), f.mul(v, w))
+                vec_iadd(f, lhs, v, {(l1, l2): w})
         rhs: dict = {}
         for l1, l2, v in c.comult_label(l):
-            for t, w in c.carrier.d(l1).items():
-                key = (t, l2)
-                rhs[key] = f.add(rhs.get(key, f.zero), f.mul(v, w))
             sgn = f.from_int(-1 if sp.deg(l1) % 2 else 1)
-            for t, w in c.carrier.d(l2).items():
-                key = (l1, t)
-                rhs[key] = f.add(rhs.get(key, f.zero), f.mul(f.mul(sgn, v), w))
-        lhs = {k: v for k, v in lhs.items() if not f.is_zero(v)}
-        rhs = {k: v for k, v in rhs.items() if not f.is_zero(v)}
+            vec_iadd(f, rhs, v,
+                     {(t, l2): w for t, w in c.carrier.d(l1).items()})
+            vec_iadd(f, rhs, f.mul(sgn, v),
+                     {(l1, t): w for t, w in c.carrier.d(l2).items()})
         if lhs != rhs:
             rep.fail(f"co-Leibniz fails at {l!r}")
             break
@@ -446,10 +444,9 @@ class DGComodule:
         f = self.field
         acc: dict = {}
         for m, c, v in self.coaction_label(l):
-            acc[(m, c)] = f.add(acc.get((m, c), f.zero), v)
-        key = (l, self.over.coaug)
-        acc[key] = f.sub(acc.get(key, f.zero), f.one)
-        return [(m, c, v) for (m, c), v in acc.items() if not f.is_zero(v)]
+            vec_iadd(f, acc, v, {(m, c): f.one})
+        vec_iadd(f, acc, f.from_int(-1), {(l, self.over.coaug): f.one})
+        return [(m, c, v) for (m, c), v in acc.items()]
 
 
 def validate_comodule(n: DGComodule) -> ValidationReport:
@@ -468,7 +465,7 @@ def validate_comodule(n: DGComodule) -> ValidationReport:
     for l in labels:
         out: dict = {}
         for m, c, v in n.coaction_label(l):
-            out = vec_addmul(f, out, f.mul(eps(c), v), {m: f.one})
+            vec_iadd(f, out, eps(c), {m: v})
         if out != {l: f.one}:
             rep.fail(f"counitality fails at {l!r}")
             break
@@ -477,13 +474,9 @@ def validate_comodule(n: DGComodule) -> ValidationReport:
         rhs: dict = {}
         for m, c, v in n.coaction_label(l):
             for m2, c2, w in n.coaction_label(m):
-                key = (m2, c2, c)
-                lhs[key] = f.add(lhs.get(key, f.zero), f.mul(v, w))
+                vec_iadd(f, lhs, v, {(m2, c2, c): w})
             for c1, c2, w in co.comult_label(c):
-                key = (m, c1, c2)
-                rhs[key] = f.add(rhs.get(key, f.zero), f.mul(v, w))
-        lhs = {k: v for k, v in lhs.items() if not f.is_zero(v)}
-        rhs = {k: v for k, v in rhs.items() if not f.is_zero(v)}
+                vec_iadd(f, rhs, v, {(m, c1, c2): w})
         if lhs != rhs:
             rep.fail(f"coaction coassociativity fails at {l!r}")
             break
@@ -491,19 +484,14 @@ def validate_comodule(n: DGComodule) -> ValidationReport:
         lhs: dict = {}
         for t, v in n.carrier.d(l).items():
             for m, c, w in n.coaction_label(t):
-                key = (m, c)
-                lhs[key] = f.add(lhs.get(key, f.zero), f.mul(v, w))
+                vec_iadd(f, lhs, v, {(m, c): w})
         rhs: dict = {}
         for m, c, v in n.coaction_label(l):
-            for t, w in n.carrier.d(m).items():
-                key = (t, c)
-                rhs[key] = f.add(rhs.get(key, f.zero), f.mul(v, w))
             sgn = f.from_int(-1 if sp.deg(m) % 2 else 1)
-            for t, w in co.carrier.d(c).items():
-                key = (m, t)
-                rhs[key] = f.add(rhs.get(key, f.zero), f.mul(f.mul(sgn, v), w))
-        lhs = {k: v for k, v in lhs.items() if not f.is_zero(v)}
-        rhs = {k: v for k, v in rhs.items() if not f.is_zero(v)}
+            vec_iadd(f, rhs, v,
+                     {(t, c): w for t, w in n.carrier.d(m).items()})
+            vec_iadd(f, rhs, f.mul(sgn, v),
+                     {(m, t): w for t, w in co.carrier.d(c).items()})
         if lhs != rhs:
             rep.fail(f"coaction co-Leibniz fails at {l!r}")
             break
@@ -536,13 +524,14 @@ def validate_twisting_cochain(t: TwistingCochain) -> ValidationReport:
     for l in [l for n in c.space.degrees() for l in c.space.labels(n)]:
         if c.space.deg(l) + 2 not in a.space.window:
             continue
-        res = a.carrier.d(t.apply_label(l))
-        res = vec_add(f, res, t.apply(c.carrier.d(l)))
+        # d_A of a combination is a new dict
+        res = vec_iadd(f, a.carrier.d(t.apply_label(l)), f.one,
+                       t.apply(c.carrier.d(l)))
         for l1, l2, v in c.comult_label(l):
             # Koszul sign for moving τ (degree +1) past the first factor
             sgn = f.from_int(-1 if c.space.deg(l1) % 2 else 1)
-            prod = a.multiply(t.apply_label(l1), t.apply_label(l2))
-            res = vec_addmul(f, res, f.mul(sgn, v), prod)
+            vec_iadd(f, res, f.mul(sgn, v),
+                     a.multiply(t.apply_label(l1), t.apply_label(l2)))
         if res:
             rep.fail(f"Maurer-Cartan residual nonzero at {l!r}: {res}")
             break
@@ -578,13 +567,8 @@ def dual_complex(c: Complex) -> Complex:
                 # contribution of ⟨d(x*), y⟩
                 sgn = f.from_int(-1 if (-sp.deg(x)) % 2 else 1)
                 coefficient = f.mul(f.from_int(-1), f.mul(sgn, v))
-                col = cols.setdefault(dual_label(x), {})
-                dy = dual_label(y)
-                s = f.add(col.get(dy, f.zero), coefficient)
-                if f.is_zero(s):
-                    col.pop(dy, None)
-                else:
-                    col[dy] = s
+                vec_iadd(f, cols.setdefault(dual_label(x), {}), coefficient,
+                         {dual_label(y): f.one})
     cols = {k: v for k, v in cols.items() if v}
     return Complex(space, GradedMap(space, space, 1, cols))
 
@@ -594,9 +578,8 @@ def merge_terms(f: FieldSpec, terms: list) -> list:
     pair summed, zeros dropped and pairs sorted (deterministic)."""
     acc: dict = {}
     for l1, l2, v in terms:
-        acc[(l1, l2)] = f.add(acc.get((l1, l2), f.zero), v)
-    return [(l1, l2, v) for (l1, l2), v in sorted(acc.items())
-            if not f.is_zero(v)]
+        vec_iadd(f, acc, v, {(l1, l2): f.one})
+    return [(l1, l2, v) for (l1, l2), v in sorted(acc.items())]
 
 
 def graded_dual_algebra(a: DGAlgebra) -> DGCoalgebra:
@@ -620,16 +603,6 @@ def graded_dual_algebra(a: DGAlgebra) -> DGCoalgebra:
                        name=f"({a.name})^" if a.name else "")
 
 
-def _accumulate(f, nonzero: dict, key, label: str, v) -> None:
-    """nonzero[key][label] += v, dropping the label when the sum is 0."""
-    col = nonzero.setdefault(key, {})
-    s = f.add(col.get(label, f.zero), v)
-    if f.is_zero(s):
-        col.pop(label, None)
-    else:
-        col[label] = s
-
-
 def graded_dual_coalgebra(c: DGCoalgebra) -> DGAlgebra:
     """Dual algebra of a locally finite coalgebra; its products are the
     transposed coproduct, and a pair absent from it multiplies to 0."""
@@ -640,8 +613,8 @@ def graded_dual_coalgebra(c: DGCoalgebra) -> DGAlgebra:
         for l1, l2, v in terms:
             d1, d2 = c.space.deg(l1), c.space.deg(l2)
             sgn = f.from_int(koszul_sign(d1, d2))
-            _accumulate(f, mult, (dual_label(l1), dual_label(l2)),
-                        dual_label(l), f.mul(sgn, v))
+            vec_iadd(f, mult.setdefault((dual_label(l1), dual_label(l2)), {}),
+                     f.mul(sgn, v), {dual_label(l): f.one})
     sp = cx.space
     degs = sp.degrees()
     polarity = "non-negative" if not degs or degs[0] >= 0 else "non-positive"
@@ -666,7 +639,8 @@ def comodule_to_module_F(n: DGComodule) -> DGModule:
             if fc not in dual.space:
                 continue
             sgn = f.from_int(koszul_sign(sp.deg(m), n.over.space.deg(c)))
-            _accumulate(f, action, (fc, l), m, f.mul(sgn, v))
+            vec_iadd(f, action.setdefault((fc, l), {}), f.mul(sgn, v),
+                     {m: f.one})
     return DGModule(n.carrier, dual, _sparse_rule(action), side="left",
                     name=f"F({n.name})" if n.name else "")
 
@@ -688,7 +662,8 @@ def tD(n: DGComodule) -> DGModule:
         for mp, v in fm.act_pair(a, l).items():
             if dsp.deg(dual_label(mp)) + k not in dsp.window:
                 continue
-            _accumulate(f, action, (dual_label(mp), a), dual_label(l), v)
+            vec_iadd(f, action.setdefault((dual_label(mp), a), {}), v,
+                     {dual_label(l): f.one})
     return DGModule(dcx, dual_alg, _sparse_rule(action), side="right",
                     name=f"tD({n.name})" if n.name else "")
 
@@ -707,12 +682,7 @@ def cocomplete_filtration(n: DGComodule, max_level: int | None = None) -> dict:
             nxt: dict = {}
             for (m, cs), v in state.items():
                 for m2, c, w in n.reduced_coaction(m):
-                    key = (m2, (c,) + cs)
-                    s = f.add(nxt.get(key, f.zero), f.mul(v, w))
-                    if f.is_zero(s):
-                        nxt.pop(key, None)
-                    else:
-                        nxt[key] = s
+                    vec_iadd(f, nxt, v, {(m2, (c,) + cs): w})
             if not nxt:
                 level = step
                 break

@@ -5,6 +5,13 @@ module.  Arithmetic is exact: canonical residues over a prime field,
 ``fractions.Fraction`` over the rationals.  Both fields share one sparse
 Gauss–Jordan elimination (``_rref_rows``) over row dicts keyed by leading
 column, in the spirit of Faugère–Lachartre (PASCO 2010).
+
+Combinations are sparse dicts key -> nonzero scalar.  ``vec_iadd`` is the
+one accumulator: it adds c·v into a caller-owned dict in place and drops
+the keys that cancel.  ``bilinear`` extends a rule on basis pairs (a
+product or an action) to combinations through it.  Never accumulate into
+a dict you did not build: a stored differential column, a rule's return
+value or a cached homology representative may be shared.
 """
 
 from __future__ import annotations
@@ -99,16 +106,6 @@ class FieldSpec:
             return isinstance(a, int) and 0 <= a < self.p
         return isinstance(a, Fraction)
 
-    def serialize(self, a) -> str:
-        if self.kind == "prime":
-            return str(a)
-        return f"{a.numerator}/{a.denominator}"
-
-    def parse(self, s: str):
-        if self.kind == "prime":
-            return int(s) % self.p
-        return Fraction(s)
-
     def __eq__(self, other):
         return (
             isinstance(other, FieldSpec)
@@ -123,27 +120,44 @@ class FieldSpec:
         return f"F_{self.p}" if self.kind == "prime" else "Q"
 
 
-# -- vectors are sparse dicts index -> nonzero scalar ----------------------
+# -- vectors are sparse dicts key -> nonzero scalar ------------------------
 
 
-def vec_add(field: FieldSpec, u: dict, v: dict) -> dict:
-    out = dict(u)
+def vec_iadd(field: FieldSpec, acc: dict, c, v: dict) -> dict:
+    """acc += c*v in place, dropping the keys that cancel; returns acc.
+
+    This is the one place outside the RREF kernel that adds into a
+    combination.  ``acc`` must be a dict the caller built and owns; a
+    stored column (``Complex.d(label)``), a rule's return value or a cached
+    homology representative may be shared, so copy it with ``dict(...)``
+    before accumulating into it.
+    """
+    if field.is_zero(c):
+        return acc
+    add, mul = field.add, field.mul
     for k, x in v.items():
-        s = field.add(out.get(k, field.zero), x)
-        if field.is_zero(s):
-            out.pop(k, None)
+        s = add(acc.get(k, 0), mul(c, x))
+        if s:
+            acc[k] = s
         else:
-            out[k] = s
-    return out
+            acc.pop(k, None)
+    return acc
+
 
 def vec_scale(field: FieldSpec, c, u: dict) -> dict:
     if field.is_zero(c):
         return {}
     return {k: field.mul(c, x) for k, x in u.items()}
 
-def vec_addmul(field: FieldSpec, u: dict, c, v: dict) -> dict:
-    """u + c*v"""
-    return vec_add(field, u, vec_scale(field, c, v))
+
+def bilinear(field: FieldSpec, rule, x: dict, y: dict) -> dict:
+    """Σ x_a y_b rule(a, b): the bilinear extension of a rule on basis
+    pairs (a product or an action) to combinations."""
+    out: dict = {}
+    for a, ca in x.items():
+        for b, cb in y.items():
+            vec_iadd(field, out, field.mul(ca, cb), rule(a, b))
+    return out
 
 
 class SparseMatrix:
@@ -165,10 +179,6 @@ class SparseMatrix:
         self.cols = cols
         self.field = field
         self.entries = entries
-
-    @classmethod
-    def zero(cls, rows, cols, field):
-        return cls(rows, cols, field, {})
 
     @classmethod
     def identity(cls, n, field):
@@ -208,53 +218,13 @@ class SparseMatrix:
             cols[c][r] = v
         return cols
 
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.cols, self.rows, self.field,
-            {(c, r): v for (r, c), v in self.entries.items()},
-        )
-
     def matvec(self, vec: dict) -> dict:
         """Apply to a sparse column vector (dict col -> scalar)."""
-        f = self.field
+        cols = self.columns()
         out: dict = {}
-        cols = None
-        if len(vec) < self.cols:
-            by_col: dict = {}
-            for (r, c), v in self.entries.items():
-                by_col.setdefault(c, []).append((r, v))
-            cols = by_col
         for c, x in vec.items():
-            items = cols.get(c, []) if cols is not None else [
-                (r, v) for (r, cc), v in self.entries.items() if cc == c
-            ]
-            for r, v in items:
-                s = f.add(out.get(r, f.zero), f.mul(v, x))
-                if f.is_zero(s):
-                    out.pop(r, None)
-                else:
-                    out[r] = s
+            vec_iadd(self.field, out, x, cols[c])
         return out
-
-    def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.field != other.field:
-            raise FieldMismatchError("mixed fields")
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        f = self.field
-        out: dict = {}
-        by_col: dict = {}
-        for (r, c), v in self.entries.items():
-            by_col.setdefault(c, []).append((r, v))
-        for (k, j), w in other.entries.items():
-            for r, v in by_col.get(k, ()):
-                key = (r, j)
-                s = f.add(out.get(key, f.zero), f.mul(v, w))
-                if f.is_zero(s):
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return SparseMatrix(self.rows, other.cols, f, out)
 
     def is_zero(self) -> bool:
         return not self.entries

@@ -16,8 +16,7 @@ from dgkoszul.exactlinalg import (
     SparseMatrix,
     rref,
     solve,
-    vec_add,
-    vec_addmul,
+    vec_iadd,
     vec_scale,
 )
 
@@ -44,9 +43,6 @@ class DegreeWindow:
 
     def __contains__(self, n: int) -> bool:
         return self.lo <= n <= self.hi
-
-    def interior(self):
-        return range(self.lo + 1, self.hi)
 
     def shifted(self, k: int) -> "DegreeWindow":
         return DegreeWindow(self.lo - k, self.hi - k)
@@ -190,7 +186,7 @@ class GradedMap:
         f = self.target.field
         out: dict = {}
         for l, c in combo.items():
-            out = vec_addmul(f, out, c, self.cols.get(l, {}))
+            vec_iadd(f, out, c, self.cols.get(l, {}))
         return out
 
     def block(self, n: int) -> SparseMatrix:
@@ -221,7 +217,7 @@ class GradedMap:
         f = self.target.field
         cols = dict(self.cols)
         for l, combo in other.cols.items():
-            s = vec_add(f, cols.get(l, {}), combo)
+            s = vec_iadd(f, dict(cols.get(l, {})), f.one, combo)
             if s:
                 cols[l] = s
             else:
@@ -347,6 +343,14 @@ def homology(c: Complex, n: int) -> HomologyData:
     return data
 
 
+def homology_by_degree(c: Complex) -> dict:
+    """{n: homology(c, n)} at every degree of the window where homology
+    is computable, in increasing degree."""
+    win = c.window
+    return {n: homology(c, n) for n in range(win.lo, win.hi + 1)
+            if c.space.homology_computable(n)}
+
+
 def homology_class(c: Complex, n: int, cycle: dict) -> dict | None:
     """Coordinates of a cycle in the canonical homology basis at degree n,
     or None if the element is not a cycle."""
@@ -430,12 +434,12 @@ def direct_sum(complexes: list, tags: list | None = None) -> tuple:
 def is_chain_map(fmap: GradedMap, source: Complex, target: Complex):
     """Check commutation with differentials; returns (ok, first failure)."""
     f = target.field
-    sign = f.from_int(-1 if fmap.shift % 2 else 1)
+    minus_sign = f.from_int(1 if fmap.shift % 2 else -1)
     for n in source.space.degrees():
         for l in source.labels(n):
-            lhs = target.d(fmap.apply_label(l))
-            rhs = vec_scale(f, sign, fmap.apply(source.d(l)))
-            diff = vec_addmul(f, lhs, f.from_int(-1), rhs)
+            # d f(l) - (-1)^shift f(d l); target.d of a combination is new
+            diff = vec_iadd(f, target.d(fmap.apply_label(l)), minus_sign,
+                            fmap.apply(source.d(l)))
             # ignore discrepancies that fall outside the target window
             if diff:
                 return False, (n, l, diff)
@@ -487,7 +491,7 @@ def cone(fmap: GradedMap, source: Complex, target: Complex) -> tuple:
     for n in range(lo, hi):
         for l in source.labels(n + 1):
             img = relabel("c1:", vec_scale(f, minus, source.d(l)))
-            img = vec_add(f, img, relabel("c2:", fmap.apply_label(l)))
+            vec_iadd(f, img, f.one, relabel("c2:", fmap.apply_label(l)))
             if img:
                 cols[f"c1:{l}"] = img
         for l in target.labels(n):

@@ -7,14 +7,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from dgkoszul.exactlinalg import SparseMatrix, rref
+from dgkoszul.exactlinalg import SparseMatrix, rref, vec_iadd
 from dgkoszul.gradedcomplex import (
     Complex,
     DegreeWindow,
     GradedMap,
     GradedSpace,
     StructureError,
-    homology,
+    homology_by_degree,
     homology_class,
     is_quasi_iso,
 )
@@ -46,7 +46,6 @@ from dgkoszul.resolve import (
     is_free_over_homology,
     minimize,
     semifree_resolve,
-    _homology_algebra,
 )
 from dgkoszul.level import cert_from_resolution, cert_validate
 
@@ -107,21 +106,6 @@ def eta(pair: KoszulPair, m: DGModule,
 # level duality
 # -------------------------------------------------------------------------
 
-def _act_on_combo(mod: DGModule, alabel: str, combo: dict) -> dict:
-    """a·x for a left module, label times combination."""
-    f = mod.field
-    out: dict = {}
-    for l, c in combo.items():
-        img = mod.act_pair(alabel, l)
-        for t, v in img.items():
-            s = f.add(out.get(t, f.zero), f.mul(c, v))
-            if f.is_zero(s):
-                out.pop(t, None)
-            else:
-                out[t] = s
-    return out
-
-
 def loewy_length(mod: DGModule) -> dict:
     """Loewy length of H(mod) under the augmentation-ideal action of the
     (zero-differential) algebra it lives over: the least l with
@@ -129,14 +113,8 @@ def loewy_length(mod: DGModule) -> dict:
     alg = mod.over
     f = mod.field
     cx = mod.carrier
-    hdata = {}
-    for n in cx.space.degrees():
-        if cx.space.homology_computable(n):
-            h = homology(cx, n)
-            if h.dimension:
-                hdata[n] = h
-    aug = [l for n in alg.space.degrees() for l in alg.space.labels(n)
-           if l != alg.unit]
+    hdata = {n: h for n, h in homology_by_degree(cx).items() if h.dimension}
+    aug = list(alg.aug_ideal_labels())
     # current layer: degree -> list of cycle combos spanning J^k H
     layer = {n: list(h.representatives) for n, h in hdata.items()}
     dims = {n: h.dimension for n, h in hdata.items()}
@@ -151,7 +129,7 @@ def loewy_length(mod: DGModule) -> dict:
                 if k not in hdata:
                     continue
                 for x in combos:
-                    img = _act_on_combo(mod, al, x)
+                    img = mod.act({al: f.one}, x)
                     if not img:
                         continue
                     cls = homology_class(cx, k, img)
@@ -173,12 +151,7 @@ def loewy_length(mod: DGModule) -> dict:
             for v in basis_vecs:
                 combo: dict = {}
                 for i, c in v.items():
-                    for l, cc in h.representatives[i].items():
-                        s = f.add(combo.get(l, f.zero), f.mul(c, cc))
-                        if f.is_zero(s):
-                            combo.pop(l, None)
-                        else:
-                            combo[l] = s
+                    vec_iadd(f, combo, c, h.representatives[i])
                 combos.append(combo)
             if combos:
                 layer[k] = combos
@@ -197,8 +170,7 @@ def chain_loewy_length(mod: DGModule) -> int:
     alg = mod.over
     f = mod.field
     sp = mod.space
-    aug = [l for n in alg.space.degrees() for l in alg.space.labels(n)
-           if l != alg.unit]
+    aug = list(alg.aug_ideal_labels())
     layer = {n: [{l: f.one} for l in sp.labels(n)] for n in sp.degrees()}
     length = 0
     while any(layer.values()):
@@ -208,7 +180,7 @@ def chain_loewy_length(mod: DGModule) -> int:
             for al in aug:
                 k = n + alg.space.deg(al)
                 for x in combos:
-                    img = _act_on_combo(mod, al, x)
+                    img = mod.act({al: f.one}, x)
                     if img:
                         nxt.setdefault(k, []).append(img)
         layer = {}
@@ -281,17 +253,11 @@ def level_duality_check(pair: KoszulPair, m: DGModule,
 def _qiso_onto_single_class(cx: Complex) -> bool:
     """Whether the complex is quasi-isomorphic to one shifted copy of K,
     exhibited by an explicit chain map from the shifted ground field."""
-    found = None
-    for n in cx.space.degrees():
-        if not cx.space.homology_computable(n):
-            continue
-        h = homology(cx, n)
-        if h.dimension:
-            found = (n, h.representatives[0])
-            break
-    if found is None:
+    found = [(n, h.representatives[0])
+             for n, h in homology_by_degree(cx).items() if h.dimension]
+    if not found:
         return False
-    n, rep = found
+    n, rep = found[0]
     f = cx.field
     sp = GradedSpace(f, cx.space.window, {n: ["1k"]}, bounds=(n, n))
     k = Complex(sp, GradedMap.zero(sp, sp, 1))
@@ -310,7 +276,7 @@ def ext_algebra(a: DGAlgebra, window: DegreeWindow | None = None) -> dict:
     representatives: Ext_A(K, K)."""
     b = bar(a, window)
     dual = graded_dual_coalgebra(b)
-    hd = _homology_algebra(dual.carrier)
+    hd = homology_by_degree(dual.carrier)
     dims = {n: h.dimension for n, h in hd.items() if h.dimension}
     reps = {(n, i): h.representatives[i]
             for n, h in hd.items() for i in range(h.dimension)}
@@ -359,12 +325,8 @@ def exterior_tor_check(field, gen_degrees,
     e = exterior_algebra(field, window, list(zip(names, gen_degrees)))
     b = bar(e, window)
     cx = b.carrier
-    dims = {}
-    for n in cx.space.degrees():
-        if cx.space.homology_computable(n):
-            h = homology(cx, n)
-            if h.dimension:
-                dims[n] = h.dimension
+    dims = {n: h.dimension for n, h in homology_by_degree(cx).items()
+            if h.dimension}
     checkable = [n for n in range(window.lo, window.hi + 1)
                  if cx.space.homology_computable(n)]
     expected = _poly_dims([d - 1 for d in gen_degrees],
@@ -390,12 +352,8 @@ def cobar_polynomial_check(field, gen_degrees,
     ed = graded_dual_algebra(e)
     om = cobar(ed, window)
     cx = om.carrier
-    dims = {}
-    for n in cx.space.degrees():
-        if cx.space.homology_computable(n):
-            h = homology(cx, n)
-            if h.dimension:
-                dims[n] = h.dimension
+    dims = {n: h.dimension for n, h in homology_by_degree(cx).items()
+            if h.dimension}
     checkable = [n for n in range(window.lo, window.hi + 1)
                  if cx.space.homology_computable(n)]
     expected = _poly_dims([-d + 1 for d in gen_degrees],
@@ -411,13 +369,7 @@ def cobar_polynomial_check(field, gen_degrees,
                 continue
             uv = om.multiply({u: f.one}, {v: f.one})
             vu = om.multiply({v: f.one}, {u: f.one})
-            comm = dict(uv)
-            for l, c in vu.items():
-                s = f.sub(comm.get(l, f.zero), c)
-                if f.is_zero(s):
-                    comm.pop(l, None)
-                else:
-                    comm[l] = s
+            comm = vec_iadd(f, uv, f.from_int(-1), vu)
             if not comm:
                 continue
             n = cx.space.combo_degree(comm)

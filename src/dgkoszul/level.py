@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 
 from dgkoszul.gradedcomplex import (
     Complex,
-    DegreeWindow,
     GradedMap,
     GradedSpace,
     StructureError,

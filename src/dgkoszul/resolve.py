@@ -11,18 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from dgkoszul.exactlinalg import SparseMatrix, rref, solve, vec_addmul
+from dgkoszul.exactlinalg import SparseMatrix, rref, solve, vec_iadd
 from dgkoszul.gradedcomplex import (
     Complex,
-    DegreeWindow,
     GradedMap,
     GradedSpace,
     StructureError,
     check_d_squared,
     homology,
+    homology_by_degree,
+    homology_class,
     induced_map_on_homology,
     is_chain_map,
-    is_quasi_iso,
 )
 from dgkoszul.dgstruct import DGAlgebra, DGModule, merge_terms
 from dgkoszul.barcobar import tensor_label
@@ -85,13 +85,13 @@ class SemifreeResolution:
                 for t, v in a.mult_pair(b, al).items():
                     tgt = tensor_label(g2, t)
                     if tgt in sp:
-                        col = vec_addmul(f, col, f.mul(c, v), {tgt: f.one})
+                        vec_iadd(f, col, c, {tgt: v})
             gd = self.gen_degree(gl)
             sgn = f.from_int(-1 if gd % 2 else 1)
             for t, v in a.carrier.d(al).items():
                 tgt = tensor_label(gl, t)
                 if tgt in sp:
-                    col = vec_addmul(f, col, f.mul(sgn, v), {tgt: f.one})
+                    vec_iadd(f, col, sgn, {tgt: v})
             if col:
                 cols[label] = col
             img = m.act(self.comparison.get(gl, {}), {al: f.one})
@@ -166,7 +166,7 @@ def semifree_resolve(m: DGModule, a: DGAlgebra,
                 for kv in res.kernel_basis:
                     z: dict = {}
                     for i, c in kv.items():
-                        z = vec_addmul(f, z, c, hf.representatives[i])
+                        vec_iadd(f, z, c, hf.representatives[i])
                     if not z:
                         continue
                     # solve d_M w = eps(z)
@@ -187,7 +187,7 @@ def semifree_resolve(m: DGModule, a: DGAlgebra,
                             raise StructureError(
                                 "internal: kernel class image not a boundary")
                         for i, c in sol.items():
-                            w = vec_addmul(f, w, c, {lows[i]: f.one})
+                            vec_iadd(f, w, c, {lows[i]: f.one})
                     gl = f"e{counter}"
                     counter += 1
                     terms = []
@@ -271,20 +271,12 @@ def minimize(r: SemifreeResolution) -> SemifreeResolution:
             a_uh = {}
             for g2, al, c in diff.get(gl, []):
                 if g2 == h:
-                    a_uh = vec_addmul(f, a_uh, c, {al: f.one})
+                    vec_iadd(f, a_uh, c, {al: f.one})
             new_diff[gl] = _substitute_out(f, a, diff.get(gl, []),
                                            g, h, h_expr)
-            correction = r.module.act(comp.get(g, {}),
-                                      {al: f.mul(inv, c)
-                                       for al, c in a_uh.items()})
-            cc = dict(comp.get(gl, {}))
-            for t, v in correction.items():
-                s = f.sub(cc.get(t, f.zero), v)
-                if f.is_zero(s):
-                    cc.pop(t, None)
-                else:
-                    cc[t] = s
-            new_comp[gl] = cc
+            correction = r.module.act(comp.get(g, {}), a_uh)
+            new_comp[gl] = vec_iadd(f, dict(comp.get(gl, {})), f.neg(inv),
+                                    correction)
         gens, diff, comp = new_gens, new_diff, new_comp
     # recompute stages from the cancelled differential
     stage: dict = {}
@@ -376,25 +368,12 @@ def lemma1_report(m: DGModule, a: DGAlgebra, depth: int | None = None):
             "ok": dim >= cls}
 
 
-def _homology_algebra(cx: Complex) -> dict:
-    """Homology of the carrier of a DG algebra or module at every degree
-    of its window where it is computable."""
-    win = cx.space.window
-    data = {}
-    for n in range(win.lo, win.hi + 1):
-        if not cx.space.homology_computable(n):
-            continue
-        data[n] = homology(cx, n)
-    return data
-
-
 def is_free_over_homology(m: DGModule, a: DGAlgebra) -> dict:
     """Tor_1^{H(A)}(H(M), K) via the algebraic bar complex
     H(M)⊗Ā⊗Ā → H(M)⊗Ā → H(M); free iff Tor_1 vanishes in window."""
-    from dgkoszul.gradedcomplex import homology_class
     f = a.field
-    ha = _homology_algebra(a.carrier)
-    hm = _homology_algebra(m.carrier)
+    ha = homology_by_degree(a.carrier)
+    hm = homology_by_degree(m.carrier)
     # homology classes as (degree, index); the bar of H(A) uses only the
     # augmentation ideal part (degrees != 0)
     abar = [(n, i) for n, h in ha.items() if n != 0
@@ -454,22 +433,17 @@ def is_free_over_homology(m: DGModule, a: DGAlgebra) -> dict:
         k1 = rref(mat1).kernel_basis
         cols2 = []
         for mm, x, y in d2:
-            col: dict = {}
             act = maction(mm, x)
             pr = aprod(x, y)
             if act is None or pr is None:
                 incomplete = True
                 break
-            for k, c in act.items():
-                key = (k, y)
-                if key in idx1:
-                    col[idx1[key]] = f.add(col.get(idx1[key], f.zero), c)
-            for k, c in pr.items():
-                key = (mm, k)
-                if key in idx1:
-                    s = f.sub(col.get(idx1[key], f.zero), c)
-                    col[idx1[key]] = s
-            cols2.append({i: c for i, c in col.items() if not f.is_zero(c)})
+            # b2(m⊗x⊗y) = m·x ⊗ y - m ⊗ xy
+            col = {idx1[(k, y)]: c for k, c in act.items() if (k, y) in idx1}
+            vec_iadd(f, col, f.from_int(-1), {idx1[(mm, k)]: c
+                                              for k, c in pr.items()
+                                              if (mm, k) in idx1})
+            cols2.append(col)
         if incomplete:
             flagged.append(t)
             continue

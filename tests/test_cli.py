@@ -197,6 +197,25 @@ def test_exit_parse_error_malformed_nested_field(tmp_path, capsys, section,
     assert err.startswith("error: ") and err.endswith(f"at {pointer}\n")
 
 
+@pytest.mark.parametrize("basis", [
+    pytest.param({"0": ["1"], "2": ["y"]}, id="y-y-in-window"),
+    pytest.param({"0": ["1"], "10": ["y"]}, id="y-y-outside-window"),
+])
+def test_exit_validation_ungraded_product(tmp_path, capsys, basis):
+    bad = json.loads(json.dumps(PRESENTATION))
+    bad["algebras"]["A"] = dict(
+        TABLE_ALGEBRA, basis=basis,
+        mult={"1|1": {"1": 1}, "1|y": {"y": 1}, "y|1": {"y": 1},
+              "y|y": {"1": 1}})
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(bad))
+    for argv in (["validate"], ["bar", "--algebra", "A"]):
+        assert main(argv + ["-p", str(p)]) == 3
+        err = capsys.readouterr().err
+        assert "product not of degree |x|+|y| at ('y', 'y')" in err
+        assert err.endswith("at /algebras/A\n")
+
+
 def test_exit_parse_error_bad_module_power(capsys):
     assert main(["duality-check", "--degrees", "2",
                  "--module", "truncated:x"]) == 2

@@ -3,8 +3,17 @@ twisting cochains, primitive filtrations."""
 
 import pytest
 
-from dgkoszul.gradedcomplex import DegreeWindow, GradedMap
+from dgkoszul.gradedcomplex import (
+    Complex,
+    DegreeWindow,
+    GradedMap,
+    GradedSpace,
+)
 from dgkoszul.dgstruct import (
+    DGAlgebra,
+    DGCoalgebra,
+    DGComodule,
+    DGModule,
     TwistingCochain,
     cocomplete_filtration,
     comodule_over_self,
@@ -145,3 +154,133 @@ def test_cocomplete_filtration_levels(F5, window):
     assert by_label["1"] == 1
     assert by_label["sx1"] == 2
     assert by_label["sx1*sx2"] == 3
+
+
+# -------------------------------------------------------------------------
+# products must be graded
+# -------------------------------------------------------------------------
+
+def _zero_d_complex(f, window, basis):
+    sp = GradedSpace(f, window, basis, bounds=(min(basis), max(basis)))
+    return Complex(sp, GradedMap.zero(sp, sp, 1))
+
+
+@pytest.mark.parametrize("ydeg,yy", [
+    (2, {"1": 1}),    # y·y = 1 lands in degree 0, not 4
+    (2, {"y": 1}),    # y·y = y lands in degree 2, not 4
+    (10, {"1": 1}),   # the pair's degree 20 lies outside the window
+])
+def test_ungraded_table_algebra_fails(F5, window, ydeg, yy):
+    cx = _zero_d_complex(F5, window, {0: ["1"], ydeg: ["y"]})
+    table = {("1", "1"): {"1": 1}, ("1", "y"): {"y": 1},
+             ("y", "1"): {"y": 1}, ("y", "y"): yy}
+    a = DGAlgebra.from_table(cx, "1", table, "non-negative")
+    rep = validate_algebra(a)
+    assert not rep.ok
+    assert rep.violations[0] == "product not of degree |x|+|y| at ('y', 'y')"
+
+
+def test_graded_table_algebra_passes(F5, window):
+    cx = _zero_d_complex(F5, window, {0: ["1"], 10: ["y"]})
+    table = {("1", "1"): {"1": 1}, ("1", "y"): {"y": 1},
+             ("y", "1"): {"y": 1}, ("y", "y"): {}}
+    assert validate_algebra(
+        DGAlgebra.from_table(cx, "1", table, "non-negative")).ok
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_ungraded_table_module_fails(F5, window, side):
+    a = polynomial_algebra(F5, DegreeWindow(-4, 4), [("y", 2)])
+    cx = _zero_d_complex(F5, a.space.window, {0: ["m"]})
+    # y acts on m as the identity: degree 0 instead of 2
+    action = {("m", "1"): {"m": 1}, ("m", "y"): {"m": 1},
+              ("m", "y^2"): {}}
+    if side == "left":
+        action = {(x, m): v for (m, x), v in action.items()}
+    rep = validate_module(DGModule.from_table(cx, a, action, side=side))
+    assert not rep.ok
+    assert rep.violations[0] == "action not of degree |m|+|a| at ('m', 'y')"
+
+
+def test_trivial_table_module_passes(F5):
+    a = polynomial_algebra(F5, DegreeWindow(-4, 4), [("y", 2)])
+    cx = _zero_d_complex(F5, a.space.window, {0: ["m"]})
+    action = {("m", "1"): {"m": 1}, ("m", "y"): {}, ("m", "y^2"): {}}
+    assert validate_module(DGModule.from_table(cx, a, action)).ok
+
+
+# -------------------------------------------------------------------------
+# broken coalgebras and comodules report their first violation
+# -------------------------------------------------------------------------
+
+def _coalgebra(f, window, basis, comult, d=None, counit=None):
+    sp = GradedSpace(f, window, basis, bounds=(min(basis), max(basis)))
+    cx = Complex(sp, GradedMap(sp, sp, 1, d or {}))
+    return DGCoalgebra(cx, comult, counit or {"1": f.one}, "1")
+
+
+def _prim(l):
+    return [(l, "1", 1), ("1", l, 1)]
+
+
+# Δu = u⊗1 + 1⊗u + p⊗p is coassociative
+UNIT = {"1": [("1", "1", 1)]}
+P_U = {0: ["1"], 1: ["p"], 2: ["u"]}
+P_U_COMULT = dict(UNIT, p=_prim("p"), u=_prim("u") + [("p", "p", 1)])
+
+
+def test_valid_hand_built_coalgebra(F5, window):
+    assert validate_coalgebra(_coalgebra(F5, window, P_U, P_U_COMULT)).ok
+
+
+def test_coalgebra_wrong_counit(F5, window):
+    c = _coalgebra(F5, window, P_U, P_U_COMULT, counit={"1": 1, "p": 1})
+    assert validate_coalgebra(c).violations == ["counit law fails at 'p'"]
+
+
+def test_coalgebra_not_coassociative(F5, window):
+    # Δx = x⊗1 + 1⊗x + u⊗p: (Δ⊗1)Δx has p⊗p⊗p, (1⊗Δ)Δx has not
+    basis = {**P_U, 3: ["x"]}
+    comult = dict(P_U_COMULT, x=_prim("x") + [("u", "p", 1)])
+    c = _coalgebra(F5, window, basis, comult)
+    assert validate_coalgebra(c).violations == ["coassociativity fails at 'x'"]
+
+
+def test_coalgebra_co_leibniz_fails(F5, window):
+    # d a = b, Δa primitive, Δb = b⊗1 + 1⊗b + a⊗a: Δ(da) has a⊗a,
+    # (d⊗1 + 1⊗d)Δa has not
+    basis = {0: ["1"], 1: ["a"], 2: ["b"]}
+    comult = dict(UNIT, a=_prim("a"), b=_prim("b") + [("a", "a", 1)])
+    c = _coalgebra(F5, window, basis, comult, d={"a": {"b": 1}})
+    assert validate_coalgebra(c).violations == ["co-Leibniz fails at 'a'"]
+
+
+def _comodule(f, window, c, coaction):
+    basis = {0: ["n0"], 1: ["n1"], 2: ["n2"]}
+    sp = GradedSpace(f, window, basis, bounds=(0, 2))
+    return DGComodule(Complex(sp, GradedMap.zero(sp, sp, 1)), c, coaction)
+
+
+COACTION = {"n0": [("n0", "1", 1)],
+            "n1": [("n1", "1", 1), ("n0", "p", 1)],
+            "n2": [("n2", "1", 1), ("n0", "u", 1), ("n1", "p", 1)]}
+
+
+def test_valid_hand_built_comodule(F5, window):
+    c = _coalgebra(F5, window, P_U, P_U_COMULT)
+    assert validate_comodule(_comodule(F5, window, c, COACTION)).ok
+
+
+def test_comodule_counitality_fails(F5, window):
+    c = _coalgebra(F5, window, P_U, P_U_COMULT)
+    coaction = dict(COACTION, n0=[("n0", "1", 2)])
+    rep = validate_comodule(_comodule(F5, window, c, coaction))
+    assert rep.violations[0] == "counitality fails at 'n0'"
+
+
+def test_comodule_coassociativity_fails(F5, window):
+    # without n1⊗p, (1⊗Δ)Δ_N(n2) keeps n0⊗p⊗p and (Δ_N⊗1)Δ_N(n2) loses it
+    c = _coalgebra(F5, window, P_U, P_U_COMULT)
+    coaction = dict(COACTION, n2=[("n2", "1", 1), ("n0", "u", 1)])
+    rep = validate_comodule(_comodule(F5, window, c, coaction))
+    assert rep.violations == ["coaction coassociativity fails at 'n2'"]

@@ -11,9 +11,9 @@ from dgkoszul.exactlinalg import (
     FieldSpec,
     SparseMatrix,
     rref,
+    bilinear,
     solve,
-    vec_add,
-    vec_addmul,
+    vec_iadd,
     vec_scale,
 )
 
@@ -33,9 +33,28 @@ def test_field_arithmetic_q(Q):
 def test_vec_ops_cancel(F5):
     u = {"a": 2, "b": 3}
     v = {"a": 3, "c": 1}
-    assert vec_add(F5, u, v) == {"b": 3, "c": 1}
+    out = vec_iadd(F5, u, 1, v)
+    assert out is u
+    assert u == {"b": 3, "c": 1}
+    assert v == {"a": 3, "c": 1}
     assert vec_scale(F5, 0, u) == {}
-    assert vec_addmul(F5, u, 4, {"b": 3}) == {"a": 2}
+    u = {"a": 2, "b": 3}
+    assert vec_iadd(F5, u, 4, {"b": 3}) == {"a": 2}
+    assert u == {"a": 2}
+    assert vec_iadd(F5, u, 0, {"a": 1}) == {"a": 2}
+
+
+def test_bilinear_extends_pair_rule(Q):
+    def rule(a, b):
+        return {a + b: Fraction(1)} if a != b else {}
+
+    x = {"p": Fraction(2), "q": Fraction(1)}
+    y = {"p": Fraction(1), "q": Fraction(-2)}
+    # 2p·p + 2p·(-2q) + q·p + q·(-2q); pp and qq vanish
+    assert bilinear(Q, rule, x, y) == {"pq": Fraction(-4), "qp": Fraction(1)}
+    # every pair lands on "s"; the coefficients of y sum to 0, so it cancels
+    z = {"p": Fraction(1), "q": Fraction(-1)}
+    assert bilinear(Q, lambda a, b: {"s": Fraction(1)}, x, z) == {}
 
 
 def test_rref_rank_oracle(F5):
