@@ -599,10 +599,7 @@ def bar_cobar_duality_check(m: DGModule,
     iso = None
     order = None
     for reverse in (False, True):
-        table = bijection(reverse)
-        if any(v not in ro.space for v in table.values()):
-            continue
-        iso = solve_diagonal_chain_iso(rb, ro, table)
+        iso = solve_diagonal_chain_iso(rb, ro, bijection(reverse))
         if iso is not None:
             order = "reversed" if reverse else "direct"
             break

@@ -245,9 +245,12 @@ def _parse_table_algebra(f, w, spec: dict, pointer: str) -> DGAlgebra:
             if l not in all_labels:
                 raise CliError(EXIT_DANGLING, f"unknown label {l!r}", ptr)
         mult[(a, b)] = _parse_combo(f, combo, all_labels, ptr)
+    polarity = _require(spec, "polarity", pointer, "string")
+    if polarity not in dgstruct.POLARITIES:
+        raise CliError(EXIT_PARSE, f"bad polarity {polarity!r}",
+                       f"{pointer}/polarity")
     return DGAlgebra.from_table(
-        cx, _require(spec, "unit", pointer, "string"), mult,
-        _require(spec, "polarity", pointer, "string"),
+        cx, _require(spec, "unit", pointer, "string"), mult, polarity,
         simply_connected=_optional(spec, "simply_connected", pointer,
                                    "boolean", False),
         name=_optional(spec, "name", pointer, "string", ""))

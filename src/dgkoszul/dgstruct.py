@@ -96,6 +96,9 @@ def degree_compatible(spaces, total_ok):
     return rec(0, 0, ())
 
 
+POLARITIES = ("non-negative", "non-positive")
+
+
 class DGAlgebra:
     """DG algebra whose multiplication is the rule ``mult_pair``.
 
@@ -109,7 +112,7 @@ class DGAlgebra:
     def __init__(self, carrier: Complex, unit: str, mult_pair,
                  polarity: str, simply_connected: bool = False,
                  name: str = ""):
-        if polarity not in ("non-negative", "non-positive"):
+        if polarity not in POLARITIES:
             raise ValueError(f"bad polarity {polarity!r}")
         self.carrier = carrier
         self.unit = unit

@@ -23,10 +23,6 @@ from fractions import Fraction
 KERNEL = "sparse"
 
 
-class FieldMismatchError(ValueError):
-    pass
-
-
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False

@@ -405,8 +405,6 @@ def direct_sum(complexes: list, tags: list | None = None) -> tuple:
         for n, labels in c.space.basis.items():
             if lo <= n <= hi:
                 basis.setdefault(n, []).extend(f"{tag}:{l}" for l in labels)
-            elif c.space.complete_at(n):
-                continue
     space = GradedSpace(f, DegreeWindow(lo, hi), basis, bounds=(blo, bhi))
     cols = {}
     for tag, c in zip(tags, complexes):
@@ -432,39 +430,29 @@ def direct_sum(complexes: list, tags: list | None = None) -> tuple:
 
 
 def is_chain_map(fmap: GradedMap, source: Complex, target: Complex):
-    """Check commutation with differentials; returns (ok, first failure)."""
+    """Check that fmap sends each basis element of source^n into
+    target^{n+shift} and commutes with the differentials; returns
+    (ok, first failure) with the failure as (n, label, offending combo)."""
     f = target.field
+    tsp = target.space
     minus_sign = f.from_int(1 if fmap.shift % 2 else -1)
     for n in source.space.degrees():
         for l in source.labels(n):
+            img = fmap.apply_label(l)
+            stray = {t: v for t, v in img.items()
+                     if t not in tsp or tsp.deg(t) != n + fmap.shift}
+            if stray:
+                return False, (n, l, stray)
             # d f(l) - (-1)^shift f(d l); target.d of a combination is new
-            diff = vec_iadd(f, target.d(fmap.apply_label(l)), minus_sign,
+            diff = vec_iadd(f, target.d(img), minus_sign,
                             fmap.apply(source.d(l)))
-            # ignore discrepancies that fall outside the target window
             if diff:
                 return False, (n, l, diff)
     return True, None
 
 
-@dataclass
-class TriangleRecord:
-    """Distinguished triangle m1 -> m -> m2 -> Σ m1 with a cone witness."""
-    m1: Complex
-    m: Complex
-    m2: Complex
-    f: GradedMap          # m1 -> m
-    g: GradedMap          # m -> m2
-    h: GradedMap          # m2 -> Σ m1
-    shifted_m1: Complex
-    base_map: GradedMap | None = None     # w : Σ^{-1} m2 -> m1
-    base_source: Complex | None = None
-    to_cone: GradedMap | None = None      # m -> cone(w)
-    from_cone: GradedMap | None = None
-    cone_complex: Complex | None = None
-
-
-def cone(fmap: GradedMap, source: Complex, target: Complex) -> tuple:
-    """Mapping cone of a chain map, with its triangle record.
+def cone(fmap: GradedMap, source: Complex, target: Complex) -> Complex:
+    """Mapping cone of a chain map.
 
     Cone basis at degree n: shifted-source part (degree n+1 of the source)
     prefixed "c1:", target part prefixed "c2:".  d(c1:x) = -c1:dx + c2:f(x),
@@ -498,34 +486,7 @@ def cone(fmap: GradedMap, source: Complex, target: Complex) -> tuple:
             img = relabel("c2:", target.d(l))
             if img:
                 cols[f"c2:{l}"] = img
-    cx = Complex(space, GradedMap(space, space, 1, cols))
-
-    shifted_src = shift_complex(source, 1)
-    inc_cols = {l: {f"c2:{l}": f.one}
-                for n in target.space.degrees() if lo <= n <= hi
-                for l in target.labels(n)}
-    inc = GradedMap(target.space, space, 0, inc_cols)
-    proj_cols = {}
-    for n, labels in space.basis.items():
-        for l in labels:
-            tag, _, rest = l.partition(":")
-            if tag == "c1" and rest in shifted_src.space:
-                proj_cols[l] = {rest: f.one}
-    proj = GradedMap(space, shifted_src.space, 0, proj_cols)
-    # connecting map Σ^{-1}: h = -Σf
-    h_cols = {}
-    for n in shifted_src.space.degrees():
-        for l in shifted_src.space.labels(n):
-            img = fmap.apply_label(l)
-            if img:
-                h_cols[l] = vec_scale(f, minus, img)
-    shifted_target = shift_complex(target, 1)
-    h = GradedMap(shifted_src.space, shifted_target.space, 0, h_cols)
-    tri = TriangleRecord(
-        m1=target, m=cx, m2=shifted_src,
-        f=inc, g=proj, h=h, shifted_m1=shifted_target,
-    )
-    return cx, tri
+    return Complex(space, GradedMap(space, space, 1, cols))
 
 
 def induced_map_on_homology(fmap: GradedMap, source: Complex, target: Complex,
@@ -567,44 +528,6 @@ def is_quasi_iso(fmap: GradedMap, source: Complex, target: Complex,
     return verdicts
 
 
-def is_null_homotopic_on_homology(fmap: GradedMap, source: Complex,
-                                  target: Complex) -> bool:
-    """Whether the induced map on homology vanishes on all degrees where
-    homology is computable."""
-    for n in source.space.degrees():
-        try:
-            m = induced_map_on_homology(fmap, source, target, n)
-        except WindowError:
-            continue
-        if not m.is_zero():
-            return False
-    return True
-
-
-def validate_triangle(t: TriangleRecord):
-    """Checks chain-map-ness, vanishing composites on homology, and the
-    cone witness when present.  Raises StructureError on failure."""
-    for name, fmap, src, tgt in (
-        ("f", t.f, t.m1, t.m),
-        ("g", t.g, t.m, t.m2),
-        ("h", t.h, t.m2, t.shifted_m1),
-    ):
-        ok, witness = is_chain_map(fmap, src, tgt)
-        if not ok:
-            raise StructureError(f"triangle map {name} is not a chain map at {witness[:2]}")
-    if not is_null_homotopic_on_homology(t.g.compose(t.f), t.m1, t.m2):
-        raise StructureError("g∘f nonzero on homology")
-    if not is_null_homotopic_on_homology(t.h.compose(t.g), t.m, t.shifted_m1):
-        raise StructureError("h∘g nonzero on homology")
-    if t.base_map is not None:
-        ok, witness = is_chain_map(t.base_map, t.base_source, t.m1)
-        if not ok:
-            raise StructureError(f"triangle base map not a chain map at {witness[:2]}")
-        if t.to_cone is None or t.from_cone is None or t.cone_complex is None:
-            raise StructureError("cone witness incomplete")
-        check_mutually_inverse(t.to_cone, t.from_cone, t.m, t.cone_complex)
-
-
 def check_mutually_inverse(fwd: GradedMap, bwd: GradedMap, a: Complex, b: Complex):
     """fwd: a->b and bwd: b->a must be chain maps composing to identities."""
     for name, fmap, src, tgt in (("fwd", fwd, a, b), ("bwd", bwd, b, a)):
@@ -629,13 +552,19 @@ def solve_diagonal_chain_iso(source: Complex, target: Complex,
     """Find scalars c_l making l -> c_l · bijection[l] a chain isomorphism.
 
     Constraint propagation over the differential graph; returns None when
-    the constraints are inconsistent or leave a required coefficient zero.
-    Used to exhibit signed identifications (dual-bar vs cobar words,
-    filtration stages vs cones) without hand-transcribing sign tables.
+    the bijection misses a source label, sends one outside the target or
+    its degree, is not injective, or when the constraints are inconsistent
+    or leave a required coefficient zero.  Used to exhibit signed
+    identifications (dual-bar vs cobar words, filtration stages vs cones)
+    without hand-transcribing sign tables.
     """
     f = target.field
+    tsp = target.space
     coeff: dict = {}
     order = [l for n in source.space.degrees() for l in source.labels(n)]
+    if any(bijection.get(l) not in tsp
+           or tsp.deg(bijection[l]) != source.space.deg(l) for l in order):
+        return None
     rev = {v: k for k, v in bijection.items()}
     if len(rev) != len(bijection):
         return None

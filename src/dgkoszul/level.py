@@ -3,13 +3,18 @@
 A certificate is a finite tree over a base complex C:
   Leaf     -- the subject is isomorphic (by exhibited mutually inverse
               chain maps) to a finite coproduct of shifts of C;
-  Cone     -- the subject is the middle of a validated distinguished
-              triangle whose ends are certified by the subtrees;
+  Cone     -- the subject is isomorphic (by exhibited mutually inverse
+              chain maps) to cone(w) of a chain map
+              w : Σ⁻¹(right subject) → left subject, so left → subject →
+              right → Σ left is the cone triangle of w;
   Retract  -- the subject retracts onto the inner subtree's subject.
 
 claimed_level(Leaf) = 1 (0 for the empty leaf), claimed_level(Cone) =
-left + right, Retract preserves it.  Every certificate is checkable by
-cert_validate; the engine never emits one it cannot validate.
+left + right, Retract preserves it.  cert_validate re-checks every
+witness: leaf isomorphisms against the rebuilt canonical coproduct, cone
+isomorphisms against cone(w) rebuilt from the subtrees' subjects, and
+retractions on homology; the engine never emits a certificate it cannot
+validate.
 """
 
 from __future__ import annotations
@@ -28,10 +33,9 @@ from dgkoszul.gradedcomplex import (
     homology,
     induced_map_on_homology,
     is_chain_map,
+    relabel,
     shift_complex,
     solve_diagonal_chain_iso,
-    TriangleRecord,
-    validate_triangle,
 )
 from dgkoszul.dgstruct import ValidationReport
 from dgkoszul.barcobar import restrict_complex
@@ -59,10 +63,14 @@ class Leaf:
 
 @dataclass
 class ConeNode:
+    """subject ≅ cone(w) for a chain map w : Σ⁻¹(right.subject) →
+    left.subject, witnessed by mutually inverse to_cone and from_cone."""
     subject: Complex
     left: object
     right: object
-    triangle: TriangleRecord
+    w: GradedMap
+    to_cone: GradedMap            # subject -> cone(w)
+    from_cone: GradedMap
     name: str = "cone"
 
     @property
@@ -136,21 +144,34 @@ def leaf_from_bijection(base: Complex, subject: Complex, shifts,
 
 def cone_node_from_map(w: GradedMap, source: Complex, target: Complex,
                        left, right) -> ConeNode:
-    """Cone node for cone(w) with the triangle's cone witness filled in;
-    left must certify the target, right the suspension of the source."""
-    cx, tri = cone(w, source, target)
-    tri.base_map = w
-    tri.base_source = source
-    tri.cone_complex = cx
-    ident = GradedMap.identity(cx.space)
-    tri.to_cone = ident
-    tri.from_cone = ident
-    if not _complexes_equal(left.subject, tri.m1):
+    """Cone node whose subject is cone(w) itself; left must certify the
+    target, right the suspension of the source."""
+    if not _complexes_equal(left.subject, target):
         raise StructureError("left subtree must certify the cone target")
-    if not _complexes_equal(right.subject, tri.m2):
+    if not _complexes_equal(right.subject, shift_complex(source, 1)):
         raise StructureError("right subtree must certify the shifted "
                              "source")
-    return ConeNode(cx, left, right, tri)
+    cx = cone(w, source, target)
+    ident = GradedMap.identity(cx.space)
+    return ConeNode(cx, left, right, w, ident, ident)
+
+
+def _cone_of(w: GradedMap, left, right) -> Complex:
+    """cone(w : Σ⁻¹(right.subject) → left.subject), rebuilt from the
+    subtrees' subjects."""
+    return cone(w, shift_complex(right.subject, -1), left.subject)
+
+
+def _witnessed_cone(subject: Complex, left, right, w: GradedMap,
+                    bijection: dict) -> ConeNode:
+    """Cone node whose witness is a signed relabelling of subject onto
+    cone(w); the signs are solved, not guessed."""
+    built = _cone_of(w, left, right)
+    to_cone = solve_diagonal_chain_iso(subject, built, bijection)
+    if to_cone is None:
+        raise StructureError("no diagonal iso onto the cone")
+    return ConeNode(subject, left, right, w, to_cone,
+                    _invert_diagonal(to_cone, subject, built))
 
 
 def _complexes_equal(a: Complex, b: Complex) -> bool:
@@ -183,19 +204,14 @@ def cert_validate(c: LevelCertificate) -> ValidationReport:
             except StructureError as e:
                 rep.fail(f"{path}: leaf witness fails: {e}")
         elif isinstance(node, ConeNode):
-            t = node.triangle
-            if not _complexes_equal(t.m, node.subject):
-                rep.fail(f"{path}: triangle middle is not the subject")
-                return
             try:
-                _validate_triangle_strict(t)
+                check_mutually_inverse(node.to_cone, node.from_cone,
+                                       node.subject,
+                                       _cone_of(node.w, node.left,
+                                                node.right))
             except StructureError as e:
-                rep.fail(f"{path}: triangle fails: {e}")
+                rep.fail(f"{path}: cone witness fails: {e}")
                 return
-            if not _complexes_equal(node.left.subject, t.m1):
-                rep.fail(f"{path}: left subtree subject mismatch")
-            if not _complexes_equal(node.right.subject, t.m2):
-                rep.fail(f"{path}: right subtree subject mismatch")
             visit(node.left, path + ".L")
             visit(node.right, path + ".R")
         elif isinstance(node, RetractNode):
@@ -232,16 +248,6 @@ def cert_validate(c: LevelCertificate) -> ValidationReport:
     return rep
 
 
-def _validate_triangle_strict(t: TriangleRecord):
-    """``validate_triangle`` with the cone witness required and checked
-    against a cone rebuilt from the base map rather than the stored cone
-    complex."""
-    if t.base_map is None or t.to_cone is None or t.from_cone is None:
-        raise StructureError("missing cone witness")
-    built, _ = cone(t.base_map, t.base_source, t.m1)
-    validate_triangle(replace(t, cone_complex=built))
-
-
 # -------------------------------------------------------------------------
 # certificates from resolutions
 # -------------------------------------------------------------------------
@@ -267,20 +273,6 @@ def _stage_complex(r: SemifreeResolution, which) -> Complex:
     return Complex(sp, GradedMap(sp, sp, 1, cols))
 
 
-def _inclusion(sub: Complex, total: Complex) -> GradedMap:
-    f = total.field
-    cols = {l: {l: f.one} for n in sub.space.degrees()
-            for l in sub.labels(n)}
-    return GradedMap(sub.space, total.space, 0, cols)
-
-
-def _projection(total: Complex, quot: Complex) -> GradedMap:
-    f = total.field
-    cols = {l: {l: f.one} for n in total.space.degrees()
-            for l in total.labels(n) if l in quot.space}
-    return GradedMap(total.space, quot.space, 0, cols)
-
-
 def cert_from_resolution(r: SemifreeResolution) -> LevelCertificate:
     """Certificate with base A from the stage filtration of a minimal,
     exhausted resolution: stage quotients are leaves (coproducts of shifts
@@ -293,48 +285,39 @@ def cert_from_resolution(r: SemifreeResolution) -> LevelCertificate:
                              "certify a truncated class")
     a = r.over
     base = a.carrier
-    f = a.field
+    base_labels = [al for n in a.space.degrees() for al in a.space.labels(n)]
 
     def quotient_leaf(stage):
-        q = _stage_complex(r, lambda s: s == stage)
         gens = sorted((gl, d) for gl, d, s in r.generators if s == stage)
-        shifts = [-d for _, d in gens]
-        std = canonical_coproduct(base, shifts, q.space.window)
-        bij = {}
-        for i, (gl, _) in enumerate(gens):
-            for n in a.space.degrees():
-                for al in a.space.labels(n):
-                    lbl = f"{gl}@{al}"
-                    if lbl in q.space and f"s{i}:{al}" in std.space:
-                        bij[lbl] = f"s{i}:{al}"
-        if set(bij) != {l for n in q.space.degrees()
-                        for l in q.labels(n)}:
-            raise StructureError("stage quotient does not match the "
-                                 "coproduct of shifts inside the window")
-        to_std = solve_diagonal_chain_iso(q, std, bij)
-        if to_std is None:
-            raise StructureError("no diagonal iso from stage quotient to "
-                                 "the canonical coproduct")
-        from_std = _invert_diagonal(to_std, q, std)
-        return Leaf(q, shifts, to_std, from_std)
+        bij = {f"{gl}@{al}": f"s{i}:{al}"
+               for i, (gl, _) in enumerate(gens) for al in base_labels}
+        return leaf_from_bijection(
+            base, _stage_complex(r, lambda s: s == stage),
+            [-d for _, d in gens], bij)
 
     stages = sorted({s for _, _, s in r.generators})
     if not stages:
         return LevelCertificate(base, _stage_complex(r, lambda s: False),
                                 empty_leaf(base))
+    # the lowest stage is its own quotient: F^{<=first} = F^{=first}
     node = quotient_leaf(stages[0])
-    prev = _stage_complex(r, lambda s: s <= stages[0])
-    # identify F^{<=first} with its quotient leaf (equal complexes)
-    if not _complexes_equal(prev, node.subject):
-        raise StructureError("lowest filtration stage mismatch")
     for st in stages[1:]:
+        sub = node.subject
         total = _stage_complex(r, lambda s: s <= st)
-        quot_leaf = quotient_leaf(st)
-        q = quot_leaf.subject
-        tri = _filtration_triangle(prev, total, q, f)
-        node = ConeNode(total, node, quot_leaf, tri)
-        prev = total
-    cert = LevelCertificate(base, prev, node,
+        quot = quotient_leaf(st)
+        # w : Σ^{-1}quot → sub is the part of d that leaves the new stage
+        q = quot.subject
+        wcols = {}
+        for n in q.space.degrees():
+            for l in q.labels(n):
+                col = {t: v for t, v in total.d(l).items() if t in sub.space}
+                if col:
+                    wcols[l] = col
+        w = GradedMap(shift_complex(q, -1).space, sub.space, 0, wcols)
+        bij = {l: f"c2:{l}" if l in sub.space else f"c1:{l}"
+               for n in total.space.degrees() for l in total.labels(n)}
+        node = _witnessed_cone(total, node, quot, w, bij)
+    cert = LevelCertificate(base, node.subject, node,
                             comparison_note="subject is the realized "
                             "semifree resolution, quasi-isomorphic to "
                             "the module")
@@ -353,126 +336,68 @@ def _invert_diagonal(gm: GradedMap, src: Complex, tgt: Complex) -> GradedMap:
     return GradedMap(tgt.space, src.space, gm.shift, cols)
 
 
-def _filtration_triangle(sub: Complex, total: Complex, quot: Complex,
-                         f) -> TriangleRecord:
-    """sub → total → quot with the cone witness: total ≅ cone(w) for
-    w : Σ^{-1}quot → sub given by the connecting differential."""
-    inc = _inclusion(sub, total)
-    proj = _projection(total, quot)
-    sq = shift_complex(quot, -1)
-    wcols = {}
-    for n in total.space.degrees():
-        for l in total.labels(n):
-            if l in quot.space:
-                col = {t: v for t, v in total.d(l).items() if t in sub.space}
-                if col:
-                    wcols[l] = col
-    w = GradedMap(sq.space, sub.space, 0, wcols)
-    ok, witness = is_chain_map(w, sq, sub)
-    if not ok:
-        raise StructureError(f"connecting map not a chain map at "
-                             f"{witness[:2]}")
-    built, _ = cone(w, sq, sub)
-    bij = {}
-    for n in total.space.degrees():
-        for l in total.labels(n):
-            bij[l] = (f"c2:{l}" if l in sub.space else f"c1:{l}")
-    to_cone = solve_diagonal_chain_iso(total, built, bij)
-    if to_cone is None:
-        raise StructureError("no diagonal iso onto the filtration cone")
-    from_cone = _invert_diagonal(to_cone, total, built)
-    ssub = shift_complex(sub, 1)
-    hcols = {}
-    for l, col in wcols.items():
-        hcols[l] = col
-    h = GradedMap(quot.space, ssub.space, 0, hcols)
-    ok, _ = is_chain_map(h, quot, ssub)
-    if not ok:
-        minus = f.from_int(-1)
-        hcols = {l: {t: f.mul(minus, v) for t, v in col.items()}
-                 for l, col in hcols.items()}
-        h = GradedMap(quot.space, ssub.space, 0, hcols)
-    return TriangleRecord(sub, total, quot, inc, proj, h, ssub,
-                          base_map=w, base_source=sq,
-                          to_cone=to_cone, from_cone=from_cone,
-                          cone_complex=built)
+def _bijection_of(gm: GradedMap | None) -> dict:
+    """The label map of a diagonal witness; {} for an empty leaf's."""
+    if gm is None:
+        return {}
+    return {l: t for l, col in gm.cols.items() for t in col}
 
 
 # -------------------------------------------------------------------------
 # certificate algebra: shift, coproduct, composition, transport
 # -------------------------------------------------------------------------
 
-def _extract_bijection(gm: GradedMap) -> dict:
-    bij = {}
-    for l, col in gm.cols.items():
-        if len(col) != 1:
-            raise StructureError("witness is not diagonal; cannot "
-                                 "transform it")
-        bij[l] = next(iter(col))
-    return bij
+class _Suspension:
+    """Σ^k as a functor: complexes shift, maps keep their columns."""
+
+    def __init__(self, k: int):
+        self.k = k
+
+    def on_complex(self, cx: Complex) -> Complex:
+        return shift_complex(cx, self.k)
+
+    def on_map(self, gm: GradedMap, src: Complex, tgt: Complex) -> GradedMap:
+        return GradedMap(src.space, tgt.space, gm.shift, gm.cols)
 
 
-def _resolve_diagonal(old: GradedMap, src: Complex, tgt: Complex):
-    gm = solve_diagonal_chain_iso(src, tgt, _extract_bijection(old))
-    if gm is None:
-        raise StructureError("diagonal witness did not survive the "
-                             "transformation")
-    return gm
+def _transport_tree(functor, tree, base: Complex, dk: int):
+    """Carry a tree along functor onto certificates over ``base``, moving
+    every leaf shift by dk; leaf and cone witnesses are re-solved from
+    their old label maps, so functor must keep basis labels and commute
+    with Σ on them: F(Σ^s C) = Σ^s F(C) label for label."""
+
+    def visit(node):
+        subject = functor.on_complex(node.subject)
+        if isinstance(node, Leaf):
+            return leaf_from_bijection(base, subject,
+                                       [s + dk for s in node.shifts],
+                                       _bijection_of(node.to_std))
+        if isinstance(node, ConeNode):
+            left, right = visit(node.left), visit(node.right)
+            w = functor.on_map(node.w, shift_complex(right.subject, -1),
+                               left.subject)
+            return _witnessed_cone(subject, left, right, w,
+                                   _bijection_of(node.to_cone))
+        if isinstance(node, RetractNode):
+            inner = visit(node.inner)
+            return RetractNode(
+                subject, inner,
+                functor.on_map(node.section, subject, inner.subject),
+                functor.on_map(node.retraction, inner.subject, subject))
+        raise StructureError(f"unknown node {type(node).__name__}")
+
+    return visit(tree)
 
 
 def cert_shift(c: LevelCertificate, k: int) -> LevelCertificate:
     """Certificate for Σ^k subject over the same base."""
-
-    def shift_node(node):
-        if isinstance(node, Leaf):
-            if not node.shifts:
-                return Leaf(shift_complex(node.subject, k), [], None, None)
-            subject = shift_complex(node.subject, k)
-            std = canonical_coproduct(c.base, [s + k for s in node.shifts],
-                                      subject.space.window)
-            to_std = _resolve_diagonal(node.to_std, subject, std)
-            return Leaf(subject, [s + k for s in node.shifts], to_std,
-                        _invert_diagonal(to_std, subject, std))
-        if isinstance(node, ConeNode):
-            t = node.triangle
-            m1 = shift_complex(t.m1, k)
-            m = shift_complex(t.m, k)
-            m2 = shift_complex(t.m2, k)
-            sm1 = shift_complex(t.shifted_m1, k)
-            sq = shift_complex(t.base_source, k)
-            f2 = GradedMap(m1.space, m.space, t.f.shift, t.f.cols)
-            g2 = GradedMap(m.space, m2.space, t.g.shift, t.g.cols)
-            h2 = GradedMap(m2.space, sm1.space, t.h.shift, t.h.cols)
-            w2 = GradedMap(sq.space, m1.space, t.base_map.shift,
-                           t.base_map.cols)
-            built, _ = cone(w2, sq, m1)
-            to_cone = _resolve_diagonal(t.to_cone, m, built)
-            tri = TriangleRecord(m1, m, m2, f2, g2, h2, sm1,
-                                 base_map=w2, base_source=sq,
-                                 to_cone=to_cone,
-                                 from_cone=_invert_diagonal(to_cone, m,
-                                                            built),
-                                 cone_complex=built)
-            return ConeNode(m, shift_node(node.left),
-                            shift_node(node.right), tri)
-        if isinstance(node, RetractNode):
-            inner = shift_node(node.inner)
-            subject = shift_complex(node.subject, k)
-            s2 = GradedMap(subject.space, inner.subject.space,
-                           node.section.shift, node.section.cols)
-            r2 = GradedMap(inner.subject.space, subject.space,
-                           node.retraction.shift, node.retraction.cols)
-            return RetractNode(subject, inner, s2, r2)
-        raise StructureError(f"unknown node {type(node).__name__}")
-
-    tree = shift_node(c.tree)
+    tree = _transport_tree(_Suspension(k), c.tree, c.base, k)
     return LevelCertificate(c.base, tree.subject, tree, c.comparison_note)
 
 
 def _retag_map(gm: GradedMap, src: Complex, tgt: Complex,
                relabel_src, relabel_tgt) -> GradedMap:
     cols = {}
-    f = tgt.field
     for l, col in gm.cols.items():
         cols[relabel_src(l)] = {relabel_tgt(t): v for t, v in col.items()}
     return GradedMap(src.space, tgt.space, gm.shift, cols)
@@ -491,9 +416,7 @@ def cert_compose(c1: LevelCertificate,
             if not node.shifts:
                 return Leaf(node.subject, [], None, None)
             if len(node.shifts) == 1:
-                inner = cert_shift(
-                    LevelCertificate(c2.base, c2.subject, c2.tree),
-                    node.shifts[0]).tree
+                inner = cert_shift(c2, node.shifts[0]).tree
                 # subject ≅ Σ^k base via the leaf witness; the canonical
                 # coproduct has "s0:" prefixes to strip
                 shifted = inner.subject
@@ -506,20 +429,17 @@ def cert_compose(c1: LevelCertificate,
                 retraction = _retag_map(node.from_std, shifted,
                                         node.subject, strip, lambda l: l)
                 return RetractNode(node.subject, inner, section, retraction)
-            inners = [cert_shift(
-                LevelCertificate(c2.base, c2.subject, c2.tree), s).tree
-                for s in node.shifts]
+            inners = [cert_shift(c2, s).tree for s in node.shifts]
             inner = tree_coproduct(inners,
                                    [f"s{i}" for i in range(len(inners))],
                                    c2.base)
             return RetractNode(node.subject, inner, node.to_std,
                                node.from_std)
         if isinstance(node, ConeNode):
-            return ConeNode(node.subject, transform(node.left),
-                            transform(node.right), node.triangle)
+            return replace(node, left=transform(node.left),
+                           right=transform(node.right))
         if isinstance(node, RetractNode):
-            return RetractNode(node.subject, transform(node.inner),
-                               node.section, node.retraction)
+            return replace(node, inner=transform(node.inner))
         raise StructureError(f"unknown node {type(node).__name__}")
 
     tree = transform(c1.tree)
@@ -534,129 +454,43 @@ def tree_coproduct(nodes, tags, base: Complex):
     """Coproduct of certificate trees over a common base.  Trees must have
     matching shapes (pad with trivial cones beforehand if needed)."""
     kinds = {type(n).__name__ for n in nodes}
+    subject, _, _ = direct_sum([n.subject for n in nodes], list(tags))
+    bij = {}
     if kinds == {"Leaf"}:
-        real = [(n, t) for n, t in zip(nodes, tags)]
-        shifts = [s for n, _ in real for s in n.shifts]
-        parts = [n.subject for n, _ in real]
-        total, _, _ = direct_sum(parts, list(tags))
-        std = canonical_coproduct(base, shifts, total.space.window)
-        # block-diagonal witness with shifted copy indices
-        cols = {}
-        f = base.field
+        # copy i of node n becomes copy offset + i of the coproduct
         offset = 0
-        for n, t in real:
-            if not n.shifts:
-                continue
-            for l, col in n.to_std.cols.items():
-                newcol = {}
-                for lab, v in col.items():
-                    i, rest = lab.split(":", 1)
-                    newcol[f"s{int(i[1:]) + offset}:{rest}"] = v
-                cols[f"{t}:{l}"] = newcol
+        for n, tg in zip(nodes, tags):
+            for l, lab in _bijection_of(n.to_std).items():
+                i, rest = lab.split(":", 1)
+                bij[f"{tg}:{l}"] = f"s{int(i[1:]) + offset}:{rest}"
             offset += len(n.shifts)
-        to_std = GradedMap(total.space, std.space, 0, cols)
-        from_std = _invert_diagonal(to_std, total, std)
-        try:
-            check_mutually_inverse(to_std, from_std, total, std)
-        except StructureError as e:
-            raise StructureError(f"leaf coproduct witness failed: {e}")
-        return Leaf(total, shifts, to_std, from_std)
+        return leaf_from_bijection(base, subject,
+                                   [s for n in nodes for s in n.shifts], bij)
     if kinds == {"ConeNode"}:
         left = tree_coproduct([n.left for n in nodes], tags, base)
         right = tree_coproduct([n.right for n in nodes], tags, base)
-        tris = [n.triangle for n in nodes]
-        m1, _, _ = direct_sum([t.m1 for t in tris], list(tags))
-        m, _, _ = direct_sum([t.m for t in tris], list(tags))
-        m2, _, _ = direct_sum([t.m2 for t in tris], list(tags))
-        sm1, _, _ = direct_sum([t.shifted_m1 for t in tris], list(tags))
-        sq, _, _ = direct_sum([t.base_source for t in tris], list(tags))
-
-        def block(maps, src, tgt):
-            cols = {}
-            for tg, gm in zip(tags, maps):
-                for l, col in gm.cols.items():
-                    cols[f"{tg}:{l}"] = {f"{tg}:{t}": v
-                                         for t, v in col.items()}
-            return GradedMap(src.space, tgt.space, maps[0].shift, cols)
-
-        f2 = block([t.f for t in tris], m1, m)
-        g2 = block([t.g for t in tris], m, m2)
-        h2 = block([t.h for t in tris], m2, sm1)
-        w2 = block([t.base_map for t in tris], sq, m1)
-        built, _ = cone(w2, sq, m1)
-        bij = {}
-        for tg, t in zip(tags, tris):
-            for l, col in t.to_cone.cols.items():
-                ((lab, _),) = col.items()
+        wcols = {}
+        for n, tg in zip(nodes, tags):
+            for l, col in n.w.cols.items():
+                wcols[f"{tg}:{l}"] = relabel(f"{tg}:", col)
+            for l, lab in _bijection_of(n.to_cone).items():
                 kind, rest = lab.split(":", 1)
                 bij[f"{tg}:{l}"] = f"{kind}:{tg}:{rest}"
-        to_cone = solve_diagonal_chain_iso(m, built, bij)
-        if to_cone is None:
-            raise StructureError("cone coproduct witness failed")
-        tri = TriangleRecord(m1, m, m2, f2, g2, h2, sm1,
-                             base_map=w2, base_source=sq,
-                             to_cone=to_cone,
-                             from_cone=_invert_diagonal(to_cone, m, built),
-                             cone_complex=built)
-        return ConeNode(m, left, right, tri)
+        w = GradedMap(shift_complex(right.subject, -1).space,
+                      left.subject.space, 0, wcols)
+        return _witnessed_cone(subject, left, right, w, bij)
     raise StructureError(f"cannot form a coproduct of shapes {kinds}")
 
 
 def cert_transport(functor, c: LevelCertificate) -> LevelCertificate:
     """Transport along an additive exact construction given as an object
-    with on_complex(cx) and on_map(gm, src', tgt') methods; witnesses are
-    re-solved in the target and the result validates there."""
-
-    done: dict = {}
-
-    def fc(cx):
-        key = id(cx)
-        if key not in done:
-            done[key] = functor.on_complex(cx)
-        return done[key]
-
-    base2 = fc(c.base)
-
-    def visit(node):
-        if isinstance(node, Leaf):
-            subject = fc(node.subject)
-            if not node.shifts:
-                return Leaf(subject, [], None, None)
-            std = canonical_coproduct(base2, node.shifts,
-                                      subject.space.window)
-            to_std = _resolve_diagonal(
-                functor.on_map(node.to_std, subject, std), subject, std)
-            return Leaf(subject, list(node.shifts), to_std,
-                        _invert_diagonal(to_std, subject, std))
-        if isinstance(node, ConeNode):
-            t = node.triangle
-            m1, m, m2 = fc(t.m1), fc(t.m), fc(t.m2)
-            sm1, sq = fc(t.shifted_m1), fc(t.base_source)
-            f2 = functor.on_map(t.f, m1, m)
-            g2 = functor.on_map(t.g, m, m2)
-            h2 = functor.on_map(t.h, m2, sm1)
-            w2 = functor.on_map(t.base_map, sq, m1)
-            built, _ = cone(w2, sq, m1)
-            to_cone = _resolve_diagonal(
-                functor.on_map(t.to_cone, m, built), m, built)
-            tri = TriangleRecord(m1, m, m2, f2, g2, h2, sm1,
-                                 base_map=w2, base_source=sq,
-                                 to_cone=to_cone,
-                                 from_cone=_invert_diagonal(to_cone, m,
-                                                            built),
-                                 cone_complex=built)
-            return ConeNode(m, visit(node.left), visit(node.right), tri)
-        if isinstance(node, RetractNode):
-            inner = visit(node.inner)
-            subject = fc(node.subject)
-            s2 = functor.on_map(node.section, subject, inner.subject)
-            r2 = functor.on_map(node.retraction, inner.subject, subject)
-            return RetractNode(subject, inner, s2, r2)
-        raise StructureError(f"unknown node {type(node).__name__}")
-
-    tree = visit(c.tree)
-    return LevelCertificate(base2, tree.subject, tree,
-                            c.comparison_note)
+    with on_complex(cx) and on_map(gm, src', tgt') methods.  The functor
+    must keep basis labels and commute with Σ on them (Σ^k does); leaf and
+    cone witnesses are re-solved in the target and the result validates
+    there."""
+    base = functor.on_complex(c.base)
+    tree = _transport_tree(functor, c.tree, base, 0)
+    return LevelCertificate(base, tree.subject, tree, c.comparison_note)
 
 
 # -------------------------------------------------------------------------

@@ -185,6 +185,8 @@ TABLE_ALGEBRA = {"kind": "table", "basis": {"0": ["1"]},
     pytest.param("algebras", "A",
                  dict(TABLE_ALGEBRA, mult={"1|1": [["1", 1]]}),
                  "/algebras/A/mult/1|1", id="mult-value-list"),
+    pytest.param("algebras", "A", dict(TABLE_ALGEBRA, polarity="sideways"),
+                 "/algebras/A/polarity", id="polarity-not-enum"),
 ])
 def test_exit_parse_error_malformed_nested_field(tmp_path, capsys, section,
                                                  name, patch, pointer):

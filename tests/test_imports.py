@@ -1,8 +1,10 @@
-"""Import lint: every name a ``dgkoszul`` module imports is used in it.
+"""Import and definitions lint: every name a ``dgkoszul`` module imports
+is used in it, and every top-level function and class it defines is named
+somewhere else in the project.
 
-No linter ships with the project, so this stdlib ``ast`` check stands in
-for flake8's F401.  An import meant as a re-export is marked on its line
-with ``# noqa: F401``.
+No linter ships with the project, so these stdlib ``ast`` checks stand in
+for flake8's F401 and a dead-code finder.  An import meant as a re-export
+is marked on its line with ``# noqa: F401``.
 """
 
 import ast
@@ -14,6 +16,8 @@ import dgkoszul
 
 PACKAGE = Path(dgkoszul.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
 
 
 def unused_imports(path: Path) -> list:
@@ -46,3 +50,46 @@ def test_lint_catches_an_unused_import(tmp_path):
                  "from sys import argv  # noqa: F401\n"
                  "def f():\n    return path, sep\n")
     assert unused_imports(p) == ["mod.py:1: json"]
+
+
+def referenced_names(roots) -> set:
+    """Every identifier a .py file under ``roots`` reads, imports, or
+    spells as a string constant (perfbench looks functions up by name)."""
+    names = set()
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name.split(".")[-1])
+                elif (isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)):
+                    names.add(node.value)
+    return names
+
+
+def unreferenced_definitions(modules, roots) -> list:
+    names = referenced_names(roots)
+    out = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and node.name not in names):
+                out.append(f"{path.name}:{node.lineno}: {node.name}")
+    return out
+
+
+def test_no_unreferenced_definitions():
+    assert unreferenced_definitions(MODULES, SOURCES) == []
+
+
+def test_lint_catches_an_unreferenced_definition(tmp_path):
+    p = tmp_path / "mod.py"
+    p.write_text("class Used:\n    pass\n\n"
+                 "def dead():\n    return Used()\n")
+    assert unreferenced_definitions([p], [tmp_path]) == ["mod.py:4: dead"]

@@ -20,6 +20,8 @@ from dgkoszul.dgstruct import (
 )
 from dgkoszul.resolve import minimize, semifree_resolve
 from dgkoszul.level import (
+    ConeNode,
+    Leaf,
     LevelCertificate,
     RetractNode,
     cert_compose,
@@ -138,6 +140,17 @@ def test_cert_compose_bound(cert_k_poly):
     assert cert_validate(comp).ok
 
 
+def test_cert_compose_multi_shift_leaf(cert_k_poly):
+    # a two-copy leaf over a cone tree takes the coproduct of two shifted
+    # copies of that tree, cone node by cone node and leaf by leaf
+    leaf = leaf_identity(cert_k_poly.subject, [3, 3])
+    upper = LevelCertificate(cert_k_poly.subject, leaf.subject, leaf)
+    comp = cert_compose(upper, cert_k_poly)
+    assert comp.claimed_level == 2
+    assert cert_to_dict(comp)["tree"]["inner"]["kind"] == "cone"
+    assert cert_validate(comp).ok
+
+
 def test_tower_of_three(cert_k_poly):
     c_mid = two_cert(cert_k_poly.subject, 3, 1)
     c_top = two_cert(c_mid.subject, 2, 0)
@@ -185,6 +198,32 @@ def test_bogus_retract_rejected(F5, window):
     rep = cert_validate(bogus)
     assert not rep.ok
     assert any("retraction" in v or "section" in v for v in rep.violations)
+
+
+def test_leaf_witness_outside_coproduct_rejected(F5, window, poly):
+    # Λ(x,z) has zero d, so its identity commutes with every differential;
+    # Σ^{-100}K[y] is empty in the window, so the identity lands outside it
+    x = exterior_algebra(F5, window, [("x", 3), ("z", 5)]).carrier
+    ident = GradedMap.identity(x.space)
+    c = LevelCertificate(poly.carrier, x, Leaf(x, [-100], ident, ident))
+    assert c.claimed_level == 1
+    rep = cert_validate(c)
+    assert not rep.ok
+    assert any("leaf witness fails" in v for v in rep.violations)
+
+
+def test_cone_of_empty_leaves_rejected(F5, window, poly):
+    # a level-0 claim for the nonzero complex ΣΛ(x): cone(0 → 0) is empty
+    sx = shift_complex(exterior_algebra(F5, window, [("x", 3)]).carrier, 1)
+    left, right = empty_leaf(poly.carrier), empty_leaf(poly.carrier)
+    w = GradedMap.zero(right.subject.space, left.subject.space, 0)
+    ident = GradedMap.identity(sx.space)
+    c = LevelCertificate(poly.carrier, sx,
+                         ConeNode(sx, left, right, w, ident, ident))
+    assert c.claimed_level == 0
+    rep = cert_validate(c)
+    assert not rep.ok
+    assert any("cone witness fails" in v for v in rep.violations)
 
 
 def test_compose_requires_matching_base(cert_k_poly, F5, window):
