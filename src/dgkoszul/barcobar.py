@@ -2,6 +2,12 @@
 tensor products, the two-sided resolution check and the bar-cobar
 dualization check.
 
+Bar and cobar share one word-complex builder, ``_word_complex``, and
+differ only in the quadratic part of the differential: bar merges two
+adjacent letters by the product, cobar splits one letter by the reduced
+coproduct.  Both twisted tensor products share one tensor-complex builder,
+``_tensor_complex``, and differ only in the twist term and their (co)action.
+
 Sign conventions are generated from the global Koszul rule applied to
 suspension symbols; d^2 = 0 on every constructed complex is the
 certificate that they are consistent.
@@ -73,20 +79,6 @@ def _known_below(sp: GradedSpace):
     return NEG_INF if sp.bounds[0] >= sp.window.lo else sp.window.lo
 
 
-def _letter_polarity(degrees, what: str) -> int:
-    """+1 when all suspended letter degrees are >= 1, -1 when all <= -1."""
-    if any(d == 0 for d in degrees):
-        raise StructureError(f"{what}: letter of suspended degree 0 "
-                             "(not simply connected); word counts per degree "
-                             "are unbounded")
-    pos = any(d > 0 for d in degrees)
-    neg = any(d < 0 for d in degrees)
-    if pos and neg:
-        raise StructureError(f"{what}: letters of mixed suspended sign; "
-                             "word enumeration does not terminate")
-    return -1 if neg else 1
-
-
 def _enumerate_words(letters, window: DegreeWindow, polarity: int):
     """All words over (label, degree) letters with total degree in the
     window; letter degrees have uniform sign so enumeration terminates.
@@ -110,6 +102,71 @@ def _enumerate_words(letters, window: DegreeWindow, polarity: int):
     return out
 
 
+def _word_complex(carrier: Complex, shift: int, window: DegreeWindow | None,
+                  skip: str, quadratic, label, what: str):
+    """The complex on words in the letters s^shift x, x a basis label of
+    ``carrier`` other than ``skip``, shared by bar (shift -1) and cobar
+    (shift +1); the window is trimmed to the degrees whose words use only
+    known letters.  The differential at the i-th letter x of a word is the
+    internal part -s(dx) plus the terms ``(replacement, width, sign,
+    coefficient)`` of ``quadratic(entries, i)``, which replace the
+    ``width`` letters from position i; each term carries the Koszul sign
+    of the letters before it.  Returns the complex and {degree: [entry
+    tuples]}, sorted within each degree.
+    """
+    sp = carrier.space
+    f = sp.field
+    w = window or sp.window
+    letters = sorted((l, sp.deg(l) + shift)
+                     for n in sp.degrees() for l in sp.labels(n) if l != skip)
+    if not letters:
+        win, bounds, words = w, (0, 0), {0: [()]}
+    else:
+        degs = [d for _, d in letters]
+        if 0 in degs:
+            raise StructureError(f"{what}: letter of suspended degree 0 "
+                                 "(not simply connected); word counts per "
+                                 "degree are unbounded")
+        if min(degs) < 0 < max(degs):
+            raise StructureError(f"{what}: letters of mixed suspended sign; "
+                                 "word enumeration does not terminate")
+        pol = 1 if degs[0] > 0 else -1
+        if pol > 0:
+            ka = _known_above(sp)
+            hi = w.hi if ka == POS_INF else min(w.hi, int(ka) + shift)
+            win = DegreeWindow(max(w.lo, 0), max(hi, 0))
+            bounds = (0, POS_INF)
+        else:
+            kb = _known_below(sp)
+            lo = w.lo if kb == NEG_INF else max(w.lo, int(kb) - shift)
+            win = DegreeWindow(min(lo, 0), min(w.hi, 0))
+            bounds = (NEG_INF, 0)
+        words = _enumerate_words(letters, win, pol)
+    bsp = GradedSpace(f, win, {n: [label(e) for e in ws]
+                               for n, ws in words.items()}, bounds=bounds)
+    minus = f.from_int(-1)
+    odd = {l for l, d in letters if d % 2}
+    internal = {l: [((t,), 1, minus, v)
+                    for t, v in carrier.d(l).items() if t != skip]
+                for l, _ in letters}
+    cols: dict = {}
+    for n, ws in words.items():
+        for source, entries in zip(bsp.labels(n), ws):
+            col: dict = {}
+            psgn = f.one  # Koszul sign of the letters before position i
+            for i, x in enumerate(entries):
+                for terms in (internal[x], quadratic(entries, i)):
+                    for rep, width, sign, v in terms:
+                        tgt = label(entries[:i] + rep + entries[i + width:])
+                        if tgt in bsp:
+                            vec_iadd(f, col, f.mul(sign, psgn), {tgt: v})
+                if x in odd:
+                    psgn = f.mul(minus, psgn)
+            if col:
+                cols[source] = col
+    return Complex(bsp, GradedMap(bsp, bsp, 1, cols)), words
+
+
 # -------------------------------------------------------------------------
 # bar construction
 # -------------------------------------------------------------------------
@@ -123,69 +180,28 @@ def bar(a: DGAlgebra, window: DegreeWindow | None = None,
         b = bar(a, window)
         tau = canonical_tau(a, barc=b)
         return twisted_tensor_right(m, tau, window)
-    w = window or a.space.window
-    sp = a.space
-    letters = sorted((l, sp.deg(l) - 1) for l in a.aug_ideal_labels())
     f = a.field
-    if not letters:
-        bsp = GradedSpace(f, w, {0: [bar_word_label(())]}, bounds=(0, 0))
-        cx = Complex(bsp, GradedMap.zero(bsp, bsp, 1))
-        unit = bar_word_label(())
-        return DGCoalgebra(cx, {unit: [(unit, unit, f.one)]}, {unit: f.one},
-                           unit, name=f"B({a.name})" if a.name else "B")
-    pol = _letter_polarity([d for _, d in letters], "bar construction")
-    if pol > 0:
-        ka = _known_above(sp)
-        hi = w.hi if ka == POS_INF else min(w.hi, int(ka) - 1)
-        win = DegreeWindow(max(w.lo, 0), max(hi, 0))
-        bounds = (0, POS_INF)
-    else:
-        kb = _known_below(sp)
-        lo = w.lo if kb == NEG_INF else max(w.lo, int(kb) + 1)
-        win = DegreeWindow(min(lo, 0), min(w.hi, 0))
-        bounds = (NEG_INF, 0)
-    words = _enumerate_words(letters, win, pol)
-    basis = {n: tuple(bar_word_label(entries) for entries in ws)
-             for n, ws in sorted(words.items())}
-    bsp = GradedSpace(f, win, basis, bounds=bounds)
-    cols: dict = {}
-    for n, ws in words.items():
-        for entries in ws:
-            col: dict = {}
-            prefix = 0  # sum of suspended degrees before position i
-            for i, x in enumerate(entries):
-                psgn = f.from_int(-1 if prefix % 2 else 1)
-                # internal part: replace letter by -s(dx)
-                for t, v in a.carrier.d(x).items():
-                    if t == a.unit:
-                        continue
-                    word = entries[:i] + (t,) + entries[i + 1:]
-                    label = bar_word_label(word)
-                    if label in bsp:
-                        vec_iadd(f, col, f.neg(psgn), {label: v})
-                # merging part: (-1)^{deg x} s(x * next)
-                if i + 1 < len(entries):
-                    msgn = f.from_int(-1 if sp.deg(x) % 2 else 1)
-                    for t, v in a.mult_pair(x, entries[i + 1]).items():
-                        if t == a.unit:
-                            continue
-                        word = entries[:i] + (t,) + entries[i + 2:]
-                        label = bar_word_label(word)
-                        if label in bsp:
-                            vec_iadd(f, col, f.mul(msgn, psgn), {label: v})
-                prefix += sp.deg(x) - 1
-            if col:
-                cols[bar_word_label(entries)] = col
-    cx = Complex(bsp, GradedMap(bsp, bsp, 1, cols))
+
+    def merge(entries, i):
+        # (-1)^{deg x} s(x * next)
+        if i + 1 == len(entries):
+            return []
+        x = entries[i]
+        sign = f.from_int(-1 if a.space.deg(x) % 2 else 1)
+        return [((t,), 2, sign, v)
+                for t, v in a.mult_pair(x, entries[i + 1]).items()
+                if t != a.unit]
+
+    cx, words = _word_complex(a.carrier, -1, window, a.unit, merge,
+                              bar_word_label, "bar construction")
+    bsp = cx.space
     comult = {}
     for n, ws in words.items():
-        for entries in ws:
-            comult[bar_word_label(entries)] = [
-                (bar_word_label(entries[:i]), bar_word_label(entries[i:]),
-                 f.one)
-                for i in range(len(entries) + 1)
-                if bar_word_label(entries[:i]) in bsp
-                and bar_word_label(entries[i:]) in bsp]
+        for label, entries in zip(bsp.labels(n), ws):
+            cuts = [(bar_word_label(entries[:i]), bar_word_label(entries[i:]))
+                    for i in range(len(entries) + 1)]
+            comult[label] = [(left, right, f.one) for left, right in cuts
+                             if left in bsp and right in bsp]
     unit = bar_word_label(())
     return DGCoalgebra(cx, comult, {unit: f.one}, unit,
                        name=f"B({a.name})" if a.name else "B")
@@ -220,80 +236,30 @@ def cobar(c: DGCoalgebra, window: DegreeWindow | None = None,
         om = cobar(c, window)
         tau0 = canonical_tau0(c, cobarc=om)
         return twisted_tensor_left(n, tau0, window)
-    w = window or c.space.window
     sp = c.space
     f = c.field
-    letters = sorted((l, sp.deg(l) + 1)
-                     for nn in sp.degrees() for l in sp.labels(nn)
-                     if l != c.coaug)
-    unit = cobar_word_label(())
-    if not letters:
-        osp = GradedSpace(f, w, {0: [unit]}, bounds=(0, 0))
-        cx = Complex(osp, GradedMap.zero(osp, osp, 1))
-        one = {unit: f.one}
-        return DGAlgebra(cx, unit, lambda a, b: one,
-                         "non-negative", simply_connected=True,
-                         name=f"Ω({c.name})" if c.name else "Ω")
-    pol = _letter_polarity([d for _, d in letters], "cobar construction")
-    if pol > 0:
-        ka = _known_above(sp)
-        hi = w.hi if ka == POS_INF else min(w.hi, int(ka) + 1)
-        win = DegreeWindow(max(w.lo, 0), max(hi, 0))
-        bounds = (0, POS_INF)
-    else:
-        kb = _known_below(sp)
-        lo = w.lo if kb == NEG_INF else max(w.lo, int(kb) - 1)
-        win = DegreeWindow(min(lo, 0), min(w.hi, 0))
-        bounds = (NEG_INF, 0)
-    words = _enumerate_words(letters, win, pol)
-    entries_of = {}
-    basis = {}
-    for nn, ws in sorted(words.items()):
-        labels = []
-        for entries in ws:
-            label = cobar_word_label(entries)
-            entries_of[label] = entries
-            labels.append(label)
-        basis[nn] = tuple(labels)
-    osp = GradedSpace(f, win, basis, bounds=bounds)
-    reduced = {l: c.reduced_comult(l) for l, _ in letters}
-    cols: dict = {}
-    for nn, ws in words.items():
-        for entries in ws:
-            col: dict = {}
-            prefix = 0  # sum of generator degrees before position i
-            for i, x in enumerate(entries):
-                psgn = f.from_int(-1 if prefix % 2 else 1)
-                # internal part: -<dx>
-                for t, v in c.carrier.d(x).items():
-                    if t == c.coaug:
-                        continue
-                    word = entries[:i] + (t,) + entries[i + 1:]
-                    label = cobar_word_label(word)
-                    if label in osp:
-                        vec_iadd(f, col, f.neg(psgn), {label: v})
-                # splitting part: -(-1)^{deg c'} <c'><c''>
-                for c1, c2, v in reduced[x]:
-                    ssgn = f.from_int(-1 if sp.deg(c1) % 2 else 1)
-                    word = entries[:i] + (c1, c2) + entries[i + 1:]
-                    label = cobar_word_label(word)
-                    if label in osp:
-                        vec_iadd(f, col, f.neg(f.mul(ssgn, psgn)), {label: v})
-                prefix += sp.deg(x) + 1
-            if col:
-                cols[cobar_word_label(entries)] = col
-    cx = Complex(osp, GradedMap(osp, osp, 1, cols))
+    # -(-1)^{deg c'} <c'><c''>, once per letter
+    splits = {l: [((c1, c2), 1, f.from_int(1 if sp.deg(c1) % 2 else -1), v)
+                  for c1, c2, v in c.reduced_comult(l)]
+              for nn in sp.degrees() for l in sp.labels(nn) if l != c.coaug}
+    cx, words = _word_complex(c.carrier, 1, window, c.coaug,
+                              lambda entries, i: splits[entries[i]],
+                              cobar_word_label, "cobar construction")
+    osp = cx.space
+    entries_of = {l: e for nn, ws in words.items()
+                  for l, e in zip(osp.labels(nn), ws)}
 
     def mult_pair(a: str, b: str) -> dict:
         # the tensor algebra multiplies by concatenation; every word whose
         # degree lies in the window is a basis label
-        if osp.deg(a) + osp.deg(b) not in win:
+        if osp.deg(a) + osp.deg(b) not in osp.window:
             return {}
         return {cobar_word_label(entries_of[a] + entries_of[b]): f.one}
 
-    polarity = "non-negative" if pol > 0 else "non-positive"
-    sc = cx.space.dim(1 if pol > 0 else -1) == 0
-    return DGAlgebra(cx, unit, mult_pair, polarity, simply_connected=sc,
+    nonneg = osp.bounds[0] == 0
+    return DGAlgebra(cx, cobar_word_label(()), mult_pair,
+                     "non-negative" if nonneg else "non-positive",
+                     simply_connected=osp.dim(1 if nonneg else -1) == 0,
                      name=f"Ω({c.name})" if c.name else "Ω")
 
 
@@ -346,19 +312,6 @@ def tensor_label(a: str, b: str) -> str:
     return f"{a}@{b}"
 
 
-def _tensor_space(spa: GradedSpace, spb: GradedSpace, win: DegreeWindow):
-    basis: dict = {}
-    for i in spa.degrees():
-        for j in spb.degrees():
-            if i + j in win:
-                basis.setdefault(i + j, []).extend(
-                    tensor_label(x, y)
-                    for x in spa.labels(i) for y in spb.labels(j))
-    basis = {nn: tuple(ls) for nn, ls in sorted(basis.items())}
-    bounds = (spa.bounds[0] + spb.bounds[0], spa.bounds[1] + spb.bounds[1])
-    return GradedSpace(spa.field, win, basis, bounds=bounds)
-
-
 def _split_tensor_label(label: str, spa: GradedSpace):
     """Split "x@y" at the unique position where the left part is a label
     of spa."""
@@ -371,6 +324,42 @@ def _split_tensor_label(label: str, spa: GradedSpace):
             return label[:pos], label[pos + 1:]
 
 
+def _tensor_complex(x, y, window: DegreeWindow | None, twist):
+    """x ⊗ y on its complete tensor window with d = d⊗1 + (−1)^{|x|}1⊗d +
+    twist, shared by both twisted tensor products.  ``twist(xl, yl)``
+    yields the twist terms of xl⊗yl as (x label, y label, coefficient).
+    Returns the complex and {label: (x label, y label)}."""
+    f = x.field
+    xs, ys = x.space, y.space
+    win = tensor_window(xs, ys, window)
+    basis: dict = {}
+    pairs: dict = {}
+    for i in xs.degrees():
+        for xl in xs.labels(i):
+            for j in ys.degrees():
+                if i + j in win:
+                    for yl in ys.labels(j):
+                        label = tensor_label(xl, yl)
+                        basis.setdefault(i + j, []).append(label)
+                        pairs[label] = (xl, yl)
+    bounds = (xs.bounds[0] + ys.bounds[0], xs.bounds[1] + ys.bounds[1])
+    sp = GradedSpace(f, win, basis, bounds=bounds)
+    cols: dict = {}
+    for label, (xl, yl) in pairs.items():
+        sgn = f.from_int(-1 if xs.deg(xl) % 2 else 1)
+        terms = [(t, yl, v) for t, v in x.carrier.d(xl).items()]
+        terms += [(xl, t, f.mul(sgn, v)) for t, v in y.carrier.d(yl).items()]
+        terms += twist(xl, yl)
+        col: dict = {}
+        for tx, ty, v in terms:
+            tgt = tensor_label(tx, ty)
+            if tgt in sp:
+                vec_iadd(f, col, v, {tgt: f.one})
+        if col:
+            cols[label] = col
+    return Complex(sp, GradedMap(sp, sp, 1, cols)), pairs
+
+
 def twisted_tensor_right(m: DGModule, t: TwistingCochain,
                          window: DegreeWindow | None = None) -> DGComodule:
     """m ⊗_τ C for a right A-module m and twisting cochain τ : C → A, with
@@ -380,47 +369,25 @@ def twisted_tensor_right(m: DGModule, t: TwistingCochain,
         raise StructureError("twisted_tensor_right needs a right module")
     c = t.source
     f = m.field
-    win = tensor_window(m.space, c.space, window)
-    sp = _tensor_space(m.space, c.space, win)
-    cols: dict = {}
+
+    def twist(ml, cl):
+        # −(−1)^{|m|} m·τ(c′) ⊗ c″
+        sgn = f.from_int(1 if m.space.deg(ml) % 2 else -1)
+        for c1, c2, v in c.comult_label(cl):
+            ta = t.apply_label(c1)
+            if ta:
+                for tl, u in m.act({ml: f.one}, ta).items():
+                    yield tl, c2, f.mul(f.mul(sgn, v), u)
+
+    cx, pairs = _tensor_complex(m, c, window, twist)
     coaction: dict = {}
-    minus_one = f.from_int(-1)
-    for i in m.space.degrees():
-        for ml in m.space.labels(i):
-            sgn_m = f.from_int(-1 if i % 2 else 1)
-            for j in c.space.degrees():
-                if i + j not in win:
-                    continue
-                for cl in c.space.labels(j):
-                    label = tensor_label(ml, cl)
-                    col: dict = {}
-                    for tl, v in m.carrier.d(ml).items():
-                        tgt = tensor_label(tl, cl)
-                        if tgt in sp:
-                            vec_iadd(f, col, v, {tgt: f.one})
-                    for tl, v in c.carrier.d(cl).items():
-                        tgt = tensor_label(ml, tl)
-                        if tgt in sp:
-                            vec_iadd(f, col, sgn_m, {tgt: v})
-                    for c1, c2, v in c.comult_label(cl):
-                        ta = t.apply_label(c1)
-                        if not ta:
-                            continue
-                        acted = m.act({ml: f.one}, ta)
-                        coefficient = f.mul(minus_one, f.mul(sgn_m, v))
-                        for tl, u in acted.items():
-                            tgt = tensor_label(tl, c2)
-                            if tgt in sp:
-                                vec_iadd(f, col, coefficient, {tgt: u})
-                    if col:
-                        cols[label] = col
-                    terms = []
-                    for c1, c2, v in c.comult_label(cl):
-                        left = tensor_label(ml, c1)
-                        if left in sp:
-                            terms.append((left, c2, v))
-                    coaction[label] = terms
-    cx = Complex(sp, GradedMap(sp, sp, 1, cols))
+    for label, (ml, cl) in pairs.items():
+        terms = []
+        for c1, c2, v in c.comult_label(cl):
+            left = tensor_label(ml, c1)
+            if left in cx.space:
+                terms.append((left, c2, v))
+        coaction[label] = terms
     nm = f"{m.name}⊗τ{c.name}" if m.name and c.name else ""
     return DGComodule(cx, c, coaction, name=nm)
 
@@ -431,52 +398,25 @@ def twisted_tensor_left(n: DGComodule, t: TwistingCochain,
     twisted differential); a right A-module via 1⊗μ_A."""
     a = t.target
     f = n.field
-    win = tensor_window(n.space, a.space, window)
-    sp = _tensor_space(n.space, a.space, win)
-    cols: dict = {}
-    factors: dict = {}
-    for i in n.space.degrees():
-        for nl in n.space.labels(i):
-            sgn_n = f.from_int(-1 if i % 2 else 1)
-            for j in a.space.degrees():
-                if i + j not in win:
-                    continue
-                for al in a.space.labels(j):
-                    label = tensor_label(nl, al)
-                    factors[label] = (nl, al)
-                    col: dict = {}
-                    for tl, v in n.carrier.d(nl).items():
-                        tgt = tensor_label(tl, al)
-                        if tgt in sp:
-                            vec_iadd(f, col, v, {tgt: f.one})
-                    for tl, v in a.carrier.d(al).items():
-                        tgt = tensor_label(nl, tl)
-                        if tgt in sp:
-                            vec_iadd(f, col, sgn_n, {tgt: v})
-                    for n1, cl, v in n.coaction_label(nl):
-                        ta = t.apply_label(cl)
-                        if not ta:
-                            continue
-                        prod = a.multiply(ta, {al: f.one})
-                        # the mirrored twist enters with a + sign: with the
-                        # right-sided twist taken negative, d^2 = 0 forces
-                        # t^2 = -(Dt + tD) and that fixes this sign
-                        s1 = f.from_int(
-                            -1 if n.space.deg(n1) % 2 else 1)
-                        coefficient = f.mul(s1, v)
-                        for tl, u in prod.items():
-                            tgt = tensor_label(n1, tl)
-                            if tgt in sp:
-                                vec_iadd(f, col, coefficient, {tgt: u})
-                    if col:
-                        cols[label] = col
-    cx = Complex(sp, GradedMap(sp, sp, 1, cols))
+
+    def twist(nl, al):
+        # (−1)^{|n′|} n′ ⊗ τ(c)·a: with the right-sided twist taken
+        # negative, d^2 = 0 forces t^2 = -(Dt + tD) and that fixes this sign
+        for n1, cl, v in n.coaction_label(nl):
+            ta = t.apply_label(cl)
+            if ta:
+                sgn = f.from_int(-1 if n.space.deg(n1) % 2 else 1)
+                for tl, u in a.multiply(ta, {al: f.one}).items():
+                    yield n1, tl, f.mul(f.mul(sgn, v), u)
+
+    cx, pairs = _tensor_complex(n, a, window, twist)
+    sp = cx.space
 
     def act_pair(label: str, bl: str) -> dict:
         """(n ⊗ a)·b = n ⊗ ab."""
-        if sp.deg(label) + a.space.deg(bl) not in win:
+        if sp.deg(label) + a.space.deg(bl) not in sp.window:
             return {}
-        nl, al = factors[label]
+        nl, al = pairs[label]
         combo = {}
         for tl, v in a.mult_pair(al, bl).items():
             tgt = tensor_label(nl, tl)

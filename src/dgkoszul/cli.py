@@ -2,7 +2,8 @@
 deterministic report emission.
 
 Exit codes: 0 success, 1 verdict failure, 2 parse error, 3 validation
-error, 4 dangling reference.
+error, 4 dangling reference, 5 internal error (a bug in the engine; the
+traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from dgkoszul.gradedcomplex import (
     DegreeWindow,
     GradedMap,
     GradedSpace,
+    StructureError,
+    WindowError,
     check_d_squared,
     homology,
     homology_by_degree,
@@ -49,6 +52,7 @@ EXIT_VERDICT = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_DANGLING = 4
+EXIT_INTERNAL = 5
 
 
 class CliError(Exception):
@@ -728,9 +732,16 @@ def main(argv=None) -> int:
         where = f" at {e.pointer}" if e.pointer else ""
         sys.stderr.write(f"error: {e}{where}\n")
         return e.code
-    except (ValueError, KeyError) as e:
+    except (StructureError, WindowError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_VALIDATION
+    except Exception:
+        # not bad input but a bug in the engine: keep the traceback.  Only
+        # this path needs the module; every command process would pay for
+        # importing it at start-up.
+        import traceback
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

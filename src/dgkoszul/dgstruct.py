@@ -24,6 +24,7 @@ from dgkoszul.gradedcomplex import (
     GradedMap,
     GradedSpace,
     StructureError,
+    WindowError,
     POS_INF,
     check_d_squared,
     koszul_sign,
@@ -723,10 +724,11 @@ def polynomial_algebra(field: FieldSpec, window: DegreeWindow,
     names = [g[0] for g in gens]
     degs = [g[1] for g in gens]
     if len(set(names)) != len(names):
-        raise ValueError("duplicate generator names")
+        raise StructureError("duplicate generator names")
     for d in degs:
         if d <= 0 or d % 2:
-            raise ValueError(f"polynomial generator degree must be even positive, got {d}")
+            raise StructureError("polynomial generator degree must be even "
+                                 f"positive, got {d}")
     basis: dict = {}
     label_of: dict = {}
     maxdeg = window.hi
@@ -767,9 +769,9 @@ def truncated_polynomial_algebra(field: FieldSpec, window: DegreeWindow,
                                  name: str, degree: int, power: int) -> DGAlgebra:
     """K[y]/(y^power), degree even positive."""
     if degree <= 0 or degree % 2:
-        raise ValueError("generator degree must be even positive")
+        raise StructureError("generator degree must be even positive")
     if power < 2:
-        raise ValueError("power must be >= 2")
+        raise StructureError("power must be >= 2")
     basis = {}
     for e in range(power):
         d = e * degree
@@ -803,7 +805,7 @@ def _exterior_carrier(field: FieldSpec, window: DegreeWindow, gens: list,
     degs = [g[1] for g in gens]
     for d in degs:
         if d % 2 == 0:
-            raise ValueError(f"exterior generator degree must be odd, got {d}")
+            raise StructureError(f"exterior generator degree must be odd, got {d}")
     label = {s: _subset_label(names, s)
              for r in range(len(gens) + 1)
              for s in itertools.combinations(range(len(gens)), r)}
@@ -811,7 +813,7 @@ def _exterior_carrier(field: FieldSpec, window: DegreeWindow, gens: list,
     for s, l in label.items():
         d = sum(degs[i] for i in s)
         if d not in window:
-            raise ValueError(f"window too small for the exterior {what} basis")
+            raise WindowError(f"window too small for the exterior {what} basis")
         basis.setdefault(d, []).append((s, l))
     basis_sorted = {d: tuple(l for _, l in sorted(items))
                     for d, items in sorted(basis.items())}
@@ -919,6 +921,8 @@ def trivial_module(a: DGAlgebra, label: str = "1m") -> DGModule:
 def truncated_module(a: DGAlgebra, name: str, degree: int, power: int) -> DGModule:
     """K[y]/(y^power) as a module over K[y] = a (single even generator);
     an algebra label of degree n acts as y^(n // degree)."""
+    if degree <= 0:
+        raise StructureError("module generator degree must be positive")
     f = a.field
     win = a.space.window
     labels = {}
@@ -960,7 +964,7 @@ def module_direct_sum(ms: list, tags: list | None = None):
     rule on its tagged labels."""
     from dgkoszul.gradedcomplex import direct_sum as _ds
     if not ms:
-        raise ValueError("empty direct sum")
+        raise StructureError("empty direct sum")
     alg = ms[0].over
     for m in ms:
         if m.over is not alg:

@@ -22,6 +22,10 @@ from fractions import Fraction
 # the one elimination path; perfbench records it with every run
 KERNEL = "sparse"
 
+# a Fraction is immutable, so every rational zero and one can be shared
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
+
 
 def _is_prime(p: int) -> bool:
     if p < 2:
@@ -65,11 +69,11 @@ class FieldSpec:
 
     @property
     def zero(self):
-        return 0 if self.kind == "prime" else Fraction(0)
+        return 0 if self.kind == "prime" else _Q_ZERO
 
     @property
     def one(self):
-        return 1 if self.kind == "prime" else Fraction(1)
+        return 1 if self.kind == "prime" else _Q_ONE
 
     def from_int(self, n: int):
         return n % self.p if self.kind == "prime" else Fraction(n)

@@ -39,7 +39,7 @@ class DegreeWindow:
 
     def __post_init__(self):
         if self.lo > self.hi:
-            raise ValueError("window lo > hi")
+            raise WindowError("window lo > hi")
 
     def __contains__(self, n: int) -> bool:
         return self.lo <= n <= self.hi

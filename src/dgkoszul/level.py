@@ -454,6 +454,16 @@ def tree_coproduct(nodes, tags, base: Complex):
     """Coproduct of certificate trees over a common base.  Trees must have
     matching shapes (pad with trivial cones beforehand if needed)."""
     kinds = {type(n).__name__ for n in nodes}
+    # the direct sum keeps only the intersection of the subjects' windows,
+    # so copies shifted unequally would lose the labels the witnesses name
+    wins = [n.subject.space.window for n in nodes]
+    lo, hi = max(w.lo for w in wins), min(w.hi for w in wins)
+    if any(not lo <= d <= hi for n in nodes for d in n.subject.space.degrees()):
+        raise StructureError(
+            f"coproduct of trees with unequal shifts "
+            f"{[wins[0].lo - w.lo for w in wins]} (relative to the first): "
+            f"their direct sum keeps only degrees [{lo}, {hi}] of the "
+            f"subject windows {[[w.lo, w.hi] for w in wins]}")
     subject, _, _ = direct_sum([n.subject for n in nodes], list(tags))
     bij = {}
     if kinds == {"Leaf"}:

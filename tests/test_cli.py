@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from dgkoszul.cli import main
+from dgkoszul import cli
+from dgkoszul.cli import EXIT_INTERNAL, EXIT_VALIDATION, main
 
 PRESENTATION = {
     "schema_version": 1,
@@ -138,6 +139,49 @@ def test_exit_validation_error(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(bad))
     assert main(["validate", "-p", str(p)]) == 3
+
+
+@pytest.mark.parametrize("section,name,spec,message", [
+    ("algebras", "S", {"kind": "polynomial",
+                       "generators": [["y", 2], ["y", 4]]},
+     "duplicate generator names"),
+    ("algebras", "S", {"kind": "polynomial", "generators": [["y", 3]]},
+     "even positive"),
+    ("algebras", "T", {"kind": "truncated_polynomial", "name": "y",
+                       "degree": 2, "power": 1}, "power must be >= 2"),
+    ("algebras", "E", {"kind": "exterior", "generators": [["x", -31]]},
+     "window too small"),
+    ("modules", "D", {"kind": "direct_sum", "of": []}, "empty direct sum"),
+    ("modules", "M2", {"kind": "truncated", "over": "S", "name": "y",
+                       "degree": 0, "power": 2}, "degree must be positive"),
+    ("window", None, [5, -5], "window lo > hi"),
+])
+def test_exit_validation_bad_preset(tmp_path, capsys, section, name, spec,
+                                    message):
+    bad = json.loads(json.dumps(PRESENTATION))
+    if name is None:
+        bad[section] = spec
+    else:
+        bad[section][name] = spec
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(bad))
+    assert main(["validate", "-p", str(p)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("exc", [KeyError("x"), ValueError("x"),
+                                 ZeroDivisionError("x")])
+def test_exit_internal_error(monkeypatch, capsys, pres, exc):
+    # an exception that is not one of the engine's validation errors is a
+    # bug, not bad input: its own exit code and the traceback on stderr
+    def broken(path):
+        raise exc
+
+    monkeypatch.setattr(cli, "parse_presentation", broken)
+    assert main(["validate", "-p", pres]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "Traceback" in err and type(exc).__name__ in err
 
 
 def test_exit_dangling_reference(tmp_path):

@@ -8,6 +8,8 @@ is marked on its line with ``# noqa: F401``.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -93,3 +95,18 @@ def test_lint_catches_an_unreferenced_definition(tmp_path):
     p.write_text("class Used:\n    pass\n\n"
                  "def dead():\n    return Used()\n")
     assert unreferenced_definitions([p], [tmp_path]) == ["mod.py:4: dead"]
+
+
+def test_tracer_targets_resolve():
+    # perfbench wraps engine functions by name and only lists the ones it
+    # cannot find, so a rename would silently zero its per-layer metrics
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = tracer.Tracer().targets()
+    assert targets
+    missing = [f"{mod}.{fn}" for mod, fn, *_ in targets
+               if not callable(getattr(
+                   importlib.import_module(f"dgkoszul.{mod}"), fn, None))]
+    assert missing == []

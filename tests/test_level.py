@@ -151,6 +151,26 @@ def test_cert_compose_multi_shift_leaf(cert_k_poly):
     assert cert_validate(comp).ok
 
 
+def test_cert_compose_unequal_shifts_refused(cert_k_poly):
+    # Σ^0 and Σ^3 copies of K over K[y] fill different windows; their
+    # direct sum would drop the labels the witnesses name
+    leaf = leaf_identity(cert_k_poly.subject, [0, 3])
+    upper = LevelCertificate(cert_k_poly.subject, leaf.subject, leaf)
+    with pytest.raises(StructureError, match=r"unequal shifts \[0, 3\]"):
+        cert_compose(upper, cert_k_poly)
+
+
+def test_cert_compose_unequal_shifts_inside_window(F5, window):
+    # a subject supported well inside the window loses nothing to the
+    # intersection, so unequal shifts still compose
+    lam = exterior_algebra(F5, window, [("x", 3)]).carrier
+    c = two_cert(lam, 3, 1)
+    leaf = leaf_identity(c.subject, [0, 3])
+    comp = cert_compose(LevelCertificate(c.subject, leaf.subject, leaf), c)
+    assert comp.claimed_level == 2
+    assert cert_validate(comp).ok
+
+
 def test_tower_of_three(cert_k_poly):
     c_mid = two_cert(cert_k_poly.subject, 3, 1)
     c_top = two_cert(c_mid.subject, 2, 0)
