@@ -34,12 +34,11 @@ from dgkoszul.dgstruct import (
     DGComodule,
     DGModule,
     TwistingCochain,
-    degree_compatible,
     dual_complex,
     dual_label,
     free_module,
     graded_dual_algebra,
-    merge_terms,
+    transpose_rule,
 )
 
 
@@ -477,29 +476,12 @@ def two_sided_check(a: DGAlgebra, c: DGCoalgebra, t: TwistingCochain,
 
 
 def _dual_module_comodule(m: DGModule) -> DGComodule:
-    """m^∨ as a right comodule over A^∨ (dual to the right action)."""
+    """m^∨ as a right comodule over A^∨: the transposed right action,
+    under the pairing <m*⊗a*, m⊗a> = (-1)^{|a*||m|}."""
     if m.side != "right":
         raise StructureError("need a right module")
-    f = m.field
-    dual = graded_dual_algebra(m.over)
-    dcx = dual_complex(m.carrier)
-    coaction: dict = {}
-    msp, asp = m.space, m.over.space
-    for ml, al in degree_compatible((msp, asp),
-                                    lambda s: s in msp.window):
-        combo = m.act_pair(ml, al)
-        if not combo:
-            continue
-        # pairing <m*⊗a*, m⊗a> = (-1)^{|a*||m|} δ
-        sgn = f.from_int(-1 if (msp.deg(ml) * asp.deg(al)) % 2 else 1)
-        for tl, v in combo.items():
-            dm, da = dual_label(ml), dual_label(al)
-            if da not in dual.space:
-                continue
-            coaction.setdefault(dual_label(tl), []).append(
-                (dm, da, f.mul(sgn, v)))
-    merged = {l: merge_terms(f, terms) for l, terms in coaction.items()}
-    return DGComodule(dcx, dual, merged,
+    return DGComodule(dual_complex(m.carrier), graded_dual_algebra(m.over),
+                      transpose_rule(m.act_pair, m.space, m.over.space),
                       name=f"({m.name})^" if m.name else "")
 
 

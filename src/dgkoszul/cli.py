@@ -39,6 +39,7 @@ from dgkoszul.resolve import (
     class_of,
     derived_fiber,
     is_free_over_homology,
+    level_lower_bound,
     minimize,
     semifree_resolve,
 )
@@ -130,17 +131,23 @@ class Store:
         self.modules: dict = {}
         self.comodules: dict = {}
 
-    def algebra(self, name: str) -> DGAlgebra:
-        if name not in self.algebras:
-            raise CliError(EXIT_DANGLING, f"unknown algebra {name!r}",
-                           f"/algebras/{name}")
-        return self.algebras[name]
+    def get(self, section: str, name: str, pointer: str = ""):
+        """The object ``name`` of a section such as "algebras"; a missing
+        one is a dangling reference at ``pointer`` or else its own."""
+        objs = getattr(self, section)
+        if name not in objs:
+            raise CliError(EXIT_DANGLING, f"unknown {section[:-1]} {name!r}",
+                           pointer or f"/{section}/{name}")
+        return objs[name]
 
-    def module(self, name: str):
-        if name not in self.modules:
-            raise CliError(EXIT_DANGLING, f"unknown module {name!r}",
-                           f"/modules/{name}")
-        return self.modules[name]
+    def add(self, section: str, name: str, obj, validation, pointer: str):
+        """Store an object given its validation report; a failed one is a
+        validation error at ``pointer``."""
+        if not validation.ok:
+            raise CliError(EXIT_VALIDATION,
+                           f"{section[:-1]} {name!r} invalid: "
+                           f"{'; '.join(validation.violations[:3])}", pointer)
+        getattr(self, section)[name] = obj
 
     def carrier_of(self, name: str) -> Complex:
         for kind in ("algebras", "coalgebras", "modules", "comodules"):
@@ -295,69 +302,52 @@ def parse_presentation(path: str) -> Store:
             a = _parse_table_algebra(f, w, spec, ptr)
         else:
             raise CliError(EXIT_PARSE, f"unknown algebra kind {kind!r}", ptr)
-        rep = validate_algebra(a)
-        if not rep.ok:
-            raise CliError(EXIT_VALIDATION,
-                           f"algebra {name!r} invalid: "
-                           f"{'; '.join(rep.violations[:3])}", ptr)
-        store.algebras[name] = a
+        store.add("algebras", name, a, validate_algebra(a), ptr)
 
     for name, spec, ptr in _specs(doc, "coalgebras"):
         kind = spec.get("kind", "exterior")
         if kind == "exterior":
             c = dgstruct.exterior_coalgebra(f, w, _generators(spec, ptr))
         elif kind == "dual":
-            c = dgstruct.graded_dual_algebra(
-                store.algebra(_require(spec, "of", ptr, "string")))
+            c = dgstruct.graded_dual_algebra(store.get(
+                "algebras", _require(spec, "of", ptr, "string")))
         else:
             raise CliError(EXIT_PARSE, f"unknown coalgebra kind {kind!r}",
                            ptr)
-        rep = validate_coalgebra(c)
-        if not rep.ok:
-            raise CliError(EXIT_VALIDATION,
-                           f"coalgebra {name!r} invalid: "
-                           f"{'; '.join(rep.violations[:3])}", ptr)
-        store.coalgebras[name] = c
+        store.add("coalgebras", name, c, validate_coalgebra(c), ptr)
 
     for name, spec, ptr in _specs(doc, "modules"):
         kind = _require(spec, "kind", ptr)
         if kind == "trivial":
-            m = dgstruct.trivial_module(
-                store.algebra(_require(spec, "over", ptr, "string")))
+            m = dgstruct.trivial_module(store.get(
+                "algebras", _require(spec, "over", ptr, "string")))
         elif kind == "free":
-            m = dgstruct.free_module(
-                store.algebra(_require(spec, "over", ptr, "string")))
+            m = dgstruct.free_module(store.get(
+                "algebras", _require(spec, "over", ptr, "string")))
         elif kind == "truncated":
             m = dgstruct.truncated_module(
-                store.algebra(_require(spec, "over", ptr, "string")),
+                store.get("algebras", _require(spec, "over", ptr, "string")),
                 _require(spec, "name", ptr, "string"),
                 _require(spec, "degree", ptr, "integer"),
                 _require(spec, "power", ptr, "integer"))
         elif kind == "shift":
             m = dgstruct.module_shift(
-                store.module(_require(spec, "of", ptr, "string")),
+                store.get("modules", _require(spec, "of", ptr, "string")),
                 _require(spec, "k", ptr, "integer"))
         elif kind == "direct_sum":
-            parts = [store.module(_typed(nm, "string", f"{ptr}/of/{i}"))
+            parts = [store.get("modules",
+                               _typed(nm, "string", f"{ptr}/of/{i}"))
                      for i, nm in enumerate(
                          _require(spec, "of", ptr, "array"))]
             m, _, _ = dgstruct.module_direct_sum(parts)
         else:
             raise CliError(EXIT_PARSE, f"unknown module kind {kind!r}", ptr)
-        rep = validate_module(m)
-        if not rep.ok:
-            raise CliError(EXIT_VALIDATION,
-                           f"module {name!r} invalid: "
-                           f"{'; '.join(rep.violations[:3])}", ptr)
-        store.modules[name] = m
+        store.add("modules", name, m, validate_module(m), ptr)
 
     for name, spec, ptr in _specs(doc, "comodules"):
         kind = _require(spec, "kind", ptr)
-        over = _require(spec, "over", ptr, "string")
-        if over not in store.coalgebras:
-            raise CliError(EXIT_DANGLING, f"unknown coalgebra {over!r}",
-                           ptr)
-        c = store.coalgebras[over]
+        c = store.get("coalgebras", _require(spec, "over", ptr, "string"),
+                      ptr)
         if kind == "trivial":
             n = dgstruct.trivial_comodule(c)
         elif kind == "over_self":
@@ -365,12 +355,7 @@ def parse_presentation(path: str) -> Store:
         else:
             raise CliError(EXIT_PARSE, f"unknown comodule kind {kind!r}",
                            ptr)
-        rep = validate_comodule(n)
-        if not rep.ok:
-            raise CliError(EXIT_VALIDATION,
-                           f"comodule {name!r} invalid: "
-                           f"{'; '.join(rep.violations[:3])}", ptr)
-        store.comodules[name] = n
+        store.add("comodules", name, n, validate_comodule(n), ptr)
     return store
 
 
@@ -446,40 +431,45 @@ def cmd_homology(args) -> int:
     return EXIT_OK
 
 
-def cmd_bar(args) -> int:
+def _construction(args, section: str, name: str, construct) -> int:
+    """Report on ``construct`` (bar or cobar) of the object ``name`` of
+    ``section``: dimensions, homology and the d² verdict."""
     store = parse_presentation(args.presentation)
-    a = store.algebra(args.algebra)
-    b = bar(a, store.window)
-    report = base_report("bar", store.field, store.window)
-    report["algebra"] = args.algebra
-    report["dims"] = space_dims(b.carrier)
-    report["homology_dims"] = homology_dims(b.carrier)
-    dsq = check_d_squared(b.carrier)
+    cx = construct(store.get(section, name), store.window).carrier
+    report = base_report(args.command, store.field, store.window)
+    report[section[:-1]] = name
+    report["dims"] = space_dims(cx)
+    report["homology_dims"] = homology_dims(cx)
+    dsq = check_d_squared(cx)
     report["d_squared_ok"] = bool(dsq)
     emit(report, args)
     return EXIT_OK if dsq else EXIT_VERDICT
+
+
+def cmd_bar(args) -> int:
+    return _construction(args, "algebras", args.algebra, bar)
 
 
 def cmd_cobar(args) -> int:
+    return _construction(args, "coalgebras", args.coalgebra, cobar)
+
+
+def _resolution(args):
+    """The module named by ``--module``, its semifree resolution over its
+    own algebra, which ``--over`` must name, and a report naming both."""
     store = parse_presentation(args.presentation)
-    if args.coalgebra not in store.coalgebras:
-        raise CliError(EXIT_DANGLING,
-                       f"unknown coalgebra {args.coalgebra!r}",
-                       f"/coalgebras/{args.coalgebra}")
-    c = store.coalgebras[args.coalgebra]
-    om = cobar(c, store.window)
-    report = base_report("cobar", store.field, store.window)
-    report["coalgebra"] = args.coalgebra
-    report["dims"] = space_dims(om.carrier)
-    report["homology_dims"] = homology_dims(om.carrier)
-    dsq = check_d_squared(om.carrier)
-    report["d_squared_ok"] = bool(dsq)
-    emit(report, args)
-    return EXIT_OK if dsq else EXIT_VERDICT
+    m = store.get("modules", args.module)
+    if store.get("algebras", args.over) is not m.over:
+        raise CliError(EXIT_VALIDATION, f"module {args.module!r} is not a "
+                       f"module over --over {args.over!r}",
+                       f"/modules/{args.module}")
+    report = base_report(args.command, store.field, store.window)
+    report["module"] = args.module
+    report["over"] = args.over
+    return m, semifree_resolve(m, args.depth), report
 
 
-def _resolution_report(r, command, store) -> dict:
-    report = base_report(command, store.field, store.window)
+def _resolution_report(report: dict, r) -> dict:
     report["generators"] = [[gl, d, s] for gl, d, s in
                             sorted(r.generators, key=lambda g: (g[1], g[0]))]
     report["minimal"] = r.is_minimal()
@@ -491,45 +481,28 @@ def _resolution_report(r, command, store) -> dict:
 
 
 def cmd_resolve(args) -> int:
-    store = parse_presentation(args.presentation)
-    m = store.module(args.module)
-    a = store.algebra(args.over)
-    r = semifree_resolve(m, a, args.depth)
-    report = _resolution_report(r, "resolve", store)
-    report["module"] = args.module
-    report["over"] = args.over
-    emit(report, args)
+    _, r, report = _resolution(args)
+    emit(_resolution_report(report, r), args)
     return EXIT_OK
 
 
 def cmd_minimize(args) -> int:
-    store = parse_presentation(args.presentation)
-    m = store.module(args.module)
-    a = store.algebra(args.over)
-    r = minimize(semifree_resolve(m, a, args.depth))
-    report = _resolution_report(r, "minimize", store)
-    report["module"] = args.module
-    report["over"] = args.over
-    emit(report, args)
+    _, r, report = _resolution(args)
+    emit(_resolution_report(report, minimize(r)), args)
     return EXIT_OK
 
 
 def cmd_level_bound(args) -> int:
-    store = parse_presentation(args.presentation)
-    m = store.module(args.module)
-    a = store.algebra(args.over)
-    r = minimize(semifree_resolve(m, a, args.depth))
+    m, r, report = _resolution(args)
+    r = minimize(r)
     fib = derived_fiber(r)
-    free = is_free_over_homology(m, a)
-    report = base_report("level-bound", store.field, store.window)
-    report["module"] = args.module
-    report["over"] = args.over
+    free = is_free_over_homology(m)
     report["fiber_dims"] = {str(n): d for n, d in fib.dimensions.items()}
     report["fiber_dim_total"] = sum(fib.dimensions.values())
     report["exhausted"] = fib.exhausted
-    report["lower_bound"] = 1 if free["free"] else 2
     cls, exhausted = class_of(r)
     report["class"] = cls
+    report["lower_bound"] = level_lower_bound(cls, free["free"])
     verdict_ok = True
     if exhausted:
         cert = cert_from_resolution(r)
@@ -545,17 +518,19 @@ def cmd_level_bound(args) -> int:
     return EXIT_OK if verdict_ok else EXIT_VERDICT
 
 
-def _parse_degrees(spec: str):
+def _koszul_pair(args):
+    """Field, window and Koszul pair of the command's flags."""
+    f = parse_field(args.field)
+    w = parse_window(args.window)
     try:
-        return [int(x) for x in spec.split(",") if x]
+        degrees = [int(x) for x in args.degrees.split(",") if x]
     except ValueError as e:
-        raise CliError(EXIT_PARSE, f"bad degree list {spec!r}: {e}")
+        raise CliError(EXIT_PARSE, f"bad degree list {args.degrees!r}: {e}")
+    return f, w, koszul.make_koszul_pair(f, w, degrees)
 
 
 def cmd_koszul_pair(args) -> int:
-    f = parse_field(args.field)
-    w = parse_window(args.window)
-    pair = koszul.make_koszul_pair(f, w, _parse_degrees(args.degrees))
+    f, w, pair = _koszul_pair(args)
     report = base_report("koszul-pair", f, w)
     report["generator_degrees"] = pair.generator_degrees
     report["algebra"] = pair.algebra.name
@@ -568,9 +543,7 @@ def cmd_koszul_pair(args) -> int:
 
 
 def cmd_koszul_check(args) -> int:
-    f = parse_field(args.field)
-    w = parse_window(args.window)
-    pair = koszul.make_koszul_pair(f, w, _parse_degrees(args.degrees))
+    f, w, pair = _koszul_pair(args)
     chk = koszul.koszul_pair_check(pair)
     report = base_report("koszul-check", f, w)
     report["generator_degrees"] = pair.generator_degrees
@@ -586,8 +559,8 @@ def cmd_koszul_check(args) -> int:
 
 def cmd_ext(args) -> int:
     store = parse_presentation(args.presentation)
-    a = store.algebra(args.algebra)
-    table = koszul.ext_algebra(a, store.window)
+    table = koszul.ext_algebra(store.get("algebras", args.algebra),
+                               store.window)
     report = base_report("ext", store.field, store.window)
     report["algebra"] = args.algebra
     report["dims"] = {str(n): d for n, d in sorted(table["dims"].items())}
@@ -602,9 +575,7 @@ def cmd_ext(args) -> int:
 
 
 def cmd_duality_check(args) -> int:
-    f = parse_field(args.field)
-    w = parse_window(args.window)
-    pair = koszul.make_koszul_pair(f, w, _parse_degrees(args.degrees))
+    f, w, pair = _koszul_pair(args)
     sv = pair.algebra
     if args.module == "free":
         m = dgstruct.free_module(sv)
@@ -671,31 +642,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--degree", type=int)
     sp.set_defaults(fn=cmd_homology)
 
-    sp = sub.add_parser("bar", help="bar construction of an algebra")
-    with_presentation(sp)
-    sp.add_argument("--algebra", required=True)
-    sp.set_defaults(fn=cmd_bar)
-
-    sp = sub.add_parser("cobar", help="cobar construction of a coalgebra")
-    with_presentation(sp)
-    sp.add_argument("--coalgebra", required=True)
-    sp.set_defaults(fn=cmd_cobar)
-
-    for nm, fn in (("resolve", cmd_resolve), ("minimize", cmd_minimize)):
-        sp = sub.add_parser(nm, help=f"{nm} a module")
+    for nm, fn, obj in (("bar", cmd_bar, "algebra"),
+                        ("cobar", cmd_cobar, "coalgebra")):
+        sp = sub.add_parser(nm, help=f"{nm} construction of a named {obj}")
         with_presentation(sp)
-        sp.add_argument("--module", required=True)
-        sp.add_argument("--over", required=True)
-        sp.add_argument("--depth", type=int)
+        sp.add_argument(f"--{obj}", required=True)
         sp.set_defaults(fn=fn)
 
-    sp = sub.add_parser("level-bound",
-                        help="certified level bounds for a module")
-    with_presentation(sp)
-    sp.add_argument("--module", required=True)
-    sp.add_argument("--over", required=True)
-    sp.add_argument("--depth", type=int)
-    sp.set_defaults(fn=cmd_level_bound)
+    for nm, fn, hlp in (("resolve", cmd_resolve, "resolve a module"),
+                        ("minimize", cmd_minimize, "minimize a module"),
+                        ("level-bound", cmd_level_bound,
+                         "certified level bounds for a module")):
+        sp = sub.add_parser(nm, help=hlp)
+        with_presentation(sp)
+        sp.add_argument("--module", required=True)
+        sp.add_argument("--over", required=True, help="the module's algebra")
+        sp.add_argument("--depth", type=int)
+        sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("koszul-pair", help="build and validate a pair")
     with_flags(sp)

@@ -6,8 +6,9 @@ Products and actions are given by rules, ``mult_pair(a, b)`` and
 ``act_pair(m, a)``, that compute the product of two basis labels on
 demand: presets from per-label keys (exponent vectors, subsets, words),
 graded duals from the transposed structure maps, table presentations from
-their explicit table.  Coproducts and coactions are stored per label.
-Every axiom stays decidable by exhaustive checking on the window bases;
+their explicit table.  Coproducts and coactions are stored per label; one
+``transpose_rule`` builds those of the dual of an algebra and of a right
+module from its rule.  Every axiom stays decidable by exhaustive checking on the window bases;
 the validators visit only the label pairs and triples whose degrees fit
 the window.
 """
@@ -423,13 +424,10 @@ class DGComodule:
     (module label, coalgebra label, coefficient)."""
 
     def __init__(self, carrier: Complex, over: DGCoalgebra, coaction: dict,
-                 side: str = "right", name: str = ""):
-        if side != "right":
-            raise ValueError("only right comodules are implemented")
+                 name: str = ""):
         self.carrier = carrier
         self.over = over
         self.coaction = coaction
-        self.side = side
         self.name = name
 
     @property
@@ -485,6 +483,9 @@ def validate_comodule(n: DGComodule) -> ValidationReport:
             rep.fail(f"coaction coassociativity fails at {l!r}")
             break
     for l in labels:
+        if not sp.complete_at(sp.deg(l) + 1):
+            # the differential is truncated here; co-Leibniz unverifiable
+            continue
         lhs: dict = {}
         for t, v in n.carrier.d(l).items():
             for m, c, w in n.coaction_label(t):
@@ -586,24 +587,27 @@ def merge_terms(f: FieldSpec, terms: list) -> list:
     return [(l1, l2, v) for (l1, l2), v in sorted(acc.items())]
 
 
+def transpose_rule(rule, left: GradedSpace, right: GradedSpace) -> dict:
+    """Graded dual of a pair rule (a product or an action) on the pairs
+    whose degree lies in ``left``'s window: t* -> merged terms
+    (x*, y*, (-1)^{|x||y|} v) over the pairs with rule(x, y) = v·t + …"""
+    f = left.field
+    out: dict = {}
+    for x, y in degree_compatible((left, right),
+                                  lambda s: s in left.window):
+        sgn = f.from_int(koszul_sign(left.deg(x), right.deg(y)))
+        for t, v in rule(x, y).items():
+            out.setdefault(dual_label(t), []).append(
+                (dual_label(x), dual_label(y), f.mul(sgn, v)))
+    return {l: merge_terms(f, terms) for l, terms in out.items()}
+
+
 def graded_dual_algebra(a: DGAlgebra) -> DGCoalgebra:
     """Dual coalgebra of a locally finite algebra, with the pairing
     convention ⟨f⊗g, x⊗y⟩ = (-1)^{|g||x|} f(x)g(y)."""
-    f = a.field
-    sp = a.space
-    cx = dual_complex(a.carrier)
-    comult: dict = {}
-    for x, y in degree_compatible((sp, sp), lambda s: s in sp.window):
-        combo = a.mult_pair(x, y)
-        if not combo:
-            continue
-        sgn = f.from_int(koszul_sign(sp.deg(x), sp.deg(y)))
-        for c, v in combo.items():
-            comult.setdefault(dual_label(c), []).append(
-                (dual_label(x), dual_label(y), f.mul(sgn, v)))
-    counit = {dual_label(a.unit): f.one}
-    merged = {l: merge_terms(f, terms) for l, terms in comult.items()}
-    return DGCoalgebra(cx, merged, counit, dual_label(a.unit),
+    return DGCoalgebra(dual_complex(a.carrier),
+                       transpose_rule(a.mult_pair, a.space, a.space),
+                       {dual_label(a.unit): a.field.one}, dual_label(a.unit),
                        name=f"({a.name})^" if a.name else "")
 
 
@@ -639,12 +643,9 @@ def comodule_to_module_F(n: DGComodule) -> DGModule:
     sp = n.space
     for l in [l for k in sp.degrees() for l in sp.labels(k)]:
         for m, c, v in n.coaction_label(l):
-            fc = dual_label(c)
-            if fc not in dual.space:
-                continue
             sgn = f.from_int(koszul_sign(sp.deg(m), n.over.space.deg(c)))
-            vec_iadd(f, action.setdefault((fc, l), {}), f.mul(sgn, v),
-                     {m: f.one})
+            vec_iadd(f, action.setdefault((dual_label(c), l), {}),
+                     f.mul(sgn, v), {m: f.one})
     return DGModule(n.carrier, dual, _sparse_rule(action), side="left",
                     name=f"F({n.name})" if n.name else "")
 

@@ -293,11 +293,8 @@ def check_d_squared(c: Complex) -> DSquaredReport:
 
 @dataclass
 class HomologyData:
-    degree: int
     dimension: int
     representatives: list      # combos (cycles)
-    cycle_basis: list          # kernel vectors as combos
-    boundary_basis: list       # image vectors as combos
     _reduce_matrix: SparseMatrix = dc_field(repr=False, default=None)
     _n_boundaries: int = 0
 
@@ -308,9 +305,8 @@ def homology(c: Complex, n: int) -> HomologyData:
     Refuses (WindowError) if the bases at n-1, n, n+1 are not fully known;
     no silent wrong answers at the window boundary.
     """
-    key = n
-    if key in c._homology_cache:
-        return c._homology_cache[key]
+    if n in c._homology_cache:
+        return c._homology_cache[n]
     for k in (n - 1, n, n + 1):
         if not c.space.complete_at(k):
             raise WindowError(
@@ -319,7 +315,7 @@ def homology(c: Complex, n: int) -> HomologyData:
     f = c.field
     dn = c.differential.block(n)
     ker = rref(dn).kernel_basis
-    if c.space.complete_at(n - 1) and c.space.dim(n - 1):
+    if c.space.dim(n - 1):
         dn1 = c.differential.block(n - 1)
         im = rref(dn1).image_basis
     else:
@@ -330,16 +326,13 @@ def homology(c: Complex, n: int) -> HomologyData:
     reps_idx = [p - len(im) for p in rr.pivots if p >= len(im)]
     reps = [c.space.from_coords(ker[i], n) for i in reps_idx]
     data = HomologyData(
-        degree=n,
         dimension=len(reps),
         representatives=reps,
-        cycle_basis=[c.space.from_coords(v, n) for v in ker],
-        boundary_basis=[c.space.from_coords(v, n) for v in im],
         _reduce_matrix=SparseMatrix.from_columns(
             im + [ker[i] for i in reps_idx], dim_n, f),
         _n_boundaries=len(im),
     )
-    c._homology_cache[key] = data
+    c._homology_cache[n] = data
     return data
 
 

@@ -1,7 +1,8 @@
 """Exterior/polynomial Koszul duality: the pair (SV, ∧ΣV, τ), the
 functors L and R as twisted tensor products, the composite η = F∘R, the
 level-duality interval check, Ext-algebra extraction from the dual bar
-construction, and the divided-power / polynomial homology checks."""
+construction, and the divided-power / polynomial homology checks.  The
+homology and chain Loewy lengths run one radical series J·L, J²·L, …"""
 
 from __future__ import annotations
 
@@ -44,6 +45,7 @@ from dgkoszul.barcobar import (
 from dgkoszul.resolve import (
     class_of,
     is_free_over_homology,
+    level_lower_bound,
     minimize,
     semifree_resolve,
 )
@@ -106,75 +108,17 @@ def eta(pair: KoszulPair, m: DGModule,
 # level duality
 # -------------------------------------------------------------------------
 
-def loewy_length(mod: DGModule) -> dict:
-    """Loewy length of H(mod) under the augmentation-ideal action of the
-    (zero-differential) algebra it lives over: the least l with
-    J^l · H = 0.  Returns {"length", "homology_dims", "radical_dims"}."""
+def _radical_series(mod: DGModule, layer: dict, span) -> list:
+    """Sizes of J·L, J²·L, … through the first zero layer, J the
+    augmentation ideal of ``mod.over`` and L = {degree: [combination]};
+    its length is the least l with J^l · L = 0.  ``span(k, vecs)`` prunes
+    the images in degree k to a basis of their span."""
     alg = mod.over
     f = mod.field
-    cx = mod.carrier
-    hdata = {n: h for n, h in homology_by_degree(cx).items() if h.dimension}
     aug = list(alg.aug_ideal_labels())
-    # current layer: degree -> list of cycle combos spanning J^k H
-    layer = {n: list(h.representatives) for n, h in hdata.items()}
-    dims = {n: h.dimension for n, h in hdata.items()}
-    radical_dims = []
-    length = 0
+    cap = sum(len(combos) for combos in layer.values()) + 1
+    sizes = []
     while any(layer.values()):
-        length += 1
-        nxt: dict = {}
-        for n, combos in layer.items():
-            for al in aug:
-                k = n + alg.space.deg(al)
-                if k not in hdata:
-                    continue
-                for x in combos:
-                    img = mod.act({al: f.one}, x)
-                    if not img:
-                        continue
-                    cls = homology_class(cx, k, img)
-                    if cls:
-                        nxt.setdefault(k, []).append(
-                            {j: c for j, c in cls.items()})
-        # prune to an honest span and lift back to cycle combos
-        layer = {}
-        rd = 0
-        for k, vecs in nxt.items():
-            h = hdata[k]
-            entries = {}
-            for j, v in enumerate(vecs):
-                for i, c in v.items():
-                    entries[(i, j)] = c
-            rr = rref(SparseMatrix(h.dimension, len(vecs), f, entries))
-            basis_vecs = rr.image_basis
-            combos = []
-            for v in basis_vecs:
-                combo: dict = {}
-                for i, c in v.items():
-                    vec_iadd(f, combo, c, h.representatives[i])
-                combos.append(combo)
-            if combos:
-                layer[k] = combos
-                rd += len(combos)
-        radical_dims.append(rd)
-        if length > sum(dims.values()) + 1:
-            raise StructureError("Loewy iteration failed to terminate")
-    return {"length": length, "homology_dims": dims,
-            "radical_dims": radical_dims}
-
-
-def chain_loewy_length(mod: DGModule) -> int:
-    """Least l with J^l · N = 0 at the chain level; the J-adic layers are
-    subcomplexes with trivial action, so this bounds the K-level from
-    above."""
-    alg = mod.over
-    f = mod.field
-    sp = mod.space
-    aug = list(alg.aug_ideal_labels())
-    layer = {n: [{l: f.one} for l in sp.labels(n)] for n in sp.degrees()}
-    length = 0
-    while any(layer.values()):
-        length += 1
         nxt: dict = {}
         for n, combos in layer.items():
             for al in aug:
@@ -185,21 +129,64 @@ def chain_loewy_length(mod: DGModule) -> int:
                         nxt.setdefault(k, []).append(img)
         layer = {}
         for k, vecs in nxt.items():
-            dim = sp.dim(k)
-            entries = {}
-            for j, v in enumerate(vecs):
-                for l, c in v.items():
-                    entries[(sp.index(l), j)] = c
-            rr = rref(SparseMatrix(dim, len(vecs), f, entries))
-            combos = []
-            for v in rr.image_basis:
-                combos.append({sp.labels(k)[i]: c for i, c in v.items()})
+            combos = span(k, vecs)
             if combos:
                 layer[k] = combos
-        if length > sp.total_dim() + 1:
-            raise StructureError("chain Loewy iteration failed to "
-                                 "terminate")
-    return length
+        sizes.append(sum(len(combos) for combos in layer.values()))
+        if len(sizes) > cap:
+            raise StructureError("Loewy iteration failed to terminate")
+    return sizes
+
+
+def loewy_length(mod: DGModule) -> dict:
+    """Loewy length of H(mod) under the augmentation-ideal action of the
+    (zero-differential) algebra it lives over: the least l with
+    J^l · H = 0.  Returns {"length", "homology_dims", "radical_dims"}."""
+    f = mod.field
+    cx = mod.carrier
+    hdata = {n: h for n, h in homology_by_degree(cx).items() if h.dimension}
+
+    def span(k, vecs):
+        # homology classes of the images, pruned to a basis of their span
+        # and lifted back to cycle combinations
+        if k not in hdata:
+            return []
+        classes = [cls for cls in (homology_class(cx, k, v) for v in vecs)
+                   if cls]
+        if not classes:
+            return []
+        h = hdata[k]
+        combos = []
+        for v in rref(SparseMatrix.from_columns(classes, h.dimension,
+                                                f)).image_basis:
+            combo: dict = {}
+            for i, c in v.items():
+                vec_iadd(f, combo, c, h.representatives[i])
+            combos.append(combo)
+        return combos
+
+    radical_dims = _radical_series(
+        mod, {n: list(h.representatives) for n, h in hdata.items()}, span)
+    return {"length": len(radical_dims),
+            "homology_dims": {n: h.dimension for n, h in hdata.items()},
+            "radical_dims": radical_dims}
+
+
+def chain_loewy_length(mod: DGModule) -> int:
+    """Least l with J^l · N = 0 at the chain level; the J-adic layers are
+    subcomplexes with trivial action, so this bounds the K-level from
+    above."""
+    f = mod.field
+    sp = mod.space
+
+    def span(k, vecs):
+        # label coordinates, pruned to a basis of their span
+        rr = rref(SparseMatrix.from_columns(
+            [sp.to_coords(v, k) for v in vecs], sp.dim(k), f))
+        return [sp.from_coords(v, k) for v in rr.image_basis]
+
+    layer = {n: [{l: f.one} for l in sp.labels(n)] for n in sp.degrees()}
+    return len(_radical_series(mod, layer, span))
 
 
 def level_duality_check(pair: KoszulPair, m: DGModule,
@@ -207,8 +194,10 @@ def level_duality_check(pair: KoszulPair, m: DGModule,
     """Both sides of the level-duality equality as certified intervals:
     (a) class/freeness bounds for level over SV, (b) Loewy-filtration
     bounds for the K-level of η(m) over the exterior dual."""
-    sv = pair.algebra
-    r = minimize(semifree_resolve(m, sv, depth))
+    if m.over is not pair.algebra:
+        raise StructureError("level duality needs a module over the "
+                             "pair's algebra")
+    r = minimize(semifree_resolve(m, depth))
     cls, exhausted = class_of(r)
     side_a = {"class": cls, "exhausted": exhausted}
     if exhausted:
@@ -219,13 +208,8 @@ def level_duality_check(pair: KoszulPair, m: DGModule,
         side_a["upper"] = cert.claimed_level
     else:
         side_a["upper"] = None
-    freeness = is_free_over_homology(m, sv)
-    if cls == 0:
-        side_a["lower"] = 0
-    elif freeness["free"]:
-        side_a["lower"] = 1
-    else:
-        side_a["lower"] = 2
+    side_a["lower"] = level_lower_bound(cls,
+                                        is_free_over_homology(m)["free"])
 
     n = eta(pair, m)
     lw = loewy_length(n)

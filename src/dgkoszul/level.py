@@ -119,7 +119,7 @@ def canonical_coproduct(base: Complex, shifts, window=None) -> Complex:
     return total
 
 
-def leaf_identity(base: Complex, shifts, tags=None) -> Leaf:
+def leaf_identity(base: Complex, shifts) -> Leaf:
     """Leaf whose subject *is* the canonical coproduct."""
     std = canonical_coproduct(base, shifts)
     ident = GradedMap.identity(std.space)
@@ -507,10 +507,10 @@ def cert_transport(functor, c: LevelCertificate) -> LevelCertificate:
 # bounds
 # -------------------------------------------------------------------------
 
-def spherical_bound(m, a, depth=None):
-    """Level ≤ 2 certificate when the derived fiber has dimension ≤ 2;
-    None when the hypothesis fails."""
-    r = minimize(semifree_resolve(m, a, depth))
+def spherical_bound(m, depth=None):
+    """Level ≤ 2 certificate over ``m.over`` when the derived fiber has
+    dimension ≤ 2; None when the hypothesis fails."""
+    r = minimize(semifree_resolve(m, depth))
     cls, exhausted = class_of(r)
     if not exhausted or len(r.generators) > 2:
         return None

@@ -116,12 +116,13 @@ def _complement_indices(field, image_cols, dim):
     return [p - k for p in res.pivots if p >= k]
 
 
-def semifree_resolve(m: DGModule, a: DGAlgebra,
+def semifree_resolve(m: DGModule,
                      depth: int | None = None) -> SemifreeResolution:
-    """Greedy semifree resolution of a right module, built from the
-    bounded end through ``depth``."""
+    """Greedy semifree resolution of a right module over its algebra
+    ``m.over``, built from the bounded end through ``depth``."""
     if m.side != "right":
         raise StructureError("resolve right modules only")
+    a = m.over
     f = a.field
     direction = 1 if a.polarity == "non-negative" else -1
     blo, bhi = m.space.bounds
@@ -333,6 +334,12 @@ def class_of(r: SemifreeResolution):
     return (len(stages), exhausted)
 
 
+def level_lower_bound(cls: int, free: bool) -> int:
+    """Level lower bound from the class of a minimal resolution and the
+    freeness of homology: 0 for the zero module, 1 if free, else 2."""
+    return 0 if cls == 0 else 1 if free else 2
+
+
 def derived_fiber(r: SemifreeResolution) -> DerivedFiber:
     """F ⊗_A K for a minimal resolution F: zero differential, dimensions =
     minimal generator counts per degree."""
@@ -356,9 +363,9 @@ def derived_fiber(r: SemifreeResolution) -> DerivedFiber:
     return DerivedFiber(cx, dict(sorted(dims.items())), exhausted, r.depth)
 
 
-def lemma1_report(m: DGModule, a: DGAlgebra, depth: int | None = None):
+def lemma1_report(m: DGModule, depth: int | None = None):
     """dim H(M⊗^L K), class, and the consistency verdict dim >= class."""
-    r = minimize(semifree_resolve(m, a, depth))
+    r = minimize(semifree_resolve(m, depth))
     cls, exhausted = class_of(r)
     dim = len(r.generators)
     if exhausted and dim < cls:
@@ -368,9 +375,10 @@ def lemma1_report(m: DGModule, a: DGAlgebra, depth: int | None = None):
             "ok": dim >= cls}
 
 
-def is_free_over_homology(m: DGModule, a: DGAlgebra) -> dict:
-    """Tor_1^{H(A)}(H(M), K) via the algebraic bar complex
+def is_free_over_homology(m: DGModule) -> dict:
+    """Tor_1^{H(A)}(H(M), K), A = ``m.over``, via the algebraic bar complex
     H(M)⊗Ā⊗Ā → H(M)⊗Ā → H(M); free iff Tor_1 vanishes in window."""
+    a = m.over
     f = a.field
     ha = homology_by_degree(a.carrier)
     hm = homology_by_degree(m.carrier)

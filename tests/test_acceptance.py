@@ -160,7 +160,7 @@ def test_criterion_5_lemma_2_5():
     ok = True
     exhausted_count = 0
     for m, a, expect in _lemma25_fixtures():
-        rep = lemma1_report(m, a)
+        rep = lemma1_report(m)
         ok = ok and rep["ok"] and rep["fiber_dim"] >= rep["class"]
         if rep["exhausted"]:
             exhausted_count += 1
@@ -173,9 +173,9 @@ def test_criterion_6_level_sandwich():
     f = FieldSpec.prime(5)
     a = polynomial_algebra(f, WINDOW, [("y", 2)])
     k = trivial_module(a)
-    cert = cert_from_resolution(minimize(semifree_resolve(k, a)))
+    cert = cert_from_resolution(minimize(semifree_resolve(k)))
     upper = cert.claimed_level
-    freeness = is_free_over_homology(k, a)
+    freeness = is_free_over_homology(k)
     lower = 1 if freeness["free"] else 2
     ok = (cert_validate(cert).ok and upper == 2 and lower == 2)
     verdict(6, ok)
@@ -202,7 +202,7 @@ def test_criterion_7_composition_arithmetic():
     f = FieldSpec.prime(5)
     a2v = polynomial_algebra(f, WINDOW, [("y1", 2), ("y2", 2)])
     c3 = cert_from_resolution(
-        minimize(semifree_resolve(trivial_module(a2v), a2v)))
+        minimize(semifree_resolve(trivial_module(a2v))))
     ok = c3.claimed_level == 3 and cert_validate(c3).ok
     c2 = _two_cert(c3.subject, 3, 1)
     comp = cert_compose(c2, c3)
@@ -210,7 +210,7 @@ def test_criterion_7_composition_arithmetic():
 
     a = polynomial_algebra(f, WINDOW, [("y", 2)])
     bot = cert_from_resolution(
-        minimize(semifree_resolve(trivial_module(a), a)))
+        minimize(semifree_resolve(trivial_module(a))))
     mid = _two_cert(bot.subject, 3, 1)
     top = _two_cert(mid.subject, 2, 0)
     out3 = tower_bound([top, mid, bot])
@@ -378,7 +378,7 @@ def test_criterion_9_micro_world():
         action = {(l, "1"): {l: f.one}
                   for n in cx.space.degrees() for l in cx.space.labels(n)}
         mod = DGModule.from_table(cx, a, action, side="right")
-        r = minimize(semifree_resolve(mod, a, depth=6))
+        r = minimize(semifree_resolve(mod, depth=6))
         cert = cert_from_resolution(r)
         ok = ok and cert_validate(cert).ok
         ok = ok and cert.claimed_level >= truth

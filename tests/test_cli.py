@@ -102,6 +102,36 @@ def test_level_bound_report(tmp_path, pres):
     assert rep["certificate"]["tree"]["kind"] == "cone"
 
 
+def test_level_bound_zero_module(tmp_path):
+    # the zero module has level 0; the interval must not be [1, 0]
+    doc = json.loads(json.dumps(PRESENTATION))
+    doc["modules"]["Z"] = {"kind": "truncated", "over": "S", "name": "y",
+                           "degree": 2, "power": 0}
+    p = tmp_path / "zero.json"
+    p.write_text(json.dumps(doc))
+    code, rep = run_json(
+        tmp_path, ["level-bound", "-p", str(p), "--module", "Z",
+                   "--over", "S"])
+    assert code == 0
+    assert rep["class"] == 0
+    assert rep["lower_bound"] == 0 and rep["upper_bound"] == 0
+
+
+@pytest.mark.parametrize("command", ["resolve", "minimize", "level-bound"])
+@pytest.mark.parametrize("over", ["S3", "T"])
+def test_over_must_name_the_module_algebra(tmp_path, capsys, command, over):
+    # F is free over S; resolving it over another algebra is refused
+    doc = json.loads(json.dumps(PRESENTATION))
+    doc["algebras"]["S3"] = {"kind": "polynomial", "generators": [
+        ["y1", 2], ["y2", 2], ["y3", 2]]}
+    p = tmp_path / "over.json"
+    p.write_text(json.dumps(doc))
+    assert main([command, "-p", str(p), "--module", "F",
+                 "--over", over]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'F'" in err and f"'{over}'" in err
+
+
 def test_koszul_pair_and_check(tmp_path):
     code, rep = run_json(tmp_path, ["koszul-pair", "--degrees", "2"])
     assert code == 0 and rep["ok"]

@@ -97,6 +97,20 @@ def test_comodules_validate(F5, window):
     assert validate_comodule(trivial_comodule(c)).ok
 
 
+def test_comodule_co_leibniz_checked_below_the_window_top(F5, window):
+    # N = <a, b> with Δa = a⊗1, Δb = b⊗1 + a⊗sy is a comodule over Λ(sy),
+    # but d(a) = b breaks co-Leibniz at a: Δ(da) has the extra a⊗sy.
+    # Degree 1 lies inside the window, so the check must not be skipped.
+    c = exterior_coalgebra(F5, window, [("sy", 1)])
+    sp = GradedSpace(F5, window, {0: ["a"], 1: ["b"]}, bounds=(0, 1))
+    coaction = {"a": [("a", "1", 1)], "b": [("b", "1", 1), ("a", "sy", 1)]}
+    flat = Complex(sp, GradedMap.zero(sp, sp, 1))
+    assert validate_comodule(DGComodule(flat, c, coaction)).ok
+    cx = Complex(sp, GradedMap(sp, sp, 1, {"a": {"b": 1}}))
+    rep = validate_comodule(DGComodule(cx, c, coaction))
+    assert rep.violations == ["coaction co-Leibniz fails at 'a'"]
+
+
 def test_dual_labels_roundtrip():
     assert undual_label(dual_label("y^2")) == "y^2"
 

@@ -1,6 +1,7 @@
-"""Import and definitions lint: every name a ``dgkoszul`` module imports
-is used in it, and every top-level function and class it defines is named
-somewhere else in the project.
+"""Import, definitions and parameters lint: every name a ``dgkoszul``
+module imports is used in it, every top-level function and class it
+defines is named somewhere else in the project, and every parameter of a
+top-level function or method is read in its body.
 
 No linter ships with the project, so these stdlib ``ast`` checks stand in
 for flake8's F401 and a dead-code finder.  An import meant as a re-export
@@ -95,6 +96,49 @@ def test_lint_catches_an_unreferenced_definition(tmp_path):
     p.write_text("class Used:\n    pass\n\n"
                  "def dead():\n    return Used()\n")
     assert unreferenced_definitions([p], [tmp_path]) == ["mod.py:4: dead"]
+
+
+def unused_parameters(path: Path) -> list:
+    """Parameters of top-level functions and methods that the body never
+    reads.  ``self``, ``cls`` and ``_``-prefixed names are exempt, and so
+    are nested functions and lambdas: a rule callback keeps the
+    ``rule(a, b)`` signature whether or not it reads both labels."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    funcs = [node for node in tree.body if isinstance(node, defs)]
+    funcs += [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+              for node in cls.body if isinstance(node, defs)]
+    out = []
+    for fn in funcs:
+        args = fn.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            a for a in (args.vararg, args.kwarg) if a is not None]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        out += [f"{path.name}:{fn.lineno}: {fn.name}({p.arg})"
+                for p in params if p.arg not in read
+                and p.arg not in ("self", "cls") and not p.arg.startswith("_")]
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_parameters(path):
+    assert unused_parameters(path) == []
+
+
+def test_lint_catches_an_unused_parameter(tmp_path):
+    p = tmp_path / "mod.py"
+    p.write_text("def f(a, b, _c, *args, d=1, **kw):\n"
+                 "    b = 2\n"
+                 "    def rule(x, y):\n"
+                 "        return x\n"
+                 "    return a, rule, lambda u, v: u, kw\n\n"
+                 "class K:\n"
+                 "    def m(self, x, y):\n"
+                 "        return [x for _ in range(3)]\n")
+    assert unused_parameters(p) == ["mod.py:1: f(b)", "mod.py:1: f(d)",
+                                    "mod.py:1: f(args)", "mod.py:8: m(y)"]
 
 
 def test_tracer_targets_resolve():

@@ -46,7 +46,7 @@ def poly(F5, window):
 
 @pytest.fixture(scope="module")
 def cert_k_poly(poly):
-    r = minimize(semifree_resolve(trivial_module(poly), poly))
+    r = minimize(semifree_resolve(trivial_module(poly)))
     return cert_from_resolution(r)
 
 
@@ -111,7 +111,7 @@ def test_cert_from_koszul_resolution(cert_k_poly):
 
 
 def test_cert_truncated_module(poly):
-    r = minimize(semifree_resolve(truncated_module(poly, "y", 2, 3), poly))
+    r = minimize(semifree_resolve(truncated_module(poly, "y", 2, 3)))
     c = cert_from_resolution(r)
     assert c.claimed_level == 2
     assert cert_validate(c).ok
@@ -119,7 +119,7 @@ def test_cert_truncated_module(poly):
 
 def test_cert_two_variables(F5, window):
     a = polynomial_algebra(F5, window, [("y1", 2), ("y2", 2)])
-    r = minimize(semifree_resolve(trivial_module(a), a))
+    r = minimize(semifree_resolve(trivial_module(a)))
     c = cert_from_resolution(r)
     assert c.claimed_level == 3
     assert cert_validate(c).ok
@@ -182,13 +182,13 @@ def test_tower_of_three(cert_k_poly):
 
 
 def test_spherical_bound(F5, window, poly):
-    sb = spherical_bound(trivial_module(poly), poly)
+    sb = spherical_bound(trivial_module(poly))
     assert sb is not None and sb.claimed_level == 2
     assert cert_validate(sb).ok
-    sb2 = spherical_bound(free_module(poly), poly)
+    sb2 = spherical_bound(free_module(poly))
     assert sb2 is not None and sb2.claimed_level == 1
     a2 = polynomial_algebra(F5, window, [("y1", 2), ("y2", 2)])
-    assert spherical_bound(trivial_module(a2), a2) is None  # fiber dim 4
+    assert spherical_bound(trivial_module(a2)) is None  # fiber dim 4
 
 
 def test_cert_transport_shift_functor(cert_k_poly):

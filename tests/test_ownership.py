@@ -45,7 +45,7 @@ def test_shared_columns_and_rules_unchanged(F5):
     bs = bar(s, window)
     om = cobar(sd, window)
     k = trivial_module(s)
-    r = minimize(semifree_resolve(k, s))
+    r = minimize(semifree_resolve(k))
     rcx, eps = r.realize()
     ka = trivial_algebra(F5, window)
     kk = trivial_module(ka)
@@ -70,7 +70,7 @@ def test_shared_columns_and_rules_unchanged(F5):
     assert eps.add(eps.scale(F5.from_int(-1))).cols == {}
     # the level-bound pipeline
     derived_fiber(r)
-    is_free_over_homology(k, s)
+    is_free_over_homology(k)
     assert class_of(r)[1]
     assert cert_validate(cert_from_resolution(r)).ok
 

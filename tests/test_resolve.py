@@ -28,13 +28,13 @@ from dgkoszul.resolve import (
 )
 
 
-def resolve_min(m, a, depth=None):
-    return minimize(semifree_resolve(m, a, depth))
+def resolve_min(m, depth=None):
+    return minimize(semifree_resolve(m, depth))
 
 
 def test_koszul_resolution_of_k_over_poly(F5, window):
     a = polynomial_algebra(F5, window, [("y", 2)])
-    r = resolve_min(trivial_module(a), a)
+    r = resolve_min(trivial_module(a))
     assert r.is_minimal()
     gens = sorted((d, l) for l, d, _ in r.generators)
     assert [d for d, _ in gens] == [0, 1]
@@ -49,7 +49,7 @@ def test_koszul_resolution_of_k_over_poly(F5, window):
 def test_resolution_realization_is_quasi_iso(F5, window):
     a = polynomial_algebra(F5, window, [("y", 2)])
     m = trivial_module(a)
-    r = resolve_min(m, a)
+    r = resolve_min(m)
     cx, eps = r.realize()
     assert check_d_squared(cx)
     verdicts = is_quasi_iso(eps, cx, m.carrier)
@@ -60,7 +60,7 @@ def test_resolution_realization_is_quasi_iso(F5, window):
 def test_truncated_module_resolution(F5, window):
     # K[y]/(y^3) over K[y]: two generators, the syzygy in degree 5
     a = polynomial_algebra(F5, window, [("y", 2)])
-    r = resolve_min(truncated_module(a, "y", 2, 3), a)
+    r = resolve_min(truncated_module(a, "y", 2, 3))
     degs = sorted(d for _, d, _ in r.generators)
     assert degs == [0, 5]
     assert class_of(r) == (2, True)
@@ -70,7 +70,7 @@ def test_k_over_truncated_algebra_periodic(F5, window):
     # K over K[y]/(y^3): the periodic resolution with generators in
     # degrees 0,1,4,5,8,9,... never exhausts a finite window
     a = truncated_polynomial_algebra(F5, window, "y", 2, 3)
-    r = resolve_min(trivial_module(a), a)
+    r = resolve_min(trivial_module(a))
     degs = sorted(d for _, d, _ in r.generators)
     assert degs[:4] == [0, 1, 4, 5]
     cls, exhausted = class_of(r)
@@ -79,7 +79,7 @@ def test_k_over_truncated_algebra_periodic(F5, window):
 
 def test_class_two_variables(F5, window):
     a = polynomial_algebra(F5, window, [("y1", 2), ("y2", 2)])
-    r = resolve_min(trivial_module(a), a)
+    r = resolve_min(trivial_module(a))
     assert class_of(r) == (3, True)
     degs = sorted(d for _, d, _ in r.generators)
     assert degs == [0, 1, 1, 2]
@@ -88,7 +88,7 @@ def test_class_two_variables(F5, window):
 def test_minimize_removes_unit_arrows(F5, window):
     a = polynomial_algebra(F5, window, [("y", 2)])
     m = truncated_module(a, "y", 2, 3)
-    raw = semifree_resolve(m, a)
+    raw = semifree_resolve(m)
     r = minimize(raw)
     assert r.is_minimal()
     assert len(r.generators) <= len(raw.generators)
@@ -99,14 +99,14 @@ def test_minimize_removes_unit_arrows(F5, window):
 
 def test_derived_fiber_exterior_not_exhausted(F5, window):
     e = exterior_algebra(F5, window, [("x", -3)])
-    fib = derived_fiber(resolve_min(trivial_module(e), e))
+    fib = derived_fiber(resolve_min(trivial_module(e)))
     assert fib.dimensions == {0: 1, -4: 1, -8: 1, -12: 1}
     assert not fib.exhausted  # the pattern continues past any window
 
 
 def test_derived_fiber_poly(F5, window):
     a = polynomial_algebra(F5, window, [("y", 2)])
-    fib = derived_fiber(resolve_min(trivial_module(a), a))
+    fib = derived_fiber(resolve_min(trivial_module(a)))
     assert fib.dimensions == {0: 1, 1: 1}
     assert fib.exhausted
 
@@ -120,7 +120,7 @@ def test_lemma1_dim_at_least_class(F5, Q, window):
         (exterior_algebra(F5, window, [("x", -3)]), None, None),
     ]
     for a, dim, cls in cases:
-        rep = lemma1_report(trivial_module(a), a)
+        rep = lemma1_report(trivial_module(a))
         assert rep["ok"]
         assert rep["fiber_dim"] >= rep["class"]
         if dim is not None:
@@ -131,7 +131,7 @@ def test_lemma1_dim_at_least_class(F5, Q, window):
 
 def test_class_requires_minimal(F5, window):
     a = polynomial_algebra(F5, window, [("y", 2)])
-    raw = semifree_resolve(truncated_module(a, "y", 2, 3), a)
+    raw = semifree_resolve(truncated_module(a, "y", 2, 3))
     if not raw.is_minimal():
         with pytest.raises(StructureError):
             class_of(raw)
@@ -139,20 +139,20 @@ def test_class_requires_minimal(F5, window):
 
 def test_free_module_is_free_over_homology(F5, window):
     a = polynomial_algebra(F5, window, [("y", 2)])
-    rep = is_free_over_homology(free_module(a), a)
+    rep = is_free_over_homology(free_module(a))
     assert rep["free"]
     assert all(v == 0 for v in rep["tor1"].values())
 
 
 def test_trivial_module_not_free(F5, window):
     a = polynomial_algebra(F5, window, [("y", 2)])
-    rep = is_free_over_homology(trivial_module(a), a)
+    rep = is_free_over_homology(trivial_module(a))
     assert not rep["free"]
     assert rep["tor1"].get(2) == 1  # relation y·1 = 0 in degree 2
 
 
 def test_resolution_over_exterior(F5, window):
     e = exterior_algebra(F5, window, [("x", -3)])
-    r = resolve_min(trivial_module(e), e)
+    r = resolve_min(trivial_module(e))
     cls, exhausted = class_of(r)
     assert cls >= 2 and not exhausted
