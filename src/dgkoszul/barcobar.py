@@ -26,6 +26,7 @@ from dgkoszul.gradedcomplex import (
     POS_INF,
     is_chain_map,
     is_quasi_iso,
+    restrict_complex,
     solve_diagonal_chain_iso,
 )
 from dgkoszul.dgstruct import (
@@ -430,22 +431,6 @@ def twisted_tensor_left(n: DGComodule, t: TwistingCochain,
 # -------------------------------------------------------------------------
 # checks
 # -------------------------------------------------------------------------
-
-def restrict_complex(c: Complex, window: DegreeWindow) -> Complex:
-    """Restrict a complex to a smaller window, dropping basis elements and
-    differential entries outside it."""
-    f = c.field
-    basis = {nn: c.space.basis[nn] for nn in c.space.degrees()
-             if nn in window}
-    sp = GradedSpace(f, window, basis, bounds=c.space.bounds)
-    cols = {}
-    for nn in sp.degrees():
-        for l in sp.labels(nn):
-            col = {tl: v for tl, v in c.d(l).items() if tl in sp}
-            if col:
-                cols[l] = col
-    return Complex(sp, GradedMap(sp, sp, 1, cols))
-
 
 def two_sided_check(a: DGAlgebra, c: DGCoalgebra, t: TwistingCochain,
                     window: DegreeWindow | None = None) -> dict:

@@ -38,12 +38,10 @@ from dgkoszul.barcobar import bar, cobar
 from dgkoszul.resolve import (
     class_of,
     derived_fiber,
-    is_free_over_homology,
-    level_lower_bound,
     minimize,
     semifree_resolve,
 )
-from dgkoszul.level import cert_from_resolution, cert_to_dict, cert_validate
+from dgkoszul.level import cert_to_dict, level_interval
 from dgkoszul import koszul
 
 SCHEMA_VERSION = 1
@@ -277,12 +275,12 @@ def parse_presentation(path: str) -> Store:
         raise CliError(EXIT_PARSE, f"invalid JSON in {path}: {e}")
     if not isinstance(doc, dict):
         raise CliError(EXIT_PARSE, "presentation must be a JSON object")
-    f = parse_field(doc.get("field", "Q"))
-    win = doc.get("window", [-16, 16])
-    if (not isinstance(win, list) or len(win) != 2
-            or not all(isinstance(x, int) for x in win)):
+    f = parse_field(_optional(doc, "field", "", "string", "Q"))
+    win = _optional(doc, "window", "", "array", [-16, 16])
+    if len(win) != 2:
         raise CliError(EXIT_PARSE, "window must be [lo, hi]", "/window")
-    w = DegreeWindow(win[0], win[1])
+    w = DegreeWindow(*(_typed(x, "integer", f"/window/{i}")
+                       for i, x in enumerate(win)))
     store = Store(f, w)
 
     for name, spec, ptr in _specs(doc, "algebras"):
@@ -455,7 +453,7 @@ def cmd_cobar(args) -> int:
 
 
 def _resolution(args):
-    """The module named by ``--module``, its semifree resolution over its
+    """The semifree resolution of the module named by ``--module`` over its
     own algebra, which ``--over`` must name, and a report naming both."""
     store = parse_presentation(args.presentation)
     m = store.get("modules", args.module)
@@ -466,7 +464,7 @@ def _resolution(args):
     report = base_report(args.command, store.field, store.window)
     report["module"] = args.module
     report["over"] = args.over
-    return m, semifree_resolve(m, args.depth), report
+    return semifree_resolve(m, args.depth), report
 
 
 def _resolution_report(report: dict, r) -> dict:
@@ -481,41 +479,34 @@ def _resolution_report(report: dict, r) -> dict:
 
 
 def cmd_resolve(args) -> int:
-    _, r, report = _resolution(args)
+    r, report = _resolution(args)
     emit(_resolution_report(report, r), args)
     return EXIT_OK
 
 
 def cmd_minimize(args) -> int:
-    _, r, report = _resolution(args)
+    r, report = _resolution(args)
     emit(_resolution_report(report, minimize(r)), args)
     return EXIT_OK
 
 
 def cmd_level_bound(args) -> int:
-    m, r, report = _resolution(args)
+    r, report = _resolution(args)
     r = minimize(r)
     fib = derived_fiber(r)
-    free = is_free_over_homology(m)
+    side = level_interval(r)
     report["fiber_dims"] = {str(n): d for n, d in fib.dimensions.items()}
     report["fiber_dim_total"] = sum(fib.dimensions.values())
-    report["exhausted"] = fib.exhausted
-    cls, exhausted = class_of(r)
-    report["class"] = cls
-    report["lower_bound"] = level_lower_bound(cls, free["free"])
-    verdict_ok = True
-    if exhausted:
-        cert = cert_from_resolution(r)
-        rep = cert_validate(cert)
-        verdict_ok = rep.ok
-        report["certificate"] = cert_to_dict(cert)
-        report["certificate_valid"] = rep.ok
-        report["upper_bound"] = cert.claimed_level
-    else:
-        report["certificate"] = None
-        report["upper_bound"] = None
+    report["exhausted"] = side.exhausted
+    report["class"] = side.cls
+    report["lower_bound"] = side.lower
+    report["upper_bound"] = side.upper
+    report["certificate"] = None
+    if side.exhausted:
+        report["certificate"] = cert_to_dict(side.certificate)
+        report["certificate_valid"] = side.valid
     emit(report, args)
-    return EXIT_OK if verdict_ok else EXIT_VERDICT
+    return EXIT_VERDICT if side.valid is False else EXIT_OK
 
 
 def _koszul_pair(args):

@@ -879,26 +879,15 @@ def exterior_coalgebra(field: FieldSpec, window: DegreeWindow,
         for r in range(len(members) + 1):
             for t in itertools.combinations(members, r):
                 u = tuple(i for i in members if i not in t)
-                # sign of unshuffling s into (t, u)
+                # sign of unshuffling s into (t, u): a permutation and its
+                # inverse swap the same pairs, so sorting t + u back gives it
                 seq = list(t) + list(u)
-                sgn = _unshuffle_sign(members, seq, degs)
+                sgn = sign_of_sort(seq, [degs[i] for i in seq])
                 terms.append((label[tuple(t)], label[u], field.from_int(sgn)))
         comult[label[s]] = terms
     counit = {label[()]: field.one}
     return DGCoalgebra(cx, comult, counit, label[()],
                        name="∧Σ(" + ",".join(names) + ")")
-
-
-def _unshuffle_sign(original: list, shuffled: list, degs: list) -> int:
-    """Koszul sign of permuting ``original`` into ``shuffled``."""
-    sign = 1
-    seq = list(original)
-    for pos, want in enumerate(shuffled):
-        i = seq.index(want)
-        for j in range(i - 1, pos - 1, -1):
-            sign *= koszul_sign(degs[seq[j]], degs[want])
-        seq.insert(pos, seq.pop(i))
-    return sign
 
 
 def free_module(a: DGAlgebra) -> DGModule:

@@ -274,7 +274,6 @@ class DSquaredReport:
     ok: bool
     degree: int | None = None
     label: str | None = None
-    residual: dict | None = None
 
     def __bool__(self):
         return self.ok
@@ -285,9 +284,8 @@ def check_d_squared(c: Complex) -> DSquaredReport:
     the window; reports the first failure."""
     for n in c.space.degrees():
         for l in c.labels(n):
-            res = c.d(c.d(l))
-            if res:
-                return DSquaredReport(False, n, l, res)
+            if c.d(c.d(l)):
+                return DSquaredReport(False, n, l)
     return DSquaredReport(True)
 
 
@@ -373,6 +371,25 @@ def shift_complex(c: Complex, k: int) -> Complex:
     cols = {l: vec_scale(c.field, sign, combo)
             for l, combo in c.differential.cols.items()}
     return Complex(space, GradedMap(space, space, 1, cols))
+
+
+def restrict_complex(c: Complex, window: DegreeWindow | None = None,
+                     keep=None) -> Complex:
+    """The basis labels of c in ``window`` (c's own by default) that
+    ``keep`` accepts (all by default), with the differential entries
+    between them: a window restriction, or the sub- or quotient complex
+    on labels that span one."""
+    window = window or c.window
+    basis = {n: [l for l in c.labels(n) if keep is None or keep(l)]
+             for n in c.space.degrees() if n in window}
+    sp = GradedSpace(c.field, window, basis, bounds=c.space.bounds)
+    cols = {}
+    for n in sp.degrees():
+        for l in sp.labels(n):
+            col = {t: v for t, v in c.d(l).items() if t in sp}
+            if col:
+                cols[l] = col
+    return Complex(sp, GradedMap(sp, sp, 1, cols))
 
 
 def relabel(prefix: str, combo: dict) -> dict:

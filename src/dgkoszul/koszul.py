@@ -42,14 +42,8 @@ from dgkoszul.barcobar import (
     twisted_tensor_right,
     two_sided_check,
 )
-from dgkoszul.resolve import (
-    class_of,
-    is_free_over_homology,
-    level_lower_bound,
-    minimize,
-    semifree_resolve,
-)
-from dgkoszul.level import cert_from_resolution, cert_validate
+from dgkoszul.resolve import minimize, semifree_resolve
+from dgkoszul.level import level_interval
 
 
 @dataclass
@@ -197,19 +191,11 @@ def level_duality_check(pair: KoszulPair, m: DGModule,
     if m.over is not pair.algebra:
         raise StructureError("level duality needs a module over the "
                              "pair's algebra")
-    r = minimize(semifree_resolve(m, depth))
-    cls, exhausted = class_of(r)
-    side_a = {"class": cls, "exhausted": exhausted}
-    if exhausted:
-        cert = cert_from_resolution(r)
-        if not cert_validate(cert).ok:
-            raise StructureError("resolution certificate failed to "
-                                 "validate")
-        side_a["upper"] = cert.claimed_level
-    else:
-        side_a["upper"] = None
-    side_a["lower"] = level_lower_bound(cls,
-                                        is_free_over_homology(m)["free"])
+    side = level_interval(minimize(semifree_resolve(m, depth)))
+    if side.valid is False:
+        raise StructureError("resolution certificate failed to validate")
+    side_a = {"class": side.cls, "exhausted": side.exhausted,
+              "lower": side.lower, "upper": side.upper}
 
     n = eta(pair, m)
     lw = loewy_length(n)

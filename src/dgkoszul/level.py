@@ -34,15 +34,17 @@ from dgkoszul.gradedcomplex import (
     induced_map_on_homology,
     is_chain_map,
     relabel,
+    restrict_complex,
     shift_complex,
     solve_diagonal_chain_iso,
 )
 from dgkoszul.dgstruct import ValidationReport
-from dgkoszul.barcobar import restrict_complex
 from dgkoszul.resolve import (
     SemifreeResolution,
     class_of,
+    is_free_over_homology,
     lemma1_report,  # noqa: F401  (re-exported: part of the level API)
+    level_lower_bound,
     minimize,
     semifree_resolve,
 )
@@ -255,22 +257,9 @@ def cert_validate(c: LevelCertificate) -> ValidationReport:
 def _stage_complex(r: SemifreeResolution, which) -> Complex:
     """Sub- or quotient complex of the realized resolution spanned by the
     labels of generators selected by ``which`` (a stage predicate)."""
-    cx, _ = r.realize()
-    f = cx.field
     keep = {gl for gl, _, s in r.generators if which(s)}
-    basis = {}
-    for n in cx.space.degrees():
-        ls = [l for l in cx.labels(n) if l.split("@", 1)[0] in keep]
-        if ls:
-            basis[n] = tuple(ls)
-    sp = GradedSpace(f, cx.space.window, basis, bounds=cx.space.bounds)
-    cols = {}
-    for n in sp.degrees():
-        for l in sp.labels(n):
-            col = {t: v for t, v in cx.d(l).items() if t in sp}
-            if col:
-                cols[l] = col
-    return Complex(sp, GradedMap(sp, sp, 1, cols))
+    return restrict_complex(r.realize()[0],
+                            keep=lambda l: l.split("@", 1)[0] in keep)
 
 
 def cert_from_resolution(r: SemifreeResolution) -> LevelCertificate:
@@ -515,6 +504,34 @@ def spherical_bound(m, depth=None):
     if not exhausted or len(r.generators) > 2:
         return None
     return cert_from_resolution(r)
+
+
+@dataclass
+class LevelInterval:
+    """Side (a) of the level duality: the class and exhaustion of a minimal
+    resolution, the lower bound they give with freeness of homology, and,
+    when exhausted, the certificate and whether it validates."""
+    cls: int
+    exhausted: bool
+    lower: int
+    certificate: LevelCertificate | None = None
+    valid: bool | None = None
+
+    @property
+    def upper(self) -> int | None:
+        return self.certificate and self.certificate.claimed_level
+
+
+def level_interval(r: SemifreeResolution) -> LevelInterval:
+    """The certified interval for the level of ``r.module`` over
+    ``r.over`` from its minimal resolution r; no upper bound unless r is
+    exhausted."""
+    cls, exhausted = class_of(r)
+    lower = level_lower_bound(cls, is_free_over_homology(r.module)["free"])
+    if not exhausted:
+        return LevelInterval(cls, exhausted, lower)
+    cert = cert_from_resolution(r)
+    return LevelInterval(cls, exhausted, lower, cert, cert_validate(cert).ok)
 
 
 def tower_bound(stage_certs, aux_dim=None):

@@ -9,6 +9,7 @@ generators killing kernel classes of the comparison map.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 from dgkoszul.exactlinalg import SparseMatrix, rref, solve, vec_iadd
@@ -38,19 +39,9 @@ class SemifreeResolution:
     differential: dict
     # label -> combination in the module
     comparison: dict
-    certified_through: int
     direction: int            # +1: built upward, -1: downward
     depth: int
     _realized: tuple = dc_field(default=None, repr=False)
-
-    def gen_degree(self, label: str) -> int:
-        for l, d, _ in self.generators:
-            if l == label:
-                return d
-        raise KeyError(label)
-
-    def stages(self) -> dict:
-        return {l: s for l, _, s in self.generators}
 
     def is_minimal(self) -> bool:
         unit = self.over.unit
@@ -60,48 +51,50 @@ class SemifreeResolution:
 
     def realize(self):
         """The underlying K-complex of F and the comparison chain map."""
-        if self._realized is not None:
-            return self._realized
-        a = self.over
-        m = self.module
-        f = a.field
-        win = m.space.window
-        basis: dict = {}
-        degs: dict = {}
-        for gl, gd, _ in self.generators:
-            for n in a.space.degrees():
-                k = gd + n
-                if k in win:
-                    for al in a.space.labels(n):
-                        basis.setdefault(k, []).append(tensor_label(gl, al))
-                        degs[tensor_label(gl, al)] = (gl, al)
-        basis = {k: tuple(ls) for k, ls in sorted(basis.items())}
-        sp = GradedSpace(f, win, basis)
-        cols: dict = {}
-        eps_cols: dict = {}
-        for label, (gl, al) in degs.items():
-            col: dict = {}
-            for g2, b, c in self.differential.get(gl, []):
-                for t, v in a.mult_pair(b, al).items():
-                    tgt = tensor_label(g2, t)
-                    if tgt in sp:
-                        vec_iadd(f, col, c, {tgt: v})
-            gd = self.gen_degree(gl)
-            sgn = f.from_int(-1 if gd % 2 else 1)
-            for t, v in a.carrier.d(al).items():
-                tgt = tensor_label(gl, t)
-                if tgt in sp:
-                    vec_iadd(f, col, sgn, {tgt: v})
-            if col:
-                cols[label] = col
-            img = m.act(self.comparison.get(gl, {}), {al: f.one})
-            img = {t: v for t, v in img.items() if t in m.space}
-            if img:
-                eps_cols[label] = img
-        cx = Complex(sp, GradedMap(sp, sp, 1, cols))
-        eps = GradedMap(sp, m.space, 0, eps_cols)
-        self._realized = (cx, eps)
+        if self._realized is None:
+            self._realized = _realize(self.module, self.generators,
+                                      self.differential, self.comparison)
         return self._realized
+
+
+def _realize(m: DGModule, generators, differential, comparison):
+    """The K-complex F = ⊕ g⊗A of a resolution of m over ``m.over`` on
+    m's window, and the comparison map ε : F → M."""
+    a = m.over
+    f = a.field
+    win = m.space.window
+    basis: dict = {}
+    parts: dict = {}          # label -> (generator, its degree, algebra label)
+    for gl, gd, _ in generators:
+        for n in a.space.degrees():
+            if gd + n in win:
+                for al in a.space.labels(n):
+                    label = tensor_label(gl, al)
+                    basis.setdefault(gd + n, []).append(label)
+                    parts[label] = (gl, gd, al)
+    sp = GradedSpace(f, win, basis)
+    cols: dict = {}
+    eps_cols: dict = {}
+    for label, (gl, gd, al) in parts.items():
+        col: dict = {}
+        for g2, b, c in differential.get(gl, []):
+            for t, v in a.mult_pair(b, al).items():
+                tgt = tensor_label(g2, t)
+                if tgt in sp:
+                    vec_iadd(f, col, c, {tgt: v})
+        sgn = f.from_int(-1 if gd % 2 else 1)
+        for t, v in a.carrier.d(al).items():
+            tgt = tensor_label(gl, t)
+            if tgt in sp:
+                vec_iadd(f, col, sgn, {tgt: v})
+        if col:
+            cols[label] = col
+        img = m.act(comparison.get(gl, {}), {al: f.one})
+        img = {t: v for t, v in img.items() if t in m.space}
+        if img:
+            eps_cols[label] = img
+    cx = Complex(sp, GradedMap(sp, sp, 1, cols))
+    return cx, GradedMap(sp, m.space, 0, eps_cols)
 
 
 def _complement_indices(field, image_cols, dim):
@@ -138,78 +131,61 @@ def semifree_resolve(m: DGModule,
                                  "non-positive algebra")
         start = int(bhi)
         depth = depth if depth is not None else m.space.window.lo + 2
-    r = SemifreeResolution(a, m, [], {}, {}, start - direction,
-                           direction, depth)
-    counter = 0
-    degrees = range(start, depth + direction, direction)
-    for n in degrees:
+    if (depth - start) * direction < 0:
+        raise StructureError(f"depth {depth} lies before the module's "
+                             f"bounded end {start}")
+    generators: list = []     # (label, degree, stage)
+    stage: dict = {}
+    differential: dict = {}
+    comparison: dict = {}
+
+    def add(degree, terms, w):
+        gl = f"e{len(generators)}"
+        stage[gl] = max((stage[g] + 1 for g, _, _ in terms), default=0)
+        generators.append((gl, degree, stage[gl]))
+        differential[gl] = terms
+        comparison[gl] = w
+
+    # F and its homology cache are kept until a generator is added
+    realized = None
+    for n in range(start, depth + direction, direction):
         for _round in range(50):
-            cx, eps = r.realize()
+            if realized is None:
+                realized = _realize(m, generators, differential, comparison)
+            cx, eps = realized
             hf = homology(cx, n)
             hm = homology(m.carrier, n)
-            added = False
+            if not (hf.dimension or hm.dimension):
+                break
+            hmat = induced_map_on_homology(eps, cx, m.carrier, n)
+            before = len(generators)
             if hm.dimension:
-                hmat = induced_map_on_homology(eps, cx, m.carrier, n)
-                img = hmat.columns()
-                for idx in _complement_indices(f, img, hm.dimension):
-                    gl = f"e{counter}"
-                    counter += 1
-                    r.generators.append((gl, n, 0))
-                    r.differential[gl] = []
-                    r.comparison[gl] = dict(hm.representatives[idx])
-                    added = True
-            if added:
-                r._realized = None
-                continue
-            if hf.dimension:
-                hmat = induced_map_on_homology(eps, cx, m.carrier, n)
-                res = rref(hmat)
-                for kv in res.kernel_basis:
+                for i in _complement_indices(f, hmat.columns(), hm.dimension):
+                    add(n, [], dict(hm.representatives[i]))
+            if len(generators) == before and hf.dimension:
+                for kv in rref(hmat).kernel_basis:
                     z: dict = {}
                     for i, c in kv.items():
                         vec_iadd(f, z, c, hf.representatives[i])
-                    if not z:
-                        continue
-                    # solve d_M w = eps(z)
+                    # w with d_M w = ε(z) is the new generator's comparison
+                    sol = {}
                     target = eps.apply(z)
-                    w: dict = {}
                     if target:
-                        lowdeg = n - 1
-                        lows = m.space.labels(lowdeg)
-                        dcols = [m.carrier.d(l) for l in lows]
-                        highs = m.space.labels(n)
-                        hidx = {l: i for i, l in enumerate(highs)}
-                        dmat = SparseMatrix.from_columns(
-                            [{hidx[t]: v for t, v in col.items()}
-                             for col in dcols], len(highs), f)
-                        rhs = {hidx[t]: v for t, v in target.items()}
-                        sol = solve(dmat, rhs)
+                        sol = solve(m.carrier.differential.block(n - 1),
+                                    m.space.to_coords(target, n))
                         if sol is None:
-                            raise StructureError(
-                                "internal: kernel class image not a boundary")
-                        for i, c in sol.items():
-                            vec_iadd(f, w, c, {lows[i]: f.one})
-                    gl = f"e{counter}"
-                    counter += 1
-                    terms = []
-                    stage = 0
-                    stages = r.stages()
-                    for label, c in z.items():
-                        g2, al = label.split("@", 1)
-                        terms.append((g2, al, c))
-                        stage = max(stage, stages[g2] + 1)
-                    r.generators.append((gl, n - 1, stage))
-                    r.differential[gl] = terms
-                    r.comparison[gl] = w
-                    added = True
-            if not added:
+                            raise StructureError("internal: kernel class "
+                                                 "image not a boundary")
+                    add(n - 1, [(*label.split("@", 1), c)
+                                for label, c in z.items()],
+                        m.space.from_coords(sol, n - 1))
+            if len(generators) == before:
                 break
-            r._realized = None
+            realized = None
         else:
             raise StructureError(f"resolution did not stabilize at degree {n}")
-    r.certified_through = depth - direction
-    r._realized = None
-    return r
+    return SemifreeResolution(a, m, generators, differential, comparison,
+                              direction, depth)
 
 
 def _substitute_out(field, a: DGAlgebra, expr, drop, h, h_expr, cap=200):
@@ -294,8 +270,8 @@ def minimize(r: SemifreeResolution) -> SemifreeResolution:
         return s
 
     gens = [(gl, d, stage_of(gl)) for gl, d, _ in gens]
-    out = SemifreeResolution(a, r.module, gens, diff, comp,
-                             r.certified_through, r.direction, r.depth)
+    out = SemifreeResolution(a, r.module, gens, diff, comp, r.direction,
+                             r.depth)
     cx, eps = out.realize()
     bad = check_d_squared(cx)
     if not bad:
@@ -310,10 +286,8 @@ def minimize(r: SemifreeResolution) -> SemifreeResolution:
 
 @dataclass
 class DerivedFiber:
-    complex: Complex
     dimensions: dict
     exhausted: bool
-    depth: int
 
 
 def _probe_band(r: SemifreeResolution):
@@ -343,24 +317,8 @@ def level_lower_bound(cls: int, free: bool) -> int:
 def derived_fiber(r: SemifreeResolution) -> DerivedFiber:
     """F ⊗_A K for a minimal resolution F: zero differential, dimensions =
     minimal generator counts per degree."""
-    f = r.over.field
-    dims: dict = {}
-    basis: dict = {}
-    for gl, d, _ in r.generators:
-        dims[d] = dims.get(d, 0) + 1
-        basis.setdefault(d, []).append(f"k:{gl}")
-    win = r.module.space.window
-    basis = {d: tuple(sorted(ls)) for d, ls in sorted(basis.items())
-             if d in win}
-    if basis:
-        lo, hi = min(basis), max(basis)
-    else:
-        lo, hi = 0, 0
-    sp = GradedSpace(f, win, basis,
-                     bounds=(lo, hi) if basis else (0, 0))
-    cx = Complex(sp, GradedMap.zero(sp, sp, 1))
-    _, exhausted = class_of(r)
-    return DerivedFiber(cx, dict(sorted(dims.items())), exhausted, r.depth)
+    dims = Counter(d for _, d, _ in r.generators)
+    return DerivedFiber(dict(sorted(dims.items())), class_of(r)[1])
 
 
 def lemma1_report(m: DGModule, depth: int | None = None):
@@ -387,28 +345,41 @@ def is_free_over_homology(m: DGModule) -> dict:
     abar = [(n, i) for n, h in ha.items() if n != 0
             for i in range(h.dimension)]
 
-    def aprod(x, y):
-        """Class of rep(x)·rep(y) in H(A), as a coefficient dict, or None
-        when out of window."""
-        nx, ix = x
-        ny, iy = y
-        n = nx + ny
-        if n not in ha:
+    def product(cx, hx, x, hy, y, mul):
+        """Class of rep(x)·rep(y) in H(cx), whose degrees hx holds, as a
+        coefficient dict, or None when out of window."""
+        n = x[0] + y[0]
+        if n not in hx:
             return None
-        prod = a.multiply(ha[nx].representatives[ix],
-                          ha[ny].representatives[iy])
-        coeffs = homology_class(a.carrier, n, prod)
-        return {(n, j): c for j, c in coeffs.items()}
+        prod = mul(hx[x[0]].representatives[x[1]],
+                   hy[y[0]].representatives[y[1]])
+        return {(n, j): c for j, c in homology_class(cx, n, prod).items()}
 
-    def maction(mm, x):
-        nm, im = mm
-        nx, ix = x
-        n = nm + nx
-        if n not in hm:
+    def columns(keys, column):
+        """The columns of keys, or None at the first one out of window."""
+        cols = []
+        for k in keys:
+            col = column(*k)
+            if col is None:
+                return None
+            cols.append(col)
+        return cols
+
+    def b1(mm, x):
+        # m⊗x -> m·x in the basis of H^t(M)
+        act = product(m.carrier, hm, mm, ha, x, m.act)
+        return None if act is None else {j: c for (_, j), c in act.items()}
+
+    def b2(mm, x, y):
+        # m⊗x⊗y -> m·x ⊗ y - m ⊗ xy in the basis idx1 of degree t
+        act = product(m.carrier, hm, mm, ha, x, m.act)
+        pr = product(a.carrier, ha, x, ha, y, a.multiply)
+        if act is None or pr is None:
             return None
-        img = m.act(hm[nm].representatives[im], ha[nx].representatives[ix])
-        coeffs = homology_class(m.carrier, n, img)
-        return {(n, j): c for j, c in coeffs.items()}
+        col = {idx1[(k, y)]: c for k, c in act.items() if (k, y) in idx1}
+        return vec_iadd(f, col, f.from_int(-1), {idx1[(mm, k)]: c
+                                                 for k, c in pr.items()
+                                                 if (mm, k) in idx1})
 
     mcls = [(n, i) for n, h in hm.items() for i in range(h.dimension)]
     tor1 = {}
@@ -416,43 +387,19 @@ def is_free_over_homology(m: DGModule) -> dict:
     # organize by total degree
     b1_dom = [(mm, x) for mm in mcls for x in abar]
     b2_dom = [(mm, x, y) for mm in mcls for x in abar for y in abar]
-    degrees = sorted({mm[0] + x[0] for mm, x in b1_dom})
-    for t in degrees:
+    for t in sorted({mm[0] + x[0] for mm, x in b1_dom}):
         d1 = [(mm, x) for mm, x in b1_dom if mm[0] + x[0] == t]
-        d2 = [(mm, x, y) for mm, x, y in b2_dom
-              if mm[0] + x[0] + y[0] == t]
         idx1 = {k: i for i, k in enumerate(d1)}
-        # b1: m⊗a -> m·a in H(M) coordinates
-        mrows = [(n, i) for n, h in hm.items() for i in range(h.dimension)
-                 if n == t]
-        ridx = {k: i for i, k in enumerate(mrows)}
-        cols1 = []
-        incomplete = False
-        for mm, x in d1:
-            act = maction(mm, x)
-            if act is None:
-                incomplete = True
-                break
-            cols1.append({ridx[k]: c for k, c in act.items()})
-        if incomplete:
+        cols1 = columns(d1, b1)
+        if cols1 is None:
             flagged.append(t)
             continue
-        mat1 = SparseMatrix.from_columns(cols1, len(mrows), f)
-        k1 = rref(mat1).kernel_basis
-        cols2 = []
-        for mm, x, y in d2:
-            act = maction(mm, x)
-            pr = aprod(x, y)
-            if act is None or pr is None:
-                incomplete = True
-                break
-            # b2(m⊗x⊗y) = m·x ⊗ y - m ⊗ xy
-            col = {idx1[(k, y)]: c for k, c in act.items() if (k, y) in idx1}
-            vec_iadd(f, col, f.from_int(-1), {idx1[(mm, k)]: c
-                                              for k, c in pr.items()
-                                              if (mm, k) in idx1})
-            cols2.append(col)
-        if incomplete:
+        # every column lies in H^t(M), so t is a degree of hm
+        k1 = rref(SparseMatrix.from_columns(cols1, hm[t].dimension,
+                                            f)).kernel_basis
+        cols2 = columns([(mm, x, y) for mm, x, y in b2_dom
+                         if mm[0] + x[0] + y[0] == t], b2)
+        if cols2 is None:
             flagged.append(t)
             continue
         # im(b2) ⊆ ker(b1), so Tor_1 at t = dim ker(b1) - rank(b2)

@@ -117,6 +117,34 @@ def test_level_bound_zero_module(tmp_path):
     assert rep["lower_bound"] == 0 and rep["upper_bound"] == 0
 
 
+@pytest.fixture()
+def pres6(tmp_path):
+    doc = dict(PRESENTATION, window=[-6, 6])
+    p = tmp_path / "fix6.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def test_depth_before_the_bounded_end_is_refused(capsys, pres6):
+    # K over K[y] starts at degree 0; a depth of -1 resolves nothing, and
+    # the empty resolution must not certify level 0
+    for argv in (["level-bound", "-p", pres6, "--module", "K", "--over", "S"],
+                 ["duality-check", "--degrees", "2", "--window=-6:6",
+                  "--module", "trivial"]):
+        assert main(argv + ["--depth", "-1"]) == EXIT_VALIDATION
+        assert "depth -1 lies before the module's bounded end 0" in \
+            capsys.readouterr().err
+
+
+def test_depth_at_the_bounded_end(tmp_path, pres6):
+    code, rep = run_json(
+        tmp_path, ["level-bound", "-p", pres6, "--module", "K",
+                   "--over", "S", "--depth", "0"])
+    assert code == 0
+    assert rep["class"] == 1 and not rep["exhausted"]
+    assert rep["upper_bound"] is None and "certificate_valid" not in rep
+
+
 @pytest.mark.parametrize("command", ["resolve", "minimize", "level-bound"])
 @pytest.mark.parametrize("over", ["S3", "T"])
 def test_over_must_name_the_module_algebra(tmp_path, capsys, command, over):
@@ -266,6 +294,22 @@ def test_exit_parse_error_malformed_nested_field(tmp_path, capsys, section,
                                                  name, patch, pointer):
     bad = json.loads(json.dumps(PRESENTATION))
     bad[section][name] = patch
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(bad))
+    assert main(["validate", "-p", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"at {pointer}\n")
+
+
+@pytest.mark.parametrize("key,value,pointer", [
+    pytest.param("field", 5, "/field", id="field-int"),
+    pytest.param("window", [True, 4], "/window/0", id="window-bool"),
+    pytest.param("window", "-16:16", "/window", id="window-string"),
+    pytest.param("window", [0, 1, 2], "/window", id="window-three"),
+])
+def test_exit_parse_error_malformed_top_level_field(tmp_path, capsys, key,
+                                                    value, pointer):
+    bad = dict(PRESENTATION, **{key: value})
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(bad))
     assert main(["validate", "-p", str(p)]) == 2

@@ -1,7 +1,8 @@
-"""Import, definitions and parameters lint: every name a ``dgkoszul``
-module imports is used in it, every top-level function and class it
-defines is named somewhere else in the project, and every parameter of a
-top-level function or method is read in its body.
+"""Import, definitions, parameters and fields lint: every name a
+``dgkoszul`` module imports is used in it, every top-level function and
+class it defines is named somewhere else in the project, every parameter
+of a top-level function or method is read in its body, and every field of
+a class is read somewhere in the project.
 
 No linter ships with the project, so these stdlib ``ast`` checks stand in
 for flake8's F401 and a dead-code finder.  An import meant as a re-export
@@ -139,6 +140,74 @@ def test_lint_catches_an_unused_parameter(tmp_path):
                  "        return [x for _ in range(3)]\n")
     assert unused_parameters(p) == ["mod.py:1: f(b)", "mod.py:1: f(d)",
                                     "mod.py:1: f(args)", "mod.py:8: m(y)"]
+
+
+def read_attributes(roots) -> set:
+    """Every attribute name a .py file under ``roots`` loads, as
+    ``obj.x`` or as ``getattr(obj, "x")``."""
+    names = set()
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load)):
+                    names.add(node.attr)
+                elif (isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name)
+                      and node.func.id == "getattr" and len(node.args) > 1
+                      and isinstance(node.args[1], ast.Constant)):
+                    names.add(node.args[1].value)
+    return names
+
+
+def unread_fields(modules, roots) -> list:
+    """Annotated fields of each top-level class and the ``self.x`` its
+    ``__init__`` assigns that nothing under ``roots`` reads.  Reads are
+    matched by attribute name alone, so a name that another object also
+    has makes the lint lenient, never wrong."""
+    read = read_attributes(roots)
+    out = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            fields = {}
+            for node in cls.body:
+                if (isinstance(node, ast.AnnAssign)
+                        and isinstance(node.target, ast.Name)):
+                    fields.setdefault(node.target.id, node.lineno)
+                if (isinstance(node, ast.FunctionDef)
+                        and node.name == "__init__"):
+                    for t in ast.walk(node):
+                        if (isinstance(t, ast.Attribute)
+                                and isinstance(t.ctx, ast.Store)
+                                and isinstance(t.value, ast.Name)
+                                and t.value.id == "self"):
+                            fields.setdefault(t.attr, t.lineno)
+            out += [f"{path.name}:{line}: {cls.name}.{name}"
+                    for name, line in fields.items() if name not in read]
+    return out
+
+
+def test_no_unread_fields():
+    assert unread_fields(MODULES, SOURCES) == []
+
+
+def test_lint_catches_an_unread_field(tmp_path):
+    p = tmp_path / "mod.py"
+    p.write_text("class Record:\n"
+                 "    kept: int\n"
+                 "    dropped: int\n\n"
+                 "class Box:\n"
+                 "    def __init__(self):\n"
+                 "        self.named = 1\n"
+                 "        self.stored = 2\n"
+                 "        self.stored += 1\n\n"
+                 "def use(r, b):\n"
+                 "    return r.kept + getattr(b, 'named')\n")
+    assert unread_fields([p], [tmp_path]) == ["mod.py:3: Record.dropped",
+                                              "mod.py:8: Box.stored"]
 
 
 def test_tracer_targets_resolve():
