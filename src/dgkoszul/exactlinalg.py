@@ -246,7 +246,6 @@ class RrefResult:
     rank: int
     pivots: list
     kernel_basis: list  # sparse vectors of length cols
-    image_basis: list   # sparse vectors of length rows (original pivot columns)
     rref_rows: list     # canonical RREF, list of sparse row dicts
 
 
@@ -307,11 +306,11 @@ def _sub_multiple(row: dict, a, prow: dict, p) -> None:
 
 
 def rref(m: SparseMatrix) -> RrefResult:
-    """Canonical reduced row echelon form with rank, kernel and image data.
+    """Canonical reduced row echelon form with rank and kernel.
 
-    The RREF is unique, so all derived bases are deterministic: one kernel
-    vector per free column, in column order, and the original pivot columns
-    as the image basis.
+    The RREF is unique, so the kernel basis is deterministic: one vector
+    per free column, in column order, 1 at its own free column and 0 at
+    every other.  A span's basis comes from ``span_echelon``.
     """
     f = m.field
     rows, pivots = _rref_rows(m)
@@ -322,9 +321,25 @@ def rref(m: SparseMatrix) -> RrefResult:
         for k, coef in row.items():
             if k != pc:
                 kernel[k][pc] = f.neg(coef)
-    columns = m.columns()
-    image = [columns[c] for c in pivots]
-    return RrefResult(len(pivots), pivots, list(kernel.values()), image, rows)
+    return RrefResult(len(pivots), pivots, list(kernel.values()), rows)
+
+
+def span_echelon(field: FieldSpec, vectors, dim: int) -> dict:
+    """Reduced echelon basis of the span of sparse vectors of length dim:
+    {last nonzero position: row}, each row 1 at its key and 0 at the others.
+
+    The missing positions give the unit vectors that extend the span to the
+    whole space, the unit pivots of [vectors | I].  Any x less Σ x[k]·row k
+    over the keys is 0 at every key, and is 0 iff x lies in the span.  The
+    elimination is ``rref`` with the positions reversed.
+    """
+    top = dim - 1
+    m = SparseMatrix(len(vectors), dim, field,
+                     {(r, top - i): x for r, v in enumerate(vectors)
+                      for i, x in v.items()})
+    res = rref(m)
+    return {top - pc: {top - k: x for k, x in row.items()}
+            for pc, row in zip(res.pivots, res.rref_rows)}
 
 
 def solve(m: SparseMatrix, b: dict) -> dict | None:

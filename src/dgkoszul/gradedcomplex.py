@@ -15,7 +15,7 @@ from dgkoszul.exactlinalg import (
     FieldSpec,
     SparseMatrix,
     rref,
-    solve,
+    span_echelon,
     vec_iadd,
     vec_scale,
 )
@@ -293,12 +293,19 @@ def check_d_squared(c: Complex) -> DSquaredReport:
 class HomologyData:
     dimension: int
     representatives: list      # combos (cycles)
-    _reduce_matrix: SparseMatrix = dc_field(repr=False, default=None)
-    _n_boundaries: int = 0
+    # see ``homology``; each representative is 1 at its column of d_n
+    _echelon: dict = dc_field(repr=False)
+    _rep_columns: list = dc_field(repr=False)
 
 
 def homology(c: Complex, n: int) -> HomologyData:
     """Exact homology at degree n with canonical representatives.
+
+    Presumes d∘d = 0, as every caller ensures.  A cycle's coordinates in
+    the canonical kernel basis of d_n are its entries at the free columns
+    of d_n.  The free columns that the ``span_echelon`` of the boundaries
+    there misses give the representatives, and the echelon reduces any
+    cycle to its class (``homology_class``).
 
     Refuses (WindowError) if the bases at n-1, n, n+1 are not fully known;
     no silent wrong answers at the window boundary.
@@ -310,26 +317,15 @@ def homology(c: Complex, n: int) -> HomologyData:
             raise WindowError(
                 f"homology at degree {n} needs complete basis at degree {k}, "
                 f"outside window {c.window.lo}:{c.window.hi}")
-    f = c.field
-    dn = c.differential.block(n)
-    ker = rref(dn).kernel_basis
-    if c.space.dim(n - 1):
-        dn1 = c.differential.block(n - 1)
-        im = rref(dn1).image_basis
-    else:
-        im = []
-    dim_n = c.dim(n)
-    combined = SparseMatrix.from_columns(im + ker, dim_n, f)
-    rr = rref(combined)
-    reps_idx = [p - len(im) for p in rr.pivots if p >= len(im)]
-    reps = [c.space.from_coords(ker[i], n) for i in reps_idx]
-    data = HomologyData(
-        dimension=len(reps),
-        representatives=reps,
-        _reduce_matrix=SparseMatrix.from_columns(
-            im + [ker[i] for i in reps_idx], dim_n, f),
-        _n_boundaries=len(im),
-    )
+    rr = rref(c.differential.block(n))
+    free = sorted(set(range(c.dim(n))).difference(rr.pivots))
+    kernel = dict(zip(free, rr.kernel_basis))
+    boundaries = [{k: v for k, v in col.items() if k in kernel}
+                  for col in c.differential.block(n - 1).columns()]
+    echelon = span_echelon(c.field, boundaries, c.dim(n))
+    cols = [k for k in free if k not in echelon]
+    reps = [c.space.from_coords(kernel[k], n) for k in cols]
+    data = HomologyData(len(reps), reps, echelon, cols)
     c._homology_cache[n] = data
     return data
 
@@ -344,16 +340,17 @@ def homology_by_degree(c: Complex) -> dict:
 
 def homology_class(c: Complex, n: int, cycle: dict) -> dict | None:
     """Coordinates of a cycle in the canonical homology basis at degree n,
-    or None if the element is not a cycle."""
+    or None if the element is not a cycle.  Subtracting its multiple of
+    each echelon row of the boundaries leaves its class at the
+    representatives' columns."""
     h = homology(c, n)
     if c.d(cycle):
         return None
-    coords = c.space.to_coords(cycle, n)
-    x = solve(h._reduce_matrix, coords)
-    if x is None:
-        raise StructureError("cycle not in cycle space; inconsistent complex")
-    nb = h._n_boundaries
-    return {i - nb: v for i, v in x.items() if i >= nb}
+    f = c.field
+    x = c.space.to_coords(cycle, n)
+    for k in [k for k in x if k in h._echelon]:
+        vec_iadd(f, x, f.neg(x[k]), h._echelon[k])
+    return {i: x[k] for i, k in enumerate(h._rep_columns) if k in x}
 
 
 def shift_complex(c: Complex, k: int) -> Complex:

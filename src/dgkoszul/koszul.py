@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from dgkoszul.exactlinalg import SparseMatrix, rref, vec_iadd
+from dgkoszul.exactlinalg import span_echelon, vec_iadd
 from dgkoszul.gradedcomplex import (
     Complex,
     DegreeWindow,
@@ -145,14 +145,10 @@ def loewy_length(mod: DGModule) -> dict:
         # and lifted back to cycle combinations
         if k not in hdata:
             return []
-        classes = [cls for cls in (homology_class(cx, k, v) for v in vecs)
-                   if cls]
-        if not classes:
-            return []
+        classes = [homology_class(cx, k, v) or {} for v in vecs]
         h = hdata[k]
         combos = []
-        for v in rref(SparseMatrix.from_columns(classes, h.dimension,
-                                                f)).image_basis:
+        for v in span_echelon(f, classes, h.dimension).values():
             combo: dict = {}
             for i, c in v.items():
                 vec_iadd(f, combo, c, h.representatives[i])
@@ -175,9 +171,8 @@ def chain_loewy_length(mod: DGModule) -> int:
 
     def span(k, vecs):
         # label coordinates, pruned to a basis of their span
-        rr = rref(SparseMatrix.from_columns(
-            [sp.to_coords(v, k) for v in vecs], sp.dim(k), f))
-        return [sp.from_coords(v, k) for v in rr.image_basis]
+        ech = span_echelon(f, [sp.to_coords(v, k) for v in vecs], sp.dim(k))
+        return [sp.from_coords(v, k) for v in ech.values()]
 
     layer = {n: [{l: f.one} for l in sp.labels(n)] for n in sp.degrees()}
     return len(_radical_series(mod, layer, span))

@@ -12,9 +12,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
-from dgkoszul.exactlinalg import SparseMatrix, rref, solve, vec_iadd
+from dgkoszul.exactlinalg import rref, solve, span_echelon, vec_iadd
 from dgkoszul.gradedcomplex import (
     Complex,
+    DegreeWindow,
     GradedMap,
     GradedSpace,
     StructureError,
@@ -24,6 +25,7 @@ from dgkoszul.gradedcomplex import (
     homology_class,
     induced_map_on_homology,
     is_chain_map,
+    is_quasi_iso,
 )
 from dgkoszul.dgstruct import DGAlgebra, DGModule, merge_terms
 from dgkoszul.barcobar import tensor_label
@@ -97,18 +99,6 @@ def _realize(m: DGModule, generators, differential, comparison):
     return cx, GradedMap(sp, m.space, 0, eps_cols)
 
 
-def _complement_indices(field, image_cols, dim):
-    """Indices of standard basis vectors completing the span of
-    image_cols to the full space of the given dimension."""
-    cols = list(image_cols)
-    k = len(cols)
-    for i in range(dim):
-        cols.append({i: field.one})
-    mat = SparseMatrix.from_columns(cols, dim, field)
-    res = rref(mat)
-    return [p - k for p in res.pivots if p >= k]
-
-
 def semifree_resolve(m: DGModule,
                      depth: int | None = None) -> SemifreeResolution:
     """Greedy semifree resolution of a right module over its algebra
@@ -160,8 +150,11 @@ def semifree_resolve(m: DGModule,
             hmat = induced_map_on_homology(eps, cx, m.carrier, n)
             before = len(generators)
             if hm.dimension:
-                for i in _complement_indices(f, hmat.columns(), hm.dimension):
-                    add(n, [], dict(hm.representatives[i]))
+                # a generator for each class the image's echelon misses
+                hit = span_echelon(f, hmat.columns(), hm.dimension)
+                for i, rep in enumerate(hm.representatives):
+                    if i not in hit:
+                        add(n, [], dict(rep))
             if len(generators) == before and hf.dimension:
                 for kv in rref(hmat).kernel_basis:
                     z: dict = {}
@@ -290,21 +283,25 @@ class DerivedFiber:
     exhausted: bool
 
 
-def _probe_band(r: SemifreeResolution):
-    """Degrees near the deep end; a generator landing here means the
-    resolution may continue past the depth cut."""
-    if r.direction > 0:
-        return (r.depth - 2, r.depth)
-    return (r.depth, r.depth + 2)
-
-
 def class_of(r: SemifreeResolution):
-    """(stage count, exhausted flag) of a minimal resolution."""
+    """(stage count, exhausted flag) of a minimal resolution.  Exhausted
+    means that no generator lies within two degrees of the depth cut, and
+    that past the cut ε : F → M is a quasi-isomorphism wherever both
+    homologies are computable in the window: a generator the cut left out
+    shows there as a class that ε misses or kills."""
     if not r.is_minimal():
         raise StructureError("class_of needs a minimal resolution")
     stages = {s for _, _, s in r.generators}
-    band = _probe_band(r)
+    win = r.module.space.window
+    if r.direction > 0:
+        band, past = (r.depth - 2, r.depth), (r.depth + 1, win.hi)
+    else:
+        band, past = (r.depth, r.depth + 2), (win.lo, r.depth - 1)
     exhausted = not any(band[0] <= d <= band[1] for _, d, _ in r.generators)
+    if exhausted and past[0] <= past[1]:
+        cx, eps = r.realize()
+        verdicts = is_quasi_iso(eps, cx, r.module.carrier, DegreeWindow(*past))
+        exhausted = False not in verdicts.values()
     return (len(stages), exhausted)
 
 
@@ -394,17 +391,14 @@ def is_free_over_homology(m: DGModule) -> dict:
         if cols1 is None:
             flagged.append(t)
             continue
-        # every column lies in H^t(M), so t is a degree of hm
-        k1 = rref(SparseMatrix.from_columns(cols1, hm[t].dimension,
-                                            f)).kernel_basis
         cols2 = columns([(mm, x, y) for mm, x, y in b2_dom
                          if mm[0] + x[0] + y[0] == t], b2)
         if cols2 is None:
             flagged.append(t)
             continue
-        # im(b2) ⊆ ker(b1), so Tor_1 at t = dim ker(b1) - rank(b2)
-        mat2 = SparseMatrix.from_columns([c for c in cols2 if c],
-                                         len(d1), f)
-        tor1[t] = len(k1) - rref(mat2).rank
+        # im(b2) ⊆ ker(b1), so Tor_1 at t = dim ker(b1) - rank(b2); every
+        # column of b1 lies in H^t(M), so t is a degree of hm
+        rank1 = len(span_echelon(f, cols1, hm[t].dimension))
+        tor1[t] = len(d1) - rank1 - len(span_echelon(f, cols2, len(d1)))
     free = all(v == 0 for v in tor1.values())
     return {"free": free, "tor1": tor1, "window_exhausted_at": flagged}

@@ -145,6 +145,55 @@ def test_depth_at_the_bounded_end(tmp_path, pres6):
     assert rep["upper_bound"] is None and "certificate_valid" not in rep
 
 
+def depth_cut_presentation(tmp_path, algebra, window):
+    doc = {"schema_version": 1, "field": "F5", "window": window,
+           "algebras": {"A": algebra},
+           "modules": {"K": {"kind": "trivial", "over": "A"}}}
+    p = tmp_path / "cut.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+POLY_Y4 = ({"kind": "polynomial", "generators": [["y", 4]]}, [-12, 12])
+TRUNC_Y2_4 = ({"kind": "truncated_polynomial", "name": "y", "degree": 2,
+               "power": 4}, [-16, 16])
+
+
+@pytest.mark.parametrize("case, depth, cls", [
+    # K over K[y], |y| = 4: e1 in degree 3 is found only at degree 4
+    (POLY_Y4, 3, 1),
+    # K over K[y]/(y^4), |y| = 2: generators in 6, 7, 12, 13 follow the cut
+    (TRUNC_Y2_4, 5, 2), (TRUNC_Y2_4, 6, 2)])
+def test_depth_cut_before_a_generator_is_not_exhausted(tmp_path, case,
+                                                       depth, cls):
+    p = depth_cut_presentation(tmp_path, *case)
+    code, rep = run_json(tmp_path, ["level-bound", "-p", p, "--module", "K",
+                                    "--over", "A", "--depth", str(depth)])
+    assert code == 0
+    assert not rep["exhausted"] and rep["class"] == cls
+    assert rep["upper_bound"] is None and "certificate_valid" not in rep
+
+
+def test_depth_cut_past_the_last_generator_certifies(tmp_path):
+    p = depth_cut_presentation(tmp_path, *POLY_Y4)
+    code, rep = run_json(tmp_path, ["level-bound", "-p", p, "--module", "K",
+                                    "--over", "A", "--depth", "8"])
+    assert code == 0
+    assert rep["exhausted"] and rep["class"] == 2
+    assert rep["lower_bound"] == rep["upper_bound"] == 2
+    assert rep["certificate_valid"]
+
+
+def test_duality_check_depth_cut_is_not_exhausted(tmp_path):
+    code, rep = run_json(
+        tmp_path, ["duality-check", "--degrees", "4", "--window=-12:12",
+                   "--module", "trivial", "--depth", "3"])
+    assert code == 0
+    assert rep["side_a"] == {"class": 1, "exhausted": False, "lower": 2,
+                             "upper": None}
+    assert rep["intervals_intersect"] and rep["value"] == 2
+
+
 @pytest.mark.parametrize("command", ["resolve", "minimize", "level-bound"])
 @pytest.mark.parametrize("over", ["S3", "T"])
 def test_over_must_name_the_module_algebra(tmp_path, capsys, command, over):

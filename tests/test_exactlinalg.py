@@ -13,6 +13,7 @@ from dgkoszul.exactlinalg import (
     rref,
     bilinear,
     solve,
+    span_echelon,
     vec_iadd,
     vec_scale,
 )
@@ -122,9 +123,6 @@ def test_rank_nullity_and_kernel(m):
     assert r.rank + len(r.kernel_basis) == m.cols
     for k in r.kernel_basis:
         assert m.matvec(k) == {}
-    for v in r.image_basis:
-        # image vectors are solvable
-        assert solve(m, v) is not None
 
 
 def reference_rref(m):
@@ -198,7 +196,6 @@ def test_rref_and_solve_match_reference(case):
         {free: f.one, **{pc: f.neg(a[i][free])
                          for i, pc in enumerate(pivots) if a[i][free]}}
         for free in range(m.cols) if free not in pivots]
-    assert r.image_basis == [m.column(c) for c in pivots]
     # consistent right-hand side: the canonical solution, free variables 0
     x = solve(m, b)
     assert x == reference_solve(m, b)
@@ -211,6 +208,36 @@ def test_rref_and_solve_match_reference(case):
             break
     else:
         assert r.rank == m.rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices_with_rhs())
+def test_span_echelon_matches_reference(case):
+    # the rows of m are the vectors
+    m, _ = case
+    f = m.field
+    dim = m.cols
+    vectors = [{c: x for (r, c), x in m.entries.items() if r == i}
+               for i in range(m.rows)]
+    ech = span_echelon(f, vectors, dim)
+    # the missing positions are the unit-vector pivots of [vectors | I]
+    aug = SparseMatrix.from_columns(
+        vectors + [{i: f.one} for i in range(dim)], dim, f)
+    _, pivots = reference_rref(aug)
+    assert [i for i in range(dim) if i not in ech] == [
+        p - m.rows for p in pivots if p >= m.rows]
+    # reduced: each row is 1 at its key, its last position, and 0 at
+    # every other key
+    for k, row in ech.items():
+        assert max(row) == k and row[k] == f.one
+        assert all(j == k or j not in ech for j in row)
+
+    def rank(vecs):
+        return len(reference_rref(SparseMatrix.from_columns(vecs, dim, f))[1])
+
+    # the rows are independent and span the vectors' span
+    rows = list(ech.values())
+    assert len(rows) == rank(rows) == rank(vectors) == rank(vectors + rows)
 
 
 def test_kernel_selected():

@@ -1,7 +1,17 @@
 """Graded complexes: homology oracles, cones, diagonal isos."""
 
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dgkoszul.exactlinalg import (
+    FieldSpec,
+    SparseMatrix,
+    rref,
+    solve,
+    vec_iadd,
+)
 from dgkoszul.gradedcomplex import (
     Complex,
     DegreeWindow,
@@ -62,6 +72,100 @@ def test_homology_refuses_incomplete(F5):
 def test_homology_class_boundary_is_zero(F5):
     c = two_step(F5)
     assert homology_class(c, 1, {"b": F5.one}) == {}
+
+
+FIELDS = [FieldSpec.prime(2), FieldSpec.prime(5), FieldSpec.rationals()]
+
+
+def scalars(f, nonzero=False):
+    if f.kind == "prime":
+        return st.integers(1 if nonzero else 0, f.p - 1)
+    nums = st.integers(-3, 3)
+    return st.builds(Fraction, nums.filter(bool) if nonzero else nums,
+                     st.integers(1, 4))
+
+
+@st.composite
+def complexes(draw):
+    """A complex with d∘d = 0 over F_2, F_5 or Q on degrees 0..3: pieces
+    K → K (s onto t) and K (h) in drawn degrees, in a basis that random
+    elementary operations then change.  Replacing a by a + c·b adds c·d(b)
+    to d(a) and takes c times the coefficient of a off that of b in every
+    d(x), so d∘d stays 0."""
+    f = draw(st.sampled_from(FIELDS))
+    basis = {n: [] for n in range(4)}
+    cols = {}
+    for i in range(draw(st.integers(0, 8))):
+        n = draw(st.integers(0, 3))
+        if n < 3 and draw(st.booleans()):
+            basis[n].append(f"s{i}")
+            basis[n + 1].append(f"t{i}")
+            cols[f"s{i}"] = {f"t{i}": f.one}
+        else:
+            basis[n].append(f"h{i}")
+    basis = {n: draw(st.permutations(ls)) for n, ls in basis.items()}
+    for _ in range(draw(st.integers(0, 12))):
+        n = draw(st.integers(0, 3))
+        if len(basis[n]) < 2:
+            continue
+        a, b = draw(st.lists(st.sampled_from(basis[n]), min_size=2,
+                             max_size=2, unique=True))
+        c = draw(scalars(f, nonzero=True))
+        cols[a] = vec_iadd(f, dict(cols.get(a, {})), c, cols.get(b, {}))
+        for x in basis.get(n - 1, []):
+            col = cols.get(x, {})
+            if a in col:
+                cols[x] = vec_iadd(f, dict(col), f.neg(f.mul(c, col[a])),
+                                   {b: f.one})
+    sp = GradedSpace(f, DegreeWindow(-1, 4), basis)
+    return Complex(sp, GradedMap(sp, sp, 1,
+                                 {l: v for l, v in cols.items() if v}))
+
+
+def reference_homology(c, n):
+    """The earlier algorithm: the image basis (the pivot columns of
+    d_{n-1}) and the canonical kernel of d_n; the representatives are the
+    kernel vectors among the pivots of [im | ker]."""
+    dn1 = c.differential.block(n - 1)
+    im = [dn1.column(p) for p in rref(dn1).pivots]
+    ker = rref(c.differential.block(n)).kernel_basis
+    pivots = rref(SparseMatrix.from_columns(im + ker, c.dim(n),
+                                            c.field)).pivots
+    return im, [ker[p - len(im)] for p in pivots if p >= len(im)]
+
+
+def reference_class(c, n, im, reps, cycle):
+    """The earlier class lookup: one solution on [im | reps]."""
+    x = solve(SparseMatrix.from_columns(im + reps, c.dim(n), c.field),
+              c.space.to_coords(cycle, n))
+    return {i - len(im): v for i, v in x.items() if i >= len(im)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(complexes(), st.data())
+def test_homology_and_class_match_reference(c, data):
+    f = c.field
+    assert check_d_squared(c)
+    for n in range(4):
+        h = homology(c, n)
+        im, reps = reference_homology(c, n)
+        assert h.dimension == len(reps)
+        assert h.representatives == [c.space.from_coords(v, n) for v in reps]
+        # a random cycle: a combination of representatives plus a boundary
+        coeffs = data.draw(st.lists(scalars(f), min_size=len(reps),
+                                    max_size=len(reps)))
+        src = c.labels(n - 1)
+        y = data.draw(st.lists(scalars(f), min_size=len(src),
+                               max_size=len(src)))
+        boundary = c.d({l: v for l, v in zip(src, y) if v})
+        cycle = dict(boundary)
+        for a, rep in zip(coeffs, h.representatives):
+            vec_iadd(f, cycle, a, rep)
+        expected = {i: a for i, a in enumerate(coeffs) if a}
+        cls = homology_class(c, n, cycle)
+        assert cls == expected and list(cls) == sorted(cls)
+        assert reference_class(c, n, im, reps, cycle) == expected
+        assert homology_class(c, n, boundary) == {}
 
 
 def test_shift_sign_and_degrees(F5):

@@ -1,8 +1,9 @@
 """Import, definitions, parameters and fields lint: every name a
-``dgkoszul`` module imports is used in it, every top-level function and
-class it defines is named somewhere else in the project, every parameter
-of a top-level function or method is read in its body, and every field of
-a class is read somewhere in the project.
+``dgkoszul`` module imports is used in it, and none is another
+``dgkoszul`` module's private (underscore-prefixed) name; every top-level
+function and class it defines is named somewhere else in the project,
+every parameter of a top-level function or method is read in its body, and
+every field of a class is read somewhere in the project.
 
 No linter ships with the project, so these stdlib ``ast`` checks stand in
 for flake8's F401 and a dead-code finder.  An import meant as a re-export
@@ -54,6 +55,36 @@ def test_lint_catches_an_unused_import(tmp_path):
                  "from sys import argv  # noqa: F401\n"
                  "def f():\n    return path, sep\n")
     assert unused_imports(p) == ["mod.py:1: json"]
+
+
+def private_imports(path: Path) -> list:
+    """Underscore-prefixed names, dunders aside, imported from a
+    ``dgkoszul`` module.  A module reaches another's helpers through its
+    public functions, so that ``_rref_rows`` stays behind ``rref``, which
+    perfbench traces."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{node.lineno}: {alias.name}"
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "dgkoszul"
+            for alias in node.names if alias.name.startswith("_")
+            and not alias.name.endswith("__")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_private_imports(path):
+    assert private_imports(path) == []
+
+
+def test_lint_catches_a_private_import(tmp_path):
+    p = tmp_path / "mod.py"
+    p.write_text("from dgkoszul.exactlinalg import _rref_rows, rref\n"
+                 "from os import _exit\n"
+                 "from dgkoszul import __version__\n"
+                 "from dgkoszul.gradedcomplex import homology as _h\n"
+                 "def f():\n"
+                 "    from dgkoszul import _version\n"
+                 "    return _rref_rows, rref, _exit, __version__, _h, _version\n")
+    assert private_imports(p) == ["mod.py:1: _rref_rows", "mod.py:6: _version"]
 
 
 def referenced_names(roots) -> set:

@@ -1,6 +1,8 @@
 """Minimal semifree resolutions, derived fibers, class, and freeness over
 homology."""
 
+from dataclasses import replace
+
 import pytest
 
 from dgkoszul.gradedcomplex import (
@@ -75,6 +77,15 @@ def test_k_over_truncated_algebra_periodic(F5, window):
     assert degs[:4] == [0, 1, 4, 5]
     cls, exhausted = class_of(r)
     assert not exhausted
+
+
+def test_class_of_depth_at_the_window_edge(F5):
+    # K over K[y], |y| = 4, at ±12: past depth 11 only degree 12 is left,
+    # where homology is not computable; past depth 12 nothing is left
+    a = polynomial_algebra(F5, DegreeWindow(-12, 12), [("y", 4)])
+    r = resolve_min(trivial_module(a), depth=11)
+    assert class_of(r) == (2, True)
+    assert class_of(replace(r, depth=12)) == (2, True)
 
 
 def test_class_two_variables(F5, window):
