@@ -117,8 +117,7 @@ def _word_complex(carrier: Complex, shift: int, window: DegreeWindow | None,
     sp = carrier.space
     f = sp.field
     w = window or sp.window
-    letters = sorted((l, sp.deg(l) + shift)
-                     for n in sp.degrees() for l in sp.labels(n) if l != skip)
+    letters = sorted((l, sp.deg(l) + shift) for l in sp if l != skip)
     if not letters:
         win, bounds, words = w, (0, 0), {0: [()]}
     else:
@@ -213,11 +212,10 @@ def canonical_tau(a: DGAlgebra, window: DegreeWindow | None = None,
     b = barc if barc is not None else bar(a, window)
     f = a.field
     cols = {}
-    for n in b.space.degrees():
-        for l in b.space.labels(n):
-            entries = bar_word_entries(l)
-            if len(entries) == 1:
-                cols[l] = {entries[0]: f.one}
+    for l in b.space:
+        entries = bar_word_entries(l)
+        if len(entries) == 1:
+            cols[l] = {entries[0]: f.one}
     gm = GradedMap(b.space, a.space, 1, cols)
     return TwistingCochain(b, a, gm)
 
@@ -241,7 +239,7 @@ def cobar(c: DGCoalgebra, window: DegreeWindow | None = None,
     # -(-1)^{deg c'} <c'><c''>, once per letter
     splits = {l: [((c1, c2), 1, f.from_int(1 if sp.deg(c1) % 2 else -1), v)
                   for c1, c2, v in c.reduced_comult(l)]
-              for nn in sp.degrees() for l in sp.labels(nn) if l != c.coaug}
+              for l in sp if l != c.coaug}
     cx, words = _word_complex(c.carrier, 1, window, c.coaug,
                               lambda entries, i: splits[entries[i]],
                               cobar_word_label, "cobar construction")
@@ -270,13 +268,12 @@ def canonical_tau0(c: DGCoalgebra, window: DegreeWindow | None = None,
     om = cobarc if cobarc is not None else cobar(c, window)
     f = c.field
     cols = {}
-    for nn in c.space.degrees():
-        for l in c.space.labels(nn):
-            if l == c.coaug:
-                continue
-            gen = cobar_word_label((l,))
-            if gen in om.space:
-                cols[l] = {gen: f.one}
+    for l in c.space:
+        if l == c.coaug:
+            continue
+        gen = cobar_word_label((l,))
+        if gen in om.space:
+            cols[l] = {gen: f.one}
     gm = GradedMap(c.space, om.space, 1, cols)
     return TwistingCochain(c, om, gm)
 
@@ -440,17 +437,15 @@ def two_sided_check(a: DGAlgebra, c: DGCoalgebra, t: TwistingCochain,
     half = twisted_tensor_right(free_module(a), t, window)
     full = twisted_tensor_left(half, t, window)
     cols = {}
-    for nn in full.space.degrees():
-        for label in full.space.labels(nn):
-            hl, yl = _split_tensor_label(label, half.space)
-            xl, cl = _split_tensor_label(hl, a.space)
-            eps = c.counit.get(cl, f.zero)
-            if f.is_zero(eps):
-                continue
-            combo = {tl: f.mul(eps, v)
-                     for tl, v in a.mult_pair(xl, yl).items()}
-            if combo:
-                cols[label] = combo
+    for label in full.space:
+        hl, yl = _split_tensor_label(label, half.space)
+        xl, cl = _split_tensor_label(hl, a.space)
+        eps = c.counit.get(cl, f.zero)
+        if f.is_zero(eps):
+            continue
+        combo = {tl: f.mul(eps, v) for tl, v in a.mult_pair(xl, yl).items()}
+        if combo:
+            cols[label] = combo
     gm = GradedMap(full.space, a.space, 0, cols)
     chain_ok, _ = is_chain_map(gm, full.carrier, a.carrier)
     verdicts = is_quasi_iso(gm, full.carrier, a.carrier) if chain_ok else {}
@@ -492,15 +487,14 @@ def bar_cobar_duality_check(m: DGModule,
 
     def bijection(reverse: bool):
         table = {}
-        for nn in rb.space.degrees():
-            for label in rb.space.labels(nn):
-                inner = label[:-1]  # strip the dual star
-                ml, wl = _split_tensor_label(inner, m.space)
-                entries = bar_word_entries(wl)
-                if reverse:
-                    entries = tuple(reversed(entries))
-                cob = cobar_word_label(tuple(dual_label(e) for e in entries))
-                table[label] = tensor_label(dual_label(ml), cob)
+        for label in rb.space:
+            inner = label[:-1]  # strip the dual star
+            ml, wl = _split_tensor_label(inner, m.space)
+            entries = bar_word_entries(wl)
+            if reverse:
+                entries = tuple(reversed(entries))
+            cob = cobar_word_label(tuple(dual_label(e) for e in entries))
+            table[label] = tensor_label(dual_label(ml), cob)
         return table
 
     iso = None

@@ -470,8 +470,8 @@ def _resolution(args):
 def _resolution_report(report: dict, r) -> dict:
     report["generators"] = [[gl, d, s] for gl, d, s in
                             sorted(r.generators, key=lambda g: (g[1], g[0]))]
-    report["minimal"] = r.is_minimal()
-    if r.is_minimal():
+    report["minimal"] = minimal = r.is_minimal()
+    if minimal:
         cls, exhausted = class_of(r)
         report["class"] = cls
         report["exhausted"] = exhausted

@@ -10,7 +10,10 @@ their explicit table.  Coproducts and coactions are stored per label; one
 ``transpose_rule`` builds those of the dual of an algebra and of a right
 module from its rule.  Every axiom stays decidable by exhaustive checking on the window bases;
 the validators visit only the label pairs and triples whose degrees fit
-the window.
+the window.  An algebra is validated as its own right module and a
+coalgebra as its own right comodule, so each axiom loop is written once;
+``validate_algebra`` and ``validate_coalgebra`` keep only the checks that
+a (co)module does not have, among them the left (co)unit law.
 """
 
 from __future__ import annotations
@@ -149,10 +152,7 @@ class DGAlgebra:
         return x.get(self.unit, self.field.zero)
 
     def aug_ideal_labels(self):
-        for n in self.space.degrees():
-            for l in self.space.labels(n):
-                if l != self.unit:
-                    yield l
+        return (l for l in self.space if l != self.unit)
 
 
 def _graded(space: GradedSpace, combo: dict, n: int) -> bool:
@@ -161,8 +161,10 @@ def _graded(space: GradedSpace, combo: dict, n: int) -> bool:
 
 
 def validate_algebra(a: DGAlgebra) -> ValidationReport:
-    """Exhaustive window validation: grading/polarity, connectivity flags,
-    unit laws, associativity, Leibniz, augmentation compatibility."""
+    """Exhaustive window validation.  The regular module ``free_module(a)``
+    checks d^2 = 0, the grading of products, the right unit law, Leibniz
+    and associativity; this adds the unit, polarity and connectivity
+    flags, d(unit) = 0, the left unit law and the augmentation."""
     rep = ValidationReport(True)
     sp = a.space
     f = a.field
@@ -180,46 +182,19 @@ def validate_algebra(a: DGAlgebra) -> ValidationReport:
         bad = 1 if a.polarity == "non-negative" else -1
         if sp.dim(bad):
             rep.fail(f"simply_connected flag but basis in degree {bad}")
-    dsq = check_d_squared(a.carrier)
-    if not dsq:
-        rep.fail(f"d^2 != 0 at degree {dsq.degree}, label {dsq.label!r}")
+    for v in validate_module(free_module(a)).violations:
+        rep.fail(v)
     if a.carrier.d(a.unit):
         rep.fail("d(unit) != 0")
-    win = sp.window
-    for x, y in itertools.chain(
-            degree_compatible((sp, sp), lambda s: s in win),
-            getattr(a.mult_pair, "table", ())):
-        if not _graded(sp, a.mult_pair(x, y), sp.deg(x) + sp.deg(y)):
-            rep.fail(f"product not of degree |x|+|y| at ({x!r}, {y!r})")
-            break
-    labels = [l for n in degs for l in sp.labels(n)]
     one = {a.unit: f.one}
-    for l in labels:
+    for l in sp:
         if a.multiply(one, {l: f.one}) != {l: f.one}:
             rep.fail(f"left unit law fails at {l!r}")
-            break
-        if a.multiply({l: f.one}, one) != {l: f.one}:
-            rep.fail(f"right unit law fails at {l!r}")
-            break
-    for x, y in degree_compatible(
-            (sp, sp), lambda s: s in win and s + 1 in win):
-        lhs = a.carrier.d(a.mult_pair(x, y))
-        sgn = f.from_int(-1 if sp.deg(x) % 2 else 1)
-        rhs = vec_iadd(f, a.multiply(a.carrier.d(x), {y: f.one}), sgn,
-                       a.multiply({x: f.one}, a.carrier.d(y)))
-        if lhs != rhs:
-            rep.fail(f"Leibniz fails at ({x!r}, {y!r})")
-            break
-    for x, y, z in degree_compatible((sp, sp, sp), lambda s: s in win):
-        lhs = a.multiply(a.mult_pair(x, y), {z: f.one})
-        rhs = a.multiply({x: f.one}, a.mult_pair(y, z))
-        if lhs != rhs:
-            rep.fail(f"associativity fails at ({x!r}, {y!r}, {z!r})")
             break
     # augmentation is a DG algebra map: vanishes on d-images and on
     # products of augmentation-ideal elements (automatic when graded,
     # checked cheaply anyway)
-    for l in labels:
+    for l in sp:
         if not f.is_zero(a.augmentation(a.carrier.d(l))):
             rep.fail(f"augmentation not a chain map at {l!r}")
             break
@@ -272,13 +247,17 @@ class DGModule:
 
 
 def validate_module(m: DGModule) -> ValidationReport:
+    """Exhaustive window validation: d^2 = 0, the grading of the action
+    (and of every explicit table entry), the unit law on the module's
+    side, Leibniz and associativity.  ``validate_algebra`` runs it on the
+    algebra as a right module over itself."""
     rep = ValidationReport(True)
     f = m.field
     alg = m.over
     sp = m.space
     dsq = check_d_squared(m.carrier)
     if not dsq:
-        rep.fail(f"d^2 != 0 at degree {dsq.degree}")
+        rep.fail(f"d^2 != 0 at degree {dsq.degree}, label {dsq.label!r}")
     asp = alg.space
     right = m.side == "right"
     win = sp.window
@@ -288,23 +267,13 @@ def validate_module(m: DGModule) -> ValidationReport:
             (k if right else k[::-1] for k in table_pairs)):
         combo = m.act_pair(l, x) if right else m.act_pair(x, l)
         if not _graded(sp, combo, sp.deg(l) + asp.deg(x)):
-            rep.fail(f"action not of degree |m|+|a| at ({l!r}, {x!r})")
+            rep.fail(f"product not of degree |x|+|y| at ({l!r}, {x!r})")
             break
     one = {alg.unit: f.one}
-    for l in [l for n in sp.degrees() for l in sp.labels(n)]:
+    for l in sp:
         out = m.act({l: f.one}, one) if right else m.act(one, {l: f.one})
         if out != {l: f.one}:
-            rep.fail(f"unit does not act as identity at {l!r}")
-            break
-    for l, x, y in degree_compatible((sp, asp, asp), lambda s: s in win):
-        if right:
-            lhs = m.act(m.act_pair(l, x), {y: f.one})
-            rhs = m.act({l: f.one}, alg.mult_pair(x, y))
-        else:
-            lhs = m.act(alg.mult_pair(x, y), {l: f.one})
-            rhs = m.act({x: f.one}, m.act({y: f.one}, {l: f.one}))
-        if lhs != rhs:
-            rep.fail(f"action associativity fails at ({l!r}, {x!r}, {y!r})")
+            rep.fail(f"{m.side} unit law fails at {l!r}")
             break
     for l, x in degree_compatible(
             (sp, asp), lambda s: s in win and s + 1 in win):
@@ -319,7 +288,17 @@ def validate_module(m: DGModule) -> ValidationReport:
             rhs = vec_iadd(f, m.act(alg.carrier.d(x), {l: f.one}), sgn,
                            m.act({x: f.one}, m.carrier.d(l)))
         if lhs != rhs:
-            rep.fail(f"action Leibniz fails at ({l!r}, {x!r})")
+            rep.fail(f"Leibniz fails at ({l!r}, {x!r})")
+            break
+    for l, x, y in degree_compatible((sp, asp, asp), lambda s: s in win):
+        if right:
+            lhs = m.act(m.act_pair(l, x), {y: f.one})
+            rhs = m.act({l: f.one}, alg.mult_pair(x, y))
+        else:
+            lhs = m.act(alg.mult_pair(x, y), {l: f.one})
+            rhs = m.act({x: f.one}, m.act({y: f.one}, {l: f.one}))
+        if lhs != rhs:
+            rep.fail(f"associativity fails at ({l!r}, {x!r}, {y!r})")
             break
     return rep
 
@@ -360,61 +339,28 @@ class DGCoalgebra:
 
 
 def validate_coalgebra(c: DGCoalgebra) -> ValidationReport:
+    """Exhaustive window validation.  The regular comodule
+    ``comodule_over_self(c)`` checks d^2 = 0, the right counit law,
+    coassociativity and co-Leibniz; this adds the coaugmentation in
+    degree 0, d(coaugmentation) = 0, grouplike and the left counit law."""
     rep = ValidationReport(True)
     f = c.field
     sp = c.space
     if c.coaug not in sp or sp.deg(c.coaug) != 0:
         rep.fail("coaugmentation missing or not in degree 0")
         return rep
-    dsq = check_d_squared(c.carrier)
-    if not dsq:
-        rep.fail(f"d^2 != 0 at degree {dsq.degree}")
+    for v in validate_comodule(comodule_over_self(c)).violations:
+        rep.fail(v)
     if c.carrier.d(c.coaug):
         rep.fail("d(coaugmentation) != 0")
     if c.comult_label(c.coaug) != [(c.coaug, c.coaug, f.one)]:
         rep.fail("coaugmentation is not grouplike")
-    labels = [l for n in sp.degrees() for l in sp.labels(n)]
-
-    def eps(l):
-        return c.counit.get(l, f.zero)
-
-    for l in labels:
-        left: dict = {}
-        right: dict = {}
+    for l in sp:
+        out: dict = {}
         for l1, l2, v in c.comult_label(l):
-            vec_iadd(f, left, eps(l1), {l2: v})
-            vec_iadd(f, right, eps(l2), {l1: v})
-        if left != {l: f.one} or right != {l: f.one}:
-            rep.fail(f"counit law fails at {l!r}")
-            break
-    for l in labels:
-        lhs: dict = {}
-        rhs: dict = {}
-        for l1, l2, v in c.comult_label(l):
-            for l1a, l1b, w in c.comult_label(l1):
-                vec_iadd(f, lhs, v, {(l1a, l1b, l2): w})
-            for l2a, l2b, w in c.comult_label(l2):
-                vec_iadd(f, rhs, v, {(l1, l2a, l2b): w})
-        if lhs != rhs:
-            rep.fail(f"coassociativity fails at {l!r}")
-            break
-    for l in labels:
-        if not sp.complete_at(sp.deg(l) + 1):
-            # the differential is truncated here; co-Leibniz unverifiable
-            continue
-        lhs: dict = {}
-        for t, v in c.carrier.d(l).items():
-            for l1, l2, w in c.comult_label(t):
-                vec_iadd(f, lhs, v, {(l1, l2): w})
-        rhs: dict = {}
-        for l1, l2, v in c.comult_label(l):
-            sgn = f.from_int(-1 if sp.deg(l1) % 2 else 1)
-            vec_iadd(f, rhs, v,
-                     {(t, l2): w for t, w in c.carrier.d(l1).items()})
-            vec_iadd(f, rhs, f.mul(sgn, v),
-                     {(l1, t): w for t, w in c.carrier.d(l2).items()})
-        if lhs != rhs:
-            rep.fail(f"co-Leibniz fails at {l!r}")
+            vec_iadd(f, out, c.counit.get(l1, f.zero), {l2: v})
+        if out != {l: f.one}:
+            rep.fail(f"left counit law fails at {l!r}")
             break
     return rep
 
@@ -452,26 +398,25 @@ class DGComodule:
 
 
 def validate_comodule(n: DGComodule) -> ValidationReport:
+    """Exhaustive window validation: d^2 = 0, the right counit law,
+    coassociativity and co-Leibniz below the window top.
+    ``validate_coalgebra`` runs it on the coalgebra as a right comodule
+    over itself."""
     rep = ValidationReport(True)
     f = n.field
     sp = n.space
     co = n.over
     dsq = check_d_squared(n.carrier)
     if not dsq:
-        rep.fail(f"d^2 != 0 at degree {dsq.degree}")
-    labels = [l for k in sp.degrees() for l in sp.labels(k)]
-
-    def eps(l):
-        return co.counit.get(l, f.zero)
-
-    for l in labels:
+        rep.fail(f"d^2 != 0 at degree {dsq.degree}, label {dsq.label!r}")
+    for l in sp:
         out: dict = {}
         for m, c, v in n.coaction_label(l):
-            vec_iadd(f, out, eps(c), {m: v})
+            vec_iadd(f, out, co.counit.get(c, f.zero), {m: v})
         if out != {l: f.one}:
-            rep.fail(f"counitality fails at {l!r}")
+            rep.fail(f"right counit law fails at {l!r}")
             break
-    for l in labels:
+    for l in sp:
         lhs: dict = {}
         rhs: dict = {}
         for m, c, v in n.coaction_label(l):
@@ -480,9 +425,9 @@ def validate_comodule(n: DGComodule) -> ValidationReport:
             for c1, c2, w in co.comult_label(c):
                 vec_iadd(f, rhs, v, {(m, c1, c2): w})
         if lhs != rhs:
-            rep.fail(f"coaction coassociativity fails at {l!r}")
+            rep.fail(f"coassociativity fails at {l!r}")
             break
-    for l in labels:
+    for l in sp:
         if not sp.complete_at(sp.deg(l) + 1):
             # the differential is truncated here; co-Leibniz unverifiable
             continue
@@ -498,7 +443,7 @@ def validate_comodule(n: DGComodule) -> ValidationReport:
             vec_iadd(f, rhs, f.mul(sgn, v),
                      {(m, t): w for t, w in co.carrier.d(c).items()})
         if lhs != rhs:
-            rep.fail(f"coaction co-Leibniz fails at {l!r}")
+            rep.fail(f"co-Leibniz fails at {l!r}")
             break
     return rep
 
@@ -526,7 +471,7 @@ def validate_twisting_cochain(t: TwistingCochain) -> ValidationReport:
     c, a = t.source, t.target
     if t.map.apply_label(c.coaug):
         rep.fail("τ does not vanish on the coaugmentation")
-    for l in [l for n in c.space.degrees() for l in c.space.labels(n)]:
+    for l in c.space:
         if c.space.deg(l) + 2 not in a.space.window:
             continue
         # d_A of a combination is a new dict
@@ -566,14 +511,13 @@ def dual_complex(c: Complex) -> Complex:
     blo, bhi = sp.bounds
     space = GradedSpace(f, win, basis, bounds=(-bhi, -blo))
     cols: dict = {}
-    for n in sp.degrees():
-        for y in sp.labels(n):
-            for x, v in c.d(y).items():
-                # contribution of ⟨d(x*), y⟩
-                sgn = f.from_int(-1 if (-sp.deg(x)) % 2 else 1)
-                coefficient = f.mul(f.from_int(-1), f.mul(sgn, v))
-                vec_iadd(f, cols.setdefault(dual_label(x), {}), coefficient,
-                         {dual_label(y): f.one})
+    for y in sp:
+        for x, v in c.d(y).items():
+            # contribution of ⟨d(x*), y⟩
+            sgn = f.from_int(-1 if (-sp.deg(x)) % 2 else 1)
+            coefficient = f.mul(f.from_int(-1), f.mul(sgn, v))
+            vec_iadd(f, cols.setdefault(dual_label(x), {}), coefficient,
+                     {dual_label(y): f.one})
     cols = {k: v for k, v in cols.items() if v}
     return Complex(space, GradedMap(space, space, 1, cols))
 
@@ -641,7 +585,7 @@ def comodule_to_module_F(n: DGComodule) -> DGModule:
     dual = graded_dual_coalgebra(n.over)
     action: dict = {}
     sp = n.space
-    for l in [l for k in sp.degrees() for l in sp.labels(k)]:
+    for l in sp:
         for m, c, v in n.coaction_label(l):
             sgn = f.from_int(koszul_sign(sp.deg(m), n.over.space.deg(c)))
             vec_iadd(f, action.setdefault((dual_label(c), l), {}),
@@ -679,7 +623,7 @@ def cocomplete_filtration(n: DGComodule, max_level: int | None = None) -> dict:
     f = n.field
     cap = max_level if max_level is not None else max(4, n.space.total_dim() + 2)
     out = {}
-    for l in [l for k in n.space.degrees() for l in n.space.labels(k)]:
+    for l in n.space:
         # state: dict (m_label, tuple of c_labels) -> coefficient
         state = {(l, ()): f.one}
         level = None
@@ -964,8 +908,7 @@ def module_direct_sum(ms: list, tags: list | None = None):
     tags = tags or [str(i) for i in range(len(ms))]
     total, incs, projs = _ds([m.carrier for m in ms], tags)
     summand = {f"{tag}:{l}": (tag, m, l)
-               for tag, m in zip(tags, ms)
-               for n in m.space.degrees() for l in m.space.labels(n)}
+               for tag, m in zip(tags, ms) for l in m.space}
     tsp = total.space
 
     def act_pair(label: str, x: str) -> dict:

@@ -105,6 +105,10 @@ class GradedSpace:
     def __contains__(self, label: str) -> bool:
         return label in self._deg
 
+    def __iter__(self):
+        """The basis labels in degree order, then in basis order."""
+        return iter(self._deg)
+
     def complete_at(self, n: int) -> bool:
         """Whether the basis at degree n is fully known (enumerated or
         known to vanish)."""
@@ -175,9 +179,7 @@ class GradedMap:
 
     @classmethod
     def identity(cls, space):
-        return cls(space, space, 0, {l: {l: space.field.one}
-                                     for n in space.degrees()
-                                     for l in space.labels(n)})
+        return cls(space, space, 0, {l: {l: space.field.one} for l in space})
 
     def apply_label(self, label: str) -> dict:
         return self.cols.get(label, {})
@@ -381,11 +383,10 @@ def restrict_complex(c: Complex, window: DegreeWindow | None = None,
              for n in c.space.degrees() if n in window}
     sp = GradedSpace(c.field, window, basis, bounds=c.space.bounds)
     cols = {}
-    for n in sp.degrees():
-        for l in sp.labels(n):
-            col = {t: v for t, v in c.d(l).items() if t in sp}
-            if col:
-                cols[l] = col
+    for l in sp:
+        col = {t: v for t, v in c.d(l).items() if t in sp}
+        if col:
+            cols[l] = col
     return Complex(sp, GradedMap(sp, sp, 1, cols))
 
 
@@ -542,16 +543,14 @@ def check_mutually_inverse(fwd: GradedMap, bwd: GradedMap, a: Complex, b: Comple
         if not ok:
             raise StructureError(f"{name} is not a chain map at {witness[:2]}")
     f = a.field
-    for n in a.space.degrees():
-        for l in a.labels(n):
-            back = bwd.apply(fwd.apply_label(l))
-            if back != {l: f.one}:
-                raise StructureError(f"bwd∘fwd ≠ id at {l!r}")
-    for n in b.space.degrees():
-        for l in b.labels(n):
-            back = fwd.apply(bwd.apply_label(l))
-            if back != {l: f.one}:
-                raise StructureError(f"fwd∘bwd ≠ id at {l!r}")
+    for l in a.space:
+        back = bwd.apply(fwd.apply_label(l))
+        if back != {l: f.one}:
+            raise StructureError(f"bwd∘fwd ≠ id at {l!r}")
+    for l in b.space:
+        back = fwd.apply(bwd.apply_label(l))
+        if back != {l: f.one}:
+            raise StructureError(f"fwd∘bwd ≠ id at {l!r}")
 
 
 def solve_diagonal_chain_iso(source: Complex, target: Complex,
@@ -568,7 +567,7 @@ def solve_diagonal_chain_iso(source: Complex, target: Complex,
     f = target.field
     tsp = target.space
     coeff: dict = {}
-    order = [l for n in source.space.degrees() for l in source.labels(n)]
+    order = list(source.space)
     if any(bijection.get(l) not in tsp
            or tsp.deg(bijection[l]) != source.space.deg(l) for l in order):
         return None

@@ -181,10 +181,9 @@ def _complexes_equal(a: Complex, b: Complex) -> bool:
         return True
     if a.space.basis != b.space.basis:
         return False
-    for n in a.space.degrees():
-        for l in a.labels(n):
-            if a.d(l) != b.d(l):
-                return False
+    for l in a.space:
+        if a.d(l) != b.d(l):
+            return False
     return True
 
 
@@ -270,7 +269,7 @@ def cert_from_resolution(r: SemifreeResolution) -> LevelCertificate:
                              "certify a truncated class")
     a = r.over
     base = a.carrier
-    base_labels = [al for n in a.space.degrees() for al in a.space.labels(n)]
+    base_labels = list(a.space)
 
     def quotient_leaf(stage):
         gens = sorted((gl, d) for gl, d, s in r.generators if s == stage)
@@ -293,14 +292,13 @@ def cert_from_resolution(r: SemifreeResolution) -> LevelCertificate:
         # w : Σ^{-1}quot → sub is the part of d that leaves the new stage
         q = quot.subject
         wcols = {}
-        for n in q.space.degrees():
-            for l in q.labels(n):
-                col = {t: v for t, v in total.d(l).items() if t in sub.space}
-                if col:
-                    wcols[l] = col
+        for l in q.space:
+            col = {t: v for t, v in total.d(l).items() if t in sub.space}
+            if col:
+                wcols[l] = col
         w = GradedMap(shift_complex(q, -1).space, sub.space, 0, wcols)
         bij = {l: f"c2:{l}" if l in sub.space else f"c1:{l}"
-               for n in total.space.degrees() for l in total.labels(n)}
+               for l in total.space}
         node = _witnessed_cone(total, node, quot, w, bij)
     cert = LevelCertificate(base, node.subject, node,
                             comparison_note="subject is the realized "

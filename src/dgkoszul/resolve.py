@@ -44,6 +44,9 @@ class SemifreeResolution:
     direction: int            # +1: built upward, -1: downward
     depth: int
     _realized: tuple = dc_field(default=None, repr=False)
+    # class_of's verdict depends on depth: not an init field, so that
+    # dataclasses.replace recomputes it
+    _class: tuple = dc_field(default=None, init=False, repr=False)
 
     def is_minimal(self) -> bool:
         unit = self.over.unit
@@ -288,7 +291,10 @@ def class_of(r: SemifreeResolution):
     means that no generator lies within two degrees of the depth cut, and
     that past the cut ε : F → M is a quasi-isomorphism wherever both
     homologies are computable in the window: a generator the cut left out
-    shows there as a class that ε misses or kills."""
+    shows there as a class that ε misses or kills.  Computed once per
+    resolution."""
+    if r._class is not None:
+        return r._class
     if not r.is_minimal():
         raise StructureError("class_of needs a minimal resolution")
     stages = {s for _, _, s in r.generators}
@@ -302,7 +308,8 @@ def class_of(r: SemifreeResolution):
         cx, eps = r.realize()
         verdicts = is_quasi_iso(eps, cx, r.module.carrier, DegreeWindow(*past))
         exhausted = False not in verdicts.values()
-    return (len(stages), exhausted)
+    r._class = (len(stages), exhausted)
+    return r._class
 
 
 def level_lower_bound(cls: int, free: bool) -> int:

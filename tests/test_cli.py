@@ -1,10 +1,13 @@
 """Command-line interface: exit codes, report content, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dgkoszul import cli
+from dgkoszul import cli, resolve
 from dgkoszul.cli import EXIT_INTERNAL, EXIT_VALIDATION, main
 
 PRESENTATION = {
@@ -406,3 +409,133 @@ def test_human_output_lines(tmp_path, pres, capsys):
     assert main(["validate", "-p", pres]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines == sorted(lines)
+
+
+def test_class_of_runs_once_per_resolution(tmp_path, monkeypatch):
+    # level-bound reads the class for the derived fiber, the interval and
+    # the certificate, duality-check for the interval and the certificate;
+    # an exhausted class runs is_quasi_iso past the depth cut each time
+    # it is computed
+    calls = []
+    real = resolve.is_quasi_iso
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(resolve, "is_quasi_iso", counted)
+    doc = {"schema_version": 1, "field": "F5", "window": [-8, 8],
+           "algebras": {"S3": {"kind": "polynomial", "generators": [
+               ["y1", 2], ["y2", 2], ["y3", 2]]}},
+           "modules": {"K3": {"kind": "trivial", "over": "S3"}}}
+    p = tmp_path / "k3.json"
+    p.write_text(json.dumps(doc))
+    for argv in (["level-bound", "-p", str(p), "--module", "K3",
+                  "--over", "S3"],
+                 ["duality-check", "--degrees", "2,2", "--window=-8:8",
+                  "--module", "trivial"]):
+        calls.clear()
+        code, _ = run_json(tmp_path, argv)
+        assert code == 0
+        assert len(calls) == 1
+
+
+# -------------------------------------------------------------------------
+# malformed presentations: one JSON value changed
+# -------------------------------------------------------------------------
+
+# every section and every kind, small enough that any one change stays
+# cheap to enumerate
+FUZZ_BASE = {
+    "schema_version": 1,
+    "field": "F5",
+    "window": [-6, 6],
+    "algebras": {
+        "P": {"kind": "polynomial", "generators": [["y", 2]]},
+        "E": {"kind": "exterior", "generators": [["x", -3]]},
+        "T": {"kind": "truncated_polynomial", "name": "t", "degree": 2,
+              "power": 3},
+        "A": {"kind": "table", "basis": {"0": ["1"], "4": ["z"]},
+              "unit": "1", "polarity": "non-negative",
+              "simply_connected": True, "differential": {},
+              "mult": {"1|1": {"1": 1}, "1|z": {"z": 1}, "z|1": {"z": 1}}},
+    },
+    "coalgebras": {
+        "D": {"kind": "dual", "of": "P"},
+        "X": {"kind": "exterior", "generators": [["sx", 1]]},
+    },
+    "modules": {
+        "K": {"kind": "trivial", "over": "P"},
+        "F": {"kind": "free", "over": "P"},
+        "M": {"kind": "truncated", "over": "P", "name": "y", "degree": 2,
+              "power": 2},
+        # sections are read in name order: these follow K and F
+        "Sh": {"kind": "shift", "of": "K", "k": 1},
+        "Sum": {"kind": "direct_sum", "of": ["K", "F"]},
+    },
+    "comodules": {
+        "N": {"kind": "trivial", "over": "X"},
+        "O": {"kind": "over_self", "over": "X"},
+    },
+}
+
+FUZZ_COMMANDS = (["validate"], ["bar", "--algebra", "A"],
+                 ["level-bound", "--module", "K", "--over", "P",
+                  "--depth", "3"])
+
+DELETE = object()
+FUZZ_VALUES = [DELETE, None, True, 0, 3, -1, "x", "", [], {}, [0],
+               {"x": 1}, 2.5]
+
+
+def _json_paths(value, path=()):
+    """The path of every value nested in a JSON document."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for k, v in items:
+        yield path + (k,)
+        yield from _json_paths(v, path + (k,))
+
+
+FUZZ_PATHS = list(_json_paths(FUZZ_BASE))
+
+
+def _run_quiet(argv):
+    """Exit code and stderr of one in-process CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def test_fuzz_base_presentation_runs(tmp_path):
+    p = tmp_path / "base.json"
+    p.write_text(json.dumps(FUZZ_BASE))
+    for argv in FUZZ_COMMANDS:
+        assert _run_quiet(argv + ["-p", str(p)]) == (0, "")
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(FUZZ_PATHS), st.sampled_from(FUZZ_VALUES))
+def test_malformed_presentation_never_crashes(tmp_path, path, value):
+    doc = json.loads(json.dumps(FUZZ_BASE))
+    *outer, key = path
+    parent = doc
+    for k in outer:
+        parent = parent[k]
+    if value is DELETE:
+        del parent[key]
+    else:
+        parent[key] = value
+    p = tmp_path / "mutated.json"
+    p.write_text(json.dumps(doc))
+    for argv in FUZZ_COMMANDS:
+        code, err = _run_quiet(argv + ["-p", str(p)])
+        assert code in (0, 2, 3, 4), (path, value, argv, err)
+        assert "Traceback" not in err, (path, value, argv, err)

@@ -108,7 +108,7 @@ def test_comodule_co_leibniz_checked_below_the_window_top(F5, window):
     assert validate_comodule(DGComodule(flat, c, coaction)).ok
     cx = Complex(sp, GradedMap(sp, sp, 1, {"a": {"b": 1}}))
     rep = validate_comodule(DGComodule(cx, c, coaction))
-    assert rep.violations == ["coaction co-Leibniz fails at 'a'"]
+    assert rep.violations == ["co-Leibniz fails at 'a'"]
 
 
 def test_dual_labels_roundtrip():
@@ -213,7 +213,7 @@ def test_ungraded_table_module_fails(F5, window, side):
         action = {(x, m): v for (m, x), v in action.items()}
     rep = validate_module(DGModule.from_table(cx, a, action, side=side))
     assert not rep.ok
-    assert rep.violations[0] == "action not of degree |m|+|a| at ('m', 'y')"
+    assert rep.violations[0] == "product not of degree |x|+|y| at ('m', 'y')"
 
 
 def test_trivial_table_module_passes(F5):
@@ -249,7 +249,8 @@ def test_valid_hand_built_coalgebra(F5, window):
 
 def test_coalgebra_wrong_counit(F5, window):
     c = _coalgebra(F5, window, P_U, P_U_COMULT, counit={"1": 1, "p": 1})
-    assert validate_coalgebra(c).violations == ["counit law fails at 'p'"]
+    assert validate_coalgebra(c).violations == [
+        "right counit law fails at 'p'", "left counit law fails at 'p'"]
 
 
 def test_coalgebra_not_coassociative(F5, window):
@@ -289,7 +290,7 @@ def test_comodule_counitality_fails(F5, window):
     c = _coalgebra(F5, window, P_U, P_U_COMULT)
     coaction = dict(COACTION, n0=[("n0", "1", 2)])
     rep = validate_comodule(_comodule(F5, window, c, coaction))
-    assert rep.violations[0] == "counitality fails at 'n0'"
+    assert rep.violations[0] == "right counit law fails at 'n0'"
 
 
 def test_comodule_coassociativity_fails(F5, window):
@@ -297,4 +298,34 @@ def test_comodule_coassociativity_fails(F5, window):
     c = _coalgebra(F5, window, P_U, P_U_COMULT)
     coaction = dict(COACTION, n2=[("n2", "1", 1), ("n0", "u", 1)])
     rep = validate_comodule(_comodule(F5, window, c, coaction))
-    assert rep.violations == ["coaction coassociativity fails at 'n2'"]
+    assert rep.violations == ["coassociativity fails at 'n2'"]
+
+
+# -------------------------------------------------------------------------
+# unit laws
+# -------------------------------------------------------------------------
+
+@pytest.mark.parametrize("one_y,y_one,side", [
+    ({}, {"y": 1}, "left"),     # 1·y = 0
+    ({"y": 1}, {}, "right"),    # y·1 = 0
+])
+def test_table_algebra_unit_law_fails(F5, window, one_y, y_one, side):
+    # |y| = 10 puts y·y outside the window, so no other axiom is touched
+    cx = _zero_d_complex(F5, window, {0: ["1"], 10: ["y"]})
+    table = {("1", "1"): {"1": 1}, ("1", "y"): one_y, ("y", "1"): y_one,
+             ("y", "y"): {}}
+    rep = validate_algebra(DGAlgebra.from_table(cx, "1", table,
+                                                "non-negative"))
+    assert rep.violations == [f"{side} unit law fails at 'y'"]
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_table_module_unit_law_fails(F5, side):
+    a = polynomial_algebra(F5, DegreeWindow(-4, 4), [("y", 2)])
+    cx = _zero_d_complex(F5, a.space.window, {0: ["m"]})
+    # the unit acts by 0
+    action = {("m", "1"): {}, ("m", "y"): {}, ("m", "y^2"): {}}
+    if side == "left":
+        action = {(x, m): v for (m, x), v in action.items()}
+    rep = validate_module(DGModule.from_table(cx, a, action, side=side))
+    assert rep.violations == [f"{side} unit law fails at 'm'"]

@@ -167,3 +167,13 @@ def test_resolution_over_exterior(F5, window):
     r = resolve_min(trivial_module(e))
     cls, exhausted = class_of(r)
     assert cls >= 2 and not exhausted
+
+
+def test_class_of_is_not_inherited_by_a_replaced_depth(F5):
+    # K over K[y], |y| = 4, has generators in degrees 0 and 3; a cut at 4
+    # lies within two degrees of the second, so the verdict changes with
+    # depth and a copy must not keep the original's
+    a = polynomial_algebra(F5, DegreeWindow(-12, 12), [("y", 4)])
+    r = resolve_min(trivial_module(a), depth=11)
+    assert class_of(r) == (2, True)
+    assert class_of(replace(r, depth=4)) == (2, False)

@@ -445,7 +445,7 @@ def ref_validate_module_products(m):
             rhs = m.act({l: f.one}, alg.mult_pair(x, y))
             if lhs != rhs:
                 violations.append(
-                    f"action associativity fails at ({l!r}, {x!r}, {y!r})")
+                    f"associativity fails at ({l!r}, {x!r}, {y!r})")
                 done = True
                 break
         if done:
