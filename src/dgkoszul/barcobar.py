@@ -47,15 +47,18 @@ from dgkoszul.dgstruct import (
 # word labels
 # -------------------------------------------------------------------------
 
+def _word_entries(label: str, brackets: str, what: str) -> tuple:
+    if not (label.startswith(brackets[0]) and label.endswith(brackets[1])):
+        raise ValueError(f"not a {what} word: {label!r}")
+    return tuple(label[1:-1].split("|")) if label[1:-1] else ()
+
+
 def bar_word_label(entries) -> str:
     return "[" + "|".join(entries) + "]"
 
 
 def bar_word_entries(label: str) -> tuple:
-    if not (label.startswith("[") and label.endswith("]")):
-        raise ValueError(f"not a bar word: {label!r}")
-    inner = label[1:-1]
-    return tuple(inner.split("|")) if inner else ()
+    return _word_entries(label, "[]", "bar")
 
 
 def cobar_word_label(entries) -> str:
@@ -63,10 +66,7 @@ def cobar_word_label(entries) -> str:
 
 
 def cobar_word_entries(label: str) -> tuple:
-    if not (label.startswith("<") and label.endswith(">")):
-        raise ValueError(f"not a cobar word: {label!r}")
-    inner = label[1:-1]
-    return tuple(inner.split("|")) if inner else ()
+    return _word_entries(label, "<>", "cobar")
 
 
 def _known_above(sp: GradedSpace):
@@ -111,8 +111,7 @@ def _word_complex(carrier: Complex, shift: int, window: DegreeWindow | None,
     internal part -s(dx) plus the terms ``(replacement, width, sign,
     coefficient)`` of ``quadratic(entries, i)``, which replace the
     ``width`` letters from position i; each term carries the Koszul sign
-    of the letters before it.  Returns the complex and {degree: [entry
-    tuples]}, sorted within each degree.
+    of the letters before it.
     """
     sp = carrier.space
     f = sp.field
@@ -163,7 +162,7 @@ def _word_complex(carrier: Complex, shift: int, window: DegreeWindow | None,
                     psgn = f.mul(minus, psgn)
             if col:
                 cols[source] = col
-    return Complex(bsp, GradedMap(bsp, bsp, 1, cols)), words
+    return Complex(bsp, GradedMap(bsp, bsp, 1, cols))
 
 
 # -------------------------------------------------------------------------
@@ -191,18 +190,22 @@ def bar(a: DGAlgebra, window: DegreeWindow | None = None,
                 for t, v in a.mult_pair(x, entries[i + 1]).items()
                 if t != a.unit]
 
-    cx, words = _word_complex(a.carrier, -1, window, a.unit, merge,
-                              bar_word_label, "bar construction")
+    cx = _word_complex(a.carrier, -1, window, a.unit, merge,
+                       bar_word_label, "bar construction")
     bsp = cx.space
-    comult = {}
-    for n, ws in words.items():
-        for label, entries in zip(bsp.labels(n), ws):
-            cuts = [(bar_word_label(entries[:i]), bar_word_label(entries[i:]))
-                    for i in range(len(entries) + 1)]
-            comult[label] = [(left, right, f.one) for left, right in cuts
-                             if left in bsp and right in bsp]
+
+    def comult_label(label: str) -> list:
+        # deconcatenation, on demand: the cuts into two words of the space
+        if label not in bsp:
+            return []
+        entries = bar_word_entries(label)
+        cuts = [(bar_word_label(entries[:i]), bar_word_label(entries[i:]))
+                for i in range(len(entries) + 1)]
+        return [(left, right, f.one) for left, right in cuts
+                if left in bsp and right in bsp]
+
     unit = bar_word_label(())
-    return DGCoalgebra(cx, comult, {unit: f.one}, unit,
+    return DGCoalgebra(cx, comult_label, {unit: f.one}, unit,
                        name=f"B({a.name})" if a.name else "B")
 
 
@@ -240,19 +243,18 @@ def cobar(c: DGCoalgebra, window: DegreeWindow | None = None,
     splits = {l: [((c1, c2), 1, f.from_int(1 if sp.deg(c1) % 2 else -1), v)
                   for c1, c2, v in c.reduced_comult(l)]
               for l in sp if l != c.coaug}
-    cx, words = _word_complex(c.carrier, 1, window, c.coaug,
-                              lambda entries, i: splits[entries[i]],
-                              cobar_word_label, "cobar construction")
+    cx = _word_complex(c.carrier, 1, window, c.coaug,
+                       lambda entries, i: splits[entries[i]],
+                       cobar_word_label, "cobar construction")
     osp = cx.space
-    entries_of = {l: e for nn, ws in words.items()
-                  for l, e in zip(osp.labels(nn), ws)}
 
     def mult_pair(a: str, b: str) -> dict:
         # the tensor algebra multiplies by concatenation; every word whose
         # degree lies in the window is a basis label
         if osp.deg(a) + osp.deg(b) not in osp.window:
             return {}
-        return {cobar_word_label(entries_of[a] + entries_of[b]): f.one}
+        return {cobar_word_label(cobar_word_entries(a)
+                                 + cobar_word_entries(b)): f.one}
 
     nonneg = osp.bounds[0] == 0
     return DGAlgebra(cx, cobar_word_label(()), mult_pair,
@@ -377,16 +379,18 @@ def twisted_tensor_right(m: DGModule, t: TwistingCochain,
                     yield tl, c2, f.mul(f.mul(sgn, v), u)
 
     cx, pairs = _tensor_complex(m, c, window, twist)
-    coaction: dict = {}
-    for label, (ml, cl) in pairs.items():
-        terms = []
-        for c1, c2, v in c.comult_label(cl):
-            left = tensor_label(ml, c1)
-            if left in cx.space:
-                terms.append((left, c2, v))
-        coaction[label] = terms
+
+    def coaction_label(label: str) -> list:
+        # 1⊗Δ_C, on demand
+        if label not in pairs:
+            return []
+        ml, cl = pairs[label]
+        terms = [(tensor_label(ml, c1), c2, v)
+                 for c1, c2, v in c.comult_label(cl)]
+        return [t for t in terms if t[0] in cx.space]
+
     nm = f"{m.name}⊗τ{c.name}" if m.name and c.name else ""
-    return DGComodule(cx, c, coaction, name=nm)
+    return DGComodule(cx, c, coaction_label, name=nm)
 
 
 def twisted_tensor_left(n: DGComodule, t: TwistingCochain,

@@ -6,9 +6,11 @@ Products and actions are given by rules, ``mult_pair(a, b)`` and
 ``act_pair(m, a)``, that compute the product of two basis labels on
 demand: presets from per-label keys (exponent vectors, subsets, words),
 graded duals from the transposed structure maps, table presentations from
-their explicit table.  Coproducts and coactions are stored per label; one
-``transpose_rule`` builds those of the dual of an algebra and of a right
-module from its rule.  Every axiom stays decidable by exhaustive checking on the window bases;
+their explicit table.  Coproducts and coactions are rules too,
+``comult_label(l)`` and ``coaction_label(l)``: a construction that builds a
+table (the exterior coalgebra; by one ``transpose_rule``, the duals of an
+algebra and of a right module) passes a lookup into it.  Every axiom stays
+decidable by exhaustive checking on the window bases;
 the validators visit only the label pairs and triples whose degrees fit
 the window.  An algebra is validated as its own right module and a
 coalgebra as its own right comodule, so each axiom loop is written once;
@@ -304,12 +306,13 @@ def validate_module(m: DGModule) -> ValidationReport:
 
 
 class DGCoalgebra:
-    """DG coalgebra; ``comult`` maps label -> list of (l1, l2, coefficient)."""
+    """DG coalgebra; the rule ``comult_label(l)`` gives Δ(l) as terms
+    (l1, l2, coefficient), [] off the space (the bar cuts words on demand)."""
 
-    def __init__(self, carrier: Complex, comult: dict, counit: dict,
+    def __init__(self, carrier: Complex, comult_label, counit: dict,
                  coaug: str, name: str = ""):
         self.carrier = carrier
-        self.comult = comult
+        self.comult_label = comult_label
         self.counit = counit
         self.coaug = coaug
         self.name = name
@@ -321,9 +324,6 @@ class DGCoalgebra:
     @property
     def space(self):
         return self.carrier.space
-
-    def comult_label(self, l: str) -> list:
-        return self.comult.get(l, [])
 
     def reduced_comult(self, l: str) -> list:
         """Δ̄(x) = Δ(x) - x⊗1 - 1⊗x on a non-coaugmentation label."""
@@ -366,14 +366,14 @@ def validate_coalgebra(c: DGCoalgebra) -> ValidationReport:
 
 
 class DGComodule:
-    """Right DG comodule; ``coaction`` maps label -> list of
-    (module label, coalgebra label, coefficient)."""
+    """Right DG comodule; the rule ``coaction_label(l)`` gives Δ_N(l) as
+    terms (module label, coalgebra label, coefficient), [] off the space."""
 
-    def __init__(self, carrier: Complex, over: DGCoalgebra, coaction: dict,
+    def __init__(self, carrier: Complex, over: DGCoalgebra, coaction_label,
                  name: str = ""):
         self.carrier = carrier
         self.over = over
-        self.coaction = coaction
+        self.coaction_label = coaction_label
         self.name = name
 
     @property
@@ -383,9 +383,6 @@ class DGComodule:
     @property
     def space(self):
         return self.carrier.space
-
-    def coaction_label(self, l: str) -> list:
-        return self.coaction.get(l, [])
 
     def reduced_coaction(self, l: str) -> list:
         """Δ̄_N(x) = Δ_N(x) - x⊗1."""
@@ -531,10 +528,11 @@ def merge_terms(f: FieldSpec, terms: list) -> list:
     return [(l1, l2, v) for (l1, l2), v in sorted(acc.items())]
 
 
-def transpose_rule(rule, left: GradedSpace, right: GradedSpace) -> dict:
+def transpose_rule(rule, left: GradedSpace, right: GradedSpace):
     """Graded dual of a pair rule (a product or an action) on the pairs
-    whose degree lies in ``left``'s window: t* -> merged terms
-    (x*, y*, (-1)^{|x||y|} v) over the pairs with rule(x, y) = v·t + …"""
+    whose degree lies in ``left``'s window, as a lookup into the table
+    t* -> merged terms (x*, y*, (-1)^{|x||y|} v) over the pairs with
+    rule(x, y) = v·t + …; a label absent from it gives []."""
     f = left.field
     out: dict = {}
     for x, y in degree_compatible((left, right),
@@ -543,7 +541,8 @@ def transpose_rule(rule, left: GradedSpace, right: GradedSpace) -> dict:
         for t, v in rule(x, y).items():
             out.setdefault(dual_label(t), []).append(
                 (dual_label(x), dual_label(y), f.mul(sgn, v)))
-    return {l: merge_terms(f, terms) for l, terms in out.items()}
+    table = {l: merge_terms(f, terms) for l, terms in out.items()}
+    return lambda l: table.get(l, [])
 
 
 def graded_dual_algebra(a: DGAlgebra) -> DGCoalgebra:
@@ -561,10 +560,9 @@ def graded_dual_coalgebra(c: DGCoalgebra) -> DGAlgebra:
     f = c.field
     cx = dual_complex(c.carrier)
     mult: dict = {}
-    for l, terms in c.comult.items():
-        for l1, l2, v in terms:
-            d1, d2 = c.space.deg(l1), c.space.deg(l2)
-            sgn = f.from_int(koszul_sign(d1, d2))
+    for l in c.space:
+        for l1, l2, v in c.comult_label(l):
+            sgn = f.from_int(koszul_sign(c.space.deg(l1), c.space.deg(l2)))
             vec_iadd(f, mult.setdefault((dual_label(l1), dual_label(l2)), {}),
                      f.mul(sgn, v), {dual_label(l): f.one})
     sp = cx.space
@@ -793,20 +791,10 @@ def exterior_algebra(field: FieldSpec, window: DegreeWindow,
 
 def sign_of_sort(indices: list, degrees: list) -> int:
     """Koszul sign of stably sorting labelled odd/even symbols into
-    increasing index order (bubble sort, counting each adjacent swap)."""
-    idx = list(indices)
-    deg = list(degrees)
-    sign = 1
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(idx) - 1):
-            if idx[i] > idx[i + 1]:
-                sign *= koszul_sign(deg[i], deg[i + 1])
-                idx[i], idx[i + 1] = idx[i + 1], idx[i]
-                deg[i], deg[i + 1] = deg[i + 1], deg[i]
-                changed = True
-    return sign
+    increasing index order: a stable sort swaps each inverted pair once,
+    so the sign is -1 to the number of inverted pairs of odd symbols."""
+    odd = [i for i, d in zip(indices, degrees) if d % 2]
+    return -1 if sum(a > b for a, b in itertools.combinations(odd, 2)) % 2 else 1
 
 
 def exterior_coalgebra(field: FieldSpec, window: DegreeWindow,
@@ -830,7 +818,7 @@ def exterior_coalgebra(field: FieldSpec, window: DegreeWindow,
                 terms.append((label[tuple(t)], label[u], field.from_int(sgn)))
         comult[label[s]] = terms
     counit = {label[()]: field.one}
-    return DGCoalgebra(cx, comult, counit, label[()],
+    return DGCoalgebra(cx, lambda l: comult.get(l, []), counit, label[()],
                        name="∧Σ(" + ",".join(names) + ")")
 
 
@@ -922,13 +910,12 @@ def module_direct_sum(ms: list, tags: list | None = None):
 
 
 def comodule_over_self(c: DGCoalgebra) -> DGComodule:
-    coaction = {l: list(terms) for l, terms in c.comult.items()}
-    return DGComodule(c.carrier, c, coaction, name=c.name)
+    return DGComodule(c.carrier, c, c.comult_label, name=c.name)
 
 
 def trivial_comodule(c: DGCoalgebra, label: str = "1n") -> DGComodule:
     f = c.field
     sp = GradedSpace(f, c.space.window, {0: [label]}, bounds=(0, 0))
     cx = Complex(sp, GradedMap.zero(sp, sp, 1))
-    coaction = {label: [(label, c.coaug, f.one)]}
-    return DGComodule(cx, c, coaction, name="K")
+    return DGComodule(cx, c, lambda l: [(label, c.coaug, f.one)]
+                      if l == label else [], name="K")

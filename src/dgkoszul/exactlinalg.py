@@ -4,7 +4,9 @@ Every rank/kernel/solve computation in the engine funnels through this
 module.  Arithmetic is exact: canonical residues over a prime field,
 ``fractions.Fraction`` over the rationals.  Both fields share one sparse
 Gauss–Jordan elimination (``_rref_rows``) over row dicts keyed by leading
-column, in the spirit of Faugère–Lachartre (PASCO 2010).
+column, in the spirit of Faugère–Lachartre (PASCO 2010): the rows are
+taken in decreasing order of leading column, which changes the work, never
+the result.
 
 Combinations are sparse dicts key -> nonzero scalar.  ``vec_iadd`` is the
 one accumulator: it adds c·v into a caller-owned dict in place and drops
@@ -254,8 +256,11 @@ def _rref_rows(m: SparseMatrix) -> tuple[list, list]:
 
     Each row is reduced against a dict pivot column -> normalised row until
     its leading column is new; the pivot rows are then back-substituted from
-    the highest pivot column down.  Over F_p scalars stay plain ints reduced
-    mod a local p; over Q they are Fractions and p is None.
+    the highest pivot column down.  The rows are taken in decreasing order
+    of leading column (a stable sort): a row with a new leading column
+    becomes a pivot unreduced, and only rows sharing one are reduced.  Any
+    order gives the same rows, as the RREF depends only on the row space.
+    Over F_p scalars stay plain ints mod a local p; over Q, Fractions.
     """
     p = m.field.p
     inv = m.field.inv
@@ -263,7 +268,7 @@ def _rref_rows(m: SparseMatrix) -> tuple[list, list]:
     for (r, c), v in m.entries.items():
         rows[r][c] = v
     piv: dict = {}
-    for row in rows:
+    for row in sorted(filter(None, rows), key=min, reverse=True):
         while row:
             c = min(row)
             prow = piv.get(c)

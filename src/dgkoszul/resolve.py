@@ -349,15 +349,19 @@ def is_free_over_homology(m: DGModule) -> dict:
     abar = [(n, i) for n, h in ha.items() if n != 0
             for i in range(h.dimension)]
 
+    memo: dict = {}
+
     def product(cx, hx, x, hy, y, mul):
         """Class of rep(x)·rep(y) in H(cx), whose degrees hx holds, as a
-        coefficient dict, or None when out of window."""
-        n = x[0] + y[0]
-        if n not in hx:
-            return None
-        prod = mul(hx[x[0]].representatives[x[1]],
-                   hy[y[0]].representatives[y[1]])
-        return {(n, j): c for j, c in homology_class(cx, n, prod).items()}
+        coefficient dict, or None when out of window.  b₂ asks for each
+        one again for every further class, so it is computed once."""
+        n, key = x[0] + y[0], (id(cx), mul, x, y)
+        if n in hx and key not in memo:
+            prod = mul(hx[x[0]].representatives[x[1]],
+                       hy[y[0]].representatives[y[1]])
+            memo[key] = {(n, j): c
+                         for j, c in homology_class(cx, n, prod).items()}
+        return memo.get(key)
 
     def columns(keys, column):
         """The columns of keys, or None at the first one out of window."""

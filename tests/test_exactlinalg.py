@@ -6,6 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dgkoszul import exactlinalg
+from dgkoszul.barcobar import bar
+from dgkoszul.dgstruct import truncated_polynomial_algebra
 from dgkoszul.exactlinalg import (
     KERNEL,
     FieldSpec,
@@ -17,6 +20,7 @@ from dgkoszul.exactlinalg import (
     vec_iadd,
     vec_scale,
 )
+from dgkoszul.gradedcomplex import DegreeWindow, homology_by_degree
 
 
 def test_field_arithmetic_f5(F5):
@@ -238,6 +242,49 @@ def test_span_echelon_matches_reference(case):
     # the rows are independent and span the vectors' span
     rows = list(ech.values())
     assert len(rows) == rank(rows) == rank(vectors) == rank(vectors + rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices_with_rhs(), st.data())
+def test_row_order_does_not_change_the_result(case, data):
+    # the RREF depends only on the row space, so the order in which the
+    # elimination takes the rows must not show in any output
+    m, b = case
+    f = m.field
+    perm = data.draw(st.permutations(range(m.rows)))
+    pm = SparseMatrix(m.rows, m.cols, f,
+                      {(perm[r], c): x for (r, c), x in m.entries.items()})
+    assert rref(pm) == rref(m)
+    assert solve(pm, {perm[r]: x for r, x in b.items()}) == solve(m, b)
+    for i in range(m.rows):
+        assert solve(pm, {perm[i]: f.one}) == solve(m, {i: f.one})
+    vectors = [{c: x for (r, c), x in m.entries.items() if r == i}
+               for i in range(m.rows)]
+    assert (span_echelon(f, [vectors[i] for i in perm], m.cols)
+            == span_echelon(f, vectors, m.cols))
+
+
+def test_elimination_fill_stays_low(monkeypatch):
+    # rows reduced in decreasing order of leading column: on the bar of
+    # K[y]/(y^4), |y| = 2, over F_5 at ±18, homology touches 140,744 row
+    # entries in 38,047 row operations; in label order it touched 372,528
+    # in 56,034.  A bound in between catches a return of that fill.
+    touched = [0, 0]
+    sub_multiple = exactlinalg._sub_multiple
+
+    def counting(row, a, prow, p):
+        touched[0] += len(prow)
+        touched[1] += 1
+        sub_multiple(row, a, prow, p)
+
+    monkeypatch.setattr(exactlinalg, "_sub_multiple", counting)
+    f = FieldSpec.prime(5)
+    w = DegreeWindow(-18, 18)
+    b = bar(truncated_polynomial_algebra(f, w, "y", 2, 4), w)
+    dims = {n: h.dimension for n, h in homology_by_degree(b.carrier).items()
+            if h.dimension}
+    assert dims == {0: 1, 1: 1, 6: 1, 7: 1, 12: 1, 13: 1}
+    assert touched[0] <= 160_000 and touched[1] <= 42_000, touched
 
 
 def test_kernel_selected():

@@ -9,6 +9,7 @@ groups and must report the same violations in the same order.
 
 import itertools
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dgkoszul import barcobar
@@ -201,8 +202,8 @@ def ref_dual_coalgebra(c, dual):
     inside the window filled in."""
     f = c.field
     table = {}
-    for l, terms in c.comult.items():
-        for l1, l2, v in terms:
+    for l in labels_of(c.space):
+        for l1, l2, v in c.comult_label(l):
             sgn = f.from_int(koszul_sign(c.space.deg(l1), c.space.deg(l2)))
             col = table.setdefault((dual_label(l1), dual_label(l2)), {})
             s = f.add(col.get(dual_label(l), f.zero), f.mul(sgn, v))
@@ -215,6 +216,29 @@ def ref_dual_coalgebra(c, dual):
         if (x, y) not in table and sp.deg(x) + sp.deg(y) in sp.window:
             table[(x, y)] = {}
     return table
+
+
+def ref_deconcatenation(a, bsp):
+    """Coproduct table of B(a) on its space bsp, as bar() once stored it:
+    every cut of a word into two words of the space.  The words are
+    enumerated here by extending each word of the space by one letter; on
+    a window around 0 every prefix of a word lies in the space too."""
+    f = a.field
+    letters = [l for l in labels_of(a.space) if l != a.unit]
+    comult = {}
+    todo = [()]
+    while todo:
+        entries = todo.pop()
+        label = barcobar.bar_word_label(entries)
+        if label not in bsp:
+            continue
+        cuts = [(barcobar.bar_word_label(entries[:i]),
+                 barcobar.bar_word_label(entries[i:]))
+                for i in range(len(entries) + 1)]
+        comult[label] = [(left, right, f.one) for left, right in cuts
+                         if left in bsp and right in bsp]
+        todo += [entries + (x,) for x in letters]
+    return comult
 
 
 def ref_F(n, fm):
@@ -381,6 +405,22 @@ def test_dual_rules_match_tables(f, hi):
             assert_module_rule(fm, ref_F(n, fm))
             td = tD(n)
             assert_module_rule(td, ref_tD(n, fm, td))
+
+
+@pytest.mark.parametrize("which", ["polynomial", "truncated"])
+def test_bar_deconcatenates_on_demand(which):
+    f = FieldSpec.prime(5)
+    w = DegreeWindow(-10, 10)
+    a = (polynomial_algebra(f, w, [("y", 2)]) if which == "polynomial"
+         else truncated_polynomial_algebra(f, w, "y", 2, 4))
+    b = bar(a, w)
+    table = ref_deconcatenation(a, b.space)
+    assert set(table) == set(labels_of(b.space))
+    for l, terms in table.items():
+        assert b.comult_label(l) == terms
+    # labels outside the space: a word on an unknown letter, and a label
+    # that is no bar word at all
+    assert b.comult_label("[nope]") == [] and b.comult_label("y") == []
 
 
 def test_trivial_algebra_rule():
