@@ -2,8 +2,8 @@
 deterministic report emission.
 
 Exit codes: 0 success, 1 verdict failure, 2 parse error, 3 validation
-error, 4 dangling reference, 5 internal error (a bug in the engine; the
-traceback goes to stderr).
+error, 4 dangling reference, 5 internal error (a bug or a loop cap of the
+engine; the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -690,7 +690,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_VALIDATION
     except Exception:
-        # not bad input but a bug in the engine: keep the traceback.  Only
+        # not bad input but the engine's own fault: keep the traceback.  Only
         # this path needs the module; every command process would pay for
         # importing it at start-up.
         import traceback

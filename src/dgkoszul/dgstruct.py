@@ -3,19 +3,19 @@ dualization; the comodule-to-module functor and its dual; the
 cocompleteness filtration; twisting cochain validation.
 
 Products and actions are given by rules, ``mult_pair(a, b)`` and
-``act_pair(m, a)``, that compute the product of two basis labels on
-demand: presets from per-label keys (exponent vectors, subsets, words),
-graded duals from the transposed structure maps, table presentations from
-their explicit table.  Coproducts and coactions are rules too,
-``comult_label(l)`` and ``coaction_label(l)``: a construction that builds a
-table (the exterior coalgebra; by one ``transpose_rule``, the duals of an
-algebra and of a right module) passes a lookup into it.  Every axiom stays
-decidable by exhaustive checking on the window bases;
-the validators visit only the label pairs and triples whose degrees fit
-the window.  An algebra is validated as its own right module and a
-coalgebra as its own right comodule, so each axiom loop is written once;
-``validate_algebra`` and ``validate_coalgebra`` keep only the checks that
-a (co)module does not have, among them the left (co)unit law.
+``act_pair(m, a)``, that compute the product of two basis labels on demand:
+presets from per-label keys (exponent vectors, subsets, words), graded duals
+from the transposed structure maps, table presentations from their explicit
+table.  Coproducts and coactions are rules too, ``comult_label(l)`` and
+``coaction_label(l)``: a construction that builds a table (the exterior
+coalgebra; by one ``transpose_rule``, the duals of an algebra and of a right
+module) passes a lookup into it.  Every axiom stays decidable by exhaustive
+checking on the window bases; the validators visit only the label pairs and
+triples whose degrees fit the window and evaluate each rule once per pair in
+one call.  An algebra is validated as its own right module and a coalgebra
+as its own right comodule, so each axiom loop is written once;
+``validate_algebra`` and ``validate_coalgebra`` keep only the checks that a
+(co)module does not have, among them the left (co)unit law.
 """
 
 from __future__ import annotations
@@ -157,11 +157,6 @@ class DGAlgebra:
         return (l for l in self.space if l != self.unit)
 
 
-def _graded(space: GradedSpace, combo: dict, n: int) -> bool:
-    """Whether every label of ``combo`` is a basis label of degree n."""
-    return all(t in space and space.deg(t) == n for t in combo)
-
-
 def validate_algebra(a: DGAlgebra) -> ValidationReport:
     """Exhaustive window validation.  The regular module ``free_module(a)``
     checks d^2 = 0, the grading of products, the right unit law, Leibniz
@@ -184,13 +179,14 @@ def validate_algebra(a: DGAlgebra) -> ValidationReport:
         bad = 1 if a.polarity == "non-negative" else -1
         if sp.dim(bad):
             rep.fail(f"simply_connected flag but basis in degree {bad}")
-    for v in validate_module(free_module(a)).violations:
+    call, prod = _memo(f)
+    for v in validate_module(free_module(a), (call, prod)).violations:
         rep.fail(v)
     if a.carrier.d(a.unit):
         rep.fail("d(unit) != 0")
     one = {a.unit: f.one}
     for l in sp:
-        if a.multiply(one, {l: f.one}) != {l: f.one}:
+        if prod(a.mult_pair, one, {l: f.one}) != {l: f.one}:
             rep.fail(f"left unit law fails at {l!r}")
             break
     # augmentation is a DG algebra map: vanishes on d-images and on
@@ -248,13 +244,40 @@ class DGModule:
         return bilinear(self.field, self.act_pair, x, y)
 
 
-def validate_module(m: DGModule) -> ValidationReport:
+def _memo(f: FieldSpec):
+    """(call, product) for one validation call.  call(rule, *labels) is
+    rule(*labels), evaluated once per key and shared, so never mutated; a
+    rule that raises is not memoised.  product(rule, x, y) is exactly
+    bilinear(f, rule, x, y), a fresh dict; for two labels with coefficient
+    ``f.one`` itself it is read off the memoised value without bilinear."""
+    memo: dict = {}
+    one = f.one
+
+    def call(rule, *labels):
+        key = (rule, *labels)
+        if key not in memo:
+            memo[key] = rule(*labels)
+        return memo[key]
+
+    def product(rule, x, y):
+        if len(x) == 1 == len(y):
+            (a, ca), = x.items()
+            (b, cb), = y.items()
+            if ca is one and cb is one:
+                return {t: s for t, c in call(rule, a, b).items()
+                        if (s := c if c is one else f.mul(one, c))}
+        return bilinear(f, lambda a, b: call(rule, a, b), x, y)
+    return call, product
+
+
+def validate_module(m: DGModule, memo=None) -> ValidationReport:
     """Exhaustive window validation: d^2 = 0, the grading of the action
     (and of every explicit table entry), the unit law on the module's
     side, Leibniz and associativity.  ``validate_algebra`` runs it on the
-    algebra as a right module over itself."""
+    algebra as a right module over itself and shares its ``_memo``."""
     rep = ValidationReport(True)
     f = m.field
+    call, prod = memo or _memo(f)
     alg = m.over
     sp = m.space
     dsq = check_d_squared(m.carrier)
@@ -263,42 +286,43 @@ def validate_module(m: DGModule) -> ValidationReport:
     asp = alg.space
     right = m.side == "right"
     win = sp.window
-    table_pairs = getattr(m.act_pair, "table", ())
+    act = m.act_pair
     for l, x in itertools.chain(
             degree_compatible((sp, asp), lambda s: s in win),
-            (k if right else k[::-1] for k in table_pairs)):
-        combo = m.act_pair(l, x) if right else m.act_pair(x, l)
-        if not _graded(sp, combo, sp.deg(l) + asp.deg(x)):
+            (k if right else k[::-1] for k in getattr(act, "table", ()))):
+        n = sp.deg(l) + asp.deg(x)
+        if not all(t in sp and sp.deg(t) == n
+                   for t in (call(act, l, x) if right else call(act, x, l))):
             rep.fail(f"product not of degree |x|+|y| at ({l!r}, {x!r})")
             break
     one = {alg.unit: f.one}
     for l in sp:
-        out = m.act({l: f.one}, one) if right else m.act(one, {l: f.one})
-        if out != {l: f.one}:
+        x, y = ({l: f.one}, one) if right else (one, {l: f.one})
+        if prod(act, x, y) != {l: f.one}:
             rep.fail(f"{m.side} unit law fails at {l!r}")
             break
     for l, x in degree_compatible(
             (sp, asp), lambda s: s in win and s + 1 in win):
         if right:
-            lhs = m.carrier.d(m.act_pair(l, x))
+            lhs = m.carrier.d(call(act, l, x))
             sgn = f.from_int(-1 if sp.deg(l) % 2 else 1)
-            rhs = vec_iadd(f, m.act(m.carrier.d(l), {x: f.one}), sgn,
-                           m.act({l: f.one}, alg.carrier.d(x)))
+            rhs = vec_iadd(f, prod(act, m.carrier.d(l), {x: f.one}), sgn,
+                           prod(act, {l: f.one}, alg.carrier.d(x)))
         else:
-            lhs = m.carrier.d(m.act_pair(x, l))
+            lhs = m.carrier.d(call(act, x, l))
             sgn = f.from_int(-1 if asp.deg(x) % 2 else 1)
-            rhs = vec_iadd(f, m.act(alg.carrier.d(x), {l: f.one}), sgn,
-                           m.act({x: f.one}, m.carrier.d(l)))
+            rhs = vec_iadd(f, prod(act, alg.carrier.d(x), {l: f.one}), sgn,
+                           prod(act, {x: f.one}, m.carrier.d(l)))
         if lhs != rhs:
             rep.fail(f"Leibniz fails at ({l!r}, {x!r})")
             break
     for l, x, y in degree_compatible((sp, asp, asp), lambda s: s in win):
         if right:
-            lhs = m.act(m.act_pair(l, x), {y: f.one})
-            rhs = m.act({l: f.one}, alg.mult_pair(x, y))
+            lhs = prod(act, call(act, l, x), {y: f.one})
+            rhs = prod(act, {l: f.one}, call(alg.mult_pair, x, y))
         else:
-            lhs = m.act(alg.mult_pair(x, y), {l: f.one})
-            rhs = m.act({x: f.one}, m.act({y: f.one}, {l: f.one}))
+            lhs = prod(act, call(alg.mult_pair, x, y), {l: f.one})
+            rhs = prod(act, {x: f.one}, prod(act, {y: f.one}, {l: f.one}))
         if lhs != rhs:
             rep.fail(f"associativity fails at ({l!r}, {x!r}, {y!r})")
             break
@@ -349,15 +373,16 @@ def validate_coalgebra(c: DGCoalgebra) -> ValidationReport:
     if c.coaug not in sp or sp.deg(c.coaug) != 0:
         rep.fail("coaugmentation missing or not in degree 0")
         return rep
-    for v in validate_comodule(comodule_over_self(c)).violations:
+    call, prod = _memo(f)
+    for v in validate_comodule(comodule_over_self(c), (call, prod)).violations:
         rep.fail(v)
     if c.carrier.d(c.coaug):
         rep.fail("d(coaugmentation) != 0")
-    if c.comult_label(c.coaug) != [(c.coaug, c.coaug, f.one)]:
+    if call(c.comult_label, c.coaug) != [(c.coaug, c.coaug, f.one)]:
         rep.fail("coaugmentation is not grouplike")
     for l in sp:
         out: dict = {}
-        for l1, l2, v in c.comult_label(l):
+        for l1, l2, v in call(c.comult_label, l):
             vec_iadd(f, out, c.counit.get(l1, f.zero), {l2: v})
         if out != {l: f.one}:
             rep.fail(f"left counit law fails at {l!r}")
@@ -394,13 +419,14 @@ class DGComodule:
         return [(m, c, v) for (m, c), v in acc.items()]
 
 
-def validate_comodule(n: DGComodule) -> ValidationReport:
+def validate_comodule(n: DGComodule, memo=None) -> ValidationReport:
     """Exhaustive window validation: d^2 = 0, the right counit law,
     coassociativity and co-Leibniz below the window top.
     ``validate_coalgebra`` runs it on the coalgebra as a right comodule
-    over itself."""
+    over itself and shares its ``_memo``."""
     rep = ValidationReport(True)
     f = n.field
+    call = (memo or _memo(f))[0]
     sp = n.space
     co = n.over
     dsq = check_d_squared(n.carrier)
@@ -408,7 +434,7 @@ def validate_comodule(n: DGComodule) -> ValidationReport:
         rep.fail(f"d^2 != 0 at degree {dsq.degree}, label {dsq.label!r}")
     for l in sp:
         out: dict = {}
-        for m, c, v in n.coaction_label(l):
+        for m, c, v in call(n.coaction_label, l):
             vec_iadd(f, out, co.counit.get(c, f.zero), {m: v})
         if out != {l: f.one}:
             rep.fail(f"right counit law fails at {l!r}")
@@ -416,10 +442,10 @@ def validate_comodule(n: DGComodule) -> ValidationReport:
     for l in sp:
         lhs: dict = {}
         rhs: dict = {}
-        for m, c, v in n.coaction_label(l):
-            for m2, c2, w in n.coaction_label(m):
+        for m, c, v in call(n.coaction_label, l):
+            for m2, c2, w in call(n.coaction_label, m):
                 vec_iadd(f, lhs, v, {(m2, c2, c): w})
-            for c1, c2, w in co.comult_label(c):
+            for c1, c2, w in call(co.comult_label, c):
                 vec_iadd(f, rhs, v, {(m, c1, c2): w})
         if lhs != rhs:
             rep.fail(f"coassociativity fails at {l!r}")
@@ -430,10 +456,10 @@ def validate_comodule(n: DGComodule) -> ValidationReport:
             continue
         lhs: dict = {}
         for t, v in n.carrier.d(l).items():
-            for m, c, w in n.coaction_label(t):
+            for m, c, w in call(n.coaction_label, t):
                 vec_iadd(f, lhs, v, {(m, c): w})
         rhs: dict = {}
-        for m, c, v in n.coaction_label(l):
+        for m, c, v in call(n.coaction_label, l):
             sgn = f.from_int(-1 if sp.deg(m) % 2 else 1)
             vec_iadd(f, rhs, v,
                      {(t, c): w for t, w in n.carrier.d(m).items()})

@@ -128,7 +128,7 @@ def _radical_series(mod: DGModule, layer: dict, span) -> list:
                 layer[k] = combos
         sizes.append(sum(len(combos) for combos in layer.values()))
         if len(sizes) > cap:
-            raise StructureError("Loewy iteration failed to terminate")
+            raise RuntimeError("Loewy iteration failed to terminate")
     return sizes
 
 

@@ -305,8 +305,8 @@ def cert_from_resolution(r: SemifreeResolution) -> LevelCertificate:
                             "semifree resolution, quasi-isomorphic to "
                             "the module")
     if cert.claimed_level != cls:
-        raise StructureError("internal: certificate level disagrees with "
-                             "resolution class")
+        raise RuntimeError("internal: certificate level disagrees with "
+                           "resolution class")
     return cert
 
 
@@ -428,8 +428,8 @@ def cert_compose(c1: LevelCertificate,
     tree = transform(c1.tree)
     out = LevelCertificate(c2.base, c1.subject, tree, c1.comparison_note)
     if out.claimed_level > c1.claimed_level * c2.claimed_level:
-        raise StructureError("internal: composed level exceeds the "
-                             "product bound")
+        raise RuntimeError("internal: composed level exceeds the "
+                           "product bound")
     return out
 
 

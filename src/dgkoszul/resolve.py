@@ -30,6 +30,8 @@ from dgkoszul.gradedcomplex import (
 from dgkoszul.dgstruct import DGAlgebra, DGModule, merge_terms
 from dgkoszul.barcobar import tensor_label
 
+ROUNDS_PER_DEGREE, SUBSTITUTIONS = 50, 200  # loop caps; hitting one: exit 5
+
 
 @dataclass
 class SemifreeResolution:
@@ -142,7 +144,7 @@ def semifree_resolve(m: DGModule,
     # F and its homology cache are kept until a generator is added
     realized = None
     for n in range(start, depth + direction, direction):
-        for _round in range(50):
+        for _round in range(ROUNDS_PER_DEGREE):
             if realized is None:
                 realized = _realize(m, generators, differential, comparison)
             cx, eps = realized
@@ -170,8 +172,8 @@ def semifree_resolve(m: DGModule,
                         sol = solve(m.carrier.differential.block(n - 1),
                                     m.space.to_coords(target, n))
                         if sol is None:
-                            raise StructureError("internal: kernel class "
-                                                 "image not a boundary")
+                            raise RuntimeError("internal: kernel class "
+                                               "image not a boundary")
                     add(n - 1, [(*label.split("@", 1), c)
                                 for label, c in z.items()],
                         m.space.from_coords(sol, n - 1))
@@ -179,16 +181,16 @@ def semifree_resolve(m: DGModule,
                 break
             realized = None
         else:
-            raise StructureError(f"resolution did not stabilize at degree {n}")
+            raise RuntimeError(f"resolution did not stabilize at degree {n}")
     return SemifreeResolution(a, m, generators, differential, comparison,
                               direction, depth)
 
 
-def _substitute_out(field, a: DGAlgebra, expr, drop, h, h_expr, cap=200):
+def _substitute_out(field, a: DGAlgebra, expr, drop, h, h_expr):
     """Rewrite a differential term list, dropping ``drop`` and replacing
     ``h`` (with algebra coefficient) by h_expr repeatedly."""
     terms = list(expr)
-    for _ in range(cap):
+    for _ in range(SUBSTITUTIONS):
         nxt = []
         again = False
         for g, al, c in terms:
@@ -204,7 +206,7 @@ def _substitute_out(field, a: DGAlgebra, expr, drop, h, h_expr, cap=200):
         terms = merge_terms(field, nxt)
         if not again:
             return terms
-    raise StructureError("cancellation substitution did not terminate")
+    raise RuntimeError("cancellation substitution did not terminate")
 
 
 def minimize(r: SemifreeResolution) -> SemifreeResolution:
@@ -271,12 +273,12 @@ def minimize(r: SemifreeResolution) -> SemifreeResolution:
     cx, eps = out.realize()
     bad = check_d_squared(cx)
     if not bad:
-        raise StructureError(f"internal: d^2 broke during minimization "
-                             f"at {bad.label!r}")
+        raise RuntimeError(f"internal: d^2 broke during minimization "
+                           f"at {bad.label!r}")
     ok, witness = is_chain_map(eps, cx, r.module.carrier)
     if not ok:
-        raise StructureError(f"internal: comparison broke during "
-                             f"minimization at {witness[:2]}")
+        raise RuntimeError(f"internal: comparison broke during "
+                           f"minimization at {witness[:2]}")
     return out
 
 
@@ -331,7 +333,7 @@ def lemma1_report(m: DGModule, depth: int | None = None):
     cls, exhausted = class_of(r)
     dim = len(r.generators)
     if exhausted and dim < cls:
-        raise StructureError(
+        raise RuntimeError(
             f"internal: derived-fiber dimension {dim} below class {cls}")
     return {"fiber_dim": dim, "class": cls, "exhausted": exhausted,
             "ok": dim >= cls}
@@ -353,15 +355,17 @@ def is_free_over_homology(m: DGModule) -> dict:
 
     def product(cx, hx, x, hy, y, mul):
         """Class of rep(x)·rep(y) in H(cx), whose degrees hx holds, as a
-        coefficient dict, or None when out of window.  b₂ asks for each
-        one again for every further class, so it is computed once."""
-        n, key = x[0] + y[0], (id(cx), mul, x, y)
-        if n in hx and key not in memo:
+        coefficient dict, or None when out of window.  Many class pairs
+        give the same product cycle, so each cycle's class is found once."""
+        n = x[0] + y[0]
+        if n in hx:
             prod = mul(hx[x[0]].representatives[x[1]],
                        hy[y[0]].representatives[y[1]])
-            memo[key] = {(n, j): c
-                         for j, c in homology_class(cx, n, prod).items()}
-        return memo.get(key)
+            key = (id(cx), n, frozenset(prod.items()))
+            if key not in memo:
+                memo[key] = {(n, j): c for j, c
+                             in homology_class(cx, n, prod).items()}
+            return memo[key]
 
     def columns(keys, column):
         """The columns of keys, or None at the first one out of window."""

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from dgkoszul import resolve
 from dgkoszul.gradedcomplex import (
     DegreeWindow,
     StructureError,
@@ -160,6 +161,25 @@ def test_trivial_module_not_free(F5, window):
     rep = is_free_over_homology(trivial_module(a))
     assert not rep["free"]
     assert rep["tor1"].get(2) == 1  # relation y·1 = 0 in degree 2
+
+
+def test_freeness_check_finds_each_product_class_once(F5, window,
+                                                     monkeypatch):
+    # K3 over S3 = K[y1,y2,y3]: b2 asks for the class of x·y for every
+    # pair of classes, and 1,596 such requests give only 123 distinct
+    # cycles; each cycle's class is computed once
+    seen = []
+    real = resolve.homology_class
+
+    def counted(cx, n, cycle):
+        seen.append((id(cx), n, frozenset(cycle.items())))
+        return real(cx, n, cycle)
+
+    monkeypatch.setattr(resolve, "homology_class", counted)
+    a = polynomial_algebra(F5, window, [("y1", 2), ("y2", 2), ("y3", 2)])
+    rep = is_free_over_homology(trivial_module(a))
+    assert not rep["free"] and rep["tor1"][2] == 3
+    assert len(seen) == len(set(seen)) == 123
 
 
 def test_resolution_over_exterior(F5, window):

@@ -43,6 +43,8 @@ from dgkoszul.dgstruct import (
     truncated_module,
     truncated_polynomial_algebra,
     validate_algebra,
+    validate_coalgebra,
+    validate_comodule,
     validate_module,
 )
 from dgkoszul.exactlinalg import FieldSpec
@@ -552,6 +554,118 @@ def test_table_gap_inside_window_raises():
     else:
         raise AssertionError("gap inside the window not reported")
     assert t.mult_pair("y^2", "y") == {}   # degree 6 is outside the window
+
+
+# -------------------------------------------------------------------------
+# the validators memoise pair products; they report what bilinear gives
+# -------------------------------------------------------------------------
+
+def break_table(f, table, space, degree, data):
+    """table with one to three entries broken: emptied, deleted (a gap
+    inside the window), or one coefficient of a label of ``space`` in the
+    pair's degree set to 0, to 7 (not canonical over F_2 and F_5, an int
+    over Q) or to 2 (0 over F_2)."""
+    broken = dict(table)
+    keys = data.draw(st.lists(st.sampled_from(sorted(table)), min_size=1,
+                              max_size=3, unique=True))
+    for key in keys:
+        kind = data.draw(st.sampled_from(["empty", "gap", "coefficient"]))
+        labels = space.labels(degree(*key))
+        if kind == "gap":
+            del broken[key]
+        elif kind == "empty" or not labels:
+            broken[key] = {}
+        else:
+            value = data.draw(st.sampled_from([0, 7, f.from_int(2)]))
+            broken[key] = {**table[key],
+                           data.draw(st.sampled_from(labels)): value}
+    return broken
+
+
+def check_against_reference(violations, reference, structure, gaps):
+    """The memoised validator reports the reference's violations, in the
+    same order; a table gap raises, as every pair in the window is
+    evaluated."""
+    if gaps:
+        with pytest.raises(StructureError, match="table gap"):
+            violations(structure)
+    else:
+        assert violations(structure) == reference(structure)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(field_st, st.data())
+def test_memoised_algebra_validation_matches_bilinear(f, data):
+    w = DegreeWindow(-6, 6)
+    om = cobar(graded_dual_algebra(polynomial_algebra(f, w, [("y", 2)])), w)
+    sp = om.space
+    table = ref_cobar(om)
+    units = {k: v for k, v in table.items() if om.unit in k}
+    broken = break_table(f, {k: v for k, v in table.items()
+                             if k not in units},
+                         sp, lambda x, y: sp.deg(x) + sp.deg(y), data)
+    a = DGAlgebra.from_table(om.carrier, om.unit, {**broken, **units},
+                             om.polarity)
+    check_against_reference(lambda a: product_violations(validate_algebra(a)),
+                            ref_validate_algebra_products, a,
+                            len(broken) + len(units) < len(table))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(field_st, st.data())
+def test_memoised_module_validation_matches_bilinear(f, data):
+    w = DegreeWindow(-12, 12)
+    a = polynomial_algebra(f, w, [("y", 2), ("z", 4)])
+    m = truncated_module(a, "y", 2, 4)
+    table = ref_truncated_module(m, 2, 4)
+    units = {k: v for k, v in table.items() if k[1] == a.unit}
+    broken = break_table(f, {k: v for k, v in table.items()
+                             if k not in units}, m.space,
+                         lambda l, x: m.space.deg(l) + a.space.deg(x), data)
+    bm = DGModule.from_table(m.carrier, a, {**broken, **units}, side="right")
+    check_against_reference(lambda m: validate_module(m).violations,
+                            ref_validate_module_products, bm,
+                            len(broken) + len(units) < len(table))
+
+
+def counted(rule, counts):
+    def rule_counted(*labels):
+        counts[labels] = counts.get(labels, 0) + 1
+        return rule(*labels)
+    return rule_counted
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=str)
+def test_validation_evaluates_each_pair_once(f):
+    w = DegreeWindow(-8, 8)
+    a = polynomial_algebra(f, w, [("y1", 2), ("y2", 2), ("y3", 2)])
+    products: dict = {}
+    a.mult_pair = counted(a.mult_pair, products)
+    fields = dict(vars(a))
+    assert validate_algebra(a).ok
+    # every degree-compatible pair, each evaluated once; nothing is stored
+    assert len(products) == sum(1 for x, y in itertools.product(
+        labels_of(a.space), repeat=2) if a.space.deg(x) + a.space.deg(y) <= 8)
+    assert set(products.values()) == {1}
+    assert vars(a) == fields
+
+    m = truncated_module(polynomial_algebra(f, w, [("y", 2)]), "y", 2, 3)
+    actions: dict = {}
+    m.act_pair = counted(m.act_pair, actions)
+    assert validate_module(m).ok and set(actions.values()) == {1}
+
+    t = truncated_polynomial_algebra(f, w, "y", 2, 3)
+    n = bar(t, w, m=free_module(t))
+    coactions: dict = {}
+    n.coaction_label = counted(n.coaction_label, coactions)
+    assert validate_comodule(n).ok and set(coactions.values()) == {1}
+
+    c = bar(t, w)
+    coproducts: dict = {}
+    c.comult_label = counted(c.comult_label, coproducts)
+    assert validate_coalgebra(c).ok and set(coproducts.values()) == {1}
 
 
 # -------------------------------------------------------------------------
