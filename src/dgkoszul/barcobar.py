@@ -107,11 +107,12 @@ def _word_complex(carrier: Complex, shift: int, window: DegreeWindow | None,
     """The complex on words in the letters s^shift x, x a basis label of
     ``carrier`` other than ``skip``, shared by bar (shift -1) and cobar
     (shift +1); the window is trimmed to the degrees whose words use only
-    known letters.  The differential at the i-th letter x of a word is the
-    internal part -s(dx) plus the terms ``(replacement, width, sign,
-    coefficient)`` of ``quadratic(entries, i)``, which replace the
-    ``width`` letters from position i; each term carries the Koszul sign
-    of the letters before it.
+    known letters.  The differential at a letter x followed by y (None at
+    the end of the word) is the internal part -s(dx) plus the terms
+    ``(replacement, width, coefficient)`` of ``quadratic(x, y)``, which
+    replace the ``width`` letters from x; each term carries the Koszul sign
+    of the letters before it.  The terms are made once per letter pair and
+    targets found by entries, so a word costs no label and no rule call.
     """
     sp = carrier.space
     f = sp.field
@@ -140,28 +141,38 @@ def _word_complex(carrier: Complex, shift: int, window: DegreeWindow | None,
             win = DegreeWindow(min(lo, 0), min(w.hi, 0))
             bounds = (NEG_INF, 0)
         words = _enumerate_words(letters, win, pol)
-    bsp = GradedSpace(f, win, {n: [label(e) for e in ws]
-                               for n, ws in words.items()}, bounds=bounds)
-    minus = f.from_int(-1)
+    labels = {n: [label(e) for e in ws] for n, ws in words.items()}
+    bsp = GradedSpace(f, win, labels, bounds=bounds)
+    index = {e: l for n, ws in words.items() for e, l in zip(ws, labels[n])}
+    p = f.p
     odd = {l for l, d in letters if d % 2}
-    internal = {l: [((t,), 1, minus, v)
+    internal = {l: [((t,), 1, f.neg(v))
                     for t, v in carrier.d(l).items() if t != skip]
                 for l, _ in letters}
+    memo: dict = {}
     cols: dict = {}
-    for n, ws in words.items():
-        for source, entries in zip(bsp.labels(n), ws):
-            col: dict = {}
-            psgn = f.one  # Koszul sign of the letters before position i
-            for i, x in enumerate(entries):
-                for terms in (internal[x], quadratic(entries, i)):
-                    for rep, width, sign, v in terms:
-                        tgt = label(entries[:i] + rep + entries[i + width:])
-                        if tgt in bsp:
-                            vec_iadd(f, col, f.mul(sign, psgn), {tgt: v})
-                if x in odd:
-                    psgn = f.mul(minus, psgn)
-            if col:
-                cols[source] = col
+    for entries, source in index.items():
+        col: dict = {}
+        get = col.get
+        neg = False  # Koszul sign of the letters before x
+        for i, (x, y) in enumerate(zip(entries, entries[1:] + (None,))):
+            terms = memo.get((x, y))
+            if terms is None:
+                terms = memo[x, y] = internal[x] + quadratic(x, y)
+            for rep, width, v in terms:
+                tgt = index.get(entries[:i] + rep + entries[i + width:])
+                if tgt is not None:
+                    s = get(tgt, 0) + (-v if neg else v)
+                    if p is not None:
+                        s %= p
+                    if s:
+                        col[tgt] = s
+                    else:
+                        col.pop(tgt, None)
+            if x in odd:
+                neg = not neg
+        if col:
+            cols[source] = col
     return Complex(bsp, GradedMap(bsp, bsp, 1, cols))
 
 
@@ -180,15 +191,13 @@ def bar(a: DGAlgebra, window: DegreeWindow | None = None,
         return twisted_tensor_right(m, tau, window)
     f = a.field
 
-    def merge(entries, i):
-        # (-1)^{deg x} s(x * next)
-        if i + 1 == len(entries):
+    def merge(x, y):
+        # (-1)^{deg x} s(x * y)
+        if y is None:
             return []
-        x = entries[i]
         sign = f.from_int(-1 if a.space.deg(x) % 2 else 1)
-        return [((t,), 2, sign, v)
-                for t, v in a.mult_pair(x, entries[i + 1]).items()
-                if t != a.unit]
+        return [((t,), 2, f.mul(sign, v))
+                for t, v in a.mult_pair(x, y).items() if t != a.unit]
 
     cx = _word_complex(a.carrier, -1, window, a.unit, merge,
                        bar_word_label, "bar construction")
@@ -240,11 +249,12 @@ def cobar(c: DGCoalgebra, window: DegreeWindow | None = None,
     sp = c.space
     f = c.field
     # -(-1)^{deg c'} <c'><c''>, once per letter
-    splits = {l: [((c1, c2), 1, f.from_int(1 if sp.deg(c1) % 2 else -1), v)
+    splits = {l: [((c1, c2), 1,
+                   f.mul(f.from_int(1 if sp.deg(c1) % 2 else -1), v))
                   for c1, c2, v in c.reduced_comult(l)]
               for l in sp if l != c.coaug}
     cx = _word_complex(c.carrier, 1, window, c.coaug,
-                       lambda entries, i: splits[entries[i]],
+                       lambda x, y: splits[x],
                        cobar_word_label, "cobar construction")
     osp = cx.space
 

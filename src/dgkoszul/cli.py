@@ -514,7 +514,7 @@ def _koszul_pair(args):
     f = parse_field(args.field)
     w = parse_window(args.window)
     try:
-        degrees = [int(x) for x in args.degrees.split(",") if x]
+        degrees = [int(x) for x in args.degrees.split(",")]
     except ValueError as e:
         raise CliError(EXIT_PARSE, f"bad degree list {args.degrees!r}: {e}")
     return f, w, koszul.make_koszul_pair(f, w, degrees)

@@ -9,7 +9,7 @@ taken in decreasing order of leading column, which changes the work, never
 the result.
 
 Combinations are sparse dicts key -> nonzero scalar.  ``vec_iadd`` is the
-one accumulator: it adds c·v into a caller-owned dict in place and drops
+shared accumulator: it adds c·v into a caller-owned dict in place and drops
 the keys that cancel.  ``bilinear`` extends a rule on basis pairs (a
 product or an action) to combinations through it.  Never accumulate into
 a dict you did not build: a stored differential column, a rule's return
@@ -128,21 +128,31 @@ class FieldSpec:
 def vec_iadd(field: FieldSpec, acc: dict, c, v: dict) -> dict:
     """acc += c*v in place, dropping the keys that cancel; returns acc.
 
-    This is the one place outside the RREF kernel that adds into a
-    combination.  ``acc`` must be a dict the caller built and owns; a
-    stored column (``Complex.d(label)``), a rule's return value or a cached
-    homology representative may be shared, so copy it with ``dict(...)``
-    before accumulating into it.
+    Besides the RREF kernel and the word-complex builder, only this adds
+    into a combination.  ``acc`` must be a dict the caller built and owns;
+    a stored column (``Complex.d(label)``), a rule's return value or a
+    cached homology representative may be shared, so copy it with
+    ``dict(...)`` before accumulating into it.  Keys of ``acc`` keep their
+    place; new ones follow in the order of ``v``.
     """
-    if field.is_zero(c):
+    if not c:
         return acc
-    add, mul = field.add, field.mul
-    for k, x in v.items():
-        s = add(acc.get(k, 0), mul(c, x))
-        if s:
-            acc[k] = s
-        else:
-            acc.pop(k, None)
+    p = field.p
+    get = acc.get
+    if p is None:
+        for k, x in v.items():
+            s = get(k, 0) + c * x
+            if s:
+                acc[k] = s
+            else:
+                acc.pop(k, None)
+    else:
+        for k, x in v.items():
+            s = (get(k, 0) + c * x) % p
+            if s:
+                acc[k] = s
+            else:
+                acc.pop(k, None)
     return acc
 
 

@@ -404,6 +404,14 @@ def test_exit_validation_ungraded_product(tmp_path, capsys, basis):
         assert err.endswith("at /algebras/A\n")
 
 
+@pytest.mark.parametrize("degrees", [",", "2,,2", "2,", ",2", ""])
+def test_exit_parse_error_empty_degree(capsys, degrees):
+    # an empty entry is a malformed list, not a pair with fewer generators
+    assert main(["duality-check", f"--degrees={degrees}",
+                 "--module", "trivial"]) == 2
+    assert "bad degree list" in capsys.readouterr().err
+
+
 def test_exit_parse_error_bad_module_power(capsys):
     assert main(["duality-check", "--degrees", "2",
                  "--module", "truncated:x"]) == 2

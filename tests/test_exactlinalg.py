@@ -264,6 +264,48 @@ def test_row_order_does_not_change_the_result(case, data):
             == span_echelon(f, vectors, m.cols))
 
 
+@st.composite
+def accumulations(draw):
+    """acc, c and v for acc += c·v over F_2, F_5, F_2147483647 or Q on
+    overlapping keys; c may be 0, and v may cancel any keys of acc, all of
+    them included."""
+    f = draw(st.sampled_from([FieldSpec.prime(2), FieldSpec.prime(5),
+                              FieldSpec.prime(2147483647),
+                              FieldSpec.rationals()]))
+    nonzero = scalars(f).filter(bool)
+    keys = st.sampled_from("abcdefg")
+    acc = draw(st.dictionaries(keys, nonzero, max_size=6))
+    c = draw(scalars(f))
+    v = draw(st.dictionaries(keys, nonzero, max_size=6))
+    if c and acc:
+        for k in draw(st.sets(st.sampled_from(sorted(acc)))):
+            v[k] = f.div(f.neg(acc[k]), c)
+    return f, acc, c, v
+
+
+def reference_iadd(f, acc, c, v):
+    out = {}
+    for k in list(acc) + [k for k in v if k not in acc]:
+        s = f.add(acc.get(k, f.zero), f.mul(c, v.get(k, f.zero)))
+        if not f.is_zero(s):
+            out[k] = s
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(accumulations())
+def test_vec_iadd_matches_reference(case):
+    f, acc, c, v = case
+    expected = reference_iadd(f, acc, c, v)
+    v_before = dict(v)
+    out = vec_iadd(f, acc, c, v)
+    assert out is acc and v == v_before
+    # the same entries in the same order: keys of acc keep their place and
+    # new keys follow in the order of v, and the reports list them so
+    assert list(out.items()) == list(expected.items())
+    assert all(x and f.is_canonical(x) for x in out.values())
+
+
 def test_elimination_fill_stays_low(monkeypatch):
     # rows reduced in decreasing order of leading column: on the bar of
     # K[y]/(y^4), |y| = 2, over F_5 at ±18, homology touches 140,744 row

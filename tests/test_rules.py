@@ -673,10 +673,10 @@ def test_validation_evaluates_each_pair_once(f):
 # -------------------------------------------------------------------------
 
 def test_cobar_label_work_is_linear(monkeypatch):
-    """Building Ω(K[y]^∨) at ±16 makes O(basis) word labels; a
-    multiplication table would make two per pair of words.  Each letter's
-    reduced coproduct is computed once, not at every position of every
-    word."""
+    """Building Ω(K[y]^∨) at ±16 makes one word label per basis word and
+    one for the unit; a multiplication table would make two per pair of
+    words.  Each letter's reduced coproduct is computed once, not at every
+    position of every word."""
     f = FieldSpec.prime(5)
     w = DegreeWindow(-16, 16)
     c = graded_dual_algebra(polynomial_algebra(f, w, [("y", 2)]))
@@ -699,8 +699,35 @@ def test_cobar_label_work_is_linear(monkeypatch):
     om = cobar(c, w)
     dim = om.space.total_dim()
     assert dim == 2584
-    assert calls[0] <= 8 * dim
+    assert calls[0] <= dim + 1
     letters = [l for l in labels_of(c.space) if l != c.coaug]
     assert len(letters) == 8
     assert set(comult_calls) <= set(letters)
     assert all(n == 1 for n in comult_calls.values())
+
+
+def test_bar_rule_work_is_per_letter_pair(monkeypatch):
+    """Building B(K[y]/(y^4)) at ±18 evaluates the product once per ordered
+    pair of its three letters, and makes one word label per basis word and
+    one for the unit: no label for a word outside the window."""
+    f = FieldSpec.prime(5)
+    w = DegreeWindow(-18, 18)
+    a = truncated_polynomial_algebra(f, w, "y", 2, 4)
+    products: dict = {}
+    a.mult_pair = counted(a.mult_pair, products)
+    calls = [0]
+    label = barcobar.bar_word_label
+
+    def counting(entries):
+        calls[0] += 1
+        return label(entries)
+
+    monkeypatch.setattr(barcobar, "bar_word_label", counting)
+    b = bar(a, w)
+    dim = b.space.total_dim()
+    assert dim == 4786
+    assert calls[0] <= dim + 1
+    letters = [l for l in labels_of(a.space) if l != a.unit]
+    assert len(letters) == 3
+    assert set(products) <= set(itertools.product(letters, repeat=2))
+    assert set(products.values()) == {1}
