@@ -81,19 +81,22 @@ def field_name(f: FieldSpec) -> str:
 
 
 def parse_scalar(f: FieldSpec, v, pointer: str):
+    """A JSON integer (never a boolean), or over Q an "a/b" string; an
+    integral rational is returned as an int."""
     if f.kind == "prime":
-        if isinstance(v, int):
+        if type(v) is int:
             return v % f.p
         raise CliError(EXIT_PARSE,
                        f"scalar over F_{f.p} must be an integer, got {v!r}",
                        pointer)
-    if isinstance(v, int):
-        return Fraction(v)
+    if type(v) is int:
+        return v
     if isinstance(v, str):
         try:
-            return Fraction(v)
+            fr = Fraction(v)
         except (ValueError, ZeroDivisionError) as e:
             raise CliError(EXIT_PARSE, f"bad rational {v!r}: {e}", pointer)
+        return fr.numerator if fr.denominator == 1 else fr
     raise CliError(EXIT_PARSE, f"bad rational scalar {v!r}", pointer)
 
 

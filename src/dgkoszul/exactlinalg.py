@@ -1,12 +1,15 @@
 """Exact scalar arithmetic and sparse matrices over F_p and Q.
 
 Every rank/kernel/solve computation in the engine funnels through this
-module.  Arithmetic is exact: canonical residues over a prime field,
-``fractions.Fraction`` over the rationals.  Both fields share one sparse
-Gauss–Jordan elimination (``_rref_rows``) over row dicts keyed by leading
-column, in the spirit of Faugère–Lachartre (PASCO 2010): the rows are
-taken in decreasing order of leading column, which changes the work, never
-the result.
+module.  Arithmetic is exact: canonical residues over a prime field; over
+the rationals an ``int`` or a ``fractions.Fraction``, where an integral
+value may be either.  Equal values are ``==`` and hash alike, so mixed
+arithmetic stays exact and dict keys and comparisons keep their meaning.
+True division of two ints would give a float: only ``FieldSpec.inv``
+divides.  Both fields share one sparse Gauss–Jordan elimination
+(``_rref_rows``) over row dicts keyed by leading column, in the spirit of
+Faugère–Lachartre (PASCO 2010): the rows are taken in decreasing order of
+leading column, which changes the work, never the result.
 
 Combinations are sparse dicts key -> nonzero scalar.  ``vec_iadd`` is the
 shared accumulator: it adds c·v into a caller-owned dict in place and drops
@@ -23,10 +26,6 @@ from fractions import Fraction
 
 # the one elimination path; perfbench records it with every run
 KERNEL = "sparse"
-
-# a Fraction is immutable, so every rational zero and one can be shared
-_Q_ZERO = Fraction(0)
-_Q_ONE = Fraction(1)
 
 
 def _is_prime(p: int) -> bool:
@@ -69,16 +68,11 @@ class FieldSpec:
 
     # -- scalar arithmetic -------------------------------------------------
 
-    @property
-    def zero(self):
-        return 0 if self.kind == "prime" else _Q_ZERO
-
-    @property
-    def one(self):
-        return 1 if self.kind == "prime" else _Q_ONE
+    zero = 0
+    one = 1
 
     def from_int(self, n: int):
-        return n % self.p if self.kind == "prime" else Fraction(n)
+        return n % self.p if self.kind == "prime" else n
 
     def add(self, a, b):
         return (a + b) % self.p if self.kind == "prime" else a + b
@@ -95,7 +89,12 @@ class FieldSpec:
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p) if self.kind == "prime" else 1 / Fraction(a)
+        if self.kind == "prime":
+            return pow(a, -1, self.p)
+        if a == 1 or a == -1:
+            return a
+        r = 1 / Fraction(a)
+        return r.numerator if r.denominator == 1 else r
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -106,7 +105,7 @@ class FieldSpec:
     def is_canonical(self, a) -> bool:
         if self.kind == "prime":
             return isinstance(a, int) and 0 <= a < self.p
-        return isinstance(a, Fraction)
+        return type(a) is int or isinstance(a, Fraction)
 
     def __eq__(self, other):
         return (
@@ -270,7 +269,8 @@ def _rref_rows(m: SparseMatrix) -> tuple[list, list]:
     of leading column (a stable sort): a row with a new leading column
     becomes a pivot unreduced, and only rows sharing one are reduced.  Any
     order gives the same rows, as the RREF depends only on the row space.
-    Over F_p scalars stay plain ints mod a local p; over Q, Fractions.
+    Over F_p scalars stay plain ints mod a local p; over Q they are ints
+    and Fractions, as the module docstring says.
     """
     p = m.field.p
     inv = m.field.inv

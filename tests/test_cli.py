@@ -385,6 +385,57 @@ def test_exit_parse_error_malformed_top_level_field(tmp_path, capsys, key,
     assert err.startswith("error: ") and err.endswith(f"at {pointer}\n")
 
 
+@pytest.mark.parametrize("field", ["F5", "Q"])
+@pytest.mark.parametrize("scalar", [True, False])
+def test_exit_parse_error_boolean_scalar(tmp_path, capsys, field, scalar):
+    # a scalar is a JSON integer or string; true and false are neither
+    bad = json.loads(json.dumps(PRESENTATION))
+    bad["field"] = field
+    bad["algebras"]["A"] = dict(TABLE_ALGEBRA, mult={"1|1": {"1": scalar}})
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(bad))
+    assert main(["validate", "-p", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.endswith("at /algebras/A/mult/1|1\n")
+
+
+def q_table(one, two, minus_one):
+    """K ⊕ K{a, b} ⊕ K{c} over Q in degrees 0, 2, 3 with d a = 2c and
+    d b = -c, and every product of positive degree zero; the scalars 1, 2
+    and -1 are given as ``one``, ``two`` and ``minus_one``."""
+    return {"schema_version": 1, "field": "Q", "window": [-8, 8],
+            "algebras": {"A": {
+                "kind": "table", "unit": "1", "polarity": "non-negative",
+                "basis": {"0": ["1"], "2": ["a", "b"], "3": ["c"]},
+                "differential": {"a": {"c": two}, "b": {"c": minus_one}},
+                "mult": {f"{x}|{y}": {y: one} if x == "1" else
+                         {x: one} if y == "1" else {}
+                         for x in "1abc" for y in "1abc"}}}}
+
+
+def test_integral_q_scalars_in_any_spelling_give_the_same_report(tmp_path):
+    # over Q an integral scalar is read as an int whether it is written as
+    # a JSON integer, as "n" or as "a/b"; the reports cannot tell them apart
+    spellings = [(1, 2, -1), ("1", "2", "-1"), ("3/3", "4/2", "-3/3")]
+    reports = []
+    for k, scalars in enumerate(spellings):
+        p = tmp_path / f"q{k}.json"
+        p.write_text(json.dumps(q_table(*scalars)))
+        out = []
+        for argv in (["validate"], ["bar", "--algebra", "A"],
+                     ["homology", "--object", "A"],
+                     ["homology", "--object", "A", "--degree", "2"]):
+            rep = tmp_path / "out.json"
+            assert main(argv + ["-p", str(p), "--json", str(rep)]) == 0
+            out.append(rep.read_bytes())
+        reports.append(out)
+    assert reports[0] == reports[1] == reports[2]
+    # the cycle a + 2b, reduced at its last position: (1/2)a + b
+    assert json.loads(reports[0][3])["representatives"] == [
+        {"a": "1/2", "b": "1"}]
+
+
 @pytest.mark.parametrize("basis", [
     pytest.param({"0": ["1"], "2": ["y"]}, id="y-y-in-window"),
     pytest.param({"0": ["1"], "10": ["y"]}, id="y-y-outside-window"),

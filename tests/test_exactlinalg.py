@@ -32,7 +32,15 @@ def test_field_arithmetic_f5(F5):
 
 def test_field_arithmetic_q(Q):
     assert Q.inv(Fraction(2, 3)) == Fraction(3, 2)
+    assert Q.inv(2) == Fraction(1, 2)
     assert Q.from_int(7) == Fraction(7)
+    # an integral value comes back as an int, never a float
+    for a, expected in ((1, 1), (-1, -1), (Fraction(1, 2), 2),
+                        (Fraction(-1, 3), -3)):
+        assert type(Q.inv(a)) is int and Q.inv(a) == expected
+    assert Q.zero == 0 and Q.one == 1 and type(Q.from_int(7)) is int
+    assert Q.is_canonical(3) and Q.is_canonical(Fraction(3))
+    assert not Q.is_canonical(True) and not Q.is_canonical(0.5)
 
 
 def test_vec_ops_cancel(F5):
@@ -336,3 +344,74 @@ def test_kernel_selected():
 def test_non_prime_rejected():
     with pytest.raises(ValueError):
         FieldSpec.prime(6)
+
+
+def ordered(obj):
+    """obj with every dict as its list of items, so that key order counts."""
+    if isinstance(obj, dict):
+        return [(k, ordered(v)) for k, v in obj.items()]
+    if isinstance(obj, list):
+        return [ordered(v) for v in obj]
+    return obj
+
+
+def leaves(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [x for v in obj for x in leaves(v)]
+    return [obj]
+
+
+def as_int(x):
+    return x.numerator if x.denominator == 1 else x
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+def test_q_ints_and_equal_fractions_give_equal_results(rows, cols, data):
+    # over Q an integral scalar may be an int or a Fraction: the same
+    # values either way must give the same values, pivots and key order
+    Q = FieldSpec.rationals()
+    cells = data.draw(st.lists(scalars(Q), min_size=rows * cols,
+                               max_size=rows * cols))
+    xs = data.draw(st.lists(scalars(Q), min_size=cols, max_size=cols))
+    c = data.draw(scalars(Q))
+    results = []
+    for conv in (Fraction, as_int):
+        m = SparseMatrix(rows, cols, Q, {(i // cols, i % cols): conv(v)
+                                         for i, v in enumerate(cells) if v})
+        x = {j: conv(v) for j, v in enumerate(xs) if v}
+        vectors = [{j: v for (r, j), v in m.entries.items() if r == i}
+                   for i in range(rows)]
+        r = rref(m)
+        out = [r.rank, r.pivots, r.kernel_basis, r.rref_rows,
+               span_echelon(Q, vectors, cols), solve(m, m.matvec(x)),
+               vec_iadd(Q, dict(x), conv(c), m.matvec(x)),
+               bilinear(Q, lambda a, b: {a * b: conv(c)}, x, x)]
+        assert all(type(v) in (int, Fraction) for v in leaves(out[2:]))
+        results.append(ordered(out))
+    assert results[0] == results[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+def test_large_prime_and_q_agree_on_integral_matrices(rows, cols, data):
+    # entries in [-3, 3], at most 6x6: by Hadamard every minor has
+    # |det| <= (3*sqrt(6))^6 = 157,464 < p, so each nonzero minor stays
+    # nonzero mod p.  Rank and pivots then agree, and the F_p RREF is the
+    # reduction of the Q RREF, whose entries are ratios of minors.
+    Q, Fp = FieldSpec.rationals(), FieldSpec.prime(2147483647)
+    cells = data.draw(st.lists(st.integers(-3, 3), min_size=rows * cols,
+                               max_size=rows * cols))
+    rq, rp = (rref(SparseMatrix(rows, cols, f, {
+        (i // cols, i % cols): f.from_int(v) for i, v in enumerate(cells)
+        if v})) for f in (Q, Fp))
+
+    def mod_p(v):
+        v = Fraction(v)
+        return Fp.div(Fp.from_int(v.numerator), Fp.from_int(v.denominator))
+
+    assert (rq.rank, rq.pivots) == (rp.rank, rp.pivots)
+    assert rp.rref_rows == [{k: mod_p(v) for k, v in row.items()}
+                            for row in rq.rref_rows]

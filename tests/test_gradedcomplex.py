@@ -168,6 +168,56 @@ def test_homology_and_class_match_reference(c, data):
         assert homology_class(c, n, boundary) == {}
 
 
+def two_term(name, rows, cols, entries):
+    """K^cols -> K^rows in degrees 0, 1 from an integral matrix, entries
+    row by row: its labels by degree, d as {label: {label: int}}, and its
+    homology dimensions over Q."""
+    src = [f"{name}0{i}" for i in range(cols)]
+    tgt = [f"{name}1{j}" for j in range(rows)]
+    m = {(k // cols, k % cols): v for k, v in enumerate(entries) if v}
+    d = {s: {t: m[j, i] for j, t in enumerate(tgt) if (j, i) in m}
+         for i, s in enumerate(src)}
+    rank = rref(SparseMatrix(rows, cols, FieldSpec.rationals(), m)).rank
+    return {0: src, 1: tgt}, d, [cols - rank, rows - rank]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_large_prime_and_q_agree_on_integral_complexes(data):
+    # C ⊗ D for integral two-term complexes C, D with entries in [-3, 3],
+    # d(x⊗y) = dx⊗y + (-1)^|x| x⊗dy.  Degrees 0 and 2 have at most four
+    # elements, so every minor of d is at most 4x4 and |det| <= (3*2)^4 =
+    # 1296 < p: homology over F_2147483647 has the dimensions it has over
+    # Q, which Künneth gives from the ranks of C and D.
+    def matrix():
+        rows, cols = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+        return rows, cols, data.draw(st.lists(
+            st.integers(-3, 3), min_size=rows * cols, max_size=rows * cols))
+
+    cb, dc, hc = two_term("c", *matrix())
+    db, dd, hd = two_term("e", *matrix())
+    basis = {n: [f"{x}|{y}" for i in range(2) if 0 <= n - i < 2
+                 for x in cb[i] for y in db[n - i]] for n in range(3)}
+    cols = {}
+    for i, xs in cb.items():
+        for x in xs:
+            for y in db[0] + db[1]:
+                col = cols.setdefault(f"{x}|{y}", {})
+                for t, v in dc.get(x, {}).items():
+                    col[f"{t}|{y}"] = v
+                for t, v in dd.get(y, {}).items():
+                    col[f"{x}|{t}"] = -v if i else v
+    kunneth = [sum(hc[i] * hd[n - i] for i in range(2) if 0 <= n - i < 2)
+               for n in range(3)]
+    for f in (FieldSpec.rationals(), FieldSpec.prime(2147483647)):
+        sp = GradedSpace(f, DegreeWindow(-1, 3), basis)
+        c = Complex(sp, GradedMap(sp, sp, 1, {
+            l: {t: f.from_int(v) for t, v in col.items()}
+            for l, col in cols.items() if col}))
+        assert check_d_squared(c)
+        assert [homology(c, n).dimension for n in range(3)] == kunneth
+
+
 def test_shift_sign_and_degrees(F5):
     c = split_circle(F5)
     s = shift_complex(c, 1)

@@ -1,9 +1,10 @@
 """Import, definitions, parameters and fields lint: every name a
 ``dgkoszul`` module imports is used in it, and none is another
-``dgkoszul`` module's private (underscore-prefixed) name; every top-level
-function and class it defines is named somewhere else in the project,
-every parameter of a top-level function or method is read in its body, and
-every field of a class is read somewhere in the project.
+``dgkoszul`` module's private (underscore-prefixed) name; it divides with
+``/`` only in ``FieldSpec.inv``; every top-level function and class it
+defines is named somewhere else in the project, every parameter of a
+top-level function or method is read in its body, and every field of a
+class is read somewhere in the project.
 
 No linter ships with the project, so these stdlib ``ast`` checks stand in
 for flake8's F401 and a dead-code finder.  An import meant as a re-export
@@ -85,6 +86,39 @@ def test_lint_catches_a_private_import(tmp_path):
                  "    from dgkoszul import _version\n"
                  "    return _rref_rows, rref, _exit, __version__, _h, _version\n")
     assert private_imports(p) == ["mod.py:1: _rref_rows", "mod.py:6: _version"]
+
+
+def true_divisions(path: Path) -> list:
+    """``/`` and ``/=`` outside ``FieldSpec.inv``.  A rational scalar may
+    be a plain int, and int / int is a float, so the one division stays
+    where a Fraction is made first."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    allowed = {id(node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+               and cls.name == "FieldSpec" for fn in cls.body
+               if isinstance(fn, ast.FunctionDef) and fn.name == "inv"
+               for node in ast.walk(fn)}
+    return [f"{path.name}:{line}" for line in sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign))
+        and isinstance(node.op, ast.Div) and id(node) not in allowed)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_true_division(path):
+    assert true_divisions(path) == []
+
+
+def test_lint_catches_a_true_division(tmp_path):
+    p = tmp_path / "mod.py"
+    p.write_text("class FieldSpec:\n"
+                 "    def inv(self, a):\n"
+                 "        return 1 / a\n\n"
+                 "    def div(self, a, b):\n"
+                 "        return a / b\n\n"
+                 "def f(a, b):\n"
+                 "    a /= b\n"
+                 "    return a // b, '1 / 2'\n")
+    assert true_divisions(p) == ["mod.py:6", "mod.py:9"]
 
 
 def referenced_names(roots) -> set:
