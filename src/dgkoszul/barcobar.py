@@ -378,15 +378,17 @@ def twisted_tensor_right(m: DGModule, t: TwistingCochain,
         raise StructureError("twisted_tensor_right needs a right module")
     c = t.source
     f = m.field
+    cuts: dict = {}  # c -> its cuts (τ(c′), c″, v) with τ(c′) ≠ 0
 
     def twist(ml, cl):
         # −(−1)^{|m|} m·τ(c′) ⊗ c″
+        if cl not in cuts:
+            cuts[cl] = [(ta, c2, v) for c1, c2, v in c.comult_label(cl)
+                        if (ta := t.apply_label(c1))]
         sgn = f.from_int(1 if m.space.deg(ml) % 2 else -1)
-        for c1, c2, v in c.comult_label(cl):
-            ta = t.apply_label(c1)
-            if ta:
-                for tl, u in m.act({ml: f.one}, ta).items():
-                    yield tl, c2, f.mul(f.mul(sgn, v), u)
+        for ta, c2, v in cuts[cl]:
+            for tl, u in m.act({ml: f.one}, ta).items():
+                yield tl, c2, f.mul(f.mul(sgn, v), u)
 
     cx, pairs = _tensor_complex(m, c, window, twist)
 

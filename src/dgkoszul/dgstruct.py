@@ -21,6 +21,7 @@ as its own right comodule, so each axiom loop is written once;
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field as dc_field
 
 from dgkoszul.exactlinalg import FieldSpec, bilinear, vec_iadd
@@ -76,31 +77,16 @@ def _sparse_rule(nonzero: dict):
     return rule
 
 
-def degree_compatible(spaces, total_ok):
-    """Label tuples (l_1, ..., l_k), l_i a basis label of ``spaces[i]``,
-    whose degree sum s satisfies ``total_ok(s)``, in lexicographic basis
-    order.  Only degree groups that can still reach an accepted sum are
-    visited."""
-    degs = [sp.degrees() for sp in spaces]
-    reach = [{0}]
-    for ds in degs:
-        reach.append({s + n for s in reach[-1] for n in ds})
-    good = [set() for _ in reach]
-    good[-1] = {s for s in reach[-1] if total_ok(s)}
-    for i in range(len(degs) - 1, 0, -1):
-        good[i] = {s for s in reach[i]
-                   if any(s + n in good[i + 1] for n in degs[i])}
-
-    def rec(i, s, prefix):
-        if i == len(spaces):
-            yield prefix
-            return
-        for n in degs[i]:
-            if s + n in good[i + 1]:
-                for l in spaces[i].labels(n):
-                    yield from rec(i + 1, s + n, prefix + (l,))
-
-    return rec(0, 0, ())
+def degree_compatible(left: GradedSpace, right: GradedSpace, total_ok):
+    """The label pairs (l, r) of two spaces whose degree sum s satisfies
+    ``total_ok(s)``, in lexicographic basis order.  The accepted labels r
+    are collected once per degree of l."""
+    rdegs = right.degrees()
+    for n in left.degrees():
+        rs = [r for k in rdegs if total_ok(n + k) for r in right.labels(k)]
+        for l in left.labels(n):
+            for r in rs:
+                yield l, r
 
 
 POLARITIES = ("non-negative", "non-positive")
@@ -179,14 +165,13 @@ def validate_algebra(a: DGAlgebra) -> ValidationReport:
         bad = 1 if a.polarity == "non-negative" else -1
         if sp.dim(bad):
             rep.fail(f"simply_connected flag but basis in degree {bad}")
-    call, prod = _memo(f)
-    for v in validate_module(free_module(a), (call, prod)).violations:
+    fill, call, prod = _memo(f)
+    for v in validate_module(free_module(a), (fill, call, prod)).violations:
         rep.fail(v)
     if a.carrier.d(a.unit):
         rep.fail("d(unit) != 0")
-    one = {a.unit: f.one}
     for l in sp:
-        if prod(a.mult_pair, one, {l: f.one}) != {l: f.one}:
+        if prod(a.mult_pair, a.unit, l) != {l: f.one}:
             rep.fail(f"left unit law fails at {l!r}")
             break
     # augmentation is a DG algebra map: vanishes on d-images and on
@@ -245,39 +230,60 @@ class DGModule:
 
 
 def _memo(f: FieldSpec):
-    """(call, product) for one validation call.  call(rule, *labels) is
-    rule(*labels), evaluated once per key and shared, so never mutated; a
-    rule that raises is not memoised.  product(rule, x, y) is exactly
-    bilinear(f, rule, x, y), a fresh dict; for two labels with coefficient
-    ``f.one`` itself it is read off the memoised value without bilinear."""
+    """(fill, call, product) over one dict for one validation call.
+    fill(rule, *labels) memoises rule(*labels) and returns the rule's own
+    value; call is the memoised value (filled on first use), shared, never
+    mutated: a product in the canonical form ``bilinear`` gives it, the
+    rule's own dict when already canonical.  A rule that raises is not
+    memoised.  product(rule, x, y) is bilinear over the memo for labels or
+    combinations x, y: the memoised value for two labels (or single terms
+    with coefficient ``f.one``), a fresh dict otherwise."""
     memo: dict = {}
     one = f.one
 
+    def fill(rule, *labels):
+        v = memo[(rule,) + labels] = rule(*labels)
+        for c in v.values() if type(v) is dict else ():
+            if c is not one and not (c and f.is_canonical(c)):
+                memo[(rule,) + labels] = {t: s for t, c in v.items()
+                                          if (s := f.mul(one, c))}
+                break
+        return v
+
     def call(rule, *labels):
-        key = (rule, *labels)
-        if key not in memo:
-            memo[key] = rule(*labels)
-        return memo[key]
+        v = memo.get((rule,) + labels)
+        if v is None:
+            fill(rule, *labels)
+            v = memo[(rule,) + labels]
+        return v
 
     def product(rule, x, y):
-        if len(x) == 1 == len(y):
-            (a, ca), = x.items()
-            (b, cb), = y.items()
-            if ca is one and cb is one:
-                return {t: s for t, c in call(rule, a, b).items()
-                        if (s := c if c is one else f.mul(one, c))}
-        return bilinear(f, lambda a, b: call(rule, a, b), x, y)
-    return call, product
+        if type(x) is dict and len(x) == 1:
+            (t, c), = x.items()
+            x = t if c is one else x
+        if type(y) is dict and len(y) == 1:
+            (t, c), = y.items()
+            y = t if c is one else y
+        if type(x) is str and type(y) is str:
+            v = memo.get((rule, x, y))
+            return call(rule, x, y) if v is None else v
+        if x == {} or y == {}:
+            return {}
+        return bilinear(f, lambda a, b: call(rule, a, b),
+                        {x: one} if type(x) is str else x,
+                        {y: one} if type(y) is str else y)
+    return fill, call, product
 
 
 def validate_module(m: DGModule, memo=None) -> ValidationReport:
     """Exhaustive window validation: d^2 = 0, the grading of the action
     (and of every explicit table entry), the unit law on the module's
     side, Leibniz and associativity.  ``validate_algebra`` runs it on the
-    algebra as a right module over itself and shares its ``_memo``."""
+    algebra as a right module over itself and shares its ``_memo``.  The
+    grading check evaluates each pair; every later product is a lookup."""
     rep = ValidationReport(True)
     f = m.field
-    call, prod = memo or _memo(f)
+    fill, call, prod = memo or _memo(f)
     alg = m.over
     sp = m.space
     dsq = check_d_squared(m.carrier)
@@ -287,45 +293,53 @@ def validate_module(m: DGModule, memo=None) -> ValidationReport:
     right = m.side == "right"
     win = sp.window
     act = m.act_pair
-    for l, x in itertools.chain(
-            degree_compatible((sp, asp), lambda s: s in win),
-            (k if right else k[::-1] for k in getattr(act, "table", ()))):
+    table = getattr(act, "table", {})
+    keys = ((l, x) if right else (x, l)
+            for l, x in degree_compatible(sp, asp, win.__contains__))
+    for k, v in itertools.chain(((k, fill(act, *k)) for k in keys),
+                                table.items()):
+        l, x = k if right else k[::-1]
         n = sp.deg(l) + asp.deg(x)
-        if not all(t in sp and sp.deg(t) == n
-                   for t in (call(act, l, x) if right else call(act, x, l))):
+        if not all(t in sp and sp.deg(t) == n for t in v):
             rep.fail(f"product not of degree |x|+|y| at ({l!r}, {x!r})")
             break
-    one = {alg.unit: f.one}
     for l in sp:
-        x, y = ({l: f.one}, one) if right else (one, {l: f.one})
-        if prod(act, x, y) != {l: f.one}:
+        if prod(act, *((l, alg.unit) if right else (alg.unit, l))) \
+                != {l: f.one}:
             rep.fail(f"{m.side} unit law fails at {l!r}")
             break
     for l, x in degree_compatible(
-            (sp, asp), lambda s: s in win and s + 1 in win):
+            sp, asp, lambda s: s in win and s + 1 in win):
         if right:
             lhs = m.carrier.d(call(act, l, x))
             sgn = f.from_int(-1 if sp.deg(l) % 2 else 1)
-            rhs = vec_iadd(f, prod(act, m.carrier.d(l), {x: f.one}), sgn,
-                           prod(act, {l: f.one}, alg.carrier.d(x)))
+            rhs = vec_iadd(f, dict(prod(act, m.carrier.d(l), x)), sgn,
+                           prod(act, l, alg.carrier.d(x)))
         else:
             lhs = m.carrier.d(call(act, x, l))
             sgn = f.from_int(-1 if asp.deg(x) % 2 else 1)
-            rhs = vec_iadd(f, prod(act, alg.carrier.d(x), {l: f.one}), sgn,
-                           prod(act, {x: f.one}, m.carrier.d(l)))
+            rhs = vec_iadd(f, dict(prod(act, alg.carrier.d(x), l)), sgn,
+                           prod(act, x, m.carrier.d(l)))
         if lhs != rhs:
             rep.fail(f"Leibniz fails at ({l!r}, {x!r})")
             break
-    for l, x, y in degree_compatible((sp, asp, asp), lambda s: s in win):
-        if right:
-            lhs = prod(act, call(act, l, x), {y: f.one})
-            rhs = prod(act, {l: f.one}, call(alg.mult_pair, x, y))
-        else:
-            lhs = prod(act, call(alg.mult_pair, x, y), {l: f.one})
-            rhs = prod(act, {x: f.one}, prod(act, {y: f.one}, {l: f.one}))
-        if lhs != rhs:
-            rep.fail(f"associativity fails at ({l!r}, {x!r}, {y!r})")
-            break
+    # l·x once per pair (l, x), then for each y in basis order (l·x)·y
+    # against l·(x·y), or (x·y)·l against x·(y·l) for a left module
+    adegs = asp.degrees()
+    ys_at = {s: [y for k in adegs if s + k in win for y in asp.labels(k)]
+             for s in {n + k for n in sp.degrees() for k in adegs}}
+    for l, x in degree_compatible(sp, asp, ys_at.get):
+        lx = call(act, l, x) if right else None
+        for y in ys_at[sp.deg(l) + asp.deg(x)]:
+            if right:
+                lhs = prod(act, lx, y)
+                rhs = prod(act, l, call(alg.mult_pair, x, y))
+            else:
+                lhs = prod(act, call(alg.mult_pair, x, y), l)
+                rhs = prod(act, x, call(act, y, l))
+            if lhs != rhs:
+                rep.fail(f"associativity fails at ({l!r}, {x!r}, {y!r})")
+                return rep
     return rep
 
 
@@ -373,8 +387,9 @@ def validate_coalgebra(c: DGCoalgebra) -> ValidationReport:
     if c.coaug not in sp or sp.deg(c.coaug) != 0:
         rep.fail("coaugmentation missing or not in degree 0")
         return rep
-    call, prod = _memo(f)
-    for v in validate_comodule(comodule_over_self(c), (call, prod)).violations:
+    fill, call, prod = _memo(f)
+    for v in validate_comodule(comodule_over_self(c),
+                               (fill, call, prod)).violations:
         rep.fail(v)
     if c.carrier.d(c.coaug):
         rep.fail("d(coaugmentation) != 0")
@@ -426,7 +441,7 @@ def validate_comodule(n: DGComodule, memo=None) -> ValidationReport:
     over itself and shares its ``_memo``."""
     rep = ValidationReport(True)
     f = n.field
-    call = (memo or _memo(f))[0]
+    call = (memo or _memo(f))[1]
     sp = n.space
     co = n.over
     dsq = check_d_squared(n.carrier)
@@ -561,8 +576,7 @@ def transpose_rule(rule, left: GradedSpace, right: GradedSpace):
     rule(x, y) = v·t + …; a label absent from it gives []."""
     f = left.field
     out: dict = {}
-    for x, y in degree_compatible((left, right),
-                                  lambda s: s in left.window):
+    for x, y in degree_compatible(left, right, left.window.__contains__):
         sgn = f.from_int(koszul_sign(left.deg(x), right.deg(y)))
         for t, v in rule(x, y).items():
             out.setdefault(dual_label(t), []).append(
@@ -628,8 +642,8 @@ def tD(n: DGComodule) -> DGModule:
     dsp = dcx.space
     action: dict = {}
     sp = n.space
-    for a, l in degree_compatible((dual_alg.space, sp),
-                                  lambda s: s in sp.window):
+    for a, l in degree_compatible(dual_alg.space, sp,
+                                  sp.window.__contains__):
         k = dual_alg.space.deg(a)
         # (m'^*)·a has coefficient (a·m)_{m'} on m^*
         for mp, v in fm.act_pair(a, l).items():
@@ -724,10 +738,9 @@ def polynomial_algebra(field: FieldSpec, window: DegreeWindow,
     exps_of = {l: e for e, l in label_of.items()}
 
     def mult_pair(a: str, b: str) -> dict:
-        if sp.deg(a) + sp.deg(b) > maxdeg:
-            return {}
-        s = tuple(x + y for x, y in zip(exps_of[a], exps_of[b]))
-        return {label_of[s]: field.one}
+        # only the monomials of degree <= maxdeg have a label
+        t = label_of.get(tuple(map(operator.add, exps_of[a], exps_of[b])))
+        return {t: field.one} if t else {}
 
     nm = "K[" + ",".join(names) + "]"
     return DGAlgebra(cx, "1", mult_pair, "non-negative", simply_connected=True,

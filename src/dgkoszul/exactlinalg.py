@@ -104,7 +104,7 @@ class FieldSpec:
 
     def is_canonical(self, a) -> bool:
         if self.kind == "prime":
-            return isinstance(a, int) and 0 <= a < self.p
+            return type(a) is int and 0 <= a < self.p
         return type(a) is int or isinstance(a, Fraction)
 
     def __eq__(self, other):

@@ -396,18 +396,20 @@ def is_free_over_homology(m: DGModule) -> dict:
     mcls = [(n, i) for n, h in hm.items() for i in range(h.dimension)]
     tor1 = {}
     flagged = []
-    # organize by total degree
-    b1_dom = [(mm, x) for mm in mcls for x in abar]
-    b2_dom = [(mm, x, y) for mm in mcls for x in abar for y in abar]
-    for t in sorted({mm[0] + x[0] for mm, x in b1_dom}):
-        d1 = [(mm, x) for mm, x in b1_dom if mm[0] + x[0] == t]
+    # the domains of b1 and b2 at total degree t, in product order, from
+    # the classes of Ā grouped by degree once
+    abar_at: dict = {}
+    for x in abar:
+        abar_at.setdefault(x[0], []).append(x)
+    for t in sorted({mm[0] + n for mm in mcls for n in abar_at}):
+        d1 = [(mm, x) for mm in mcls for x in abar_at.get(t - mm[0], ())]
         idx1 = {k: i for i, k in enumerate(d1)}
         cols1 = columns(d1, b1)
         if cols1 is None:
             flagged.append(t)
             continue
-        cols2 = columns([(mm, x, y) for mm, x, y in b2_dom
-                         if mm[0] + x[0] + y[0] == t], b2)
+        cols2 = columns([(mm, x, y) for mm in mcls for x in abar
+                         for y in abar_at.get(t - mm[0] - x[0], ())], b2)
         if cols2 is None:
             flagged.append(t)
             continue

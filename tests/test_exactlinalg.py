@@ -28,6 +28,12 @@ def test_field_arithmetic_f5(F5):
     assert F5.inv(2) == 3
     assert F5.neg(1) == 4
     assert F5.from_int(-1) == 4
+    # a bool is no residue, as it is no rational: both fields refuse it
+    assert F5.is_canonical(1) and F5.is_canonical(0)
+    assert not F5.is_canonical(True) and not F5.is_canonical(False)
+    assert not F5.is_canonical(5) and not F5.is_canonical(Fraction(1))
+    with pytest.raises(ValueError, match="non-canonical"):
+        SparseMatrix(1, 1, F5, {(0, 0): True})
 
 
 def test_field_arithmetic_q(Q):

@@ -12,9 +12,11 @@ import itertools
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dgkoszul import barcobar
+from dgkoszul import barcobar, dgstruct
 from dgkoszul.barcobar import (
     bar,
+    bar_word_entries,
+    canonical_tau,
     canonical_tau0,
     cobar,
     cobar_word_entries,
@@ -474,6 +476,9 @@ def ref_validate_algebra_products(a):
 
 
 def ref_validate_module_products(m):
+    """Associativity over every triple (l, x, y), filtered by degree
+    afterwards: (l·x)·y against l·(x·y), or (x·y)·l against x·(y·l) for a
+    left module."""
     violations = []
     f, alg, sp = m.field, m.over, m.space
     mlabels, alabels = labels_of(sp), labels_of(alg.space)
@@ -483,8 +488,12 @@ def ref_validate_module_products(m):
         for x, y in itertools.product(alabels, repeat=2):
             if sp.deg(l) + alg.space.deg(x) + alg.space.deg(y) not in win:
                 continue
-            lhs = m.act(m.act_pair(l, x), {y: f.one})
-            rhs = m.act({l: f.one}, alg.mult_pair(x, y))
+            if m.side == "right":
+                lhs = m.act(m.act_pair(l, x), {y: f.one})
+                rhs = m.act({l: f.one}, alg.mult_pair(x, y))
+            else:
+                lhs = m.act(alg.mult_pair(x, y), {l: f.one})
+                rhs = m.act({x: f.one}, m.act_pair(y, l))
             if lhs != rhs:
                 violations.append(
                     f"associativity fails at ({l!r}, {x!r}, {y!r})")
@@ -630,6 +639,26 @@ def test_memoised_module_validation_matches_bilinear(f, data):
                             len(broken) + len(units) < len(table))
 
 
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(field_st, st.data())
+def test_memoised_left_module_validation_matches_bilinear(f, data):
+    """The truncated module over the commutative K[y, z] read as a left
+    module (all degrees even, so a·m = m·a), with a broken table."""
+    w = DegreeWindow(-12, 12)
+    a = polynomial_algebra(f, w, [("y", 2), ("z", 4)])
+    m = truncated_module(a, "y", 2, 4)
+    table = {(x, l): v for (l, x), v in ref_truncated_module(m, 2, 4).items()}
+    units = {k: v for k, v in table.items() if k[0] == a.unit}
+    broken = break_table(f, {k: v for k, v in table.items()
+                             if k not in units}, m.space,
+                         lambda x, l: a.space.deg(x) + m.space.deg(l), data)
+    bm = DGModule.from_table(m.carrier, a, {**broken, **units}, side="left")
+    check_against_reference(lambda m: validate_module(m).violations,
+                            ref_validate_module_products, bm,
+                            len(broken) + len(units) < len(table))
+
+
 def counted(rule, counts):
     def rule_counted(*labels):
         counts[labels] = counts.get(labels, 0) + 1
@@ -638,13 +667,21 @@ def counted(rule, counts):
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=str)
-def test_validation_evaluates_each_pair_once(f):
+def test_validation_evaluates_each_pair_once(f, monkeypatch):
     w = DegreeWindow(-8, 8)
     a = polynomial_algebra(f, w, [("y1", 2), ("y2", 2), ("y3", 2)])
     products: dict = {}
     a.mult_pair = counted(a.mult_pair, products)
     fields = dict(vars(a))
+    # every pair value of a monomial preset is one term with coefficient
+    # f.one, so every product is a memo lookup and none goes through
+    # bilinear
+    extensions: dict = {}
+    monkeypatch.setattr(dgstruct, "bilinear",
+                        counted(dgstruct.bilinear, extensions))
     assert validate_algebra(a).ok
+    assert not extensions
+    monkeypatch.undo()
     # every degree-compatible pair, each evaluated once; nothing is stored
     assert len(products) == sum(1 for x, y in itertools.product(
         labels_of(a.space), repeat=2) if a.space.deg(x) + a.space.deg(y) <= 8)
@@ -731,3 +768,31 @@ def test_bar_rule_work_is_per_letter_pair(monkeypatch):
     assert len(letters) == 3
     assert set(products) <= set(itertools.product(letters, repeat=2))
     assert set(products.values()) == {1}
+
+
+def test_twisted_bar_looks_up_each_coproduct_once(monkeypatch):
+    """Building B(A;A) = A ⊗_τ B(A) of K[y]/(y^4) at ±18 looks up the
+    coproduct of each word of B(A) once, not once per basis element of
+    the tensor product (7,833 of them), so its word labels are at most
+    one deconcatenation of B(A)."""
+    f = FieldSpec.prime(5)
+    w = DegreeWindow(-18, 18)
+    a = truncated_polynomial_algebra(f, w, "y", 2, 4)
+    b = bar(a, w)
+    coproducts: dict = {}
+    b.comult_label = counted(b.comult_label, coproducts)
+    calls = [0]
+    label = barcobar.bar_word_label
+
+    def counting(entries):
+        calls[0] += 1
+        return label(entries)
+
+    monkeypatch.setattr(barcobar, "bar_word_label", counting)
+    n = twisted_tensor_right(free_module(a), canonical_tau(a, barc=b), w)
+    assert n.space.total_dim() == 7833
+    assert len(coproducts) <= b.space.total_dim() == 4786
+    assert set(coproducts.values()) == {1}
+    # one cut of a word of length k joins two labels, at k + 1 places
+    cuts = sum(2 * (len(bar_word_entries(l)) + 1) for l, in coproducts)
+    assert calls[0] <= cuts
