@@ -565,6 +565,19 @@ def test_table_gap_inside_window_raises():
     assert t.mult_pair("y^2", "y") == {}   # degree 6 is outside the window
 
 
+def test_zero_coefficient_off_the_space_is_a_grading_violation():
+    """The grading check reads the rule's own value, so a zero coefficient
+    at a label outside the space fails it; the later checks read the
+    canonical value, which has no such label, and do not raise."""
+    f = FieldSpec.prime(5)
+    a = polynomial_algebra(f, DegreeWindow(-6, 6), [("y", 2)])
+    table = ref_polynomial(a, [("y", 2)])
+    table[("y", "y")] = {"y^2": f.one, "zz": 0}
+    t = DGAlgebra.from_table(a.carrier, "1", table, "non-negative")
+    assert validate_algebra(t).violations == [
+        "product not of degree |x|+|y| at ('y', 'y')"]
+
+
 # -------------------------------------------------------------------------
 # the validators memoise pair products; they report what bilinear gives
 # -------------------------------------------------------------------------
