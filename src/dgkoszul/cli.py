@@ -340,7 +340,7 @@ def parse_presentation(path: str) -> Store:
                                _typed(nm, "string", f"{ptr}/of/{i}"))
                      for i, nm in enumerate(
                          _require(spec, "of", ptr, "array"))]
-            m, _, _ = dgstruct.module_direct_sum(parts)
+            m = dgstruct.module_direct_sum(parts)
         else:
             raise CliError(EXIT_PARSE, f"unknown module kind {kind!r}", ptr)
         store.add("modules", name, m, validate_module(m), ptr)

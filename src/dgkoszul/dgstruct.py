@@ -920,9 +920,8 @@ def module_shift(m: DGModule, k: int) -> DGModule:
 
 
 def module_direct_sum(ms: list, tags: list | None = None):
-    """Direct sum of right modules over a common algebra; returns
-    (module, inclusions, projections).  Each summand acts by its own
-    rule on its tagged labels."""
+    """Direct sum of right modules over a common algebra.  Each summand
+    acts by its own rule on its tagged labels."""
     from dgkoszul.gradedcomplex import direct_sum as _ds
     if not ms:
         raise StructureError("empty direct sum")
@@ -933,7 +932,7 @@ def module_direct_sum(ms: list, tags: list | None = None):
         if m.side != "right":
             raise StructureError("direct sum of right modules only")
     tags = tags or [str(i) for i in range(len(ms))]
-    total, incs, projs = _ds([m.carrier for m in ms], tags)
+    total = _ds([m.carrier for m in ms], tags)
     summand = {f"{tag}:{l}": (tag, m, l)
                for tag, m in zip(tags, ms) for l in m.space}
     tsp = total.space
@@ -943,9 +942,8 @@ def module_direct_sum(ms: list, tags: list | None = None):
         return {f"{tag}:{t}": v for t, v in m.act_pair(l, x).items()
                 if f"{tag}:{t}" in tsp}
 
-    dm = DGModule(total, alg, act_pair, side="right",
-                  name="⊕(" + ",".join(m.name or "?" for m in ms) + ")")
-    return dm, incs, projs
+    return DGModule(total, alg, act_pair, side="right",
+                    name="⊕(" + ",".join(m.name or "?" for m in ms) + ")")
 
 
 def comodule_over_self(c: DGCoalgebra) -> DGComodule:

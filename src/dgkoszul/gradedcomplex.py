@@ -394,11 +394,9 @@ def relabel(prefix: str, combo: dict) -> dict:
     return {prefix + l: v for l, v in combo.items()}
 
 
-def direct_sum(complexes: list, tags: list | None = None) -> tuple:
-    """Direct sum with label disambiguation.
-
-    Returns (sum complex, inclusion maps, projection maps).
-    """
+def direct_sum(complexes: list, tags: list | None = None) -> Complex:
+    """Direct sum with label disambiguation: label l of summand i becomes
+    "{tags[i]}:l"."""
     if not complexes:
         raise ValueError("empty direct sum needs an ambient field/window")
     f = complexes[0].field
@@ -420,21 +418,7 @@ def direct_sum(complexes: list, tags: list | None = None) -> tuple:
             n = c.space.deg(l)
             if lo <= n <= hi - 1:
                 cols[f"{tag}:{l}"] = relabel(f"{tag}:", combo)
-    total = Complex(space, GradedMap(space, space, 1, cols))
-    incs, projs = [], []
-    for tag, c in zip(tags, complexes):
-        inc_cols = {l: {f"{tag}:{l}": f.one}
-                    for n in c.space.degrees() if lo <= n <= hi
-                    for l in c.space.labels(n)}
-        incs.append(GradedMap(c.space, space, 0, inc_cols))
-        proj_cols = {}
-        for n, labels in space.basis.items():
-            for l in labels:
-                t, _, rest = l.partition(":")
-                if t == tag:
-                    proj_cols[l] = {rest: f.one}
-        projs.append(GradedMap(space, c.space, 0, proj_cols))
-    return total, incs, projs
+    return Complex(space, GradedMap(space, space, 1, cols))
 
 
 def is_chain_map(fmap: GradedMap, source: Complex, target: Complex):
@@ -459,42 +443,55 @@ def is_chain_map(fmap: GradedMap, source: Complex, target: Complex):
     return True, None
 
 
-def cone(fmap: GradedMap, source: Complex, target: Complex) -> Complex:
-    """Mapping cone of a chain map.
-
-    Cone basis at degree n: shifted-source part (degree n+1 of the source)
-    prefixed "c1:", target part prefixed "c2:".  d(c1:x) = -c1:dx + c2:f(x),
-    d(c2:y) = c2:dy.
-    """
-    ok, witness = is_chain_map(fmap, source, target)
-    if not ok:
-        raise StructureError(f"cone of a non-chain-map; first failure {witness[:2]}")
-    f = target.field
+def cone_space(source: Complex, target: Complex) -> GradedSpace:
+    """Basis of the mapping cone of a map source → target: degree n holds
+    c1:source^{n+1} and c2:target^n."""
     lo = max(source.window.lo - 1, target.window.lo)
     hi = min(source.window.hi - 1, target.window.hi)
-    basis: dict = {}
-    for n in range(lo, hi + 1):
-        labels = [f"c1:{l}" for l in source.labels(n + 1)]
-        labels += [f"c2:{l}" for l in target.labels(n)]
-        if labels:
-            basis[n] = labels
-    space = GradedSpace(
-        f, DegreeWindow(lo, hi), basis,
+    return GradedSpace(
+        target.field, DegreeWindow(lo, hi),
+        {n: [f"c1:{l}" for l in source.labels(n + 1)]
+         + [f"c2:{l}" for l in target.labels(n)] for n in range(lo, hi + 1)},
         bounds=(min(source.space.bounds[0] - 1, target.space.bounds[0]),
                 max(source.space.bounds[1] - 1, target.space.bounds[1])))
-    cols = {}
-    minus = f.from_int(-1)
-    for n in range(lo, hi):
-        for l in source.labels(n + 1):
-            img = relabel("c1:", vec_scale(f, minus, source.d(l)))
-            vec_iadd(f, img, f.one, relabel("c2:", fmap.apply_label(l)))
-            if img:
-                cols[f"c1:{l}"] = img
-        for l in target.labels(n):
-            img = relabel("c2:", target.d(l))
-            if img:
-                cols[f"c2:{l}"] = img
-    return Complex(space, GradedMap(space, space, 1, cols))
+
+
+class ConeView:
+    """Mapping cone of a chain map f : source → target, d evaluated on
+    demand: d(c1:x) = -c1:dx + c2:f(x), d(c2:y) = c2:dy, and 0 at the top
+    of the window.  Refuses (StructureError) an f that is not a chain map."""
+
+    def __init__(self, fmap: GradedMap, source: Complex, target: Complex):
+        ok, witness = is_chain_map(fmap, source, target)
+        if not ok:
+            raise StructureError(
+                f"cone of a non-chain-map; first failure {witness[:2]}")
+        self.space = cone_space(source, target)
+        self.field = target.field
+        self._parts = (fmap, source, target)
+
+    def d(self, combo_or_label) -> dict:
+        f = self.field
+        if isinstance(combo_or_label, str):
+            combo_or_label = {combo_or_label: f.one}
+        fmap, source, target = self._parts
+        out: dict = {}
+        for l, c in combo_or_label.items():
+            if self.space.deg(l) == self.space.window.hi:
+                continue
+            if l.startswith("c1:"):
+                vec_iadd(f, out, f.neg(c), relabel("c1:", source.d(l[3:])))
+                vec_iadd(f, out, c, relabel("c2:", fmap.apply_label(l[3:])))
+            else:
+                vec_iadd(f, out, c, relabel("c2:", target.d(l[3:])))
+        return out
+
+
+def cone(fmap: GradedMap, source: Complex, target: Complex) -> Complex:
+    """Mapping cone of a chain map: ``ConeView`` with d stored."""
+    view = ConeView(fmap, source, target)
+    cols = {l: img for l in view.space if (img := view.d(l))}
+    return Complex(view.space, GradedMap(view.space, view.space, 1, cols))
 
 
 def induced_map_on_homology(fmap: GradedMap, source: Complex, target: Complex,
@@ -537,20 +534,37 @@ def is_quasi_iso(fmap: GradedMap, source: Complex, target: Complex,
 
 
 def check_mutually_inverse(fwd: GradedMap, bwd: GradedMap, a: Complex, b: Complex):
-    """fwd: a->b and bwd: b->a must be chain maps composing to identities."""
-    for name, fmap, src, tgt in (("fwd", fwd, a, b), ("bwd", bwd, b, a)):
-        ok, witness = is_chain_map(fmap, src, tgt)
-        if not ok:
-            raise StructureError(f"{name} is not a chain map at {witness[:2]}")
-    f = a.field
-    for l in a.space:
-        back = bwd.apply(fwd.apply_label(l))
-        if back != {l: f.one}:
-            raise StructureError(f"bwd∘fwd ≠ id at {l!r}")
+    """fwd: a->b and bwd: b->a must be chain maps composing to identities.
+
+    Checked: fwd is a chain map, bwd maps b into a, bwd∘fwd = id (a
+    one-term column as a signed bijection), and dim a = dim b degree by
+    degree, so the injective fwd is bijective and fwd∘bwd = id.  Then
+    d·bwd = bwd·fwd·d·bwd = ±bwd·d·fwd·bwd = ±bwd·d: bwd is a chain map.
+    The image check is that argument's premise bwd : b → a, reported at
+    the offending label; bwd∘fwd would name only the preimage's.
+    """
+    ok, witness = is_chain_map(fwd, a, b)
+    if not ok:
+        raise StructureError(f"fwd is not a chain map at {witness[:2]}")
+    asp = a.space
     for l in b.space:
-        back = fwd.apply(bwd.apply_label(l))
-        if back != {l: f.one}:
-            raise StructureError(f"fwd∘bwd ≠ id at {l!r}")
+        if any(t not in asp or asp.deg(t) != b.space.deg(l) + bwd.shift
+               for t in bwd.apply_label(l)):
+            raise StructureError(f"bwd sends {l!r} outside a")
+    f = a.field
+    for l in asp:
+        img = fwd.apply_label(l)
+        if len(img) == 1:
+            ((t, c),) = img.items()
+            back = bwd.apply_label(t)
+            ok = len(back) == 1 and f.mul(c, back.get(l, f.zero)) == f.one
+        else:
+            ok = bwd.apply(img) == {l: f.one}
+        if not ok:
+            raise StructureError(f"bwd∘fwd ≠ id at {l!r}")
+    dims = {n + fwd.shift: len(ls) for n, ls in asp.basis.items()}
+    if dims != {n: len(ls) for n, ls in b.space.basis.items()}:
+        raise StructureError("fwd∘bwd ≠ id: a and b differ in dimension")
 
 
 def solve_diagonal_chain_iso(source: Complex, target: Complex,
@@ -561,8 +575,8 @@ def solve_diagonal_chain_iso(source: Complex, target: Complex,
     the bijection misses a source label, sends one outside the target or
     its degree, is not injective, or when the constraints are inconsistent
     or leave a required coefficient zero.  Used to exhibit signed
-    identifications (dual-bar vs cobar words, filtration stages vs cones)
-    without hand-transcribing sign tables.
+    identifications (dual-bar vs cobar words, transported or summed
+    certificate trees) without hand-transcribing sign tables.
     """
     f = target.field
     tsp = target.space
@@ -574,11 +588,15 @@ def solve_diagonal_chain_iso(source: Complex, target: Complex,
     rev = {v: k for k, v in bijection.items()}
     if len(rev) != len(bijection):
         return None
-    # undirected constraint graph: c_a * (d T a)_{T b} = (d a)_b * c_b
+    # undirected constraint graph: c_a * (d T a)_{T b} = (d a)_b * c_b.
+    # Propagation makes the coefficients agree on T(supp d a), and T is
+    # injective: the map is a chain map iff d T a has as many terms as d a.
     adj: dict = {l: [] for l in order}
     for a in order:
         da = source.d(a)
         dta = target.d(bijection[a])
+        if len(dta) != len(da):
+            return None
         for b, v in da.items():
             w = dta.get(bijection[b], f.zero)
             if f.is_zero(w):
@@ -600,10 +618,5 @@ def solve_diagonal_chain_iso(source: Complex, target: Complex,
                 else:
                     coeff[b] = c_b
                     work.append(b)
-    # final verification
     cols = {l: {bijection[l]: coeff[l]} for l in order}
-    gm = GradedMap(source.space, target.space, 0, cols)
-    ok, _ = is_chain_map(gm, source, target)
-    if not ok:
-        return None
-    return gm
+    return GradedMap(source.space, target.space, 0, cols)

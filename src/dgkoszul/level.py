@@ -10,11 +10,11 @@ A certificate is a finite tree over a base complex C:
   Retract  -- the subject retracts onto the inner subtree's subject.
 
 claimed_level(Leaf) = 1 (0 for the empty leaf), claimed_level(Cone) =
-left + right, Retract preserves it.  cert_validate re-checks every
-witness: leaf isomorphisms against the rebuilt canonical coproduct, cone
-isomorphisms against cone(w) rebuilt from the subtrees' subjects, and
-retractions on homology; the engine never emits a certificate it cannot
-validate.
+left + right, Retract preserves it.  cert_validate checks each witness
+once: w as a chain map, each isomorphism against the rebuilt canonical
+coproduct or against cone(w) with d evaluated on demand (one chain-map
+check per pair, see check_mutually_inverse), and retractions on
+homology; the engine never emits a certificate it cannot validate.
 """
 
 from __future__ import annotations
@@ -24,12 +24,14 @@ from dataclasses import dataclass, replace
 from dgkoszul.exactlinalg import SparseMatrix
 from dgkoszul.gradedcomplex import (
     Complex,
+    ConeView,
     GradedMap,
     GradedSpace,
     StructureError,
     WindowError,
     check_mutually_inverse,
     cone,
+    cone_space,
     direct_sum,
     induced_map_on_homology,
     is_chain_map,
@@ -109,16 +111,13 @@ def canonical_coproduct(base: Complex, shifts, window=None) -> Complex:
     """⊕_i Σ^{k_i} base with labels "s{i}:...", truncated to the given
     window (the base's by default); the normal form every leaf witness
     targets."""
-    if window is None:
-        window = base.space.window
+    window = window or base.space.window
     if not shifts:
-        f = base.field
-        sp = GradedSpace(f, window, {}, bounds=(1, 0))
+        sp = GradedSpace(base.field, window, {}, bounds=(1, 0))
         return Complex(sp, GradedMap.zero(sp, sp, 1))
     parts = [restrict_complex(shift_complex(base, k), window)
              for k in shifts]
-    total, _, _ = direct_sum(parts, [f"s{i}" for i in range(len(shifts))])
-    return total
+    return direct_sum(parts, [f"s{i}" for i in range(len(shifts))])
 
 
 def leaf_identity(base: Complex, shifts) -> Leaf:
@@ -137,11 +136,8 @@ def leaf_from_bijection(base: Complex, subject: Complex, shifts,
     """Leaf whose witness is a signed relabelling onto the canonical
     coproduct; the signs are solved, not guessed."""
     std = canonical_coproduct(base, shifts, subject.space.window)
-    to_std = solve_diagonal_chain_iso(subject, std, bijection)
-    if to_std is None:
-        raise StructureError("no diagonal iso onto the canonical coproduct")
-    return Leaf(subject, list(shifts), to_std,
-                _invert_diagonal(to_std, subject, std))
+    return Leaf(subject, list(shifts), *_witness_pair(
+        solve_diagonal_chain_iso(subject, std, bijection)))
 
 
 def cone_node_from_map(w: GradedMap, source: Complex, target: Complex,
@@ -158,33 +154,18 @@ def cone_node_from_map(w: GradedMap, source: Complex, target: Complex,
     return ConeNode(cx, left, right, w, ident, ident)
 
 
-def _cone_of(w: GradedMap, left, right) -> Complex:
-    """cone(w : Σ⁻¹(right.subject) → left.subject), rebuilt from the
-    subtrees' subjects."""
-    return cone(w, shift_complex(right.subject, -1), left.subject)
-
-
 def _witnessed_cone(subject: Complex, left, right, w: GradedMap,
                     bijection: dict) -> ConeNode:
     """Cone node whose witness is a signed relabelling of subject onto
     cone(w); the signs are solved, not guessed."""
-    built = _cone_of(w, left, right)
-    to_cone = solve_diagonal_chain_iso(subject, built, bijection)
-    if to_cone is None:
-        raise StructureError("no diagonal iso onto the cone")
-    return ConeNode(subject, left, right, w, to_cone,
-                    _invert_diagonal(to_cone, subject, built))
+    built = ConeView(w, shift_complex(right.subject, -1), left.subject)
+    return ConeNode(subject, left, right, w, *_witness_pair(
+        solve_diagonal_chain_iso(subject, built, bijection)))
 
 
 def _complexes_equal(a: Complex, b: Complex) -> bool:
-    if a is b:
-        return True
-    if a.space.basis != b.space.basis:
-        return False
-    for l in a.space:
-        if a.d(l) != b.d(l):
-            return False
-    return True
+    return a is b or (a.space.basis == b.space.basis
+                      and all(a.d(l) == b.d(l) for l in a.space))
 
 
 def cert_validate(c: LevelCertificate) -> ValidationReport:
@@ -193,23 +174,26 @@ def cert_validate(c: LevelCertificate) -> ValidationReport:
     def visit(node, path):
         if isinstance(node, Leaf):
             if not node.shifts:
-                if any(node.subject.space.dim(n)
-                       for n in node.subject.space.degrees()):
+                if node.subject.space.basis:
                     rep.fail(f"{path}: empty leaf with nonzero subject")
                 return
-            std = canonical_coproduct(c.base, node.shifts,
-                                      node.subject.space.window)
             try:
+                if None in (node.to_std, node.from_std):
+                    raise StructureError("missing witness")
+                std = canonical_coproduct(c.base, node.shifts,
+                                          node.subject.space.window)
                 check_mutually_inverse(node.to_std, node.from_std,
                                        node.subject, std)
             except StructureError as e:
                 rep.fail(f"{path}: leaf witness fails: {e}")
         elif isinstance(node, ConeNode):
             try:
+                if None in (node.w, node.to_cone, node.from_cone):
+                    raise StructureError("missing witness")
+                built = ConeView(node.w, shift_complex(node.right.subject, -1),
+                                 node.left.subject)
                 check_mutually_inverse(node.to_cone, node.from_cone,
-                                       node.subject,
-                                       _cone_of(node.w, node.left,
-                                                node.right))
+                                       node.subject, built)
             except StructureError as e:
                 rep.fail(f"{path}: cone witness fails: {e}")
                 return
@@ -260,24 +244,29 @@ def _stage_complex(r: SemifreeResolution, which) -> Complex:
 def cert_from_resolution(r: SemifreeResolution) -> LevelCertificate:
     """Certificate with base A from the stage filtration of a minimal,
     exhausted resolution: stage quotients are leaves (coproducts of shifts
-    of A), consecutive stages are cones."""
+    of A), consecutive stages are cones.  Every witness is a relabelling
+    with coefficient one: d(e⊗a) is (-1)^{|e|}e⊗da, as in Σ^{-|e|}A, plus
+    terms of lower stages, so F^{<=s} is cone(w) label for label, w the
+    part of d that leaves stage s.  cert_validate checks the witnesses."""
     if not r.is_minimal():
         raise StructureError("certificate needs a minimal resolution")
     cls, exhausted = class_of(r)
     if not exhausted:
         raise StructureError("resolution not exhausted; refusing to "
                              "certify a truncated class")
-    a = r.over
-    base = a.carrier
-    base_labels = list(a.space)
+    base = r.over.carrier
+    base_labels = list(base.space)
+    one = base.field.one
 
     def quotient_leaf(stage):
         gens = sorted((gl, d) for gl, d, s in r.generators if s == stage)
+        q = _stage_complex(r, lambda s: s == stage)
+        shifts = [-d for _, d in gens]
+        std = canonical_coproduct(base, shifts, q.space.window)
         bij = {f"{gl}@{al}": f"s{i}:{al}"
                for i, (gl, _) in enumerate(gens) for al in base_labels}
-        return leaf_from_bijection(
-            base, _stage_complex(r, lambda s: s == stage),
-            [-d for _, d in gens], bij)
+        return Leaf(q, shifts, *_witness_pair(GradedMap(
+            q.space, std.space, 0, {l: {bij[l]: one} for l in q.space})))
 
     stages = sorted({s for _, _, s in r.generators})
     if not stages:
@@ -290,16 +279,13 @@ def cert_from_resolution(r: SemifreeResolution) -> LevelCertificate:
         total = _stage_complex(r, lambda s: s <= st)
         quot = quotient_leaf(st)
         # w : Σ^{-1}quot → sub is the part of d that leaves the new stage
-        q = quot.subject
-        wcols = {}
-        for l in q.space:
-            col = {t: v for t, v in total.d(l).items() if t in sub.space}
-            if col:
-                wcols[l] = col
-        w = GradedMap(shift_complex(q, -1).space, sub.space, 0, wcols)
-        bij = {l: f"c2:{l}" if l in sub.space else f"c1:{l}"
-               for l in total.space}
-        node = _witnessed_cone(total, node, quot, w, bij)
+        qs = shift_complex(quot.subject, -1)
+        w = GradedMap(qs.space, sub.space, 0, {l: col for l in qs.space if (
+            col := {t: v for t, v in total.d(l).items() if t in sub.space})})
+        to = {l: {f"c2:{l}" if l in sub.space else f"c1:{l}": one}
+              for l in total.space}
+        node = ConeNode(total, node, quot, w, *_witness_pair(
+            GradedMap(total.space, cone_space(qs, sub), 0, to)))
     cert = LevelCertificate(base, node.subject, node,
                             comparison_note="subject is the realized "
                             "semifree resolution, quasi-isomorphic to "
@@ -310,13 +296,15 @@ def cert_from_resolution(r: SemifreeResolution) -> LevelCertificate:
     return cert
 
 
-def _invert_diagonal(gm: GradedMap, src: Complex, tgt: Complex) -> GradedMap:
-    f = tgt.field
-    cols = {}
-    for l, col in gm.cols.items():
-        ((t, v),) = col.items()
-        cols[t] = {l: f.inv(v)}
-    return GradedMap(tgt.space, src.space, gm.shift, cols)
+def _witness_pair(to: GradedMap | None) -> tuple:
+    """A map with one term per column and its inverse; None, a relabelling
+    the solver could not sign, is refused."""
+    if to is None:
+        raise StructureError("no diagonal iso onto the witness target")
+    f = to.target.field
+    return to, GradedMap(to.target, to.source, to.shift,
+                         {t: {l: f.inv(v)} for l, col in to.cols.items()
+                          for t, v in col.items()})
 
 
 def _bijection_of(gm: GradedMap | None) -> dict:
@@ -447,7 +435,7 @@ def tree_coproduct(nodes, tags, base: Complex):
             f"{[wins[0].lo - w.lo for w in wins]} (relative to the first): "
             f"their direct sum keeps only degrees [{lo}, {hi}] of the "
             f"subject windows {[[w.lo, w.hi] for w in wins]}")
-    subject, _, _ = direct_sum([n.subject for n in nodes], list(tags))
+    subject = direct_sum([n.subject for n in nodes], list(tags))
     bij = {}
     if kinds == {"Leaf"}:
         # copy i of node n becomes copy offset + i of the coproduct

@@ -87,7 +87,7 @@ def test_preset_modules_validate(F5, window):
               truncated_module(a, "y", 2, 3),
               module_shift(trivial_module(a), 3)):
         assert validate_module(m).ok
-    s, _, _ = module_direct_sum([trivial_module(a), free_module(a)])
+    s = module_direct_sum([trivial_module(a), free_module(a)])
     assert validate_module(s).ok
 
 

@@ -27,6 +27,7 @@ from dgkoszul.gradedcomplex import (
     homology_class,
     is_chain_map,
     is_quasi_iso,
+    relabel,
     shift_complex,
     solve_diagonal_chain_iso,
 )
@@ -86,13 +87,14 @@ def scalars(f, nonzero=False):
 
 
 @st.composite
-def complexes(draw):
-    """A complex with d∘d = 0 over F_2, F_5 or Q on degrees 0..3: pieces
+def complexes(draw, fields=FIELDS):
+    """A complex with d∘d = 0 over a field of ``fields`` (F_2, F_5 or Q by
+    default) on degrees 0..3: pieces
     K → K (s onto t) and K (h) in drawn degrees, in a basis that random
     elementary operations then change.  Replacing a by a + c·b adds c·d(b)
     to d(a) and takes c times the coefficient of a off that of b in every
     d(x), so d∘d stays 0."""
-    f = draw(st.sampled_from(FIELDS))
+    f = draw(st.sampled_from(fields))
     basis = {n: [] for n in range(4)}
     cols = {}
     for i in range(draw(st.integers(0, 8))):
@@ -270,12 +272,12 @@ def test_is_chain_map_rejects_stray_images(F5):
     assert not ok and witness == (0, "u", {"u": F5.one})
 
 
-def test_direct_sum_tags_and_projections(F5):
-    c = split_circle(F5)
-    total, incs, projs = direct_sum([c, c], ["l", "r"])
+def test_direct_sum_tags(F5):
+    c = two_step(F5)
+    total = direct_sum([c, c], ["l", "r"])
     assert total.space.dim(0) == 2
-    assert "l:u" in total.space and "r:u" in total.space
-    assert projs[0].compose(incs[0]) == GradedMap.identity(c.space)
+    assert "l:a" in total.space and "r:a" in total.space
+    assert total.d("r:a") == {"r:b": F5.one}
 
 
 def test_solve_diagonal_chain_iso_signs(F5):
@@ -319,3 +321,164 @@ def test_check_mutually_inverse_raises(F5):
     z = GradedMap.zero(c.space, c.space, 0)
     with pytest.raises(StructureError):
         check_mutually_inverse(z, z, c, c)
+
+
+def reference_check_mutually_inverse(fwd, bwd, a, b):
+    """The earlier check: both maps as chain maps, then both compositions."""
+    for name, fmap, src, tgt in (("fwd", fwd, a, b), ("bwd", bwd, b, a)):
+        ok, witness = is_chain_map(fmap, src, tgt)
+        if not ok:
+            raise StructureError(f"{name} is not a chain map at {witness[:2]}")
+    f = a.field
+    for l in a.space:
+        back = bwd.apply(fwd.apply_label(l))
+        if back != {l: f.one}:
+            raise StructureError(f"bwd∘fwd ≠ id at {l!r}")
+    for l in b.space:
+        back = fwd.apply(bwd.apply_label(l))
+        if back != {l: f.one}:
+            raise StructureError(f"fwd∘bwd ≠ id at {l!r}")
+
+
+def reference_solve_diagonal_chain_iso(source, target, bijection):
+    """The earlier solver: constraint propagation, then a full chain-map
+    check of the result."""
+    f = target.field
+    tsp = target.space
+    coeff: dict = {}
+    order = list(source.space)
+    if any(bijection.get(l) not in tsp
+           or tsp.deg(bijection[l]) != source.space.deg(l) for l in order):
+        return None
+    rev = {v: k for k, v in bijection.items()}
+    if len(rev) != len(bijection):
+        return None
+    adj: dict = {l: [] for l in order}
+    for a in order:
+        da = source.d(a)
+        dta = target.d(bijection[a])
+        for b, v in da.items():
+            w = dta.get(bijection[b], f.zero)
+            if f.is_zero(w):
+                return None
+            adj[a].append((b, v, w))
+            adj[b].append((a, w, v))
+    for seed in order:
+        if seed in coeff:
+            continue
+        coeff[seed] = f.one
+        work = [seed]
+        while work:
+            a = work.pop()
+            for b, v, w in adj[a]:
+                c_b = f.div(f.mul(coeff[a], w), v)
+                if b in coeff:
+                    if coeff[b] != c_b:
+                        return None
+                else:
+                    coeff[b] = c_b
+                    work.append(b)
+    cols = {l: {bijection[l]: coeff[l]} for l in order}
+    gm = GradedMap(source.space, target.space, 0, cols)
+    ok, _ = is_chain_map(gm, source, target)
+    return gm if ok else None
+
+
+PERTURBATIONS = ("none", "scale d", "extra d term", "extra d label",
+                 "scale bwd", "stray bwd term", "drop column", "extra label")
+
+
+@st.composite
+def witness_cases(draw):
+    """(perturbation, a, b, fwd, bwd, bijection) over F_5 or Q.  b is a
+    copy of the complex a on labels "T:l", fwd = P·diag(s) for random
+    nonzero scalars s and a product P of elementary operations
+    x ↦ x + λy within a degree (none drawn: a diagonal witness), bwd its
+    inverse, and d_b = fwd·d_a·bwd.
+    Then at most one change: a coefficient of d_b scaled, one more term in
+    some d_b(u) (at a label of b, or at a new label off fwd's image), a
+    coefficient of bwd scaled, one bwd term at a label outside a, a column
+    of fwd or bwd dropped, or one more label in b.  The bijection sends l
+    to "T:l", or to "T:m" for m drawn by a permutation within each degree."""
+    a = draw(complexes(FIELDS[1:]))
+    f = a.field
+    labels = list(a.space)
+    kind = draw(st.sampled_from(PERTURBATIONS if labels else ["none"]))
+    fcols = {l: {l: draw(scalars(f, nonzero=True))} for l in labels}
+    bcols = {l: {l: f.inv(fcols[l][l])} for l in labels}
+    ops = []
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(0, 3))
+        if len(a.labels(n)) > 1:
+            x, y = draw(st.permutations(a.labels(n)))[:2]
+            ops.append((x, y, draw(scalars(f, nonzero=True))))
+    for x, y, lam in ops:                      # fwd ← E·fwd, E x = x + λy
+        for col in fcols.values():
+            vec_iadd(f, col, f.mul(col.get(x, f.zero), lam), {y: f.one})
+    for x, y, lam in ops:                      # bwd ← bwd·E⁻¹
+        col = bcols[y]
+        bcols[x] = vec_iadd(f, dict(bcols[x]), f.neg(lam), col)
+    basis = {n: [f"T:{l}" for l in a.labels(n)] for n in a.space.degrees()}
+    asp = a.space
+    if kind in ("extra d label", "extra label"):
+        n = draw(st.integers(0, 4))
+        basis.setdefault(n, []).append("X")
+    bsp = GradedSpace(f, a.window, basis)
+    fwd = GradedMap(asp, bsp, 0,
+                    {l: relabel("T:", c) for l, c in fcols.items()})
+    bwd = {f"T:{l}": c for l, c in bcols.items()}
+    dcols = {u: img for u in bsp if (img := fwd.apply(a.d(bwd.get(u, {}))))}
+    if kind in ("scale d", "extra d term", "extra d label"):
+        u = draw(st.sampled_from(sorted(bsp)))
+        col = dict(dcols.get(u, {}))
+        if kind == "scale d" and col:
+            t = draw(st.sampled_from(sorted(col)))
+            col[t] = f.mul(col[t], draw(scalars(f, nonzero=True)))
+        elif kind != "scale d" and bsp.labels(bsp.deg(u) + 1):
+            t = draw(st.sampled_from(sorted(bsp.labels(bsp.deg(u) + 1))))
+            vec_iadd(f, col, draw(scalars(f, nonzero=True)), {t: f.one})
+        dcols[u] = col
+    if kind == "scale bwd":
+        u = draw(st.sampled_from(sorted(bwd)))
+        t = draw(st.sampled_from(sorted(bwd[u])))
+        bwd[u] = dict(bwd[u], **{t: f.mul(bwd[u][t], f.from_int(2))})
+    if kind == "stray bwd term":
+        u = draw(st.sampled_from(sorted(bwd)))
+        n = bsp.deg(u)
+        asp = GradedSpace(f, a.window, {**a.space.basis,
+                                        n: [*a.space.labels(n), "X"]})
+        bwd[u] = dict(bwd[u], X=f.one)
+    if kind == "drop column":
+        cols = draw(st.sampled_from([fwd.cols, bwd]))
+        del cols[draw(st.sampled_from(sorted(cols)))]
+    b = Complex(bsp, GradedMap(bsp, bsp, 1, {u: c for u, c in dcols.items()
+                                             if c}))
+    bijection = {l: f"T:{l}" for l in labels}
+    if draw(st.booleans()):
+        for n in a.space.degrees():
+            bijection.update(zip(a.labels(n), (
+                f"T:{m}" for m in draw(st.permutations(a.labels(n))))))
+    return kind, a, b, fwd, GradedMap(bsp, asp, 0, bwd), bijection
+
+
+def verdict(check, *args) -> bool:
+    try:
+        check(*args)
+    except StructureError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(witness_cases())
+def test_witness_checks_match_reference(case):
+    # one chain-map check per pair and a dimension count in place of
+    # fwd∘bwd accept exactly what both chain-map checks and both
+    # compositions accept; the solver without its final chain-map check
+    # returns the same map or None
+    kind, a, b, fwd, bwd, bijection = case
+    ok = verdict(check_mutually_inverse, fwd, bwd, a, b)
+    assert ok == verdict(reference_check_mutually_inverse, fwd, bwd, a, b)
+    assert ok or kind != "none"
+    solved = solve_diagonal_chain_iso(a, b, bijection)
+    assert solved == reference_solve_diagonal_chain_iso(a, b, bijection)

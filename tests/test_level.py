@@ -7,6 +7,7 @@ from dgkoszul.exactlinalg import FieldSpec
 from dgkoszul.gradedcomplex import (
     DegreeWindow,
     GradedMap,
+    GradedSpace,
     StructureError,
     shift_complex,
 )
@@ -252,3 +253,59 @@ def test_compose_requires_matching_base(cert_k_poly, F5, window):
     c2 = LevelCertificate(other.carrier, leaf.subject, leaf)
     with pytest.raises(StructureError):
         cert_compose(cert_k_poly, c2)
+
+
+def test_missing_witness_is_a_violation(F5, window, poly):
+    # a leaf or cone with a witness left out is reported, not a crash
+    x = poly.carrier
+    rep = cert_validate(LevelCertificate(x, x, Leaf(x, [0], None, None)))
+    assert rep.violations == ["root: leaf witness fails: missing witness"]
+    sx = shift_complex(exterior_algebra(F5, window, [("x", 3)]).carrier, 1)
+    left, right = empty_leaf(x), empty_leaf(x)
+    w = GradedMap.zero(right.subject.space, left.subject.space, 0)
+    ident = GradedMap.identity(sx.space)
+    for maps in ((None, ident, ident), (w, None, ident), (w, ident, None)):
+        rep = cert_validate(LevelCertificate(
+            x, sx, ConeNode(sx, left, right, *maps)))
+        assert rep.violations == ["root: cone witness fails: missing witness"]
+
+
+def test_leaf_inverse_with_a_term_outside_the_subject_rejected(F5, poly):
+    # fwd is a valid chain iso; bwd sends one label to {real: c, extra: 1},
+    # where extra is a label of bwd's target space but not of the subject
+    s = shift_complex(poly.carrier, 5)
+    leaf = leaf_from_bijection(poly.carrier, s, [5],
+                               {l: f"s0:{l}" for l in s.space})
+    real = s.space.labels(s.space.degrees()[1])[0]
+    n = s.space.deg(real)
+    basis = {**s.space.basis, n: (*s.space.labels(n), "extra")}
+    wider = GradedSpace(F5, s.space.window, basis, bounds=s.space.bounds)
+    cols = dict(leaf.from_std.cols)
+    cols[f"s0:{real}"] = dict(cols[f"s0:{real}"], extra=F5.one)
+    bwd = GradedMap(leaf.from_std.source, wider, 0, cols)
+    rep = cert_validate(LevelCertificate(poly.carrier, s,
+                                         Leaf(s, [5], leaf.to_std, bwd)))
+    assert not rep.ok
+    assert any("leaf witness fails" in v for v in rep.violations)
+
+
+def test_level_interval_checks_each_witness_once(F5, monkeypatch):
+    # K3 over K[y1,y2,y3] has class 4: four leaves and three cones.  One
+    # chain-map check per witness pair (7), one per cone's w (3) and one
+    # in class_of: no rebuilt cone, no second check in the builder
+    from dgkoszul import gradedcomplex, level, resolve
+    a = polynomial_algebra(F5, DegreeWindow(-8, 8),
+                           [("y1", 2), ("y2", 2), ("y3", 2)])
+    r = minimize(semifree_resolve(trivial_module(a)))
+    calls = []
+    checked = gradedcomplex.is_chain_map
+
+    def counted(*args):
+        calls.append(args)
+        return checked(*args)
+
+    for mod in (gradedcomplex, level, resolve):
+        monkeypatch.setattr(mod, "is_chain_map", counted)
+    side = level.level_interval(r)
+    assert side.upper == 4 and side.valid
+    assert len(calls) <= 11

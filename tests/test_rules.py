@@ -331,7 +331,7 @@ def test_polynomial_rules_match_tables(f, hi, degrees):
     # the shift keeps the action; the sum acts summand by summand
     sh = module_shift(m, 2)
     assert_module_rule(sh, ref_truncated_module(m, deg, power))
-    ds, _, _ = module_direct_sum([trivial_module(a), m])
+    ds = module_direct_sum([trivial_module(a), m])
     summands = [ref_trivial_module(trivial_module(a)),
                 ref_truncated_module(m, deg, power)]
     table = {}
