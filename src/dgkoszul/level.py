@@ -14,7 +14,9 @@ left + right, Retract preserves it.  cert_validate checks each witness
 once: w as a chain map, each isomorphism against the rebuilt canonical
 coproduct or against cone(w) with d evaluated on demand (one chain-map
 check per pair, see check_mutually_inverse), and retractions on
-homology; the engine never emits a certificate it cannot validate.
+homology.  cert_from_resolution checks nothing it builds; level_interval
+reports the verdict and spherical_bound refuses a certificate that
+fails.
 """
 
 from __future__ import annotations
@@ -111,9 +113,11 @@ def canonical_coproduct(base: Complex, shifts, window=None) -> Complex:
     """⊕_i Σ^{k_i} base with labels "s{i}:...", truncated to the given
     window (the base's by default); the normal form every leaf witness
     targets."""
-    window = window or base.space.window
+    if window is None:
+        window = base.space.window
     if not shifts:
-        sp = GradedSpace(base.field, window, {}, bounds=(1, 0))
+        f = base.field
+        sp = GradedSpace(f, window, {}, bounds=(1, 0))
         return Complex(sp, GradedMap.zero(sp, sp, 1))
     parts = [restrict_complex(shift_complex(base, k), window)
              for k in shifts]
@@ -164,8 +168,14 @@ def _witnessed_cone(subject: Complex, left, right, w: GradedMap,
 
 
 def _complexes_equal(a: Complex, b: Complex) -> bool:
-    return a is b or (a.space.basis == b.space.basis
-                      and all(a.d(l) == b.d(l) for l in a.space))
+    if a is b:
+        return True
+    if a.space.basis != b.space.basis:
+        return False
+    for l in a.space:
+        if a.d(l) != b.d(l):
+            return False
+    return True
 
 
 def cert_validate(c: LevelCertificate) -> ValidationReport:
@@ -174,7 +184,8 @@ def cert_validate(c: LevelCertificate) -> ValidationReport:
     def visit(node, path):
         if isinstance(node, Leaf):
             if not node.shifts:
-                if node.subject.space.basis:
+                if any(node.subject.space.dim(n)
+                       for n in node.subject.space.degrees()):
                     rep.fail(f"{path}: empty leaf with nonzero subject")
                 return
             try:
@@ -247,7 +258,9 @@ def cert_from_resolution(r: SemifreeResolution) -> LevelCertificate:
     of A), consecutive stages are cones.  Every witness is a relabelling
     with coefficient one: d(e⊗a) is (-1)^{|e|}e⊗da, as in Σ^{-|e|}A, plus
     terms of lower stages, so F^{<=s} is cone(w) label for label, w the
-    part of d that leaves stage s.  cert_validate checks the witnesses."""
+    part of d that leaves stage s.  Nothing is checked here: callers
+    validate with cert_validate, as level_interval and spherical_bound
+    do."""
     if not r.is_minimal():
         raise StructureError("certificate needs a minimal resolution")
     cls, exhausted = class_of(r)
@@ -280,8 +293,12 @@ def cert_from_resolution(r: SemifreeResolution) -> LevelCertificate:
         quot = quotient_leaf(st)
         # w : Σ^{-1}quot → sub is the part of d that leaves the new stage
         qs = shift_complex(quot.subject, -1)
-        w = GradedMap(qs.space, sub.space, 0, {l: col for l in qs.space if (
-            col := {t: v for t, v in total.d(l).items() if t in sub.space})})
+        wcols = {}
+        for l in qs.space:
+            col = {t: v for t, v in total.d(l).items() if t in sub.space}
+            if col:
+                wcols[l] = col
+        w = GradedMap(qs.space, sub.space, 0, wcols)
         to = {l: {f"c2:{l}" if l in sub.space else f"c1:{l}": one}
               for l in total.space}
         node = ConeNode(total, node, quot, w, *_witness_pair(
@@ -480,12 +497,17 @@ def cert_transport(functor, c: LevelCertificate) -> LevelCertificate:
 
 def spherical_bound(m, depth=None):
     """Level ≤ 2 certificate over ``m.over`` when the derived fiber has
-    dimension ≤ 2; None when the hypothesis fails."""
+    dimension ≤ 2; None when the hypothesis fails.  The certificate is
+    validated; StructureError if it does not validate."""
     r = minimize(semifree_resolve(m, depth))
     cls, exhausted = class_of(r)
     if not exhausted or len(r.generators) > 2:
         return None
-    return cert_from_resolution(r)
+    cert = cert_from_resolution(r)
+    rep = cert_validate(cert)
+    if not rep:
+        raise StructureError(f"spherical certificate fails: {rep.violations}")
+    return cert
 
 
 @dataclass

@@ -192,6 +192,20 @@ def test_spherical_bound(F5, window, poly):
     assert spherical_bound(trivial_module(a2)) is None  # fiber dim 4
 
 
+def test_spherical_bound_refuses_a_certificate_that_fails(poly,
+                                                           monkeypatch):
+    import dataclasses
+    from dgkoszul import level
+
+    def broken(r):
+        c = cert_from_resolution(r)
+        return dataclasses.replace(c, tree=dataclasses.replace(c.tree,
+                                                               w=None))
+    monkeypatch.setattr(level, "cert_from_resolution", broken)
+    with pytest.raises(StructureError, match="cone witness fails"):
+        spherical_bound(trivial_module(poly))
+
+
 def test_cert_transport_shift_functor(cert_k_poly):
     class ShiftFunctor:
         def __init__(self, k):
