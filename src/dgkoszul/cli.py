@@ -24,9 +24,8 @@ from dgkoszul.gradedcomplex import (
     WindowError,
     check_d_squared,
     homology,
-    homology_by_degree,
 )
-from dgkoszul import dgstruct
+from dgkoszul import dgstruct, gradedcomplex
 from dgkoszul.dgstruct import (
     DGAlgebra,
     validate_algebra,
@@ -389,8 +388,7 @@ def emit(report: dict, args) -> None:
 
 
 def homology_dims(cx: Complex) -> dict:
-    return {str(n): h.dimension for n, h in homology_by_degree(cx).items()
-            if h.dimension}
+    return {str(n): d for n, d in gradedcomplex.homology_dims(cx).items()}
 
 
 def space_dims(cx: Complex) -> dict:
@@ -440,8 +438,8 @@ def _construction(args, section: str, name: str, construct) -> int:
     report = base_report(args.command, store.field, store.window)
     report[section[:-1]] = name
     report["dims"] = space_dims(cx)
-    report["homology_dims"] = homology_dims(cx)
     dsq = check_d_squared(cx)
+    report["homology_dims"] = homology_dims(cx) if dsq else None
     report["d_squared_ok"] = bool(dsq)
     emit(report, args)
     return EXIT_OK if dsq else EXIT_VERDICT

@@ -6,10 +6,8 @@ the rationals an ``int`` or a ``fractions.Fraction``, where an integral
 value may be either.  Equal values are ``==`` and hash alike, so mixed
 arithmetic stays exact and dict keys and comparisons keep their meaning.
 True division of two ints would give a float: only ``FieldSpec.inv``
-divides.  Both fields share one sparse Gauss–Jordan elimination
-(``_rref_rows``) over row dicts keyed by leading column, in the spirit of
-Faugère–Lachartre (PASCO 2010): the rows are taken in decreasing order of
-leading column, which changes the work, never the result.
+divides.  Both fields share one forward elimination over row dicts,
+``_echelon``: ``rank`` is it alone, ``rref`` and ``solve`` back-substitute.
 
 Combinations are sparse dicts key -> nonzero scalar.  ``vec_iadd`` is the
 shared accumulator: it adds c·v into a caller-owned dict in place and drops
@@ -171,6 +169,17 @@ def bilinear(field: FieldSpec, rule, x: dict, y: dict) -> dict:
     return out
 
 
+def _check_entries(field: FieldSpec, rows: int, cols: int, items) -> None:
+    """What ``SparseMatrix`` and ``rank`` refuse (ValueError)."""
+    for (r, c), v in items:
+        if not (0 <= r < rows and 0 <= c < cols):
+            raise ValueError(f"index ({r},{c}) out of range")
+        if field.is_zero(v):
+            raise ValueError(f"stored zero at ({r},{c})")
+        if not field.is_canonical(v):
+            raise ValueError(f"non-canonical scalar at ({r},{c}): {v!r}")
+
+
 class SparseMatrix:
     """Immutable-by-convention sparse matrix; no stored entry is zero."""
 
@@ -179,13 +188,7 @@ class SparseMatrix:
     def __init__(self, rows: int, cols: int, field: FieldSpec, entries: dict):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        for (r, c), v in entries.items():
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError(f"index ({r},{c}) out of range")
-            if field.is_zero(v):
-                raise ValueError(f"stored zero at ({r},{c})")
-            if not field.is_canonical(v):
-                raise ValueError(f"non-canonical scalar at ({r},{c}): {v!r}")
+        _check_entries(field, rows, cols, entries.items())
         self.rows = rows
         self.cols = cols
         self.field = field
@@ -237,9 +240,6 @@ class SparseMatrix:
             vec_iadd(self.field, out, x, cols[c])
         return out
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def __eq__(self, other):
         return (
             isinstance(other, SparseMatrix)
@@ -260,23 +260,13 @@ class RrefResult:
     rref_rows: list     # canonical RREF, list of sparse row dicts
 
 
-def _rref_rows(m: SparseMatrix) -> tuple[list, list]:
-    """Canonical RREF rows (zero rows last) and pivot columns.
-
-    Each row is reduced against a dict pivot column -> normalised row until
-    its leading column is new; the pivot rows are then back-substituted from
-    the highest pivot column down.  The rows are taken in decreasing order
-    of leading column (a stable sort): a row with a new leading column
-    becomes a pivot unreduced, and only rows sharing one are reduced.  Any
-    order gives the same rows, as the RREF depends only on the row space.
-    Over F_p scalars stay plain ints mod a local p; over Q they are ints
-    and Fractions, as the module docstring says.
-    """
-    p = m.field.p
-    inv = m.field.inv
-    rows = [dict() for _ in range(m.rows)]
-    for (r, c), v in m.entries.items():
-        rows[r][c] = v
+def _echelon(field: FieldSpec, rows: list) -> dict:
+    """The forward pass, consuming the rows: {leading column: normalised
+    row}.  Rows go by decreasing leading column, so one with a new leading
+    column is a pivot unreduced (Faugère–Lachartre, PASCO 2010).  Any order
+    leaves the row space, hence the rank: it changes only the work."""
+    p = field.p
+    inv = field.inv
     piv: dict = {}
     for row in sorted(filter(None, rows), key=min, reverse=True):
         while row:
@@ -290,14 +280,32 @@ def _rref_rows(m: SparseMatrix) -> tuple[list, list]:
                     piv[c] = {k: a * v % p for k, v in row.items()}
                 break
             _sub_multiple(row, row[c], prow, p)
+    return piv
+
+
+def _rref_rows(m: SparseMatrix) -> tuple[list, list]:
+    """RREF rows (zero rows last), pivots: ``_echelon``, back-substituted."""
+    rows = [dict() for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        rows[r][c] = v
+    piv = _echelon(m.field, rows)
     pivots = sorted(piv)
     for c in reversed(pivots):
         prow = piv[c]
         for k in [k for k in prow if k != c and k in piv]:
-            _sub_multiple(prow, prow[k], piv[k], p)
+            _sub_multiple(prow, prow[k], piv[k], m.field.p)
     out = [piv[c] for c in pivots]
     out += [dict() for _ in range(m.rows - len(pivots))]
     return out, pivots
+
+
+def rank(field: FieldSpec, rows: list, cols: int) -> int:
+    """Rank of the row dicts (column -> scalar) in ``cols`` columns, which
+    it consumes: ``_echelon`` alone, under ``SparseMatrix``'s checks.  A
+    matrix, its transpose and its column permutations share their rank."""
+    items = (((r, c), v) for r, row in enumerate(rows) for c, v in row.items())
+    _check_entries(field, len(rows), cols, items)
+    return len(_echelon(field, rows))
 
 
 def _sub_multiple(row: dict, a, prow: dict, p) -> None:

@@ -17,6 +17,7 @@ from dgkoszul.gradedcomplex import (
     StructureError,
     homology_by_degree,
     homology_class,
+    homology_dims,
     is_quasi_iso,
 )
 from dgkoszul.dgstruct import (
@@ -290,8 +291,7 @@ def exterior_tor_check(field, gen_degrees,
     e = exterior_algebra(field, window, list(zip(names, gen_degrees)))
     b = bar(e, window)
     cx = b.carrier
-    dims = {n: h.dimension for n, h in homology_by_degree(cx).items()
-            if h.dimension}
+    dims = homology_dims(cx)
     checkable = [n for n in range(window.lo, window.hi + 1)
                  if cx.space.homology_computable(n)]
     expected = _poly_dims([d - 1 for d in gen_degrees],
@@ -317,8 +317,7 @@ def cobar_polynomial_check(field, gen_degrees,
     ed = graded_dual_algebra(e)
     om = cobar(ed, window)
     cx = om.carrier
-    dims = {n: h.dimension for n, h in homology_by_degree(cx).items()
-            if h.dimension}
+    dims = homology_dims(cx)
     checkable = [n for n in range(window.lo, window.hi + 1)
                  if cx.space.homology_computable(n)]
     expected = _poly_dims([-d + 1 for d in gen_degrees],

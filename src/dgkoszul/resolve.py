@@ -181,6 +181,9 @@ def semifree_resolve(m: DGModule,
                 break
             realized = None
         else:
+            if a.space.dim(direction):
+                raise StructureError(f"resolution generators pile up in one "
+                                     f"degree, unstable at degree {n}")
             raise RuntimeError(f"resolution did not stabilize at degree {n}")
     return SemifreeResolution(a, m, generators, differential, comparison,
                               direction, depth)

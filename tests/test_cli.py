@@ -3,12 +3,16 @@
 import contextlib
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dgkoszul import cli, resolve
-from dgkoszul.cli import EXIT_INTERNAL, EXIT_VALIDATION, main
+from dgkoszul.cli import EXIT_INTERNAL, EXIT_VALIDATION, EXIT_VERDICT, main
+from dgkoszul.exactlinalg import FieldSpec
+from dgkoszul.gradedcomplex import (
+    Complex, DegreeWindow, GradedMap, GradedSpace)
 
 PRESENTATION = {
     "schema_version": 1,
@@ -77,6 +81,32 @@ def test_cobar_report(tmp_path, pres):
     assert code == 0
     dims = {int(k): v for k, v in rep["homology_dims"].items()}
     assert {n: v for n, v in dims.items() if v} == {0: 1, -1: 1}
+
+
+def test_construction_reports_no_homology_without_d_squared(
+        tmp_path, pres, monkeypatch):
+    # homology dimensions presume d² = 0; a complex without it (only an
+    # engine fault can build one) gets null, not numbers
+    f = FieldSpec.prime(5)
+    sp = GradedSpace(f, DegreeWindow(-16, 16), {0: ["a"], 1: ["b"], 2: ["c"]})
+    broken = Complex(sp, GradedMap(sp, sp, 1, {"a": {"b": 1}, "b": {"c": 1}}))
+    monkeypatch.setattr(cli, "bar",
+                        lambda a, window: SimpleNamespace(carrier=broken))
+    code, rep = run_json(tmp_path, ["bar", "-p", pres, "--algebra", "S"])
+    assert code == EXIT_VERDICT
+    assert rep["dims"] == {"0": 1, "1": 1, "2": 1}
+    assert rep["homology_dims"] is None and rep["d_squared_ok"] is False
+
+
+def test_generators_piling_up_is_exit_validation(tmp_path, capsys):
+    doc = {"schema_version": 1, "field": "F5", "window": [-8, 8],
+           "algebras": {"E": {"kind": "exterior", "generators": [["x", 1]]}},
+           "modules": {"K": {"kind": "trivial", "over": "E"}}}
+    p = tmp_path / "ext.json"
+    p.write_text(json.dumps(doc))
+    argv = ["resolve", "-p", str(p), "--module", "K", "--over", "E"]
+    assert main(argv) == EXIT_VALIDATION
+    assert "generators pile up in one degree" in capsys.readouterr().err
 
 
 def test_resolve_and_minimize(tmp_path, pres):

@@ -13,6 +13,7 @@ from dgkoszul.exactlinalg import (
     KERNEL,
     FieldSpec,
     SparseMatrix,
+    rank,
     rref,
     bilinear,
     solve,
@@ -276,6 +277,31 @@ def test_row_order_does_not_change_the_result(case, data):
                for i in range(m.rows)]
     assert (span_echelon(f, [vectors[i] for i in perm], m.cols)
             == span_echelon(f, vectors, m.cols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices_with_rhs())
+def test_rank_is_the_rref_rank(case):
+    # the forward pass alone, on the rows or on the columns
+    m, _ = case
+    rows = [dict() for _ in range(m.rows)]
+    cols = [dict() for _ in range(m.cols)]
+    for (r, c), v in m.entries.items():
+        rows[r][c] = v
+        cols[c][r] = v
+    assert rank(m.field, rows, m.cols) == rref(m).rank
+    assert rank(m.field, cols, m.rows) == rref(m).rank
+
+
+def test_rank_keeps_the_matrix_checks(F5, Q):
+    assert rank(F5, [{0: 1, 2: 3}, {}, {0: 2, 2: 1}], 3) == 1
+    for row, message in (({3: 1}, "out of range"), ({-1: 1}, "out of range"),
+                         ({0: 0}, "stored zero"), ({0: 5}, "non-canonical"),
+                         ({0: True}, "non-canonical")):
+        with pytest.raises(ValueError, match=message):
+            rank(F5, [{1: 1}, row], 3)
+    with pytest.raises(ValueError, match="non-canonical"):
+        rank(Q, [{0: 0.5}], 1)
 
 
 @st.composite

@@ -5,6 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dgkoszul import exactlinalg, gradedcomplex
+from dgkoszul.barcobar import bar
+from dgkoszul.dgstruct import truncated_polynomial_algebra
 from dgkoszul.exactlinalg import (
     FieldSpec,
     SparseMatrix,
@@ -24,7 +27,9 @@ from dgkoszul.gradedcomplex import (
     cone,
     direct_sum,
     homology,
+    homology_by_degree,
     homology_class,
+    homology_dims,
     is_chain_map,
     is_quasi_iso,
     relabel,
@@ -168,6 +173,62 @@ def test_homology_and_class_match_reference(c, data):
         assert cls == expected and list(cls) == sorted(cls)
         assert reference_class(c, n, im, reps, cycle) == expected
         assert homology_class(c, n, boundary) == {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(complexes())
+def test_homology_dims_match_homology(c):
+    assert homology_dims(c) == {n: h.dimension
+                                for n, h in homology_by_degree(c).items()
+                                if h.dimension}
+
+
+def test_homology_dims_at_known_bounds(F5):
+    # bounds make the degrees at the window's edges computable
+    assert homology_dims(two_step(F5)) == {}
+    assert homology_dims(split_circle(F5)) == {0: 1, 1: 1}
+
+
+def test_homology_dims_eliminates_each_block_once(monkeypatch):
+    # one rank, hence one forward pass, per degree of the window and the
+    # one below it, in that order; no RREF, and no block cached.  The
+    # columns with positions reversed touch 35,617 row entries at ±18;
+    # unreversed 51,761, the blocks' own rows 122,225.
+    shapes, passes, touched = [], [], [0]
+    rank, echelon = gradedcomplex.rank, exactlinalg._echelon
+    sub_multiple = exactlinalg._sub_multiple
+
+    def counting_rank(field, rows, cols):
+        shapes.append((len(rows), cols))
+        return rank(field, rows, cols)
+
+    def counting_echelon(field, rows):
+        passes.append(len(rows))
+        return echelon(field, rows)
+
+    def counting_sub(row, a, prow, p):
+        touched[0] += len(prow)
+        sub_multiple(row, a, prow, p)
+
+    def refused(*args):
+        raise AssertionError("homology_dims needs no RREF")
+
+    monkeypatch.setattr(gradedcomplex, "rank", counting_rank)
+    monkeypatch.setattr(exactlinalg, "_echelon", counting_echelon)
+    monkeypatch.setattr(exactlinalg, "_sub_multiple", counting_sub)
+    for module in (gradedcomplex, exactlinalg):
+        monkeypatch.setattr(module, "rref", refused)
+        monkeypatch.setattr(module, "span_echelon", refused)
+    f = FieldSpec.prime(5)
+    w = DegreeWindow(-18, 18)
+    cx = bar(truncated_polynomial_algebra(f, w, "y", 2, 4), w).carrier
+    assert homology_dims(cx) == {0: 1, 1: 1, 6: 1, 7: 1, 12: 1, 13: 1}
+    win = cx.window
+    assert shapes == [(cx.dim(n), cx.dim(n + 1))
+                      for n in range(win.lo - 1, win.hi + 1)]
+    assert passes == [rows for rows, _ in shapes]
+    assert touched[0] <= 40_000, touched
+    assert cx.differential._blocks == {}
 
 
 def two_term(name, rows, cols, entries):

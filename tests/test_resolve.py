@@ -49,6 +49,22 @@ def test_koszul_resolution_of_k_over_poly(F5, window):
     assert class_of(r) == (2, True)
 
 
+@pytest.mark.parametrize("gens", [[("x", 1)], [("x", 1), ("z", 3)]])
+def test_generators_piling_up_in_one_degree_is_refused(F5, gens):
+    # over Λ(x), |x| = 1, each generator e_k of degree 0 needs another of
+    # degree 0 with d = e_k·x: the resolution never stabilizes, which is
+    # the input's structure (exit 3), not the loop cap (exit 5)
+    a = exterior_algebra(F5, DegreeWindow(-8, 8), gens)
+    with pytest.raises(StructureError, match="pile up in one degree"):
+        semifree_resolve(trivial_module(a))
+
+
+def test_exterior_generator_above_degree_one_still_resolves(F5):
+    a = exterior_algebra(F5, DegreeWindow(-8, 8), [("x", 3)])
+    r = semifree_resolve(trivial_module(a))
+    assert [d for _, d, _ in r.generators] == [0, 2, 4]
+
+
 def test_resolution_realization_is_quasi_iso(F5, window):
     a = polynomial_algebra(F5, window, [("y", 2)])
     m = trivial_module(a)
