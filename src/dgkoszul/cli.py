@@ -284,6 +284,7 @@ def parse_presentation(path: str) -> Store:
     w = DegreeWindow(*(_typed(x, "integer", f"/window/{i}")
                        for i, x in enumerate(win)))
     store = Store(f, w)
+    table: dict = {}  # products for every validation below, each pair once
 
     for name, spec, ptr in _specs(doc, "algebras"):
         kind = spec.get("kind", "table")
@@ -302,7 +303,7 @@ def parse_presentation(path: str) -> Store:
             a = _parse_table_algebra(f, w, spec, ptr)
         else:
             raise CliError(EXIT_PARSE, f"unknown algebra kind {kind!r}", ptr)
-        store.add("algebras", name, a, validate_algebra(a), ptr)
+        store.add("algebras", name, a, validate_algebra(a, table), ptr)
 
     for name, spec, ptr in _specs(doc, "coalgebras"):
         kind = spec.get("kind", "exterior")
@@ -342,7 +343,7 @@ def parse_presentation(path: str) -> Store:
             m = dgstruct.module_direct_sum(parts)
         else:
             raise CliError(EXIT_PARSE, f"unknown module kind {kind!r}", ptr)
-        store.add("modules", name, m, validate_module(m), ptr)
+        store.add("modules", name, m, validate_module(m, table), ptr)
 
     for name, spec, ptr in _specs(doc, "comodules"):
         kind = _require(spec, "kind", ptr)

@@ -11,15 +11,17 @@ table.  Coproducts and coactions are rules too, ``comult_label(l)`` and
 coalgebra; by one ``transpose_rule``, the duals of an algebra and of a right
 module) passes a lookup into it.  Every axiom stays decidable by exhaustive
 checking on the window bases; the validators visit only the label pairs and
-triples whose degrees fit the window and evaluate each rule once per pair in
-one call.  An algebra is validated as its own right module and a coalgebra
-as its own right comodule, so each axiom loop is written once;
+triples whose degrees fit the window and evaluate each product rule once per
+pair per presentation: a module's validation reads the products its
+algebra's filled.  An algebra is validated as its own right module and a
+coalgebra as its own right comodule, so each axiom loop is written once;
 ``validate_algebra`` and ``validate_coalgebra`` keep only the checks that a
 (co)module does not have, among them the left (co)unit law.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass, field as dc_field
@@ -143,11 +145,12 @@ class DGAlgebra:
         return (l for l in self.space if l != self.unit)
 
 
-def validate_algebra(a: DGAlgebra) -> ValidationReport:
+def validate_algebra(a: DGAlgebra, table=None) -> ValidationReport:
     """Exhaustive window validation.  The regular module ``free_module(a)``
     checks d^2 = 0, the grading of products, the right unit law, Leibniz
     and associativity; this adds the unit, polarity and connectivity
-    flags, d(unit) = 0, the left unit law and the augmentation."""
+    flags, d(unit) = 0, the left unit law and the augmentation.
+    ``table`` is the presentation's product table (see ``_memo``)."""
     rep = ValidationReport(True)
     sp = a.space
     f = a.field
@@ -165,13 +168,14 @@ def validate_algebra(a: DGAlgebra) -> ValidationReport:
         bad = 1 if a.polarity == "non-negative" else -1
         if sp.dim(bad):
             rep.fail(f"simply_connected flag but basis in degree {bad}")
-    fill, call, prod = _memo(f)
-    for v in validate_module(free_module(a), (fill, call, prod)).violations:
+    table = {} if table is None else table
+    for v in validate_module(free_module(a), table).violations:
         rep.fail(v)
     if a.carrier.d(a.unit):
         rep.fail("d(unit) != 0")
+    mult = _memo(table, f, a.mult_pair)
     for l in sp:
-        if prod(a.mult_pair, a.unit, l) != {l: f.one}:
+        if mult[a.unit, l] != l:
             rep.fail(f"left unit law fails at {l!r}")
             break
     # augmentation is a DG algebra map: vanishes on d-images and on
@@ -229,61 +233,76 @@ class DGModule:
         return bilinear(self.field, self.act_pair, x, y)
 
 
-def _memo(f: FieldSpec):
-    """(fill, call, product) over one dict for one validation call.
-    fill(rule, *labels) memoises rule(*labels) and returns the rule's own
-    value; call is the memoised value (filled on first use), shared, never
-    mutated: a product in the canonical form ``bilinear`` gives it, the
-    rule's own dict when already canonical.  A rule that raises is not
-    memoised.  product(rule, x, y) is bilinear over the memo for labels or
-    combinations x, y: the memoised value for two labels (or single terms
-    with coefficient ``f.one``), a fresh dict otherwise."""
-    memo: dict = {}
+def _canonical(f: FieldSpec, v: dict):
+    """v in the canonical form ``bilinear`` gives it (zero coefficients
+    dropped, every coefficient canonical), and one term with coefficient
+    ``f.one`` as its label."""
     one = f.one
+    for c in v.values():
+        if c is not one and not (c and f.is_canonical(c)):
+            v = {t: s for t, c in v.items() if (s := f.mul(one, c))}
+            break
+    return next(iter(v)) if len(v) == 1 and one in v.values() else v
 
-    def fill(rule, *labels):
-        v = memo[(rule,) + labels] = rule(*labels)
-        for c in v.values() if type(v) is dict else ():
-            if c is not one and not (c and f.is_canonical(c)):
-                memo[(rule,) + labels] = {t: s for t, c in v.items()
-                                          if (s := f.mul(one, c))}
-                break
-        return v
 
-    def call(rule, *labels):
-        v = memo.get((rule,) + labels)
+def _combo(f: FieldSpec, v):
+    """A stored value as a combination."""
+    return {v: f.one} if type(v) is str else v
+
+
+class _Products(dict):
+    """The pair products of one rule, {(a, b): value}, each evaluated on
+    its first lookup and stored in ``_canonical`` form.  A rule that
+    raises (a table gap) stores nothing and raises again at the next
+    lookup; so does a value that had a zero coefficient, whose own
+    labels the grading check must read."""
+
+    def __init__(self, f: FieldSpec, rule):
+        self.f, self.rule = f, rule
+
+    def own(self, key):
+        """rule(*key) as the rule gives it, stored on the way, or its
+        stored value, which has the same labels."""
+        v = self.get(key)
         if v is None:
-            fill(rule, *labels)
-            v = memo[(rule,) + labels]
+            v = self.rule(*key)
+            s = _canonical(self.f, v)
+            if len(v) == (1 if type(s) is str else len(s)):
+                self[key] = s
         return v
 
-    def product(rule, x, y):
-        if type(x) is dict and len(x) == 1:
-            (t, c), = x.items()
-            x = t if c is one else x
-        if type(y) is dict and len(y) == 1:
-            (t, c), = y.items()
-            y = t if c is one else y
+    def __missing__(self, key):
+        return _canonical(self.f, self.own(key))
+
+    def times(self, x, y):
+        """x·y for labels or combinations, as stored: a lookup for two
+        labels, else ``bilinear`` over the stored values."""
         if type(x) is str and type(y) is str:
-            v = memo.get((rule, x, y))
-            return call(rule, x, y) if v is None else v
+            return self[x, y]
         if x == {} or y == {}:
             return {}
-        return bilinear(f, lambda a, b: call(rule, a, b),
-                        {x: one} if type(x) is str else x,
-                        {y: one} if type(y) is str else y)
-    return fill, call, product
+        return _canonical(self.f, bilinear(
+            self.f, lambda a, b: _combo(self.f, self[a, b]),
+            _combo(self.f, x), _combo(self.f, y)))
 
 
-def validate_module(m: DGModule, memo=None) -> ValidationReport:
+def _memo(table: dict, f: FieldSpec, rule) -> _Products:
+    """The products of ``rule`` in ``table`` {rule: _Products}, which a
+    presentation shares among its validations: once per pair per
+    presentation."""
+    return table.setdefault(rule, _Products(f, rule))
+
+
+def validate_module(m: DGModule, table=None) -> ValidationReport:
     """Exhaustive window validation: d^2 = 0, the grading of the action
     (and of every explicit table entry), the unit law on the module's
     side, Leibniz and associativity.  ``validate_algebra`` runs it on the
-    algebra as a right module over itself and shares its ``_memo``.  The
-    grading check evaluates each pair; every later product is a lookup."""
+    algebra as a right module over itself.  Each rule is evaluated once
+    per pair per presentation (``table``, see ``_memo``): the grading
+    check evaluates each pair, every later product is a lookup."""
     rep = ValidationReport(True)
     f = m.field
-    fill, call, prod = memo or _memo(f)
+    table = {} if table is None else table
     alg = m.over
     sp = m.space
     dsq = check_d_squared(m.carrier)
@@ -292,55 +311,63 @@ def validate_module(m: DGModule, memo=None) -> ValidationReport:
     asp = alg.space
     right = m.side == "right"
     win = sp.window
-    act = m.act_pair
-    table = getattr(act, "table", {})
+    act = _memo(table, f, m.act_pair)
+    mult = _memo(table, f, alg.mult_pair)
     keys = ((l, x) if right else (x, l)
             for l, x in degree_compatible(sp, asp, win.__contains__))
-    for k, v in itertools.chain(((k, fill(act, *k)) for k in keys),
-                                table.items()):
+    for k, v in itertools.chain(((k, act.own(k)) for k in keys),
+                                getattr(m.act_pair, "table", {}).items()):
         l, x = k if right else k[::-1]
         n = sp.deg(l) + asp.deg(x)
-        if not all(t in sp and sp.deg(t) == n for t in v):
+        if not all(t in sp and sp.deg(t) == n
+                   for t in ((v,) if type(v) is str else v)):
             rep.fail(f"product not of degree |x|+|y| at ({l!r}, {x!r})")
             break
     for l in sp:
-        if prod(act, *((l, alg.unit) if right else (alg.unit, l))) \
-                != {l: f.one}:
+        if act[(l, alg.unit) if right else (alg.unit, l)] != l:
             rep.fail(f"{m.side} unit law fails at {l!r}")
             break
+    d, da = m.carrier.d, alg.carrier.d
     for l, x in degree_compatible(
             sp, asp, lambda s: s in win and s + 1 in win):
         if right:
-            lhs = m.carrier.d(call(act, l, x))
+            lhs = d(act[l, x])
             sgn = f.from_int(-1 if sp.deg(l) % 2 else 1)
-            rhs = vec_iadd(f, dict(prod(act, m.carrier.d(l), x)), sgn,
-                           prod(act, l, alg.carrier.d(x)))
+            rhs = vec_iadd(f, dict(_combo(f, act.times(d(l), x))), sgn,
+                           _combo(f, act.times(l, da(x))))
         else:
-            lhs = m.carrier.d(call(act, x, l))
+            lhs = d(act[x, l])
             sgn = f.from_int(-1 if asp.deg(x) % 2 else 1)
-            rhs = vec_iadd(f, dict(prod(act, alg.carrier.d(x), l)), sgn,
-                           prod(act, x, m.carrier.d(l)))
+            rhs = vec_iadd(f, dict(_combo(f, act.times(da(x), l))), sgn,
+                           _combo(f, act.times(x, d(l))))
         if lhs != rhs:
             rep.fail(f"Leibniz fails at ({l!r}, {x!r})")
             break
-    # l·x once per pair (l, x), then for each y in basis order (l·x)·y
-    # against l·(x·y), or (x·y)·l against x·(y·l) for a left module
+    # a row per pair (l, x): the first y in basis order where (l·x)·y and
+    # l·(x·y) differ, or (x·y)·l and x·(y·l) for a left module
     adegs = asp.degrees()
     ys_at = {s: [y for k in adegs if s + k in win for y in asp.labels(k)]
              for s in {n + k for n in sp.degrees() for k in adegs}}
+    times = act.times
     for l, x in degree_compatible(sp, asp, ys_at.get):
-        lx = call(act, l, x) if right else None
-        for y in ys_at[sp.deg(l) + asp.deg(x)]:
-            if right:
-                lhs = prod(act, lx, y)
-                rhs = prod(act, l, call(alg.mult_pair, x, y))
-            else:
-                lhs = prod(act, call(alg.mult_pair, x, y), l)
-                rhs = prod(act, x, call(act, y, l))
-            if lhs != rhs:
-                rep.fail(f"associativity fails at ({l!r}, {x!r}, {y!r})")
-                return rep
+        ys = ys_at[sp.deg(l) + asp.deg(x)]
+        if right:
+            lx = act[l, x]
+            bad = next((y for y in ys
+                        if times(lx, y) != times(l, mult[x, y])), None)
+        else:
+            bad = next((y for y in ys
+                        if times(mult[x, y], l) != times(x, act[y, l])),
+                       None)
+        if bad is not None:
+            rep.fail(f"associativity fails at ({l!r}, {x!r}, {bad!r})")
+            return rep
     return rep
+
+
+def _cached(memo: dict, rule):
+    """``rule`` evaluated once per label per validation call."""
+    return memo.setdefault(rule, functools.cache(rule))
 
 
 class DGCoalgebra:
@@ -387,17 +414,17 @@ def validate_coalgebra(c: DGCoalgebra) -> ValidationReport:
     if c.coaug not in sp or sp.deg(c.coaug) != 0:
         rep.fail("coaugmentation missing or not in degree 0")
         return rep
-    fill, call, prod = _memo(f)
-    for v in validate_comodule(comodule_over_self(c),
-                               (fill, call, prod)).violations:
+    memo: dict = {}
+    for v in validate_comodule(comodule_over_self(c), memo).violations:
         rep.fail(v)
     if c.carrier.d(c.coaug):
         rep.fail("d(coaugmentation) != 0")
-    if call(c.comult_label, c.coaug) != [(c.coaug, c.coaug, f.one)]:
+    comult = _cached(memo, c.comult_label)
+    if comult(c.coaug) != [(c.coaug, c.coaug, f.one)]:
         rep.fail("coaugmentation is not grouplike")
     for l in sp:
         out: dict = {}
-        for l1, l2, v in call(c.comult_label, l):
+        for l1, l2, v in comult(l):
             vec_iadd(f, out, c.counit.get(l1, f.zero), {l2: v})
         if out != {l: f.one}:
             rep.fail(f"left counit law fails at {l!r}")
@@ -438,10 +465,12 @@ def validate_comodule(n: DGComodule, memo=None) -> ValidationReport:
     """Exhaustive window validation: d^2 = 0, the right counit law,
     coassociativity and co-Leibniz below the window top.
     ``validate_coalgebra`` runs it on the coalgebra as a right comodule
-    over itself and shares its ``_memo``."""
+    over itself and shares its memo {rule: rule memoised}."""
     rep = ValidationReport(True)
     f = n.field
-    call = (memo or _memo(f))[1]
+    memo = {} if memo is None else memo
+    coact = _cached(memo, n.coaction_label)
+    comult = _cached(memo, n.over.comult_label)
     sp = n.space
     co = n.over
     dsq = check_d_squared(n.carrier)
@@ -449,7 +478,7 @@ def validate_comodule(n: DGComodule, memo=None) -> ValidationReport:
         rep.fail(f"d^2 != 0 at degree {dsq.degree}, label {dsq.label!r}")
     for l in sp:
         out: dict = {}
-        for m, c, v in call(n.coaction_label, l):
+        for m, c, v in coact(l):
             vec_iadd(f, out, co.counit.get(c, f.zero), {m: v})
         if out != {l: f.one}:
             rep.fail(f"right counit law fails at {l!r}")
@@ -457,10 +486,10 @@ def validate_comodule(n: DGComodule, memo=None) -> ValidationReport:
     for l in sp:
         lhs: dict = {}
         rhs: dict = {}
-        for m, c, v in call(n.coaction_label, l):
-            for m2, c2, w in call(n.coaction_label, m):
+        for m, c, v in coact(l):
+            for m2, c2, w in coact(m):
                 vec_iadd(f, lhs, v, {(m2, c2, c): w})
-            for c1, c2, w in call(co.comult_label, c):
+            for c1, c2, w in comult(c):
                 vec_iadd(f, rhs, v, {(m, c1, c2): w})
         if lhs != rhs:
             rep.fail(f"coassociativity fails at {l!r}")
@@ -471,10 +500,10 @@ def validate_comodule(n: DGComodule, memo=None) -> ValidationReport:
             continue
         lhs: dict = {}
         for t, v in n.carrier.d(l).items():
-            for m, c, w in call(n.coaction_label, t):
+            for m, c, w in coact(t):
                 vec_iadd(f, lhs, v, {(m, c): w})
         rhs: dict = {}
-        for m, c, v in call(n.coaction_label, l):
+        for m, c, v in coact(l):
             sgn = f.from_int(-1 if sp.deg(m) % 2 else 1)
             vec_iadd(f, rhs, v,
                      {(t, c): w for t, w in n.carrier.d(m).items()})

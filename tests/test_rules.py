@@ -8,11 +8,13 @@ groups and must report the same violations in the same order.
 """
 
 import itertools
+import json
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dgkoszul import barcobar, dgstruct
+from dgkoszul import barcobar, cli, dgstruct
 from dgkoszul.barcobar import (
     bar,
     bar_word_entries,
@@ -672,6 +674,43 @@ def test_memoised_left_module_validation_matches_bilinear(f, data):
                             len(broken) + len(units) < len(table))
 
 
+def outcome(validate, *args):
+    """A validation's violations, or the message of the error it raised."""
+    try:
+        return validate(*args).violations
+    except StructureError as e:
+        return f"raises {e}"
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(field_st, st.sampled_from(["right", "left"]), st.data())
+def test_module_reads_the_products_its_algebra_filled(f, side, data):
+    """A module validated with the table its broken algebra already
+    filled reports what it reports alone, or raises the same table gap."""
+    w = DegreeWindow(-12, 12)
+    gens = [("y", 2), ("z", 4)]
+    a = polynomial_algebra(f, w, gens)
+    sp = a.space
+    table = ref_polynomial(a, gens)
+    units = {k: v for k, v in table.items() if a.unit in k}
+    broken = break_table(f, {k: v for k, v in table.items()
+                             if k not in units},
+                         sp, lambda x, y: sp.deg(x) + sp.deg(y), data)
+    ba = DGAlgebra.from_table(a.carrier, a.unit, {**broken, **units},
+                              a.polarity)
+    m = truncated_module(a, "y", 2, 4)
+    act = ref_truncated_module(m, 2, 4)
+    if side == "left":
+        act = {(x, l): v for (l, x), v in act.items()}
+    bm = DGModule.from_table(m.carrier, ba, act, side=side)
+    shared: dict = {}
+    outcome(validate_algebra, ba, shared)
+    assert shared
+    assert outcome(validate_module, bm, shared) == outcome(validate_module,
+                                                          bm)
+
+
 def counted(rule, counts):
     def rule_counted(*labels):
         counts[labels] = counts.get(labels, 0) + 1
@@ -680,7 +719,7 @@ def counted(rule, counts):
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=str)
-def test_validation_evaluates_each_pair_once(f, monkeypatch):
+def test_validation_evaluates_each_pair_once(f, monkeypatch, tmp_path):
     w = DegreeWindow(-8, 8)
     a = polynomial_algebra(f, w, [("y1", 2), ("y2", 2), ("y3", 2)])
     products: dict = {}
@@ -701,6 +740,29 @@ def test_validation_evaluates_each_pair_once(f, monkeypatch):
     assert set(products.values()) == {1}
     assert vars(a) == fields
 
+    # one table per presentation: K3's validation reads the products
+    # S3's validation evaluated, 3,003 pairs at ±16
+    doc = {"field": cli.field_name(f), "window": [-16, 16],
+           "algebras": {"S3": {"kind": "polynomial", "generators": [
+               ["y1", 2], ["y2", 2], ["y3", 2]]}},
+           "modules": {"K3": {"kind": "trivial", "over": "S3"}}}
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(doc))
+    products.clear()
+    preset = dgstruct.polynomial_algebra
+
+    def counted_preset(*args):
+        s3 = preset(*args)
+        s3.mult_pair = counted(s3.mult_pair, products)
+        return s3
+    monkeypatch.setattr(dgstruct, "polynomial_algebra", counted_preset)
+    s3 = cli.parse_presentation(str(path)).algebras["S3"]
+    monkeypatch.undo()
+    assert len(products) == 3003 == sum(
+        1 for x, y in itertools.product(labels_of(s3.space), repeat=2)
+        if s3.space.deg(x) + s3.space.deg(y) <= 16)
+    assert set(products.values()) == {1}
+
     m = truncated_module(polynomial_algebra(f, w, [("y", 2)]), "y", 2, 3)
     actions: dict = {}
     m.act_pair = counted(m.act_pair, actions)
@@ -716,6 +778,57 @@ def test_validation_evaluates_each_pair_once(f, monkeypatch):
     coproducts: dict = {}
     c.comult_label = counted(c.comult_label, coproducts)
     assert validate_coalgebra(c).ok and set(coproducts.values()) == {1}
+
+
+def test_product_table_lives_for_one_parse(tmp_path, monkeypatch):
+    """Each parse validates with a table of its own and drops it when it
+    returns; no object it stores gains an attribute.  The table algebra
+    has y·x = 6z and x·y = z with d(x) = y, so Leibniz at (x, x) needs
+    5z = 0: it holds over F_5 and fails over Q."""
+    mult = {f"{a}|{b}": {b if a == "1" else a: 1}
+            for a in "1xyz" for b in "1xyz" if "1" in (a, b)}
+    mult.update({"x|x": {}, "x|y": {"z": 1}, "y|x": {"z": 6}})
+    algebra = {"kind": "table", "unit": "1", "polarity": "non-negative",
+               "basis": {"0": ["1"], "1": ["x"], "2": ["y"], "3": ["z"]},
+               "differential": {"x": {"y": 1}}, "mult": mult}
+
+    def parse(field):
+        path = tmp_path / f"{field}.json"
+        path.write_text(json.dumps({
+            "field": field, "window": [0, 3], "algebras": {"A": algebra},
+            "modules": {"K": {"kind": "trivial", "over": "A"}}}))
+        return cli.parse_presentation(str(path))
+
+    tables: list = []
+    before: list = []
+
+    def spy(validate):
+        def run(obj, table):
+            rule = getattr(obj, "mult_pair", None) or obj.act_pair
+            before.append((obj, set(vars(obj)), rule, set(vars(rule))))
+            try:
+                return validate(obj, table)
+            finally:
+                tables.extend(weakref.ref(p) for p in table.values())
+        return run
+    monkeypatch.setattr(cli, "validate_algebra", spy(cli.validate_algebra))
+    monkeypatch.setattr(cli, "validate_module", spy(cli.validate_module))
+
+    for field in ("F5", "Q", "F5"):
+        if field == "Q":
+            with pytest.raises(cli.CliError,
+                               match=r"Leibniz fails at \('x', 'x'\)"):
+                parse(field)
+            continue
+        store = parse(field)
+        assert set(store.algebras) == {"A"} and set(store.modules) == {"K"}
+        assert tables and all(ref() is None for ref in tables)
+        tables.clear()
+        assert set(vars(store)) == set(vars(cli.Store(store.field,
+                                                      store.window)))
+    assert len(before) == 5
+    for obj, attrs, rule, rule_attrs in before:
+        assert set(vars(obj)) == attrs and set(vars(rule)) == rule_attrs
 
 
 # -------------------------------------------------------------------------
