@@ -674,7 +674,9 @@ def build_parser() -> argparse.ArgumentParser:
     with_flags(sp)
     sp.add_argument("--degrees", required=True)
     sp.add_argument("--module", default="trivial",
-                    help="free | trivial | truncated:<power>")
+                    help="free | trivial | truncated:<power>, which is "
+                    "K[y1]/(y1^power) with |y1| the first of --degrees; "
+                    "every other degree must be a multiple of it")
     sp.add_argument("--depth", type=int)
     sp.set_defaults(fn=cmd_duality_check)
     return p

@@ -4,19 +4,22 @@ cocompleteness filtration; twisting cochain validation.
 
 Products and actions are given by rules, ``mult_pair(a, b)`` and
 ``act_pair(m, a)``, that compute the product of two basis labels on demand:
-presets from per-label keys (exponent vectors, subsets, words), graded duals
-from the transposed structure maps, table presentations from their explicit
-table.  Coproducts and coactions are rules too, ``comult_label(l)`` and
-``coaction_label(l)``: a construction that builds a table (the exterior
-coalgebra; by one ``transpose_rule``, the duals of an algebra and of a right
-module) passes a lookup into it.  Every axiom stays decidable by exhaustive
-checking on the window bases; the validators visit only the label pairs and
-triples whose degrees fit the window and evaluate each product rule once per
-pair per presentation: a module's validation reads the products its
-algebra's filled.  An algebra is validated as its own right module and a
-coalgebra as its own right comodule, so each axiom loop is written once;
-``validate_algebra`` and ``validate_coalgebra`` keep only the checks that a
-(co)module does not have, among them the left (co)unit law.
+presets from per-label keys (exponent vectors, words), graded duals from
+the transposed structure maps, table presentations from their explicit
+table.  One monomial builder gives the polynomial, truncated and exterior
+presets their basis and product; the exterior coalgebra splits the product,
+and the truncated module reuses the basis.  Coproducts and coactions are
+rules too, ``comult_label(l)`` and ``coaction_label(l)``: a construction
+that builds a table (the exterior coalgebra; by one ``transpose_rule``, the
+duals of an algebra and of a right module) passes a lookup into it.
+Every axiom stays decidable by exhaustive checking on the window bases; the
+validators visit only the label pairs and triples whose degrees fit the
+window and evaluate each product rule once per pair per presentation: a
+module's validation reads the products its algebra's filled.  An algebra is
+validated as its own right module and a coalgebra as its own right
+comodule, so each axiom loop is written once; ``validate_algebra`` and
+``validate_coalgebra`` keep only the checks that a (co)module does not
+have, among them the left (co)unit law.
 """
 
 from __future__ import annotations
@@ -327,19 +330,22 @@ def validate_module(m: DGModule, table=None) -> ValidationReport:
         if act[(l, alg.unit) if right else (alg.unit, l)] != l:
             rep.fail(f"{m.side} unit law fails at {l!r}")
             break
-    d, da = m.carrier.d, alg.carrier.d
+    d = m.carrier.d
+    # d of each label in canonical form, so a one-term value is a lookup
+    dm = {l: _canonical(f, d(l)) for l in sp}
+    da = {x: _canonical(f, alg.carrier.d(x)) for x in asp}
     for l, x in degree_compatible(
             sp, asp, lambda s: s in win and s + 1 in win):
         if right:
             lhs = d(act[l, x])
             sgn = f.from_int(-1 if sp.deg(l) % 2 else 1)
-            rhs = vec_iadd(f, dict(_combo(f, act.times(d(l), x))), sgn,
-                           _combo(f, act.times(l, da(x))))
+            rhs = vec_iadd(f, dict(_combo(f, act.times(dm[l], x))), sgn,
+                           _combo(f, act.times(l, da[x])))
         else:
             lhs = d(act[x, l])
             sgn = f.from_int(-1 if asp.deg(x) % 2 else 1)
-            rhs = vec_iadd(f, dict(_combo(f, act.times(da(x), l))), sgn,
-                           _combo(f, act.times(x, d(l))))
+            rhs = vec_iadd(f, dict(_combo(f, act.times(da[x], l))), sgn,
+                           _combo(f, act.times(x, dm[l])))
         if lhs != rhs:
             rep.fail(f"Leibniz fails at ({l!r}, {x!r})")
             break
@@ -719,14 +725,45 @@ def trivial_algebra(field: FieldSpec, window: DegreeWindow) -> DGAlgebra:
                      "non-negative", simply_connected=True, name="K")
 
 
-def _monomial_label(names: list, exps: tuple) -> str:
-    parts = []
-    for nm, e in zip(names, exps):
-        if e == 1:
-            parts.append(nm)
-        elif e > 1:
-            parts.append(f"{nm}^{e}")
-    return "*".join(parts) if parts else "1"
+def _monomials(field: FieldSpec, window: DegreeWindow, gens: list,
+               caps: list, bounds: tuple):
+    """Zero-differential complex on the monomials x^a of the generators
+    (name, degree), each a_i at most caps[i] (None: unbounded, for an even
+    generator of positive degree), of degree at most window.hi; the label
+    of each exponent vector; and the product x^a·x^b = ±x^(a+b), zero past
+    a cap or the window, with sign -1 to the number of pairs i > j of odd
+    generators with a_i·b_j odd.  Labels are in increasing exponent vector
+    order, or with odd generators in increasing order of the index word,
+    which for an exterior algebra is increasing subset order."""
+    names = [g[0] for g in gens]
+    odd = [i for i, g in enumerate(gens) if g[1] % 2]
+    degree = {(): 0}
+    for (_, d), cap in zip(gens, caps):
+        top = window.hi // d if cap is None else cap
+        degree = {v + (e,): n + e * d for v, n in degree.items()
+                  for e in range(top + 1) if n + e * d <= window.hi}
+    word = (lambda v: [i for i, e in enumerate(v) for _ in range(e)]) \
+        if odd else None
+    label = {v: "*".join(nm if e == 1 else f"{nm}^{e}"
+                         for nm, e in zip(names, v) if e) or "1"
+             for v in sorted(degree, key=word)}
+    basis: dict = {}
+    for v, l in label.items():
+        basis.setdefault(degree[v], []).append(l)
+    sp = GradedSpace(field, window, basis, bounds=bounds)
+    exps = {l: v for v, l in label.items()}
+    one, minus = field.one, field.from_int(-1)
+
+    def mult_pair(x: str, y: str) -> dict:
+        a, b = exps[x], exps[y]
+        t = label.get(tuple(map(operator.add, a, b)))
+        if t is None:
+            return {}
+        if odd and sum(a[i] * b[j] for i in odd for j in odd if j < i) % 2:
+            return {t: minus}
+        return {t: one}
+
+    return Complex(sp, GradedMap.zero(sp, sp, 1)), label, mult_pair
 
 
 def polynomial_algebra(field: FieldSpec, window: DegreeWindow,
@@ -734,46 +771,16 @@ def polynomial_algebra(field: FieldSpec, window: DegreeWindow,
     """K[y_1, ..., y_n] with even positive generator degrees and zero
     differential, truncated to the window."""
     names = [g[0] for g in gens]
-    degs = [g[1] for g in gens]
     if len(set(names)) != len(names):
         raise StructureError("duplicate generator names")
-    for d in degs:
+    for _, d in gens:
         if d <= 0 or d % 2:
             raise StructureError("polynomial generator degree must be even "
                                  f"positive, got {d}")
-    basis: dict = {}
-    label_of: dict = {}
-    maxdeg = window.hi
-
-    def rec(i, exps, deg):
-        if i == len(gens):
-            l = _monomial_label(names, tuple(exps))
-            basis.setdefault(deg, []).append((tuple(exps), l))
-            return
-        e = 0
-        while deg + e * degs[i] <= maxdeg:
-            rec(i + 1, exps + [e], deg + e * degs[i])
-            e += 1
-
-    rec(0, [], 0)
-    basis_sorted = {}
-    for deg in sorted(basis):
-        items = sorted(basis[deg])
-        basis_sorted[deg] = tuple(l for _, l in items)
-        for exps, l in items:
-            label_of[exps] = l
-    sp = GradedSpace(field, window, basis_sorted, bounds=(0, POS_INF))
-    cx = Complex(sp, GradedMap.zero(sp, sp, 1))
-    exps_of = {l: e for e, l in label_of.items()}
-
-    def mult_pair(a: str, b: str) -> dict:
-        # only the monomials of degree <= maxdeg have a label
-        t = label_of.get(tuple(map(operator.add, exps_of[a], exps_of[b])))
-        return {t: field.one} if t else {}
-
-    nm = "K[" + ",".join(names) + "]"
+    cx, _, mult_pair = _monomials(field, window, gens, [None] * len(gens),
+                                  (0, POS_INF))
     return DGAlgebra(cx, "1", mult_pair, "non-negative", simply_connected=True,
-                     name=nm)
+                     name="K[" + ",".join(names) + "]")
 
 
 def truncated_polynomial_algebra(field: FieldSpec, window: DegreeWindow,
@@ -783,111 +790,52 @@ def truncated_polynomial_algebra(field: FieldSpec, window: DegreeWindow,
         raise StructureError("generator degree must be even positive")
     if power < 2:
         raise StructureError("power must be >= 2")
-    basis = {}
-    for e in range(power):
-        d = e * degree
-        if d > window.hi:
-            break
-        basis[d] = (_monomial_label([name], (e,)),)
-    sp = GradedSpace(field, window, basis, bounds=(0, (power - 1) * degree))
-    cx = Complex(sp, GradedMap.zero(sp, sp, 1))
-    lab = {e: _monomial_label([name], (e,)) for e in range(power)}
-    exp_of = {l: e for e, l in lab.items()}
-
-    def mult_pair(a: str, b: str) -> dict:
-        e = exp_of[a] + exp_of[b]
-        if e >= power or e * degree > window.hi:
-            return {}
-        return {lab[e]: field.one}
-
+    cx, _, mult_pair = _monomials(field, window, [(name, degree)],
+                                  [power - 1], (0, (power - 1) * degree))
     return DGAlgebra(cx, "1", mult_pair, "non-negative", simply_connected=True,
                      name=f"K[{name}]/({name}^{power})")
 
 
-def _subset_label(names: list, subset: tuple) -> str:
-    return "*".join(names[i] for i in subset) if subset else "1"
-
-
-def _exterior_carrier(field: FieldSpec, window: DegreeWindow, gens: list,
-                      what: str):
-    """Complex with zero differential on the subsets of odd-degree
-    generators, and the label of each subset (increasing index tuple)."""
-    names = [g[0] for g in gens]
+def _exterior(field: FieldSpec, window: DegreeWindow, gens: list, what: str):
+    """The monomials of odd generators, each exponent at most 1; the whole
+    exterior basis must fit the window."""
     degs = [g[1] for g in gens]
     for d in degs:
         if d % 2 == 0:
             raise StructureError(f"exterior generator degree must be odd, got {d}")
-    label = {s: _subset_label(names, s)
-             for r in range(len(gens) + 1)
-             for s in itertools.combinations(range(len(gens)), r)}
-    basis: dict = {}
-    for s, l in label.items():
-        d = sum(degs[i] for i in s)
-        if d not in window:
-            raise WindowError(f"window too small for the exterior {what} basis")
-        basis.setdefault(d, []).append((s, l))
-    basis_sorted = {d: tuple(l for _, l in sorted(items))
-                    for d, items in sorted(basis.items())}
-    sp = GradedSpace(field, window, basis_sorted,
-                     bounds=(min(basis), max(basis)))
-    return Complex(sp, GradedMap.zero(sp, sp, 1)), label
+    bounds = (sum(d for d in degs if d < 0), sum(d for d in degs if d > 0))
+    if bounds[0] not in window or bounds[1] not in window:
+        raise WindowError(f"window too small for the exterior {what} basis")
+    return _monomials(field, window, gens, [1] * len(gens), bounds)
 
 
 def exterior_algebra(field: FieldSpec, window: DegreeWindow,
                      gens: list) -> DGAlgebra:
     """Λ(x_1, ..., x_n) on odd-degree generators, zero differential."""
-    cx, label = _exterior_carrier(field, window, gens, "algebra")
-    names = [g[0] for g in gens]
+    cx, _, mult_pair = _exterior(field, window, gens, "algebra")
     degs = [g[1] for g in gens]
-    subset_of = {l: s for s, l in label.items()}
-
-    def mult_pair(a: str, b: str) -> dict:
-        sa, sb = subset_of[a], subset_of[b]
-        if set(sa) & set(sb):
-            return {}
-        # sign of sorting the concatenation sa+sb
-        seq = sa + sb
-        sgn = sign_of_sort(seq, [degs[i] for i in seq])
-        return {label[tuple(sorted(seq))]: field.from_int(sgn)}
-
     polarity = "non-negative" if all(d > 0 for d in degs) else "non-positive"
     sc = all(abs(d) >= 2 for d in degs) if polarity == "non-negative" else \
         all(d <= -2 for d in degs)
     return DGAlgebra(cx, "1", mult_pair, polarity, simply_connected=sc,
-                     name="Λ(" + ",".join(names) + ")")
-
-
-def sign_of_sort(indices: list, degrees: list) -> int:
-    """Koszul sign of stably sorting labelled odd/even symbols into
-    increasing index order: a stable sort swaps each inverted pair once,
-    so the sign is -1 to the number of inverted pairs of odd symbols."""
-    odd = [i for i, d in zip(indices, degrees) if d % 2]
-    return -1 if sum(a > b for a, b in itertools.combinations(odd, 2)) % 2 else 1
+                     name="Λ(" + ",".join(g[0] for g in gens) + ")")
 
 
 def exterior_coalgebra(field: FieldSpec, window: DegreeWindow,
                        gens: list) -> DGCoalgebra:
     """∧ΣV: primitively generated coalgebra on odd-degree generators whose
-    underlying space is the exterior algebra; Δ by signed unshuffles."""
-    cx, label = _exterior_carrier(field, window, gens, "coalgebra")
-    names = [g[0] for g in gens]
-    degs = [g[1] for g in gens]
+    underlying space is the exterior algebra; Δ(x^e) is the sum over
+    a + b = e of the coefficient of x^e in x^a·x^b times x^a ⊗ x^b."""
+    cx, label, mult_pair = _exterior(field, window, gens, "coalgebra")
     comult = {}
-    for s in label:
-        terms = []
-        members = list(s)
-        for r in range(len(members) + 1):
-            for t in itertools.combinations(members, r):
-                u = tuple(i for i in members if i not in t)
-                # sign of unshuffling s into (t, u): a permutation and its
-                # inverse swap the same pairs, so sorting t + u back gives it
-                seq = list(t) + list(u)
-                sgn = sign_of_sort(seq, [degs[i] for i in seq])
-                terms.append((label[tuple(t)], label[u], field.from_int(sgn)))
-        comult[label[s]] = terms
-    counit = {label[()]: field.one}
-    return DGCoalgebra(cx, lambda l: comult.get(l, []), counit, label[()],
-                       name="∧Σ(" + ",".join(names) + ")")
+    for e, l in label.items():
+        # the subsets a of e by size, each size in label order
+        subs = sorted((a for a in label if all(map(operator.le, a, e))),
+                      key=sum)
+        comult[l] = [(label[a], label[b], mult_pair(label[a], label[b])[l])
+                     for a in subs for b in [tuple(map(operator.sub, e, a))]]
+    return DGCoalgebra(cx, lambda l: comult.get(l, []), {"1": field.one}, "1",
+                       name="∧Σ(" + ",".join(g[0] for g in gens) + ")")
 
 
 def free_module(a: DGAlgebra) -> DGModule:
@@ -910,34 +858,31 @@ def trivial_module(a: DGAlgebra, label: str = "1m") -> DGModule:
 
 def truncated_module(a: DGAlgebra, name: str, degree: int, power: int) -> DGModule:
     """K[y]/(y^power) as a module over K[y] = a (single even generator);
-    an algebra label of degree n acts as y^(n // degree)."""
+    every basis degree of a must be a multiple of ``degree``, and a label
+    of degree n acts as y^(n / degree)."""
     if degree <= 0:
         raise StructureError("module generator degree must be positive")
+    for n in a.space.degrees():
+        if n % degree:
+            raise StructureError(f"algebra basis degree {n} is not a multiple "
+                                 f"of the module generator degree {degree}")
     f = a.field
     win = a.space.window
-    labels = {}
-    basis = {}
-    for e in range(power):
-        d = e * degree
-        if d > win.hi:
-            break
-        l = f"m:{_monomial_label([name], (e,))}"
-        labels[e] = l
-        basis[d] = (l,)
-    sp = GradedSpace(f, win, basis, bounds=(0, (power - 1) * degree))
-    cx = Complex(sp, GradedMap.zero(sp, sp, 1))
+    cx, label, _ = _monomials(f, win, [(name, degree)], [power - 1],
+                              (0, (power - 1) * degree))
+    labels = {v[0]: f"m:{l}" for v, l in label.items()}
+    sp = GradedSpace(f, win, {n: [f"m:{l}" for l in ls]
+                              for n, ls in cx.space.basis.items()},
+                     bounds=cx.space.bounds)
     exp_of = {l: e for e, l in labels.items()}
+    deg = a.space.deg
 
     def act_pair(ml: str, x: str) -> dict:
-        e = exp_of[ml]
-        n = a.space.deg(x)
-        if e * degree + n > win.hi or e + n // degree >= power:
-            return {}
-        tgt = labels.get(e + n // degree)
+        tgt = labels.get(exp_of[ml] + deg(x) // degree)
         return {tgt: f.one} if tgt else {}
 
-    return DGModule(cx, a, act_pair, side="right",
-                    name=f"K[{name}]/({name}^{power})")
+    return DGModule(Complex(sp, GradedMap.zero(sp, sp, 1)), a, act_pair,
+                    side="right", name=f"K[{name}]/({name}^{power})")
 
 
 def module_shift(m: DGModule, k: int) -> DGModule:

@@ -499,6 +499,21 @@ def test_exit_parse_error_bad_module_power(capsys):
     assert "truncated:x" in capsys.readouterr().err
 
 
+def test_truncated_module_on_a_degree_it_cannot_divide(tmp_path, capsys):
+    """truncated:<power> is K[y1]/(y1^power) with |y1| the first degree;
+    y2 of degree 2 cannot act on it when |y1| = 4, so the module is
+    refused when it is built (exit 3), not deep inside the resolution."""
+    assert main(["duality-check", "--degrees", "4,2", "--module",
+                 "truncated:3", "--window=-12:12"]) == 3
+    assert capsys.readouterr().err == (
+        "error: algebra basis degree 2 is not a multiple of the module "
+        "generator degree 4\n")
+    code, rep = run_json(tmp_path, ["duality-check", "--degrees", "2,4",
+                                    "--module", "truncated:3",
+                                    "--window=-12:12"])
+    assert code == 0 and rep["intervals_intersect"]
+
+
 def test_json_reports_are_byte_identical(tmp_path, pres):
     outs = []
     for i in range(2):

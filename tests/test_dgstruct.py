@@ -8,6 +8,7 @@ from dgkoszul.gradedcomplex import (
     DegreeWindow,
     GradedMap,
     GradedSpace,
+    StructureError,
 )
 from dgkoszul.dgstruct import (
     DGAlgebra,
@@ -89,6 +90,22 @@ def test_preset_modules_validate(F5, window):
         assert validate_module(m).ok
     s = module_direct_sum([trivial_module(a), free_module(a)])
     assert validate_module(s).ok
+
+
+def test_truncated_module_refuses_a_degree_it_cannot_divide(F5):
+    """K[y1]/(y1^3) with |y1| = 4 over K[y1, y2], |y2| = 2: y2 would act
+    with degree 0, so the module is refused; with |y1| = 2 and |y2| = 4
+    both act as powers of y1 and the module validates."""
+    w = DegreeWindow(-12, 12)
+    a = polynomial_algebra(F5, w, [("y1", 4), ("y2", 2)])
+    with pytest.raises(StructureError, match="algebra basis degree 2 is "
+                       "not a multiple of the module generator degree 4"):
+        truncated_module(a, "y1", 4, 3)
+    b = polynomial_algebra(F5, w, [("y1", 2), ("y2", 4)])
+    m = truncated_module(b, "y1", 2, 3)
+    assert validate_module(m).ok
+    assert m.act_pair("m:1", "y2") == {"m:y1^2": F5.one}
+    assert m.act_pair("m:y1", "y2") == {}  # y1^3 = 0
 
 
 def lookup(table):

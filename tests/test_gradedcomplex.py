@@ -183,6 +183,18 @@ def test_homology_dims_match_homology(c):
                                 if h.dimension}
 
 
+@settings(max_examples=150, deadline=None)
+@given(complexes())
+def test_euler_characteristic_of_homology(c):
+    """Σ (−1)^n dim C^n = Σ (−1)^n dim H^n for a complex whose every degree
+    is computable: the window −1..4 holds the basis's degrees 0..3 with a
+    zero degree on each side."""
+    sp = c.space
+    assert all(sp.homology_computable(n) for n in sp.degrees())
+    assert sum((-1) ** n * sp.dim(n) for n in sp.degrees()) == \
+        sum((-1) ** n * d for n, d in homology_dims(c).items())
+
+
 def test_homology_dims_at_known_bounds(F5):
     # bounds make the degrees at the window's edges computable
     assert homology_dims(two_step(F5)) == {}

@@ -328,6 +328,11 @@ def test_polynomial_rules_match_tables(f, hi, degrees):
     assert_module_rule(free_module(a), table)
     assert_module_rule(trivial_module(a), ref_trivial_module(trivial_module(a)))
     deg, power = degrees[0], 3
+    if any(n % deg for n in a.space.degrees()):
+        # y1 would act with a degree that is not a multiple of |y0|
+        with pytest.raises(StructureError, match="not a multiple"):
+            truncated_module(a, "y0", deg, power)
+        return
     m = truncated_module(a, "y0", deg, power)
     assert_module_rule(m, ref_truncated_module(m, deg, power))
     # the shift keeps the action; the sum acts summand by summand
@@ -778,6 +783,26 @@ def test_validation_evaluates_each_pair_once(f, monkeypatch, tmp_path):
     coproducts: dict = {}
     c.comult_label = counted(c.comult_label, coproducts)
     assert validate_coalgebra(c).ok and set(coproducts.values()) == {1}
+
+
+def test_leibniz_reads_one_term_differentials_as_labels(monkeypatch):
+    """Leibniz multiplies d(l) and d(x) in canonical form, so a one-term
+    differential with coefficient one is a table lookup, not a bilinear
+    extension: validating Ω(K[y]^∨) over F_5 at ±12 makes 2,446 bilinear
+    calls (2,888 when d(l) and d(x) went to bilinear as dicts)."""
+    f = FieldSpec.prime(5)
+    w = DegreeWindow(-12, 12)
+    om = cobar(graded_dual_algebra(polynomial_algebra(f, w, [("y", 2)])), w)
+    calls = [0]
+    extend = dgstruct.bilinear
+
+    def counting(*args):
+        calls[0] += 1
+        return extend(*args)
+
+    monkeypatch.setattr(dgstruct, "bilinear", counting)
+    assert validate_algebra(om).ok
+    assert calls[0] <= 2446
 
 
 def test_product_table_lives_for_one_parse(tmp_path, monkeypatch):
