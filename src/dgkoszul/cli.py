@@ -576,11 +576,12 @@ def cmd_duality_check(args) -> int:
         m = dgstruct.trivial_module(sv)
     elif args.module.startswith("truncated:"):
         try:
-            power = int(args.module.split(":", 1)[1])
+            if (power := int(args.module.split(":", 1)[1])) < 1:
+                raise ValueError
         except ValueError:
             raise CliError(EXIT_PARSE,
                            f"bad module spec {args.module!r}: power must "
-                           "be an integer")
+                           "be a positive integer")
         m = dgstruct.truncated_module(sv, "y1",
                                       pair.generator_degrees[0], power)
     else:

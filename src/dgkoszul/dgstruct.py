@@ -862,6 +862,8 @@ def truncated_module(a: DGAlgebra, name: str, degree: int, power: int) -> DGModu
     of degree n acts as y^(n / degree)."""
     if degree <= 0:
         raise StructureError("module generator degree must be positive")
+    if power < 1:
+        raise StructureError(f"module power {power} must be at least 1")
     for n in a.space.degrees():
         if n % degree:
             raise StructureError(f"algebra basis degree {n} is not a multiple "

@@ -125,12 +125,12 @@ class FieldSpec:
 def vec_iadd(field: FieldSpec, acc: dict, c, v: dict) -> dict:
     """acc += c*v in place, dropping the keys that cancel; returns acc.
 
-    Besides the RREF kernel and the word-complex builder, only this adds
-    into a combination.  ``acc`` must be a dict the caller built and owns;
-    a stored column (``Complex.d(label)``), a rule's return value or a
-    cached homology representative may be shared, so copy it with
-    ``dict(...)`` before accumulating into it.  Keys of ``acc`` keep their
-    place; new ones follow in the order of ``v``.
+    Besides the RREF kernel, the word-complex builder and ``ConeView.d``,
+    only this adds into a combination.  ``acc`` must be a dict the caller
+    built and owns; a stored column (``Complex.d(label)``), a rule's return
+    value or a cached homology representative may be shared, so copy it
+    with ``dict(...)`` before accumulating into it.  Keys of ``acc`` keep
+    their place; new ones follow in the order of ``v``.
     """
     if not c:
         return acc

@@ -389,15 +389,10 @@ def shift_complex(c: Complex, k: int) -> Complex:
     return Complex(space, GradedMap(space, space, 1, cols))
 
 
-def restrict_complex(c: Complex, window: DegreeWindow | None = None,
-                     keep=None) -> Complex:
-    """The basis labels of c in ``window`` (c's own by default) that
-    ``keep`` accepts (all by default), with the differential entries
-    between them: a window restriction, or the sub- or quotient complex
-    on labels that span one."""
-    window = window or c.window
-    basis = {n: [l for l in c.labels(n) if keep is None or keep(l)]
-             for n in c.space.degrees() if n in window}
+def restrict_complex(c: Complex, window: DegreeWindow) -> Complex:
+    """The basis labels of c in ``window``, with the differential entries
+    between them."""
+    basis = {n: c.labels(n) for n in c.space.degrees() if n in window}
     sp = GradedSpace(c.field, window, basis, bounds=c.space.bounds)
     cols = {}
     for l in sp:
@@ -496,11 +491,18 @@ class ConeView:
         for l, c in combo_or_label.items():
             if self.space.deg(l) == self.space.window.hi:
                 continue
-            if l.startswith("c1:"):
-                vec_iadd(f, out, f.neg(c), relabel("c1:", source.d(l[3:])))
-                vec_iadd(f, out, c, relabel("c2:", fmap.apply_label(l[3:])))
-            else:
-                vec_iadd(f, out, c, relabel("c2:", target.d(l[3:])))
+            x = l[3:]
+            # each term goes straight into the sum under its c1:/c2: label
+            for tag, k, v in ((("c1:", f.neg(c), source.d(x)),
+                               ("c2:", c, fmap.apply_label(x)))
+                              if l.startswith("c1:") else
+                              (("c2:", c, target.d(x)),)):
+                for t, y in v.items():
+                    t = tag + t
+                    if s := f.add(out.get(t, 0), f.mul(k, y)):
+                        out[t] = s
+                    else:
+                        del out[t]
         return out
 
 

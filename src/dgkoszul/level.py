@@ -14,9 +14,10 @@ left + right, Retract preserves it.  cert_validate checks each witness
 once: w as a chain map, each isomorphism against the rebuilt canonical
 coproduct or against cone(w) with d evaluated on demand (one chain-map
 check per pair, see check_mutually_inverse), and retractions on
-homology.  cert_from_resolution checks nothing it builds; level_interval
-reports the verdict and spherical_bound refuses a certificate that
-fails.
+homology.  cert_from_resolution takes its stage complexes from one pass
+over the resolution F, uses F itself as the root subject and checks
+nothing it builds; level_interval reports the verdict and spherical_bound
+refuses a certificate that fails.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from dgkoszul.gradedcomplex import (
     induced_map_on_homology,
     is_chain_map,
     relabel,
-    restrict_complex,
     shift_complex,
     solve_diagonal_chain_iso,
 )
@@ -109,19 +109,34 @@ class LevelCertificate:
         return self.tree.claimed
 
 
+def _coproduct_space(base: Complex, shifts, window) -> GradedSpace:
+    """The space of ``canonical_coproduct(base, shifts, window)``."""
+    basis: dict = {}
+    for i, k in enumerate(shifts):
+        for n, labels in base.space.basis.items():
+            if n - k in window:
+                basis.setdefault(n - k, []).extend(f"s{i}:{l}" for l in labels)
+    lo, hi = base.space.bounds
+    return GradedSpace(base.field, window, basis,
+                       bounds=(min((lo - k for k in shifts), default=1),
+                               max((hi - k for k in shifts), default=0)))
+
+
 def canonical_coproduct(base: Complex, shifts, window=None) -> Complex:
     """⊕_i Σ^{k_i} base with labels "s{i}:...", truncated to the given
     window (the base's by default); the normal form every leaf witness
     targets."""
-    if window is None:
-        window = base.space.window
-    if not shifts:
-        f = base.field
-        sp = GradedSpace(f, window, {}, bounds=(1, 0))
-        return Complex(sp, GradedMap.zero(sp, sp, 1))
-    parts = [restrict_complex(shift_complex(base, k), window)
-             for k in shifts]
-    return direct_sum(parts, [f"s{i}" for i in range(len(shifts))])
+    sp = _coproduct_space(base, shifts, window or base.space.window)
+    f = base.field
+    cols = {}
+    for i, k in enumerate(shifts):
+        sign = f.from_int(-1 if k % 2 else 1)
+        for l, col in base.differential.cols.items():
+            img = {f"s{i}:{t}": f.mul(sign, v) for t, v in col.items()
+                   if f"s{i}:{t}" in sp}
+            if img and f"s{i}:{l}" in sp:
+                cols[f"s{i}:{l}"] = img
+    return Complex(sp, GradedMap(sp, sp, 1, cols))
 
 
 def leaf_identity(base: Complex, shifts) -> Leaf:
@@ -168,14 +183,8 @@ def _witnessed_cone(subject: Complex, left, right, w: GradedMap,
 
 
 def _complexes_equal(a: Complex, b: Complex) -> bool:
-    if a is b:
-        return True
-    if a.space.basis != b.space.basis:
-        return False
-    for l in a.space:
-        if a.d(l) != b.d(l):
-            return False
-    return True
+    return a is b or (a.space.basis == b.space.basis
+                      and all(a.d(l) == b.d(l) for l in a.space))
 
 
 def cert_validate(c: LevelCertificate) -> ValidationReport:
@@ -244,23 +253,16 @@ def cert_validate(c: LevelCertificate) -> ValidationReport:
 # certificates from resolutions
 # -------------------------------------------------------------------------
 
-def _stage_complex(r: SemifreeResolution, which) -> Complex:
-    """Sub- or quotient complex of the realized resolution spanned by the
-    labels of generators selected by ``which`` (a stage predicate)."""
-    keep = {gl for gl, _, s in r.generators if which(s)}
-    return restrict_complex(r.realize()[0],
-                            keep=lambda l: l.split("@", 1)[0] in keep)
-
-
 def cert_from_resolution(r: SemifreeResolution) -> LevelCertificate:
     """Certificate with base A from the stage filtration of a minimal,
     exhausted resolution: stage quotients are leaves (coproducts of shifts
     of A), consecutive stages are cones.  Every witness is a relabelling
     with coefficient one: d(e⊗a) is (-1)^{|e|}e⊗da, as in Σ^{-|e|}A, plus
     terms of lower stages, so F^{<=s} is cone(w) label for label, w the
-    part of d that leaves stage s.  Nothing is checked here: callers
-    validate with cert_validate, as level_interval and spherical_bound
-    do."""
+    part of d that leaves stage s.  The stage complexes come from one pass
+    over the realized F, and the root subject is F itself.  Nothing is
+    checked here: callers validate with cert_validate, as level_interval
+    and spherical_bound do."""
     if not r.is_minimal():
         raise StructureError("certificate needs a minimal resolution")
     cls, exhausted = class_of(r)
@@ -268,38 +270,50 @@ def cert_from_resolution(r: SemifreeResolution) -> LevelCertificate:
         raise StructureError("resolution not exhausted; refusing to "
                              "certify a truncated class")
     base = r.over.carrier
-    base_labels = list(base.space)
     one = base.field.one
+    fx = r.realize()[0]
+    stages = sorted({s for _, _, s in r.generators})
+    if not stages:
+        return LevelCertificate(base, fx, empty_leaf(base))
+    stage_of = {gl: s for gl, _, s in r.generators}
+    of = {l: stage_of[l.split("@", 1)[0]] for l in fx.space}
+    # one pass over F: the basis of each stage quotient and of each
+    # subcomplex F^{<=s}, and each label's d split into its own stage's
+    # part (the quotient's) and the rest (w's)
+    by_stage = {s: ({}, {}, {}, {}) for s in stages}  # basis, d, w, F^{<=s}
+    for l, s in of.items():
+        n = fx.space.deg(l)
+        by_stage[s][0].setdefault(n, []).append(l)
+        for st in stages[stages.index(s):]:
+            by_stage[st][3].setdefault(n, []).append(l)
+        for t, v in fx.d(l).items():
+            by_stage[s][1 if of[t] == s else 2].setdefault(l, {})[t] = v
+
+    def on(basis, cols) -> Complex:
+        sp = GradedSpace(base.field, fx.window, basis, bounds=fx.space.bounds)
+        return Complex(sp, GradedMap(sp, sp, 1, cols))
 
     def quotient_leaf(stage):
         gens = sorted((gl, d) for gl, d, s in r.generators if s == stage)
-        q = _stage_complex(r, lambda s: s == stage)
+        q = fx if len(stages) == 1 else on(*by_stage[stage][:2])
         shifts = [-d for _, d in gens]
-        std = canonical_coproduct(base, shifts, q.space.window)
-        bij = {f"{gl}@{al}": f"s{i}:{al}"
-               for i, (gl, _) in enumerate(gens) for al in base_labels}
+        slot = {gl: f"s{i}:" for i, (gl, _) in enumerate(gens)}
+        to = {l: {slot[g] + al: one}
+              for l in q.space for g, al in [l.split("@", 1)]}
         return Leaf(q, shifts, *_witness_pair(GradedMap(
-            q.space, std.space, 0, {l: {bij[l]: one} for l in q.space})))
+            q.space, _coproduct_space(base, shifts, fx.window), 0, to)))
 
-    stages = sorted({s for _, _, s in r.generators})
-    if not stages:
-        return LevelCertificate(base, _stage_complex(r, lambda s: False),
-                                empty_leaf(base))
     # the lowest stage is its own quotient: F^{<=first} = F^{=first}
     node = quotient_leaf(stages[0])
     for st in stages[1:]:
         sub = node.subject
-        total = _stage_complex(r, lambda s: s <= st)
+        total = fx if st == stages[-1] else on(by_stage[st][3], {
+            l: c for l, c in fx.differential.cols.items() if of[l] <= st})
         quot = quotient_leaf(st)
         # w : Σ^{-1}quot → sub is the part of d that leaves the new stage
         qs = shift_complex(quot.subject, -1)
-        wcols = {}
-        for l in qs.space:
-            col = {t: v for t, v in total.d(l).items() if t in sub.space}
-            if col:
-                wcols[l] = col
-        w = GradedMap(qs.space, sub.space, 0, wcols)
-        to = {l: {f"c2:{l}" if l in sub.space else f"c1:{l}": one}
+        w = GradedMap(qs.space, sub.space, 0, by_stage[st][2])
+        to = {l: {("c1:" if of[l] == st else "c2:") + l: one}
               for l in total.space}
         node = ConeNode(total, node, quot, w, *_witness_pair(
             GradedMap(total.space, cone_space(qs, sub), 0, to)))

@@ -59,49 +59,55 @@ class SemifreeResolution:
     def realize(self):
         """The underlying K-complex of F and the comparison chain map."""
         if self._realized is None:
-            self._realized = _realize(self.module, self.generators,
-                                      self.differential, self.comparison)
+            self._realized = _realize(self.module, [_generator_part(
+                self.module, gl, gd, self.differential.get(gl, []),
+                self.comparison.get(gl, {})) for gl, gd, _ in self.generators])
         return self._realized
 
 
-def _realize(m: DGModule, generators, differential, comparison):
-    """The K-complex F = ⊕ g⊗A of a resolution of m over ``m.over`` on
-    m's window, and the comparison map ε : F → M."""
+def _generator_part(m: DGModule, gl, gd, terms, w) -> tuple:
+    """The summand g⊗A of F for a generator gl of degree gd, d(gl) = terms
+    and ε(gl) = w, on m's window: its basis by degree, its d-columns and
+    its ε-columns.  d(g⊗a) lies one degree up, so no label at the window's
+    top has a d-column.  A part never changes once its generator is added."""
     a = m.over
     f = a.field
     win = m.space.window
-    basis: dict = {}
-    parts: dict = {}          # label -> (generator, its degree, algebra label)
-    for gl, gd, _ in generators:
-        for n in a.space.degrees():
-            if gd + n in win:
-                for al in a.space.labels(n):
-                    label = tensor_label(gl, al)
-                    basis.setdefault(gd + n, []).append(label)
-                    parts[label] = (gl, gd, al)
-    sp = GradedSpace(f, win, basis)
-    cols: dict = {}
-    eps_cols: dict = {}
-    for label, (gl, gd, al) in parts.items():
-        col: dict = {}
-        for g2, b, c in differential.get(gl, []):
-            for t, v in a.mult_pair(b, al).items():
-                tgt = tensor_label(g2, t)
-                if tgt in sp:
-                    vec_iadd(f, col, c, {tgt: v})
-        sgn = f.from_int(-1 if gd % 2 else 1)
-        for t, v in a.carrier.d(al).items():
-            tgt = tensor_label(gl, t)
-            if tgt in sp:
-                vec_iadd(f, col, sgn, {tgt: v})
-        if col:
-            cols[label] = col
-        img = m.act(comparison.get(gl, {}), {al: f.one})
-        img = {t: v for t, v in img.items() if t in m.space}
-        if img:
-            eps_cols[label] = img
-    cx = Complex(sp, GradedMap(sp, sp, 1, cols))
-    return cx, GradedMap(sp, m.space, 0, eps_cols)
+    sgn = f.from_int(-1 if gd % 2 else 1)
+    basis, cols, eps_cols = {}, {}, {}
+    for n in a.space.degrees():
+        if gd + n not in win:
+            continue
+        for al in a.space.labels(n):
+            label = tensor_label(gl, al)
+            basis.setdefault(gd + n, []).append(label)
+            col: dict = {}
+            if gd + n + 1 in win:
+                for g2, b, c in terms:
+                    for t, v in a.mult_pair(b, al).items():
+                        vec_iadd(f, col, c, {tensor_label(g2, t): v})
+                for t, v in a.carrier.d(al).items():
+                    vec_iadd(f, col, sgn, {tensor_label(gl, t): v})
+            if col:
+                cols[label] = col
+            if img := {t: v for t, v in m.act(w, {al: f.one}).items()
+                       if t in m.space}:
+                eps_cols[label] = img
+    return basis, cols, eps_cols
+
+
+def _realize(m: DGModule, parts) -> tuple:
+    """The K-complex F = ⊕ g⊗A of a resolution of m over ``m.over``, from
+    its generators' parts in order, and the comparison map ε : F → M."""
+    basis, cols, eps_cols = {}, {}, {}
+    for b, c, e in parts:
+        for n, labels in b.items():
+            basis.setdefault(n, []).extend(labels)
+        cols.update(c)
+        eps_cols.update(e)
+    sp = GradedSpace(m.over.field, m.space.window, basis)
+    return Complex(sp, GradedMap(sp, sp, 1, cols)), GradedMap(
+        sp, m.space, 0, eps_cols)
 
 
 def semifree_resolve(m: DGModule,
@@ -133,6 +139,7 @@ def semifree_resolve(m: DGModule,
     stage: dict = {}
     differential: dict = {}
     comparison: dict = {}
+    parts: list = []          # each generator's part of F, computed once
 
     def add(degree, terms, w):
         gl = f"e{len(generators)}"
@@ -140,13 +147,15 @@ def semifree_resolve(m: DGModule,
         generators.append((gl, degree, stage[gl]))
         differential[gl] = terms
         comparison[gl] = w
+        parts.append(_generator_part(m, gl, degree, terms, w))
 
-    # F and its homology cache are kept until a generator is added
+    # F, reassembled from the parts, and its homology cache are kept until
+    # a generator is added; the last F is the resolution's
     realized = None
     for n in range(start, depth + direction, direction):
         for _round in range(ROUNDS_PER_DEGREE):
             if realized is None:
-                realized = _realize(m, generators, differential, comparison)
+                realized = _realize(m, parts)
             cx, eps = realized
             hf = homology(cx, n)
             hm = homology(m.carrier, n)
@@ -186,7 +195,7 @@ def semifree_resolve(m: DGModule,
                                      f"degree, unstable at degree {n}")
             raise RuntimeError(f"resolution did not stabilize at degree {n}")
     return SemifreeResolution(a, m, generators, differential, comparison,
-                              direction, depth)
+                              direction, depth, realized)
 
 
 def _substitute_out(field, a: DGAlgebra, expr, drop, h, h_expr):
@@ -271,8 +280,10 @@ def minimize(r: SemifreeResolution) -> SemifreeResolution:
         return s
 
     gens = [(gl, d, stage_of(gl)) for gl, d, _ in gens]
+    # with no pair cancelled, F is the input's; it is checked all the same
     out = SemifreeResolution(a, r.module, gens, diff, comp, r.direction,
-                             r.depth)
+                             r.depth, r.realize()
+                             if len(gens) == len(r.generators) else None)
     cx, eps = out.realize()
     bad = check_d_squared(cx)
     if not bad:

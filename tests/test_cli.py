@@ -135,19 +135,19 @@ def test_level_bound_report(tmp_path, pres):
     assert rep["certificate"]["tree"]["kind"] == "cone"
 
 
-def test_level_bound_zero_module(tmp_path):
-    # the zero module has level 0; the interval must not be [1, 0]
+def test_truncated_power_zero_in_a_presentation_is_refused(tmp_path,
+                                                           capsys):
+    # power 0 would be the zero module, with nothing to name the input in
+    # the error that follows; it is refused when built (exit 3)
     doc = json.loads(json.dumps(PRESENTATION))
     doc["modules"]["Z"] = {"kind": "truncated", "over": "S", "name": "y",
                            "degree": 2, "power": 0}
     p = tmp_path / "zero.json"
     p.write_text(json.dumps(doc))
-    code, rep = run_json(
-        tmp_path, ["level-bound", "-p", str(p), "--module", "Z",
-                   "--over", "S"])
-    assert code == 0
-    assert rep["class"] == 0
-    assert rep["lower_bound"] == 0 and rep["upper_bound"] == 0
+    assert main(["level-bound", "-p", str(p), "--module", "Z",
+                 "--over", "S"]) == 3
+    assert capsys.readouterr().err == (
+        "error: module power 0 must be at least 1\n")
 
 
 @pytest.fixture()
@@ -497,6 +497,25 @@ def test_exit_parse_error_bad_module_power(capsys):
     assert main(["duality-check", "--degrees", "2",
                  "--module", "truncated:x"]) == 2
     assert "truncated:x" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("power", ["0", "-1"])
+def test_exit_parse_error_module_power_below_one(capsys, power):
+    # like truncated:x, the spec itself is refused, naming it
+    assert main(["duality-check", "--degrees", "2",
+                 "--module", f"truncated:{power}"]) == 2
+    err = capsys.readouterr().err
+    assert f"truncated:{power}" in err and "positive integer" in err
+
+
+def test_truncated_power_one_is_k(tmp_path):
+    """truncated:1 is K[y1]/(y1), that is K: both sides as for trivial."""
+    reps = [run_json(tmp_path, ["duality-check", "--degrees", "2",
+                                "--module", m, "--window=-8:8"])
+            for m in ("truncated:1", "trivial")]
+    assert reps[0][0] == reps[1][0] == 0
+    for side in ("side_a", "side_b"):
+        assert reps[0][1][side] == reps[1][1][side]
 
 
 def test_truncated_module_on_a_degree_it_cannot_divide(tmp_path, capsys):

@@ -92,6 +92,19 @@ def test_preset_modules_validate(F5, window):
     assert validate_module(s).ok
 
 
+@pytest.mark.parametrize("power", [0, -1])
+def test_truncated_module_refuses_a_power_below_one(F5, power):
+    """K[y]/(y^power) with power < 1 would be the zero module; power 1 is
+    K, one basis label in degree 0 on which y acts as zero."""
+    a = polynomial_algebra(F5, DegreeWindow(-8, 8), [("y", 2)])
+    with pytest.raises(StructureError,
+                       match=f"module power {power} must be at least 1"):
+        truncated_module(a, "y", 2, power)
+    k = truncated_module(a, "y", 2, 1)
+    assert k.space.basis == {0: ("m:1",)} and validate_module(k).ok
+    assert k.act_pair("m:1", "y") == {}
+
+
 def test_truncated_module_refuses_a_degree_it_cannot_divide(F5):
     """K[y1]/(y1^3) with |y1| = 4 over K[y1, y2], |y2| = 2: y2 would act
     with degree 0, so the module is refused; with |y1| = 2 and |y2| = 4

@@ -5,6 +5,7 @@ import pytest
 
 from dgkoszul.exactlinalg import FieldSpec
 from dgkoszul.gradedcomplex import (
+    Complex,
     DegreeWindow,
     GradedMap,
     GradedSpace,
@@ -12,6 +13,7 @@ from dgkoszul.gradedcomplex import (
     shift_complex,
 )
 from dgkoszul.dgstruct import (
+    DGModule,
     exterior_algebra,
     free_module,
     polynomial_algebra,
@@ -35,6 +37,7 @@ from dgkoszul.level import (
     empty_leaf,
     leaf_from_bijection,
     leaf_identity,
+    level_interval,
     spherical_bound,
     tower_bound,
 )
@@ -323,3 +326,63 @@ def test_level_interval_checks_each_witness_once(F5, monkeypatch):
     side = level.level_interval(r)
     assert side.upper == 4 and side.valid
     assert len(calls) <= 11
+
+
+def test_level_interval_realizes_each_generator_once(F5, monkeypatch):
+    """For K3 over K[y1,y2,y3]: each generator's columns are computed once
+    (minimize cancels nothing and hands the same F on), the builder forms
+    no direct sum, the validator makes no relabel copy, and level_interval
+    makes at most 11 chain-map checks."""
+    from dgkoszul import gradedcomplex, level, resolve
+    a = polynomial_algebra(F5, DegreeWindow(-8, 8),
+                           [("y1", 2), ("y2", 2), ("y3", 2)])
+    phase: list = []
+    parts, relabels, sums, checks = [], [], [], []
+
+    def in_phase(name, fn):
+        def run(*args):
+            phase.append(name)
+            try:
+                return fn(*args)
+            finally:
+                phase.pop()
+        return run
+
+    def logged(log, fn, entry=lambda args: tuple(phase)):
+        def run(*args):
+            log.append(entry(args))
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(resolve, "_generator_part", logged(
+        parts, resolve._generator_part, lambda args: args[1]))
+    for name in ("cert_from_resolution", "cert_validate"):
+        monkeypatch.setattr(level, name, in_phase(name, getattr(level, name)))
+    wrapped = {name: logged(log, getattr(gradedcomplex, name))
+               for name, log in (("relabel", relabels), ("direct_sum", sums),
+                                 ("is_chain_map", checks))}
+    for mod in (gradedcomplex, level, resolve):
+        for name, fn in wrapped.items():
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, fn)
+    r0 = semifree_resolve(trivial_module(a))
+    r = minimize(r0)
+    assert r.realize() is r0.realize()
+    assert sorted(parts) == sorted(gl for gl, _, _ in r.generators)
+    del checks[:]
+    side = level_interval(r)
+    assert side.upper == 4 and side.valid
+    assert not [p for p in relabels if "cert_validate" in p]
+    assert not [p for p in sums if "cert_from_resolution" in p]
+    assert len(checks) <= 11
+
+
+def test_level_interval_of_the_zero_module(F5, window):
+    """The zero module has level 0: class 0, lower bound 0 and the empty
+    certificate, which validates; never the interval [1, 0]."""
+    a = polynomial_algebra(F5, window, [("y", 2)])
+    sp = GradedSpace(F5, window, {}, bounds=(0, 0))
+    zero = DGModule(Complex(sp, GradedMap.zero(sp, sp, 1)), a,
+                    lambda ml, x: {})
+    side = level_interval(minimize(semifree_resolve(zero)))
+    assert (side.cls, side.lower, side.upper, side.valid) == (0, 0, 0, True)
