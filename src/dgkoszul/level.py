@@ -47,7 +47,6 @@ from dgkoszul.resolve import (
     SemifreeResolution,
     class_of,
     is_free_over_homology,
-    lemma1_report,  # noqa: F401  (re-exported: part of the level API)
     level_lower_bound,
     minimize,
     semifree_resolve,
@@ -527,8 +526,10 @@ def spherical_bound(m, depth=None):
 @dataclass
 class LevelInterval:
     """Side (a) of the level duality: the class and exhaustion of a minimal
-    resolution, the lower bound they give with freeness of homology, and,
-    when exhausted, the certificate and whether it validates."""
+    resolution; the lower bound from the class and the freeness of H(M)
+    over H(A), which is 2 only when a decided degree shows H(M) not free
+    (never on a degree the window could not compute); and, when
+    exhausted, the certificate and whether it validates."""
     cls: int
     exhausted: bool
     lower: int

@@ -18,6 +18,8 @@ from dgkoszul.gradedcomplex import (
     DegreeWindow,
     GradedMap,
     GradedSpace,
+    NEG_INF,
+    POS_INF,
     StructureError,
     check_d_squared,
     homology,
@@ -328,10 +330,11 @@ def class_of(r: SemifreeResolution):
     return r._class
 
 
-def level_lower_bound(cls: int, free: bool) -> int:
+def level_lower_bound(cls: int, free: bool | None) -> int:
     """Level lower bound from the class of a minimal resolution and the
-    freeness of homology: 0 for the zero module, 1 if free, else 2."""
-    return 0 if cls == 0 else 1 if free else 2
+    freeness of homology: 0 for the zero module, 2 only when H(M) is
+    decided not free (``free is False``, never an undecided None), else 1."""
+    return 0 if cls == 0 else 2 if free is False else 1
 
 
 def derived_fiber(r: SemifreeResolution) -> DerivedFiber:
@@ -354,82 +357,49 @@ def lemma1_report(m: DGModule, depth: int | None = None):
 
 
 def is_free_over_homology(m: DGModule) -> dict:
-    """Tor_1^{H(A)}(H(M), K), A = ``m.over``, via the algebraic bar complex
-    H(M)⊗Ā⊗Ā → H(M)⊗Ā → H(M); free iff Tor_1 vanishes in window."""
-    a = m.over
-    f = a.field
-    ha = homology_by_degree(a.carrier)
-    hm = homology_by_degree(m.carrier)
-    # homology classes as (degree, index); the bar of H(A) uses only the
-    # augmentation ideal part (degrees != 0)
-    abar = [(n, i) for n, h in ha.items() if n != 0
-            for i in range(h.dimension)]
+    """Whether H(M) is free over H(A), A = ``m.over``, by graded Nakayama
+    (Avramov, *Infinite free resolutions*, 1998, §1), for H(A) connected
+    with its augmentation ideal in the sign σ of A's polarity.
 
-    memo: dict = {}
+    The walk goes through the degrees t from M's bound in the direction σ.
+    V_t = dim H(M)_t − rank D_t counts minimal generators, where D_t is
+    spanned by the classes of rep(m)·rep(a), m in H(M)_s, a in H(A)_{t−s},
+    s before t; V ⊗ H(A) → H(M) is onto, with a kernel of dimension
+    Σ_s V_s·dim H(A)_{t−s} − rank D_t at t.  A degree is decided only if
+    every H(M)_s from the bound to t and every H(A)_{t−s} it needs are
+    computable; ``undecided`` is the rest of the walk.  ``free`` is False
+    on a decided nonzero kernel, True if the whole walk is decided, else
+    None.  The first nonzero ``kernel`` entry is the first Tor_1."""
+    a, mc = m.over, m.carrier
+    sigma = 1 if a.polarity == "non-negative" else -1
+    near, far = (0, 1) if sigma > 0 else (1, 0)
+    edges, bound = (mc.window.lo, mc.window.hi), mc.space.bounds[near]
+    if bound in (NEG_INF, POS_INF):  # H(M) is not computable at the edge
+        bound = edges[near]
+    walk = range(bound, edges[far] + sigma, sigma)
+    ha, hm = homology_by_degree(a.carrier), homology_by_degree(mc)
+    if (0 not in ha or ha[0].dimension != 1
+            or any(n * sigma < 0 for n, h in ha.items() if h.dimension)):
+        return {"free": None, "kernel": {}, "undecided": list(walk)}
 
-    def product(cx, hx, x, hy, y, mul):
-        """Class of rep(x)·rep(y) in H(cx), whose degrees hx holds, as a
-        coefficient dict, or None when out of window.  Many class pairs
-        give the same product cycle, so each cycle's class is found once."""
-        n = x[0] + y[0]
-        if n in hx:
-            prod = mul(hx[x[0]].representatives[x[1]],
-                       hy[y[0]].representatives[y[1]])
-            key = (id(cx), n, frozenset(prod.items()))
-            if key not in memo:
-                memo[key] = {(n, j): c for j, c
-                             in homology_class(cx, n, prod).items()}
-            return memo[key]
+    def dim(cx, h, n):   # dim H^n, or None where it cannot be computed
+        return h[n].dimension if n in h else \
+            0 if cx.space.homology_computable(n) else None
 
-    def columns(keys, column):
-        """The columns of keys, or None at the first one out of window."""
-        cols = []
-        for k in keys:
-            col = column(*k)
-            if col is None:
-                return None
-            cols.append(col)
-        return cols
-
-    def b1(mm, x):
-        # m⊗x -> m·x in the basis of H^t(M)
-        act = product(m.carrier, hm, mm, ha, x, m.act)
-        return None if act is None else {j: c for (_, j), c in act.items()}
-
-    def b2(mm, x, y):
-        # m⊗x⊗y -> m·x ⊗ y - m ⊗ xy in the basis idx1 of degree t
-        act = product(m.carrier, hm, mm, ha, x, m.act)
-        pr = product(a.carrier, ha, x, ha, y, a.multiply)
-        if act is None or pr is None:
-            return None
-        col = {idx1[(k, y)]: c for k, c in act.items() if (k, y) in idx1}
-        return vec_iadd(f, col, f.from_int(-1), {idx1[(mm, k)]: c
-                                                 for k, c in pr.items()
-                                                 if (mm, k) in idx1})
-
-    mcls = [(n, i) for n, h in hm.items() for i in range(h.dimension)]
-    tor1 = {}
-    flagged = []
-    # the domains of b1 and b2 at total degree t, in product order, from
-    # the classes of Ā grouped by degree once
-    abar_at: dict = {}
-    for x in abar:
-        abar_at.setdefault(x[0], []).append(x)
-    for t in sorted({mm[0] + n for mm in mcls for n in abar_at}):
-        d1 = [(mm, x) for mm in mcls for x in abar_at.get(t - mm[0], ())]
-        idx1 = {k: i for i, k in enumerate(d1)}
-        cols1 = columns(d1, b1)
-        if cols1 is None:
-            flagged.append(t)
-            continue
-        cols2 = columns([(mm, x, y) for mm in mcls for x in abar
-                         for y in abar_at.get(t - mm[0] - x[0], ())], b2)
-        if cols2 is None:
-            flagged.append(t)
-            continue
-        # im(b2) ⊆ ker(b1), so Tor_1 at t = dim ker(b1) - rank(b2); every
-        # column of b1 lies in H^t(M), so t is a degree of hm
-        rank1 = len(span_echelon(f, cols1, hm[t].dimension))
-        tor1[t] = len(d1) - rank1 - len(span_echelon(f, cols2, len(d1)))
-    free = all(v == 0 for v in tor1.values())
-    return {"free": free, "tor1": tor1, "window_exhausted_at": flagged}
+    kernel, gens = {}, {}     # gens: s -> V_s where H(M)_s != 0
+    for t in walk:
+        d, need = dim(mc, hm, t), {s: dim(a.carrier, ha, t - s) for s in gens}
+        if d is None or None in need.values():
+            break
+        dec = [homology_class(mc, t, m.act(x, y))
+               for s, n in need.items() if n and d
+               for x in hm[s].representatives
+               for y in ha[t - s].representatives]
+        rank = len(span_echelon(a.field, dec, d))
+        kernel[t] = sum(gens[s] * n for s, n in need.items()) - rank
+        if d:
+            gens[t] = d - rank
+    free = (False if any(kernel.values())
+            else len(kernel) == len(walk) or None)
+    return {"free": free, "kernel": kernel,
+            "undecided": list(walk[len(kernel):])}

@@ -4,23 +4,30 @@ homology."""
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dgkoszul import resolve
+from dgkoszul.exactlinalg import FieldSpec, span_echelon, vec_iadd
 from dgkoszul.gradedcomplex import (
     DegreeWindow,
     StructureError,
     check_d_squared,
     homology,
+    homology_by_degree,
+    homology_class,
     is_quasi_iso,
 )
 from dgkoszul.dgstruct import (
     exterior_algebra,
     free_module,
+    module_direct_sum,
+    module_shift,
     polynomial_algebra,
     trivial_module,
     truncated_module,
     truncated_polynomial_algebra,
 )
+from dgkoszul.level import level_interval
 from dgkoszul.resolve import (
     class_of,
     derived_fiber,
@@ -166,36 +173,71 @@ def test_class_requires_minimal(F5, window):
 
 
 def test_free_module_is_free_over_homology(F5, window):
+    # over K[y] the window top is undecided: H^16 of A and of M needs the
+    # basis at 17; over Λ(x), |x| = 3, every degree is decided
     a = polynomial_algebra(F5, window, [("y", 2)])
     rep = is_free_over_homology(free_module(a))
-    assert rep["free"]
-    assert all(v == 0 for v in rep["tor1"].values())
+    assert rep["free"] is None and rep["undecided"] == [16]
+    assert list(rep["kernel"]) == list(range(16))
+    assert not any(rep["kernel"].values())
+    e = exterior_algebra(F5, window, [("x", 3)])
+    rep = is_free_over_homology(free_module(e))
+    assert rep["free"] is True and rep["undecided"] == []
+    assert not any(rep["kernel"].values())
+
+
+def first_kernel(rep):
+    """The first (degree, dimension) of a nonzero kernel in the walk."""
+    return next(((t, v) for t, v in rep["kernel"].items() if v), None)
 
 
 def test_trivial_module_not_free(F5, window):
     a = polynomial_algebra(F5, window, [("y", 2)])
     rep = is_free_over_homology(trivial_module(a))
-    assert not rep["free"]
-    assert rep["tor1"].get(2) == 1  # relation y·1 = 0 in degree 2
+    assert rep["free"] is False
+    assert first_kernel(rep) == (2, 1)  # relation y·1 = 0 in degree 2
 
 
 def test_freeness_check_finds_each_product_class_once(F5, window,
                                                      monkeypatch):
-    # K3 over S3 = K[y1,y2,y3]: b2 asks for the class of x·y for every
-    # pair of classes, and 1,596 such requests give only 123 distinct
-    # cycles; each cycle's class is computed once
-    seen = []
+    # the decomposables of H(M)_t are classified only where H(M)_t != 0,
+    # each (class, class) product once: K3 over S3 = K[y1,y2,y3] needs no
+    # class at all, as H(K) has nothing below degree 0; the free module
+    # classifies exactly the products it forms, none twice
+    classified = []
     real = resolve.homology_class
 
     def counted(cx, n, cycle):
-        seen.append((id(cx), n, frozenset(cycle.items())))
+        classified.append((n, cycle))
         return real(cx, n, cycle)
 
     monkeypatch.setattr(resolve, "homology_class", counted)
     a = polynomial_algebra(F5, window, [("y1", 2), ("y2", 2), ("y3", 2)])
     rep = is_free_over_homology(trivial_module(a))
-    assert not rep["free"] and rep["tor1"][2] == 3
-    assert len(seen) == len(set(seen)) == 123
+    assert rep["free"] is False and first_kernel(rep) == (2, 3)
+    assert classified == []
+    m = free_module(a)
+    pairs, act = [], m.act
+    m.act = lambda x, y: pairs.append((x, y)) or act(x, y)
+    rep = is_free_over_homology(m)
+    assert rep["free"] is None and not any(rep["kernel"].values())
+    keys = {(frozenset(x.items()), frozenset(y.items())) for x, y in pairs}
+    assert len(classified) == len(pairs) == len(keys) > 0
+
+
+@pytest.mark.parametrize("hi, free, first", [(16, None, None),
+                                             (20, False, (16, 1))])
+def test_freeness_is_not_claimed_on_undecided_degrees(F5, hi, free, first):
+    # K[y]/(y^4) over K[y], |y| = 4: the relation y^4 = 0 lies in degree
+    # 16, where H(K[y]) needs the basis at 17; at ±16 that degree is
+    # undecided and the lower bound stays 1, at ±20 it is decided
+    a = polynomial_algebra(F5, DegreeWindow(-hi, hi), [("y", 4)])
+    m = truncated_module(a, "y", 4, 4)
+    rep = is_free_over_homology(m)
+    assert rep["free"] is free and first_kernel(rep) == first
+    assert (16 in rep["undecided"]) == (hi == 16)
+    if hi == 16:
+        assert level_interval(resolve_min(m)).lower == 1
 
 
 def test_resolution_over_exterior(F5, window):
@@ -213,3 +255,129 @@ def test_class_of_is_not_inherited_by_a_replaced_depth(F5):
     r = resolve_min(trivial_module(a), depth=11)
     assert class_of(r) == (2, True)
     assert class_of(replace(r, depth=4)) == (2, False)
+
+
+# -------------------------------------------------------------------------
+# the Nakayama count against Tor_1 from the bar complex of H(A)
+# -------------------------------------------------------------------------
+
+FIELDS = [FieldSpec.prime(2), FieldSpec.prime(5), FieldSpec.rationals()]
+PROPERTY = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def ref_bar_tor1(m):
+    """Tor_1^{H(A)}(H(M), K) from the bar complex H(M)⊗Ā⊗Ā → H(M)⊗Ā →
+    H(M), degree by degree; a degree whose columns leave the window is
+    flagged, and ``free`` reads only the computed degrees."""
+    a = m.over
+    f = a.field
+    ha = homology_by_degree(a.carrier)
+    hm = homology_by_degree(m.carrier)
+    abar = [(n, i) for n, h in ha.items() if n != 0
+            for i in range(h.dimension)]
+
+    def product(cx, hx, x, hy, y, mul):
+        n = x[0] + y[0]
+        if n in hx:
+            prod = mul(hx[x[0]].representatives[x[1]],
+                       hy[y[0]].representatives[y[1]])
+            return {(n, j): c for j, c
+                    in homology_class(cx, n, prod).items()}
+
+    def columns(keys, column):
+        cols = [column(*k) for k in keys]
+        return None if None in cols else cols
+
+    def b1(mm, x):
+        act = product(m.carrier, hm, mm, ha, x, m.act)
+        return None if act is None else {j: c for (_, j), c in act.items()}
+
+    def b2(mm, x, y):
+        act = product(m.carrier, hm, mm, ha, x, m.act)
+        pr = product(a.carrier, ha, x, ha, y, a.multiply)
+        if act is None or pr is None:
+            return None
+        col = {idx1[(k, y)]: c for k, c in act.items() if (k, y) in idx1}
+        return vec_iadd(f, col, f.from_int(-1), {idx1[(mm, k)]: c
+                                                 for k, c in pr.items()
+                                                 if (mm, k) in idx1})
+
+    mcls = [(n, i) for n, h in hm.items() for i in range(h.dimension)]
+    tor1, flagged = {}, []
+    abar_at: dict = {}
+    for x in abar:
+        abar_at.setdefault(x[0], []).append(x)
+    for t in sorted({mm[0] + n for mm in mcls for n in abar_at}):
+        d1 = [(mm, x) for mm in mcls for x in abar_at.get(t - mm[0], ())]
+        idx1 = {k: i for i, k in enumerate(d1)}
+        cols1 = columns(d1, b1)
+        if cols1 is None:
+            flagged.append(t)
+            continue
+        cols2 = columns([(mm, x, y) for mm in mcls for x in abar
+                         for y in abar_at.get(t - mm[0] - x[0], ())], b2)
+        if cols2 is None:
+            flagged.append(t)
+            continue
+        rank1 = len(span_echelon(f, cols1, hm[t].dimension))
+        tor1[t] = len(d1) - rank1 - len(span_echelon(f, cols2, len(d1)))
+    return {"free": all(v == 0 for v in tor1.values()), "tor1": tor1,
+            "window_exhausted_at": flagged}
+
+
+@st.composite
+def freeness_cases(draw):
+    """A trivial, free, truncated, shifted or summed module over a
+    connected algebra of one sign: polynomial, exterior of either sign,
+    or truncated polynomial, over F_p or Q."""
+    f = draw(st.sampled_from(FIELDS))
+    hi = draw(st.integers(6, 14))
+    w = DegreeWindow(-hi, hi)
+    kind = draw(st.sampled_from(["polynomial", "exterior", "truncated"]))
+    if kind == "polynomial":
+        degs = draw(st.lists(st.sampled_from([2, 4]), min_size=1,
+                             max_size=3))
+        a = polynomial_algebra(f, w, [(f"y{i}", d)
+                                      for i, d in enumerate(degs)])
+    elif kind == "exterior":
+        sign = draw(st.sampled_from([1, -1]))
+        degs = draw(st.lists(st.sampled_from([1, 3]), min_size=1,
+                             max_size=2))
+        a = exterior_algebra(f, w, [(f"x{i}", sign * d)
+                                    for i, d in enumerate(degs)])
+    else:
+        degs = [draw(st.sampled_from([2, 4]))]
+        a = truncated_polynomial_algebra(f, w, "y", degs[0],
+                                         draw(st.integers(2, 4)))
+
+    def module(depth):
+        kinds = ["trivial", "free"] + ["truncated"] * (kind != "exterior")
+        k = draw(st.sampled_from(kinds + ["shifted", "summed"] * depth))
+        if k == "trivial":
+            return trivial_module(a)
+        if k == "free":
+            return free_module(a)
+        if k == "truncated":
+            return truncated_module(a, "y", min(degs),
+                                    draw(st.integers(1, 4)))
+        if k == "shifted":
+            return module_shift(module(depth - 1), draw(st.integers(-3, 3)))
+        return module_direct_sum([module(depth - 1), module(depth - 1)])
+
+    return module(2)
+
+
+@PROPERTY
+@given(freeness_cases())
+def test_nakayama_count_matches_bar_tor1(m):
+    rep = is_free_over_homology(m)
+    ref = ref_bar_tor1(m)
+    nonzero = {t: v for t, v in ref["tor1"].items() if v}
+    assert (rep["free"] is False) == bool(nonzero)
+    if nonzero:
+        sigma = 1 if m.over.polarity == "non-negative" else -1
+        t = min(nonzero, key=lambda t: sigma * t)
+        assert first_kernel(rep) == (t, nonzero[t])
+    if rep["free"] is True:
+        assert ref["free"]
