@@ -552,53 +552,52 @@ def is_quasi_iso(fmap: GradedMap, source: Complex, target: Complex,
     return verdicts
 
 
-def check_mutually_inverse(fwd: GradedMap, bwd: GradedMap, a: Complex, b: Complex):
-    """fwd: a->b and bwd: b->a must be chain maps composing to identities.
+def check_relabelling(phi: dict, a: Complex, b) -> None:
+    """StructureError unless phi = {l: (t, c)}, l ↦ c·t, is a chain
+    isomorphism from a onto b (a Complex or a ``ConeView``).
 
-    Checked: fwd is a chain map, bwd maps b into a, bwd∘fwd = id, and
-    dim a = dim b degree by degree, so the injective fwd is bijective
-    and fwd∘bwd = id.  Then
-    d·bwd = bwd·fwd·d·bwd = ±bwd·d·fwd·bwd = ±bwd·d: bwd is a chain map.
-    The image check is that argument's premise bwd : b → a, reported at
-    the offending label; bwd∘fwd would name only the preimage's.
-    """
-    ok, witness = is_chain_map(fwd, a, b)
-    if not ok:
-        raise StructureError(f"fwd is not a chain map at {witness[:2]}")
-    asp = a.space
-    for l in b.space:
-        if any(t not in asp or asp.deg(t) != b.space.deg(l) + bwd.shift
-               for t in bwd.apply_label(l)):
-            raise StructureError(f"bwd sends {l!r} outside a")
-    f = a.field
+    phi must send each label of a, and nothing else, to a nonzero multiple
+    of a label of b in the same degree, no two to one label, and a and b
+    must have equal total dimension, hence equal dimension in each degree:
+    phi is an invertible graded map.  For each l, b's d(t) scaled by c
+    must have the entry v·c_s at t_s for each term (s, v) of d(l), and no
+    other: d·phi = phi·d.  So the inverse is a chain map too, as
+    phi⁻¹·d = phi⁻¹·d·phi·phi⁻¹ = d·phi⁻¹."""
+    f, asp, bsp = a.field, a.space, b.space
     for l in asp:
-        if bwd.apply(fwd.apply_label(l)) != {l: f.one}:
-            raise StructureError(f"bwd∘fwd ≠ id at {l!r}")
-    dims = {n + fwd.shift: len(ls) for n, ls in asp.basis.items()}
-    if dims != {n: len(ls) for n, ls in b.space.basis.items()}:
-        raise StructureError("fwd∘bwd ≠ id: a and b differ in dimension")
+        t, c = phi.get(l, (None, None))
+        if t not in bsp or bsp.deg(t) != asp.deg(l) or f.is_zero(c):
+            raise StructureError(f"witness at {l!r}: {phi.get(l)} is not a "
+                                 f"nonzero multiple of a target label in "
+                                 f"degree {asp.deg(l)}")
+    if len({t for t, _ in phi.values()}) != len(phi):
+        raise StructureError("witness sends two labels to one")
+    if not len(phi) == asp.total_dim() == bsp.total_dim():
+        raise StructureError("witness, subject and target differ in size")
+    for l in asp:
+        t, c = phi[l]
+        if vec_scale(f, c, b.d(t)) != {phi[s][0]: f.mul(v, phi[s][1])
+                                       for s, v in a.d(l).items()}:
+            raise StructureError(f"witness is not a chain map at {l!r}")
 
 
 def solve_diagonal_chain_iso(source: Complex, target: Complex,
-                             bijection: dict) -> GradedMap | None:
-    """Find scalars c_l making l -> c_l · bijection[l] a chain isomorphism.
-
-    Constraint propagation over the differential graph; returns None when
-    the bijection misses a source label, sends one outside the target or
-    its degree, is not injective, or when the constraints are inconsistent
-    or leave a required coefficient zero.  Used to exhibit signed
-    identifications (dual-bar vs cobar words, transported or summed
-    certificate trees) without hand-transcribing sign tables.
-    """
+                             bijection: dict) -> dict | None:
+    """The witness {l: (bijection[l], c_l)} (see ``check_relabelling``)
+    whose scalars c_l make it a chain map, found by constraint propagation
+    over the differential graph; None when the bijection misses a source
+    label, sends one outside the target or its degree, is not injective,
+    or when the constraints are inconsistent or leave a required
+    coefficient zero.  Used to exhibit signed identifications (dual-bar
+    vs cobar words, transported or summed certificate trees) without
+    hand-transcribing sign tables."""
     f = target.field
     tsp = target.space
     coeff: dict = {}
     order = list(source.space)
-    if any(bijection.get(l) not in tsp
-           or tsp.deg(bijection[l]) != source.space.deg(l) for l in order):
-        return None
-    rev = {v: k for k, v in bijection.items()}
-    if len(rev) != len(bijection):
+    if len(set(bijection.values())) != len(bijection) or any(
+            bijection.get(l) not in tsp
+            or tsp.deg(bijection[l]) != source.space.deg(l) for l in order):
         return None
     # undirected constraint graph: c_a * (d T a)_{T b} = (d a)_b * c_b.
     # Propagation makes the coefficients agree on T(supp d a), and T is
@@ -630,5 +629,4 @@ def solve_diagonal_chain_iso(source: Complex, target: Complex,
                 else:
                     coeff[b] = c_b
                     work.append(b)
-    cols = {l: {bijection[l]: coeff[l]} for l in order}
-    return GradedMap(source.space, target.space, 0, cols)
+    return {l: (bijection[l], coeff[l]) for l in order}

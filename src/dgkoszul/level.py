@@ -1,23 +1,24 @@
 """Level certificates: upper-bound witnesses for thickening membership.
 
 A certificate is a finite tree over a base complex C:
-  Leaf     -- the subject is isomorphic (by exhibited mutually inverse
-              chain maps) to a finite coproduct of shifts of C;
-  Cone     -- the subject is isomorphic (by exhibited mutually inverse
-              chain maps) to cone(w) of a chain map
+  Leaf     -- the subject is isomorphic to a finite coproduct of shifts
+              of C;
+  Cone     -- the subject is isomorphic to cone(w) of a chain map
               w : Σ⁻¹(right subject) → left subject, so left → subject →
               right → Σ left is the cone triangle of w;
   Retract  -- the subject retracts onto the inner subtree's subject.
+A leaf's or cone's isomorphism is one witness, a signed relabelling
+{label: (target label, nonzero coefficient)} of the subject's basis;
+a retract carries its section and retraction as chain maps.
 
 claimed_level(Leaf) = 1 (0 for the empty leaf), claimed_level(Cone) =
 left + right, Retract preserves it.  cert_validate checks each witness
-once: w as a chain map, each isomorphism against the rebuilt canonical
-coproduct or against cone(w) with d evaluated on demand (one chain-map
-check per pair, see check_mutually_inverse), and retractions on
-homology.  cert_from_resolution takes its stage complexes from one pass
-over the resolution F, uses F itself as the root subject and checks
-nothing it builds; level_interval reports the verdict and spherical_bound
-refuses a certificate that fails.
+once: w as a chain map, each relabelling against the rebuilt canonical
+coproduct or against cone(w) with d evaluated on demand
+(check_relabelling), and retractions on homology.  cert_from_resolution
+takes its stage complexes from one pass over the resolution F, uses F
+itself as the root subject and checks nothing it builds; level_interval
+reports the verdict and spherical_bound refuses a certificate that fails.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ from dgkoszul.gradedcomplex import (
     GradedSpace,
     StructureError,
     WindowError,
-    check_mutually_inverse,
+    check_relabelling,
     cone,
-    cone_space,
     direct_sum,
     induced_map_on_homology,
     is_chain_map,
@@ -55,10 +55,11 @@ from dgkoszul.resolve import (
 
 @dataclass
 class Leaf:
+    """subject ≅ ⊕_i Σ^{shifts[i]} base, witnessed by a relabelling of
+    the subject onto canonical_coproduct(base, shifts, subject window)."""
     subject: Complex
-    shifts: list                  # subject ≅ ⊕ Σ^{k} base
-    to_std: GradedMap | None      # subject -> canonical coproduct
-    from_std: GradedMap | None
+    shifts: list
+    witness: dict | None          # {label: (target label, coefficient)}
     name: str = "leaf"
 
     @property
@@ -69,13 +70,13 @@ class Leaf:
 @dataclass
 class ConeNode:
     """subject ≅ cone(w) for a chain map w : Σ⁻¹(right.subject) →
-    left.subject, witnessed by mutually inverse to_cone and from_cone."""
+    left.subject, witnessed by a relabelling of the subject onto the
+    cone's c1:/c2: labels."""
     subject: Complex
     left: object
     right: object
     w: GradedMap
-    to_cone: GradedMap            # subject -> cone(w)
-    from_cone: GradedMap
+    witness: dict | None          # {label: (target label, coefficient)}
     name: str = "cone"
 
     @property
@@ -108,24 +109,20 @@ class LevelCertificate:
         return self.tree.claimed
 
 
-def _coproduct_space(base: Complex, shifts, window) -> GradedSpace:
-    """The space of ``canonical_coproduct(base, shifts, window)``."""
+def canonical_coproduct(base: Complex, shifts, window=None) -> Complex:
+    """⊕_i Σ^{k_i} base with labels "s{i}:...", truncated to the given
+    window (the base's by default); the normal form every leaf witness
+    targets."""
+    window = window or base.space.window
     basis: dict = {}
     for i, k in enumerate(shifts):
         for n, labels in base.space.basis.items():
             if n - k in window:
                 basis.setdefault(n - k, []).extend(f"s{i}:{l}" for l in labels)
     lo, hi = base.space.bounds
-    return GradedSpace(base.field, window, basis,
-                       bounds=(min((lo - k for k in shifts), default=1),
-                               max((hi - k for k in shifts), default=0)))
-
-
-def canonical_coproduct(base: Complex, shifts, window=None) -> Complex:
-    """⊕_i Σ^{k_i} base with labels "s{i}:...", truncated to the given
-    window (the base's by default); the normal form every leaf witness
-    targets."""
-    sp = _coproduct_space(base, shifts, window or base.space.window)
+    sp = GradedSpace(base.field, window, basis,
+                     bounds=(min((lo - k for k in shifts), default=1),
+                             max((hi - k for k in shifts), default=0)))
     f = base.field
     cols = {}
     for i, k in enumerate(shifts):
@@ -141,12 +138,12 @@ def canonical_coproduct(base: Complex, shifts, window=None) -> Complex:
 def leaf_identity(base: Complex, shifts) -> Leaf:
     """Leaf whose subject *is* the canonical coproduct."""
     std = canonical_coproduct(base, shifts)
-    ident = GradedMap.identity(std.space)
-    return Leaf(std, list(shifts), ident, ident)
+    return Leaf(std, list(shifts),
+                {l: (l, base.field.one) for l in std.space})
 
 
 def empty_leaf(base: Complex) -> Leaf:
-    return Leaf(canonical_coproduct(base, []), [], None, None)
+    return Leaf(canonical_coproduct(base, []), [], {})
 
 
 def leaf_from_bijection(base: Complex, subject: Complex, shifts,
@@ -154,8 +151,7 @@ def leaf_from_bijection(base: Complex, subject: Complex, shifts,
     """Leaf whose witness is a signed relabelling onto the canonical
     coproduct; the signs are solved, not guessed."""
     std = canonical_coproduct(base, shifts, subject.space.window)
-    return Leaf(subject, list(shifts), *_witness_pair(
-        solve_diagonal_chain_iso(subject, std, bijection)))
+    return Leaf(subject, list(shifts), _signed(subject, std, bijection))
 
 
 def cone_node_from_map(w: GradedMap, source: Complex, target: Complex,
@@ -168,8 +164,8 @@ def cone_node_from_map(w: GradedMap, source: Complex, target: Complex,
         raise StructureError("right subtree must certify the shifted "
                              "source")
     cx = cone(w, source, target)
-    ident = GradedMap.identity(cx.space)
-    return ConeNode(cx, left, right, w, ident, ident)
+    return ConeNode(cx, left, right, w,
+                    {l: (l, cx.field.one) for l in cx.space})
 
 
 def _witnessed_cone(subject: Complex, left, right, w: GradedMap,
@@ -177,8 +173,17 @@ def _witnessed_cone(subject: Complex, left, right, w: GradedMap,
     """Cone node whose witness is a signed relabelling of subject onto
     cone(w); the signs are solved, not guessed."""
     built = ConeView(w, shift_complex(right.subject, -1), left.subject)
-    return ConeNode(subject, left, right, w, *_witness_pair(
-        solve_diagonal_chain_iso(subject, built, bijection)))
+    return ConeNode(subject, left, right, w,
+                    _signed(subject, built, bijection))
+
+
+def _signed(subject: Complex, target, bijection: dict) -> dict:
+    """The relabelling along bijection with the signs solved; refused
+    when no signs make it a chain map."""
+    phi = solve_diagonal_chain_iso(subject, target, bijection)
+    if phi is None:
+        raise StructureError("no diagonal iso onto the witness target")
+    return phi
 
 
 def _complexes_equal(a: Complex, b: Complex) -> bool:
@@ -197,22 +202,20 @@ def cert_validate(c: LevelCertificate) -> ValidationReport:
                     rep.fail(f"{path}: empty leaf with nonzero subject")
                 return
             try:
-                if None in (node.to_std, node.from_std):
+                if node.witness is None:
                     raise StructureError("missing witness")
                 std = canonical_coproduct(c.base, node.shifts,
                                           node.subject.space.window)
-                check_mutually_inverse(node.to_std, node.from_std,
-                                       node.subject, std)
+                check_relabelling(node.witness, node.subject, std)
             except StructureError as e:
                 rep.fail(f"{path}: leaf witness fails: {e}")
         elif isinstance(node, ConeNode):
             try:
-                if None in (node.w, node.to_cone, node.from_cone):
+                if None in (node.w, node.witness):
                     raise StructureError("missing witness")
                 built = ConeView(node.w, shift_complex(node.right.subject, -1),
                                  node.left.subject)
-                check_mutually_inverse(node.to_cone, node.from_cone,
-                                       node.subject, built)
+                check_relabelling(node.witness, node.subject, built)
             except StructureError as e:
                 rep.fail(f"{path}: cone witness fails: {e}")
                 return
@@ -297,10 +300,8 @@ def cert_from_resolution(r: SemifreeResolution) -> LevelCertificate:
         q = fx if len(stages) == 1 else on(*by_stage[stage][:2])
         shifts = [-d for _, d in gens]
         slot = {gl: f"s{i}:" for i, (gl, _) in enumerate(gens)}
-        to = {l: {slot[g] + al: one}
-              for l in q.space for g, al in [l.split("@", 1)]}
-        return Leaf(q, shifts, *_witness_pair(GradedMap(
-            q.space, _coproduct_space(base, shifts, fx.window), 0, to)))
+        return Leaf(q, shifts, {l: (slot[g] + al, one) for l in q.space
+                                for g, al in [l.split("@", 1)]})
 
     # the lowest stage is its own quotient: F^{<=first} = F^{=first}
     node = quotient_leaf(stages[0])
@@ -312,10 +313,9 @@ def cert_from_resolution(r: SemifreeResolution) -> LevelCertificate:
         # w : Σ^{-1}quot → sub is the part of d that leaves the new stage
         qs = shift_complex(quot.subject, -1)
         w = GradedMap(qs.space, sub.space, 0, by_stage[st][2])
-        to = {l: {("c1:" if of[l] == st else "c2:") + l: one}
-              for l in total.space}
-        node = ConeNode(total, node, quot, w, *_witness_pair(
-            GradedMap(total.space, cone_space(qs, sub), 0, to)))
+        node = ConeNode(total, node, quot, w, {
+            l: (("c1:" if of[l] == st else "c2:") + l, one)
+            for l in total.space})
     cert = LevelCertificate(base, node.subject, node,
                             comparison_note="subject is the realized "
                             "semifree resolution, quasi-isomorphic to "
@@ -324,24 +324,6 @@ def cert_from_resolution(r: SemifreeResolution) -> LevelCertificate:
         raise RuntimeError("internal: certificate level disagrees with "
                            "resolution class")
     return cert
-
-
-def _witness_pair(to: GradedMap | None) -> tuple:
-    """A map with one term per column and its inverse; None, a relabelling
-    the solver could not sign, is refused."""
-    if to is None:
-        raise StructureError("no diagonal iso onto the witness target")
-    f = to.target.field
-    return to, GradedMap(to.target, to.source, to.shift,
-                         {t: {l: f.inv(v)} for l, col in to.cols.items()
-                          for t, v in col.items()})
-
-
-def _bijection_of(gm: GradedMap | None) -> dict:
-    """The label map of a diagonal witness; {} for an empty leaf's."""
-    if gm is None:
-        return {}
-    return {l: t for l, col in gm.cols.items() for t in col}
 
 
 # -------------------------------------------------------------------------
@@ -369,23 +351,22 @@ def _transport_tree(functor, tree, base: Complex, dk: int):
 
     def visit(node):
         subject = functor.on_complex(node.subject)
-        if isinstance(node, Leaf):
-            return leaf_from_bijection(base, subject,
-                                       [s + dk for s in node.shifts],
-                                       _bijection_of(node.to_std))
-        if isinstance(node, ConeNode):
-            left, right = visit(node.left), visit(node.right)
-            w = functor.on_map(node.w, shift_complex(right.subject, -1),
-                               left.subject)
-            return _witnessed_cone(subject, left, right, w,
-                                   _bijection_of(node.to_cone))
         if isinstance(node, RetractNode):
             inner = visit(node.inner)
             return RetractNode(
                 subject, inner,
                 functor.on_map(node.section, subject, inner.subject),
                 functor.on_map(node.retraction, inner.subject, subject))
-        raise StructureError(f"unknown node {type(node).__name__}")
+        if not isinstance(node, (Leaf, ConeNode)):
+            raise StructureError(f"unknown node {type(node).__name__}")
+        labels = {l: t for l, (t, _) in node.witness.items()}
+        if isinstance(node, Leaf):
+            return leaf_from_bijection(base, subject,
+                                       [s + dk for s in node.shifts], labels)
+        left, right = visit(node.left), visit(node.right)
+        w = functor.on_map(node.w, shift_complex(right.subject, -1),
+                           left.subject)
+        return _witnessed_cone(subject, left, right, w, labels)
 
     return visit(tree)
 
@@ -396,12 +377,15 @@ def cert_shift(c: LevelCertificate, k: int) -> LevelCertificate:
     return LevelCertificate(c.base, tree.subject, tree, c.comparison_note)
 
 
-def _retag_map(gm: GradedMap, src: Complex, tgt: Complex,
-               relabel_src, relabel_tgt) -> GradedMap:
-    cols = {}
-    for l, col in gm.cols.items():
-        cols[relabel_src(l)] = {relabel_tgt(t): v for t, v in col.items()}
-    return GradedMap(src.space, tgt.space, gm.shift, cols)
+def _witness_maps(phi: dict, subject: Complex, target: Complex,
+                  tag=lambda t: t) -> tuple:
+    """A relabelling witness subject → target, each target label passed
+    through tag, as a chain map and its inverse."""
+    f = subject.field
+    return (GradedMap(subject.space, target.space, 0,
+                      {l: {tag(t): c} for l, (t, c) in phi.items()}),
+            GradedMap(target.space, subject.space, 0,
+                      {tag(t): {l: f.inv(c)} for l, (t, c) in phi.items()}))
 
 
 def cert_compose(c1: LevelCertificate,
@@ -415,27 +399,20 @@ def cert_compose(c1: LevelCertificate,
     def transform(node):
         if isinstance(node, Leaf):
             if not node.shifts:
-                return Leaf(node.subject, [], None, None)
+                return node
             if len(node.shifts) == 1:
-                inner = cert_shift(c2, node.shifts[0]).tree
                 # subject ≅ Σ^k base via the leaf witness; the canonical
                 # coproduct has "s0:" prefixes to strip
-                shifted = inner.subject
-
-                def strip(l):
-                    return l.split(":", 1)[1]
-
-                section = _retag_map(node.to_std, node.subject, shifted,
-                                     lambda l: l, strip)
-                retraction = _retag_map(node.from_std, shifted,
-                                        node.subject, strip, lambda l: l)
-                return RetractNode(node.subject, inner, section, retraction)
+                inner = cert_shift(c2, node.shifts[0]).tree
+                return RetractNode(node.subject, inner, *_witness_maps(
+                    node.witness, node.subject, inner.subject,
+                    lambda t: t.split(":", 1)[1]))
             inners = [cert_shift(c2, s).tree for s in node.shifts]
             inner = tree_coproduct(inners,
                                    [f"s{i}" for i in range(len(inners))],
                                    c2.base)
-            return RetractNode(node.subject, inner, node.to_std,
-                               node.from_std)
+            return RetractNode(node.subject, inner, *_witness_maps(
+                node.witness, node.subject, inner.subject))
         if isinstance(node, ConeNode):
             return replace(node, left=transform(node.left),
                            right=transform(node.right))
@@ -471,7 +448,7 @@ def tree_coproduct(nodes, tags, base: Complex):
         # copy i of node n becomes copy offset + i of the coproduct
         offset = 0
         for n, tg in zip(nodes, tags):
-            for l, lab in _bijection_of(n.to_std).items():
+            for l, (lab, _) in n.witness.items():
                 i, rest = lab.split(":", 1)
                 bij[f"{tg}:{l}"] = f"s{int(i[1:]) + offset}:{rest}"
             offset += len(n.shifts)
@@ -484,7 +461,7 @@ def tree_coproduct(nodes, tags, base: Complex):
         for n, tg in zip(nodes, tags):
             for l, col in n.w.cols.items():
                 wcols[f"{tg}:{l}"] = relabel(f"{tg}:", col)
-            for l, lab in _bijection_of(n.to_cone).items():
+            for l, (lab, _) in n.witness.items():
                 kind, rest = lab.split(":", 1)
                 bij[f"{tg}:{l}"] = f"{kind}:{tg}:{rest}"
         w = GradedMap(shift_complex(right.subject, -1).space,

@@ -302,8 +302,7 @@ def _retract_certificate(cx, base):
             reps[n] = h.representatives
     shifts = [-n for n in sorted(reps) for _ in reps[n]]
     std = canonical_coproduct(base, shifts, cx.space.window)
-    leaf = Leaf(std, shifts, GradedMap.identity(std.space),
-                GradedMap.identity(std.space))
+    leaf = Leaf(std, shifts, {l: (l, f.one) for l in std.space})
     # std basis labels per degree, in shift order
     std_labels = {}
     i = 0

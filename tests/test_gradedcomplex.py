@@ -23,7 +23,7 @@ from dgkoszul.gradedcomplex import (
     StructureError,
     WindowError,
     check_d_squared,
-    check_mutually_inverse,
+    check_relabelling,
     cone,
     direct_sum,
     homology,
@@ -359,10 +359,10 @@ def test_solve_diagonal_chain_iso_signs(F5):
     sp = c.space
     d2 = GradedMap(sp, sp, 1, {"a": {"b": F5.from_int(-1)}})
     c2 = Complex(sp, d2)
-    gm = solve_diagonal_chain_iso(c, c2, {"a": "a", "b": "b"})
-    assert gm is not None
-    coeffs = {l: next(iter(col.values())) for l, col in gm.cols.items()}
-    assert F5.mul(coeffs["a"], F5.inv(coeffs["b"])) == F5.from_int(-1)
+    phi = solve_diagonal_chain_iso(c, c2, {"a": "a", "b": "b"})
+    assert [t for t, _ in phi.values()] == ["a", "b"]
+    assert F5.mul(phi["a"][1], F5.inv(phi["b"][1])) == F5.from_int(-1)
+    check_relabelling(phi, c, c2)
 
 
 def test_solve_diagonal_rejects_impossible(F5):
@@ -389,11 +389,14 @@ def test_quasi_iso_detection(F5):
                for v in verdicts.values())
 
 
-def test_check_mutually_inverse_raises(F5):
-    c = split_circle(F5)
-    z = GradedMap.zero(c.space, c.space, 0)
-    with pytest.raises(StructureError):
-        check_mutually_inverse(z, z, c, c)
+def test_check_relabelling_raises(F5):
+    # a → b with d(a) = b: the identity relabelling with b scaled by 2
+    # is a graded isomorphism but not a chain map
+    c = two_step(F5)
+    check_relabelling({"a": ("a", F5.one), "b": ("b", F5.one)}, c, c)
+    with pytest.raises(StructureError, match="not a chain map at 'a'"):
+        check_relabelling({"a": ("a", F5.one), "b": ("b", F5.from_int(2))},
+                          c, c)
 
 
 def reference_check_mutually_inverse(fwd, bwd, a, b):
@@ -457,50 +460,55 @@ def reference_solve_diagonal_chain_iso(source, target, bijection):
     return gm if ok else None
 
 
+def reference_check_relabelling(phi, a, b):
+    """The earlier check on phi as a map and on its inverse; a phi that is
+    no graded map a → b (a zero coefficient, a target outside b or its
+    degree) is refused when the map is built."""
+    f = a.field
+    fwd = GradedMap(a.space, b.space, 0,
+                    {l: {t: c} for l, (t, c) in phi.items()})
+    bwd = GradedMap(b.space, a.space, 0,
+                    {t: {l: f.inv(c)} for l, (t, c) in phi.items()})
+    reference_check_mutually_inverse(fwd, bwd, a, b)
+
+
 PERTURBATIONS = ("none", "scale d", "extra d term", "extra d label",
-                 "scale bwd", "stray bwd term", "drop column", "extra label")
+                 "rescale", "drop label", "two labels to one",
+                 "wrong degree", "outside", "zero coefficient", "extra label")
 
 
 @st.composite
 def witness_cases(draw):
-    """(perturbation, a, b, fwd, bwd, bijection) over F_5 or Q.  b is a
-    copy of the complex a on labels "T:l", fwd = P·diag(s) for random
-    nonzero scalars s and a product P of elementary operations
-    x ↦ x + λy within a degree (none drawn: a diagonal witness), bwd its
-    inverse, and d_b = fwd·d_a·bwd.
+    """(perturbation, a, b, phi) over F_5 or Q.  b is a copy of the
+    complex a on labels "T:m", phi sends l to s_l·T:π(l) for random
+    nonzero s_l and a permutation π within each degree, and
+    d_b = phi·d_a·phi⁻¹.
     Then at most one change: a coefficient of d_b scaled, one more term in
-    some d_b(u) (at a label of b, or at a new label off fwd's image), a
-    coefficient of bwd scaled, one bwd term at a label outside a, a column
-    of fwd or bwd dropped, or one more label in b.  The bijection sends l
-    to "T:l", or to "T:m" for m drawn by a permutation within each degree."""
+    some d_b(u) (at a label of b, or at a new label off phi's image), one
+    s_l scaled, a label dropped from phi, two labels sent to one target,
+    a target in another degree or outside b, a zero coefficient, or one
+    more label in b."""
     a = draw(complexes(FIELDS[1:]))
     f = a.field
     labels = list(a.space)
     kind = draw(st.sampled_from(PERTURBATIONS if labels else ["none"]))
-    fcols = {l: {l: draw(scalars(f, nonzero=True))} for l in labels}
-    bcols = {l: {l: f.inv(fcols[l][l])} for l in labels}
-    ops = []
-    for _ in range(draw(st.integers(0, 3))):
-        n = draw(st.integers(0, 3))
-        if len(a.labels(n)) > 1:
-            x, y = draw(st.permutations(a.labels(n)))[:2]
-            ops.append((x, y, draw(scalars(f, nonzero=True))))
-    for x, y, lam in ops:                      # fwd ← E·fwd, E x = x + λy
-        for col in fcols.values():
-            vec_iadd(f, col, f.mul(col.get(x, f.zero), lam), {y: f.one})
-    for x, y, lam in ops:                      # bwd ← bwd·E⁻¹
-        col = bcols[y]
-        bcols[x] = vec_iadd(f, dict(bcols[x]), f.neg(lam), col)
+    perm = {}
+    for n in a.space.degrees():
+        perm.update(zip(a.labels(n), draw(st.permutations(a.labels(n)))))
+    phi = {l: (f"T:{perm[l]}", draw(scalars(f, nonzero=True)))
+           for l in labels}
     basis = {n: [f"T:{l}" for l in a.labels(n)] for n in a.space.degrees()}
-    asp = a.space
     if kind in ("extra d label", "extra label"):
         n = draw(st.integers(0, 4))
         basis.setdefault(n, []).append("X")
     bsp = GradedSpace(f, a.window, basis)
-    fwd = GradedMap(asp, bsp, 0,
-                    {l: relabel("T:", c) for l, c in fcols.items()})
-    bwd = {f"T:{l}": c for l, c in bcols.items()}
-    dcols = {u: img for u in bsp if (img := fwd.apply(a.d(bwd.get(u, {}))))}
+    dcols = {}
+    for l, (t, c) in phi.items():
+        img = {}
+        for s_, v in a.d(l).items():
+            u, cs = phi[s_]
+            img[u] = f.mul(f.mul(f.inv(c), v), cs)
+        dcols[t] = img
     if kind in ("scale d", "extra d term", "extra d label"):
         u = draw(st.sampled_from(sorted(bsp)))
         col = dict(dcols.get(u, {}))
@@ -511,27 +519,26 @@ def witness_cases(draw):
             t = draw(st.sampled_from(sorted(bsp.labels(bsp.deg(u) + 1))))
             vec_iadd(f, col, draw(scalars(f, nonzero=True)), {t: f.one})
         dcols[u] = col
-    if kind == "scale bwd":
-        u = draw(st.sampled_from(sorted(bwd)))
-        t = draw(st.sampled_from(sorted(bwd[u])))
-        bwd[u] = dict(bwd[u], **{t: f.mul(bwd[u][t], f.from_int(2))})
-    if kind == "stray bwd term":
-        u = draw(st.sampled_from(sorted(bwd)))
-        n = bsp.deg(u)
-        asp = GradedSpace(f, a.window, {**a.space.basis,
-                                        n: [*a.space.labels(n), "X"]})
-        bwd[u] = dict(bwd[u], X=f.one)
-    if kind == "drop column":
-        cols = draw(st.sampled_from([fwd.cols, bwd]))
-        del cols[draw(st.sampled_from(sorted(cols)))]
+    if kind not in ("none", "scale d", "extra d term", "extra d label",
+                    "extra label"):
+        l = draw(st.sampled_from(labels))
+        t, c = phi[l]
+        if kind == "rescale":
+            phi[l] = (t, f.mul(c, draw(scalars(f, nonzero=True))))
+        elif kind == "drop label":
+            del phi[l]
+        elif kind == "two labels to one":
+            m = draw(st.sampled_from(labels))
+            phi[m] = (t, phi[m][1])
+        elif kind == "wrong degree":
+            phi[l] = (draw(st.sampled_from(sorted(bsp))), c)
+        elif kind == "outside":
+            phi[l] = ("Y", c)
+        else:
+            phi[l] = (t, f.zero)
     b = Complex(bsp, GradedMap(bsp, bsp, 1, {u: c for u, c in dcols.items()
                                              if c}))
-    bijection = {l: f"T:{l}" for l in labels}
-    if draw(st.booleans()):
-        for n in a.space.degrees():
-            bijection.update(zip(a.labels(n), (
-                f"T:{m}" for m in draw(st.permutations(a.labels(n))))))
-    return kind, a, b, fwd, GradedMap(bsp, asp, 0, bwd), bijection
+    return kind, a, b, phi
 
 
 def verdict(check, *args) -> bool:
@@ -545,13 +552,15 @@ def verdict(check, *args) -> bool:
 @settings(max_examples=300, deadline=None)
 @given(witness_cases())
 def test_witness_checks_match_reference(case):
-    # one chain-map check per pair and a dimension count in place of
-    # fwd∘bwd accept exactly what both chain-map checks and both
-    # compositions accept; the solver without its final chain-map check
-    # returns the same map or None
-    kind, a, b, fwd, bwd, bijection = case
-    ok = verdict(check_mutually_inverse, fwd, bwd, a, b)
-    assert ok == verdict(reference_check_mutually_inverse, fwd, bwd, a, b)
+    # the one-pass check of a relabelling accepts exactly what both
+    # chain-map checks and both compositions accept of it and its
+    # inverse; the solver without its final chain-map check finds the
+    # same witness or None
+    kind, a, b, phi = case
+    ok = verdict(check_relabelling, phi, a, b)
+    assert ok == verdict(reference_check_relabelling, phi, a, b)
     assert ok or kind != "none"
-    solved = solve_diagonal_chain_iso(a, b, bijection)
-    assert solved == reference_solve_diagonal_chain_iso(a, b, bijection)
+    bijection = {l: t for l, (t, _) in phi.items()}
+    ref = reference_solve_diagonal_chain_iso(a, b, bijection)
+    assert solve_diagonal_chain_iso(a, b, bijection) == (ref and {
+        l: (t, c) for l, col in ref.cols.items() for t, c in col.items()})

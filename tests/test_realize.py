@@ -10,8 +10,12 @@ The reference copies below are the earlier forms, kept verbatim apart
 from their names: a realization that enumerates all of F at once, a
 builder that restricts F twice per stage, and a cone d through
 ``relabel``.  Each must give the same basis in the same order and the
-same columns, term for term and in order.
+same columns, term for term and in order.  The reference builder keeps
+its witnesses in the earlier form, a map and its inverse on nodes of its
+own; each certificate witness must be that map, read as a relabelling.
 """
+
+from dataclasses import dataclass
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -40,10 +44,9 @@ from dgkoszul.level import (
     ConeNode,
     Leaf,
     LevelCertificate,
-    _witness_pair,
+    canonical_coproduct,
     cert_from_resolution,
     cert_validate,
-    empty_leaf,
 )
 from dgkoszul.resolve import class_of, minimize, semifree_resolve
 
@@ -55,6 +58,39 @@ PROPERTY = settings(max_examples=40, deadline=None,
 # -------------------------------------------------------------------------
 # reference copies
 # -------------------------------------------------------------------------
+
+@dataclass
+class RefLeaf:
+    subject: Complex
+    shifts: list
+    to_std: GradedMap | None
+    from_std: GradedMap | None
+
+    @property
+    def claimed(self) -> int:
+        return 1 if self.shifts else 0
+
+
+@dataclass
+class RefCone:
+    subject: Complex
+    left: object
+    right: object
+    w: GradedMap
+    to_cone: GradedMap
+    from_cone: GradedMap
+
+    @property
+    def claimed(self) -> int:
+        return self.left.claimed + self.right.claimed
+
+
+def ref_witness_pair(to):
+    f = to.target.field
+    return to, GradedMap(to.target, to.source, to.shift,
+                         {t: {l: f.inv(v)} for l, col in to.cols.items()
+                          for t, v in col.items()})
+
 
 def ref_realize(m, generators, differential, comparison):
     a = m.over
@@ -143,13 +179,14 @@ def ref_cert_from_resolution(r):
         std = ref_canonical_coproduct(base, shifts, q.space.window)
         bij = {f"{gl}@{al}": f"s{i}:{al}"
                for i, (gl, _) in enumerate(gens) for al in base_labels}
-        return Leaf(q, shifts, *_witness_pair(GradedMap(
+        return RefLeaf(q, shifts, *ref_witness_pair(GradedMap(
             q.space, std.space, 0, {l: {bij[l]: one} for l in q.space})))
 
     stages = sorted({s for _, _, s in r.generators})
     if not stages:
         return LevelCertificate(base, ref_stage_complex(r, lambda s: False),
-                                empty_leaf(base))
+                                RefLeaf(canonical_coproduct(base, []), [],
+                                        None, None))
     node = quotient_leaf(stages[0])
     for st_ in stages[1:]:
         sub = node.subject
@@ -164,7 +201,7 @@ def ref_cert_from_resolution(r):
         w = GradedMap(qs.space, sub.space, 0, wcols)
         to = {l: {f"c2:{l}" if l in sub.space else f"c1:{l}": one}
               for l in total.space}
-        node = ConeNode(total, node, quot, w, *_witness_pair(
+        node = RefCone(total, node, quot, w, *ref_witness_pair(
             GradedMap(total.space, cone_space(qs, sub), 0, to)))
     cert = LevelCertificate(base, node.subject, node,
                             comparison_note="subject is the realized "
@@ -226,18 +263,23 @@ def assert_same_complex(cx, ref):
     assert_same_map(cx.differential, ref.differential)
 
 
+def as_witness(gm):
+    """A map with one term per column as {label: (target, coefficient)};
+    {} for the empty leaf's missing map."""
+    if gm is None:
+        return {}
+    return {l: (t, c) for l, col in gm.cols.items() for t, c in col.items()}
+
+
 def assert_same_tree(node, ref):
-    assert type(node) is type(ref)
     assert_same_complex(node.subject, ref.subject)
-    if isinstance(ref, Leaf):
-        assert node.shifts == ref.shifts
-        if ref.to_std is not None:
-            assert_same_map(node.to_std, ref.to_std)
-            assert_same_map(node.from_std, ref.from_std)
+    if isinstance(ref, RefLeaf):
+        assert isinstance(node, Leaf) and node.shifts == ref.shifts
+        assert node.witness == as_witness(ref.to_std)
         return
+    assert isinstance(node, ConeNode)
     assert_same_map(node.w, ref.w)
-    assert_same_map(node.to_cone, ref.to_cone)
-    assert_same_map(node.from_cone, ref.from_cone)
+    assert node.witness == as_witness(ref.to_cone)
     assert_same_tree(node.left, ref.left)
     assert_same_tree(node.right, ref.right)
 
