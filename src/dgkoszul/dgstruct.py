@@ -12,10 +12,10 @@ and the truncated module reuses the basis.  Coproducts and coactions are
 rules too, ``comult_label(l)`` and ``coaction_label(l)``: a construction
 that builds a table (the exterior coalgebra; by one ``transpose_rule``, the
 duals of an algebra and of a right module) passes a lookup into it.
-Every axiom stays decidable by exhaustive checking on the window bases; the
-validators visit only the label pairs and triples whose degrees fit the
-window and evaluate each product rule once per pair per presentation: a
-module's validation reads the products its algebra's filled.  An algebra is
+Every axiom stays decidable on the window bases; the validators visit
+only the label pairs and triples whose degrees fit the window (Leibniz
+and associativity only generators' rows, when exact) and evaluate each
+rule once per pair per presentation, modules' checks included.  An algebra is
 validated as its own right module and a coalgebra as its own right
 comodule, so each axiom loop is written once; ``validate_algebra`` and
 ``validate_coalgebra`` keep only the checks that a (co)module does not
@@ -29,7 +29,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field as dc_field
 
-from dgkoszul.exactlinalg import FieldSpec, bilinear, vec_iadd
+from dgkoszul.exactlinalg import FieldSpec, bilinear, span_echelon, vec_iadd
 from dgkoszul.gradedcomplex import (
     Complex,
     DegreeWindow,
@@ -149,11 +149,11 @@ class DGAlgebra:
 
 
 def validate_algebra(a: DGAlgebra, table=None) -> ValidationReport:
-    """Exhaustive window validation.  The regular module ``free_module(a)``
-    checks d^2 = 0, the grading of products, the right unit law, Leibniz
-    and associativity; this adds the unit, polarity and connectivity
-    flags, d(unit) = 0, the left unit law and the augmentation.
-    ``table`` is the presentation's product table (see ``_memo``)."""
+    """Window validation.  The regular module ``free_module(a)`` checks
+    d^2 = 0, the grading of products, the right unit law, Leibniz and
+    associativity (see ``validate_module``); this adds the unit, polarity
+    and connectivity flags, d(unit) = 0, the left unit law and the
+    augmentation.  ``table`` is the presentation's table (``_memo``)."""
     rep = ValidationReport(True)
     sp = a.space
     f = a.field
@@ -161,10 +161,8 @@ def validate_algebra(a: DGAlgebra, table=None) -> ValidationReport:
     if a.unit not in sp or sp.deg(a.unit) != 0:
         rep.fail("unit missing or not in degree 0")
         return rep
-    if a.polarity == "non-negative" and degs and degs[0] < 0:
-        rep.fail(f"polarity non-negative but basis in degree {degs[0]}")
-    if a.polarity == "non-positive" and degs and degs[-1] > 0:
-        rep.fail(f"polarity non-positive but basis in degree {degs[-1]}")
+    if end := degs[0 if a.polarity == "non-negative" else -1]:
+        rep.fail(f"polarity {a.polarity} but basis in degree {end}")
     if sp.labels(0) != (a.unit,):
         rep.fail("not connected: degree 0 is not spanned by the unit")
     if a.simply_connected:
@@ -257,11 +255,11 @@ class _Products(dict):
     """The pair products of one rule, {(a, b): value}, each evaluated on
     its first lookup and stored in ``_canonical`` form.  A rule that
     raises (a table gap) stores nothing and raises again at the next
-    lookup; so does a value that had a zero coefficient, whose own
-    labels the grading check must read."""
+    lookup, as does a value with a zero coefficient (``complete`` is then
+    False); ``gens`` maps an algebra that passed to its generators."""
 
     def __init__(self, f: FieldSpec, rule):
-        self.f, self.rule = f, rule
+        self.f, self.rule, self.complete, self.gens = f, rule, True, {}
 
     def own(self, key):
         """rule(*key) as the rule gives it, stored on the way, or its
@@ -272,6 +270,7 @@ class _Products(dict):
             s = _canonical(self.f, v)
             if len(v) == (1 if type(s) is str else len(s)):
                 self[key] = s
+            self.complete &= key in self
         return v
 
     def __missing__(self, key):
@@ -296,13 +295,47 @@ def _memo(table: dict, f: FieldSpec, rule) -> _Products:
     return table.setdefault(rule, _Products(f, rule))
 
 
+def _generators(a: DGAlgebra, mult: _Products):
+    """Labels generating a connected a of one polarity, else None: in each
+    degree, those the ``span_echelon`` of stored products misses."""
+    sp, u, degs = a.space, a.unit, a.space.degrees()
+    if sp.labels(0) != (u,) or degs[0 if a.polarity == "non-negative" else -1]:
+        return None
+    top, gens, rest = max(map(abs, degs)), set(a.aug_ideal_labels()), {}
+    for (x, y), v in mult.items():
+        if v and x != u != y and abs(n := sp.deg(x) + sp.deg(y)) <= top:
+            if type(v) is str:          # a one-term value reaches its label
+                gens.discard(v)
+            else:
+                rest.setdefault(n, []).append(v)
+    for n, vs in rest.items():      # the others, less the labels reached
+        rows = [sp.to_coords({t: c for t, c in v.items() if t in gens}, n)
+                for v in vs]
+        gens -= {sp.labels(n)[i]
+                 for i in span_echelon(a.field, rows, sp.dim(n))}
+    return gens
+
+
 def validate_module(m: DGModule, table=None) -> ValidationReport:
-    """Exhaustive window validation: d^2 = 0, the grading of the action
-    (and of every explicit table entry), the unit law on the module's
-    side, Leibniz and associativity.  ``validate_algebra`` runs it on the
-    algebra as a right module over itself.  Each rule is evaluated once
-    per pair per presentation (``table``, see ``_memo``): the grading
-    check evaluates each pair, every later product is a lookup."""
+    """Window validation: d^2 = 0, the grading of the action (and of every
+    explicit table entry), the unit law on the module's side, Leibniz and
+    associativity.  ``validate_algebra`` runs it on the algebra as a right
+    module over itself.  Each rule is evaluated once per pair per
+    presentation (``table``, see ``_memo``): the grading check evaluates
+    each pair, every later product is a lookup.
+
+    Light's test (products and d out of the window are zero): once A is
+    associative the y with all rows (l·x)·y = l·(x·y) form a subalgebra,
+    (l·x)·(yz) = ((l·x)·y)·z = (l·(xy))·z = l·((xy)·z) = l·(x·(yz)) (for
+    M = A, z's row at l = x), as do the middle letters of (x·y)·l.  So do
+    the x with Leibniz at each checked pair (l, x) (both degrees in the
+    window): d(l·xy) = d((l·x)·y) needs the pairs (l·x, y) and (l, x),
+    checked as |l·x| and |l·x| + 1 lie between |l| and |l·xy| + 1 for x, y
+    of one sign (either polarity), and d(xy) in A, a checked pair or zero
+    at the window top.  So both run at G = ``_generators`` (Leibniz also
+    at 1) when the checks above passed, every product is stored, and
+    M = A or A's own check passed in this table (which records G); else,
+    or if one fails, at every label: the exhaustive report."""
     rep = ValidationReport(True)
     f = m.field
     table = {} if table is None else table
@@ -334,40 +367,44 @@ def validate_module(m: DGModule, table=None) -> ValidationReport:
     # d of each label in canonical form, so a one-term value is a lookup
     dm = {l: _canonical(f, d(l)) for l in sp}
     da = {x: _canonical(f, alg.carrier.d(x)) for x in asp}
-    for l, x in degree_compatible(
-            sp, asp, lambda s: s in win and s + 1 in win):
-        if right:
-            lhs = d(act[l, x])
-            sgn = f.from_int(-1 if sp.deg(l) % 2 else 1)
-            rhs = vec_iadd(f, dict(_combo(f, act.times(dm[l], x))), sgn,
-                           _combo(f, act.times(l, da[x])))
-        else:
-            lhs = d(act[x, l])
-            sgn = f.from_int(-1 if asp.deg(x) % 2 else 1)
-            rhs = vec_iadd(f, dict(_combo(f, act.times(da[x], l))), sgn,
-                           _combo(f, act.times(x, dm[l])))
-        if lhs != rhs:
-            rep.fail(f"Leibniz fails at ({l!r}, {x!r})")
-            break
-    # a row per pair (l, x): the first y in basis order where (l·x)·y and
-    # l·(x·y) differ, or (x·y)·l and x·(y·l) for a left module
-    adegs = asp.degrees()
-    ys_at = {s: [y for k in adegs if s + k in win for y in asp.labels(k)]
-             for s in {n + k for n in sp.degrees() for k in adegs}}
-    times = act.times
-    for l, x in degree_compatible(sp, asp, ys_at.get):
-        ys = ys_at[sp.deg(l) + asp.deg(x)]
-        if right:
-            lx = act[l, x]
-            bad = next((y for y in ys
-                        if times(lx, y) != times(l, mult[x, y])), None)
-        else:
-            bad = next((y for y in ys
-                        if times(mult[x, y], l) != times(x, act[y, l])),
-                       None)
-        if bad is not None:
-            rep.fail(f"associativity fails at ({l!r}, {x!r}, {bad!r})")
-            return rep
+
+    def leibniz(gens):  # the first failing pair, x in gens if given
+        pairs = degree_compatible(sp, asp, lambda s: s in win and s + 1 in win)
+        for l, x in (k for k in pairs if gens is None or k[1] in gens):
+            p, q, dp, dq, n = (l, x, dm[l], da[x], sp.deg(l)) if right else \
+                (x, l, da[x], dm[l], asp.deg(x))
+            rhs = vec_iadd(f, dict(_combo(f, act.times(dp, q))),
+                           f.from_int(-1 if n % 2 else 1),
+                           _combo(f, act.times(p, dq)))
+            if d(act[p, q]) != rhs:
+                return f"Leibniz fails at ({l!r}, {x!r})"
+    adegs, times = asp.degrees(), act.times
+
+    def associativity(gens):
+        # a row per pair (l, x), to its first failing y (in gens if given)
+        ys_at = {s: [y for k in adegs if s + k in win for y in asp.labels(k)
+                     if gens is None or y in gens]
+                 for s in {n + k for n in sp.degrees() for k in adegs}}
+        for l, x in degree_compatible(sp, asp, ys_at.get):
+            ys = ys_at[sp.deg(l) + asp.deg(x)]
+            if right:
+                lx = act[l, x]
+                bad = next((y for y in ys
+                            if times(lx, y) != times(l, mult[x, y])), None)
+            else:
+                bad = next((y for y in ys
+                            if times(mult[x, y], l) != times(x, act[y, l])),
+                           None)
+            if bad is not None:
+                return f"associativity fails at ({l!r}, {x!r}, {bad!r})"
+    own = right and act is mult and sp is asp     # free_module(alg)
+    gens = None if not (rep.ok and act.complete) else \
+        _generators(alg, mult) if own else mult.gens.get(alg)
+    if gens is None or associativity(gens) or leibniz(gens | {alg.unit}):
+        for msg in filter(None, (leibniz(None), associativity(None))):
+            rep.fail(msg)
+    if own and rep.ok:
+        mult.gens[alg] = gens
     return rep
 
 

@@ -469,18 +469,21 @@ def cone_space(source: Complex, target: Complex) -> GradedSpace:
 
 
 class ConeView:
-    """Mapping cone of a chain map f : source → target, d evaluated on
-    demand: d(c1:x) = -c1:dx + c2:f(x), d(c2:y) = c2:dy, and 0 at the top
-    of the window.  Refuses (StructureError) an f that is not a chain map."""
+    """Mapping cone of a map f : source → target, d evaluated on demand:
+    d(c1:x) = -c1:dx + c2:f(x), d(c2:y) = c2:dy, and 0 at the top of the
+    window.  Only ``checked`` checks that f is a chain map."""
 
     def __init__(self, fmap: GradedMap, source: Complex, target: Complex):
-        ok, witness = is_chain_map(fmap, source, target)
-        if not ok:
-            raise StructureError(
-                f"cone of a non-chain-map; first failure {witness[:2]}")
         self.space = cone_space(source, target)
         self.field = target.field
         self._parts = (fmap, source, target)
+
+    def checked(self) -> "ConeView":
+        ok, witness = is_chain_map(*self._parts)
+        if not ok:
+            raise StructureError(
+                f"cone of a non-chain-map; first failure {witness[:2]}")
+        return self
 
     def d(self, combo_or_label) -> dict:
         f = self.field
@@ -508,7 +511,7 @@ class ConeView:
 
 def cone(fmap: GradedMap, source: Complex, target: Complex) -> Complex:
     """Mapping cone of a chain map: ``ConeView`` with d stored."""
-    view = ConeView(fmap, source, target)
+    view = ConeView(fmap, source, target).checked()
     cols = {l: img for l in view.space if (img := view.d(l))}
     return Complex(view.space, GradedMap(view.space, view.space, 1, cols))
 

@@ -171,7 +171,7 @@ def cone_node_from_map(w: GradedMap, source: Complex, target: Complex,
 def _witnessed_cone(subject: Complex, left, right, w: GradedMap,
                     bijection: dict) -> ConeNode:
     """Cone node whose witness is a signed relabelling of subject onto
-    cone(w); the signs are solved, not guessed."""
+    cone(w); the signs are solved, not guessed, and w is not checked."""
     built = ConeView(w, shift_complex(right.subject, -1), left.subject)
     return ConeNode(subject, left, right, w,
                     _signed(subject, built, bijection))
@@ -214,7 +214,7 @@ def cert_validate(c: LevelCertificate) -> ValidationReport:
                 if None in (node.w, node.witness):
                     raise StructureError("missing witness")
                 built = ConeView(node.w, shift_complex(node.right.subject, -1),
-                                 node.left.subject)
+                                 node.left.subject).checked()
                 check_relabelling(node.witness, node.subject, built)
             except StructureError as e:
                 rep.fail(f"{path}: cone witness fails: {e}")

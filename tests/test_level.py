@@ -371,6 +371,44 @@ def test_level_interval_checks_each_witness_once(F5, monkeypatch):
     assert len(calls) == 4
 
 
+def test_cert_shift_checks_each_cone_map_once(F5, monkeypatch):
+    """Shifting K3's certificate over K[y1,y2,y3] re-solves its three cone
+    witnesses without checking w; validating the shift checks each w
+    once: 3 chain-map checks in all (6 when the builder checked too)."""
+    from dgkoszul import gradedcomplex, level
+    a = polynomial_algebra(F5, DegreeWindow(-8, 8),
+                           [("y1", 2), ("y2", 2), ("y3", 2)])
+    cert = cert_from_resolution(minimize(semifree_resolve(trivial_module(a))))
+    calls = []
+    checked = gradedcomplex.is_chain_map
+
+    def counted(*args):
+        calls.append(args)
+        return checked(*args)
+
+    for mod in (gradedcomplex, level):
+        monkeypatch.setattr(mod, "is_chain_map", counted)
+    shifted = cert_shift(cert, 2)
+    assert not calls
+    assert cert_validate(shifted).ok
+    assert len(calls) == 3
+
+
+def test_cone_whose_w_is_not_a_chain_map_refused(cert_k_poly, F5):
+    """``ConeView`` does not check w; the validator does, with the message
+    the view gave before: w sends one label l with d(l) != 0 to itself
+    and the rest to 0, so d(w(l)) != w(d(l))."""
+    c = two_cert(cert_k_poly.subject, 2, 1)      # w : ΣC → ΣC, zero
+    node = c.tree
+    src = shift_complex(node.right.subject, -1)
+    l = next(l for l in src.space if src.d(l))
+    bad = GradedMap(src.space, node.left.subject.space, 0, {l: {l: F5.one}})
+    rep = cert_validate(replace(c, tree=replace(node, w=bad)))
+    assert len(rep.violations) == 1
+    assert rep.violations[0].startswith(
+        "root: cone witness fails: cone of a non-chain-map")
+
+
 def test_level_interval_realizes_each_generator_once(F5, monkeypatch):
     """For K3 over K[y1,y2,y3]: each generator's columns are computed once
     (minimize cancels nothing and hands the same F on), the builder forms

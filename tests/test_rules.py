@@ -4,11 +4,15 @@ Every preset computes its products on demand.  The reference tables here
 are built by explicit loops over all label pairs, and the rules must agree
 with them on every pair of basis labels.  The reference validators are the exhaustive loops over all label
 pairs and triples; the engine's validators visit only degree-compatible
-groups and must report the same violations in the same order.
+groups and must report the same violations in the same order.  With
+Light's test they check associativity and Leibniz at generators only,
+and must still report what the loops over every label report.
 """
 
 import itertools
 import json
+import operator
+import sys
 import weakref
 
 import pytest
@@ -51,8 +55,18 @@ from dgkoszul.dgstruct import (
     validate_comodule,
     validate_module,
 )
-from dgkoszul.exactlinalg import FieldSpec
-from dgkoszul.gradedcomplex import DegreeWindow, StructureError, koszul_sign
+from dgkoszul.exactlinalg import FieldSpec, vec_iadd
+from dgkoszul.gradedcomplex import (
+    NEG_INF,
+    POS_INF,
+    Complex,
+    DegreeWindow,
+    GradedMap,
+    GradedSpace,
+    StructureError,
+    check_d_squared,
+    koszul_sign,
+)
 from dgkoszul.koszul import make_koszul_pair
 
 FIELDS = [FieldSpec.prime(2), FieldSpec.prime(5), FieldSpec.rationals()]
@@ -556,6 +570,415 @@ def test_broken_table_module_fails_at_same_place(f, data):
     assert rep.violations == expected
 
 
+# -------------------------------------------------------------------------
+# Light's test: the reduced validators report what the exhaustive loops do
+# -------------------------------------------------------------------------
+
+def ref_exhaustive_validate_module(m, table=None):
+    """The module validator with Leibniz at every x and associativity at
+    every y, loop for loop as it ran before it checked generators only."""
+    rep = dgstruct.ValidationReport(True)
+    f = m.field
+    table = {} if table is None else table
+    alg = m.over
+    sp = m.space
+    dsq = check_d_squared(m.carrier)
+    if not dsq:
+        rep.fail(f"d^2 != 0 at degree {dsq.degree}, label {dsq.label!r}")
+    asp = alg.space
+    right = m.side == "right"
+    win = sp.window
+    act = dgstruct._memo(table, f, m.act_pair)
+    mult = dgstruct._memo(table, f, alg.mult_pair)
+    keys = ((l, x) if right else (x, l)
+            for l, x in dgstruct.degree_compatible(sp, asp,
+                                                   win.__contains__))
+    for k, v in itertools.chain(((k, act.own(k)) for k in keys),
+                                getattr(m.act_pair, "table", {}).items()):
+        l, x = k if right else k[::-1]
+        n = sp.deg(l) + asp.deg(x)
+        if not all(t in sp and sp.deg(t) == n
+                   for t in ((v,) if type(v) is str else v)):
+            rep.fail(f"product not of degree |x|+|y| at ({l!r}, {x!r})")
+            break
+    for l in sp:
+        if act[(l, alg.unit) if right else (alg.unit, l)] != l:
+            rep.fail(f"{m.side} unit law fails at {l!r}")
+            break
+    d = m.carrier.d
+    canonical, combo = dgstruct._canonical, dgstruct._combo
+    dm = {l: canonical(f, d(l)) for l in sp}
+    da = {x: canonical(f, alg.carrier.d(x)) for x in asp}
+    for l, x in dgstruct.degree_compatible(
+            sp, asp, lambda s: s in win and s + 1 in win):
+        if right:
+            lhs = d(act[l, x])
+            sgn = f.from_int(-1 if sp.deg(l) % 2 else 1)
+            rhs = vec_iadd(f, dict(combo(f, act.times(dm[l], x))), sgn,
+                           combo(f, act.times(l, da[x])))
+        else:
+            lhs = d(act[x, l])
+            sgn = f.from_int(-1 if asp.deg(x) % 2 else 1)
+            rhs = vec_iadd(f, dict(combo(f, act.times(da[x], l))), sgn,
+                           combo(f, act.times(x, dm[l])))
+        if lhs != rhs:
+            rep.fail(f"Leibniz fails at ({l!r}, {x!r})")
+            break
+    adegs = asp.degrees()
+    ys_at = {s: [y for k in adegs if s + k in win for y in asp.labels(k)]
+             for s in {n + k for n in sp.degrees() for k in adegs}}
+    times = act.times
+    for l, x in dgstruct.degree_compatible(sp, asp, ys_at.get):
+        ys = ys_at[sp.deg(l) + asp.deg(x)]
+        if right:
+            lx = act[l, x]
+            bad = next((y for y in ys
+                        if times(lx, y) != times(l, mult[x, y])), None)
+        else:
+            bad = next((y for y in ys
+                        if times(mult[x, y], l) != times(x, act[y, l])),
+                       None)
+        if bad is not None:
+            rep.fail(f"associativity fails at ({l!r}, {x!r}, {bad!r})")
+            return rep
+    return rep
+
+
+def ref_exhaustive_validate_algebra(a, table=None):
+    """``validate_algebra`` over ``ref_exhaustive_validate_module``."""
+    rep = dgstruct.ValidationReport(True)
+    sp = a.space
+    f = a.field
+    degs = sp.degrees()
+    if a.unit not in sp or sp.deg(a.unit) != 0:
+        rep.fail("unit missing or not in degree 0")
+        return rep
+    if a.polarity == "non-negative" and degs and degs[0] < 0:
+        rep.fail(f"polarity non-negative but basis in degree {degs[0]}")
+    if a.polarity == "non-positive" and degs and degs[-1] > 0:
+        rep.fail(f"polarity non-positive but basis in degree {degs[-1]}")
+    if sp.labels(0) != (a.unit,):
+        rep.fail("not connected: degree 0 is not spanned by the unit")
+    if a.simply_connected:
+        bad = 1 if a.polarity == "non-negative" else -1
+        if sp.dim(bad):
+            rep.fail(f"simply_connected flag but basis in degree {bad}")
+    table = {} if table is None else table
+    for v in ref_exhaustive_validate_module(free_module(a), table).violations:
+        rep.fail(v)
+    if a.carrier.d(a.unit):
+        rep.fail("d(unit) != 0")
+    mult = dgstruct._memo(table, f, a.mult_pair)
+    for l in sp:
+        if mult[a.unit, l] != l:
+            rep.fail(f"left unit law fails at {l!r}")
+            break
+    for l in sp:
+        if not f.is_zero(a.augmentation(a.carrier.d(l))):
+            rep.fail(f"augmentation not a chain map at {l!r}")
+            break
+    return rep
+
+
+def koszul_dga(f, polarity, x_deg, z_twice, hi, coeffs):
+    """Λ(x) ⊗ K[y, z] with d(x) = y, |x| = ±x_deg by polarity (x_deg odd,
+    at least 3 when non-positive), |y| = |x| + 1, d(y) = d(z) = 0 and
+    |z| = |y| (two generators in one degree) or 2|y| (a generator beside
+    y²), on the monomials whose degree fits ±hi; in
+    each degree the basis is changed by a unitriangular matrix with
+    entries from ``coeffs`` (an iterator), so a generator or a product
+    can be a combination of labels.  Returns (carrier, product table)
+    with the label "1" for the unit and "n.i" otherwise."""
+    y_deg = (x_deg if polarity == "non-negative" else -x_deg) + 1
+    gdeg = (y_deg - 1, y_deg, y_deg * (2 if z_twice else 1))
+    win = DegreeWindow(-hi, hi)
+    mono = [(e, a, b) for e in (0, 1) for a in range(hi + 1)
+            for b in range(hi + 1)
+            if abs(e * gdeg[0] + a * gdeg[1] + b * gdeg[2]) <= hi]
+
+    def deg(v):
+        return sum(map(operator.mul, v, gdeg))
+
+    basis: dict = {}
+    for v in sorted(mono):
+        basis.setdefault(deg(v), []).append(v)
+    # b_i = v_i + Σ_{j<i} lower[v_i][v_j] v_j
+    lower = {vs[i]: {vs[j]: next(coeffs) for j in range(i)}
+             for vs in basis.values() for i in range(len(vs))}
+    label = {v: "1" if deg(v) == 0 else f"{deg(v)}.{vs.index(v)}"
+             for vs in basis.values() for v in vs}
+
+    def expand(v):
+        out = {v: f.one}
+        for u, c in lower[v].items():
+            out = add_into(f, out, c, {u: f.one})
+        return out
+
+    def rebase(w):
+        """w (monomial -> coefficient, one degree) in the b basis."""
+        out: dict = {}
+        if not w:
+            return out
+        vs = basis[deg(next(iter(w)))]
+        alpha: dict = {}
+        for i in reversed(range(len(vs))):
+            c = w.get(vs[i], f.zero)
+            for k in range(i + 1, len(vs)):
+                c = f.sub(c, f.mul(alpha[vs[k]], lower[vs[k]].get(vs[i],
+                                                                   f.zero)))
+            alpha[vs[i]] = c
+            if not f.is_zero(c):
+                out[label[vs[i]]] = c
+        return out
+
+    def mono_mult(u, v):
+        w = tuple(map(operator.add, u, v))
+        return {w: f.one} if w[0] <= 1 and w in lower else {}
+
+    def mono_d(v):
+        w = (0, v[1] + 1, v[2])
+        return {w: f.one} if v[0] and w in lower else {}
+
+    def linear(op, *vs):
+        out: dict = {}
+        for parts in itertools.product(*(expand(v).items() for v in vs)):
+            c = f.one
+            for _, x in parts:
+                c = f.mul(c, x)
+            out = add_into(f, out, c, op(*(u for u, _ in parts)))
+        return rebase(out)
+
+    sp = GradedSpace(f, win, {n: [label[v] for v in vs]
+                              for n, vs in basis.items()},
+                     bounds=(0, POS_INF) if y_deg > 0 else (NEG_INF, 0))
+    cols = {label[v]: img for v in mono if (img := linear(mono_d, v))}
+    table = {(label[u], label[v]): linear(mono_mult, u, v)
+             for u in mono for v in mono if deg(u) + deg(v) in win}
+    return Complex(sp, GradedMap(sp, sp, 1, cols)), table
+
+
+def scaled(f, v, c):
+    return {t: s for t, x in v.items() if not f.is_zero(s := f.mul(c, x))}
+
+
+def plant(f, table, carrier, degree, unit, kind, data, late=()):
+    """(table, carrier) with a failure of the given kind planted; the
+    table's values lie in the carrier, a key's in ``degree(*key)``.  A
+    "late-product" breaks a product whose right factor is in ``late``."""
+    table = dict(table)
+    sp = carrier.space
+    two = f.from_int(2)
+    keys = sorted(k for k in table if unit not in k)
+    if kind == "late-product":
+        keys = [k for k in keys if k[1] in late]
+    if kind in ("product", "late-product", "unit+product") and keys:
+        key = data.draw(st.sampled_from(keys))
+        labels = sp.labels(degree(*key))
+        if table[key] and data.draw(st.booleans()):
+            table[key] = scaled(f, table[key], two)
+        elif labels:
+            table[key] = add_into(f, table[key], f.one,
+                                  {data.draw(st.sampled_from(labels)): f.one})
+        else:
+            table[key] = {}
+    if kind == "unit+product":
+        l = data.draw(st.sampled_from([l for l in sp if l != unit]))
+        key = data.draw(st.sampled_from(
+            [k for k in ((l, unit), (unit, l)) if k in table]))
+        table[key] = {l: two} if not f.is_zero(two) else {}
+    if kind == "d" and (odd := [l for l in sp if carrier.d(l)]):
+        l = data.draw(st.sampled_from(odd))
+        cols = dict(carrier.differential.cols)
+        if img := scaled(f, cols[l], two):
+            cols[l] = img
+        else:
+            del cols[l]
+        carrier = Complex(sp, GradedMap(sp, sp, 1, cols))
+    if kind == "gap":
+        del table[data.draw(st.sampled_from(sorted(table)))]
+    if kind == "coefficient":
+        key = data.draw(st.sampled_from(keys))
+        labels = sp.labels(degree(*key))
+        if labels:
+            t = data.draw(st.sampled_from(labels))
+            table[key] = {**table[key],
+                          t: data.draw(st.sampled_from([0, 7, 5]))}
+    return table, carrier
+
+
+def regular_table_module(a, table, side, tag="m:"):
+    """a acting on a relabelled copy of itself from ``side`` by its own
+    products in ``table``, as a table module."""
+    cx = a.carrier
+    sp = cx.space
+    msp = GradedSpace(sp.field, sp.window,
+                      {n: [tag + l for l in ls] for n, ls in sp.basis.items()},
+                      bounds=sp.bounds)
+    cols = {tag + l: {tag + t: c for t, c in v.items()}
+            for l, v in cx.differential.cols.items()}
+    mcx = Complex(msp, GradedMap(msp, msp, 1, cols))
+    if side == "right":
+        act = {(tag + p, q): {tag + t: c for t, c in v.items()}
+               for (p, q), v in table.items()}
+    else:
+        act = {(p, tag + q): {tag + t: c for t, c in v.items()}
+               for (p, q), v in table.items()}
+    return DGModule.from_table(mcx, a, act, side=side)
+
+
+def trivial_table_module(a, side):
+    f = a.field
+    sp = GradedSpace(f, a.space.window, {0: ["k"]}, bounds=(0, 0))
+    cx = Complex(sp, GradedMap.zero(sp, sp, 1))
+    act = {(("k", x) if side == "right" else (x, "k")):
+           ({"k": f.one} if x == a.unit else {})
+           for x in a.space}
+    return DGModule.from_table(cx, a, act, side=side)
+
+
+PLANTS = ["none", "product", "late-product", "late-product", "d",
+          "unit+product", "gap", "coefficient"]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(field_st, st.sampled_from(dgstruct.POLARITIES), st.data())
+def test_broken_table_reduced_validators_match_exhaustive(f, polarity, data):
+    """Random DG table algebras, both polarities, and left and right
+    modules over them, with planted failures: the validators with Light's
+    test report what the exhaustive loops report, in the same order, or
+    raise the same StructureError, alone and with the table the algebra's
+    validation filled."""
+    coeff = st.integers(0, 3).map(f.from_int)
+    x_deg = data.draw(st.sampled_from(
+        [1, 3] if polarity == "non-negative" else [3, 5]))
+    hi = data.draw(st.integers(x_deg + 3, 10))
+    z_twice = data.draw(st.booleans())
+    cx, table = koszul_dga(
+        f, polarity, x_deg, z_twice, hi,
+        itertools.cycle(data.draw(st.lists(coeff, min_size=1,
+                                           max_size=40))))
+    sp = cx.space
+    a0 = DGAlgebra.from_table(cx, "1", table, polarity)
+    shared: dict = {}
+    assert validate_algebra(a0, shared).ok
+    gens = shared[a0.mult_pair].gens[a0]
+    # a complement of (A⁺)²: one label per generator x, y, z in the window
+    assert len(gens) == 2 + ((x_deg + 1) * (2 if z_twice else 1) <= hi
+                             if polarity == "non-negative" else
+                             (x_deg - 1) * (2 if z_twice else 1) <= hi)
+    # a product broken at a right factor outside the generators fails
+    # first at a row no generator has
+    late = {l for l in sp if l != "1"} - gens
+    kind = data.draw(st.sampled_from(PLANTS))
+    broken, bcx = plant(f, table, cx, lambda x, y: sp.deg(x) + sp.deg(y),
+                        "1", kind, data, late)
+    a = DGAlgebra.from_table(bcx, "1", broken, polarity)
+    assert outcome(validate_algebra, a) == outcome(
+        ref_exhaustive_validate_algebra, a)
+
+    side = data.draw(st.sampled_from(["right", "left"]))
+    # a acting on a copy of itself by its products before or after the
+    # planting: before, only the rows of a broken a can fail
+    action = data.draw(st.sampled_from([None, table, broken]))
+    if action is None:
+        m = trivial_table_module(a, side)
+    else:
+        m = regular_table_module(a, action, side)
+        mkind = data.draw(st.sampled_from(["none", "none", "product", "gap",
+                                           "unit+product"]))
+        if mkind != "none":
+            msp = m.space
+            act, _ = plant(f, m.act_pair.table, m.carrier,
+                           lambda *k: sum(msp.deg(l) if l in msp
+                                          else sp.deg(l) for l in k),
+                           "1", mkind, data)
+            m = DGModule.from_table(m.carrier, a, act, side=side)
+    shared: dict = {}
+    outcome(validate_algebra, a, shared)
+    expected = outcome(ref_exhaustive_validate_module, m)
+    assert outcome(validate_module, m, shared) == expected
+    assert outcome(validate_module, m) == expected
+
+
+def test_broken_table_planted_failures_report_as_before():
+    """K[y] at ±8 with y²·y² = 2y⁴: the first failing row of the
+    exhaustive loop is at y = y², outside G = {y}; the reduced check
+    fails at a generator, and the exhaustive rerun reports the same
+    first violation.  A Leibniz failure, a broken unit law and a table
+    gap give the exhaustive report too."""
+    f = FieldSpec.rationals()
+    w = DegreeWindow(-8, 8)
+    gens = [("y", 2)]
+    a = polynomial_algebra(f, w, gens)
+    table = ref_polynomial(a, gens)
+    shared: dict = {}
+    ta = DGAlgebra.from_table(a.carrier, "1", table, a.polarity)
+    assert validate_algebra(ta, shared).ok
+    assert [p.gens for p in shared.values()] == [{ta: {"y"}}]
+    broken = {**table, ("y^2", "y^2"): {"y^4": f.from_int(2)}}
+    ba = DGAlgebra.from_table(a.carrier, "1", broken, a.polarity)
+    # the right unit law broken at the top label: only the rows at y = 1
+    # see it, so no generator does, and every label is checked
+    unit = DGAlgebra.from_table(a.carrier, "1", {
+        **table, ("y^4", "1"): {"y^4": f.from_int(2)}}, a.polarity)
+    assert validate_algebra(unit).violations == \
+        ref_exhaustive_validate_algebra(unit).violations == [
+            "right unit law fails at 'y^4'",
+            "associativity fails at ('y', 'y^3', '1')"]
+    want = ["associativity fails at ('y', 'y', 'y^2')"]
+    assert validate_algebra(ba, shared).violations == want
+    assert ref_exhaustive_validate_algebra(ba).violations == want
+    # a module acting by the unbroken products fails only at that row, and
+    # the failed algebra's generators are not used for it
+    m = regular_table_module(ba, table, "right")
+    assert validate_module(m, shared).violations == \
+        ref_exhaustive_validate_module(m).violations == [
+            "associativity fails at ('m:1', 'y^2', 'y^2')"]
+
+    cx, t = koszul_dga(f, "non-negative", 1, False, 6, itertools.repeat(0))
+    assert validate_algebra(DGAlgebra.from_table(cx, "1", t,
+                                                 "non-negative")).ok
+    cols = dict(cx.differential.cols)
+    l = next(l for l in cx.space if cx.space.deg(l) == 3)
+    cols[l] = scaled(f, cols[l], f.from_int(3))
+    bcx = Complex(cx.space, GradedMap(cx.space, cx.space, 1, cols))
+    for bt in (t, {**t, ("1", "2.0"): {"2.0": f.from_int(2)}}):
+        ba = DGAlgebra.from_table(bcx, "1", bt, "non-negative")
+        got = validate_algebra(ba).violations
+        assert got == ref_exhaustive_validate_algebra(ba).violations
+        assert any(v.startswith("Leibniz fails") for v in got)
+    # d(1) = z, a cycle: Leibniz fails at the unit, which no generator shows
+    sp = GradedSpace(f, DegreeWindow(-2, 2), {0: ["1"], 1: ["z"]},
+                     bounds=(0, 1))
+    za = DGAlgebra.from_table(
+        Complex(sp, GradedMap(sp, sp, 1, {"1": {"z": f.one}})), "1",
+        {("1", "1"): {"1": f.one}, ("1", "z"): {"z": f.one},
+         ("z", "1"): {"z": f.one}, ("z", "z"): {}}, "non-negative")
+    got = validate_algebra(za).violations
+    assert got == ref_exhaustive_validate_algebra(za).violations
+    assert got == ["Leibniz fails at ('1', '1')", "d(unit) != 0"]
+    # not connected: e, f in degree 0 with products spanning them, so no
+    # label would be left to generate, and associativity fails at (e, e, f)
+    sp = GradedSpace(f, DegreeWindow(-2, 2), {0: ["1", "e", "f"]},
+                     bounds=(0, 0))
+    prods = {("e", "e"): {"f": f.one}, ("e", "f"): {"e": f.one},
+             ("f", "e"): {"e": f.one}, ("f", "f"): {"e": f.one, "f": f.one}}
+    prods.update({(u, l): {l: f.one} for u in "1" for l in "1ef"})
+    prods.update({(l, "1"): {l: f.one} for l in "ef"})
+    ea = DGAlgebra.from_table(Complex(sp, GradedMap.zero(sp, sp, 1)), "1",
+                              prods, "non-negative")
+    got = validate_algebra(ea).violations
+    assert got == ref_exhaustive_validate_algebra(ea).violations
+    assert got[1] == "associativity fails at ('e', 'e', 'f')"
+    gap = dict(t)
+    del gap[("2.0", "3.0")]
+    ga = DGAlgebra.from_table(cx, "1", gap, "non-negative")
+    assert outcome(validate_algebra, ga) == outcome(
+        ref_exhaustive_validate_algebra, ga) == (
+        "raises multiplication table gap at ('2.0', '3.0')")
+
+
 def test_table_gap_inside_window_raises():
     f = FieldSpec.prime(5)
     w = DegreeWindow(-4, 4)
@@ -783,6 +1206,57 @@ def test_validation_evaluates_each_pair_once(f, monkeypatch, tmp_path):
     coproducts: dict = {}
     c.comult_label = counted(c.comult_label, coproducts)
     assert validate_coalgebra(c).ok and set(coproducts.values()) == {1}
+
+
+def test_associativity_compares_at_generators_only(monkeypatch, tmp_path):
+    """Parsing S3 = K[y1,y2,y3] with K3 at ±16: G(S3) = {y1, y2, y3}, read
+    off the stored products, and S3's associativity makes 5,148
+    comparisons (l·x)·y = l·(x·y), one per pair with |l| + |x| <= 14 and
+    y in G, where every y made 24,310, one per triple of degree <= 16.
+    K3's makes 360 instead of 3,003.  No rule is evaluated twice (see
+    ``test_validation_evaluates_each_pair_once``)."""
+    doc = {"field": "Q", "window": [-16, 16],
+           "algebras": {"S3": {"kind": "polynomial", "generators": [
+               ["y1", 2], ["y2", 2], ["y3", 2]]}},
+           "modules": {"K3": {"kind": "trivial", "over": "S3"}}}
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(doc))
+    calls = [0]
+    times = dgstruct._Products.times
+
+    def counting(self, x, y):
+        # two products per comparison, both made in the generator
+        # expression of an associativity row
+        row, loop = sys._getframe(1).f_code, sys._getframe(2).f_code
+        if row.co_name == "<genexpr>" and loop.co_name in (
+                "associativity", "ref_exhaustive_validate_module"):
+            calls[0] += 1
+        return times(self, x, y)
+
+    comparisons, tables = [], []
+
+    def spy(validate):
+        def run(obj, table):
+            before = calls[0]
+            try:
+                return validate(obj, table)
+            finally:
+                comparisons.append((calls[0] - before) // 2)
+                tables.append(table)
+        return run
+    monkeypatch.setattr(dgstruct._Products, "times", counting)
+    monkeypatch.setattr(cli, "validate_algebra", spy(cli.validate_algebra))
+    monkeypatch.setattr(cli, "validate_module", spy(cli.validate_module))
+    store = cli.parse_presentation(str(path))
+    s3 = store.algebras["S3"]
+    products = tables[0][s3.mult_pair]
+    assert products.gens == {s3: {"y1", "y2", "y3"}}
+    assert comparisons == [5148, 360]
+    for validate, obj in ((ref_exhaustive_validate_algebra, s3),
+                          (ref_exhaustive_validate_module,
+                           store.modules["K3"])):
+        spy(validate)(obj, {})
+    assert comparisons[2:] == [24310, 3003]
 
 
 def test_leibniz_reads_one_term_differentials_as_labels(monkeypatch):
