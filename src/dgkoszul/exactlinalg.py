@@ -1,13 +1,15 @@
 """Exact scalar arithmetic and sparse matrices over F_p and Q.
 
-Every rank/kernel/solve computation in the engine funnels through this
-module.  Arithmetic is exact: canonical residues over a prime field; over
-the rationals an ``int`` or a ``fractions.Fraction``, where an integral
-value may be either.  Equal values are ``==`` and hash alike, so mixed
+Every rank, kernel, span and preimage computation in the engine funnels
+through this module.  Arithmetic is exact: canonical residues over a
+prime field; over the rationals an ``int`` or a ``fractions.Fraction``,
+where an integral value may be either.  Equal values are ``==`` and hash alike, so mixed
 arithmetic stays exact and dict keys and comparisons keep their meaning.
 True division of two ints would give a float: only ``FieldSpec.inv``
 divides.  Both fields share one forward elimination over row dicts,
-``_echelon``: ``rank`` is it alone, ``rref`` and ``solve`` back-substitute.
+``_echelon``: ``rank`` is it alone, ``rref`` back-substitutes, and
+``span_echelon`` is ``rref`` with the positions reversed.  One
+``graph_span`` of a map gives its kernel, its image and its preimages.
 
 Combinations are sparse dicts key -> nonzero scalar.  ``vec_iadd`` is the
 shared accumulator: it adds c·v into a caller-owned dict in place and drops
@@ -125,7 +127,7 @@ class FieldSpec:
 def vec_iadd(field: FieldSpec, acc: dict, c, v: dict) -> dict:
     """acc += c*v in place, dropping the keys that cancel; returns acc.
 
-    Besides the RREF kernel, the word-complex builder and ``ConeView.d``,
+    Besides the elimination, the word-complex builder and ``ConeView.d``,
     only this adds into a combination.  ``acc`` must be a dict the caller
     built and owns; a stored column (``Complex.d(label)``), a rule's return
     value or a cached homology representative may be shared, so copy it
@@ -194,60 +196,6 @@ class SparseMatrix:
         self.field = field
         self.entries = entries
 
-    @classmethod
-    def identity(cls, n, field):
-        return cls(n, n, field, {(i, i): field.one for i in range(n)})
-
-    @classmethod
-    def from_dense(cls, rows_list, field):
-        rows = len(rows_list)
-        cols = len(rows_list[0]) if rows else 0
-        ent = {}
-        for i, row in enumerate(rows_list):
-            for j, v in enumerate(row):
-                v = v if field.is_canonical(v) else field.from_int(v)
-                if not field.is_zero(v):
-                    ent[(i, j)] = v
-        return cls(rows, cols, field, ent)
-
-    @classmethod
-    def from_columns(cls, columns, rows, field):
-        """columns: list of sparse vectors (dict row -> scalar)."""
-        ent = {}
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                if not field.is_zero(v):
-                    ent[(i, j)] = v
-        return cls(rows, len(columns), field, ent)
-
-    def entry(self, r, c):
-        return self.entries.get((r, c), self.field.zero)
-
-    def column(self, c) -> dict:
-        return {r: v for (r, cc), v in self.entries.items() if cc == c}
-
-    def columns(self) -> list[dict]:
-        cols = [dict() for _ in range(self.cols)]
-        for (r, c), v in self.entries.items():
-            cols[c][r] = v
-        return cols
-
-    def matvec(self, vec: dict) -> dict:
-        """Apply to a sparse column vector (dict col -> scalar)."""
-        cols = self.columns()
-        out: dict = {}
-        for c, x in vec.items():
-            vec_iadd(self.field, out, x, cols[c])
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparseMatrix)
-            and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.field == other.field
-            and self.entries == other.entries
-        )
-
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols} over {self.field}, {len(self.entries)} entries)"
 
@@ -256,7 +204,6 @@ class SparseMatrix:
 class RrefResult:
     rank: int
     pivots: list
-    kernel_basis: list  # sparse vectors of length cols
     rref_rows: list     # canonical RREF, list of sparse row dicts
 
 
@@ -281,22 +228,6 @@ def _echelon(field: FieldSpec, rows: list) -> dict:
                 break
             _sub_multiple(row, row[c], prow, p)
     return piv
-
-
-def _rref_rows(m: SparseMatrix) -> tuple[list, list]:
-    """RREF rows (zero rows last), pivots: ``_echelon``, back-substituted."""
-    rows = [dict() for _ in range(m.rows)]
-    for (r, c), v in m.entries.items():
-        rows[r][c] = v
-    piv = _echelon(m.field, rows)
-    pivots = sorted(piv)
-    for c in reversed(pivots):
-        prow = piv[c]
-        for k in [k for k in prow if k != c and k in piv]:
-            _sub_multiple(prow, prow[k], piv[k], m.field.p)
-    out = [piv[c] for c in pivots]
-    out += [dict() for _ in range(m.rows - len(pivots))]
-    return out, pivots
 
 
 def rank(field: FieldSpec, rows: list, cols: int) -> int:
@@ -329,22 +260,20 @@ def _sub_multiple(row: dict, a, prow: dict, p) -> None:
 
 
 def rref(m: SparseMatrix) -> RrefResult:
-    """Canonical reduced row echelon form with rank and kernel.
-
-    The RREF is unique, so the kernel basis is deterministic: one vector
-    per free column, in column order, 1 at its own free column and 0 at
-    every other.  A span's basis comes from ``span_echelon``.
-    """
-    f = m.field
-    rows, pivots = _rref_rows(m)
-    pivot_set = set(pivots)
-    kernel = {free: {free: f.one} for free in range(m.cols)
-              if free not in pivot_set}
-    for pc, row in zip(pivots, rows):
-        for k, coef in row.items():
-            if k != pc:
-                kernel[k][pc] = f.neg(coef)
-    return RrefResult(len(pivots), pivots, list(kernel.values()), rows)
+    """Canonical reduced row echelon form (zero rows last) with rank and
+    pivots: ``_echelon``, back-substituted."""
+    rows = [dict() for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        rows[r][c] = v
+    piv = _echelon(m.field, rows)
+    pivots = sorted(piv)
+    for c in reversed(pivots):
+        prow = piv[c]
+        for k in [k for k in prow if k != c and k in piv]:
+            _sub_multiple(prow, prow[k], piv[k], m.field.p)
+    out = [piv[c] for c in pivots]
+    out += [dict() for _ in range(m.rows - len(pivots))]
+    return RrefResult(len(pivots), pivots, out)
 
 
 def span_echelon(field: FieldSpec, vectors, dim: int) -> dict:
@@ -365,26 +294,39 @@ def span_echelon(field: FieldSpec, vectors, dim: int) -> dict:
             for pc, row in zip(res.pivots, res.rref_rows)}
 
 
-def solve(m: SparseMatrix, b: dict) -> dict | None:
-    """One solution of m x = b (free variables zero), or None.
+def graph_span(field: FieldSpec, columns: list, rows: int) -> dict:
+    """``span_echelon`` of the graph of a map with the given columns, the
+    vectors e_j ⊕ columns[j]: source position j below m = len(columns),
+    row i of the target at m + i.
 
-    b is a sparse vector of length m.rows.
+    A row keyed below m is 0 above m: these rows are the kernel basis,
+    keyed by the free columns (``graph_kernel``).  The rest, read above m,
+    are the reduced echelon of the image, each with below m the preimage
+    that is 0 at every free column (``graph_reduce``).
     """
-    f = m.field
-    for r in b:
-        if not 0 <= r < m.rows:
-            raise ValueError("rhs index out of range")
-    aug_entries = dict(m.entries)
-    for r, v in b.items():
-        if not f.is_zero(v):
-            aug_entries[(r, m.cols)] = v
-    aug = SparseMatrix(m.rows, m.cols + 1, f, aug_entries)
-    rows, pivots = _rref_rows(aug)
-    if pivots and pivots[-1] == m.cols:
-        return None
-    x = {}
-    for i, pc in enumerate(pivots):
-        v = rows[i].get(m.cols, f.zero)
-        if not f.is_zero(v):
-            x[pc] = v
-    return x
+    m = len(columns)
+    graph = [{j: field.one, **{m + i: v for i, v in col.items()}}
+             for j, col in enumerate(columns)]
+    return span_echelon(field, graph, m + rows)
+
+
+def graph_kernel(g: dict, m: int) -> dict:
+    """{free column: kernel vector} of a ``graph_span`` with m columns, in
+    column order, each vector 1 at its free column and 0 at the others.
+    A vector lists its free column (its last position) first, then the
+    rest in order, as the map's RREF kernel did: a resolution's kernel
+    generators take their terms in this order, and ``minimize`` cancels
+    the first unit term it meets, so the order shows in reports."""
+    return {k: {k: g[k][k], **{j: g[k][j] for j in sorted(g[k])[:-1]}}
+            for k in sorted(g) if k < m}
+
+
+def graph_reduce(field: FieldSpec, g: dict, m: int, b: dict) -> dict:
+    """0 ⊕ b, b a target vector placed above m, less its entry at each key
+    k ≥ m of a ``graph_span`` g with m columns times row k.  The result is
+    0 at each key; it is 0 above m iff b is in the image, and then it is
+    −x ⊕ 0 for the one x with image b and 0 at every free column."""
+    y = {m + i: v for i, v in b.items()}
+    for k in [k for k in y if k in g]:
+        vec_iadd(field, y, field.neg(y[k]), g[k])
+    return y

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field as dc_field
 
 from dgkoszul.exactlinalg import (
     FieldSpec,
-    SparseMatrix,
+    graph_kernel,
+    graph_reduce,
+    graph_span,
     rank,
-    rref,
-    span_echelon,
     vec_iadd,
     vec_scale,
 )
@@ -161,7 +161,6 @@ class GradedMap:
         self.target = target
         self.shift = shift
         self.cols = cols
-        self._blocks: dict = {}
         f = target.field
         for l, combo in cols.items():
             n = source.deg(l)
@@ -191,21 +190,6 @@ class GradedMap:
         for l, c in combo.items():
             vec_iadd(f, out, c, self.cols.get(l, {}))
         return out
-
-    def block(self, n: int) -> SparseMatrix:
-        """Matrix of the component source^n -> target^{n+shift}."""
-        if n in self._blocks:
-            return self._blocks[n]
-        f = self.target.field
-        rows = self.target.dim(n + self.shift)
-        src = self.source.labels(n)
-        entries = {}
-        for j, l in enumerate(src):
-            for t, v in self.cols.get(l, {}).items():
-                entries[(self.target.index(t), j)] = v
-        m = SparseMatrix(rows, len(src), f, entries)
-        self._blocks[n] = m
-        return m
 
     def compose(self, other: "GradedMap") -> "GradedMap":
         """self ∘ other."""
@@ -251,6 +235,7 @@ class Complex:
         self.space = space
         self.differential = differential
         self._homology_cache: dict = {}
+        self._graphs: dict = {}
 
     @property
     def field(self):
@@ -296,19 +281,27 @@ def check_d_squared(c: Complex) -> DSquaredReport:
 class HomologyData:
     dimension: int
     representatives: list      # combos (cycles)
-    # see ``homology``; each representative is 1 at its column of d_n
-    _echelon: dict = dc_field(repr=False)
-    _rep_columns: list = dc_field(repr=False)
+    _rep_columns: list = dc_field(repr=False)  # their free columns of d_n
+
+
+def graph_echelon(c: Complex, n: int) -> dict:
+    """``graph_span`` of d_n : Cⁿ → Cⁿ⁺¹ (Cⁿ below dim Cⁿ, Cⁿ⁺¹ above),
+    once per complex: the kernel of d_n and the echelon of its image."""
+    if n not in c._graphs:
+        sp = c.space
+        cols = [{sp.index(t): v for t, v in c.d(l).items()}
+                for l in sp.labels(n)]
+        c._graphs[n] = graph_span(c.field, cols, sp.dim(n + 1))
+    return c._graphs[n]
 
 
 def homology(c: Complex, n: int) -> HomologyData:
     """Exact homology at degree n with canonical representatives.
 
-    Presumes d∘d = 0, as every caller ensures.  A cycle's coordinates in
-    the canonical kernel basis of d_n are its entries at the free columns
-    of d_n.  The free columns that the ``span_echelon`` of the boundaries
-    there misses give the representatives, and the echelon reduces any
-    cycle to its class (``homology_class``).
+    Presumes d∘d = 0, as every caller ensures.  A nonzero cycle ends at a
+    free column of d_n, so the boundary rows of d_{n−1}'s graph echelon
+    are keyed by free columns, as d_n's kernel rows are; the free columns
+    they miss give the representatives.  Each block is eliminated once.
 
     Refuses (WindowError) if the bases at n-1, n, n+1 are not fully known;
     no silent wrong answers at the window boundary.
@@ -320,16 +313,11 @@ def homology(c: Complex, n: int) -> HomologyData:
             raise WindowError(
                 f"homology at degree {n} needs complete basis at degree {k}, "
                 f"outside window {c.window.lo}:{c.window.hi}")
-    rr = rref(c.differential.block(n))
-    free = sorted(set(range(c.dim(n))).difference(rr.pivots))
-    kernel = dict(zip(free, rr.kernel_basis))
-    boundaries = [{k: v for k, v in col.items() if k in kernel}
-                  for col in c.differential.block(n - 1).columns()]
-    echelon = span_echelon(c.field, boundaries, c.dim(n))
-    cols = [k for k in free if k not in echelon]
+    kernel = graph_kernel(graph_echelon(c, n), c.dim(n))
+    below, off = graph_echelon(c, n - 1), c.dim(n - 1)
+    cols = [k for k in kernel if off + k not in below]
     reps = [c.space.from_coords(kernel[k], n) for k in cols]
-    data = HomologyData(len(reps), reps, echelon, cols)
-    c._homology_cache[n] = data
+    c._homology_cache[n] = data = HomologyData(len(reps), reps, cols)
     return data
 
 
@@ -359,17 +347,31 @@ def homology_dims(c: Complex) -> dict:
 
 def homology_class(c: Complex, n: int, cycle: dict) -> dict | None:
     """Coordinates of a cycle in the canonical homology basis at degree n,
-    or None if the element is not a cycle.  Subtracting its multiple of
-    each echelon row of the boundaries leaves its class at the
+    or None if the element is not a cycle: its reduction's entries at the
     representatives' columns."""
     h = homology(c, n)
     if c.d(cycle):
         return None
-    f = c.field
-    x = c.space.to_coords(cycle, n)
-    for k in [k for k in x if k in h._echelon]:
-        vec_iadd(f, x, f.neg(x[k]), h._echelon[k])
-    return {i: x[k] for i, k in enumerate(h._rep_columns) if k in x}
+    y, off = _reduced(c, n, cycle)
+    return {i: y[off + k] for i, k in enumerate(h._rep_columns)
+            if off + k in y}
+
+
+def _reduced(c: Complex, n: int, x: dict) -> tuple:
+    """(``graph_reduce`` of x in Cⁿ by d_{n−1}'s graph echelon, dim Cⁿ⁻¹)."""
+    off = c.dim(n - 1)
+    return graph_reduce(c.field, graph_echelon(c, n - 1), off,
+                        c.space.to_coords(x, n)), off
+
+
+def preimage(c: Complex, n: int, b: dict) -> dict | None:
+    """The w in Cⁿ⁻¹ with d w = b and 0 at the free columns of d_{n−1}, or
+    None if b is not a boundary; b's reduction leaves −w below dim Cⁿ⁻¹."""
+    y, off = _reduced(c, n, b)
+    if any(k >= off for k in y):
+        return None
+    return c.space.from_coords({k: c.field.neg(y[k]) for k in sorted(y)},
+                               n - 1)
 
 
 def shift_complex(c: Complex, k: int) -> Complex:
@@ -517,19 +519,14 @@ def cone(fmap: GradedMap, source: Complex, target: Complex) -> Complex:
 
 
 def induced_map_on_homology(fmap: GradedMap, source: Complex, target: Complex,
-                            n: int) -> SparseMatrix:
-    """Matrix of H^n(f) in the canonical homology bases."""
-    hs = homology(source, n)
-    ht = homology(target, n + fmap.shift)
-    f = target.field
-    cols = []
-    for rep in hs.representatives:
-        img = fmap.apply(rep)
-        cls = homology_class(target, n + fmap.shift, img)
-        if cls is None:
-            raise StructureError("image of a cycle is not a cycle")
-        cols.append(cls)
-    return SparseMatrix.from_columns(cols, ht.dimension, f)
+                            n: int) -> list:
+    """The columns of H^n(f) in the canonical homology bases: the class
+    of the image of each representative."""
+    cols = [homology_class(target, n + fmap.shift, fmap.apply(rep))
+            for rep in homology(source, n).representatives]
+    if None in cols:
+        raise StructureError("image of a cycle is not a cycle")
+    return cols
 
 
 def is_quasi_iso(fmap: GradedMap, source: Complex, target: Complex,
@@ -549,9 +546,9 @@ def is_quasi_iso(fmap: GradedMap, source: Complex, target: Complex,
         except WindowError:
             verdicts[n] = "unverifiable at boundary"
             continue
-        m = induced_map_on_homology(fmap, source, target, n)
-        verdicts[n] = (hs.dimension == ht.dimension
-                       and rref(m).rank == ht.dimension)
+        cols = induced_map_on_homology(fmap, source, target, n)
+        verdicts[n] = (hs.dimension == ht.dimension and rank(
+            target.field, cols, ht.dimension) == ht.dimension)
     return verdicts
 
 

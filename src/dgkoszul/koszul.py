@@ -146,7 +146,9 @@ def loewy_length(mod: DGModule) -> dict:
         # and lifted back to cycle combinations
         if k not in hdata:
             return []
-        classes = [homology_class(cx, k, v) or {} for v in vecs]
+        classes = [homology_class(cx, k, v) for v in vecs]
+        if None in classes:
+            raise StructureError("image of a cycle is not a cycle")
         h = hdata[k]
         combos = []
         for v in span_echelon(f, classes, h.dimension).values():
@@ -254,8 +256,10 @@ def ext_algebra(a: DGAlgebra, window: DegreeWindow | None = None) -> dict:
                 continue
             prod = dual.multiply(r1, r2)
             cls = homology_class(dual.carrier, n, prod)
+            if cls is None:
+                raise StructureError("image of a cycle is not a cycle")
             products[((n1, i1), (n2, i2))] = {
-                (n, j): c for j, c in (cls or {}).items()}
+                (n, j): c for j, c in cls.items()}
     return {"dims": dims, "reps": reps, "products": products,
             "algebra": dual}
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
-from dgkoszul.exactlinalg import rref, solve, span_echelon, vec_iadd
+from dgkoszul.exactlinalg import (graph_kernel, graph_span, span_echelon,
+                                  vec_iadd)
 from dgkoszul.gradedcomplex import (
     Complex,
     DegreeWindow,
@@ -28,6 +29,7 @@ from dgkoszul.gradedcomplex import (
     induced_map_on_homology,
     is_chain_map,
     is_quasi_iso,
+    preimage,
 )
 from dgkoszul.dgstruct import DGAlgebra, DGModule, merge_terms
 from dgkoszul.barcobar import tensor_label
@@ -163,31 +165,27 @@ def semifree_resolve(m: DGModule,
             hm = homology(m.carrier, n)
             if not (hf.dimension or hm.dimension):
                 break
-            hmat = induced_map_on_homology(eps, cx, m.carrier, n)
+            # H(ε)'s image and kernel, from one echelon of its graph
+            top = hf.dimension
+            g = graph_span(f, induced_map_on_homology(eps, cx, m.carrier, n),
+                           hm.dimension)
             before = len(generators)
-            if hm.dimension:
-                # a generator for each class the image's echelon misses
-                hit = span_echelon(f, hmat.columns(), hm.dimension)
-                for i, rep in enumerate(hm.representatives):
-                    if i not in hit:
-                        add(n, [], dict(rep))
-            if len(generators) == before and hf.dimension:
-                for kv in rref(hmat).kernel_basis:
+            # a generator for each class the image's echelon misses
+            for i, rep in enumerate(hm.representatives):
+                if top + i not in g:
+                    add(n, [], dict(rep))
+            if len(generators) == before:
+                for kv in graph_kernel(g, top).values():
                     z: dict = {}
                     for i, c in kv.items():
                         vec_iadd(f, z, c, hf.representatives[i])
                     # w with d_M w = ε(z) is the new generator's comparison
-                    sol = {}
-                    target = eps.apply(z)
-                    if target:
-                        sol = solve(m.carrier.differential.block(n - 1),
-                                    m.space.to_coords(target, n))
-                        if sol is None:
-                            raise RuntimeError("internal: kernel class "
-                                               "image not a boundary")
+                    w = preimage(m.carrier, n, eps.apply(z))
+                    if w is None:
+                        raise RuntimeError("internal: kernel class "
+                                           "image not a boundary")
                     add(n - 1, [(*label.split("@", 1), c)
-                                for label, c in z.items()],
-                        m.space.from_coords(sol, n - 1))
+                                for label, c in z.items()], w)
             if len(generators) == before:
                 break
             realized = None
@@ -395,6 +393,8 @@ def is_free_over_homology(m: DGModule) -> dict:
                for s, n in need.items() if n and d
                for x in hm[s].representatives
                for y in ha[t - s].representatives]
+        if None in dec:
+            raise StructureError("image of a cycle is not a cycle")
         rank = len(span_echelon(a.field, dec, d))
         kernel[t] = sum(gens[s] * n for s, n in need.items()) - rank
         if d:

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from dgkoszul.exactlinalg import FieldSpec, SparseMatrix, rref, solve
+from dgkoszul.exactlinalg import FieldSpec, graph_span, rank
 from dgkoszul.gradedcomplex import (
     Complex,
     DegreeWindow,
@@ -333,21 +333,22 @@ def _retract_certificate(cx, base):
         # keep an independent subset, then complete with unit vectors
         chosen = []
         for tag, v in spanning:
-            mat = SparseMatrix.from_columns(
-                [c for _, c in chosen] + [v], len(basis), f)
-            if rref(mat).rank > len(chosen):
+            rows = [dict(c) for _, c in chosen] + [dict(v)]
+            if rank(f, rows, len(basis)) > len(chosen):
                 chosen.append((tag, v))
         for i in range(len(basis)):
-            mat = SparseMatrix.from_columns(
-                [c for _, c in chosen] + [{i: f.one}], len(basis), f)
-            if rref(mat).rank > len(chosen):
+            rows = [dict(c) for _, c in chosen] + [{i: f.one}]
+            if rank(f, rows, len(basis)) > len(chosen):
                 chosen.append(("c", {i: f.one}))
-        mat = SparseMatrix.from_columns([c for _, c in chosen],
-                                        len(basis), f)
+        # the graph echelon's row at top + i is x ⊕ e_i, where
+        # Σ x_pos·chosen[pos] = e_i: the solution for the unit vector
+        top = len(chosen)
+        graph = graph_span(f, [c for _, c in chosen], len(basis))
         for l in basis:
-            sol = solve(mat, {index[l]: f.one})
-            if sol is None:
+            if top + index[l] not in graph:
                 return None
+            sol = {pos: c for pos, c in graph[top + index[l]].items()
+                   if pos < top}
             col = {}
             for pos, c in sol.items():
                 tag = chosen[pos][0]

@@ -1,5 +1,5 @@
-"""Exact linear algebra: rank/kernel oracles, solve, and agreement of the
-sparse elimination with a dense reference Gauss–Jordan."""
+"""Exact linear algebra: rank/kernel oracles, preimages, and agreement of
+the sparse elimination with a dense reference Gauss–Jordan."""
 
 from fractions import Fraction
 
@@ -13,15 +13,89 @@ from dgkoszul.exactlinalg import (
     KERNEL,
     FieldSpec,
     SparseMatrix,
+    graph_kernel,
+    graph_reduce,
+    graph_span,
     rank,
     rref,
     bilinear,
-    solve,
     span_echelon,
     vec_iadd,
     vec_scale,
 )
 from dgkoszul.gradedcomplex import DegreeWindow, homology_by_degree
+
+
+def from_dense(rows_list, f):
+    return SparseMatrix(len(rows_list), len(rows_list[0]) if rows_list else 0,
+                        f, {(i, j): f.from_int(v) if type(v) is int else v
+                            for i, row in enumerate(rows_list)
+                            for j, v in enumerate(row) if v})
+
+
+def from_columns(cols, rows, f):
+    return SparseMatrix(rows, len(cols), f, {(i, j): v
+                                             for j, col in enumerate(cols)
+                                             for i, v in col.items()})
+
+
+def columns(m):
+    cols = [dict() for _ in range(m.cols)]
+    for (r, c), v in m.entries.items():
+        cols[c][r] = v
+    return cols
+
+
+def matvec(m, x):
+    out = {}
+    for c, col in zip(range(m.cols), columns(m)):
+        vec_iadd(m.field, out, x.get(c, 0), col)
+    return out
+
+
+def kernel_basis(m):
+    """The kernel of m from the echelon of its graph: one vector per free
+    column, in column order."""
+    return list(graph_kernel(graph_span(m.field, columns(m), m.rows),
+                             m.cols).values())
+
+
+def solve(m, b):
+    """The x with m x = b and 0 at every free column, or None: b reduced
+    by the echelon of m's graph."""
+    f = m.field
+    y = graph_reduce(f, graph_span(f, columns(m), m.rows), m.cols, b)
+    if any(k >= m.cols for k in y):
+        return None
+    return {k: f.neg(y[k]) for k in sorted(y)}
+
+
+def rref_kernel(m):
+    """The kernel basis ``rref`` returned before the graph echelon: 1 at
+    its free column, then minus the RREF entries at the pivot columns."""
+    f = m.field
+    r = rref(m)
+    kernel = {free: {free: f.one} for free in range(m.cols)
+              if free not in r.pivots}
+    for pc, row in zip(r.pivots, r.rref_rows):
+        for k, coef in row.items():
+            if k != pc:
+                kernel[k][pc] = f.neg(coef)
+    return list(kernel.values())
+
+
+def rref_solve(m, b):
+    """``solve`` as it was before the graph echelon: the RREF of [m | b],
+    free variables zero, or None when b's column is a pivot."""
+    f = m.field
+    aug = SparseMatrix(m.rows, m.cols + 1, f,
+                       {**m.entries, **{(r, m.cols): v for r, v in b.items()
+                                        if v}})
+    r = rref(aug)
+    if r.pivots and r.pivots[-1] == m.cols:
+        return None
+    return {pc: r.rref_rows[i][m.cols] for i, pc in enumerate(r.pivots)
+            if r.rref_rows[i].get(m.cols, 0)}
 
 
 def test_field_arithmetic_f5(F5):
@@ -79,45 +153,37 @@ def test_bilinear_extends_pair_rule(Q):
 
 def test_rref_rank_oracle(F5):
     # [[1,2],[2,4]] has rank 1 over F_5
-    m = SparseMatrix.from_dense([[1, 2], [2, 4]], F5)
+    m = from_dense([[1, 2], [2, 4]], F5)
     r = rref(m)
     assert r.rank == 1
     assert r.pivots == [0]
-    assert len(r.kernel_basis) == 1
+    assert len(kernel_basis(m)) == 1
     # kernel vector (x, y) satisfies x + 2y = 0 over F_5
-    k = r.kernel_basis[0]
+    k = kernel_basis(m)[0]
     assert (k.get(0, 0) + 2 * k.get(1, 0)) % 5 == 0
 
 
 def test_rref_identity(Q):
-    m = SparseMatrix.identity(3, Q)
+    m = SparseMatrix(3, 3, Q, {(i, i): Q.one for i in range(3)})
     r = rref(m)
     assert r.rank == 3
-    assert r.kernel_basis == []
+    assert kernel_basis(m) == []
 
 
 def test_rref_rationals_exact(Q):
-    m = SparseMatrix.from_dense(
+    m = from_dense(
         [[Fraction(1, 2), Fraction(1, 3)],
          [Fraction(1, 4), Fraction(1, 6)]], Q)
     assert rref(m).rank == 1
 
 
 def test_solve_consistent_and_inconsistent(F5):
-    m = SparseMatrix.from_dense([[1, 1], [0, 1]], F5)
+    m = from_dense([[1, 1], [0, 1]], F5)
     x = solve(m, {0: 3, 1: 1})
     assert x is not None
-    assert m.matvec(x) == {0: 3, 1: 1}
-    m2 = SparseMatrix.from_dense([[1, 1], [2, 2]], F5)
+    assert matvec(m, x) == {0: 3, 1: 1}
+    m2 = from_dense([[1, 1], [2, 2]], F5)
     assert solve(m2, {0: 1, 1: 0}) is None
-
-
-def test_from_columns_matches_dense(F5):
-    cols = [{0: 1, 2: 3}, {1: 4}]
-    m = SparseMatrix.from_columns(cols, 3, F5)
-    assert m.rows == 3 and m.cols == 2
-    assert m.column(0) == {0: 1, 2: 3}
-    assert m.column(1) == {1: 4}
 
 
 @st.composite
@@ -139,15 +205,16 @@ def sparse_matrices(draw):
 @given(sparse_matrices())
 def test_rank_nullity_and_kernel(m):
     r = rref(m)
-    assert r.rank + len(r.kernel_basis) == m.cols
-    for k in r.kernel_basis:
-        assert m.matvec(k) == {}
+    assert r.rank + len(kernel_basis(m)) == m.cols
+    for k in kernel_basis(m):
+        assert matvec(m, k) == {}
 
 
 def reference_rref(m):
     """Dense textbook Gauss–Jordan: (RREF rows as dense lists, pivots)."""
     f = m.field
-    a = [[m.entry(r, c) for c in range(m.cols)] for r in range(m.rows)]
+    a = [[m.entries.get((r, c), 0) for c in range(m.cols)]
+         for r in range(m.rows)]
     pivots = []
     for c in range(m.cols):
         r = len(pivots)
@@ -197,7 +264,7 @@ def matrices_with_rhs(draw):
     m = SparseMatrix(rows, cols, f, entries)
     x = {c: v for c, v in enumerate(
         draw(st.lists(scalars(f), min_size=cols, max_size=cols))) if v}
-    return m, m.matvec(x)
+    return m, matvec(m, x)
 
 
 @settings(max_examples=300, deadline=None)
@@ -211,14 +278,14 @@ def test_rref_and_solve_match_reference(case):
     assert r.pivots == pivots
     assert r.rref_rows == [{j: x for j, x in enumerate(row) if x}
                            for row in a]
-    assert r.kernel_basis == [
+    assert kernel_basis(m) == [
         {free: f.one, **{pc: f.neg(a[i][free])
                          for i, pc in enumerate(pivots) if a[i][free]}}
         for free in range(m.cols) if free not in pivots]
     # consistent right-hand side: the canonical solution, free variables 0
     x = solve(m, b)
     assert x == reference_solve(m, b)
-    assert m.matvec(x) == b
+    assert matvec(m, x) == b
     # inconsistent right-hand side: a unit vector outside the image
     for i in range(m.rows):
         e = {i: f.one}
@@ -227,6 +294,34 @@ def test_rref_and_solve_match_reference(case):
             break
     else:
         assert r.rank == m.rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices_with_rhs(), st.data())
+def test_graph_echelon_matches_rref_kernel_and_solve(case, data):
+    # one echelon of the graph e_j ⊕ m·e_j: its rows keyed below m.cols are
+    # the RREF kernel, keyed by the free columns and in the same entry
+    # order; the rest, above m.cols, are the image's span_echelon; and the
+    # reduction of 0 ⊕ b is solve's preimage, or None off the image
+    m, b = case
+    f = m.field
+    g = graph_span(f, columns(m), m.rows)
+    free = [c for c in range(m.cols) if c not in rref(m).pivots]
+    kernel = graph_kernel(g, m.cols)
+    assert list(kernel) == free
+    assert [list(v.items()) for v in kernel.values()] == [
+        list(v.items()) for v in rref_kernel(m)]
+    assert {k - m.cols: {i - m.cols: x for i, x in row.items()
+                         if i >= m.cols}
+            for k, row in g.items() if k >= m.cols} == span_echelon(
+        f, columns(m), m.rows)
+    off = data.draw(st.dictionaries(st.integers(0, m.rows - 1),
+                                    scalars(f).filter(bool), max_size=3)
+                    if m.rows else st.just({}))
+    for rhs in [b, off] + [{i: f.one} for i in range(m.rows)]:
+        x = solve(m, rhs)
+        assert x == rref_solve(m, rhs)
+        assert x is None or matvec(m, x) == rhs
 
 
 @settings(max_examples=300, deadline=None)
@@ -240,8 +335,7 @@ def test_span_echelon_matches_reference(case):
                for i in range(m.rows)]
     ech = span_echelon(f, vectors, dim)
     # the missing positions are the unit-vector pivots of [vectors | I]
-    aug = SparseMatrix.from_columns(
-        vectors + [{i: f.one} for i in range(dim)], dim, f)
+    aug = from_columns(vectors + [{i: f.one} for i in range(dim)], dim, f)
     _, pivots = reference_rref(aug)
     assert [i for i in range(dim) if i not in ech] == [
         p - m.rows for p in pivots if p >= m.rows]
@@ -252,7 +346,7 @@ def test_span_echelon_matches_reference(case):
         assert all(j == k or j not in ech for j in row)
 
     def rank(vecs):
-        return len(reference_rref(SparseMatrix.from_columns(vecs, dim, f))[1])
+        return len(reference_rref(from_columns(vecs, dim, f))[1])
 
     # the rows are independent and span the vectors' span
     rows = list(ech.values())
@@ -417,9 +511,9 @@ def test_q_ints_and_equal_fractions_give_equal_results(rows, cols, data):
         vectors = [{j: v for (r, j), v in m.entries.items() if r == i}
                    for i in range(rows)]
         r = rref(m)
-        out = [r.rank, r.pivots, r.kernel_basis, r.rref_rows,
-               span_echelon(Q, vectors, cols), solve(m, m.matvec(x)),
-               vec_iadd(Q, dict(x), conv(c), m.matvec(x)),
+        out = [r.rank, r.pivots, kernel_basis(m), r.rref_rows,
+               span_echelon(Q, vectors, cols), solve(m, matvec(m, x)),
+               vec_iadd(Q, dict(x), conv(c), matvec(m, x)),
                bilinear(Q, lambda a, b: {a * b: conv(c)}, x, x)]
         assert all(type(v) in (int, Fraction) for v in leaves(out[2:]))
         results.append(ordered(out))

@@ -12,7 +12,6 @@ from dgkoszul.exactlinalg import (
     FieldSpec,
     SparseMatrix,
     rref,
-    solve,
     vec_iadd,
 )
 from dgkoszul.gradedcomplex import (
@@ -32,6 +31,7 @@ from dgkoszul.gradedcomplex import (
     homology_dims,
     is_chain_map,
     is_quasi_iso,
+    preimage,
     relabel,
     shift_complex,
     solve_diagonal_chain_iso,
@@ -129,22 +129,60 @@ def complexes(draw, fields=FIELDS):
                                  {l: v for l, v in cols.items() if v}))
 
 
+def from_columns(cols, rows, f):
+    return SparseMatrix(rows, len(cols), f, {(i, j): v
+                                             for j, col in enumerate(cols)
+                                             for i, v in col.items()})
+
+
+def d_columns(c, n):
+    """The columns of d_n in coordinates of Cⁿ⁺¹."""
+    return [c.space.to_coords(c.d(l), n + 1) for l in c.labels(n)]
+
+
+def rref_kernel(m):
+    """The canonical kernel basis that ``rref`` once returned: one vector
+    per free column, 1 there, minus the RREF entries at the pivots."""
+    f = m.field
+    r = rref(m)
+    kernel = {free: {free: f.one} for free in range(m.cols)
+              if free not in r.pivots}
+    for pc, row in zip(r.pivots, r.rref_rows):
+        for k, coef in row.items():
+            if k != pc:
+                kernel[k][pc] = f.neg(coef)
+    return list(kernel.values())
+
+
+def rref_solve(m, b):
+    """The solution that ``solve`` once gave: the RREF of [m | b], free
+    variables zero, or None when b's column is a pivot."""
+    aug = SparseMatrix(m.rows, m.cols + 1, m.field,
+                       {**m.entries, **{(r, m.cols): v for r, v in b.items()
+                                        if v}})
+    r = rref(aug)
+    if r.pivots and r.pivots[-1] == m.cols:
+        return None
+    return {pc: r.rref_rows[i][m.cols] for i, pc in enumerate(r.pivots)
+            if r.rref_rows[i].get(m.cols, 0)}
+
+
 def reference_homology(c, n):
     """The earlier algorithm: the image basis (the pivot columns of
     d_{n-1}) and the canonical kernel of d_n; the representatives are the
     kernel vectors among the pivots of [im | ker]."""
-    dn1 = c.differential.block(n - 1)
-    im = [dn1.column(p) for p in rref(dn1).pivots]
-    ker = rref(c.differential.block(n)).kernel_basis
-    pivots = rref(SparseMatrix.from_columns(im + ker, c.dim(n),
-                                            c.field)).pivots
+    f, dim = c.field, c.dim(n)
+    dn1 = d_columns(c, n - 1)
+    im = [dn1[p] for p in rref(from_columns(dn1, dim, f)).pivots]
+    ker = rref_kernel(from_columns(d_columns(c, n), c.dim(n + 1), f))
+    pivots = rref(from_columns(im + ker, dim, f)).pivots
     return im, [ker[p - len(im)] for p in pivots if p >= len(im)]
 
 
 def reference_class(c, n, im, reps, cycle):
     """The earlier class lookup: one solution on [im | reps]."""
-    x = solve(SparseMatrix.from_columns(im + reps, c.dim(n), c.field),
-              c.space.to_coords(cycle, n))
+    x = rref_solve(from_columns(im + reps, c.dim(n), c.field),
+                   c.space.to_coords(cycle, n))
     return {i - len(im): v for i, v in x.items() if i >= len(im)}
 
 
@@ -173,6 +211,13 @@ def test_homology_and_class_match_reference(c, data):
         assert cls == expected and list(cls) == sorted(cls)
         assert reference_class(c, n, im, reps, cycle) == expected
         assert homology_class(c, n, boundary) == {}
+        # the preimage with free variables zero, as ``solve`` gave it
+        x = rref_solve(from_columns(d_columns(c, n - 1), c.dim(n), f),
+                       c.space.to_coords(boundary, n))
+        assert preimage(c, n, boundary) == c.space.from_coords(x, n - 1)
+        assert c.d(preimage(c, n, boundary)) == boundary
+        if reps:
+            assert preimage(c, n, h.representatives[0]) is None
 
 
 @settings(max_examples=150, deadline=None)
@@ -228,9 +273,9 @@ def test_homology_dims_eliminates_each_block_once(monkeypatch):
     monkeypatch.setattr(gradedcomplex, "rank", counting_rank)
     monkeypatch.setattr(exactlinalg, "_echelon", counting_echelon)
     monkeypatch.setattr(exactlinalg, "_sub_multiple", counting_sub)
-    for module in (gradedcomplex, exactlinalg):
-        monkeypatch.setattr(module, "rref", refused)
-        monkeypatch.setattr(module, "span_echelon", refused)
+    for module, name in ((exactlinalg, "rref"), (exactlinalg, "span_echelon"),
+                         (gradedcomplex, "graph_span")):
+        monkeypatch.setattr(module, name, refused)
     f = FieldSpec.prime(5)
     w = DegreeWindow(-18, 18)
     cx = bar(truncated_polynomial_algebra(f, w, "y", 2, 4), w).carrier
@@ -240,7 +285,38 @@ def test_homology_dims_eliminates_each_block_once(monkeypatch):
                       for n in range(win.lo - 1, win.hi + 1)]
     assert passes == [rows for rows, _ in shapes]
     assert touched[0] <= 40_000, touched
-    assert cx.differential._blocks == {}
+    assert cx._graphs == {}
+
+
+def test_homology_eliminates_each_block_once(monkeypatch):
+    # homology_by_degree makes one span_echelon per block of the window
+    # and the block below it, on the graph of d_n (before: two per degree,
+    # the RREF of d_n and the echelon of d_{n-1}'s columns); a class and a
+    # preimage reduce against the stored rows and make none
+    shapes = []
+    span_echelon = exactlinalg.span_echelon
+
+    def counted(field, vectors, dim):
+        shapes.append((len(vectors), dim))
+        return span_echelon(field, vectors, dim)
+
+    monkeypatch.setattr(exactlinalg, "span_echelon", counted)
+    f = FieldSpec.prime(5)
+    w = DegreeWindow(-8, 8)
+    cx = bar(truncated_polynomial_algebra(f, w, "y", 2, 4), w).carrier
+    hs = homology_by_degree(cx)
+    blocks = range(min(hs) - 1, max(hs) + 1)
+    assert list(hs) == list(range(min(hs), max(hs) + 1))
+    assert sorted(shapes) == sorted((cx.dim(n), cx.dim(n) + cx.dim(n + 1))
+                                    for n in blocks)
+    assert len(shapes) == len(hs) + 1 < 2 * len(hs)
+    for n, h in hs.items():
+        for i, rep in enumerate(h.representatives):
+            assert homology_class(cx, n, rep) == {i: f.one}
+        for l in cx.labels(n - 1):
+            if cx.d(l):
+                assert cx.d(preimage(cx, n, cx.d(l))) == cx.d(l)
+    assert len(shapes) == len(hs) + 1
 
 
 def two_term(name, rows, cols, entries):

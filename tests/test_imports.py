@@ -277,7 +277,9 @@ def test_lint_catches_an_unread_field(tmp_path):
 
 def test_tracer_targets_resolve():
     # perfbench wraps engine functions by name and only lists the ones it
-    # cannot find, so a rename would silently zero its per-layer metrics
+    # cannot find, so a rename would silently zero its per-layer metrics.
+    # ``exactlinalg.solve`` is gone on purpose (the graph echelon gives
+    # preimages): its counters read 0 until the tracer drops the target
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
@@ -287,4 +289,4 @@ def test_tracer_targets_resolve():
     missing = [f"{mod}.{fn}" for mod, fn, *_ in targets
                if not callable(getattr(
                    importlib.import_module(f"dgkoszul.{mod}"), fn, None))]
-    assert missing == []
+    assert missing == ["exactlinalg.solve"]

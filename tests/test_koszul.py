@@ -3,8 +3,16 @@ duality, Ext tables."""
 
 import pytest
 
-from dgkoszul.gradedcomplex import DegreeWindow, StructureError, check_d_squared
+from dgkoszul.gradedcomplex import (
+    Complex,
+    DegreeWindow,
+    GradedMap,
+    GradedSpace,
+    StructureError,
+    check_d_squared,
+)
 from dgkoszul.dgstruct import (
+    DGModule,
     exterior_algebra,
     polynomial_algebra,
     trivial_module,
@@ -25,6 +33,7 @@ from dgkoszul.koszul import (
     loewy_length,
     make_koszul_pair,
 )
+from dgkoszul.resolve import is_free_over_homology
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +170,26 @@ def test_koszul_pair_check_rank_two(F5, window):
     p = make_koszul_pair(F5, window, [2, 2])
     r = koszul_pair_check(p, window)
     assert r["ok"]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_image_of_a_cycle_that_is_no_cycle_is_refused(F5, side):
+    # Λ(x), |x| = -3, on b (degree 0), c and a (-3), t (-2) with d a = t
+    # and x sending the cycle b to a, which is no cycle: Leibniz fails, and
+    # the readers of classes refuse it instead of reading a zero class
+    e = exterior_algebra(F5, DegreeWindow(-8, 8), [("x", -3)])
+    sp = GradedSpace(F5, DegreeWindow(-8, 8),
+                     {0: ["b"], -3: ["c", "a"], -2: ["t"]}, bounds=(-3, 0))
+    cx = Complex(sp, GradedMap(sp, sp, 1, {"a": {"t": F5.one}}))
+
+    def act(al, m):
+        return {m: F5.one} if al == "1" else {"a": F5.one} if m == "b" else {}
+
+    m = DGModule(cx, e, act if side == "left" else lambda m, al: act(al, m),
+                 side=side)
+    assert not validate_module(m).ok
+    with pytest.raises(StructureError, match="not a cycle"):
+        if side == "left":
+            loewy_length(m)
+        else:
+            is_free_over_homology(m)

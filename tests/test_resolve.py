@@ -9,7 +9,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from dgkoszul import resolve
 from dgkoszul.exactlinalg import FieldSpec, span_echelon, vec_iadd
 from dgkoszul.gradedcomplex import (
+    POS_INF,
+    Complex,
     DegreeWindow,
+    GradedMap,
+    GradedSpace,
     StructureError,
     check_d_squared,
     homology,
@@ -18,6 +22,7 @@ from dgkoszul.gradedcomplex import (
     is_quasi_iso,
 )
 from dgkoszul.dgstruct import (
+    DGModule,
     exterior_algebra,
     free_module,
     module_direct_sum,
@@ -26,6 +31,7 @@ from dgkoszul.dgstruct import (
     trivial_module,
     truncated_module,
     truncated_polynomial_algebra,
+    validate_module,
 )
 from dgkoszul.level import level_interval
 from dgkoszul.resolve import (
@@ -238,6 +244,39 @@ def test_freeness_is_not_claimed_on_undecided_degrees(F5, hi, free, first):
     assert (16 in rep["undecided"]) == (hi == 16)
     if hi == 16:
         assert level_interval(resolve_min(m)).lower == 1
+
+
+def cone_of_y(f, w):
+    """The cone of y : Σ⁻²K[y] → K[y], |y| = 2, as a right K[y]-module:
+    b_i in degree 2i and a_i in degree 2i+1, d(a_i) = b_{i+1}, and y^j
+    sending b_i to b_{i+j} and a_i to a_{i+j}.  H(M) is K in degree 0."""
+    a = polynomial_algebra(f, w, [("y", 2)])
+    basis = {n: [f"{'ab'[n % 2 == 0]}{n // 2}"] for n in range(w.hi + 1)}
+    sp = GradedSpace(f, w, basis, bounds=(0, POS_INF))
+    d = {f"a{i}": {f"b{i + 1}": f.one} for i in range(w.hi)
+         if f"a{i}" in sp and f"b{i + 1}" in sp}
+
+    def act(m, al):
+        t = f"{m[0]}{int(m[1:]) + a.space.deg(al) // 2}"
+        return {t: f.one} if t in sp else {}
+
+    return DGModule(Complex(sp, GradedMap(sp, sp, 1, d)), a, act)
+
+
+@pytest.mark.parametrize("field", [FieldSpec.prime(5), FieldSpec.rationals()],
+                         ids=["F5", "Q"])
+def test_kernel_class_generator_takes_a_boundary_preimage(field):
+    # H(ε) of F = e0⊗K[y] kills the class of e0·y, whose image b1 = d(a0)
+    # is a boundary: e1 kills it, and its comparison is that preimage
+    m = cone_of_y(field, DegreeWindow(-12, 12))
+    assert validate_module(m).ok
+    r = resolve_min(m)
+    assert r.generators == [("e0", 0, 0), ("e1", 1, 1)]
+    assert r.differential["e1"] == [("e0", "y", field.one)]
+    assert r.comparison["e1"] == {"a0": field.one}
+    assert class_of(r) == (2, True)
+    side = level_interval(r)
+    assert (side.lower, side.upper, side.valid) == (2, 2, True)
 
 
 def test_resolution_over_exterior(F5, window):

@@ -782,7 +782,9 @@ def plant(f, table, carrier, degree, unit, kind, data, late=()):
         else:
             table[key] = {}
     if kind == "unit+product":
-        l = data.draw(st.sampled_from([l for l in sp if l != unit]))
+        # a planted "gap" may have taken a label's unit products away
+        l = data.draw(st.sampled_from([l for l in sp if l != unit and (
+            (l, unit) in table or (unit, l) in table)]))
         key = data.draw(st.sampled_from(
             [k for k in ((l, unit), (unit, l)) if k in table]))
         table[key] = {l: two} if not f.is_zero(two) else {}
