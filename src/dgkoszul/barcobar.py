@@ -79,47 +79,27 @@ def _known_below(sp: GradedSpace):
     return NEG_INF if sp.bounds[0] >= sp.window.lo else sp.window.lo
 
 
-def _enumerate_words(letters, window: DegreeWindow, polarity: int):
-    """All words over (label, degree) letters with total degree in the
-    window; letter degrees have uniform sign so enumeration terminates.
-    Returns dict degree -> sorted list of entry tuples."""
-    out: dict = {}
-    lim = window.hi if polarity > 0 else -window.lo
-
-    def rec(word, wdeg):
-        mag = wdeg if polarity > 0 else -wdeg
-        if wdeg in window:
-            out.setdefault(wdeg, []).append(tuple(l for l, _ in word))
-        for l, d in letters:
-            if mag + (d if polarity > 0 else -d) <= lim:
-                word.append((l, d))
-                rec(word, wdeg + d)
-                word.pop()
-
-    rec([], 0)
-    for n in out:
-        out[n].sort()
-    return out
-
-
 def _word_complex(carrier: Complex, shift: int, window: DegreeWindow | None,
                   skip: str, quadratic, label, what: str):
     """The complex on words in the letters s^shift x, x a basis label of
     ``carrier`` other than ``skip``, shared by bar (shift -1) and cobar
     (shift +1); the window is trimmed to the degrees whose words use only
-    known letters.  The differential at a letter x followed by y (None at
-    the end of the word) is the internal part -s(dx) plus the terms
-    ``(replacement, width, coefficient)`` of ``quadratic(x, y)``, which
-    replace the ``width`` letters from x; each term carries the Koszul sign
-    of the letters before it.  The terms are made once per letter pair and
-    targets found by entries, so a word costs no label and no rule call.
+    known letters.  The words of magnitude m (|degree|) are each letter, in
+    label order, followed by the words of magnitude m − |letter|: sorted,
+    each labelled once.  d(x·u) is the terms at x, which are −s(dx) and the
+    terms ``(replacement, width, coefficient)`` of ``quadratic(x, y)`` (y
+    the first letter of u, None for the empty word) replacing ``width``
+    letters from x, plus (−1)^{|x|}·x·d(u), d(u) already built, also for a
+    tail u outside the window.  The terms at x are made once per letter
+    pair.  Unless a letter has carrier degree 0, no term at x is x-prefixed,
+    so the item order is that of the sum taken letter by letter.
     """
     sp = carrier.space
     f = sp.field
     w = window or sp.window
     letters = sorted((l, sp.deg(l) + shift) for l in sp if l != skip)
     if not letters:
-        win, bounds, words = w, (0, 0), {0: [()]}
+        win, bounds, pol, near, far = w, (0, 0), 1, 0, 0
     else:
         degs = [d for _, d in letters]
         if 0 in degs:
@@ -140,39 +120,63 @@ def _word_complex(carrier: Complex, shift: int, window: DegreeWindow | None,
             lo = w.lo if kb == NEG_INF else max(w.lo, int(kb) - shift)
             win = DegreeWindow(min(lo, 0), min(w.hi, 0))
             bounds = (NEG_INF, 0)
-        words = _enumerate_words(letters, win, pol)
-    labels = {n: [label(e) for e in ws] for n, ws in words.items()}
-    bsp = GradedSpace(f, win, labels, bounds=bounds)
-    index = {e: l for n, ws in words.items() for e, l in zip(ws, labels[n])}
+        near, far = (win.lo, win.hi) if pol > 0 else (-win.hi, -win.lo)
+
+    def spelled(m):
+        # (x, entries of u, label of u) for the words x·u of magnitude m
+        for x, d in letters:
+            if (k := m - pol * d) >= 0:
+                for e, lu in zip(words[k], labels[k]):
+                    yield x, e, lu
+
+    words, labels = [[()]], [[label(())]]
+    pre = {x: {} for x, _ in letters}  # label of u -> label of x·u
+    for m in range(1, far + 1):
+        ws, ls = [], []
+        for x, e, lu in spelled(m):
+            ws.append((x,) + e)
+            ls.append(lab := label(ws[-1]))
+            pre[x][lu] = lab
+        words.append(ws)
+        labels.append(ls)
+    index = {e: l for ws, ls in zip(words, labels) for e, l in zip(ws, ls)}
     p = f.p
+    minus = f.from_int(-1)
     odd = {l for l, d in letters if d % 2}
     internal = {l: [((t,), 1, f.neg(v))
                     for t, v in carrier.d(l).items() if t != skip]
                 for l, _ in letters}
     memo: dict = {}
-    cols: dict = {}
-    for entries, source in index.items():
-        col: dict = {}
-        get = col.get
-        neg = False  # Koszul sign of the letters before x
-        for i, (x, y) in enumerate(zip(entries, entries[1:] + (None,))):
+    full: dict = {}  # the columns of all words, tails outside the window too
+    # the magnitudes whose targets, at m + pol, are enumerated
+    for m in range(1, far + (pol < 0)):
+        for x, e, lu in spelled(m):
+            y = e[0] if e else None
             terms = memo.get((x, y))
             if terms is None:
                 terms = memo[x, y] = internal[x] + quadratic(x, y)
+            col: dict = {}
+            get = col.get
             for rep, width, v in terms:
-                tgt = index.get(entries[:i] + rep + entries[i + width:])
+                tgt = index.get(rep + e[width - 1:])
                 if tgt is not None:
-                    s = get(tgt, 0) + (-v if neg else v)
+                    s = get(tgt, 0) + v
                     if p is not None:
                         s %= p
                     if s:
                         col[tgt] = s
                     else:
                         col.pop(tgt, None)
-            if x in odd:
-                neg = not neg
-        if col:
-            cols[source] = col
+            px = pre[x]
+            if du := full.get(lu):
+                vec_iadd(f, col, minus if x in odd else 1,
+                         {px[t]: v for t, v in du.items()})
+            if col:
+                full[px[lu]] = col
+    basis = {pol * m: labels[m] for m in range(near, far + 1)}
+    bsp = GradedSpace(f, win, basis, bounds=bounds)
+    cols = {l: full[l] for m in range(near, far + 1) if near <= m + pol <= far
+            for l in labels[m] if l in full}
     return Complex(bsp, GradedMap(bsp, bsp, 1, cols))
 
 

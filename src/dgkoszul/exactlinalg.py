@@ -127,12 +127,13 @@ class FieldSpec:
 def vec_iadd(field: FieldSpec, acc: dict, c, v: dict) -> dict:
     """acc += c*v in place, dropping the keys that cancel; returns acc.
 
-    Besides the elimination, the word-complex builder and ``ConeView.d``,
-    only this adds into a combination.  ``acc`` must be a dict the caller
-    built and owns; a stored column (``Complex.d(label)``), a rule's return
-    value or a cached homology representative may be shared, so copy it
-    with ``dict(...)`` before accumulating into it.  Keys of ``acc`` keep
-    their place; new ones follow in the order of ``v``.
+    Besides the elimination, the word-complex builder, ``ConeView.d`` and
+    ``check_d_squared``'s loop (a plain sum of d(d(l)), reduced only when
+    tested), only this adds into a combination.  ``acc`` must be a dict the
+    caller built and owns; a stored column (``Complex.d(label)``), a rule's
+    return value or a cached homology representative may be shared, so
+    copy it with ``dict(...)`` before accumulating into it.  Keys of ``acc``
+    keep their place; new ones follow in the order of ``v``.
     """
     if not c:
         return acc
@@ -172,14 +173,18 @@ def bilinear(field: FieldSpec, rule, x: dict, y: dict) -> dict:
 
 
 def _check_entries(field: FieldSpec, rows: int, cols: int, items) -> None:
-    """What ``SparseMatrix`` and ``rank`` refuse (ValueError)."""
-    for (r, c), v in items:
-        if not (0 <= r < rows and 0 <= c < cols):
-            raise ValueError(f"index ({r},{c}) out of range")
-        if field.is_zero(v):
-            raise ValueError(f"stored zero at ({r},{c})")
-        if not field.is_canonical(v):
-            raise ValueError(f"non-canonical scalar at ({r},{c}): {v!r}")
+    """What ``SparseMatrix`` and ``rank`` refuse (ValueError) in the pairs
+    (row index, {column: scalar}), ``is_canonical`` written out."""
+    p = field.p
+    for r, row in items:
+        for c, v in row.items():
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise ValueError(f"index ({r},{c}) out of range")
+            if not v:
+                raise ValueError(f"stored zero at ({r},{c})")
+            if (type(v) is not int or not 0 < v < p if p else
+                    type(v) is not int and not isinstance(v, Fraction)):
+                raise ValueError(f"non-canonical scalar at ({r},{c}): {v!r}")
 
 
 class SparseMatrix:
@@ -190,7 +195,8 @@ class SparseMatrix:
     def __init__(self, rows: int, cols: int, field: FieldSpec, entries: dict):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        _check_entries(field, rows, cols, entries.items())
+        _check_entries(field, rows, cols,
+                       ((r, {c: v}) for (r, c), v in entries.items()))
         self.rows = rows
         self.cols = cols
         self.field = field
@@ -234,8 +240,7 @@ def rank(field: FieldSpec, rows: list, cols: int) -> int:
     """Rank of the row dicts (column -> scalar) in ``cols`` columns, which
     it consumes: ``_echelon`` alone, under ``SparseMatrix``'s checks.  A
     matrix, its transpose and its column permutations share their rank."""
-    items = (((r, c), v) for r, row in enumerate(rows) for c, v in row.items())
-    _check_entries(field, len(rows), cols, items)
+    _check_entries(field, len(rows), cols, enumerate(rows))
     return len(_echelon(field, rows))
 
 

@@ -1,16 +1,23 @@
 """Bar/cobar constructions and twisted tensor products: homology oracles,
 Maurer-Cartan residuals, acyclicity, duality."""
 
+from fractions import Fraction
+from unittest import mock
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from dgkoszul import barcobar
 from dgkoszul.exactlinalg import FieldSpec
 from dgkoszul.gradedcomplex import (
+    Complex,
     DegreeWindow,
+    GradedSpace,
     check_d_squared,
     homology,
 )
 from dgkoszul.dgstruct import (
+    DGAlgebra,
     TwistingCochain,
     comodule_over_self,
     exterior_algebra,
@@ -386,3 +393,195 @@ def test_bar_and_cobar_match_reference_builder(a):
     c = graded_dual_algebra(a)
     om = cobar(c)
     assert_matches_reference(om.carrier, reference_cobar(c, om.space.window))
+
+
+# -------------------------------------------------------------------------
+# the tail recurrence against the letter-by-letter builder
+# -------------------------------------------------------------------------
+
+def letter_by_letter(carrier, shift, win, skip, quadratic, label):
+    """The builder before the tail recurrence, on the trimmed window
+    ``win``: words by recursion, sorted per degree, and each column summed
+    over every position of its word, with the terms of ``quadratic(x, y)``
+    at a letter x followed by y (None at the end).  Returns the labels per
+    degree and the columns."""
+    sp = carrier.space
+    f = sp.field
+    letters = sorted((l, sp.deg(l) + shift) for l in sp if l != skip)
+    pol = 1 if not letters or letters[0][1] > 0 else -1
+    lim = win.hi if pol > 0 else -win.lo
+    words: dict = {}
+
+    def rec(word, wdeg):
+        mag = wdeg if pol > 0 else -wdeg
+        if wdeg in win:
+            words.setdefault(wdeg, []).append(tuple(l for l, _ in word))
+        for l, d in letters:
+            if mag + (d if pol > 0 else -d) <= lim:
+                word.append((l, d))
+                rec(word, wdeg + d)
+                word.pop()
+
+    rec([], 0)
+    labels = {n: [label(e) for e in sorted(ws)]
+              for n, ws in sorted(words.items())}
+    index = {e: label(e) for ws in words.values() for e in ws}
+    odd = {l for l, d in letters if d % 2}
+    internal = {l: [((t,), 1, f.neg(v))
+                    for t, v in carrier.d(l).items() if t != skip]
+                for l, _ in letters}
+    cols: dict = {}
+    for entries, source in index.items():
+        col: dict = {}
+        neg = False
+        for i, (x, y) in enumerate(zip(entries, entries[1:] + (None,))):
+            for rep, width, v in internal[x] + quadratic(x, y):
+                tgt = index.get(entries[:i] + rep + entries[i + width:])
+                if tgt is not None:
+                    s = f.add(col.get(tgt, f.zero), f.neg(v) if neg else v)
+                    if s:
+                        col[tgt] = s
+                    else:
+                        col.pop(tgt, None)
+            if x in odd:
+                neg = not neg
+        if col:
+            cols[source] = col
+    return labels, cols
+
+
+@st.composite
+def word_complex_inputs(draw):
+    """The arguments of ``_word_complex`` over F_2, F_5 or Q: 1–4 letters
+    of one sign, odd and even suspended degree, none of carrier degree 0;
+    a random internal d; a bar-shaped rule (one letter for x and the next)
+    or a cobar-shaped one (two letters for x); and a window whose near end
+    may lie past 0.  The carrier need not square to zero: the builders
+    must agree on any input."""
+    f = draw(st.sampled_from([FieldSpec.prime(2), FieldSpec.prime(5),
+                              FieldSpec.rationals()]))
+    shift = draw(st.sampled_from([-1, 1]))
+    sign = draw(st.sampled_from([-1, 1]))
+    # a run of magnitudes in steps of 0 or 1, so that d and the rule find
+    # targets; only magnitude 1 can be of carrier degree 0
+    mags = [draw(st.integers(1, 3).filter(lambda m: sign * m != shift))]
+    for _ in range(draw(st.integers(0, 3))):
+        mags.append(mags[-1] + draw(st.integers(0, 1)))
+    names = "abcd"[:len(mags)]
+    susp = dict(zip(names, (sign * m for m in mags)))
+    deg = {l: d - shift for l, d in susp.items()}
+    basis: dict = {0: ["1"]}
+    for l in names:
+        basis.setdefault(deg[l], []).append(l)
+    sp = GradedSpace(f, DegreeWindow(-12, 12), basis,
+                     bounds=(min(basis), max(basis)))
+    coefficients = scalars_of(f)
+    d = {x: {t: draw(coefficients) for t in names
+             if deg[t] == deg[x] + 1 and draw(st.booleans())}
+         for x in names}
+    carrier = Complex(sp, GradedMap(sp, sp, 1,
+                                    {x: c for x, c in d.items() if c}))
+    ends = list(names) + [None]
+    table = {}
+    for x in names:
+        for y in ends:
+            if shift < 0:  # merge x and y into one letter
+                reps = [(t,) for t in names
+                        if y is not None and susp[t] == susp[x] + susp[y] + 1]
+            else:  # split x into two letters
+                reps = [(a, b) for a in names for b in names
+                        if susp[a] + susp[b] == susp[x] + 1]
+            picked = draw(st.lists(st.sampled_from(reps), min_size=1,
+                                   max_size=3)
+                          if reps and draw(st.booleans()) else st.just([]))
+            table[x, y] = [(rep, 2 if shift < 0 else 1, draw(coefficients))
+                           for rep in picked]
+    # words grow exponentially; keep the far end near 500 words
+    count, far = [1], 0
+    while far < 14 and sum(count) < 500:
+        far += 1
+        count.append(sum(count[far - m] for m in mags if m <= far))
+    near = draw(st.integers(-2, far // 2))
+    hi = max(near, far - draw(st.integers(0, 2)))
+    window = (DegreeWindow(near, hi) if sign > 0
+              else DegreeWindow(-hi, -near))
+    label = bar_word_label if shift < 0 else cobar_word_label
+    return (carrier, shift, window, "1",
+            lambda x, y: table[x, y], label)
+
+
+def scalars_of(f):
+    if f.kind == "prime":
+        return st.integers(1, f.p - 1)
+    return st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                     st.integers(1, 4))
+
+
+def assert_same_words_and_columns(cx, reference):
+    labels, cols = reference
+    sp = cx.space
+    assert {n: list(sp.labels(n)) for n in sp.degrees()} == labels
+    assert cx.differential.cols.keys() == cols.keys()
+    for l, col in cols.items():
+        assert list(cx.d(l).items()) == list(col.items()), l
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(word_complex_inputs())
+def test_tail_recurrence_matches_the_letter_by_letter_builder(args):
+    carrier, shift, window, skip, quadratic, label = args
+    cx = barcobar._word_complex(carrier, shift, window, skip, quadratic,
+                                label, "test")
+    assert_same_words_and_columns(cx, letter_by_letter(
+        carrier, shift, cx.space.window, skip, quadratic, label))
+
+
+def koszul_dga(f, e):
+    """Λ(x)⊗K[y]/(y²) with |y| = 2e (e ≠ 0), |x| = 2e − 1 and dx = y."""
+    y, x = 2 * e, 2 * e - 1
+    basis = {0: ["1"], x: ["x"], y: ["y"], x + y: ["x*y"]}
+    lo, hi = min(basis), max(basis)
+    sp = GradedSpace(f, DegreeWindow(lo, hi), basis, bounds=(lo, hi))
+    exps = {"1": (0, 0), "x": (1, 0), "y": (0, 1), "x*y": (1, 1)}
+    label = {v: l for l, v in exps.items()}
+
+    def mult_pair(a, b):
+        # y is even, so no sign moves it past x
+        t = label.get((exps[a][0] + exps[b][0], exps[a][1] + exps[b][1]))
+        return {t: f.one} if t else {}
+
+    cx = Complex(sp, GradedMap(sp, sp, 1, {"x": {"y": f.one}}))
+    return DGAlgebra(cx, "1", mult_pair,
+                     "non-negative" if e > 0 else "non-positive")
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([FieldSpec.prime(2), FieldSpec.prime(5),
+                        FieldSpec.rationals()]),
+       st.sampled_from([-2, -1, 2, 3]), st.integers(-2, 6), st.integers(0, 10))
+def test_bar_and_cobar_of_a_dga_match_the_letter_by_letter_builder(
+        f, e, near, span):
+    """bar and cobar of Λ(x)⊗K[y]/(y²) with dx = y, in both polarities, on
+    windows whose near end may lie past 0 (lo > 0 for the bar of a
+    non-negative algebra, hi < 0 for its dual's cobar)."""
+    a = koszul_dga(f, e)
+    sign = 1 if e > 0 else -1
+    calls = []
+    build = barcobar._word_complex
+
+    def spy(carrier, shift, window, skip, quadratic, label, what):
+        cx = build(carrier, shift, window, skip, quadratic, label, what)
+        calls.append((cx, (carrier, shift, cx.space.window, skip, quadratic,
+                           label)))
+        return cx
+
+    lo, hi = near, near + span
+    with mock.patch.object(barcobar, "_word_complex", spy):
+        bar(a, DegreeWindow(lo, hi) if sign > 0 else DegreeWindow(-hi, -lo))
+        cobar(graded_dual_algebra(a),
+              DegreeWindow(-hi, -lo) if sign > 0 else DegreeWindow(lo, hi))
+    assert len(calls) == 2
+    for cx, args in calls:
+        assert_same_words_and_columns(cx, letter_by_letter(*args))

@@ -240,6 +240,83 @@ def test_euler_characteristic_of_homology(c):
         sum((-1) ** n * d for n, d in homology_dims(c).items())
 
 
+def per_label_d_squared(c):
+    """The d² check as it was: d applied twice through ``Complex.d``, label
+    by label in degree and basis order; (ok, degree, label)."""
+    for n in c.space.degrees():
+        for l in c.labels(n):
+            if c.d(c.d(l)):
+                return False, n, l
+    return True, None, None
+
+
+@st.composite
+def planted_d_squared(draw):
+    """A complex with d∘d = 0 from ``complexes`` with 0–3 terms planted in
+    its columns, each a nonzero scalar (a ``Fraction`` over Q) at a label
+    one degree up; a planted term may also cancel a stored one."""
+    c = draw(complexes())
+    f, sp = c.field, c.space
+    cols = {l: dict(v) for l, v in c.differential.cols.items()}
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(0, 2))
+        if not (sp.labels(n) and sp.labels(n + 1)):
+            continue
+        l = draw(st.sampled_from(sp.labels(n)))
+        t = draw(st.sampled_from(sp.labels(n + 1)))
+        col = cols.setdefault(l, {})
+        v = (f.neg(col[t]) if t in col and draw(st.booleans())
+             else draw(scalars(f, nonzero=True)))
+        vec_iadd(f, col, f.one, {t: v})
+    return Complex(sp, GradedMap(sp, sp, 1,
+                                 {l: v for l, v in cols.items() if v}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_d_squared())
+def test_check_d_squared_reports_the_per_label_failure(c):
+    r = check_d_squared(c)
+    assert (r.ok, r.degree, r.label) == per_label_d_squared(c)
+
+
+def test_check_d_squared_finds_a_planted_failure(F5, Q):
+    # one coefficient changed in the bar of K[y]/(y^4) over F_5 at ±12,
+    # and a Fraction planted in a complex over Q
+    a = truncated_polynomial_algebra(F5, DegreeWindow(-12, 12), "y", 2, 4)
+    cx = bar(a).carrier
+    assert check_d_squared(cx) and per_label_d_squared(cx)[0]
+    cols = {l: dict(v) for l, v in cx.differential.cols.items()}
+    l = next(l for l in cx.space.labels(7) if len(cols.get(l, {})) > 1)
+    t = next(iter(cols[l]))
+    cols[l][t] = F5.add(cols[l][t], F5.one) or F5.one
+    bad = Complex(cx.space, GradedMap(cx.space, cx.space, 1, cols))
+    r = check_d_squared(bad)
+    assert not r and (r.degree, r.label) == per_label_d_squared(bad)[1:]
+    sp = GradedSpace(Q, DegreeWindow(0, 2), {0: ["a"], 1: ["b", "c"],
+                                             2: ["e"]})
+    d = {"a": {"b": Fraction(1, 2), "c": Fraction(-1, 3)},
+         "b": {"e": Fraction(2, 3)}, "c": {"e": 1}}
+    assert check_d_squared(Complex(sp, GradedMap(sp, sp, 1, d)))
+    d["c"] = {"e": Fraction(3, 2)}
+    r = check_d_squared(Complex(sp, GradedMap(sp, sp, 1, d)))
+    assert (r.ok, r.degree, r.label) == (False, 0, "a")
+
+
+def test_graded_map_refuses_labels_outside_its_spaces(F5):
+    sp = GradedSpace(F5, DegreeWindow(-4, 4), {0: ["a"], 1: ["b"]})
+    for cols, message in (
+            ({"zz": {"b": 1}}, "column label 'zz' not in source"),
+            ({"a": {"zz": 1}}, "image label 'zz' not in target"),
+            ({"b": {"a": 1}}, "not homogeneous of shift 1 at 'b'"),
+            ({"a": {"b": 0}}, "stored zero coefficient at 'a'")):
+        with pytest.raises(StructureError, match=message):
+            GradedMap(sp, sp, 1, cols)
+    # a non-canonical coefficient passes here, and rank refuses it
+    cx = Complex(sp, GradedMap(sp, sp, 1, {"a": {"b": 7}}))
+    with pytest.raises(ValueError, match="non-canonical"):
+        homology_dims(cx)
+
+
 def test_homology_dims_at_known_bounds(F5):
     # bounds make the degrees at the window's edges computable
     assert homology_dims(two_step(F5)) == {}

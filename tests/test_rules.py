@@ -1397,6 +1397,28 @@ def test_bar_rule_work_is_per_letter_pair(monkeypatch):
     assert set(products.values()) == {1}
 
 
+def test_bar_merges_once_per_letter_pair(monkeypatch):
+    """Building B(K[y]/(y^4)) at ±12 calls its quadratic rule ``merge``
+    once per letter followed by a letter or by the end of a word, not once
+    per position of every word: each column reuses its tail's."""
+    f = FieldSpec.prime(5)
+    w = DegreeWindow(-12, 12)
+    a = truncated_polynomial_algebra(f, w, "y", 2, 4)
+    merges: dict = {}
+    build = barcobar._word_complex
+
+    def counting(carrier, shift, window, skip, quadratic, label, what):
+        return build(carrier, shift, window, skip,
+                     counted(quadratic, merges), label, what)
+
+    monkeypatch.setattr(barcobar, "_word_complex", counting)
+    b = bar(a, w)
+    assert b.space.total_dim() == 319
+    letters = [l for l in labels_of(a.space) if l != a.unit]
+    assert set(merges) <= set(itertools.product(letters, letters + [None]))
+    assert set(merges.values()) == {1}
+
+
 def test_twisted_bar_looks_up_each_coproduct_once(monkeypatch):
     """Building B(A;A) = A ⊗_τ B(A) of K[y]/(y^4) at ±18 looks up the
     coproduct of each word of B(A) once, not once per basis element of
