@@ -600,7 +600,7 @@ def solve_diagonal_chain_iso(source: Complex, target: Complex,
     label, sends one outside the target or its degree, is not injective,
     or when the constraints are inconsistent or leave a required
     coefficient zero.  Used to exhibit signed identifications (dual-bar
-    vs cobar words, transported or summed certificate trees) without
+    vs cobar words, a certificate leaf given by a label bijection) without
     hand-transcribing sign tables."""
     f = target.field
     tsp = target.space

@@ -19,6 +19,9 @@ coproduct or against cone(w) with d evaluated on demand
 takes its stage complexes from one pass over the resolution F, uses F
 itself as the root subject and checks nothing it builds; level_interval
 reports the verdict and spherical_bound refuses a certificate that fails.
+cert_shift and tree_coproduct carry each witness over unchanged, so
+cert_compose solves and checks nothing either; only leaf_from_bijection
+solves a witness's signs.
 """
 
 from __future__ import annotations
@@ -101,7 +104,6 @@ class LevelCertificate:
     base: Complex
     subject: Complex
     tree: object
-    comparison_note: str = ""
 
     @property
     def claimed_level(self) -> int:
@@ -148,9 +150,13 @@ def empty_leaf(base: Complex) -> Leaf:
 def leaf_from_bijection(base: Complex, subject: Complex, shifts,
                         bijection: dict) -> Leaf:
     """Leaf whose witness is a signed relabelling onto the canonical
-    coproduct; the signs are solved, not guessed."""
+    coproduct along bijection; the signs are solved, not guessed, and
+    refused when no signs make it a chain map."""
     std = canonical_coproduct(base, shifts, subject.space.window)
-    return Leaf(subject, list(shifts), _signed(subject, std, bijection))
+    phi = solve_diagonal_chain_iso(subject, std, bijection)
+    if phi is None:
+        raise StructureError("no diagonal iso onto the canonical coproduct")
+    return Leaf(subject, list(shifts), phi)
 
 
 def cone_node_from_map(w: GradedMap, source: Complex, target: Complex,
@@ -165,24 +171,6 @@ def cone_node_from_map(w: GradedMap, source: Complex, target: Complex,
     cx = cone(w, source, target)
     return ConeNode(cx, left, right, w,
                     {l: (l, cx.field.one) for l in cx.space})
-
-
-def _witnessed_cone(subject: Complex, left, right, w: GradedMap,
-                    bijection: dict) -> ConeNode:
-    """Cone node whose witness is a signed relabelling of subject onto
-    cone(w); the signs are solved, not guessed, and w is not checked."""
-    built = ConeView(w, shift_complex(right.subject, -1), left.subject)
-    return ConeNode(subject, left, right, w,
-                    _signed(subject, built, bijection))
-
-
-def _signed(subject: Complex, target, bijection: dict) -> dict:
-    """The relabelling along bijection with the signs solved; refused
-    when no signs make it a chain map."""
-    phi = solve_diagonal_chain_iso(subject, target, bijection)
-    if phi is None:
-        raise StructureError("no diagonal iso onto the witness target")
-    return phi
 
 
 def _complexes_equal(a: Complex, b: Complex) -> bool:
@@ -316,10 +304,7 @@ def cert_from_resolution(r: SemifreeResolution) -> LevelCertificate:
         node = ConeNode(total, node, quot, w, {
             l: (("c1:" if of[l] == st else "c2:") + l, one)
             for l in total.space})
-    cert = LevelCertificate(base, node.subject, node,
-                            comparison_note="subject is the realized "
-                            "semifree resolution, quasi-isomorphic to "
-                            "the module")
+    cert = LevelCertificate(base, node.subject, node)
     if cert.claimed_level != cls:
         raise RuntimeError("internal: certificate level disagrees with "
                            "resolution class")
@@ -327,54 +312,37 @@ def cert_from_resolution(r: SemifreeResolution) -> LevelCertificate:
 
 
 # -------------------------------------------------------------------------
-# certificate algebra: shift, coproduct, composition, transport
+# certificate algebra: shift, coproduct, composition
 # -------------------------------------------------------------------------
 
-class _Suspension:
-    """Σ^k as a functor: complexes shift, maps keep their columns."""
-
-    def __init__(self, k: int):
-        self.k = k
-
-    def on_complex(self, cx: Complex) -> Complex:
-        return shift_complex(cx, self.k)
-
-    def on_map(self, gm: GradedMap, src: Complex, tgt: Complex) -> GradedMap:
-        return GradedMap(src.space, tgt.space, gm.shift, gm.cols)
-
-
-def _transport_tree(functor, tree, base: Complex, dk: int):
-    """Carry a tree along functor onto certificates over ``base``, moving
-    every leaf shift by dk; leaf and cone witnesses are re-solved from
-    their old label maps, so functor must keep basis labels and commute
-    with Σ on them: F(Σ^s C) = Σ^s F(C) label for label."""
+def cert_shift(c: LevelCertificate, k: int) -> LevelCertificate:
+    """Certificate for Σ^k subject over the same base, label for label:
+    Σ^k of the coproduct of shifts s_i is the coproduct of shifts s_i + k,
+    and Σ^k cone(w) = cone((-1)^k w).  So every witness, section and
+    retraction is carried over unchanged; leaf shifts move by k and each
+    cone's w is scaled by (-1)^k.  Nothing is solved or checked."""
+    sign = c.base.field.from_int(-1 if k % 2 else 1)
 
     def visit(node):
-        subject = functor.on_complex(node.subject)
+        subject = shift_complex(node.subject, k)
+        if isinstance(node, Leaf):
+            return replace(node, subject=subject,
+                           shifts=[s + k for s in node.shifts])
+        if isinstance(node, ConeNode):
+            left, right = visit(node.left), visit(node.right)
+            w = GradedMap(shift_complex(right.subject, -1).space,
+                          left.subject.space, 0, node.w.scale(sign).cols)
+            return replace(node, subject=subject, left=left, right=right, w=w)
         if isinstance(node, RetractNode):
             inner = visit(node.inner)
-            return RetractNode(
-                subject, inner,
-                functor.on_map(node.section, subject, inner.subject),
-                functor.on_map(node.retraction, inner.subject, subject))
-        if not isinstance(node, (Leaf, ConeNode)):
-            raise StructureError(f"unknown node {type(node).__name__}")
-        labels = {l: t for l, (t, _) in node.witness.items()}
-        if isinstance(node, Leaf):
-            return leaf_from_bijection(base, subject,
-                                       [s + dk for s in node.shifts], labels)
-        left, right = visit(node.left), visit(node.right)
-        w = functor.on_map(node.w, shift_complex(right.subject, -1),
-                           left.subject)
-        return _witnessed_cone(subject, left, right, w, labels)
+            a, b = subject.space, inner.subject.space
+            return replace(node, subject=subject, inner=inner,
+                           section=GradedMap(a, b, 0, node.section.cols),
+                           retraction=GradedMap(b, a, 0, node.retraction.cols))
+        raise StructureError(f"unknown node {type(node).__name__}")
 
-    return visit(tree)
-
-
-def cert_shift(c: LevelCertificate, k: int) -> LevelCertificate:
-    """Certificate for Σ^k subject over the same base."""
-    tree = _transport_tree(_Suspension(k), c.tree, c.base, k)
-    return LevelCertificate(c.base, tree.subject, tree, c.comparison_note)
+    tree = visit(c.tree)
+    return LevelCertificate(c.base, tree.subject, tree)
 
 
 def _witness_maps(phi: dict, subject: Complex, target: Complex,
@@ -409,8 +377,7 @@ def cert_compose(c1: LevelCertificate,
                     lambda t: t.split(":", 1)[1]))
             inners = [cert_shift(c2, s).tree for s in node.shifts]
             inner = tree_coproduct(inners,
-                                   [f"s{i}" for i in range(len(inners))],
-                                   c2.base)
+                                   [f"s{i}" for i in range(len(inners))])
             return RetractNode(node.subject, inner, *_witness_maps(
                 node.witness, node.subject, inner.subject))
         if isinstance(node, ConeNode):
@@ -421,16 +388,18 @@ def cert_compose(c1: LevelCertificate,
         raise StructureError(f"unknown node {type(node).__name__}")
 
     tree = transform(c1.tree)
-    out = LevelCertificate(c2.base, c1.subject, tree, c1.comparison_note)
+    out = LevelCertificate(c2.base, c1.subject, tree)
     if out.claimed_level > c1.claimed_level * c2.claimed_level:
         raise RuntimeError("internal: composed level exceeds the "
                            "product bound")
     return out
 
 
-def tree_coproduct(nodes, tags, base: Complex):
+def tree_coproduct(nodes, tags):
     """Coproduct of certificate trees over a common base.  Trees must have
-    matching shapes (pad with trivial cones beforehand if needed)."""
+    matching shapes (pad with trivial cones beforehand if needed).  A
+    direct sum changes no sign, so each witness keeps its coefficients and
+    only its target labels are retagged."""
     kinds = {type(n).__name__ for n in nodes}
     # the direct sum keeps only the intersection of the subjects' windows,
     # so copies shifted unequally would lose the labels the witnesses name
@@ -443,42 +412,30 @@ def tree_coproduct(nodes, tags, base: Complex):
             f"their direct sum keeps only degrees [{lo}, {hi}] of the "
             f"subject windows {[[w.lo, w.hi] for w in wins]}")
     subject = direct_sum([n.subject for n in nodes], list(tags))
-    bij = {}
+    witness = {}
     if kinds == {"Leaf"}:
         # copy i of node n becomes copy offset + i of the coproduct
         offset = 0
         for n, tg in zip(nodes, tags):
-            for l, (lab, _) in n.witness.items():
+            for l, (lab, c) in n.witness.items():
                 i, rest = lab.split(":", 1)
-                bij[f"{tg}:{l}"] = f"s{int(i[1:]) + offset}:{rest}"
+                witness[f"{tg}:{l}"] = (f"s{int(i[1:]) + offset}:{rest}", c)
             offset += len(n.shifts)
-        return leaf_from_bijection(base, subject,
-                                   [s for n in nodes for s in n.shifts], bij)
+        return Leaf(subject, [s for n in nodes for s in n.shifts], witness)
     if kinds == {"ConeNode"}:
-        left = tree_coproduct([n.left for n in nodes], tags, base)
-        right = tree_coproduct([n.right for n in nodes], tags, base)
+        left = tree_coproduct([n.left for n in nodes], tags)
+        right = tree_coproduct([n.right for n in nodes], tags)
         wcols = {}
         for n, tg in zip(nodes, tags):
             for l, col in n.w.cols.items():
                 wcols[f"{tg}:{l}"] = relabel(f"{tg}:", col)
-            for l, (lab, _) in n.witness.items():
+            for l, (lab, c) in n.witness.items():
                 kind, rest = lab.split(":", 1)
-                bij[f"{tg}:{l}"] = f"{kind}:{tg}:{rest}"
+                witness[f"{tg}:{l}"] = (f"{kind}:{tg}:{rest}", c)
         w = GradedMap(shift_complex(right.subject, -1).space,
                       left.subject.space, 0, wcols)
-        return _witnessed_cone(subject, left, right, w, bij)
+        return ConeNode(subject, left, right, w, witness)
     raise StructureError(f"cannot form a coproduct of shapes {kinds}")
-
-
-def cert_transport(functor, c: LevelCertificate) -> LevelCertificate:
-    """Transport along an additive exact construction given as an object
-    with on_complex(cx) and on_map(gm, src', tgt') methods.  The functor
-    must keep basis labels and commute with Σ on them (Σ^k does); leaf and
-    cone witnesses are re-solved in the target and the result validates
-    there."""
-    base = functor.on_complex(c.base)
-    tree = _transport_tree(functor, c.tree, base, 0)
-    return LevelCertificate(base, tree.subject, tree, c.comparison_note)
 
 
 # -------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 ``dgkoszul`` module imports is used in it, and none is another
 ``dgkoszul`` module's private (underscore-prefixed) name; it divides with
 ``/`` only in ``FieldSpec.inv``; every top-level function and class it
-defines is named somewhere else in the project, every parameter of a
-top-level function or method is read in its body, and every field of a
-class is read somewhere in the project.
+defines, and every method of such a class bar the dunder ones, is named
+somewhere else in the project, every parameter of a top-level function
+or method is read in its body, and every field of a class is read
+somewhere in the project.
 
 No linter ships with the project, so these stdlib ``ast`` checks stand in
 for flake8's F401 and a dead-code finder.  An import meant as a re-export
@@ -141,15 +142,22 @@ def referenced_names(roots) -> set:
 
 
 def unreferenced_definitions(modules, roots) -> list:
+    """Top-level functions and classes, and the non-dunder methods of
+    top-level classes, whose names no file under ``roots`` uses."""
     names = referenced_names(roots)
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
     out = []
     for path in modules:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef))
-                    and node.name not in names):
-                out.append(f"{path.name}:{node.lineno}: {node.name}")
+        defs = [node for node in tree.body
+                if isinstance(node, (*funcs, ast.ClassDef))]
+        defs += [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for node in cls.body if isinstance(node, funcs)
+                 and not (node.name.startswith("__")
+                          and node.name.endswith("__"))]
+        out += [f"{path.name}:{node.lineno}: {node.name}"
+                for node in sorted(defs, key=lambda node: node.lineno)
+                if node.name not in names]
     return out
 
 
@@ -159,9 +167,13 @@ def test_no_unreferenced_definitions():
 
 def test_lint_catches_an_unreferenced_definition(tmp_path):
     p = tmp_path / "mod.py"
-    p.write_text("class Used:\n    pass\n\n"
-                 "def dead():\n    return Used()\n")
-    assert unreferenced_definitions([p], [tmp_path]) == ["mod.py:4: dead"]
+    p.write_text("class Used:\n"
+                 "    def __repr__(self):\n        return ''\n\n"
+                 "    def called(self):\n        return 1\n\n"
+                 "    def never_called(self):\n        return 2\n\n"
+                 "def dead():\n    return Used().called()\n")
+    assert unreferenced_definitions([p], [tmp_path]) == [
+        "mod.py:8: never_called", "mod.py:11: dead"]
 
 
 def unused_parameters(path: Path) -> list:

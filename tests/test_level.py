@@ -1,18 +1,28 @@
-"""Level certificates: leaves, cones, retracts, composition, towers,
-transport."""
+"""Level certificates: leaves, cones, retracts, shifts, coproducts,
+composition and towers.
 
+``cert_shift`` and ``tree_coproduct`` carry each witness over unchanged.
+The last section checks the shift against a reference copy of the
+earlier path, which carried the tree along Σ^k as a functor and solved
+every leaf and cone witness's signs again.
+"""
+
+import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from dgkoszul.exactlinalg import FieldSpec
 from dgkoszul.gradedcomplex import (
     Complex,
+    ConeView,
     DegreeWindow,
     GradedMap,
     GradedSpace,
     StructureError,
     shift_complex,
+    solve_diagonal_chain_iso,
 )
 from dgkoszul.dgstruct import (
     DGModule,
@@ -29,11 +39,12 @@ from dgkoszul.level import (
     Leaf,
     LevelCertificate,
     RetractNode,
+    _complexes_equal,
+    canonical_coproduct,
     cert_compose,
     cert_from_resolution,
     cert_shift,
     cert_to_dict,
-    cert_transport,
     cert_validate,
     cone_node_from_map,
     empty_leaf,
@@ -42,6 +53,7 @@ from dgkoszul.level import (
     level_interval,
     spherical_bound,
     tower_bound,
+    tree_coproduct,
 )
 
 
@@ -132,7 +144,7 @@ def test_cert_two_variables(F5, window):
 
 
 def test_cert_shift_validates(cert_k_poly):
-    for k in (1, -2):
+    for k in (1, -2, 4):
         s = cert_shift(cert_k_poly, k)
         assert s.claimed_level == cert_k_poly.claimed_level
         assert cert_validate(s).ok
@@ -209,22 +221,6 @@ def test_spherical_bound_refuses_a_certificate_that_fails(poly,
     monkeypatch.setattr(level, "cert_from_resolution", broken)
     with pytest.raises(StructureError, match="cone witness fails"):
         spherical_bound(trivial_module(poly))
-
-
-def test_cert_transport_shift_functor(cert_k_poly):
-    class ShiftFunctor:
-        def __init__(self, k):
-            self.k = k
-
-        def on_complex(self, cx):
-            return shift_complex(cx, self.k)
-
-        def on_map(self, gm, src, tgt):
-            return GradedMap(src.space, tgt.space, gm.shift, gm.cols)
-
-    ct = cert_transport(ShiftFunctor(4), cert_k_poly)
-    assert ct.claimed_level == cert_k_poly.claimed_level
-    assert cert_validate(ct).ok
 
 
 def test_bogus_retract_rejected(F5, window):
@@ -372,9 +368,9 @@ def test_level_interval_checks_each_witness_once(F5, monkeypatch):
 
 
 def test_cert_shift_checks_each_cone_map_once(F5, monkeypatch):
-    """Shifting K3's certificate over K[y1,y2,y3] re-solves its three cone
-    witnesses without checking w; validating the shift checks each w
-    once: 3 chain-map checks in all (6 when the builder checked too)."""
+    """Shifting K3's certificate over K[y1,y2,y3] carries its witnesses
+    over and re-solves nothing, so it checks no chain map; validating the
+    shift checks each cone's w once: 3 chain-map checks in all."""
     from dgkoszul import gradedcomplex, level
     a = polynomial_algebra(F5, DegreeWindow(-8, 8),
                            [("y1", 2), ("y2", 2), ("y3", 2)])
@@ -392,6 +388,61 @@ def test_cert_shift_checks_each_cone_map_once(F5, monkeypatch):
     assert not calls
     assert cert_validate(shifted).ok
     assert len(calls) == 3
+
+
+def test_shift_and_compose_keep_a_wrong_sign(cert_k_poly):
+    """Shifting and composing carry a witness over as it is, so a sign
+    flipped in the root cone witness of K over K[y] still fails
+    validation, at the same label: inside the retract (root.I) under
+    composition, and under the first copy's tag with two copies."""
+    cone_ = cert_k_poly.tree
+    bad = replace(cert_k_poly, tree=replace(cone_, witness=corrupted(
+        "wrong-sign", cone_.witness, cone_.subject)))
+    [msg] = cert_validate(bad).violations
+    label = re.fullmatch(r"root: cone witness fails: witness is not a "
+                         r"chain map at '(.*)'", msg).group(1)
+    for k in (1, 2):
+        assert cert_validate(cert_shift(bad, k)).violations == [msg]
+    for shifts, at in (([0], label), ([0, 0], f"s0:{label}")):
+        leaf = leaf_identity(bad.subject, shifts)
+        comp = cert_compose(LevelCertificate(bad.subject, leaf.subject, leaf),
+                            bad)
+        assert cert_validate(comp).violations == [
+            f"root.I: cone witness fails: witness is not a chain map at "
+            f"{at!r}"]
+
+
+def test_shift_coproduct_and_compose_solve_and_check_nothing(cert_k_poly,
+                                                             monkeypatch):
+    """cert_shift, tree_coproduct and cert_compose carry witnesses and
+    maps over: no sign is solved and no chain map is checked until the
+    results are validated."""
+    from dgkoszul import gradedcomplex, level
+    upper = two_cert(cert_k_poly.subject, 3, 1)
+    leaf = leaf_identity(cert_k_poly.subject, [3, 3])
+    two_copies = LevelCertificate(cert_k_poly.subject, leaf.subject, leaf)
+    calls = []
+
+    def counted(name):
+        fn = getattr(gradedcomplex, name)
+
+        def run(*args):
+            calls.append(name)
+            return fn(*args)
+        return run
+
+    for name in ("solve_diagonal_chain_iso", "is_chain_map"):
+        for mod in (gradedcomplex, level):
+            monkeypatch.setattr(mod, name, counted(name))
+    shifted = cert_shift(cert_k_poly, 3)
+    summed = tree_coproduct([shifted.tree, shifted.tree], ["a", "b"])
+    built = [shifted, LevelCertificate(cert_k_poly.base, summed.subject,
+                                       summed),
+             cert_compose(upper, cert_k_poly),
+             cert_compose(two_copies, cert_k_poly)]
+    assert not calls
+    assert all(cert_validate(c).ok for c in built)
+    assert calls
 
 
 def test_cone_whose_w_is_not_a_chain_map_refused(cert_k_poly, F5):
@@ -467,3 +518,183 @@ def test_level_interval_of_the_zero_module(F5, window):
                     lambda ml, x: {})
     side = level_interval(minimize(semifree_resolve(zero)))
     assert (side.cls, side.lower, side.upper, side.valid) == (0, 0, 0, True)
+
+
+# -------------------------------------------------------------------------
+# the shift against the earlier path
+# -------------------------------------------------------------------------
+# Verbatim copies, apart from their names, of the earlier shift: the tree
+# carried along Σ^k as a functor, each leaf and cone witness re-solved from
+# its target labels alone.
+
+class RefSuspension:
+    """Σ^k as a functor: complexes shift, maps keep their columns."""
+
+    def __init__(self, k: int):
+        self.k = k
+
+    def on_complex(self, cx: Complex) -> Complex:
+        return shift_complex(cx, self.k)
+
+    def on_map(self, gm: GradedMap, src: Complex, tgt: Complex) -> GradedMap:
+        return GradedMap(src.space, tgt.space, gm.shift, gm.cols)
+
+
+def ref_signed(subject, target, bijection):
+    phi = solve_diagonal_chain_iso(subject, target, bijection)
+    if phi is None:
+        raise StructureError("no diagonal iso onto the witness target")
+    return phi
+
+
+def ref_leaf_from_bijection(base, subject, shifts, bijection):
+    std = canonical_coproduct(base, shifts, subject.space.window)
+    return Leaf(subject, list(shifts), ref_signed(subject, std, bijection))
+
+
+def ref_witnessed_cone(subject, left, right, w, bijection):
+    built = ConeView(w, shift_complex(right.subject, -1), left.subject)
+    return ConeNode(subject, left, right, w,
+                    ref_signed(subject, built, bijection))
+
+
+def ref_transport_tree(functor, tree, base, dk):
+    def visit(node):
+        subject = functor.on_complex(node.subject)
+        if isinstance(node, RetractNode):
+            inner = visit(node.inner)
+            return RetractNode(
+                subject, inner,
+                functor.on_map(node.section, subject, inner.subject),
+                functor.on_map(node.retraction, inner.subject, subject))
+        if not isinstance(node, (Leaf, ConeNode)):
+            raise StructureError(f"unknown node {type(node).__name__}")
+        labels = {l: t for l, (t, _) in node.witness.items()}
+        if isinstance(node, Leaf):
+            return ref_leaf_from_bijection(base, subject,
+                                           [s + dk for s in node.shifts],
+                                           labels)
+        left, right = visit(node.left), visit(node.right)
+        w = functor.on_map(node.w, shift_complex(right.subject, -1),
+                           left.subject)
+        return ref_witnessed_cone(subject, left, right, w, labels)
+
+    return visit(tree)
+
+
+def ref_cert_shift(c, k):
+    tree = ref_transport_tree(RefSuspension(k), c.tree, c.base, k)
+    return LevelCertificate(c.base, tree.subject, tree)
+
+
+PROPERTY = settings(max_examples=30, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def resolution_certs(draw):
+    """The certificate of a minimal resolution of a trivial, free or
+    truncated module over K[y] or K[y1,y2], over F_2, F_5 or Q."""
+    f = draw(st.sampled_from([FieldSpec.prime(2), FieldSpec.prime(5),
+                              FieldSpec.rationals()]))
+    hi = draw(st.integers(6, 10))
+    names = draw(st.sampled_from([["y"], ["y1", "y2"]]))
+    a = polynomial_algebra(f, DegreeWindow(-hi, hi),
+                           [(n, draw(st.sampled_from([2, 4]))) for n in names])
+    kind = draw(st.sampled_from(["trivial", "free", "truncated"]))
+    if kind == "trivial":
+        m = trivial_module(a)
+    elif kind == "free":
+        m = free_module(a)
+    else:
+        m = truncated_module(a, "y", 2, draw(st.integers(1, 3)))
+    try:
+        return cert_from_resolution(minimize(semifree_resolve(m)))
+    except StructureError:                  # not exhausted in the window
+        assume(False)
+
+
+def preorder(node) -> list:
+    kids = {ConeNode: ("left", "right"), RetractNode: ("inner",)}
+    return [node] + [n for kid in kids.get(type(node), ())
+                     for n in preorder(getattr(node, kid))]
+
+
+def targets(witness: dict) -> dict:
+    return {l: t for l, (t, _) in witness.items()}
+
+
+def test_cert_shift_of_a_composite(cert_k_poly):
+    """A composite has retract nodes: the shift keeps each section and
+    retraction's columns on the shifted spaces, as the earlier path did,
+    and validates."""
+    comp = cert_compose(two_cert(cert_k_poly.subject, 3, 1), cert_k_poly)
+    for k in (1, -2):
+        new, ref = cert_shift(comp, k), ref_cert_shift(comp, k)
+        assert cert_validate(new).ok
+        pairs = [(a, b) for a, b in zip(preorder(new.tree), preorder(ref.tree),
+                                        strict=True)
+                 if isinstance(a, RetractNode)]
+        assert pairs and all((a.section, a.retraction)
+                             == (b.section, b.retraction) for a, b in pairs)
+
+
+def not_one(f):
+    """2 over F_5 and -1/2 over Q; over F_2 the only nonzero scalar, 1."""
+    if f.kind == "rationals":
+        return f.div(f.from_int(-1), f.from_int(2))
+    return f.from_int(2) if f.p == 5 else f.one
+
+
+def scaled_root(c: LevelCertificate) -> LevelCertificate:
+    """c with its root witness times not_one: a chain isomorphism still,
+    with coefficients no re-solving would give."""
+    f = c.base.field
+    a = not_one(f)
+    return replace(c, tree=replace(c.tree, witness={
+        l: (t, f.mul(a, v)) for l, (t, v) in c.tree.witness.items()}))
+
+
+@PROPERTY
+@given(resolution_certs(), st.integers(-3, 3))
+def test_shift_matches_reference(c, k):
+    """Tree shape, subjects, leaf shifts, witness target labels and the
+    serialized form as the earlier path gives them; the shift validates,
+    and shifting back gives c's witnesses, cone maps and subjects, the
+    scaled root witness included."""
+    c = scaled_root(c)
+    new, ref = cert_shift(c, k), ref_cert_shift(c, k)
+    assert cert_to_dict(new) == cert_to_dict(ref)
+    assert _complexes_equal(new.subject, ref.subject)
+    for a, b in zip(preorder(new.tree), preorder(ref.tree), strict=True):
+        assert type(a) is type(b)
+        assert _complexes_equal(a.subject, b.subject)
+        assert getattr(a, "shifts", None) == getattr(b, "shifts", None)
+        assert targets(a.witness) == targets(b.witness)
+    assert cert_validate(new).ok
+    back = cert_shift(new, -k)
+    for a, b in zip(preorder(back.tree), preorder(c.tree), strict=True):
+        assert a.witness == b.witness
+        assert _complexes_equal(a.subject, b.subject)
+        assert not isinstance(a, ConeNode) or a.w == b.w
+
+
+@PROPERTY
+@given(resolution_certs(), st.integers(0, 3))
+def test_two_copy_compose_keeps_a_scaled_witness(c, k):
+    """A two-copy leaf over c's subject whose witness is scaled by a
+    scalar other than 1, over c with its root witness scaled too: the
+    composite's section keeps that scalar, each copy of c's tree keeps
+    c's coefficients, and the composite validates.  (A leaf shifted below
+    0 truncates the top of c's subject, and its section is then no chain
+    map, so k starts at 0.)"""
+    c = scaled_root(c)
+    leaf = leaf_identity(c.subject, [k, k])
+    upper = scaled_root(LevelCertificate(c.subject, leaf.subject, leaf))
+    comp = cert_compose(upper, c)
+    assert comp.tree.section.cols == {l: {t: not_one(c.base.field)}
+                                      for l, t in targets(leaf.witness).items()}
+    assert {l: v for l, (_, v) in comp.tree.inner.witness.items()} == {
+        f"s{i}:{l}": v for i in range(2)
+        for l, (_, v) in c.tree.witness.items()}
+    assert cert_validate(comp).ok

@@ -203,10 +203,7 @@ def ref_cert_from_resolution(r):
               for l in total.space}
         node = RefCone(total, node, quot, w, *ref_witness_pair(
             GradedMap(total.space, cone_space(qs, sub), 0, to)))
-    cert = LevelCertificate(base, node.subject, node,
-                            comparison_note="subject is the realized "
-                            "semifree resolution, quasi-isomorphic to "
-                            "the module")
+    cert = LevelCertificate(base, node.subject, node)
     if cert.claimed_level != cls:
         raise RuntimeError("internal: certificate level disagrees with "
                            "resolution class")
