@@ -450,16 +450,15 @@ def is_chain_map(fmap: GradedMap, source: Complex, target: Complex):
     """Check that fmap sends each basis element of source^n into
     target^{n+shift} and commutes with the differentials; returns
     (ok, first failure) with the failure as (n, label, offending combo)."""
-    f = target.field
-    tsp = target.space
+    f, tdeg = target.field, target.space._deg
     minus_sign = f.from_int(1 if fmap.shift % 2 else -1)
     for n in source.space.degrees():
         for l in source.labels(n):
             img = fmap.apply_label(l)
-            stray = {t: v for t, v in img.items()
-                     if t not in tsp or tsp.deg(t) != n + fmap.shift}
-            if stray:
-                return False, (n, l, stray)
+            for t in img:
+                if tdeg.get(t) != n + fmap.shift:
+                    return False, (n, l, {t: v for t, v in img.items()
+                                          if tdeg.get(t) != n + fmap.shift})
             # d f(l) - (-1)^shift f(d l); target.d of a combination is new
             diff = vec_iadd(f, target.d(img), minus_sign,
                             fmap.apply(source.d(l)))

@@ -1,27 +1,26 @@
 """Level certificates: upper-bound witnesses for thickening membership.
 
 A certificate is a finite tree over a base complex C:
-  Leaf     -- the subject is isomorphic to a finite coproduct of shifts
-              of C;
-  Cone     -- the subject is isomorphic to cone(w) of a chain map
-              w : Σ⁻¹(right subject) → left subject, so left → subject →
-              right → Σ left is the cone triangle of w;
-  Retract  -- the subject retracts onto the inner subtree's subject.
+  Leaf       -- the subject is isomorphic to a finite coproduct of
+                shifts of C;
+  Cone       -- the subject is isomorphic to cone(w) of a chain map
+                w : Σ⁻¹(right subject) → left subject;
+  Filtration -- d never raises a label's stage, and one part per stage
+                certifies its stage quotient, so each F^{≤s} is the cone
+                of the connecting map out of the stage-s quotient;
+  Retract    -- the subject retracts onto the inner subtree's subject.
 A leaf's or cone's isomorphism is one witness, a signed relabelling
-{label: (target label, nonzero coefficient)} of the subject's basis;
-a retract carries its section and retraction as chain maps.
-
-claimed_level(Leaf) = 1 (0 for the empty leaf), claimed_level(Cone) =
-left + right, Retract preserves it.  cert_validate checks each witness
-once: w as a chain map, each relabelling against the rebuilt canonical
-coproduct or against cone(w) with d evaluated on demand
-(check_relabelling), and retractions on homology.  cert_from_resolution
-takes its stage complexes from one pass over the resolution F, uses F
-itself as the root subject and checks nothing it builds; level_interval
-reports the verdict and spherical_bound refuses a certificate that fails.
-cert_shift and tree_coproduct carry each witness over unchanged, so
-cert_compose solves and checks nothing either; only leaf_from_bijection
-solves a witness's signs.
+{label: (target label, nonzero coefficient)} of the subject's basis; a
+retract carries its section and retraction as chain maps.  A leaf claims
+level 1 (0 when empty), a cone or filtration the sum of its subtrees',
+and a retract its inner tree's.  cert_validate checks each witness once:
+w as a chain map, each relabelling against the rebuilt coproduct or
+against cone(w) with d evaluated on demand (check_relabelling),
+retractions on homology, and a filtration in one pass over F (stages,
+quotients, d²).  cert_from_resolution builds F's stage filtration in one
+pass and checks nothing.  cert_shift and tree_coproduct carry each
+witness over unchanged, so cert_compose solves and checks nothing
+either; only leaf_from_bijection solves a witness's signs.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from dgkoszul.gradedcomplex import (
     GradedSpace,
     StructureError,
     WindowError,
+    check_d_squared,
     check_relabelling,
     cone,
     direct_sum,
@@ -84,6 +84,19 @@ class ConeNode:
     @property
     def claimed(self) -> int:
         return self.left.claimed + self.right.claimed
+
+
+@dataclass
+class FiltrationNode:
+    """stage_of = {label: index into parts}; parts[s] certifies the
+    stage-s quotient: the stage's labels, with d's terms inside it."""
+    subject: Complex
+    stage_of: dict
+    parts: list
+
+    @property
+    def claimed(self) -> int:
+        return sum(p.claimed for p in self.parts)
 
 
 @dataclass
@@ -178,7 +191,42 @@ def _complexes_equal(a: Complex, b: Complex) -> bool:
                       and all(a.d(l) == b.d(l) for l in a.space))
 
 
+def _filtration_fault(node: FiltrationNode) -> str | None:
+    """The first way the stages fail to filter the subject F, or None: in
+    one pass over F, each label has a stage, d never raises it, and each
+    part's subject has exactly its stage's labels, degrees and in-stage
+    columns on F's window; then d² = 0 on F."""
+    sp, cols, of = node.subject.space, node.subject.differential.cols, \
+        node.stage_of
+    qs = [(p.subject.space, p.subject.differential.cols) for p in node.parts]
+    stages, seen = range(len(qs)), [0] * len(qs)
+    for l in sp:
+        if (s := of.get(l)) not in stages:
+            return f"label {l!r} has stage {s!r}, not one of {list(stages)}"
+        (q, qcols), n, inside = qs[s], sp.deg(l), {}
+        if l not in q or q.deg(l) != n:
+            return f"stage {s}: quotient lacks {l!r} in degree {n}"
+        for t, v in cols.get(l, {}).items():
+            if (st := of.get(t)) not in stages or st > s:
+                return f"stage {s}: d({l!r}) has a term at {t!r} in stage {st}"
+            if st == s:
+                inside[t] = v
+        if qcols.get(l, {}) != inside:
+            return f"stage {s}: quotient's d differs from F's at {l!r}"
+        seen[s] += 1
+    for s, (q, _) in enumerate(qs):
+        if q.total_dim() != seen[s]:
+            extra = next(l for l in q if l not in sp or of[l] != s)
+            return f"stage {s}: quotient has {extra!r} outside the stage"
+        if q.window != sp.window:
+            return f"stage {s}: quotient window {q.window} is not F's"
+    bad = check_d_squared(node.subject)
+    return None if bad else f"stage {of[bad.label]}: d∘d ≠ 0 at {bad.label!r}"
+
+
 def cert_validate(c: LevelCertificate) -> ValidationReport:
+    """Every violation of c, each under its node's path: a filtration is
+    checked in one pass over F (_filtration_fault), then its parts."""
     rep = ValidationReport(True)
 
     def visit(node, path):
@@ -208,6 +256,12 @@ def cert_validate(c: LevelCertificate) -> ValidationReport:
                 return
             visit(node.left, path + ".L")
             visit(node.right, path + ".R")
+        elif isinstance(node, FiltrationNode):
+            if fault := _filtration_fault(node):
+                rep.fail(f"{path}: {fault}")
+                return
+            for s, part in enumerate(node.parts):
+                visit(part, f"{path}.stage{s}")
         elif isinstance(node, RetractNode):
             for nm, fmap, src, tgt in (
                 ("section", node.section, node.subject, node.inner.subject),
@@ -244,71 +298,35 @@ def cert_validate(c: LevelCertificate) -> ValidationReport:
 # -------------------------------------------------------------------------
 
 def cert_from_resolution(r: SemifreeResolution) -> LevelCertificate:
-    """Certificate with base A from the stage filtration of a minimal,
-    exhausted resolution: stage quotients are leaves (coproducts of shifts
-    of A), consecutive stages are cones.  Every witness is a relabelling
-    with coefficient one: d(e⊗a) is (-1)^{|e|}e⊗da, as in Σ^{-|e|}A, plus
-    terms of lower stages, so F^{<=s} is cone(w) label for label, w the
-    part of d that leaves stage s.  The stage complexes come from one pass
-    over the realized F, and the root subject is F itself.  Nothing is
-    checked here: callers validate with cert_validate, as level_interval
-    and spherical_bound do."""
-    if not r.is_minimal():
-        raise StructureError("certificate needs a minimal resolution")
-    cls, exhausted = class_of(r)
-    if not exhausted:
+    """Certificate with base A for a minimal, exhausted resolution F: a
+    filtration node on F's stages, from one pass over F, with a leaf on
+    each stage quotient.  d(e⊗a) is (-1)^{|e|}e⊗da, as in Σ^{-|e|}A, plus
+    terms of lower stages, so each leaf witness has coefficient one.
+    Nothing is checked here: callers validate with cert_validate."""
+    if not class_of(r)[1]:
         raise StructureError("resolution not exhausted; refusing to "
                              "certify a truncated class")
-    base = r.over.carrier
-    one = base.field.one
-    fx = r.realize()[0]
+    base, one, fx = r.over.carrier, r.over.field.one, r.realize()[0]
     stages = sorted({s for _, _, s in r.generators})
-    if not stages:
-        return LevelCertificate(base, fx, empty_leaf(base))
-    stage_of = {gl: s for gl, _, s in r.generators}
-    of = {l: stage_of[l.split("@", 1)[0]] for l in fx.space}
-    # one pass over F: the basis of each stage quotient and of each
-    # subcomplex F^{<=s}, and each label's d split into its own stage's
-    # part (the quotient's) and the rest (w's)
-    by_stage = {s: ({}, {}, {}, {}) for s in stages}  # basis, d, w, F^{<=s}
+    gens = [[(gl, d) for gl, d, s in sorted(r.generators) if s == st]
+            for st in stages]
+    slot = {gl: (s, f"s{i}:") for s, mine in enumerate(gens)
+            for i, (gl, _) in enumerate(mine)}
+    of = {l: slot[l.split("@", 1)[0]][0] for l in fx.space}
+    # one pass over F: each stage's basis and the part of d inside it
+    bases, dcols = [{} for _ in stages], [{} for _ in stages]
     for l, s in of.items():
-        n = fx.space.deg(l)
-        by_stage[s][0].setdefault(n, []).append(l)
-        for st in stages[stages.index(s):]:
-            by_stage[st][3].setdefault(n, []).append(l)
-        for t, v in fx.d(l).items():
-            by_stage[s][1 if of[t] == s else 2].setdefault(l, {})[t] = v
-
-    def on(basis, cols) -> Complex:
+        bases[s].setdefault(fx.space.deg(l), []).append(l)
+        if col := {t: v for t, v in fx.d(l).items() if of[t] == s}:
+            dcols[s][l] = col
+    parts = []
+    for basis, cols, mine in zip(bases, dcols, gens):
         sp = GradedSpace(base.field, fx.window, basis, bounds=fx.space.bounds)
-        return Complex(sp, GradedMap(sp, sp, 1, cols))
-
-    def quotient_leaf(stage):
-        gens = sorted((gl, d) for gl, d, s in r.generators if s == stage)
-        q = fx if len(stages) == 1 else on(*by_stage[stage][:2])
-        shifts = [-d for _, d in gens]
-        slot = {gl: f"s{i}:" for i, (gl, _) in enumerate(gens)}
-        return Leaf(q, shifts, {l: (slot[g] + al, one) for l in q.space
-                                for g, al in [l.split("@", 1)]})
-
-    # the lowest stage is its own quotient: F^{<=first} = F^{=first}
-    node = quotient_leaf(stages[0])
-    for st in stages[1:]:
-        sub = node.subject
-        total = fx if st == stages[-1] else on(by_stage[st][3], {
-            l: c for l, c in fx.differential.cols.items() if of[l] <= st})
-        quot = quotient_leaf(st)
-        # w : Σ^{-1}quot → sub is the part of d that leaves the new stage
-        qs = shift_complex(quot.subject, -1)
-        w = GradedMap(qs.space, sub.space, 0, by_stage[st][2])
-        node = ConeNode(total, node, quot, w, {
-            l: (("c1:" if of[l] == st else "c2:") + l, one)
-            for l in total.space})
-    cert = LevelCertificate(base, node.subject, node)
-    if cert.claimed_level != cls:
-        raise RuntimeError("internal: certificate level disagrees with "
-                           "resolution class")
-    return cert
+        parts.append(Leaf(Complex(sp, GradedMap(sp, sp, 1, cols)),
+                          [-d for _, d in mine],
+                          {l: (slot[g][1] + al, one) for l in sp
+                           for g, al in [l.split("@", 1)]}))
+    return LevelCertificate(base, fx, FiltrationNode(fx, of, parts))
 
 
 # -------------------------------------------------------------------------
@@ -328,6 +346,9 @@ def cert_shift(c: LevelCertificate, k: int) -> LevelCertificate:
         if isinstance(node, Leaf):
             return replace(node, subject=subject,
                            shifts=[s + k for s in node.shifts])
+        if isinstance(node, FiltrationNode):
+            return replace(node, subject=subject,
+                           parts=[visit(p) for p in node.parts])
         if isinstance(node, ConeNode):
             left, right = visit(node.left), visit(node.right)
             w = GradedMap(shift_complex(right.subject, -1).space,
@@ -368,6 +389,13 @@ def cert_compose(c1: LevelCertificate,
         if isinstance(node, Leaf):
             if not node.shifts:
                 return node
+            win, degs = node.subject.space.window, c2.subject.space.degrees()
+            for k in node.shifts:
+                if cut := [n for n in degs if n - k not in win]:
+                    raise StructureError(
+                        f"leaf shift {k} cuts Σ^{k} of c2's subject: its "
+                        f"degree {cut[0]} lands at {cut[0] - k}, outside "
+                        f"the leaf's window [{win.lo}, {win.hi}]")
             if len(node.shifts) == 1:
                 # subject ≅ Σ^k base via the leaf witness; the canonical
                 # coproduct has "s0:" prefixes to strip
@@ -383,6 +411,8 @@ def cert_compose(c1: LevelCertificate,
         if isinstance(node, ConeNode):
             return replace(node, left=transform(node.left),
                            right=transform(node.right))
+        if isinstance(node, FiltrationNode):
+            return replace(node, parts=[transform(p) for p in node.parts])
         if isinstance(node, RetractNode):
             return replace(node, inner=transform(node.inner))
         raise StructureError(f"unknown node {type(node).__name__}")
@@ -435,6 +465,12 @@ def tree_coproduct(nodes, tags):
         w = GradedMap(shift_complex(right.subject, -1).space,
                       left.subject.space, 0, wcols)
         return ConeNode(subject, left, right, w, witness)
+    if kinds == {"FiltrationNode"}:
+        stage_of = {f"{tg}:{l}": s for n, tg in zip(nodes, tags)
+                    for l, s in n.stage_of.items()}
+        return FiltrationNode(subject, stage_of, [
+            tree_coproduct(list(ps), tags)
+            for ps in zip(*(n.parts for n in nodes), strict=True)])
     raise StructureError(f"cannot form a coproduct of shapes {kinds}")
 
 
@@ -519,6 +555,12 @@ def cert_to_dict(c: LevelCertificate) -> dict:
             return {"kind": "cone", "level": node.claimed,
                     "left": node_dict(node.left),
                     "right": node_dict(node.right)}
+        if isinstance(node, FiltrationNode):
+            # written as the left-nested spine of its stages' cones
+            spine = node.parts[0] if node.parts else Leaf(node.subject, [], {})
+            for part in node.parts[1:]:
+                spine = ConeNode(node.subject, spine, part, None, None)
+            return node_dict(spine)
         if isinstance(node, RetractNode):
             return {"kind": "retract", "level": node.claimed,
                     "inner": node_dict(node.inner)}

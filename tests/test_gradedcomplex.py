@@ -483,6 +483,78 @@ def test_is_chain_map_witness(F5):
     assert not ok and witness[:2] == (0, "u")
 
 
+def reference_is_chain_map(fmap, source, target):
+    """The earlier check, which built each label's stray images as a dict
+    before testing them."""
+    f = target.field
+    tsp = target.space
+    minus_sign = f.from_int(1 if fmap.shift % 2 else -1)
+    for n in source.space.degrees():
+        for l in source.labels(n):
+            img = fmap.apply_label(l)
+            stray = {t: v for t, v in img.items()
+                     if t not in tsp or tsp.deg(t) != n + fmap.shift}
+            if stray:
+                return False, (n, l, stray)
+            diff = vec_iadd(f, target.d(img), minus_sign,
+                            fmap.apply(source.d(l)))
+            if diff:
+                return False, (n, l, diff)
+    return True, None
+
+
+@st.composite
+def map_cases(draw):
+    """(fmap, source, target): the identity of a complex from
+    ``complexes``, d·h + h·d for a random h of degree -1 (both chain
+    maps), or a random map of degree 0 to another complex; passed with
+    the map's own target, or with a copy of it where one label is
+    dropped or moved to another degree, with its d-terms."""
+    a = draw(complexes())
+    f = a.field
+    kind = draw(st.sampled_from(["identity", "homotopic", "random"]))
+    b = draw(complexes([f])) if kind == "random" else a
+    coeff = scalars(f)
+
+    def random_map(shift):
+        cols = {}
+        for l in a.space:
+            col = {t: c for t in b.labels(a.space.deg(l) + shift)
+                   if (c := draw(coeff))}
+            if col:
+                cols[l] = col
+        return GradedMap(a.space, b.space, shift, cols)
+
+    if kind == "identity":
+        fmap = GradedMap.identity(a.space)
+    elif kind == "homotopic":
+        h = random_map(-1)
+        fmap = a.differential.compose(h).add(h.compose(a.differential))
+    else:
+        fmap = random_map(0)
+    labels = list(b.space)
+    how = draw(st.sampled_from(["own", "dropped", "moved"] if labels
+                               else ["own"]))
+    if how == "own":
+        return fmap, a, b
+    x = draw(st.sampled_from(labels))
+    basis = {n: [l for l in ls if l != x] for n, ls in b.space.basis.items()}
+    if how == "moved":
+        basis.setdefault(draw(st.sampled_from(
+            [n for n in range(-1, 5) if n != b.space.deg(x)])), []).append(x)
+    sp = GradedSpace(f, b.window, basis)
+    cols = {l: col for l, c in b.differential.cols.items() if l != x
+            if (col := {t: v for t, v in c.items() if t != x})}
+    return fmap, a, Complex(sp, GradedMap(sp, sp, 1, cols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(map_cases())
+def test_is_chain_map_matches_reference(case):
+    # the same verdict and the same first failure, stray images included
+    assert is_chain_map(*case) == reference_is_chain_map(*case)
+
+
 def test_is_chain_map_rejects_stray_images(F5):
     # zero differentials commute with anything; the images must still
     # land in the target, in the right degree

@@ -1,17 +1,21 @@
-"""Level certificates: leaves, cones, retracts, shifts, coproducts,
-composition and towers.
+"""Level certificates: leaves, cones, filtrations, retracts, shifts,
+coproducts, composition and towers.
 
 ``cert_shift`` and ``tree_coproduct`` carry each witness over unchanged.
-The last section checks the shift against a reference copy of the
+The last sections check the shift against a reference copy of the
 earlier path, which carried the tree along Σ^k as a functor and solved
-every leaf and cone witness's signs again.
+every leaf and cone witness's signs again, and the filtration node of a
+resolution against reference copies of the cone spine that the builder
+made before and of the validator that checked it cone by cone.
 """
 
 import re
+from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import (HealthCheck, assume, event, given, settings,
+                        strategies as st)
 
 from dgkoszul.exactlinalg import FieldSpec
 from dgkoszul.gradedcomplex import (
@@ -21,11 +25,16 @@ from dgkoszul.gradedcomplex import (
     GradedMap,
     GradedSpace,
     StructureError,
+    WindowError,
+    check_relabelling,
+    induced_map_on_homology,
+    is_chain_map,
     shift_complex,
     solve_diagonal_chain_iso,
 )
 from dgkoszul.dgstruct import (
     DGModule,
+    ValidationReport,
     exterior_algebra,
     free_module,
     polynomial_algebra,
@@ -33,9 +42,15 @@ from dgkoszul.dgstruct import (
     truncated_module,
     truncated_polynomial_algebra,
 )
-from dgkoszul.resolve import minimize, semifree_resolve
+from dgkoszul.resolve import (
+    SemifreeResolution,
+    class_of,
+    minimize,
+    semifree_resolve,
+)
 from dgkoszul.level import (
     ConeNode,
+    FiltrationNode,
     Leaf,
     LevelCertificate,
     RetractNode,
@@ -63,9 +78,21 @@ def poly(F5, window):
 
 
 @pytest.fixture(scope="module")
-def cert_k_poly(poly):
-    r = minimize(semifree_resolve(trivial_module(poly)))
-    return cert_from_resolution(r)
+def r_k_poly(poly):
+    return minimize(semifree_resolve(trivial_module(poly)))
+
+
+@pytest.fixture(scope="module")
+def cert_k_poly(r_k_poly):
+    return cert_from_resolution(r_k_poly)
+
+
+@pytest.fixture(scope="module")
+def cert_k2(F5, window):
+    """K over K[y1,y2]: three stages, and d of a top-stage label has two
+    terms."""
+    a = polynomial_algebra(F5, window, [("y1", 2), ("y2", 2)])
+    return cert_from_resolution(minimize(semifree_resolve(trivial_module(a))))
 
 
 def two_cert(base_complex, a, b):
@@ -216,10 +243,10 @@ def test_spherical_bound_refuses_a_certificate_that_fails(poly,
 
     def broken(r):
         c = cert_from_resolution(r)
-        return dataclasses.replace(c, tree=dataclasses.replace(c.tree,
-                                                               w=None))
+        return dataclasses.replace(c, tree=dataclasses.replace(
+            c.tree, stage_of={}))
     monkeypatch.setattr(level, "cert_from_resolution", broken)
-    with pytest.raises(StructureError, match="cone witness fails"):
+    with pytest.raises(StructureError, match="has stage None"):
         spherical_bound(trivial_module(poly))
 
 
@@ -330,25 +357,128 @@ def test_leaf_witness_fault_refused(cert_k_poly, kind):
     assert FAULTS[kind] in rep.violations[0]
 
 
-@pytest.mark.parametrize("kind", FAULTS)
-def test_cone_witness_fault_refused(F5, window, kind):
-    a = polynomial_algebra(F5, window, [("y1", 2), ("y2", 2)])
-    c = cert_from_resolution(minimize(semifree_resolve(trivial_module(a))))
-    cone_ = c.tree
-    assert isinstance(cone_, ConeNode) and cert_validate(c).ok
-    bad = replace(cone_, witness=corrupted(kind, cone_.witness,
-                                           cone_.subject))
-    rep = cert_validate(replace(c, tree=bad))
+def with_cols(cx: Complex, cols: dict) -> Complex:
+    return Complex(cx.space, GradedMap(cx.space, cx.space, 1, cols))
+
+
+def without(cx: Complex, x: str) -> Complex:
+    """cx with the label x, its column and every term at x dropped."""
+    basis = {n: [l for l in ls if l != x] for n, ls in cx.space.basis.items()}
+    sp = GradedSpace(cx.field, cx.window, basis, bounds=cx.space.bounds)
+    cols = {l: col for l, c in cx.differential.cols.items() if l != x
+            if (col := {t: v for t, v in c.items() if t != x})}
+    return Complex(sp, GradedMap(sp, sp, 1, cols))
+
+
+def moved_up(node: FiltrationNode):
+    """(l, t, u): a term t of d(l) and a label u of t's degree in a stage
+    above l's, or None."""
+    fx, of = node.subject, node.stage_of
+    for l in fx.space:
+        for t in fx.d(l):
+            for u in fx.space.labels(fx.space.deg(t)):
+                if of[u] > of[l]:
+                    return l, t, u
+    return None
+
+
+def rebased(q: Complex, basis: dict, window=None) -> Complex:
+    """q's columns on another basis, or on another window."""
+    sp = GradedSpace(q.field, window or q.window, basis, bounds=q.space.bounds)
+    return Complex(sp, GradedMap(sp, sp, 1, q.differential.cols))
+
+
+def filtration_fault(kind, node: FiltrationNode):
+    """A copy of the filtration node with one planted fault, and the
+    label its violation must name.  Each of the relabelling faults of
+    FAULTS becomes the fault of the stages that takes its place."""
+    fx, of, parts = node.subject, dict(node.stage_of), list(node.parts)
+    l = next(l for l in fx.space if len(fx.d(l)) > 1)
+    s, n = of[l], fx.space.deg(l)
+    q = parts[s].subject
+    if kind == "missing-label":             # a label with no stage
+        del of[l]
+    elif kind == "not-in-the-target":       # a stage that does not exist
+        of[l] = len(parts)
+    elif kind == "two-labels-to-one":       # two stages claim one label
+        m = next(m for m in fx.space if of[m] != s)
+        basis = {k: list(v) for k, v in q.space.basis.items()}
+        basis.setdefault(fx.space.deg(m), []).append(m)
+        parts[s] = replace(parts[s], subject=rebased(q, basis))
+        l = m
+    elif kind == "wrong-degree":            # the quotient moves a label
+        basis = {k: [x for x in v if x != l]
+                 for k, v in q.space.basis.items()}
+        basis.setdefault(n + 2, []).append(l)
+        parts[s] = replace(parts[s], subject=rebased(q, basis))
+    elif kind == "zero-coefficient":        # the quotient drops a label
+        parts[s] = replace(parts[s], subject=without(q, l))
+    elif kind == "wrong-sign":              # a sign flipped in F's d
+        cols = dict(fx.differential.cols)
+        t, v = next(iter(cols[l].items()))
+        cols[l] = {**cols[l], t: fx.field.neg(v)}
+        return replace(node, subject=with_cols(fx, cols)), l
+    elif kind == "term-above":              # F's d raises a stage
+        l, t, u = moved_up(node)
+        cols = dict(fx.differential.cols)
+        cols[l] = {(u if x == t else x): v for x, v in cols[l].items()}
+        return replace(node, subject=with_cols(fx, cols)), l
+    else:                                   # a quotient on another window
+        w = q.window
+        parts[s] = replace(parts[s], subject=rebased(
+            q, q.space.basis, DegreeWindow(w.lo - 1, w.hi + 1)))
+        l = None
+    return replace(node, stage_of=of, parts=parts), l
+
+
+FILTRATION_FAULTS = {"missing-label": "has stage None, not one of",
+                     "two-labels-to-one": "outside the stage",
+                     "wrong-degree": "quotient lacks",
+                     "not-in-the-target": "has stage 3, not one of",
+                     "zero-coefficient": "quotient lacks",
+                     "wrong-sign": "d∘d ≠ 0 at",
+                     "term-above": "in stage 2",
+                     "window": "is not F's"}
+
+
+@pytest.mark.parametrize("kind", FILTRATION_FAULTS)
+def test_cone_witness_fault_refused(cert_k2, kind):
+    """Each relabelling fault the root cone witness of K over K[y1,y2]
+    was checked for, planted in the stages that replace that witness, and
+    two faults of the stage check's own: F's d raising a stage, and a
+    quotient on another window.  One violation, at the root, naming the
+    label."""
+    assert cert_validate(cert_k2).ok
+    bad, label = filtration_fault(kind, cert_k2.tree)
+    rep = cert_validate(replace(cert_k2, tree=bad, subject=bad.subject))
     assert len(rep.violations) == 1
-    assert rep.violations[0].startswith("root: cone witness fails: ")
-    assert FAULTS[kind] in rep.violations[0]
+    assert re.match(r"root: (stage \d|label )", rep.violations[0])
+    assert FILTRATION_FAULTS[kind] in rep.violations[0]
+    assert label is None or repr(label) in rep.violations[0]
+
+
+def test_filtration_quotient_must_have_fs_in_stage_d(F5, window):
+    """A stage quotient's d is the part of F's d inside the stage.  The
+    stages of a resolution over a polynomial algebra have no such part
+    (each stage's degrees have one parity), so a one-stage filtration of
+    the acyclic complex a → b plants the fault: a quotient with d = 0."""
+    sp = GradedSpace(F5, window, {0: ["a"], 1: ["b"]})
+    c = Complex(sp, GradedMap(sp, sp, 1, {"a": {"b": F5.one}}))
+    leaf = leaf_identity(c, [0])
+    node = FiltrationNode(leaf.subject, dict.fromkeys(leaf.subject.space, 0),
+                          [leaf])
+    assert cert_validate(LevelCertificate(c, leaf.subject, node)).ok
+    q = with_cols(leaf.subject, {})
+    bad = replace(node, parts=[replace(leaf, subject=q)])
+    assert cert_validate(LevelCertificate(c, leaf.subject, bad)).violations \
+        == ["root: stage 0: quotient's d differs from F's at 's0:a'"]
 
 
 def test_level_interval_checks_each_witness_once(F5, monkeypatch):
-    # K3 over K[y1,y2,y3] has class 4: four leaves and three cones.  The
-    # leaf and cone witnesses are relabellings, checked without
-    # is_chain_map; what remains is one check per cone's w (3) and one in
-    # class_of: no rebuilt cone, no second check in the builder
+    # K3 over K[y1,y2,y3] has class 4: a filtration of four stages with a
+    # leaf on each.  The leaf witnesses are relabellings and the stages
+    # are checked by d² on F, without is_chain_map; what remains is the
+    # check in class_of: no cone map, no second check in the builder
     from dgkoszul import gradedcomplex, level, resolve
     a = polynomial_algebra(F5, DegreeWindow(-8, 8),
                            [("y1", 2), ("y2", 2), ("y3", 2)])
@@ -364,13 +494,13 @@ def test_level_interval_checks_each_witness_once(F5, monkeypatch):
         monkeypatch.setattr(mod, "is_chain_map", counted)
     side = level.level_interval(r)
     assert side.upper == 4 and side.valid
-    assert len(calls) == 4
+    assert len(calls) == 1
 
 
 def test_cert_shift_checks_each_cone_map_once(F5, monkeypatch):
     """Shifting K3's certificate over K[y1,y2,y3] carries its witnesses
     over and re-solves nothing, so it checks no chain map; validating the
-    shift checks each cone's w once: 3 chain-map checks in all."""
+    shift checks its stages by d² on F and no chain map either."""
     from dgkoszul import gradedcomplex, level
     a = polynomial_algebra(F5, DegreeWindow(-8, 8),
                            [("y1", 2), ("y2", 2), ("y3", 2)])
@@ -387,20 +517,19 @@ def test_cert_shift_checks_each_cone_map_once(F5, monkeypatch):
     shifted = cert_shift(cert, 2)
     assert not calls
     assert cert_validate(shifted).ok
-    assert len(calls) == 3
+    assert not calls
 
 
-def test_shift_and_compose_keep_a_wrong_sign(cert_k_poly):
-    """Shifting and composing carry a witness over as it is, so a sign
-    flipped in the root cone witness of K over K[y] still fails
-    validation, at the same label: inside the retract (root.I) under
-    composition, and under the first copy's tag with two copies."""
-    cone_ = cert_k_poly.tree
-    bad = replace(cert_k_poly, tree=replace(cone_, witness=corrupted(
-        "wrong-sign", cone_.witness, cone_.subject)))
+def test_shift_and_compose_keep_a_wrong_sign(cert_k2):
+    """Shifting and composing carry F's d over as it is, up to the
+    shift's global sign, so a sign flipped in F's d for K over K[y1,y2]
+    still fails validation, at the same label: inside the retract (root.I)
+    under composition, and under the first copy's tag with two copies."""
+    tree, _ = filtration_fault("wrong-sign", cert_k2.tree)
+    bad = replace(cert_k2, tree=tree, subject=tree.subject)
     [msg] = cert_validate(bad).violations
-    label = re.fullmatch(r"root: cone witness fails: witness is not a "
-                         r"chain map at '(.*)'", msg).group(1)
+    stage, label = re.fullmatch(r"root: (stage \d): d∘d ≠ 0 at '(.*)'",
+                                msg).groups()
     for k in (1, 2):
         assert cert_validate(cert_shift(bad, k)).violations == [msg]
     for shifts, at in (([0], label), ([0, 0], f"s0:{label}")):
@@ -408,8 +537,63 @@ def test_shift_and_compose_keep_a_wrong_sign(cert_k_poly):
         comp = cert_compose(LevelCertificate(bad.subject, leaf.subject, leaf),
                             bad)
         assert cert_validate(comp).violations == [
-            f"root.I: cone witness fails: witness is not a chain map at "
-            f"{at!r}"]
+            f"root.I: {stage}: d∘d ≠ 0 at {at!r}"]
+
+
+@pytest.mark.parametrize("shifts", [[-3], [-3, -3], [-1]])
+def test_compose_refuses_a_leaf_cut_at_the_window_top(cert_k_poly, shifts):
+    """F of K over K[y] (F_5, ±16) reaches degree 16, so Σ^k F for k < 0
+    reaches past the window, and the leaf's subject, the coproduct cut to
+    the window, is no Σ^k F: refused, naming the shift and the first
+    degree of F that lands outside, instead of a certificate whose section
+    is no chain map."""
+    leaf = leaf_identity(cert_k_poly.subject, shifts)
+    upper = LevelCertificate(cert_k_poly.subject, leaf.subject, leaf)
+    k = shifts[0]
+    with pytest.raises(StructureError, match=re.escape(
+            f"leaf shift {k} cuts Σ^{k} of c2's subject: its degree {17 + k} "
+            f"lands at 17, outside the leaf's window [-16, 16]")):
+        cert_compose(upper, cert_k_poly)
+
+
+@pytest.mark.parametrize("shifts", [[3], [3, 3], [0]])
+def test_compose_keeps_uncut_leaves(cert_k_poly, shifts):
+    leaf = leaf_identity(cert_k_poly.subject, shifts)
+    comp = cert_compose(LevelCertificate(cert_k_poly.subject, leaf.subject,
+                                         leaf), cert_k_poly)
+    assert comp.claimed_level == 2 and cert_validate(comp).ok
+
+
+def test_filtration_check_reads_each_label_once(F5, monkeypatch):
+    """Validating K3's certificate over K[y1,y2,y3] (±8) checks no chain
+    map and calls each part subject's Complex.d once per label, in its
+    leaf check: the stage check reads F's stored columns."""
+    from dgkoszul import gradedcomplex, level
+    a = polynomial_algebra(F5, DegreeWindow(-8, 8),
+                           [("y1", 2), ("y2", 2), ("y3", 2)])
+    cert = cert_from_resolution(minimize(semifree_resolve(trivial_module(a))))
+    parts = {id(p.subject) for p in cert.tree.parts}
+    chain_maps, d_calls = [], Counter()
+    checked, d = gradedcomplex.is_chain_map, Complex.d
+
+    def counted(*args):
+        chain_maps.append(args)
+        return checked(*args)
+
+    def counted_d(self, combo_or_label):
+        if id(self) in parts:
+            d_calls[id(self), str(combo_or_label)] += 1
+        return d(self, combo_or_label)
+
+    for mod in (gradedcomplex, level):
+        monkeypatch.setattr(mod, "is_chain_map", counted)
+    monkeypatch.setattr(Complex, "d", counted_d)
+    assert cert_validate(cert).ok
+    fx = cert.subject.space
+    assert not chain_maps and len(parts) == 4
+    assert set(d_calls.values()) == {1}
+    assert all(l in fx for _, l in d_calls)
+    assert sum(d_calls.values()) == fx.total_dim()
 
 
 def test_shift_coproduct_and_compose_solve_and_check_nothing(cert_k_poly,
@@ -464,7 +648,7 @@ def test_level_interval_realizes_each_generator_once(F5, monkeypatch):
     """For K3 over K[y1,y2,y3]: each generator's columns are computed once
     (minimize cancels nothing and hands the same F on), the builder forms
     no direct sum, the validator makes no relabel copy, and level_interval
-    makes 4 chain-map checks, one per cone's w and one in class_of."""
+    makes 1 chain-map check, in class_of."""
     from dgkoszul import gradedcomplex, level, resolve
     a = polynomial_algebra(F5, DegreeWindow(-8, 8),
                            [("y1", 2), ("y2", 2), ("y3", 2)])
@@ -506,7 +690,7 @@ def test_level_interval_realizes_each_generator_once(F5, monkeypatch):
     assert side.upper == 4 and side.valid
     assert not [p for p in relabels if "cert_validate" in p]
     assert not [p for p in sums if "cert_from_resolution" in p]
-    assert len(checks) == 4
+    assert len(checks) == 1
 
 
 def test_level_interval_of_the_zero_module(F5, window):
@@ -592,9 +776,9 @@ PROPERTY = settings(max_examples=30, deadline=None,
 
 
 @st.composite
-def resolution_certs(draw):
-    """The certificate of a minimal resolution of a trivial, free or
-    truncated module over K[y] or K[y1,y2], over F_2, F_5 or Q."""
+def resolutions(draw):
+    """A minimal, exhausted resolution of a trivial, free or truncated
+    module over K[y] or K[y1,y2], over F_2, F_5 or Q."""
     f = draw(st.sampled_from([FieldSpec.prime(2), FieldSpec.prime(5),
                               FieldSpec.rationals()]))
     hi = draw(st.integers(6, 10))
@@ -608,35 +792,50 @@ def resolution_certs(draw):
         m = free_module(a)
     else:
         m = truncated_module(a, "y", 2, draw(st.integers(1, 3)))
-    try:
-        return cert_from_resolution(minimize(semifree_resolve(m)))
-    except StructureError:                  # not exhausted in the window
-        assume(False)
+    r = minimize(semifree_resolve(m))
+    assume(class_of(r)[1])                  # exhausted in the window
+    return r
 
 
 def preorder(node) -> list:
     kids = {ConeNode: ("left", "right"), RetractNode: ("inner",)}
-    return [node] + [n for kid in kids.get(type(node), ())
-                     for n in preorder(getattr(node, kid))]
+    subs = (node.parts if isinstance(node, FiltrationNode) else
+            [getattr(node, kid) for kid in kids.get(type(node), ())])
+    return [node] + [n for sub in subs for n in preorder(sub)]
 
 
 def targets(witness: dict) -> dict:
     return {l: t for l, (t, _) in witness.items()}
 
 
-def test_cert_shift_of_a_composite(cert_k_poly):
+def spine_leaves(node) -> list:
+    """The leaves of a left-nested cone spine, lowest stage first."""
+    if isinstance(node, ConeNode):
+        return spine_leaves(node.left) + [node.right]
+    return [node]
+
+
+def test_cert_shift_of_a_composite(r_k_poly, cert_k_poly):
     """A composite has retract nodes: the shift keeps each section and
-    retraction's columns on the shifted spaces, as the earlier path did,
-    and validates."""
-    comp = cert_compose(two_cert(cert_k_poly.subject, 3, 1), cert_k_poly)
+    retraction's columns on the shifted spaces, as the earlier path did
+    over F's cone spine, and validates.  Over F's filtration node the
+    shift has the same retract maps and serialized form."""
+    upper = two_cert(cert_k_poly.subject, 3, 1)
+    comp = cert_compose(upper, ref_spine_from_resolution(r_k_poly))
+    fcomp = cert_compose(upper, cert_k_poly)
     for k in (1, -2):
         new, ref = cert_shift(comp, k), ref_cert_shift(comp, k)
-        assert cert_validate(new).ok
+        fnew = cert_shift(fcomp, k)
+        assert cert_validate(new).ok and cert_validate(fnew).ok
+        assert cert_to_dict(fnew) == cert_to_dict(new)
         pairs = [(a, b) for a, b in zip(preorder(new.tree), preorder(ref.tree),
                                         strict=True)
                  if isinstance(a, RetractNode)]
         assert pairs and all((a.section, a.retraction)
                              == (b.section, b.retraction) for a, b in pairs)
+        assert [(a.section, a.retraction) for a in preorder(fnew.tree)
+                if isinstance(a, RetractNode)] == [
+            (a.section, a.retraction) for a, _ in pairs]
 
 
 def not_one(f):
@@ -646,23 +845,34 @@ def not_one(f):
     return f.from_int(2) if f.p == 5 else f.one
 
 
+def scaled(f, witness: dict) -> dict:
+    """witness times not_one: a chain isomorphism still, with
+    coefficients no re-solving would give."""
+    return {l: (t, f.mul(not_one(f), v)) for l, (t, v) in witness.items()}
+
+
 def scaled_root(c: LevelCertificate) -> LevelCertificate:
-    """c with its root witness times not_one: a chain isomorphism still,
-    with coefficients no re-solving would give."""
-    f = c.base.field
-    a = not_one(f)
-    return replace(c, tree=replace(c.tree, witness={
-        l: (t, f.mul(a, v)) for l, (t, v) in c.tree.witness.items()}))
+    return replace(c, tree=replace(c.tree, witness=scaled(
+        c.base.field, c.tree.witness)))
+
+
+def scaled_parts(c: LevelCertificate) -> LevelCertificate:
+    return replace(c, tree=replace(c.tree, parts=[
+        replace(p, witness=scaled(c.base.field, p.witness))
+        for p in c.tree.parts]))
 
 
 @PROPERTY
-@given(resolution_certs(), st.integers(-3, 3))
-def test_shift_matches_reference(c, k):
-    """Tree shape, subjects, leaf shifts, witness target labels and the
-    serialized form as the earlier path gives them; the shift validates,
-    and shifting back gives c's witnesses, cone maps and subjects, the
-    scaled root witness included."""
-    c = scaled_root(c)
+@given(resolutions(), st.integers(-3, 3))
+def test_shift_matches_reference(r, k):
+    """Over F's cone spine: tree shape, subjects, leaf shifts, witness
+    target labels and the serialized form as the earlier path gives them;
+    the shift validates, and shifting back gives the spine's witnesses,
+    cone maps and subjects, the scaled root witness included.  Over F's
+    filtration node: the spine's serialized form, its leaves' subjects,
+    shifts and targets as parts, the same stages; the shift validates,
+    and shifting back gives F and the parts, scaled witnesses included."""
+    c = scaled_root(ref_spine_from_resolution(r))
     new, ref = cert_shift(c, k), ref_cert_shift(c, k)
     assert cert_to_dict(new) == cert_to_dict(ref)
     assert _complexes_equal(new.subject, ref.subject)
@@ -677,24 +887,293 @@ def test_shift_matches_reference(c, k):
         assert a.witness == b.witness
         assert _complexes_equal(a.subject, b.subject)
         assert not isinstance(a, ConeNode) or a.w == b.w
+    fc = scaled_parts(cert_from_resolution(r))
+    fnew = cert_shift(fc, k)
+    assert cert_to_dict(fnew) == cert_to_dict(new)
+    assert _complexes_equal(fnew.subject, new.subject)
+    assert fnew.tree.stage_of == fc.tree.stage_of
+    for a, b in zip(fnew.tree.parts, spine_leaves(new.tree), strict=True):
+        assert _complexes_equal(a.subject, b.subject)
+        assert a.shifts == b.shifts
+        assert targets(a.witness) == targets(b.witness)
+    assert cert_validate(fnew).ok
+    back = cert_shift(fnew, -k)
+    assert _complexes_equal(back.subject, fc.subject)
+    for a, b in zip(back.tree.parts, fc.tree.parts, strict=True):
+        assert a.witness == b.witness
+        assert _complexes_equal(a.subject, b.subject)
 
 
 @PROPERTY
-@given(resolution_certs(), st.integers(0, 3))
-def test_two_copy_compose_keeps_a_scaled_witness(c, k):
-    """A two-copy leaf over c's subject whose witness is scaled by a
-    scalar other than 1, over c with its root witness scaled too: the
-    composite's section keeps that scalar, each copy of c's tree keeps
-    c's coefficients, and the composite validates.  (A leaf shifted below
-    0 truncates the top of c's subject, and its section is then no chain
-    map, so k starts at 0.)"""
-    c = scaled_root(c)
-    leaf = leaf_identity(c.subject, [k, k])
-    upper = scaled_root(LevelCertificate(c.subject, leaf.subject, leaf))
-    comp = cert_compose(upper, c)
-    assert comp.tree.section.cols == {l: {t: not_one(c.base.field)}
-                                      for l, t in targets(leaf.witness).items()}
-    assert {l: v for l, (_, v) in comp.tree.inner.witness.items()} == {
-        f"s{i}:{l}": v for i in range(2)
-        for l, (_, v) in c.tree.witness.items()}
-    assert cert_validate(comp).ok
+@given(resolutions(), st.integers(-3, 3))
+def test_two_copy_compose_keeps_a_scaled_witness(r, k):
+    """A two-copy leaf over F whose witness is scaled by a scalar other
+    than 1, over F's filtration node with its part witnesses scaled and
+    over F's cone spine with its root witness scaled: the composite's
+    section keeps that scalar, each copy keeps the coefficients of the
+    inner witnesses, and the composite validates.  A leaf shift that puts
+    a degree of F outside the window cuts the leaf's subject, and is
+    refused with the shift and that degree named."""
+    f = r.over.field
+    for c in (scaled_parts(cert_from_resolution(r)),
+              scaled_root(ref_spine_from_resolution(r))):
+        leaf = leaf_identity(c.subject, [k, k])
+        upper = scaled_root(LevelCertificate(c.subject, leaf.subject, leaf))
+        if cut := [n for n in c.subject.space.degrees()
+                   if n - k not in c.subject.window]:
+            with pytest.raises(StructureError, match=re.escape(
+                    f"leaf shift {k} cuts Σ^{k} of c2's subject: its degree "
+                    f"{cut[0]} lands at {cut[0] - k}, outside")):
+                cert_compose(upper, c)
+            continue
+        comp = cert_compose(upper, c)
+        assert comp.tree.section.cols == {l: {t: not_one(f)} for l, t in
+                                          targets(leaf.witness).items()}
+        inner = comp.tree.inner
+        pairs = (zip(inner.parts, c.tree.parts, strict=True)
+                 if isinstance(inner, FiltrationNode) else [(inner, c.tree)])
+        for a, b in pairs:
+            assert {l: v for l, (_, v) in a.witness.items()} == {
+                f"s{i}:{l}": v for i in range(2)
+                for l, (_, v) in b.witness.items()}
+        assert cert_validate(comp).ok
+
+
+# -------------------------------------------------------------------------
+# the filtration node against the cone spine
+# -------------------------------------------------------------------------
+# Verbatim copies, apart from their names, of the earlier builder, which
+# made a left spine of cone nodes over the subcomplexes F^{<=s}, and of
+# the earlier validator, which checked each cone over its whole subject.
+
+def ref_spine_from_resolution(r: SemifreeResolution) -> LevelCertificate:
+    """Certificate with base A from the stage filtration of a minimal,
+    exhausted resolution: stage quotients are leaves (coproducts of shifts
+    of A), consecutive stages are cones.  Every witness is a relabelling
+    with coefficient one: d(e⊗a) is (-1)^{|e|}e⊗da, as in Σ^{-|e|}A, plus
+    terms of lower stages, so F^{<=s} is cone(w) label for label, w the
+    part of d that leaves stage s.  The stage complexes come from one pass
+    over the realized F, and the root subject is F itself.  Nothing is
+    checked here: callers validate with cert_validate, as level_interval
+    and spherical_bound do."""
+    if not r.is_minimal():
+        raise StructureError("certificate needs a minimal resolution")
+    cls, exhausted = class_of(r)
+    if not exhausted:
+        raise StructureError("resolution not exhausted; refusing to "
+                             "certify a truncated class")
+    base = r.over.carrier
+    one = base.field.one
+    fx = r.realize()[0]
+    stages = sorted({s for _, _, s in r.generators})
+    if not stages:
+        return LevelCertificate(base, fx, empty_leaf(base))
+    stage_of = {gl: s for gl, _, s in r.generators}
+    of = {l: stage_of[l.split("@", 1)[0]] for l in fx.space}
+    # one pass over F: the basis of each stage quotient and of each
+    # subcomplex F^{<=s}, and each label's d split into its own stage's
+    # part (the quotient's) and the rest (w's)
+    by_stage = {s: ({}, {}, {}, {}) for s in stages}  # basis, d, w, F^{<=s}
+    for l, s in of.items():
+        n = fx.space.deg(l)
+        by_stage[s][0].setdefault(n, []).append(l)
+        for st in stages[stages.index(s):]:
+            by_stage[st][3].setdefault(n, []).append(l)
+        for t, v in fx.d(l).items():
+            by_stage[s][1 if of[t] == s else 2].setdefault(l, {})[t] = v
+
+    def on(basis, cols) -> Complex:
+        sp = GradedSpace(base.field, fx.window, basis, bounds=fx.space.bounds)
+        return Complex(sp, GradedMap(sp, sp, 1, cols))
+
+    def quotient_leaf(stage):
+        gens = sorted((gl, d) for gl, d, s in r.generators if s == stage)
+        q = fx if len(stages) == 1 else on(*by_stage[stage][:2])
+        shifts = [-d for _, d in gens]
+        slot = {gl: f"s{i}:" for i, (gl, _) in enumerate(gens)}
+        return Leaf(q, shifts, {l: (slot[g] + al, one) for l in q.space
+                                for g, al in [l.split("@", 1)]})
+
+    # the lowest stage is its own quotient: F^{<=first} = F^{=first}
+    node = quotient_leaf(stages[0])
+    for st in stages[1:]:
+        sub = node.subject
+        total = fx if st == stages[-1] else on(by_stage[st][3], {
+            l: c for l, c in fx.differential.cols.items() if of[l] <= st})
+        quot = quotient_leaf(st)
+        # w : Σ^{-1}quot → sub is the part of d that leaves the new stage
+        qs = shift_complex(quot.subject, -1)
+        w = GradedMap(qs.space, sub.space, 0, by_stage[st][2])
+        node = ConeNode(total, node, quot, w, {
+            l: (("c1:" if of[l] == st else "c2:") + l, one)
+            for l in total.space})
+    cert = LevelCertificate(base, node.subject, node)
+    if cert.claimed_level != cls:
+        raise RuntimeError("internal: certificate level disagrees with "
+                           "resolution class")
+    return cert
+
+
+def ref_cert_validate(c: LevelCertificate) -> ValidationReport:
+    rep = ValidationReport(True)
+
+    def visit(node, path):
+        if isinstance(node, Leaf):
+            if not node.shifts:
+                if any(node.subject.space.dim(n)
+                       for n in node.subject.space.degrees()):
+                    rep.fail(f"{path}: empty leaf with nonzero subject")
+                return
+            try:
+                if node.witness is None:
+                    raise StructureError("missing witness")
+                std = canonical_coproduct(c.base, node.shifts,
+                                          node.subject.space.window)
+                check_relabelling(node.witness, node.subject, std)
+            except StructureError as e:
+                rep.fail(f"{path}: leaf witness fails: {e}")
+        elif isinstance(node, ConeNode):
+            try:
+                if None in (node.w, node.witness):
+                    raise StructureError("missing witness")
+                built = ConeView(node.w, shift_complex(node.right.subject, -1),
+                                 node.left.subject).checked()
+                check_relabelling(node.witness, node.subject, built)
+            except StructureError as e:
+                rep.fail(f"{path}: cone witness fails: {e}")
+                return
+            visit(node.left, path + ".L")
+            visit(node.right, path + ".R")
+        elif isinstance(node, RetractNode):
+            for nm, fmap, src, tgt in (
+                ("section", node.section, node.subject, node.inner.subject),
+                ("retraction", node.retraction, node.inner.subject,
+                 node.subject),
+            ):
+                ok, witness = is_chain_map(fmap, src, tgt)
+                if not ok:
+                    rep.fail(f"{path}: {nm} not a chain map at {witness[:2]}")
+                    return
+            comp = node.retraction.compose(node.section)
+            for n in node.subject.space.degrees():
+                try:
+                    cols = induced_map_on_homology(
+                        comp, node.subject, node.subject, n)
+                except WindowError:
+                    continue
+                one = node.subject.field.one
+                if cols != [{i: one} for i in range(len(cols))]:
+                    rep.fail(f"{path}: retraction∘section ≠ id on H^{n}")
+                    return
+            visit(node.inner, path + ".I")
+        else:
+            rep.fail(f"{path}: unknown node kind {type(node).__name__}")
+
+    if not _complexes_equal(c.tree.subject, c.subject):
+        rep.fail("root subject mismatch")
+    visit(c.tree, "root")
+    return rep
+
+
+
+def with_spine_leaf(node, s, leaf):
+    """The spine with its stage-s leaf replaced."""
+    if not isinstance(node, ConeNode):
+        return leaf
+    if s == len(spine_leaves(node)) - 1:
+        return replace(node, right=leaf)
+    return replace(node, left=with_spine_leaf(node.left, s, leaf))
+
+
+def with_part(c: LevelCertificate, s: int, part) -> LevelCertificate:
+    return replace(c, tree=replace(c.tree, parts=[
+        part if i == s else p for i, p in enumerate(c.tree.parts)]))
+
+
+@st.composite
+def small_resolutions(draw):
+    """A minimal resolution of K over K[y0,...] on one to three
+    generators of degree 2 or 4, or of K[y0]/(y0^p) over K[y0], over F_2,
+    F_5 or Q, on a window 5 to 7 degrees past its last generator, so that
+    it is exhausted."""
+    f = draw(st.sampled_from([FieldSpec.prime(2), FieldSpec.prime(5),
+                              FieldSpec.rationals()]))
+    degs = draw(st.lists(st.sampled_from([2, 4]), min_size=1, max_size=3))
+    if len(degs) == 1 and draw(st.booleans()):
+        p = draw(st.integers(1, 3))
+        last, make = p * degs[0] - 1, lambda a: truncated_module(
+            a, "y0", degs[0], p)
+    else:
+        last, make = sum(d - 1 for d in degs), trivial_module
+    hi = last + draw(st.integers(5, 7))
+    a = polynomial_algebra(f, DegreeWindow(-hi, hi),
+                           [(f"y{i}", d) for i, d in enumerate(degs)])
+    r = minimize(semifree_resolve(make(a)))
+    assert class_of(r)[1]
+    return r
+
+
+@settings(PROPERTY, max_examples=200)
+@given(small_resolutions(), st.data())
+def test_filtration_validator_matches_cone_spine(r, data):
+    """The filtration node and its one-pass check against the cone spine
+    and its cone-by-cone check, with one planted fault or none: a term of
+    F's d moved into a higher stage or a sign flipped in F's d (planted in
+    F, before either builder runs), a sign flipped in a stage's leaf
+    witness, a label dropped from the stages (from the spine's root
+    witness), or a stage quotient with a label dropped.  The verdicts
+    agree (a spine builder that refuses is a failed verdict), each
+    violation names a stage and a label, and the serialized forms are
+    equal."""
+    fx, f = r.realize()[0], r.over.field
+    node = cert_from_resolution(r).tree
+    kinds = ["none", "flipped-d", "flipped-witness", "dropped-label",
+             "part-subject"] + (["term-above"] if moved_up(node) else [])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind in ("flipped-d", "term-above"):
+        cols = dict(fx.differential.cols)
+        if kind == "flipped-d":
+            l = data.draw(st.sampled_from(sorted(cols)))
+            t = data.draw(st.sampled_from(sorted(cols[l])))
+            cols[l] = {**cols[l], t: f.neg(cols[l][t])}
+        else:
+            l, t, u = moved_up(node)
+            cols[l] = {(u if x == t else x): v for x, v in cols[l].items()}
+        bad = replace(r, _realized=(with_cols(fx, cols), r.realize()[1]))
+        bad._class = class_of(r)
+        r = bad
+    new = cert_from_resolution(r)
+    try:
+        ref = ref_spine_from_resolution(r)
+    except StructureError:
+        ref = None
+    stage = data.draw(st.integers(0, len(new.tree.parts) - 1))
+    part = new.tree.parts[stage]
+    if kind == "flipped-witness":
+        l = data.draw(st.sampled_from(sorted(part.witness)))
+
+        def flip(leaf):
+            t, v = leaf.witness[l]
+            return replace(leaf, witness={**leaf.witness, l: (t, f.neg(v))})
+        new = with_part(new, stage, flip(part))
+        ref = replace(ref, tree=with_spine_leaf(
+            ref.tree, stage, flip(spine_leaves(ref.tree)[stage])))
+    elif kind == "dropped-label":
+        l = data.draw(st.sampled_from(sorted(fx.space)))
+        new = replace(new, tree=replace(new.tree, stage_of={
+            x: s for x, s in new.tree.stage_of.items() if x != l}))
+        ref = replace(ref, tree=replace(ref.tree, witness={
+            x: t for x, t in ref.tree.witness.items() if x != l}))
+    elif kind == "part-subject":
+        q = without(part.subject,
+                    data.draw(st.sampled_from(sorted(part.subject.space))))
+        new = with_part(new, stage, replace(part, subject=q))
+        ref = replace(ref, tree=with_spine_leaf(ref.tree, stage, replace(
+            spine_leaves(ref.tree)[stage], subject=q)))
+    rep = cert_validate(new)
+    event(f"{kind}: {'valid' if rep.ok else 'refused'}")
+    assert rep.ok == (ref is not None and ref_cert_validate(ref).ok)
+    for v in rep.violations:
+        assert "stage" in v and re.search(r"'[^']+'", v), v
+    if ref is not None:
+        assert cert_to_dict(new) == cert_to_dict(ref)

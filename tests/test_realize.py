@@ -4,15 +4,16 @@ reference copies of their earlier forms.
 ``semifree_resolve`` builds each generator's part of F (its labels, d- and
 ε-columns) once and reassembles F from the parts; ``minimize`` hands on
 the input's F when it cancels nothing; ``cert_from_resolution`` takes its
-stage complexes from one pass over F and uses F itself as the root
-subject; ``ConeView.d`` writes its c1:/c2: labels straight into the sum.
-The reference copies below are the earlier forms, kept verbatim apart
-from their names: a realization that enumerates all of F at once, a
-builder that restricts F twice per stage, and a cone d through
-``relabel``.  Each must give the same basis in the same order and the
-same columns, term for term and in order.  The reference builder keeps
-its witnesses in the earlier form, a map and its inverse on nodes of its
-own; each certificate witness must be that map, read as a relabelling.
+stages and stage quotients from one pass over F, as a filtration node on
+F itself; ``ConeView.d`` writes its c1:/c2: labels straight into the
+sum.  The reference copies below are the earlier forms, kept verbatim
+apart from their names: a realization that enumerates all of F at once,
+a builder that restricts F twice per stage into a spine of cones, and a
+cone d through ``relabel``.  Each must give the same basis in the same
+order and the same columns, term for term and in order.  The reference
+builder keeps its witnesses in the earlier form, a map and its inverse
+on nodes of its own; each leaf witness must be that map, read as a
+relabelling, and each reference cone must be the one the stages give.
 """
 
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ from dgkoszul.gradedcomplex import (
     shift_complex,
 )
 from dgkoszul.level import (
-    ConeNode,
+    FiltrationNode,
     Leaf,
     LevelCertificate,
     canonical_coproduct,
@@ -268,17 +269,37 @@ def as_witness(gm):
     return {l: (t, c) for l, col in gm.cols.items() for t, c in col.items()}
 
 
-def assert_same_tree(node, ref):
-    assert_same_complex(node.subject, ref.subject)
+def spine(ref) -> tuple:
+    """The leaves and the cones of a reference spine, lowest stage
+    first."""
     if isinstance(ref, RefLeaf):
-        assert isinstance(node, Leaf) and node.shifts == ref.shifts
-        assert node.witness == as_witness(ref.to_std)
-        return
-    assert isinstance(node, ConeNode)
-    assert_same_map(node.w, ref.w)
-    assert node.witness == as_witness(ref.to_cone)
-    assert_same_tree(node.left, ref.left)
-    assert_same_tree(node.right, ref.right)
+        return [ref], []
+    leaves, cones = spine(ref.left)
+    return leaves + [ref.right], cones + [ref]
+
+
+def assert_same_tree(node, ref, fx):
+    """Each part is the reference leaf of its stage (subject, shifts and
+    witness), and the stages give each reference cone: the cone of stage
+    s sends that stage's labels to c1: and the lower stages' to c2:, and
+    its w is the part of F's d that leaves stage s."""
+    leaves, cones = spine(ref)
+    if not leaves[0].shifts:                # the zero module: no stages
+        leaves = []
+    assert isinstance(node, FiltrationNode) and node.subject is fx
+    for part, leaf in zip(node.parts, leaves, strict=True):
+        assert isinstance(part, Leaf) and part.shifts == leaf.shifts
+        assert_same_complex(part.subject, leaf.subject)
+        assert part.witness == as_witness(leaf.to_std)
+    of, one = node.stage_of, fx.field.one
+    assert list(of) == list(fx.space)
+    for s, cone in enumerate(cones, start=1):
+        assert as_witness(cone.to_cone) == {
+            l: (("c1:" if of[l] == s else "c2:") + l, one)
+            for l in fx.space if of[l] <= s}
+        assert cone.w.cols == {
+            l: col for l in fx.space if of[l] == s
+            if (col := {t: v for t, v in fx.d(l).items() if of[t] < s})}
 
 
 def outcome(fn, *args):
@@ -348,8 +369,8 @@ def test_realization_matches_reference(mod):
 @PROPERTY
 @given(modules())
 def test_certificate_matches_reference(mod):
-    """Subjects (bases and d), witnesses and claimed level against the
-    builder that restricts F twice per stage."""
+    """Subjects (bases and d), witnesses, stages and claimed level against
+    the builder that restricts F twice per stage into a spine of cones."""
     m, depth = mod
     r = minimize(semifree_resolve(m, depth))
     cert = outcome(cert_from_resolution, r)
@@ -360,7 +381,7 @@ def test_certificate_matches_reference(mod):
     assert cert.claimed_level == ref.claimed_level
     assert_same_complex(cert.subject, ref.subject)
     assert cert.subject is r.realize()[0]
-    assert_same_tree(cert.tree, ref.tree)
+    assert_same_tree(cert.tree, ref.tree, cert.subject)
     assert cert_validate(cert).ok
 
 
