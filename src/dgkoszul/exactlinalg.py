@@ -127,7 +127,7 @@ class FieldSpec:
 def vec_iadd(field: FieldSpec, acc: dict, c, v: dict) -> dict:
     """acc += c*v in place, dropping the keys that cancel; returns acc.
 
-    Besides the elimination, the word-complex builder, ``ConeView.d`` and
+    Besides the elimination, the word-complex builder and
     ``check_d_squared``'s loop (a plain sum of d(d(l)), reduced only when
     tested), only this adds into a combination.  ``acc`` must be a dict the
     caller built and owns; a stored column (``Complex.d(label)``), a rule's

@@ -3,24 +3,22 @@
 A certificate is a finite tree over a base complex C:
   Leaf       -- the subject is isomorphic to a finite coproduct of
                 shifts of C;
-  Cone       -- the subject is isomorphic to cone(w) of a chain map
-                w : Σ⁻¹(right subject) → left subject;
   Filtration -- d never raises a label's stage, and one part per stage
                 certifies its stage quotient, so each F^{≤s} is the cone
-                of the connecting map out of the stage-s quotient;
+                of the connecting map out of the stage-s quotient; a cone
+                is the two-stage case;
   Retract    -- the subject retracts onto the inner subtree's subject.
-A leaf's or cone's isomorphism is one witness, a signed relabelling
-{label: (target label, nonzero coefficient)} of the subject's basis; a
-retract carries its section and retraction as chain maps.  A leaf claims
-level 1 (0 when empty), a cone or filtration the sum of its subtrees',
-and a retract its inner tree's.  cert_validate checks each witness once:
-w as a chain map, each relabelling against the rebuilt coproduct or
-against cone(w) with d evaluated on demand (check_relabelling),
-retractions on homology, and a filtration in one pass over F (stages,
-quotients, d²).  cert_from_resolution builds F's stage filtration in one
-pass and checks nothing.  cert_shift and tree_coproduct carry each
-witness over unchanged, so cert_compose solves and checks nothing
-either; only leaf_from_bijection solves a witness's signs.
+A leaf's isomorphism is one witness, a signed relabelling {label: (target
+label, nonzero coefficient)} of the subject's basis; a retract carries
+its section and retraction as chain maps.  A leaf claims level 1 (0 when
+empty), a filtration the sum of its parts', and a retract its inner
+tree's.  cert_validate checks each witness once: each relabelling against
+the rebuilt coproduct (check_relabelling), retractions on homology, and a
+filtration in one pass over F (stages, quotients, d²).  The builders
+check nothing, apart from cone()'s chain-map check; cert_shift and
+tree_coproduct carry each witness over unchanged, so cert_compose solves
+and checks nothing either; only leaf_from_bijection solves a witness's
+signs.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from dataclasses import dataclass, replace
 
 from dgkoszul.gradedcomplex import (
     Complex,
-    ConeView,
+    DegreeWindow,
     GradedMap,
     GradedSpace,
     StructureError,
@@ -40,7 +38,7 @@ from dgkoszul.gradedcomplex import (
     direct_sum,
     induced_map_on_homology,
     is_chain_map,
-    relabel,
+    restrict_complex,
     shift_complex,
     solve_diagonal_chain_iso,
 )
@@ -67,23 +65,6 @@ class Leaf:
     @property
     def claimed(self) -> int:
         return 1 if self.shifts else 0
-
-
-@dataclass
-class ConeNode:
-    """subject ≅ cone(w) for a chain map w : Σ⁻¹(right.subject) →
-    left.subject, witnessed by a relabelling of the subject onto the
-    cone's c1:/c2: labels."""
-    subject: Complex
-    left: object
-    right: object
-    w: GradedMap
-    witness: dict | None          # {label: (target label, coefficient)}
-    name: str = "cone"
-
-    @property
-    def claimed(self) -> int:
-        return self.left.claimed + self.right.claimed
 
 
 @dataclass
@@ -173,17 +154,42 @@ def leaf_from_bijection(base: Complex, subject: Complex, shifts,
 
 
 def cone_node_from_map(w: GradedMap, source: Complex, target: Complex,
-                       left, right) -> ConeNode:
-    """Cone node whose subject is cone(w) itself; left must certify the
-    target, right the suspension of the source."""
+                       left, right) -> FiltrationNode:
+    """cone(w) as the two-stage filtration with sub the target (stage 0,
+    its c2: labels) and quotient the suspended source (stage 1, c1:); left
+    must certify the target, right the suspension of the source.  Each is
+    cut to the cone's window, which is the intersection of theirs."""
     if not _complexes_equal(left.subject, target):
         raise StructureError("left subtree must certify the cone target")
     if not _complexes_equal(right.subject, shift_complex(source, 1)):
         raise StructureError("right subtree must certify the shifted "
                              "source")
     cx = cone(w, source, target)
-    return ConeNode(cx, left, right, w,
-                    {l: (l, cx.field.one) for l in cx.space})
+    return FiltrationNode(cx, {l: int(l[:3] == "c1:") for l in cx.space}, [
+        tree_coproduct([_restricted(node, cx.window)], [tag])
+        for node, tag in ((left, "c2"), (right, "c1"))])
+
+
+def _restricted(node, window: DegreeWindow):
+    """node cut to the part of its subject's window inside window: a
+    leaf's witness and a filtration's stages kept on the labels that
+    remain, and a filtration's parts cut alike."""
+    own = node.subject.window
+    lo, hi = max(own.lo, window.lo), min(own.hi, window.hi)
+    if (lo, hi) == (own.lo, own.hi):
+        return node
+    if lo > hi:
+        raise StructureError(f"window [{window.lo}, {window.hi}] misses the "
+                             f"subject's window [{own.lo}, {own.hi}]")
+    subject = restrict_complex(node.subject, DegreeWindow(lo, hi))
+    if isinstance(node, Leaf):
+        return replace(node, subject=subject, witness=node.witness and {
+            l: t for l, t in node.witness.items() if l in subject.space})
+    if isinstance(node, FiltrationNode):
+        return FiltrationNode(subject, {
+            l: s for l, s in node.stage_of.items() if l in subject.space},
+            [_restricted(p, window) for p in node.parts])
+    raise StructureError(f"cannot cut a {type(node).__name__} to a window")
 
 
 def _complexes_equal(a: Complex, b: Complex) -> bool:
@@ -244,18 +250,6 @@ def cert_validate(c: LevelCertificate) -> ValidationReport:
                 check_relabelling(node.witness, node.subject, std)
             except StructureError as e:
                 rep.fail(f"{path}: leaf witness fails: {e}")
-        elif isinstance(node, ConeNode):
-            try:
-                if None in (node.w, node.witness):
-                    raise StructureError("missing witness")
-                built = ConeView(node.w, shift_complex(node.right.subject, -1),
-                                 node.left.subject).checked()
-                check_relabelling(node.witness, node.subject, built)
-            except StructureError as e:
-                rep.fail(f"{path}: cone witness fails: {e}")
-                return
-            visit(node.left, path + ".L")
-            visit(node.right, path + ".R")
         elif isinstance(node, FiltrationNode):
             if fault := _filtration_fault(node):
                 rep.fail(f"{path}: {fault}")
@@ -336,10 +330,9 @@ def cert_from_resolution(r: SemifreeResolution) -> LevelCertificate:
 def cert_shift(c: LevelCertificate, k: int) -> LevelCertificate:
     """Certificate for Σ^k subject over the same base, label for label:
     Σ^k of the coproduct of shifts s_i is the coproduct of shifts s_i + k,
-    and Σ^k cone(w) = cone((-1)^k w).  So every witness, section and
-    retraction is carried over unchanged; leaf shifts move by k and each
-    cone's w is scaled by (-1)^k.  Nothing is solved or checked."""
-    sign = c.base.field.from_int(-1 if k % 2 else 1)
+    and Σ^k of a filtration is filtered by the same stages.  So every
+    witness, section and retraction is carried over unchanged, and leaf
+    shifts move by k.  Nothing is solved or checked."""
 
     def visit(node):
         subject = shift_complex(node.subject, k)
@@ -349,11 +342,6 @@ def cert_shift(c: LevelCertificate, k: int) -> LevelCertificate:
         if isinstance(node, FiltrationNode):
             return replace(node, subject=subject,
                            parts=[visit(p) for p in node.parts])
-        if isinstance(node, ConeNode):
-            left, right = visit(node.left), visit(node.right)
-            w = GradedMap(shift_complex(right.subject, -1).space,
-                          left.subject.space, 0, node.w.scale(sign).cols)
-            return replace(node, subject=subject, left=left, right=right, w=w)
         if isinstance(node, RetractNode):
             inner = visit(node.inner)
             a, b = subject.space, inner.subject.space
@@ -380,8 +368,9 @@ def _witness_maps(phi: dict, subject: Complex, target: Complex,
 def cert_compose(c1: LevelCertificate,
                  c2: LevelCertificate) -> LevelCertificate:
     """Substitute c2's tree (a certificate for c1's base over c2's base)
-    into every leaf of c1; the result certifies c1's subject over c2's
-    base with claimed_level ≤ level(c1) · level(c2)."""
+    into every leaf of c1: Σ^k of it for each shift k, summed over the
+    copies and cut to the leaf's window; the result certifies c1's
+    subject over c2's base with claimed_level ≤ level(c1) · level(c2)."""
     if not _complexes_equal(c1.base, c2.subject):
         raise StructureError("c1's base is not c2's subject")
 
@@ -389,28 +378,20 @@ def cert_compose(c1: LevelCertificate,
         if isinstance(node, Leaf):
             if not node.shifts:
                 return node
-            win, degs = node.subject.space.window, c2.subject.space.degrees()
-            for k in node.shifts:
-                if cut := [n for n in degs if n - k not in win]:
-                    raise StructureError(
-                        f"leaf shift {k} cuts Σ^{k} of c2's subject: its "
-                        f"degree {cut[0]} lands at {cut[0] - k}, outside "
-                        f"the leaf's window [{win.lo}, {win.hi}]")
+            win = node.subject.space.window
             if len(node.shifts) == 1:
                 # subject ≅ Σ^k base via the leaf witness; the canonical
                 # coproduct has "s0:" prefixes to strip
-                inner = cert_shift(c2, node.shifts[0]).tree
+                inner = _restricted(cert_shift(c2, node.shifts[0]).tree, win)
                 return RetractNode(node.subject, inner, *_witness_maps(
                     node.witness, node.subject, inner.subject,
                     lambda t: t.split(":", 1)[1]))
-            inners = [cert_shift(c2, s).tree for s in node.shifts]
-            inner = tree_coproduct(inners,
-                                   [f"s{i}" for i in range(len(inners))])
+            # summed before the cut, so that unequal shifts are refused
+            inner = _restricted(tree_coproduct(
+                [cert_shift(c2, s).tree for s in node.shifts],
+                [f"s{i}" for i in range(len(node.shifts))]), win)
             return RetractNode(node.subject, inner, *_witness_maps(
                 node.witness, node.subject, inner.subject))
-        if isinstance(node, ConeNode):
-            return replace(node, left=transform(node.left),
-                           right=transform(node.right))
         if isinstance(node, FiltrationNode):
             return replace(node, parts=[transform(p) for p in node.parts])
         if isinstance(node, RetractNode):
@@ -426,10 +407,11 @@ def cert_compose(c1: LevelCertificate,
 
 
 def tree_coproduct(nodes, tags):
-    """Coproduct of certificate trees over a common base.  Trees must have
-    matching shapes (pad with trivial cones beforehand if needed).  A
-    direct sum changes no sign, so each witness keeps its coefficients and
-    only its target labels are retagged."""
+    """Coproduct of certificate trees over a common base: all leaves, or
+    all filtrations with as many stages, summed stage by stage; label l of
+    tree i becomes "{tags[i]}:l".  A direct sum changes no sign, so each
+    witness keeps its coefficients and only its target labels are
+    retagged."""
     kinds = {type(n).__name__ for n in nodes}
     # the direct sum keeps only the intersection of the subjects' windows,
     # so copies shifted unequally would lose the labels the witnesses name
@@ -452,19 +434,6 @@ def tree_coproduct(nodes, tags):
                 witness[f"{tg}:{l}"] = (f"s{int(i[1:]) + offset}:{rest}", c)
             offset += len(n.shifts)
         return Leaf(subject, [s for n in nodes for s in n.shifts], witness)
-    if kinds == {"ConeNode"}:
-        left = tree_coproduct([n.left for n in nodes], tags)
-        right = tree_coproduct([n.right for n in nodes], tags)
-        wcols = {}
-        for n, tg in zip(nodes, tags):
-            for l, col in n.w.cols.items():
-                wcols[f"{tg}:{l}"] = relabel(f"{tg}:", col)
-            for l, (lab, c) in n.witness.items():
-                kind, rest = lab.split(":", 1)
-                witness[f"{tg}:{l}"] = (f"{kind}:{tg}:{rest}", c)
-        w = GradedMap(shift_complex(right.subject, -1).space,
-                      left.subject.space, 0, wcols)
-        return ConeNode(subject, left, right, w, witness)
     if kinds == {"FiltrationNode"}:
         stage_of = {f"{tg}:{l}": s for n, tg in zip(nodes, tags)
                     for l, s in n.stage_of.items()}
@@ -551,16 +520,15 @@ def cert_to_dict(c: LevelCertificate) -> dict:
         if isinstance(node, Leaf):
             return {"kind": "leaf", "shifts": list(node.shifts),
                     "level": node.claimed}
-        if isinstance(node, ConeNode):
-            return {"kind": "cone", "level": node.claimed,
-                    "left": node_dict(node.left),
-                    "right": node_dict(node.right)}
         if isinstance(node, FiltrationNode):
             # written as the left-nested spine of its stages' cones
-            spine = node.parts[0] if node.parts else Leaf(node.subject, [], {})
+            spine = node_dict(node.parts[0] if node.parts
+                              else Leaf(node.subject, [], {}))
             for part in node.parts[1:]:
-                spine = ConeNode(node.subject, spine, part, None, None)
-            return node_dict(spine)
+                level = spine["level"] + part.claimed
+                spine = {"kind": "cone", "level": level, "left": spine,
+                         "right": node_dict(part)}
+            return spine
         if isinstance(node, RetractNode):
             return {"kind": "retract", "level": node.claimed,
                     "inner": node_dict(node.inner)}

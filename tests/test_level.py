@@ -1,17 +1,23 @@
-"""Level certificates: leaves, cones, filtrations, retracts, shifts,
-coproducts, composition and towers.
+"""Level certificates: leaves, filtrations (a cone among them), retracts,
+shifts, coproducts, composition and towers.
 
 ``cert_shift`` and ``tree_coproduct`` carry each witness over unchanged.
-The last sections check the shift against a reference copy of the
-earlier path, which carried the tree along Σ^k as a functor and solved
-every leaf and cone witness's signs again, and the filtration node of a
-resolution against reference copies of the cone spine that the builder
-made before and of the validator that checked it cone by cone.
+The last sections check a cone, the two-stage filtration that
+``cone_node_from_map`` builds, against reference copies of the cone node
+it replaced, with the view of cone(w) that node's witness was checked
+against; the shift against a reference copy of the earlier path, which
+carried the tree along Σ^k as a functor and solved every leaf and cone
+witness's signs again; and the filtration node of a resolution against
+reference copies of the cone spine that the builder made before and of
+the validator that checked it cone by cone.  Reference trees are read by
+reference code only (``ref_cert_validate``, ``ref_cert_shift``,
+``ref_cert_to_dict``).
 """
 
+import functools
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import (HealthCheck, assume, event, given, settings,
@@ -20,13 +26,13 @@ from hypothesis import (HealthCheck, assume, event, given, settings,
 from dgkoszul.exactlinalg import FieldSpec
 from dgkoszul.gradedcomplex import (
     Complex,
-    ConeView,
     DegreeWindow,
     GradedMap,
     GradedSpace,
     StructureError,
     WindowError,
     check_relabelling,
+    cone_space,
     induced_map_on_homology,
     is_chain_map,
     shift_complex,
@@ -49,7 +55,6 @@ from dgkoszul.resolve import (
     semifree_resolve,
 )
 from dgkoszul.level import (
-    ConeNode,
     FiltrationNode,
     Leaf,
     LevelCertificate,
@@ -95,20 +100,19 @@ def cert_k2(F5, window):
     return cert_from_resolution(minimize(semifree_resolve(trivial_module(a))))
 
 
+def shifted_leaf(C, k):
+    """A leaf on Σ^k C over C, its signs solved."""
+    s = shift_complex(C, k)
+    return leaf_from_bijection(C, s, [k], {l: f"s0:{l}" for l in s.space})
+
+
 def two_cert(base_complex, a, b):
     """Level-2 certificate: cone of the zero map Σ^{a-1}C → Σ^bC."""
     C = base_complex
-
-    def leaf_shift(k):
-        s = shift_complex(C, k)
-        bij = {l: f"s0:{l}" for n in s.space.degrees()
-               for l in s.space.labels(n)}
-        return leaf_from_bijection(C, s, [k], bij)
-
     src = shift_complex(C, a - 1)
     wmap = GradedMap.zero(src.space, shift_complex(C, b).space, 0)
     node = cone_node_from_map(wmap, src, shift_complex(C, b),
-                              leaf_shift(b), leaf_shift(a))
+                              shifted_leaf(C, b), shifted_leaf(C, a))
     return LevelCertificate(C, node.subject, node)
 
 
@@ -186,8 +190,8 @@ def test_cert_compose_bound(cert_k_poly):
 
 
 def test_cert_compose_multi_shift_leaf(cert_k_poly):
-    # a two-copy leaf over a cone tree takes the coproduct of two shifted
-    # copies of that tree, cone node by cone node and leaf by leaf
+    # a two-copy leaf over a filtration takes the coproduct of two shifted
+    # copies of that tree, stage by stage and leaf by leaf
     leaf = leaf_identity(cert_k_poly.subject, [3, 3])
     upper = LevelCertificate(cert_k_poly.subject, leaf.subject, leaf)
     comp = cert_compose(upper, cert_k_poly)
@@ -276,17 +280,15 @@ def test_leaf_witness_outside_coproduct_rejected(F5, window, poly):
 
 
 def test_cone_of_empty_leaves_rejected(F5, window, poly):
-    # a level-0 claim for the nonzero complex ΣΛ(x): cone(0 → 0) is empty
+    # a level-0 claim for the nonzero complex ΣΛ(x): a cone of two empty
+    # leaves is empty, so its quotient stage holds none of the labels
     sx = shift_complex(exterior_algebra(F5, window, [("x", 3)]).carrier, 1)
-    left, right = empty_leaf(poly.carrier), empty_leaf(poly.carrier)
-    w = GradedMap.zero(right.subject.space, left.subject.space, 0)
-    ident = {l: (l, F5.one) for l in sx.space}
-    c = LevelCertificate(poly.carrier, sx,
-                         ConeNode(sx, left, right, w, ident))
+    parts = [empty_leaf(poly.carrier), empty_leaf(poly.carrier)]
+    c = LevelCertificate(poly.carrier, sx, FiltrationNode(
+        sx, dict.fromkeys(sx.space, 1), parts))
     assert c.claimed_level == 0
-    rep = cert_validate(c)
-    assert not rep.ok
-    assert any("cone witness fails" in v for v in rep.violations)
+    [msg] = cert_validate(c).violations
+    assert msg.startswith("root: stage 1: quotient lacks")
 
 
 def test_compose_requires_matching_base(cert_k_poly, F5, window):
@@ -297,19 +299,11 @@ def test_compose_requires_matching_base(cert_k_poly, F5, window):
         cert_compose(cert_k_poly, c2)
 
 
-def test_missing_witness_is_a_violation(F5, window, poly):
-    # a leaf or cone with a witness left out is reported, not a crash
+def test_missing_witness_is_a_violation(poly):
+    # a leaf with its witness left out is reported, not a crash
     x = poly.carrier
     rep = cert_validate(LevelCertificate(x, x, Leaf(x, [0], None)))
     assert rep.violations == ["root: leaf witness fails: missing witness"]
-    sx = shift_complex(exterior_algebra(F5, window, [("x", 3)]).carrier, 1)
-    left, right = empty_leaf(x), empty_leaf(x)
-    w = GradedMap.zero(right.subject.space, left.subject.space, 0)
-    ident = {l: (l, F5.one) for l in sx.space}
-    for parts in ((None, ident), (w, None)):
-        rep = cert_validate(LevelCertificate(
-            x, sx, ConeNode(sx, left, right, *parts)))
-        assert rep.violations == ["root: cone witness fails: missing witness"]
 
 
 def corrupted(kind, phi, subject):
@@ -524,7 +518,9 @@ def test_shift_and_compose_keep_a_wrong_sign(cert_k2):
     """Shifting and composing carry F's d over as it is, up to the
     shift's global sign, so a sign flipped in F's d for K over K[y1,y2]
     still fails validation, at the same label: inside the retract (root.I)
-    under composition, and under the first copy's tag with two copies."""
+    under composition, and under the first copy's tag with two copies.
+    The shift -3 cuts Σ^{-3} F at the window top (F reaches it), and the
+    flipped label, in degree 2, stays inside."""
     tree, _ = filtration_fault("wrong-sign", cert_k2.tree)
     bad = replace(cert_k2, tree=tree, subject=tree.subject)
     [msg] = cert_validate(bad).violations
@@ -532,28 +528,62 @@ def test_shift_and_compose_keep_a_wrong_sign(cert_k2):
                                 msg).groups()
     for k in (1, 2):
         assert cert_validate(cert_shift(bad, k)).violations == [msg]
-    for shifts, at in (([0], label), ([0, 0], f"s0:{label}")):
+    top = bad.subject.window.hi
+    for shifts, at in (([0], label), ([0, 0], f"s0:{label}"),
+                       ([-3], label)):
         leaf = leaf_identity(bad.subject, shifts)
         comp = cert_compose(LevelCertificate(bad.subject, leaf.subject, leaf),
                             bad)
+        assert comp.tree.inner.subject.window.hi == top
         assert cert_validate(comp).violations == [
             f"root.I: {stage}: d∘d ≠ 0 at {at!r}"]
 
 
 @pytest.mark.parametrize("shifts", [[-3], [-3, -3], [-1]])
-def test_compose_refuses_a_leaf_cut_at_the_window_top(cert_k_poly, shifts):
+def test_compose_cuts_a_leaf_at_the_window_top(cert_k_poly, shifts):
     """F of K over K[y] (F_5, ±16) reaches degree 16, so Σ^k F for k < 0
-    reaches past the window, and the leaf's subject, the coproduct cut to
-    the window, is no Σ^k F: refused, naming the shift and the first
-    degree of F that lands outside, instead of a certificate whose section
-    is no chain map."""
+    reaches past the window, and the leaf's subject is the coproduct cut
+    to the window.  Σ^k of F's certificate is cut alike: the inner subject
+    carries exactly the leaf subject's labels, "s0:" stripped for one
+    copy, and the level-2 composite validates."""
     leaf = leaf_identity(cert_k_poly.subject, shifts)
-    upper = LevelCertificate(cert_k_poly.subject, leaf.subject, leaf)
-    k = shifts[0]
+    comp = cert_compose(LevelCertificate(cert_k_poly.subject, leaf.subject,
+                                         leaf), cert_k_poly)
+    sp, inner = leaf.subject.space, comp.tree.inner.subject.space
+    one = len(shifts) == 1
+    assert {(l[3:] if one else l): sp.deg(l) for l in sp} == {
+        l: inner.deg(l) for l in inner}
+    assert inner.window.hi == 16 < cert_k_poly.subject.window.hi - shifts[0]
+    assert comp.claimed_level == 2 and cert_validate(comp).ok
+
+
+@pytest.mark.parametrize("k", [40, -40])
+def test_compose_refuses_a_leaf_whose_window_misses_the_inner(cert_k_poly,
+                                                              k):
+    """Σ^k F for F of K over K[y] (F_5, ±16) lies wholly outside the
+    window, so the leaf's subject is empty and nothing of Σ^k F is left
+    to substitute: refused, naming both windows."""
+    leaf = leaf_identity(cert_k_poly.subject, [k])
+    assert leaf.subject.space.total_dim() == 0
     with pytest.raises(StructureError, match=re.escape(
-            f"leaf shift {k} cuts Σ^{k} of c2's subject: its degree {17 + k} "
-            f"lands at 17, outside the leaf's window [-16, 16]")):
-        cert_compose(upper, cert_k_poly)
+            f"window [-16, 16] misses the subject's window "
+            f"[{-16 - k}, {16 - k}]")):
+        cert_compose(LevelCertificate(cert_k_poly.subject, leaf.subject,
+                                      leaf), cert_k_poly)
+
+
+def test_cutting_a_retract_is_refused(cert_k_poly):
+    """A cone whose target is certified by a composite, a retract node,
+    would cut that retract to the cone's window: refused when built."""
+    C = cert_k_poly.subject
+    leaf = shifted_leaf(C, 1)
+    comp = cert_compose(LevelCertificate(C, leaf.subject, leaf), cert_k_poly)
+    assert isinstance(comp.tree, RetractNode) and cert_validate(comp).ok
+    src, tgt = shift_complex(C, 2), shift_complex(C, 1)
+    w = GradedMap.zero(src.space, tgt.space, 0)
+    with pytest.raises(StructureError,
+                       match="cannot cut a RetractNode to a window"):
+        cone_node_from_map(w, src, tgt, comp.tree, shifted_leaf(C, 3))
 
 
 @pytest.mark.parametrize("shifts", [[3], [3, 3], [0]])
@@ -630,18 +660,33 @@ def test_shift_coproduct_and_compose_solve_and_check_nothing(cert_k_poly,
 
 
 def test_cone_whose_w_is_not_a_chain_map_refused(cert_k_poly, F5):
-    """``ConeView`` does not check w; the validator does, with the message
-    the view gave before: w sends one label l with d(l) != 0 to itself
-    and the rest to 0, so d(w(l)) != w(d(l))."""
-    c = two_cert(cert_k_poly.subject, 2, 1)      # w : ΣC → ΣC, zero
-    node = c.tree
-    src = shift_complex(node.right.subject, -1)
+    """cone() checks w when the cone is built, with the message the
+    validator gave before: w sends one label l with d(l) != 0 to itself
+    and the rest to 0, so d(w(l)) != w(d(l)).  For w = id, a sign flipped
+    in the cone's d at a term that crosses the stages (c1: to c2:) leaves
+    both stage quotients as they were, and d² on the cone catches it."""
+    C = cert_k_poly.subject
+    src, tgt = shift_complex(C, 1), shift_complex(C, 1)
     l = next(l for l in src.space if src.d(l))
-    bad = GradedMap(src.space, node.left.subject.space, 0, {l: {l: F5.one}})
-    rep = cert_validate(replace(c, tree=replace(node, w=bad)))
-    assert len(rep.violations) == 1
-    assert rep.violations[0].startswith(
-        "root: cone witness fails: cone of a non-chain-map")
+    bad = GradedMap(src.space, tgt.space, 0, {l: {l: F5.one}})
+    with pytest.raises(StructureError, match=re.escape(
+            "cone of a non-chain-map; first failure")):
+        cone_node_from_map(bad, src, tgt, shifted_leaf(C, 1),
+                           shifted_leaf(C, 2))
+    ident = GradedMap(src.space, tgt.space, 0,
+                      {l: {l: F5.one} for l in src.space})
+    node = cone_node_from_map(ident, src, tgt, shifted_leaf(C, 1),
+                              shifted_leaf(C, 2))
+    assert cert_validate(LevelCertificate(C, node.subject, node)).ok
+    cx, cols = node.subject, dict(node.subject.differential.cols)
+    x = next(x for x in cx.space if x.startswith("c1:")
+             and src.d(x[3:]) and cx.space.deg(x) + 2 <= cx.window.hi)
+    cols[x] = {t: (F5.neg(v) if t.startswith("c2:") else v)
+               for t, v in cols[x].items()}
+    flipped = replace(node, subject=with_cols(cx, cols))
+    [msg] = cert_validate(LevelCertificate(C, flipped.subject,
+                                           flipped)).violations
+    assert re.fullmatch(r"root: stage 1: d∘d ≠ 0 at 'c1:.*'", msg)
 
 
 def test_level_interval_realizes_each_generator_once(F5, monkeypatch):
@@ -705,6 +750,220 @@ def test_level_interval_of_the_zero_module(F5, window):
 
 
 # -------------------------------------------------------------------------
+# the cone against the earlier cone node
+# -------------------------------------------------------------------------
+# Verbatim copies, apart from their names, of the earlier cone node, its
+# builder, the view of cone(w) its witness was checked against, the cone()
+# that stored the view's d, and the serialization; ref_cert_validate below
+# holds the validator's cone branch.
+
+@dataclass
+class RefConeNode:
+    """subject ≅ cone(w) for a chain map w : Σ⁻¹(right.subject) →
+    left.subject, witnessed by a relabelling of the subject onto the
+    cone's c1:/c2: labels."""
+    subject: Complex
+    left: object
+    right: object
+    w: GradedMap
+    witness: dict | None          # {label: (target label, coefficient)}
+    name: str = "cone"
+
+    @property
+    def claimed(self) -> int:
+        return self.left.claimed + self.right.claimed
+
+
+class RefConeView:
+    """Mapping cone of a map f : source → target, d evaluated on demand:
+    d(c1:x) = -c1:dx + c2:f(x), d(c2:y) = c2:dy, and 0 at the top of the
+    window.  Only ``checked`` checks that f is a chain map."""
+
+    def __init__(self, fmap: GradedMap, source: Complex, target: Complex):
+        self.space = cone_space(source, target)
+        self.field = target.field
+        self._parts = (fmap, source, target)
+
+    def checked(self) -> "RefConeView":
+        ok, witness = is_chain_map(*self._parts)
+        if not ok:
+            raise StructureError(
+                f"cone of a non-chain-map; first failure {witness[:2]}")
+        return self
+
+    def d(self, combo_or_label) -> dict:
+        f = self.field
+        if isinstance(combo_or_label, str):
+            combo_or_label = {combo_or_label: f.one}
+        fmap, source, target = self._parts
+        out: dict = {}
+        for l, c in combo_or_label.items():
+            if self.space.deg(l) == self.space.window.hi:
+                continue
+            x = l[3:]
+            # each term goes straight into the sum under its c1:/c2: label
+            for tag, k, v in ((("c1:", f.neg(c), source.d(x)),
+                               ("c2:", c, fmap.apply_label(x)))
+                              if l.startswith("c1:") else
+                              (("c2:", c, target.d(x)),)):
+                for t, y in v.items():
+                    t = tag + t
+                    if s := f.add(out.get(t, 0), f.mul(k, y)):
+                        out[t] = s
+                    else:
+                        del out[t]
+        return out
+
+
+def ref_cone(fmap: GradedMap, source: Complex, target: Complex) -> Complex:
+    """Mapping cone of a chain map: ``RefConeView`` with d stored."""
+    view = RefConeView(fmap, source, target).checked()
+    cols = {l: img for l in view.space if (img := view.d(l))}
+    return Complex(view.space, GradedMap(view.space, view.space, 1, cols))
+
+
+def ref_cone_node_from_map(w: GradedMap, source: Complex, target: Complex,
+                           left, right) -> RefConeNode:
+    """Cone node whose subject is cone(w) itself; left must certify the
+    target, right the suspension of the source."""
+    if not _complexes_equal(left.subject, target):
+        raise StructureError("left subtree must certify the cone target")
+    if not _complexes_equal(right.subject, shift_complex(source, 1)):
+        raise StructureError("right subtree must certify the shifted "
+                             "source")
+    cx = ref_cone(w, source, target)
+    return RefConeNode(cx, left, right, w,
+                       {l: (l, cx.field.one) for l in cx.space})
+
+
+def ref_cert_to_dict(c: LevelCertificate) -> dict:
+    def node_dict(node):
+        if isinstance(node, Leaf):
+            return {"kind": "leaf", "shifts": list(node.shifts),
+                    "level": node.claimed}
+        if isinstance(node, RefConeNode):
+            return {"kind": "cone", "level": node.claimed,
+                    "left": node_dict(node.left),
+                    "right": node_dict(node.right)}
+        if isinstance(node, FiltrationNode):
+            # written as the left-nested spine of its stages' cones
+            spine = node.parts[0] if node.parts else Leaf(node.subject, [], {})
+            for part in node.parts[1:]:
+                spine = RefConeNode(node.subject, spine, part, None, None)
+            return node_dict(spine)
+        if isinstance(node, RetractNode):
+            return {"kind": "retract", "level": node.claimed,
+                    "inner": node_dict(node.inner)}
+        raise StructureError("unknown node")
+
+    dims = {str(n): c.subject.space.dim(n)
+            for n in c.subject.space.degrees()}
+    return {"claimed_level": c.claimed_level,
+            "subject_dims": dims,
+            "tree": node_dict(c.tree)}
+
+
+PROPERTY = settings(max_examples=30, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+FIELDS = {"F_2": FieldSpec.prime(2), "F_5": FieldSpec.prime(5),
+          "Q": FieldSpec.rationals()}
+
+
+@functools.cache
+def cone_base(field: str, base: str) -> Complex:
+    """The K[y] carrier (|y| = 2), the Λ(x) carrier (|x| = 3), or F of K
+    over K[y], on ±10."""
+    f, win = FIELDS[field], DegreeWindow(-10, 10)
+    if base == "Λ(x)":
+        return exterior_algebra(f, win, [("x", 3)]).carrier
+    a = polynomial_algebra(f, win, [("y", 2)])
+    if base == "K[y]":
+        return a.carrier
+    return minimize(semifree_resolve(trivial_module(a))).realize()[0]
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.data())
+def test_cone_matches_reference(data):
+    """cone(w) for w : Σ^{a-1}C → Σ^bC, with (a, b) in 0..3 and w = 0, or
+    a nonzero scalar times the identity when a − 1 = b, and leaves on Σ^bC
+    and Σ^aC: the two-stage filtration against the earlier cone node.  The
+    serialized forms, subjects and verdicts agree, and each part is the
+    reference's leaf cut to the cone's window, its labels tagged c2: or
+    c1:.  Planted faults, over F: a sign flipped in a leaf witness (not
+    over F_2, where no sign flips), at a label whose d stays in the
+    window, makes both refuse; a w that is no chain map is refused when
+    the filtration is built, and when the reference's cone node is
+    validated, at the same first failure."""
+    kind = data.draw(st.sampled_from(
+        ["none", "flipped-witness", "not-a-chain-map"]))
+    field = data.draw(st.sampled_from(
+        ["F_5", "Q"] if kind == "flipped-witness" else sorted(FIELDS)))
+    base = data.draw(st.sampled_from(
+        ["F"] if kind != "none" else ["K[y]", "Λ(x)", "F"]))
+    C, f = cone_base(field, base), FIELDS[field]
+    scalar = None
+    if kind == "not-a-chain-map" or data.draw(st.booleans()):
+        a = data.draw(st.integers(1, 3))
+        b = a - 1
+        if kind != "not-a-chain-map":
+            scalar = f.from_int(data.draw(st.sampled_from([1, 2, -1, 3])))
+            assume(scalar)
+    else:
+        a, b = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    event(f"{kind}, w {'0' if scalar is None else '≠ 0'}")
+    src, tgt = shift_complex(C, a - 1), shift_complex(C, b)
+    w = GradedMap(src.space, tgt.space, 0, {} if scalar is None else
+                  {l: {l: scalar} for l in src.space})
+    left, right = shifted_leaf(C, b), shifted_leaf(C, a)
+    win = cone_space(src, tgt).window
+    if kind == "not-a-chain-map":
+        l = data.draw(st.sampled_from([l for l in src.space if src.d(l)]))
+        bad = GradedMap(src.space, tgt.space, 0, {l: {l: f.one}})
+        with pytest.raises(StructureError) as refused:
+            cone_node_from_map(bad, src, tgt, left, right)
+        rnode = replace(ref_cone_node_from_map(w, src, tgt, left, right),
+                        w=bad)
+        assert ref_cert_validate(LevelCertificate(
+            C, rnode.subject, rnode)).violations == [
+            f"root: cone witness fails: {refused.value}"]
+        return
+    if kind == "flipped-witness":
+        right_side = data.draw(st.booleans())
+        leaf = right if right_side else left
+        sp = leaf.subject.space
+        l = data.draw(st.sampled_from([l for l in sp if leaf.subject.d(l)
+                                       and win.lo <= sp.deg(l) < win.hi]))
+        t, v = leaf.witness[l]
+        leaf = replace(leaf, witness={**leaf.witness, l: (t, f.neg(v))})
+        left, right = (left, leaf) if right_side else (leaf, right)
+    node = cone_node_from_map(w, src, tgt, left, right)
+    rnode = ref_cone_node_from_map(w, src, tgt, left, right)
+    new = LevelCertificate(C, node.subject, node)
+    ref = LevelCertificate(C, rnode.subject, rnode)
+    assert cert_to_dict(new) == ref_cert_to_dict(ref)
+    assert _complexes_equal(new.subject, ref.subject)
+    assert node.subject.window == win
+    ok = cert_validate(new).ok
+    assert ok == ref_cert_validate(ref).ok == (kind == "none")
+    for part, leaf, tag in zip(node.parts, (left, right), ("c2", "c1"),
+                               strict=True):
+        sp = leaf.subject.space
+        kept = [l for l in sp if sp.deg(l) in win]
+        assert list(part.subject.space) == [f"{tag}:{l}" for l in kept]
+        assert part.subject.window == win and part.shifts == leaf.shifts
+        for l in kept:
+            assert part.subject.space.deg(f"{tag}:{l}") == sp.deg(l)
+            assert part.subject.d(f"{tag}:{l}") == {
+                f"{tag}:{t}": v for t, v in leaf.subject.d(l).items()
+                if sp.deg(t) in win}
+        assert part.witness == {f"{tag}:{l}": leaf.witness[l] for l in kept}
+    assert node.stage_of == {l: int(l[:3] == "c1:") for l in node.subject.space}
+
+
+# -------------------------------------------------------------------------
 # the shift against the earlier path
 # -------------------------------------------------------------------------
 # Verbatim copies, apart from their names, of the earlier shift: the tree
@@ -737,9 +996,9 @@ def ref_leaf_from_bijection(base, subject, shifts, bijection):
 
 
 def ref_witnessed_cone(subject, left, right, w, bijection):
-    built = ConeView(w, shift_complex(right.subject, -1), left.subject)
-    return ConeNode(subject, left, right, w,
-                    ref_signed(subject, built, bijection))
+    built = RefConeView(w, shift_complex(right.subject, -1), left.subject)
+    return RefConeNode(subject, left, right, w,
+                       ref_signed(subject, built, bijection))
 
 
 def ref_transport_tree(functor, tree, base, dk):
@@ -751,7 +1010,7 @@ def ref_transport_tree(functor, tree, base, dk):
                 subject, inner,
                 functor.on_map(node.section, subject, inner.subject),
                 functor.on_map(node.retraction, inner.subject, subject))
-        if not isinstance(node, (Leaf, ConeNode)):
+        if not isinstance(node, (Leaf, RefConeNode)):
             raise StructureError(f"unknown node {type(node).__name__}")
         labels = {l: t for l, (t, _) in node.witness.items()}
         if isinstance(node, Leaf):
@@ -769,10 +1028,6 @@ def ref_transport_tree(functor, tree, base, dk):
 def ref_cert_shift(c, k):
     tree = ref_transport_tree(RefSuspension(k), c.tree, c.base, k)
     return LevelCertificate(c.base, tree.subject, tree)
-
-
-PROPERTY = settings(max_examples=30, deadline=None,
-                    suppress_health_check=[HealthCheck.too_slow])
 
 
 @st.composite
@@ -798,7 +1053,7 @@ def resolutions(draw):
 
 
 def preorder(node) -> list:
-    kids = {ConeNode: ("left", "right"), RetractNode: ("inner",)}
+    kids = {RefConeNode: ("left", "right"), RetractNode: ("inner",)}
     subs = (node.parts if isinstance(node, FiltrationNode) else
             [getattr(node, kid) for kid in kids.get(type(node), ())])
     return [node] + [n for sub in subs for n in preorder(sub)]
@@ -810,32 +1065,30 @@ def targets(witness: dict) -> dict:
 
 def spine_leaves(node) -> list:
     """The leaves of a left-nested cone spine, lowest stage first."""
-    if isinstance(node, ConeNode):
+    if isinstance(node, RefConeNode):
         return spine_leaves(node.left) + [node.right]
     return [node]
 
 
-def test_cert_shift_of_a_composite(r_k_poly, cert_k_poly):
+def test_cert_shift_of_a_composite(cert_k_poly):
     """A composite has retract nodes: the shift keeps each section and
-    retraction's columns on the shifted spaces, as the earlier path did
-    over F's cone spine, and validates.  Over F's filtration node the
-    shift has the same retract maps and serialized form."""
+    retraction's columns on the shifted spaces, as the earlier path does
+    to the composite's cone spine form, and both validate; the shift's
+    serialized form is the earlier path's."""
     upper = two_cert(cert_k_poly.subject, 3, 1)
-    comp = cert_compose(upper, ref_spine_from_resolution(r_k_poly))
-    fcomp = cert_compose(upper, cert_k_poly)
+    comp = cert_compose(upper, cert_k_poly)
+    spine = LevelCertificate(comp.base, comp.subject, ref_spine_of(comp.tree))
     for k in (1, -2):
-        new, ref = cert_shift(comp, k), ref_cert_shift(comp, k)
-        fnew = cert_shift(fcomp, k)
-        assert cert_validate(new).ok and cert_validate(fnew).ok
-        assert cert_to_dict(fnew) == cert_to_dict(new)
-        pairs = [(a, b) for a, b in zip(preorder(new.tree), preorder(ref.tree),
-                                        strict=True)
-                 if isinstance(a, RetractNode)]
-        assert pairs and all((a.section, a.retraction)
-                             == (b.section, b.retraction) for a, b in pairs)
-        assert [(a.section, a.retraction) for a in preorder(fnew.tree)
-                if isinstance(a, RetractNode)] == [
-            (a.section, a.retraction) for a, _ in pairs]
+        new, ref = cert_shift(comp, k), ref_cert_shift(spine, k)
+        assert cert_validate(new).ok and ref_cert_validate(ref).ok
+        assert cert_to_dict(new) == ref_cert_to_dict(ref)
+        pairs = [(a, b) for a, b in zip(
+            [n for n in preorder(new.tree) if isinstance(n, RetractNode)],
+            [n for n in preorder(ref.tree) if isinstance(n, RetractNode)],
+            strict=True)]
+        assert len(pairs) == 2 and all(
+            (a.section, a.retraction) == (b.section, b.retraction)
+            for a, b in pairs)
 
 
 def not_one(f):
@@ -865,38 +1118,22 @@ def scaled_parts(c: LevelCertificate) -> LevelCertificate:
 @PROPERTY
 @given(resolutions(), st.integers(-3, 3))
 def test_shift_matches_reference(r, k):
-    """Over F's cone spine: tree shape, subjects, leaf shifts, witness
-    target labels and the serialized form as the earlier path gives them;
-    the shift validates, and shifting back gives the spine's witnesses,
-    cone maps and subjects, the scaled root witness included.  Over F's
-    filtration node: the spine's serialized form, its leaves' subjects,
-    shifts and targets as parts, the same stages; the shift validates,
-    and shifting back gives F and the parts, scaled witnesses included."""
-    c = scaled_root(ref_spine_from_resolution(r))
-    new, ref = cert_shift(c, k), ref_cert_shift(c, k)
-    assert cert_to_dict(new) == cert_to_dict(ref)
-    assert _complexes_equal(new.subject, ref.subject)
-    for a, b in zip(preorder(new.tree), preorder(ref.tree), strict=True):
-        assert type(a) is type(b)
-        assert _complexes_equal(a.subject, b.subject)
-        assert getattr(a, "shifts", None) == getattr(b, "shifts", None)
-        assert targets(a.witness) == targets(b.witness)
-    assert cert_validate(new).ok
-    back = cert_shift(new, -k)
-    for a, b in zip(preorder(back.tree), preorder(c.tree), strict=True):
-        assert a.witness == b.witness
-        assert _complexes_equal(a.subject, b.subject)
-        assert not isinstance(a, ConeNode) or a.w == b.w
+    """F's filtration node, its part witnesses scaled, against the earlier
+    path on F's cone spine, its root witness scaled: the spine's
+    serialized form and subject; its leaves' subjects, shifts and targets
+    as parts; the same stages; both validate.  Shifting back gives F and
+    the parts, scaled witnesses included."""
+    ref = ref_cert_shift(scaled_root(ref_spine_from_resolution(r)), k)
     fc = scaled_parts(cert_from_resolution(r))
     fnew = cert_shift(fc, k)
-    assert cert_to_dict(fnew) == cert_to_dict(new)
-    assert _complexes_equal(fnew.subject, new.subject)
+    assert cert_to_dict(fnew) == ref_cert_to_dict(ref)
+    assert _complexes_equal(fnew.subject, ref.subject)
     assert fnew.tree.stage_of == fc.tree.stage_of
-    for a, b in zip(fnew.tree.parts, spine_leaves(new.tree), strict=True):
+    for a, b in zip(fnew.tree.parts, spine_leaves(ref.tree), strict=True):
         assert _complexes_equal(a.subject, b.subject)
         assert a.shifts == b.shifts
         assert targets(a.witness) == targets(b.witness)
-    assert cert_validate(fnew).ok
+    assert cert_validate(fnew).ok and ref_cert_validate(ref).ok
     back = cert_shift(fnew, -k)
     assert _complexes_equal(back.subject, fc.subject)
     for a, b in zip(back.tree.parts, fc.tree.parts, strict=True):
@@ -908,35 +1145,32 @@ def test_shift_matches_reference(r, k):
 @given(resolutions(), st.integers(-3, 3))
 def test_two_copy_compose_keeps_a_scaled_witness(r, k):
     """A two-copy leaf over F whose witness is scaled by a scalar other
-    than 1, over F's filtration node with its part witnesses scaled and
-    over F's cone spine with its root witness scaled: the composite's
-    section keeps that scalar, each copy keeps the coefficients of the
-    inner witnesses, and the composite validates.  A leaf shift that puts
-    a degree of F outside the window cuts the leaf's subject, and is
-    refused with the shift and that degree named."""
+    than 1, over F's filtration node with its part witnesses scaled: the
+    composite's section keeps that scalar; each copy keeps the leaf shifts
+    the earlier path gives Σ^k of F's cone spine, and the coefficients of
+    the inner witnesses on the labels its window keeps; the composite
+    validates, and so does its cone spine form under the earlier
+    validator.  A leaf shift that puts a degree of F outside the window
+    cuts the leaf's subject and Σ^k of F's certificate alike."""
     f = r.over.field
-    for c in (scaled_parts(cert_from_resolution(r)),
-              scaled_root(ref_spine_from_resolution(r))):
-        leaf = leaf_identity(c.subject, [k, k])
-        upper = scaled_root(LevelCertificate(c.subject, leaf.subject, leaf))
-        if cut := [n for n in c.subject.space.degrees()
-                   if n - k not in c.subject.window]:
-            with pytest.raises(StructureError, match=re.escape(
-                    f"leaf shift {k} cuts Σ^{k} of c2's subject: its degree "
-                    f"{cut[0]} lands at {cut[0] - k}, outside")):
-                cert_compose(upper, c)
-            continue
-        comp = cert_compose(upper, c)
-        assert comp.tree.section.cols == {l: {t: not_one(f)} for l, t in
-                                          targets(leaf.witness).items()}
-        inner = comp.tree.inner
-        pairs = (zip(inner.parts, c.tree.parts, strict=True)
-                 if isinstance(inner, FiltrationNode) else [(inner, c.tree)])
-        for a, b in pairs:
-            assert {l: v for l, (_, v) in a.witness.items()} == {
-                f"s{i}:{l}": v for i in range(2)
-                for l, (_, v) in b.witness.items()}
-        assert cert_validate(comp).ok
+    c = scaled_parts(cert_from_resolution(r))
+    leaf = leaf_identity(c.subject, [k, k])
+    upper = scaled_root(LevelCertificate(c.subject, leaf.subject, leaf))
+    comp = cert_compose(upper, c)
+    assert comp.tree.section.cols == {l: {t: not_one(f)} for l, t in
+                                      targets(leaf.witness).items()}
+    inner = comp.tree.inner
+    assert sorted(inner.subject.space) == sorted(leaf.subject.space)
+    ref = spine_leaves(ref_cert_shift(ref_spine_from_resolution(r), k).tree)
+    for a, b, rb in zip(inner.parts, c.tree.parts, ref, strict=True):
+        assert a.shifts == rb.shifts * 2
+        assert {l: v for l, (_, v) in a.witness.items()} == {
+            f"s{i}:{l}": v for i in range(2)
+            for l, (_, v) in b.witness.items()
+            if f"s{i}:{l}" in a.subject.space}
+    assert cert_validate(comp).ok
+    assert ref_cert_validate(LevelCertificate(
+        comp.base, comp.subject, ref_spine_of(comp.tree))).ok
 
 
 # -------------------------------------------------------------------------
@@ -1004,7 +1238,7 @@ def ref_spine_from_resolution(r: SemifreeResolution) -> LevelCertificate:
         # w : Σ^{-1}quot → sub is the part of d that leaves the new stage
         qs = shift_complex(quot.subject, -1)
         w = GradedMap(qs.space, sub.space, 0, by_stage[st][2])
-        node = ConeNode(total, node, quot, w, {
+        node = RefConeNode(total, node, quot, w, {
             l: (("c1:" if of[l] == st else "c2:") + l, one)
             for l in total.space})
     cert = LevelCertificate(base, node.subject, node)
@@ -1032,12 +1266,13 @@ def ref_cert_validate(c: LevelCertificate) -> ValidationReport:
                 check_relabelling(node.witness, node.subject, std)
             except StructureError as e:
                 rep.fail(f"{path}: leaf witness fails: {e}")
-        elif isinstance(node, ConeNode):
+        elif isinstance(node, RefConeNode):
             try:
                 if None in (node.w, node.witness):
                     raise StructureError("missing witness")
-                built = ConeView(node.w, shift_complex(node.right.subject, -1),
-                                 node.left.subject).checked()
+                built = RefConeView(node.w,
+                                    shift_complex(node.right.subject, -1),
+                                    node.left.subject).checked()
                 check_relabelling(node.witness, node.subject, built)
             except StructureError as e:
                 rep.fail(f"{path}: cone witness fails: {e}")
@@ -1078,11 +1313,41 @@ def ref_cert_validate(c: LevelCertificate) -> ValidationReport:
 
 def with_spine_leaf(node, s, leaf):
     """The spine with its stage-s leaf replaced."""
-    if not isinstance(node, ConeNode):
+    if not isinstance(node, RefConeNode):
         return leaf
     if s == len(spine_leaves(node)) - 1:
         return replace(node, right=leaf)
     return replace(node, left=with_spine_leaf(node.left, s, leaf))
+
+
+def ref_spine_of(node):
+    """A tree in the earlier form, for the reference code to read: each
+    filtration node as the left-nested spine of cones over its F^{≤s}, as
+    ref_spine_from_resolution builds it."""
+    if isinstance(node, RetractNode):
+        return replace(node, inner=ref_spine_of(node.inner))
+    if not isinstance(node, FiltrationNode):
+        return node
+    fx, of, one = node.subject, node.stage_of, node.subject.field.one
+    spine = ref_spine_of(node.parts[0])
+    for s, part in enumerate(node.parts[1:], start=1):
+        quot, total = ref_spine_of(part), fx
+        if s < len(node.parts) - 1:
+            sp = GradedSpace(fx.field, fx.window, {
+                n: [l for l in ls if of[l] <= s]
+                for n, ls in fx.space.basis.items()}, bounds=fx.space.bounds)
+            total = Complex(sp, GradedMap(sp, sp, 1, {
+                l: col for l, col in fx.differential.cols.items()
+                if of[l] <= s}))
+        w = GradedMap(shift_complex(quot.subject, -1).space,
+                      spine.subject.space, 0, {
+                          l: col for l in quot.subject.space
+                          if (col := {t: v for t, v in fx.d(l).items()
+                                      if of[t] < s})})
+        spine = RefConeNode(total, spine, quot, w, {
+            l: (("c1:" if of[l] == s else "c2:") + l, one)
+            for l in total.space})
+    return spine
 
 
 def with_part(c: LevelCertificate, s: int, part) -> LevelCertificate:
@@ -1176,4 +1441,4 @@ def test_filtration_validator_matches_cone_spine(r, data):
     for v in rep.violations:
         assert "stage" in v and re.search(r"'[^']+'", v), v
     if ref is not None:
-        assert cert_to_dict(new) == cert_to_dict(ref)
+        assert cert_to_dict(new) == ref_cert_to_dict(ref)
