@@ -610,81 +610,74 @@ def cmd_duality_check(args) -> int:
 # dispatch
 # -------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for ``argv``: with the subparser of the command that
+    argv[0] names, or of every command when it names none (help, no
+    command, an unknown one).  Its usage lists every command either way.
+    The table is read at each call, so a handler wrapped after import (as
+    perfbench's tracer does) is the one dispatched."""
+    module = (("--module", {"required": True}),
+              ("--over", {"required": True, "help": "the module's algebra"}),
+              ("--depth", {"type": int}))
+    # name: (help, handler, reads a presentation file (else --field and
+    # --window), its own options in order)
+    commands = {
+        "validate": ("validate a presentation file", cmd_validate, True, ()),
+        "homology": ("homology of a named object", cmd_homology, True,
+                     (("--object", {"required": True}),
+                      ("--degree", {"type": int}))),
+        "bar": ("bar construction of a named algebra", cmd_bar, True,
+                (("--algebra", {"required": True}),)),
+        "cobar": ("cobar construction of a named coalgebra", cmd_cobar,
+                  True, (("--coalgebra", {"required": True}),)),
+        "resolve": ("resolve a module", cmd_resolve, True, module),
+        "minimize": ("minimize a module", cmd_minimize, True, module),
+        "level-bound": ("certified level bounds for a module",
+                        cmd_level_bound, True, module),
+        "koszul-pair": ("build and validate a pair", cmd_koszul_pair, False,
+                        (("--degrees", {"required": True,
+                                        "help": "comma-separated"}),)),
+        "koszul-check": ("τ residual and two-sided quasi-iso",
+                         cmd_koszul_check, False,
+                         (("--degrees", {"required": True}),)),
+        "ext": ("Ext algebra H((BA)^∨)", cmd_ext, True,
+                (("--algebra", {"required": True}),)),
+        "duality-check": (
+            "level duality intervals for a Koszul pair", cmd_duality_check,
+            False,
+            (("--degrees", {"required": True}),
+             ("--module", {"default": "trivial",
+                           "help": "free | trivial | truncated:<power>, "
+                           "which is K[y1]/(y1^power) with |y1| the first "
+                           "of --degrees; every other degree must be a "
+                           "multiple of it"}),
+             ("--depth", {"type": int}))),
+    }
     p = argparse.ArgumentParser(
         prog="dgkoszul",
         description="Exact DG (co)algebra computations on degree windows")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def with_presentation(sp):
-        sp.add_argument("-p", "--presentation", required=True,
-                        help="presentation JSON file")
+    names = [argv[0]] if argv[:1] and argv[0] in commands else commands
+    sub = p.add_subparsers(dest="command", required=True, metavar=(
+        None if names is commands else "{" + ",".join(commands) + "}"))
+    for name in names:
+        hlp, fn, from_file, options = commands[name]
+        sp = sub.add_parser(name, help=hlp)
+        if from_file:
+            sp.add_argument("-p", "--presentation", required=True,
+                            help="presentation JSON file")
+        else:
+            sp.add_argument("--field", default="F5", help="F<p> or Q")
+            sp.add_argument("--window", default="-16:16", help="LO:HI")
         sp.add_argument("--json", help="write machine report to this path")
-
-    def with_flags(sp):
-        sp.add_argument("--field", default="F5", help="F<p> or Q")
-        sp.add_argument("--window", default="-16:16", help="LO:HI")
-        sp.add_argument("--json", help="write machine report to this path")
-
-    sp = sub.add_parser("validate", help="validate a presentation file")
-    with_presentation(sp)
-    sp.set_defaults(fn=cmd_validate)
-
-    sp = sub.add_parser("homology", help="homology of a named object")
-    with_presentation(sp)
-    sp.add_argument("--object", required=True)
-    sp.add_argument("--degree", type=int)
-    sp.set_defaults(fn=cmd_homology)
-
-    for nm, fn, obj in (("bar", cmd_bar, "algebra"),
-                        ("cobar", cmd_cobar, "coalgebra")):
-        sp = sub.add_parser(nm, help=f"{nm} construction of a named {obj}")
-        with_presentation(sp)
-        sp.add_argument(f"--{obj}", required=True)
+        for flag, kwargs in options:
+            sp.add_argument(flag, **kwargs)
         sp.set_defaults(fn=fn)
-
-    for nm, fn, hlp in (("resolve", cmd_resolve, "resolve a module"),
-                        ("minimize", cmd_minimize, "minimize a module"),
-                        ("level-bound", cmd_level_bound,
-                         "certified level bounds for a module")):
-        sp = sub.add_parser(nm, help=hlp)
-        with_presentation(sp)
-        sp.add_argument("--module", required=True)
-        sp.add_argument("--over", required=True, help="the module's algebra")
-        sp.add_argument("--depth", type=int)
-        sp.set_defaults(fn=fn)
-
-    sp = sub.add_parser("koszul-pair", help="build and validate a pair")
-    with_flags(sp)
-    sp.add_argument("--degrees", required=True, help="comma-separated")
-    sp.set_defaults(fn=cmd_koszul_pair)
-
-    sp = sub.add_parser("koszul-check",
-                        help="τ residual and two-sided quasi-iso")
-    with_flags(sp)
-    sp.add_argument("--degrees", required=True)
-    sp.set_defaults(fn=cmd_koszul_check)
-
-    sp = sub.add_parser("ext", help="Ext algebra H((BA)^∨)")
-    with_presentation(sp)
-    sp.add_argument("--algebra", required=True)
-    sp.set_defaults(fn=cmd_ext)
-
-    sp = sub.add_parser("duality-check",
-                        help="level duality intervals for a Koszul pair")
-    with_flags(sp)
-    sp.add_argument("--degrees", required=True)
-    sp.add_argument("--module", default="trivial",
-                    help="free | trivial | truncated:<power>, which is "
-                    "K[y1]/(y1^power) with |y1| the first of --degrees; "
-                    "every other degree must be a multiple of it")
-    sp.add_argument("--depth", type=int)
-    sp.set_defaults(fn=cmd_duality_check)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.fn(args)
     except CliError as e:

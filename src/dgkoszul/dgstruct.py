@@ -7,15 +7,17 @@ Products and actions are given by rules, ``mult_pair(a, b)`` and
 presets from per-label keys (exponent vectors, words), graded duals from
 the transposed structure maps, table presentations from their explicit
 table.  One monomial builder gives the polynomial, truncated and exterior
-presets their basis and product; the exterior coalgebra splits the product,
-and the truncated module reuses the basis.  Coproducts and coactions are
-rules too, ``comult_label(l)`` and ``coaction_label(l)``: a construction
-that builds a table (the exterior coalgebra; by one ``transpose_rule``, the
-duals of an algebra and of a right module) passes a lookup into it.
-Every axiom stays decidable on the window bases; the validators visit
-only the label pairs and triples whose degrees fit the window (Leibniz
-and associativity only generators' rows, when exact) and evaluate each
-rule once per pair per presentation, modules' checks included.  An algebra is
+presets their basis and a product that adds two integer codes of exponent
+vectors; the exterior coalgebra splits the product, and the truncated
+module reuses the basis.  Coproducts and coactions are rules too,
+``comult_label(l)`` and ``coaction_label(l)``: a construction that builds
+a table (the exterior coalgebra; by one ``transpose_rule``, the duals of
+an algebra and of a right module) passes a lookup into it.  Every axiom
+stays decidable on the window bases; the validators visit only the label
+pairs and triples whose degrees fit the window (Leibniz and associativity
+only generators' rows, when exact), in flat loops that read a product of
+two labels straight from the stored products, and evaluate each rule once
+per pair per presentation, modules' checks included.  An algebra is
 validated as its own right module and a coalgebra as its own right
 comodule, so each axiom loop is written once; ``validate_algebra`` and
 ``validate_coalgebra`` keep only the checks that a (co)module does not
@@ -25,7 +27,6 @@ have, among them the left (co)unit law.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass, field as dc_field
 
@@ -82,13 +83,15 @@ def _sparse_rule(nonzero: dict):
     return rule
 
 
-def degree_compatible(left: GradedSpace, right: GradedSpace, total_ok):
+def degree_compatible(left: GradedSpace, right: GradedSpace, total_ok,
+                      keep=None):
     """The label pairs (l, r) of two spaces whose degree sum s satisfies
-    ``total_ok(s)``, in lexicographic basis order.  The accepted labels r
-    are collected once per degree of l."""
+    ``total_ok(s)``, r in ``keep`` if given, in lexicographic basis order.
+    The accepted labels r are collected once per degree of l."""
     rdegs = right.degrees()
     for n in left.degrees():
-        rs = [r for k in rdegs if total_ok(n + k) for r in right.labels(k)]
+        rs = [r for k in rdegs if total_ok(n + k) for r in right.labels(k)
+              if keep is None or r in keep]
         for l in left.labels(n):
             for r in rs:
                 yield l, r
@@ -239,6 +242,10 @@ def _canonical(f: FieldSpec, v: dict):
     dropped, every coefficient canonical), and one term with coefficient
     ``f.one`` as its label."""
     one = f.one
+    if len(v) == 1:
+        (t, c), = v.items()
+        if c is one:
+            return t
     for c in v.values():
         if c is not one and not (c and f.is_canonical(c)):
             v = {t: s for t, c in v.items() if (s := f.mul(one, c))}
@@ -261,20 +268,13 @@ class _Products(dict):
     def __init__(self, f: FieldSpec, rule):
         self.f, self.rule, self.complete, self.gens = f, rule, True, {}
 
-    def own(self, key):
-        """rule(*key) as the rule gives it, stored on the way, or its
-        stored value, which has the same labels."""
-        v = self.get(key)
-        if v is None:
-            v = self.rule(*key)
-            s = _canonical(self.f, v)
-            if len(v) == (1 if type(s) is str else len(s)):
-                self[key] = s
-            self.complete &= key in self
-        return v
-
     def __missing__(self, key):
-        return _canonical(self.f, self.own(key))
+        v = self.rule(*key)
+        s = _canonical(self.f, v)
+        if len(v) == (1 if type(s) is str else len(s)):
+            self[key] = s
+        self.complete &= key in self
+        return s
 
     def times(self, x, y):
         """x·y for labels or combinations, as stored: a lookup for two
@@ -316,13 +316,73 @@ def _generators(a: DGAlgebra, mult: _Products):
     return gens
 
 
+def _misgraded(m: DGModule, act: _Products):
+    """The first pair (l, x), l a label of m and x of its algebra, whose
+    product is not of degree |l| + |x|, else None: every pair in the
+    window, in ``degree_compatible``'s order, evaluated into ``act`` as
+    ``_Products.__missing__`` does and checked by the rule's own labels
+    (a stored value has them); then every explicit table entry."""
+    sp, asp, right = m.space, m.over.space, m.side == "right"
+    win, adegs, f = sp.window, asp.degrees(), m.field
+    get, rule, deg = act.get, act.rule, sp._deg.get
+    for n in sp.degrees():
+        xs = [(x, n + k) for k in adegs if n + k in win
+              for x in asp.labels(k)]
+        for l in sp.labels(n):
+            for x, s in xs:
+                key = (l, x) if right else (x, l)
+                v = get(key)
+                if v is None:
+                    w = rule(*key)
+                    v = _canonical(f, w)
+                    if len(w) == (1 if type(v) is str else len(v)):
+                        act[key] = v
+                    else:
+                        act.complete, v = False, w
+                for t in (v,) if type(v) is str else v:
+                    if deg(t) != s:
+                        return l, x
+    for k, v in getattr(m.act_pair, "table", {}).items():
+        l, x = k if right else k[::-1]
+        s = sp.deg(l) + asp.deg(x)
+        if any(deg(t) != s for t in ((v,) if type(v) is str else v)):
+            return l, x
+    return None
+
+
+def _associativity(m: DGModule, act: _Products, mult: _Products, gens):
+    """The first failing row of associativity as a violation, else None:
+    per pair (l, x), the first y (in ``gens`` if given) in basis order
+    with (l·x)·y != l·(x·y) (left: (x·y)·l != x·(y·l)).  A product of two
+    labels is read from ``act``, any other is formed by ``times``."""
+    sp, asp, right = m.space, m.over.space, m.side == "right"
+    win, adegs, get, times = sp.window, asp.degrees(), act.get, act.times
+    ys_at = {s: [y for k in adegs if s + k in win for y in asp.labels(k)
+                 if gens is None or y in gens]
+             for s in {n + k for n in sp.degrees() for k in adegs}}
+    for l, x in degree_compatible(sp, asp, ys_at.get):
+        lx = act[l, x] if right else None
+        for y in ys_at[sp._deg[l] + asp._deg[x]]:
+            if right:
+                p = (get((lx, y)) or act[lx, y]) if type(lx) is str else \
+                    times(lx, y)
+                xy = mult[x, y]
+                q = (get((l, xy)) or act[l, xy]) if type(xy) is str else \
+                    times(l, xy)
+            else:
+                p, q = times(mult[x, y], l), times(x, act[y, l])
+            if p != q:
+                return f"associativity fails at ({l!r}, {x!r}, {y!r})"
+    return None
+
+
 def validate_module(m: DGModule, table=None) -> ValidationReport:
     """Window validation: d^2 = 0, the grading of the action (and of every
-    explicit table entry), the unit law on the module's side, Leibniz and
-    associativity.  ``validate_algebra`` runs it on the algebra as a right
-    module over itself.  Each rule is evaluated once per pair per
-    presentation (``table``, see ``_memo``): the grading check evaluates
-    each pair, every later product is a lookup.
+    explicit table entry, ``_misgraded``), the unit law on the module's
+    side, Leibniz and associativity.  ``validate_algebra`` runs it on the
+    algebra as a right module over itself.  Each rule is evaluated once
+    per pair per presentation (``table``, see ``_memo``): the grading
+    check evaluates each pair, every later product is a lookup.
 
     Light's test (products and d out of the window are zero): once A is
     associative the y with all rows (l·x)·y = l·(x·y) form a subalgebra,
@@ -349,16 +409,8 @@ def validate_module(m: DGModule, table=None) -> ValidationReport:
     win = sp.window
     act = _memo(table, f, m.act_pair)
     mult = _memo(table, f, alg.mult_pair)
-    keys = ((l, x) if right else (x, l)
-            for l, x in degree_compatible(sp, asp, win.__contains__))
-    for k, v in itertools.chain(((k, act.own(k)) for k in keys),
-                                getattr(m.act_pair, "table", {}).items()):
-        l, x = k if right else k[::-1]
-        n = sp.deg(l) + asp.deg(x)
-        if not all(t in sp and sp.deg(t) == n
-                   for t in ((v,) if type(v) is str else v)):
-            rep.fail(f"product not of degree |x|+|y| at ({l!r}, {x!r})")
-            break
+    if bad := _misgraded(m, act):
+        rep.fail("product not of degree |x|+|y| at (%r, %r)" % bad)
     for l in sp:
         if act[(l, alg.unit) if right else (alg.unit, l)] != l:
             rep.fail(f"{m.side} unit law fails at {l!r}")
@@ -369,8 +421,8 @@ def validate_module(m: DGModule, table=None) -> ValidationReport:
     da = {x: _canonical(f, alg.carrier.d(x)) for x in asp}
 
     def leibniz(gens):  # the first failing pair, x in gens if given
-        pairs = degree_compatible(sp, asp, lambda s: s in win and s + 1 in win)
-        for l, x in (k for k in pairs if gens is None or k[1] in gens):
+        for l, x in degree_compatible(
+                sp, asp, lambda s: s in win and s + 1 in win, gens):
             p, q, dp, dq, n = (l, x, dm[l], da[x], sp.deg(l)) if right else \
                 (x, l, da[x], dm[l], asp.deg(x))
             rhs = vec_iadd(f, dict(_combo(f, act.times(dp, q))),
@@ -378,30 +430,13 @@ def validate_module(m: DGModule, table=None) -> ValidationReport:
                            _combo(f, act.times(p, dq)))
             if d(act[p, q]) != rhs:
                 return f"Leibniz fails at ({l!r}, {x!r})"
-    adegs, times = asp.degrees(), act.times
-
-    def associativity(gens):
-        # a row per pair (l, x), to its first failing y (in gens if given)
-        ys_at = {s: [y for k in adegs if s + k in win for y in asp.labels(k)
-                     if gens is None or y in gens]
-                 for s in {n + k for n in sp.degrees() for k in adegs}}
-        for l, x in degree_compatible(sp, asp, ys_at.get):
-            ys = ys_at[sp.deg(l) + asp.deg(x)]
-            if right:
-                lx = act[l, x]
-                bad = next((y for y in ys
-                            if times(lx, y) != times(l, mult[x, y])), None)
-            else:
-                bad = next((y for y in ys
-                            if times(mult[x, y], l) != times(x, act[y, l])),
-                           None)
-            if bad is not None:
-                return f"associativity fails at ({l!r}, {x!r}, {bad!r})"
     own = right and act is mult and sp is asp     # free_module(alg)
     gens = None if not (rep.ok and act.complete) else \
         _generators(alg, mult) if own else mult.gens.get(alg)
-    if gens is None or associativity(gens) or leibniz(gens | {alg.unit}):
-        for msg in filter(None, (leibniz(None), associativity(None))):
+    if gens is None or _associativity(m, act, mult, gens) or \
+            leibniz(gens | {alg.unit}):
+        for msg in filter(None, (leibniz(None),
+                                 _associativity(m, act, mult, None))):
             rep.fail(msg)
     if own and rep.ok:
         mult.gens[alg] = gens
@@ -790,14 +825,21 @@ def _monomials(field: FieldSpec, window: DegreeWindow, gens: list,
     sp = GradedSpace(field, window, basis, bounds=bounds)
     exps = {l: v for v, l in label.items()}
     one, minus = field.one, field.from_int(-1)
+    # x^a as the base-B number with digits a: B exceeds any sum of two
+    # exponents, so a sum of two codes is the code of a + b, no carry
+    base = 2 * max((e for v in label for e in v), default=0) + 1
+    code = {l: sum(e * base ** i for i, e in enumerate(v))
+            for v, l in label.items()}
+    of_code = {c: l for l, c in code.items()}
 
     def mult_pair(x: str, y: str) -> dict:
-        a, b = exps[x], exps[y]
-        t = label.get(tuple(map(operator.add, a, b)))
+        t = of_code.get(code[x] + code[y])
         if t is None:
             return {}
-        if odd and sum(a[i] * b[j] for i in odd for j in odd if j < i) % 2:
-            return {t: minus}
+        if odd:
+            a, b = exps[x], exps[y]
+            if sum(a[i] * b[j] for i in odd for j in odd if j < i) % 2:
+                return {t: minus}
         return {t: one}
 
     return Complex(sp, GradedMap.zero(sp, sp, 1)), label, mult_pair

@@ -212,13 +212,6 @@ class GradedMap:
                 cols.pop(l, None)
         return GradedMap(self.source, self.target, self.shift, cols)
 
-    def scale(self, c) -> "GradedMap":
-        f = self.target.field
-        if f.is_zero(c):
-            return GradedMap.zero(self.source, self.target, self.shift)
-        return GradedMap(self.source, self.target, self.shift,
-                         {l: vec_scale(f, c, combo) for l, combo in self.cols.items()})
-
     def __eq__(self, other):
         return (
             isinstance(other, GradedMap)

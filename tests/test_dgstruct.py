@@ -3,6 +3,7 @@ twisting cochains, primitive filtrations."""
 
 import pytest
 
+from dgkoszul.exactlinalg import vec_scale
 from dgkoszul.gradedcomplex import (
     Complex,
     DegreeWindow,
@@ -192,7 +193,10 @@ def test_twisting_cochain_bad_residual_caught(F5, window):
     t = canonical_tau(a, window)
     # scaling τ breaks the balance between the linear part (against the
     # bar differential) and the quadratic Maurer-Cartan term
-    bad = TwistingCochain(t.source, t.target, t.map.scale(F5.from_int(2)))
+    m = t.map
+    bad = TwistingCochain(t.source, t.target, GradedMap(
+        m.source, m.target, m.shift,
+        {l: vec_scale(F5, F5.from_int(2), v) for l, v in m.cols.items()}))
     assert not validate_twisting_cochain(bad).ok
 
 

@@ -19,7 +19,14 @@ from dgkoszul.dgstruct import (
     validate_coalgebra,
     validate_module,
 )
-from dgkoszul.gradedcomplex import DegreeWindow, cone, homology, is_chain_map
+from dgkoszul.exactlinalg import vec_scale
+from dgkoszul.gradedcomplex import (
+    DegreeWindow,
+    GradedMap,
+    cone,
+    homology,
+    is_chain_map,
+)
 from dgkoszul.level import cert_from_resolution, cert_validate
 from dgkoszul.resolve import (
     class_of,
@@ -67,7 +74,10 @@ def test_shared_columns_and_rules_unchanged(F5):
         homology_by_degree(cx)
     assert is_chain_map(eps, rcx, k.carrier)[0]
     cone(eps, rcx, k.carrier)
-    assert eps.add(eps.scale(F5.from_int(-1))).cols == {}
+    minus_eps = GradedMap(eps.source, eps.target, eps.shift,
+                          {l: vec_scale(F5, F5.from_int(-1), v)
+                           for l, v in eps.cols.items()})
+    assert eps.add(minus_eps).cols == {}
     # the level-bound pipeline
     derived_fiber(r)
     is_free_over_homology(k)

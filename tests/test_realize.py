@@ -27,7 +27,7 @@ from dgkoszul.dgstruct import (
     trivial_module,
     truncated_module,
 )
-from dgkoszul.exactlinalg import FieldSpec, vec_iadd
+from dgkoszul.exactlinalg import FieldSpec, vec_iadd, vec_scale
 from dgkoszul.gradedcomplex import (
     Complex,
     DegreeWindow,
@@ -426,7 +426,10 @@ def chain_maps(draw):
     h = GradedMap(src.space, tgt.space, -1, hcols)
     fmap = tgt.differential.compose(h).add(h.compose(src.differential))
     if tgt is src:
-        fmap = fmap.add(GradedMap.identity(src.space).scale(draw(coeff)))
+        c = draw(coeff)
+        fmap = fmap.add(GradedMap(src.space, src.space, 0, {
+            l: v for l, col in GradedMap.identity(src.space).cols.items()
+            if (v := vec_scale(fld, c, col))}))
     return fmap, src, tgt
 
 

@@ -12,7 +12,6 @@ and must still report what the loops over every label report.
 import itertools
 import json
 import operator
-import sys
 import weakref
 
 import pytest
@@ -33,8 +32,10 @@ from dgkoszul.barcobar import (
 from dgkoszul.dgstruct import (
     DGAlgebra,
     DGModule,
+    ValidationReport,
     comodule_over_self,
     comodule_to_module_F,
+    degree_compatible,
     dual_label,
     exterior_algebra,
     exterior_coalgebra,
@@ -55,7 +56,7 @@ from dgkoszul.dgstruct import (
     validate_comodule,
     validate_module,
 )
-from dgkoszul.exactlinalg import FieldSpec, vec_iadd
+from dgkoszul.exactlinalg import FieldSpec, bilinear, span_echelon, vec_iadd
 from dgkoszul.gradedcomplex import (
     NEG_INF,
     POS_INF,
@@ -593,7 +594,8 @@ def ref_exhaustive_validate_module(m, table=None):
     keys = ((l, x) if right else (x, l)
             for l, x in dgstruct.degree_compatible(sp, asp,
                                                    win.__contains__))
-    for k, v in itertools.chain(((k, act.own(k)) for k in keys),
+    for k, v in itertools.chain(((k, ParentProducts.own(act, k))
+                                 for k in keys),
                                 getattr(m.act_pair, "table", {}).items()):
         l, x = k if right else k[::-1]
         n = sp.deg(l) + asp.deg(x)
@@ -624,6 +626,16 @@ def ref_exhaustive_validate_module(m, table=None):
         if lhs != rhs:
             rep.fail(f"Leibniz fails at ({l!r}, {x!r})")
             break
+    if bad := ref_associativity(m, act, mult):
+        rep.fail(bad)
+    return rep
+
+
+def ref_associativity(m, act, mult):
+    """The exhaustive associativity rows of ``ref_exhaustive_validate_module``:
+    the first failing triple as a violation, else None."""
+    sp, asp, win = m.space, m.over.space, m.space.window
+    right = m.side == "right"
     adegs = asp.degrees()
     ys_at = {s: [y for k in adegs if s + k in win for y in asp.labels(k)]
              for s in {n + k for n in sp.degrees() for k in adegs}}
@@ -639,9 +651,8 @@ def ref_exhaustive_validate_module(m, table=None):
                         if times(mult[x, y], l) != times(x, act[y, l])),
                        None)
         if bad is not None:
-            rep.fail(f"associativity fails at ({l!r}, {x!r}, {bad!r})")
-            return rep
-    return rep
+            return f"associativity fails at ({l!r}, {x!r}, {bad!r})"
+    return None
 
 
 def ref_exhaustive_validate_algebra(a, table=None):
@@ -1216,37 +1227,53 @@ def test_associativity_compares_at_generators_only(monkeypatch, tmp_path):
     comparisons (l·x)·y = l·(x·y), one per pair with |l| + |x| <= 14 and
     y in G, where every y made 24,310, one per triple of degree <= 16.
     K3's makes 360 instead of 3,003.  No rule is evaluated twice (see
-    ``test_validation_evaluates_each_pair_once``)."""
+    ``test_validation_evaluates_each_pair_once``).
+
+    A comparison reads each of its two sides once: a product of two
+    labels by one ``get`` from the stored products, any other by one
+    ``times``.  So the ``get`` and ``times`` calls made while an
+    associativity check runs count two per comparison."""
     doc = {"field": "Q", "window": [-16, 16],
            "algebras": {"S3": {"kind": "polynomial", "generators": [
                ["y1", 2], ["y2", 2], ["y3", 2]]}},
            "modules": {"K3": {"kind": "trivial", "over": "S3"}}}
     path = tmp_path / "s3.json"
     path.write_text(json.dumps(doc))
-    calls = [0]
-    times = dgstruct._Products.times
+    reads, checking = [0], [False]
 
-    def counting(self, x, y):
-        # two products per comparison, both made in the generator
-        # expression of an associativity row
-        row, loop = sys._getframe(1).f_code, sys._getframe(2).f_code
-        if row.co_name == "<genexpr>" and loop.co_name in (
-                "associativity", "ref_exhaustive_validate_module"):
-            calls[0] += 1
-        return times(self, x, y)
+    def counted_read(read):
+        def run(self, *args):
+            reads[0] += checking[0]
+            return read(self, *args)
+        return run
+
+    def checked(associativity):
+        def run(*args):
+            checking[0] = True
+            try:
+                return associativity(*args)
+            finally:
+                checking[0] = False
+        return run
 
     comparisons, tables = [], []
 
     def spy(validate):
         def run(obj, table):
-            before = calls[0]
+            before = reads[0]
             try:
                 return validate(obj, table)
             finally:
-                comparisons.append((calls[0] - before) // 2)
+                comparisons.append((reads[0] - before) // 2)
                 tables.append(table)
         return run
-    monkeypatch.setattr(dgstruct._Products, "times", counting)
+    monkeypatch.setattr(dgstruct._Products, "get", counted_read(dict.get))
+    monkeypatch.setattr(dgstruct._Products, "times",
+                        counted_read(dgstruct._Products.times))
+    monkeypatch.setattr(dgstruct, "_associativity",
+                        checked(dgstruct._associativity))
+    monkeypatch.setitem(globals(), "ref_associativity",
+                        checked(ref_associativity))
     monkeypatch.setattr(cli, "validate_algebra", spy(cli.validate_algebra))
     monkeypatch.setattr(cli, "validate_module", spy(cli.validate_module))
     store = cli.parse_presentation(str(path))
@@ -1259,6 +1286,7 @@ def test_associativity_compares_at_generators_only(monkeypatch, tmp_path):
                            store.modules["K3"])):
         spy(validate)(obj, {})
     assert comparisons[2:] == [24310, 3003]
+    assert reads[0] == 2 * sum(comparisons)
 
 
 def test_leibniz_reads_one_term_differentials_as_labels(monkeypatch):
@@ -1330,6 +1358,370 @@ def test_product_table_lives_for_one_parse(tmp_path, monkeypatch):
     assert len(before) == 5
     for obj, attrs, rule, rule_attrs in before:
         assert set(vars(obj)) == attrs and set(vars(rule)) == rule_attrs
+
+
+# -------------------------------------------------------------------------
+# the flat validation loops and the integer-coded monomial rule report
+# what the generator chains and the exponent-tuple rule before them did
+# -------------------------------------------------------------------------
+
+def parent_canonical(f: FieldSpec, v: dict):
+    """v in the canonical form ``bilinear`` gives it (zero coefficients
+    dropped, every coefficient canonical), and one term with coefficient
+    ``f.one`` as its label."""
+    one = f.one
+    for c in v.values():
+        if c is not one and not (c and f.is_canonical(c)):
+            v = {t: s for t, c in v.items() if (s := f.mul(one, c))}
+            break
+    return next(iter(v)) if len(v) == 1 and one in v.values() else v
+
+
+class ParentProducts(dict):
+    """The pair products of one rule, {(a, b): value}, each evaluated on
+    its first lookup and stored in ``parent_canonical`` form.  A rule that
+    raises (a table gap) stores nothing and raises again at the next
+    lookup, as does a value with a zero coefficient (``complete`` is then
+    False); ``gens`` maps an algebra that passed to its generators."""
+
+    def __init__(self, f: FieldSpec, rule):
+        self.f, self.rule, self.complete, self.gens = f, rule, True, {}
+
+    def own(self, key):
+        """rule(*key) as the rule gives it, stored on the way, or its
+        stored value, which has the same labels."""
+        v = self.get(key)
+        if v is None:
+            v = self.rule(*key)
+            s = parent_canonical(self.f, v)
+            if len(v) == (1 if type(s) is str else len(s)):
+                self[key] = s
+            self.complete &= key in self
+        return v
+
+    def __missing__(self, key):
+        return parent_canonical(self.f, self.own(key))
+
+    def times(self, x, y):
+        """x·y for labels or combinations, as stored: a lookup for two
+        labels, else ``bilinear`` over the stored values."""
+        if type(x) is str and type(y) is str:
+            return self[x, y]
+        if x == {} or y == {}:
+            return {}
+        return parent_canonical(self.f, bilinear(
+            self.f, lambda a, b: dgstruct._combo(self.f, self[a, b]),
+            dgstruct._combo(self.f, x), dgstruct._combo(self.f, y)))
+
+
+def parent_memo(table: dict, f: FieldSpec, rule) -> ParentProducts:
+    """The products of ``rule`` in ``table`` {rule: ParentProducts}, which a
+    presentation shares among its validations: once per pair per
+    presentation."""
+    return table.setdefault(rule, ParentProducts(f, rule))
+
+
+def parent_generators(a: DGAlgebra, mult: ParentProducts):
+    """Labels generating a connected a of one polarity, else None: in each
+    degree, those the ``span_echelon`` of stored products misses."""
+    sp, u, degs = a.space, a.unit, a.space.degrees()
+    if sp.labels(0) != (u,) or degs[0 if a.polarity == "non-negative" else -1]:
+        return None
+    top, gens, rest = max(map(abs, degs)), set(a.aug_ideal_labels()), {}
+    for (x, y), v in mult.items():
+        if v and x != u != y and abs(n := sp.deg(x) + sp.deg(y)) <= top:
+            if type(v) is str:          # a one-term value reaches its label
+                gens.discard(v)
+            else:
+                rest.setdefault(n, []).append(v)
+    for n, vs in rest.items():      # the others, less the labels reached
+        rows = [sp.to_coords({t: c for t, c in v.items() if t in gens}, n)
+                for v in vs]
+        gens -= {sp.labels(n)[i]
+                 for i in span_echelon(a.field, rows, sp.dim(n))}
+    return gens
+
+
+def parent_validate_module(m: DGModule, table=None) -> ValidationReport:
+    """Window validation: d^2 = 0, the grading of the action (and of every
+    explicit table entry), the unit law on the module's side, Leibniz and
+    associativity.  ``parent_validate_algebra`` runs it on the algebra as a right
+    module over itself.  Each rule is evaluated once per pair per
+    presentation (``table``, see ``parent_memo``): the grading check evaluates
+    each pair, every later product is a lookup.
+
+    Light's test (products and d out of the window are zero): once A is
+    associative the y with all rows (l·x)·y = l·(x·y) form a subalgebra,
+    (l·x)·(yz) = ((l·x)·y)·z = (l·(xy))·z = l·((xy)·z) = l·(x·(yz)) (for
+    M = A, z's row at l = x), as do the middle letters of (x·y)·l.  So do
+    the x with Leibniz at each checked pair (l, x) (both degrees in the
+    window): d(l·xy) = d((l·x)·y) needs the pairs (l·x, y) and (l, x),
+    checked as |l·x| and |l·x| + 1 lie between |l| and |l·xy| + 1 for x, y
+    of one sign (either polarity), and d(xy) in A, a checked pair or zero
+    at the window top.  So both run at G = ``parent_generators`` (Leibniz also
+    at 1) when the checks above passed, every product is stored, and
+    M = A or A's own check passed in this table (which records G); else,
+    or if one fails, at every label: the exhaustive report."""
+    rep = ValidationReport(True)
+    f = m.field
+    table = {} if table is None else table
+    alg = m.over
+    sp = m.space
+    dsq = check_d_squared(m.carrier)
+    if not dsq:
+        rep.fail(f"d^2 != 0 at degree {dsq.degree}, label {dsq.label!r}")
+    asp = alg.space
+    right = m.side == "right"
+    win = sp.window
+    act = parent_memo(table, f, m.act_pair)
+    mult = parent_memo(table, f, alg.mult_pair)
+    keys = ((l, x) if right else (x, l)
+            for l, x in degree_compatible(sp, asp, win.__contains__))
+    for k, v in itertools.chain(((k, act.own(k)) for k in keys),
+                                getattr(m.act_pair, "table", {}).items()):
+        l, x = k if right else k[::-1]
+        n = sp.deg(l) + asp.deg(x)
+        if not all(t in sp and sp.deg(t) == n
+                   for t in ((v,) if type(v) is str else v)):
+            rep.fail(f"product not of degree |x|+|y| at ({l!r}, {x!r})")
+            break
+    for l in sp:
+        if act[(l, alg.unit) if right else (alg.unit, l)] != l:
+            rep.fail(f"{m.side} unit law fails at {l!r}")
+            break
+    d = m.carrier.d
+    # d of each label in canonical form, so a one-term value is a lookup
+    dm = {l: parent_canonical(f, d(l)) for l in sp}
+    da = {x: parent_canonical(f, alg.carrier.d(x)) for x in asp}
+
+    def leibniz(gens):  # the first failing pair, x in gens if given
+        pairs = degree_compatible(sp, asp, lambda s: s in win and s + 1 in win)
+        for l, x in (k for k in pairs if gens is None or k[1] in gens):
+            p, q, dp, dq, n = (l, x, dm[l], da[x], sp.deg(l)) if right else \
+                (x, l, da[x], dm[l], asp.deg(x))
+            rhs = vec_iadd(f, dict(dgstruct._combo(f, act.times(dp, q))),
+                           f.from_int(-1 if n % 2 else 1),
+                           dgstruct._combo(f, act.times(p, dq)))
+            if d(act[p, q]) != rhs:
+                return f"Leibniz fails at ({l!r}, {x!r})"
+    adegs, times = asp.degrees(), act.times
+
+    def associativity(gens):
+        # a row per pair (l, x), to its first failing y (in gens if given)
+        ys_at = {s: [y for k in adegs if s + k in win for y in asp.labels(k)
+                     if gens is None or y in gens]
+                 for s in {n + k for n in sp.degrees() for k in adegs}}
+        for l, x in degree_compatible(sp, asp, ys_at.get):
+            ys = ys_at[sp.deg(l) + asp.deg(x)]
+            if right:
+                lx = act[l, x]
+                bad = next((y for y in ys
+                            if times(lx, y) != times(l, mult[x, y])), None)
+            else:
+                bad = next((y for y in ys
+                            if times(mult[x, y], l) != times(x, act[y, l])),
+                           None)
+            if bad is not None:
+                return f"associativity fails at ({l!r}, {x!r}, {bad!r})"
+    own = right and act is mult and sp is asp     # free_module(alg)
+    gens = None if not (rep.ok and act.complete) else \
+        parent_generators(alg, mult) if own else mult.gens.get(alg)
+    if gens is None or associativity(gens) or leibniz(gens | {alg.unit}):
+        for msg in filter(None, (leibniz(None), associativity(None))):
+            rep.fail(msg)
+    if own and rep.ok:
+        mult.gens[alg] = gens
+    return rep
+
+
+def parent_validate_algebra(a: DGAlgebra, table=None) -> ValidationReport:
+    """Window validation.  The regular module ``free_module(a)`` checks
+    d^2 = 0, the grading of products, the right unit law, Leibniz and
+    associativity (see ``parent_validate_module``); this adds the unit, polarity
+    and connectivity flags, d(unit) = 0, the left unit law and the
+    augmentation.  ``table`` is the presentation's table (``parent_memo``)."""
+    rep = ValidationReport(True)
+    sp = a.space
+    f = a.field
+    degs = sp.degrees()
+    if a.unit not in sp or sp.deg(a.unit) != 0:
+        rep.fail("unit missing or not in degree 0")
+        return rep
+    if end := degs[0 if a.polarity == "non-negative" else -1]:
+        rep.fail(f"polarity {a.polarity} but basis in degree {end}")
+    if sp.labels(0) != (a.unit,):
+        rep.fail("not connected: degree 0 is not spanned by the unit")
+    if a.simply_connected:
+        bad = 1 if a.polarity == "non-negative" else -1
+        if sp.dim(bad):
+            rep.fail(f"simply_connected flag but basis in degree {bad}")
+    table = {} if table is None else table
+    for v in parent_validate_module(free_module(a), table).violations:
+        rep.fail(v)
+    if a.carrier.d(a.unit):
+        rep.fail("d(unit) != 0")
+    mult = parent_memo(table, f, a.mult_pair)
+    for l in sp:
+        if mult[a.unit, l] != l:
+            rep.fail(f"left unit law fails at {l!r}")
+            break
+    # augmentation is a DG algebra map: vanishes on d-images and on
+    # products of augmentation-ideal elements (automatic when graded,
+    # checked cheaply anyway)
+    for l in sp:
+        if not f.is_zero(a.augmentation(a.carrier.d(l))):
+            rep.fail(f"augmentation not a chain map at {l!r}")
+            break
+    return rep
+
+
+def parent_monomial_rule(field, gens, label):
+    """The monomial product of ``_monomials`` by exponent tuples, as it
+    was before exponent vectors were coded as integers."""
+    odd = [i for i, g in enumerate(gens) if g[1] % 2]
+    exps = {l: v for v, l in label.items()}
+    one, minus = field.one, field.from_int(-1)
+
+    def mult_pair(x: str, y: str) -> dict:
+        a, b = exps[x], exps[y]
+        t = label.get(tuple(map(operator.add, a, b)))
+        if t is None:
+            return {}
+        if odd and sum(a[i] * b[j] for i in odd for j in odd if j < i) % 2:
+            return {t: minus}
+        return {t: one}
+
+    return mult_pair
+
+
+def validation_outcome(validate, obj, table):
+    """The report's ok and violations, or the type and message of what the
+    validation raised; and the stored products, ``complete`` and ``gens``
+    of every rule in ``table`` afterwards."""
+    try:
+        rep = validate(obj, table)
+        result = (rep.ok, rep.violations)
+    except Exception as e:
+        result = (type(e).__name__, str(e))
+    return result, [(dict(p), p.complete, p.gens) for p in table.values()]
+
+
+def misgrade(table, space, order, degree, data):
+    """table with one or two products of the wrong degree, the first among
+    the last quarter of ``order`` (its keys in check order): each becomes
+    a label of ``space`` in another degree or a label outside it, or
+    gains such a label with coefficient zero.  It may also gain an entry
+    for a pair whose degree is outside the window, checked only as an
+    explicit table entry."""
+    f, table = space.field, dict(table)
+    keys = [k for k in order if k in table]
+    outside = [k for k in itertools.product({k[0] for k in order},
+                                            {k[1] for k in order})
+               if degree(*k) not in space.window]
+    picked = []
+    if not outside or data.draw(st.booleans()):
+        picked.append(data.draw(st.sampled_from(keys[len(keys) * 3 // 4:])))
+        if data.draw(st.booleans()):
+            picked.append(data.draw(st.sampled_from(keys)))
+    if outside and (not picked or data.draw(st.booleans())):
+        picked.append(data.draw(st.sampled_from(outside)))
+    for k in picked:
+        wrong = data.draw(st.sampled_from(
+            [l for l in space if space.deg(l) != degree(*k)] + ["zz"]))
+        table[k] = {**table[k], wrong: f.zero} if k in table and \
+            data.draw(st.booleans()) else {wrong: f.one}
+    return table
+
+
+def check_order(msp, asp, side):
+    """The keys of a module's action table in the grading check's order."""
+    return [(l, x) if side == "right" else (x, l) for l, x in
+            dgstruct.degree_compatible(msp, asp, msp.window.__contains__)]
+
+
+FLAT_PLANTS = ["none", "grading", "grading", "product", "late-product", "d",
+               "unit+product", "gap", "coefficient"]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(field_st, st.sampled_from(dgstruct.POLARITIES), st.data())
+def test_flat_validation_reports_what_the_chained_one_did(f, polarity, data):
+    """Random DG table algebras, both polarities, and left and right
+    modules over them, with planted faults (one late misgraded product or
+    two, a unit law, Leibniz, associativity, a zero coefficient, a table
+    gap): the validators give the report, or raise the error, that the
+    parent's validators give, and leave the same products, ``complete``
+    and ``gens`` in the table, alone and with the algebra's table."""
+    coeff = st.integers(0, 3).map(f.from_int)
+    x_deg = data.draw(st.sampled_from(
+        [1, 3] if polarity == "non-negative" else [3, 5]))
+    cx, table = koszul_dga(
+        f, polarity, x_deg, data.draw(st.booleans()),
+        data.draw(st.integers(x_deg + 3, 10)),
+        itertools.cycle(data.draw(st.lists(coeff, min_size=1,
+                                           max_size=40))))
+    sp = cx.space
+
+    def degree(*key):
+        return sum(sp.deg(l) if l in sp else msp.deg(l) for l in key)
+
+    shared: dict = {}
+    a0 = DGAlgebra.from_table(cx, "1", table, polarity)
+    assert validate_algebra(a0, shared).ok
+    late = {l for l in sp if l != "1"} - shared[a0.mult_pair].gens[a0]
+    kind = data.draw(st.sampled_from(FLAT_PLANTS))
+    msp = sp
+    if kind == "grading":
+        broken, bcx = misgrade(table, sp, check_order(sp, sp, "right"),
+                               degree, data), cx
+    else:
+        broken, bcx = plant(f, table, cx, degree, "1", kind, data, late)
+    a = DGAlgebra.from_table(bcx, "1", broken, polarity)
+    tables = ({}, {})
+    assert validation_outcome(validate_algebra, a, tables[0]) == \
+        validation_outcome(parent_validate_algebra, a, tables[1])
+
+    side = data.draw(st.sampled_from(["right", "left"]))
+    action = data.draw(st.sampled_from([None, table, broken]))
+    m = trivial_table_module(a, side) if action is None else \
+        regular_table_module(a, action, side)
+    msp = m.space
+    mkind = data.draw(st.sampled_from(["none", "grading", "product", "gap",
+                                       "unit+product", "coefficient"]))
+    if mkind == "grading":
+        act = misgrade(m.act_pair.table, msp, check_order(msp, sp, side),
+                       degree, data)
+    else:
+        act, _ = plant(f, m.act_pair.table, m.carrier, degree, "1", mkind,
+                       data)
+    m = DGModule.from_table(m.carrier, a, act, side=side)
+    for new, old in (tables, ({}, {})):
+        assert validation_outcome(validate_module, m, new) == \
+            validation_outcome(parent_validate_module, m, old)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(field_st, st.data())
+def test_integer_coded_monomial_rule_matches_tuple_rule(f, data):
+    """On every label pair of random monomial bases, even generators with
+    or without a cap and odd ones of either sign: products past a cap,
+    past the window top, with odd signs, are what the exponent-tuple rule
+    gave."""
+    gens, caps = [], []
+    for i in range(data.draw(st.integers(0, 4))):
+        d = data.draw(st.sampled_from([-5, -3, -1, 1, 3, 2, 4, 6]))
+        gens.append((f"g{i}", d))
+        caps.append(1 if d % 2 else
+                    data.draw(st.sampled_from([None, 1, 2, 3])))
+    lo = sum(d for _, d in gens if d < 0)
+    w = DegreeWindow(lo, data.draw(st.integers(0, 12)))
+    _, label, rule = dgstruct._monomials(f, w, gens, caps,
+                                         (NEG_INF, POS_INF))
+    old = parent_monomial_rule(f, gens, label)
+    for x, y in itertools.product(label.values(), repeat=2):
+        assert rule(x, y) == old(x, y)
 
 
 # -------------------------------------------------------------------------
