@@ -1,6 +1,5 @@
 """Bar and cobar constructions, canonical twisting cochains, twisted
-tensor products, the two-sided resolution check and the bar-cobar
-dualization check.
+tensor products and the two-sided resolution check.
 
 Bar and cobar share one word-complex builder, ``_word_complex``, and
 differ only in the quadratic part of the differential: bar merges two
@@ -26,8 +25,6 @@ from dgkoszul.gradedcomplex import (
     POS_INF,
     is_chain_map,
     is_quasi_iso,
-    restrict_complex,
-    solve_diagonal_chain_iso,
 )
 from dgkoszul.dgstruct import (
     DGAlgebra,
@@ -35,11 +32,7 @@ from dgkoszul.dgstruct import (
     DGComodule,
     DGModule,
     TwistingCochain,
-    dual_complex,
-    dual_label,
     free_module,
-    graded_dual_algebra,
-    transpose_rule,
 )
 
 
@@ -184,15 +177,10 @@ def _word_complex(carrier: Complex, shift: int, window: DegreeWindow | None,
 # bar construction
 # -------------------------------------------------------------------------
 
-def bar(a: DGAlgebra, window: DegreeWindow | None = None,
-        m: DGModule | None = None):
+def bar(a: DGAlgebra, window: DegreeWindow | None = None) -> DGCoalgebra:
     """Reduced bar construction B(a) as a DG coalgebra under
-    deconcatenation; with ``m`` given, returns B(m;a) = m ⊗_τ B(a) as a
-    comodule over B(a) instead."""
-    if m is not None:
-        b = bar(a, window)
-        tau = canonical_tau(a, barc=b)
-        return twisted_tensor_right(m, tau, window)
+    deconcatenation.  B(m;a) = m ⊗_τ B(a) is
+    ``twisted_tensor_right(m, canonical_tau(a, barc=B(a)))``."""
     f = a.field
 
     def merge(x, y):
@@ -240,16 +228,11 @@ def canonical_tau(a: DGAlgebra, window: DegreeWindow | None = None,
 # cobar construction
 # -------------------------------------------------------------------------
 
-def cobar(c: DGCoalgebra, window: DegreeWindow | None = None,
-          n: DGComodule | None = None):
+def cobar(c: DGCoalgebra, window: DegreeWindow | None = None) -> DGAlgebra:
     """Cobar construction Ω(c): tensor algebra on the desuspended
     coaugmentation cokernel, differential from d_C and the reduced
-    coproduct.  With ``n`` given, returns Ω(n;c) = n ⊗_τ₀ Ω(c) as a
-    module over Ω(c) instead."""
-    if n is not None:
-        om = cobar(c, window)
-        tau0 = canonical_tau0(c, cobarc=om)
-        return twisted_tensor_left(n, tau0, window)
+    coproduct.  Ω(n;c) = n ⊗_τ₀ Ω(c) is
+    ``twisted_tensor_left(n, canonical_tau0(c, cobarc=Ω(c)))``."""
     sp = c.space
     f = c.field
     # -(-1)^{deg c'} <c'><c''>, once per letter
@@ -473,58 +456,3 @@ def two_sided_check(a: DGAlgebra, c: DGCoalgebra, t: TwistingCochain,
         and any(v is True for v in verdicts.values())
     return {"ok": ok, "chain_map": chain_ok, "by_degree": verdicts,
             "window": (full.space.window.lo, full.space.window.hi)}
-
-
-def _dual_module_comodule(m: DGModule) -> DGComodule:
-    """m^∨ as a right comodule over A^∨: the transposed right action,
-    under the pairing <m*⊗a*, m⊗a> = (-1)^{|a*||m|}."""
-    if m.side != "right":
-        raise StructureError("need a right module")
-    return DGComodule(dual_complex(m.carrier), graded_dual_algebra(m.over),
-                      transpose_rule(m.act_pair, m.space, m.over.space),
-                      name=f"({m.name})^" if m.name else "")
-
-
-def bar_cobar_duality_check(m: DGModule,
-                            window: DegreeWindow | None = None) -> dict:
-    """Compares B(m;A)^∨ with Ω(m^∨;A^∨): dimensions per degree and an
-    explicit signed isomorphism identifying dual bar words with cobar
-    words."""
-    a = m.over
-    w = window or m.space.window
-    bm = bar(a, w, m=m)
-    side_b = dual_complex(bm.carrier)
-    nd = _dual_module_comodule(m)
-    cw = DegreeWindow(-w.hi, -w.lo)
-    om = cobar(nd.over, cw, n=nd)
-    side_o = om.carrier
-    common = DegreeWindow(max(side_b.space.window.lo, side_o.space.window.lo),
-                          min(side_b.space.window.hi, side_o.space.window.hi))
-    rb = restrict_complex(side_b, common)
-    ro = restrict_complex(side_o, common)
-    dims_equal = {nn: rb.space.dim(nn) == ro.space.dim(nn)
-                  for nn in range(common.lo, common.hi + 1)}
-
-    def bijection(reverse: bool):
-        table = {}
-        for label in rb.space:
-            inner = label[:-1]  # strip the dual star
-            ml, wl = _split_tensor_label(inner, m.space)
-            entries = bar_word_entries(wl)
-            if reverse:
-                entries = tuple(reversed(entries))
-            cob = cobar_word_label(tuple(dual_label(e) for e in entries))
-            table[label] = tensor_label(dual_label(ml), cob)
-        return table
-
-    iso = None
-    order = None
-    for reverse in (False, True):
-        iso = solve_diagonal_chain_iso(rb, ro, bijection(reverse))
-        if iso is not None:
-            order = "reversed" if reverse else "direct"
-            break
-    ok = all(dims_equal.values()) and iso is not None
-    return {"ok": ok, "dims_equal": dims_equal, "iso_found": iso is not None,
-            "letter_order": order,
-            "window": (common.lo, common.hi)}

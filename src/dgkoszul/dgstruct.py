@@ -1,6 +1,6 @@
 """DG algebras, modules, coalgebras and comodules on named bases; graded
-dualization; the comodule-to-module functor and its dual; the
-cocompleteness filtration; twisting cochain validation.
+dualization; the comodule-to-module functor and its dual; twisting
+cochain validation.
 
 Products and actions are given by rules, ``mult_pair(a, b)`` and
 ``act_pair(m, a)``, that compute the product of two basis labels on demand:
@@ -298,12 +298,12 @@ def _memo(table: dict, f: FieldSpec, rule) -> _Products:
 def _generators(a: DGAlgebra, mult: _Products):
     """Labels generating a connected a of one polarity, else None: in each
     degree, those the ``span_echelon`` of stored products misses."""
-    sp, u, degs = a.space, a.unit, a.space.degrees()
+    sp, u, degs, deg = a.space, a.unit, a.space.degrees(), a.space._deg
     if sp.labels(0) != (u,) or degs[0 if a.polarity == "non-negative" else -1]:
         return None
     top, gens, rest = max(map(abs, degs)), set(a.aug_ideal_labels()), {}
     for (x, y), v in mult.items():
-        if v and x != u != y and abs(n := sp.deg(x) + sp.deg(y)) <= top:
+        if v and x != u != y and abs(n := deg[x] + deg[y]) <= top:
             if type(v) is str:          # a one-term value reaches its label
                 gens.discard(v)
             else:
@@ -529,15 +529,6 @@ class DGComodule:
     def space(self):
         return self.carrier.space
 
-    def reduced_coaction(self, l: str) -> list:
-        """Δ̄_N(x) = Δ_N(x) - x⊗1."""
-        f = self.field
-        acc: dict = {}
-        for m, c, v in self.coaction_label(l):
-            vec_iadd(f, acc, v, {(m, c): f.one})
-        vec_iadd(f, acc, f.from_int(-1), {(l, self.over.coaug): f.one})
-        return [(m, c, v) for (m, c), v in acc.items()]
-
 
 def validate_comodule(n: DGComodule, memo=None) -> ValidationReport:
     """Exhaustive window validation: d^2 = 0, the right counit law,
@@ -639,11 +630,6 @@ def validate_twisting_cochain(t: TwistingCochain) -> ValidationReport:
 
 def dual_label(l: str) -> str:
     return l + "*"
-
-def undual_label(l: str) -> str:
-    if not l.endswith("*"):
-        raise ValueError(f"not a dual label: {l!r}")
-    return l[:-1]
 
 
 def dual_complex(c: Complex) -> Complex:
@@ -760,29 +746,6 @@ def tD(n: DGComodule) -> DGModule:
                      {dual_label(l): f.one})
     return DGModule(dcx, dual_alg, _sparse_rule(action), side="right",
                     name=f"tD({n.name})" if n.name else "")
-
-
-def cocomplete_filtration(n: DGComodule, max_level: int | None = None) -> dict:
-    """Least l with the label killed by the l-fold reduced coaction, or
-    None when not exhausted within the cap."""
-    f = n.field
-    cap = max_level if max_level is not None else max(4, n.space.total_dim() + 2)
-    out = {}
-    for l in n.space:
-        # state: dict (m_label, tuple of c_labels) -> coefficient
-        state = {(l, ()): f.one}
-        level = None
-        for step in range(1, cap + 1):
-            nxt: dict = {}
-            for (m, cs), v in state.items():
-                for m2, c, w in n.reduced_coaction(m):
-                    vec_iadd(f, nxt, v, {(m2, (c,) + cs): w})
-            if not nxt:
-                level = step
-                break
-            state = nxt
-        out[l] = level
-    return out
 
 
 # -------------------------------------------------------------------------

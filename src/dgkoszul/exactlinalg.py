@@ -96,9 +96,6 @@ class FieldSpec:
         r = 1 / Fraction(a)
         return r.numerator if r.denominator == 1 else r
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a) -> bool:
         return not a
 

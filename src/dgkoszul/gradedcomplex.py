@@ -178,10 +178,6 @@ class GradedMap:
     def zero(cls, source, target, shift=0):
         return cls(source, target, shift, {})
 
-    @classmethod
-    def identity(cls, space):
-        return cls(space, space, 0, {l: {l: space.field.one} for l in space})
-
     def apply_label(self, label: str) -> dict:
         return self.cols.get(label, {})
 
@@ -560,54 +556,3 @@ def check_relabelling(phi: dict, a: Complex, b: Complex) -> None:
                 (x := dt.get(phi[s][0])) is None
                 or f.mul(c, x) != f.mul(v, phi[s][1]) for s, v in dl.items())):
             raise StructureError(f"witness is not a chain map at {l!r}")
-
-
-def solve_diagonal_chain_iso(source: Complex, target: Complex,
-                             bijection: dict) -> dict | None:
-    """The witness {l: (bijection[l], c_l)} (see ``check_relabelling``)
-    whose scalars c_l make it a chain map, found by constraint propagation
-    over the differential graph; None when the bijection misses a source
-    label, sends one outside the target or its degree, is not injective,
-    or when the constraints are inconsistent or leave a required
-    coefficient zero.  Used to exhibit signed identifications (dual-bar
-    vs cobar words, a certificate leaf given by a label bijection) without
-    hand-transcribing sign tables."""
-    f = target.field
-    tsp = target.space
-    coeff: dict = {}
-    order = list(source.space)
-    if len(set(bijection.values())) != len(bijection) or any(
-            bijection.get(l) not in tsp
-            or tsp.deg(bijection[l]) != source.space.deg(l) for l in order):
-        return None
-    # undirected constraint graph: c_a * (d T a)_{T b} = (d a)_b * c_b.
-    # Propagation makes the coefficients agree on T(supp d a), and T is
-    # injective: the map is a chain map iff d T a has as many terms as d a.
-    adj: dict = {l: [] for l in order}
-    for a in order:
-        da = source.d(a)
-        dta = target.d(bijection[a])
-        if len(dta) != len(da):
-            return None
-        for b, v in da.items():
-            w = dta.get(bijection[b], f.zero)
-            if f.is_zero(w):
-                return None
-            adj[a].append((b, v, w))
-            adj[b].append((a, w, v))  # reversed relation
-    for seed in order:
-        if seed in coeff:
-            continue
-        coeff[seed] = f.one
-        work = [seed]
-        while work:
-            a = work.pop()
-            for b, v, w in adj[a]:
-                c_b = f.div(f.mul(coeff[a], w), v)
-                if b in coeff:
-                    if coeff[b] != c_b:
-                        return None
-                else:
-                    coeff[b] = c_b
-                    work.append(b)
-    return {l: (bijection[l], coeff[l]) for l in order}

@@ -1,5 +1,5 @@
 """Exterior/polynomial Koszul duality: the pair (SV, ∧ΣV, τ), the
-functors L and R as twisted tensor products, the composite η = F∘R, the
+functor R as a twisted tensor product, the composite η = F∘R, the
 level-duality interval check, Ext-algebra extraction from the dual bar
 construction, and the divided-power / polynomial homology checks.  The
 homology and chain Loewy lengths run one radical series J·L, J²·L, …"""
@@ -39,7 +39,6 @@ from dgkoszul.dgstruct import (
 from dgkoszul.barcobar import (
     bar,
     cobar,
-    twisted_tensor_left,
     twisted_tensor_right,
     two_sided_check,
 )
@@ -85,12 +84,6 @@ def koszul_R(pair: KoszulPair, m: DGModule,
              window: DegreeWindow | None = None) -> DGComodule:
     """R = −⊗_τ ∧ΣV : right SV-modules to right ∧ΣV-comodules."""
     return twisted_tensor_right(m, pair.tau, window)
-
-
-def koszul_L(pair: KoszulPair, n: DGComodule,
-             window: DegreeWindow | None = None) -> DGModule:
-    """L = −⊗_τ SV : right ∧ΣV-comodules to right SV-modules."""
-    return twisted_tensor_left(n, pair.tau, window)
 
 
 def eta(pair: KoszulPair, m: DGModule,

@@ -15,10 +15,11 @@ empty), a filtration the sum of its parts', and a retract its inner
 tree's.  cert_validate checks each witness once: each relabelling against
 the rebuilt coproduct (check_relabelling), retractions on homology, and a
 filtration in one pass over F (stages, quotients, d²).  The builders
-check nothing, apart from cone()'s chain-map check; cert_shift and
-tree_coproduct carry each witness over unchanged, so cert_compose solves
-and checks nothing either; only leaf_from_bijection solves a witness's
-signs.
+check nothing, apart from cone()'s chain-map check and
+leaf_from_bijection's check of its coefficient-one relabelling;
+cert_shift and tree_coproduct carry each witness over unchanged, so
+cert_compose solves and checks nothing either.  No builder solves for a
+sign: a wrong one is refused, never repaired.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from dgkoszul.gradedcomplex import (
     is_chain_map,
     restrict_complex,
     shift_complex,
-    solve_diagonal_chain_iso,
 )
 from dgkoszul.dgstruct import ValidationReport
 from dgkoszul.resolve import (
@@ -48,8 +48,6 @@ from dgkoszul.resolve import (
     class_of,
     is_free_over_homology,
     level_lower_bound,
-    minimize,
-    semifree_resolve,
 )
 
 
@@ -130,26 +128,15 @@ def canonical_coproduct(base: Complex, shifts, window=None) -> Complex:
     return Complex(sp, GradedMap(sp, sp, 1, cols))
 
 
-def leaf_identity(base: Complex, shifts) -> Leaf:
-    """Leaf whose subject *is* the canonical coproduct."""
-    std = canonical_coproduct(base, shifts)
-    return Leaf(std, list(shifts),
-                {l: (l, base.field.one) for l in std.space})
-
-
-def empty_leaf(base: Complex) -> Leaf:
-    return Leaf(canonical_coproduct(base, []), [], {})
-
-
 def leaf_from_bijection(base: Complex, subject: Complex, shifts,
                         bijection: dict) -> Leaf:
-    """Leaf whose witness is a signed relabelling onto the canonical
-    coproduct along bijection; the signs are solved, not guessed, and
-    refused when no signs make it a chain map."""
+    """Leaf whose witness relabels the subject onto the canonical
+    coproduct along bijection, each coefficient one; StructureError
+    unless that relabelling is a chain isomorphism.  A wrong sign is
+    refused, never repaired."""
     std = canonical_coproduct(base, shifts, subject.space.window)
-    phi = solve_diagonal_chain_iso(subject, std, bijection)
-    if phi is None:
-        raise StructureError("no diagonal iso onto the canonical coproduct")
+    phi = {l: (t, base.field.one) for l, t in bijection.items()}
+    check_relabelling(phi, subject, std)
     return Leaf(subject, list(shifts), phi)
 
 
@@ -446,21 +433,6 @@ def tree_coproduct(nodes, tags):
 # -------------------------------------------------------------------------
 # bounds
 # -------------------------------------------------------------------------
-
-def spherical_bound(m, depth=None):
-    """Level ≤ 2 certificate over ``m.over`` when the derived fiber has
-    dimension ≤ 2; None when the hypothesis fails.  The certificate is
-    validated; StructureError if it does not validate."""
-    r = minimize(semifree_resolve(m, depth))
-    cls, exhausted = class_of(r)
-    if not exhausted or len(r.generators) > 2:
-        return None
-    cert = cert_from_resolution(r)
-    rep = cert_validate(cert)
-    if not rep:
-        raise StructureError(f"spherical certificate fails: {rep.violations}")
-    return cert
-
 
 @dataclass
 class LevelInterval:

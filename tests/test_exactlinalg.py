@@ -413,7 +413,7 @@ def accumulations(draw):
     v = draw(st.dictionaries(keys, nonzero, max_size=6))
     if c and acc:
         for k in draw(st.sets(st.sampled_from(sorted(acc)))):
-            v[k] = f.div(f.neg(acc[k]), c)
+            v[k] = f.mul(f.neg(acc[k]), f.inv(c))
     return f, acc, c, v
 
 
@@ -536,7 +536,8 @@ def test_large_prime_and_q_agree_on_integral_matrices(rows, cols, data):
 
     def mod_p(v):
         v = Fraction(v)
-        return Fp.div(Fp.from_int(v.numerator), Fp.from_int(v.denominator))
+        return Fp.mul(Fp.from_int(v.numerator),
+                      Fp.inv(Fp.from_int(v.denominator)))
 
     assert (rq.rank, rq.pivots) == (rp.rank, rp.pivots)
     assert rp.rref_rows == [{k: mod_p(v) for k, v in row.items()}

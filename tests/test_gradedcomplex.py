@@ -1,4 +1,4 @@
-"""Graded complexes: homology oracles, cones, diagonal isos."""
+"""Graded complexes: homology oracles, cones, relabelling witnesses."""
 
 from fractions import Fraction
 
@@ -34,7 +34,6 @@ from dgkoszul.gradedcomplex import (
     preimage,
     relabel,
     shift_complex,
-    solve_diagonal_chain_iso,
 )
 
 
@@ -51,6 +50,11 @@ def split_circle(f, w=None):
     w = w or DegreeWindow(-4, 4)
     sp = GradedSpace(f, w, {0: ["u"], 1: ["v"]}, bounds=(0, 1))
     return Complex(sp, GradedMap.zero(sp, sp, 1))
+
+
+def identity(space):
+    return GradedMap(space, space, 0,
+                     {l: {l: space.field.one} for l in space})
 
 
 def test_acyclic_two_step(F5):
@@ -458,7 +462,7 @@ def test_shift_sign_and_degrees(F5):
 
 def test_cone_of_identity_acyclic(F5):
     c = split_circle(F5)
-    ident = GradedMap.identity(c.space)
+    ident = identity(c.space)
     cx = cone(ident, c, c)
     assert check_d_squared(cx)
     for n in range(-2, 3):
@@ -526,7 +530,7 @@ def map_cases(draw):
         return GradedMap(a.space, b.space, shift, cols)
 
     if kind == "identity":
-        fmap = GradedMap.identity(a.space)
+        fmap = identity(a.space)
     elif kind == "homotopic":
         h = random_map(-1)
         fmap = a.differential.compose(h).add(h.compose(a.differential))
@@ -559,7 +563,7 @@ def test_is_chain_map_rejects_stray_images(F5):
     # zero differentials commute with anything; the images must still
     # land in the target, in the right degree
     c = split_circle(F5)
-    ident = GradedMap.identity(c.space)
+    ident = identity(c.space)
     empty = GradedSpace(F5, c.window, {}, bounds=(1, 0))
     ok, witness = is_chain_map(ident, c, Complex(empty, GradedMap.zero(
         empty, empty, 1)))
@@ -578,22 +582,17 @@ def test_direct_sum_tags(F5):
     assert total.d("r:a") == {"r:b": F5.one}
 
 
-def test_solve_diagonal_chain_iso_signs(F5):
-    c = two_step(F5)
-    # target with differential scaled by -1; iso must pick up a sign
-    sp = c.space
-    d2 = GradedMap(sp, sp, 1, {"a": {"b": F5.from_int(-1)}})
-    c2 = Complex(sp, d2)
-    phi = solve_diagonal_chain_iso(c, c2, {"a": "a", "b": "b"})
-    assert [t for t, _ in phi.values()] == ["a", "b"]
-    assert F5.mul(phi["a"][1], F5.inv(phi["b"][1])) == F5.from_int(-1)
-    check_relabelling(phi, c, c2)
+def unit_relabelling(f, bijection: dict) -> dict:
+    """The witness leaf_from_bijection checks: bijection, coefficient 1."""
+    return {l: (t, f.one) for l, t in bijection.items()}
 
 
 def test_solve_diagonal_rejects_impossible(F5):
+    # nothing solves a sign: a bijection is checked with coefficient one
     c = two_step(F5)
     z = split_circle(F5)
-    assert solve_diagonal_chain_iso(c, z, {"a": "u", "b": "v"}) is None
+    with pytest.raises(StructureError, match="not a chain map at 'a'"):
+        check_relabelling(unit_relabelling(F5, {"a": "u", "b": "v"}), c, z)
 
 
 @pytest.mark.parametrize("bijection", [
@@ -603,12 +602,13 @@ def test_solve_diagonal_rejects_impossible(F5):
 ])
 def test_solve_diagonal_rejects_bad_bijection(F5, bijection):
     c = split_circle(F5)
-    assert solve_diagonal_chain_iso(c, c, bijection) is None
+    with pytest.raises(StructureError):
+        check_relabelling(unit_relabelling(F5, bijection), c, c)
 
 
 def test_quasi_iso_detection(F5):
     c = split_circle(F5)
-    ident = GradedMap.identity(c.space)
+    ident = identity(c.space)
     verdicts = is_quasi_iso(ident, c, c)
     assert all(v is True or v == "unverifiable at boundary"
                for v in verdicts.values())
@@ -639,50 +639,6 @@ def reference_check_mutually_inverse(fwd, bwd, a, b):
         back = fwd.apply(bwd.apply_label(l))
         if back != {l: f.one}:
             raise StructureError(f"fwd∘bwd ≠ id at {l!r}")
-
-
-def reference_solve_diagonal_chain_iso(source, target, bijection):
-    """The earlier solver: constraint propagation, then a full chain-map
-    check of the result."""
-    f = target.field
-    tsp = target.space
-    coeff: dict = {}
-    order = list(source.space)
-    if any(bijection.get(l) not in tsp
-           or tsp.deg(bijection[l]) != source.space.deg(l) for l in order):
-        return None
-    rev = {v: k for k, v in bijection.items()}
-    if len(rev) != len(bijection):
-        return None
-    adj: dict = {l: [] for l in order}
-    for a in order:
-        da = source.d(a)
-        dta = target.d(bijection[a])
-        for b, v in da.items():
-            w = dta.get(bijection[b], f.zero)
-            if f.is_zero(w):
-                return None
-            adj[a].append((b, v, w))
-            adj[b].append((a, w, v))
-    for seed in order:
-        if seed in coeff:
-            continue
-        coeff[seed] = f.one
-        work = [seed]
-        while work:
-            a = work.pop()
-            for b, v, w in adj[a]:
-                c_b = f.div(f.mul(coeff[a], w), v)
-                if b in coeff:
-                    if coeff[b] != c_b:
-                        return None
-                else:
-                    coeff[b] = c_b
-                    work.append(b)
-    cols = {l: {bijection[l]: coeff[l]} for l in order}
-    gm = GradedMap(source.space, target.space, 0, cols)
-    ok, _ = is_chain_map(gm, source, target)
-    return gm if ok else None
 
 
 def reference_check_relabelling(phi, a, b):
@@ -779,13 +735,8 @@ def verdict(check, *args) -> bool:
 def test_witness_checks_match_reference(case):
     # the one-pass check of a relabelling accepts exactly what both
     # chain-map checks and both compositions accept of it and its
-    # inverse; the solver without its final chain-map check finds the
-    # same witness or None
+    # inverse
     kind, a, b, phi = case
     ok = verdict(check_relabelling, phi, a, b)
     assert ok == verdict(reference_check_relabelling, phi, a, b)
     assert ok or kind != "none"
-    bijection = {l: t for l, (t, _) in phi.items()}
-    ref = reference_solve_diagonal_chain_iso(a, b, bijection)
-    assert solve_diagonal_chain_iso(a, b, bijection) == (ref and {
-        l: (t, c) for l, col in ref.cols.items() for t, c in col.items()})

@@ -3,9 +3,10 @@
 ``dgkoszul`` module's private (underscore-prefixed) name; it divides with
 ``/`` only in ``FieldSpec.inv``; every top-level function and class it
 defines, and every method of such a class bar the dunder ones, is named
-somewhere else in the project, every parameter of a top-level function
-or method is read in its body, and every field of a class is read
-somewhere in the project.
+somewhere else in the project and is reached from a command, module-level
+code, an acceptance criterion or a perfbench target; every parameter of a
+top-level function or method is read in its body, and every field of a
+class is read somewhere in the project.
 
 No linter ships with the project, so these stdlib ``ast`` checks stand in
 for flake8's F401 and a dead-code finder.  An import meant as a re-export
@@ -122,22 +123,26 @@ def test_lint_catches_a_true_division(tmp_path):
     assert true_divisions(p) == ["mod.py:6", "mod.py:9"]
 
 
+def used_names(nodes) -> set:
+    """The identifiers under the AST nodes, as names, attributes or
+    imports."""
+    return {n.id if isinstance(n, ast.Name) else
+            n.attr if isinstance(n, ast.Attribute) else n.name.split(".")[-1]
+            for node in nodes for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+
+
 def referenced_names(roots) -> set:
     """Every identifier a .py file under ``roots`` reads, imports, or
     spells as a string constant (perfbench looks functions up by name)."""
     names = set()
     for root in roots:
         for path in sorted(root.rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    names.add(node.name.split(".")[-1])
-                elif (isinstance(node, ast.Constant)
-                      and isinstance(node.value, str)):
-                    names.add(node.value)
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            names |= used_names([tree]) | {
+                node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)}
     return names
 
 
@@ -174,6 +179,70 @@ def test_lint_catches_an_unreferenced_definition(tmp_path):
                  "def dead():\n    return Used().called()\n")
     assert unreferenced_definitions([p], [tmp_path]) == [
         "mod.py:8: never_called", "mod.py:11: dead"]
+
+
+def unreached_definitions(modules, entry: set) -> list:
+    """The definitions ``unreferenced_definitions`` visits that no chain
+    of names reaches from ``entry`` and the modules' top-level statements:
+    a definition is reached when its name is used by reached code, and
+    then so is its body (a class's: bases, decorators, fields and dunder
+    methods)."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    names, defs = set(entry), []
+    for path in modules:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if isinstance(m, funcs)
+                           and not (m.name.startswith("__")
+                                    and m.name.endswith("__"))]
+                defs.append((path, node, node.bases + node.decorator_list
+                             + [b for b in node.body if b not in methods]))
+                defs += [(path, m, [m]) for m in methods]
+            elif isinstance(node, funcs):
+                defs.append((path, node, [node]))
+            else:
+                names |= used_names([node])
+    todo = defs
+    while grown := [d for d in todo if d[1].name in names]:
+        todo = [d for d in todo if d[1].name not in names]
+        names |= used_names([b for _, _, body in grown for b in body])
+    return [f"{path.name}:{node.lineno}: {node.name}"
+            for path, node, _ in todo]
+
+
+def tracer_targets() -> list:
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.Tracer().targets()
+
+
+def test_every_definition_is_reached():
+    # the CLI's entry point, the acceptance criteria and the functions
+    # perfbench wraps; a definition only unit tests call is dead weight
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(
+        encoding="utf-8"))
+    entry = {"main"} | used_names([acceptance]) | {
+        fn for _, fn, *_ in tracer_targets()}
+    assert unreached_definitions(MODULES, entry) == []
+
+
+def test_lint_catches_an_unreached_definition(tmp_path):
+    p = tmp_path / "mod.py"
+    p.write_text("def main():\n    return helper()\n\n"
+                 "def helper():\n    return Box().used()\n\n"
+                 "class Box:\n"
+                 "    def __init__(self):\n        self.x = ready()\n\n"
+                 "    def used(self):\n        return 1\n\n"
+                 "    def unused(self):\n        return dead()\n\n"
+                 "def ready():\n    return 0\n\n"
+                 "def listed():\n    return 1\n\n"
+                 "def dead():\n    return only_dead()\n\n"
+                 "def only_dead():\n    return TABLE\n\n"
+                 "TABLE = {'k': listed}\n")
+    assert unreached_definitions([p], {"main"}) == [
+        "mod.py:14: unused", "mod.py:23: dead", "mod.py:26: only_dead"]
 
 
 def unused_parameters(path: Path) -> list:
@@ -292,11 +361,7 @@ def test_tracer_targets_resolve():
     # cannot find, so a rename would silently zero its per-layer metrics.
     # ``exactlinalg.solve`` is gone on purpose (the graph echelon gives
     # preimages): its counters read 0 until the tracer drops the target
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    targets = tracer.Tracer().targets()
+    targets = tracer_targets()
     assert targets
     missing = [f"{mod}.{fn}" for mod, fn, *_ in targets
                if not callable(getattr(

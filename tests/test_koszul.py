@@ -20,13 +20,13 @@ from dgkoszul.dgstruct import (
     validate_comodule,
     validate_module,
 )
+from dgkoszul.barcobar import twisted_tensor_left
 from dgkoszul.koszul import (
     chain_loewy_length,
     cobar_polynomial_check,
     eta,
     ext_algebra,
     exterior_tor_check,
-    koszul_L,
     koszul_R,
     koszul_pair_check,
     level_duality_check,
@@ -72,7 +72,7 @@ def test_R_of_free_module_acyclic(F5, window, pair2):
 
 def test_L_valid_module(F5, window, pair2):
     from dgkoszul.dgstruct import trivial_comodule
-    m = koszul_L(pair2, trivial_comodule(pair2.coalgebra))
+    m = twisted_tensor_left(trivial_comodule(pair2.coalgebra), pair2.tau)
     assert m.side == "right"
     assert check_d_squared(m.carrier)
 

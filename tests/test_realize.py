@@ -428,8 +428,8 @@ def chain_maps(draw):
     if tgt is src:
         c = draw(coeff)
         fmap = fmap.add(GradedMap(src.space, src.space, 0, {
-            l: v for l, col in GradedMap.identity(src.space).cols.items()
-            if (v := vec_scale(fld, c, col))}))
+            l: v for l in src.space
+            if (v := vec_scale(fld, c, {l: fld.one}))}))
     return fmap, src, tgt
 
 

@@ -1210,7 +1210,7 @@ def test_validation_evaluates_each_pair_once(f, monkeypatch, tmp_path):
     assert validate_module(m).ok and set(actions.values()) == {1}
 
     t = truncated_polynomial_algebra(f, w, "y", 2, 3)
-    n = bar(t, w, m=free_module(t))
+    n = twisted_tensor_right(free_module(t), canonical_tau(t, w), w)
     coactions: dict = {}
     n.coaction_label = counted(n.coaction_label, coactions)
     assert validate_comodule(n).ok and set(coactions.values()) == {1}
