@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field as dc_field
 
 from dgkoszul.exactlinalg import FieldSpec, bilinear, span_echelon, vec_iadd
 from dgkoszul.gradedcomplex import (
@@ -45,10 +44,10 @@ from dgkoszul.gradedcomplex import (
 )
 
 
-@dataclass
 class ValidationReport:
-    ok: bool
-    violations: list = dc_field(default_factory=list)
+    def __init__(self, ok: bool, violations: list | None = None):
+        self.ok = ok
+        self.violations = [] if violations is None else violations
 
     def __bool__(self):
         return self.ok
@@ -584,13 +583,14 @@ def validate_comodule(n: DGComodule, memo=None) -> ValidationReport:
     return rep
 
 
-@dataclass
 class TwistingCochain:
     """Degree +1 map from a coaugmented coalgebra to an augmented algebra
     subject to the Maurer-Cartan identity."""
-    source: DGCoalgebra
-    target: DGAlgebra
-    map: GradedMap  # shift +1, source carrier -> target carrier
+
+    def __init__(self, source: DGCoalgebra, target: DGAlgebra,
+                 map: GradedMap):
+        # map: shift +1, source carrier -> target carrier
+        self.source, self.target, self.map = source, target, map
 
     def apply(self, combo: dict) -> dict:
         return self.map.apply(combo)

@@ -21,7 +21,6 @@ value or a cached homology representative may be shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 # the one elimination path; perfbench records it with every run
@@ -203,18 +202,21 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols} over {self.field}, {len(self.entries)} entries)"
 
 
-@dataclass
 class RrefResult:
-    rank: int
-    pivots: list
-    rref_rows: list     # canonical RREF, list of sparse row dicts
+    def __init__(self, rank: int, pivots: list, rref_rows: list):
+        # rref_rows: the canonical RREF, a list of sparse row dicts
+        self.rank, self.pivots, self.rref_rows = rank, pivots, rref_rows
+
+    def __eq__(self, other):
+        return type(other) is RrefResult and vars(self) == vars(other)
 
 
 def _echelon(field: FieldSpec, rows: list) -> dict:
     """The forward pass, consuming the rows: {leading column: normalised
     row}.  Rows go by decreasing leading column, so one with a new leading
     column is a pivot unreduced (Faugère–Lachartre, PASCO 2010).  Any order
-    leaves the row space, hence the rank: it changes only the work."""
+    leaves the row space, hence the rank: it changes only the work.  A
+    pivot row that leads with 1 is kept as it is, not copied."""
     p = field.p
     inv = field.inv
     piv: dict = {}
@@ -224,7 +226,9 @@ def _echelon(field: FieldSpec, rows: list) -> dict:
             prow = piv.get(c)
             if prow is None:
                 a = inv(row[c])
-                if p is None:
+                if a == 1:
+                    piv[c] = row
+                elif p is None:
                     piv[c] = {k: a * v for k, v in row.items()}
                 else:
                     piv[c] = {k: a * v % p for k, v in row.items()}

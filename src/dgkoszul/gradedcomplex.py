@@ -9,8 +9,6 @@ The global Koszul sign rule (moving degree a past degree b costs
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from dgkoszul.exactlinalg import (
     FieldSpec,
     graph_kernel,
@@ -33,20 +31,45 @@ class StructureError(ValueError):
     """A validated structural invariant failed."""
 
 
-@dataclass(frozen=True)
 class DegreeWindow:
-    lo: int
-    hi: int
+    """The degrees lo..hi: immutable, equal and hashed by its bounds."""
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo: int, hi: int):
+        if lo > hi:
             raise WindowError("window lo > hi")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __setattr__(self, name, _value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not DegreeWindow:
+            return NotImplemented
+        return (self.lo, self.hi) == (other.lo, other.hi)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __repr__(self):
+        return f"DegreeWindow(lo={self.lo!r}, hi={self.hi!r})"
 
     def __contains__(self, n: int) -> bool:
         return self.lo <= n <= self.hi
 
     def shifted(self, k: int) -> "DegreeWindow":
         return DegreeWindow(self.lo - k, self.hi - k)
+
+
+def replace(record, **changes):
+    """A new record of record's class, built by its constructor from the
+    attributes named by its parameters, with changes in their place."""
+    code = type(record).__init__.__code__
+    return type(record)(**{**{a: getattr(record, a) for a in
+                              code.co_varnames[1:code.co_argcount]},
+                           **changes})
 
 
 def koszul_sign(a: int, b: int) -> int:
@@ -226,6 +249,7 @@ class Complex:
         self.differential = differential
         self._homology_cache: dict = {}
         self._graphs: dict = {}
+        self._d_squared = None      # check_d_squared's report
 
     @property
     def field(self):
@@ -247,11 +271,10 @@ class Complex:
         return self.space.dim(n)
 
 
-@dataclass
 class DSquaredReport:
-    ok: bool
-    degree: int | None = None
-    label: str | None = None
+    def __init__(self, ok: bool, degree: int | None = None,
+                 label: str | None = None):
+        self.ok, self.degree, self.label = ok, degree, label
 
     def __bool__(self):
         return self.ok
@@ -259,8 +282,11 @@ class DSquaredReport:
 
 def check_d_squared(c: Complex) -> DSquaredReport:
     """Verify d∘d = 0 on every basis element whose double image stays in
-    the window; reports the first failure.  d(d(l)) is summed from the
-    stored columns into a plain dict, reduced mod p only when tested."""
+    the window; reports the first failure, once per complex.  d(d(l)) is
+    summed from the stored columns into a plain dict, reduced mod p only
+    when tested."""
+    if c._d_squared is not None:
+        return c._d_squared
     cols, p = c.differential.cols, c.field.p
     for l in c.space:
         if l not in cols:
@@ -273,15 +299,18 @@ def check_d_squared(c: Complex) -> DSquaredReport:
                     acc[s] = get(s, 0) + v * x
         for x in acc.values():
             if x % p if p else x:
-                return DSquaredReport(False, c.space.deg(l), l)
-    return DSquaredReport(True)
+                c._d_squared = DSquaredReport(False, c.space.deg(l), l)
+                return c._d_squared
+    c._d_squared = DSquaredReport(True)
+    return c._d_squared
 
 
-@dataclass
 class HomologyData:
-    dimension: int
-    representatives: list      # combos (cycles)
-    _rep_columns: list = dc_field(repr=False)  # their free columns of d_n
+    def __init__(self, dimension: int, representatives: list,
+                 _rep_columns: list):
+        # the cycles, and their free columns of d_n
+        self.dimension, self.representatives = dimension, representatives
+        self._rep_columns = _rep_columns
 
 
 def graph_echelon(c: Complex, n: int) -> dict:

@@ -6,8 +6,6 @@ homology and chain Loewy lengths run one radical series J·L, J²·L, …"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from dgkoszul.exactlinalg import span_echelon, vec_iadd
 from dgkoszul.gradedcomplex import (
     Complex,
@@ -46,12 +44,13 @@ from dgkoszul.resolve import minimize, semifree_resolve
 from dgkoszul.level import level_interval
 
 
-@dataclass
 class KoszulPair:
-    generator_degrees: list
-    algebra: DGAlgebra        # SV, polynomial, zero differential
-    coalgebra: DGCoalgebra    # ∧ΣV, primitively generated
-    tau: TwistingCochain      # project to ΣV, include V into SV
+    def __init__(self, generator_degrees: list, algebra: DGAlgebra,
+                 coalgebra: DGCoalgebra, tau: TwistingCochain):
+        # SV, polynomial with d = 0; ∧ΣV, primitively generated; and τ,
+        # projecting to ΣV and including V into SV
+        self.generator_degrees, self.algebra = generator_degrees, algebra
+        self.coalgebra, self.tau = coalgebra, tau
 
 
 def make_koszul_pair(field, window: DegreeWindow, degrees) -> KoszulPair:

@@ -24,8 +24,6 @@ sign: a wrong one is refused, never repaired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from dgkoszul.gradedcomplex import (
     Complex,
     DegreeWindow,
@@ -39,6 +37,7 @@ from dgkoszul.gradedcomplex import (
     direct_sum,
     induced_map_on_homology,
     is_chain_map,
+    replace,
     restrict_complex,
     shift_complex,
 )
@@ -51,51 +50,50 @@ from dgkoszul.resolve import (
 )
 
 
-@dataclass
 class Leaf:
     """subject ≅ ⊕_i Σ^{shifts[i]} base, witnessed by a relabelling of
-    the subject onto canonical_coproduct(base, shifts, subject window)."""
-    subject: Complex
-    shifts: list
-    witness: dict | None          # {label: (target label, coefficient)}
-    name: str = "leaf"
+    the subject onto canonical_coproduct(base, shifts, subject window):
+    {label: (target label, coefficient)}."""
+
+    def __init__(self, subject: Complex, shifts: list, witness: dict | None,
+                 name: str = "leaf"):
+        self.subject, self.shifts, self.witness = subject, shifts, witness
+        self.name = name
 
     @property
     def claimed(self) -> int:
         return 1 if self.shifts else 0
 
 
-@dataclass
 class FiltrationNode:
     """stage_of = {label: index into parts}; parts[s] certifies the
     stage-s quotient: the stage's labels, with d's terms inside it."""
-    subject: Complex
-    stage_of: dict
-    parts: list
+
+    def __init__(self, subject: Complex, stage_of: dict, parts: list):
+        self.subject, self.stage_of, self.parts = subject, stage_of, parts
 
     @property
     def claimed(self) -> int:
         return sum(p.claimed for p in self.parts)
 
 
-@dataclass
 class RetractNode:
-    subject: Complex
-    inner: object
-    section: GradedMap            # subject -> inner.subject
-    retraction: GradedMap         # inner.subject -> subject
-    name: str = "retract"
+    """subject a retract of inner.subject: section maps subject to
+    inner.subject, and retraction back."""
+
+    def __init__(self, subject: Complex, inner, section: GradedMap,
+                 retraction: GradedMap, name: str = "retract"):
+        self.subject, self.inner, self.name = subject, inner, name
+        self.section, self.retraction = section, retraction
 
     @property
     def claimed(self) -> int:
         return self.inner.claimed
 
 
-@dataclass
 class LevelCertificate:
-    base: Complex
-    subject: Complex
-    tree: object
+    def __init__(self, base: Complex, subject: Complex, tree):
+        self.base, self.subject, self.tree = base, subject, tree
 
     @property
     def claimed_level(self) -> int:
@@ -434,18 +432,18 @@ def tree_coproduct(nodes, tags):
 # bounds
 # -------------------------------------------------------------------------
 
-@dataclass
 class LevelInterval:
     """Side (a) of the level duality: the class and exhaustion of a minimal
     resolution; the lower bound from the class and the freeness of H(M)
     over H(A), which is 2 only when a decided degree shows H(M) not free
     (never on a degree the window could not compute); and, when
     exhausted, the certificate and whether it validates."""
-    cls: int
-    exhausted: bool
-    lower: int
-    certificate: LevelCertificate | None = None
-    valid: bool | None = None
+
+    def __init__(self, cls: int, exhausted: bool, lower: int,
+                 certificate: LevelCertificate | None = None,
+                 valid: bool | None = None):
+        self.cls, self.exhausted, self.lower = cls, exhausted, lower
+        self.certificate, self.valid = certificate, valid
 
     @property
     def upper(self) -> int | None:

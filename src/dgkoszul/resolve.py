@@ -10,7 +10,6 @@ generators killing kernel classes of the comparison map.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
 
 from dgkoszul.exactlinalg import (graph_kernel, graph_span, span_echelon,
                                   vec_iadd)
@@ -37,22 +36,21 @@ from dgkoszul.barcobar import tensor_label
 ROUNDS_PER_DEGREE, SUBSTITUTIONS = 50, 200  # loop caps; hitting one: exit 5
 
 
-@dataclass
 class SemifreeResolution:
-    over: DGAlgebra
-    module: DGModule
-    # (label, degree, stage)
-    generators: list
-    # label -> list of (generator label, algebra label, coefficient)
-    differential: dict
-    # label -> combination in the module
-    comparison: dict
-    direction: int            # +1: built upward, -1: downward
-    depth: int
-    _realized: tuple = dc_field(default=None, repr=False)
-    # class_of's verdict depends on depth: not an init field, so that
-    # dataclasses.replace recomputes it
-    _class: tuple = dc_field(default=None, init=False, repr=False)
+    def __init__(self, over: DGAlgebra, module: DGModule, generators: list,
+                 differential: dict, comparison: dict, direction: int,
+                 depth: int, _realized: tuple | None = None):
+        # generators: (label, degree, stage); differential: label -> list
+        # of (generator label, algebra label, coefficient); comparison:
+        # label -> combination in the module; direction: +1 built upward,
+        # -1 downward
+        self.over, self.module, self.generators = over, module, generators
+        self.differential, self.comparison = differential, comparison
+        self.direction, self.depth = direction, depth
+        self._realized = _realized
+        # class_of's verdict depends on depth: not a parameter, so that
+        # replace recomputes it
+        self._class = None
 
     def is_minimal(self) -> bool:
         unit = self.over.unit
@@ -296,10 +294,9 @@ def minimize(r: SemifreeResolution) -> SemifreeResolution:
     return out
 
 
-@dataclass
 class DerivedFiber:
-    dimensions: dict
-    exhausted: bool
+    def __init__(self, dimensions: dict, exhausted: bool):
+        self.dimensions, self.exhausted = dimensions, exhausted
 
 
 def class_of(r: SemifreeResolution):

@@ -17,6 +17,7 @@ from dgkoszul.dgstruct import (
     DGComodule,
     DGModule,
     TwistingCochain,
+    ValidationReport,
     comodule_over_self,
     comodule_to_module_F,
     dual_complex,
@@ -41,6 +42,14 @@ from dgkoszul.dgstruct import (
     validate_module,
     validate_twisting_cochain,
 )
+
+
+def test_validation_reports_never_share_a_violations_list():
+    a, b = ValidationReport(True), ValidationReport(True)
+    a.fail("first")
+    assert (a.ok, a.violations, bool(a)) == (False, ["first"], False)
+    assert (b.ok, b.violations, bool(b)) == (True, [], True)
+    assert ValidationReport(False).violations == []
 
 
 @pytest.mark.parametrize("build", [

@@ -387,6 +387,63 @@ def test_rank_is_the_rref_rank(case):
     assert rank(m.field, cols, m.rows) == rref(m).rank
 
 
+def reference_echelon(field, rows):
+    """``_echelon`` as it was when every new pivot row was stored as a
+    scaled copy, its leading entry 1 or not."""
+    p, inv, piv = field.p, field.inv, {}
+    for row in sorted(filter(None, rows), key=min, reverse=True):
+        while row:
+            c = min(row)
+            prow = piv.get(c)
+            if prow is None:
+                a = inv(row[c])
+                if p is None:
+                    piv[c] = {k: a * v for k, v in row.items()}
+                else:
+                    piv[c] = {k: a * v % p for k, v in row.items()}
+                break
+            exactlinalg._sub_multiple(row, row[c], prow, p)
+    return piv
+
+
+@st.composite
+def unit_led_matrices(draw):
+    """A matrix over F_2, F_5 or Q whose entries are often 1, so that many
+    pivot rows lead with 1; over Q a 1 is an int or a Fraction."""
+    f = draw(st.sampled_from([FieldSpec.prime(2), FieldSpec.prime(5),
+                              FieldSpec.rationals()]))
+    ones = st.sampled_from([1, Fraction(1)] if f.p is None else [1])
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    cells = draw(st.lists(st.one_of(ones, scalars(f)),
+                          min_size=rows * cols, max_size=rows * cols))
+    return SparseMatrix(rows, cols, f, {(i // cols, i % cols): v
+                                        for i, v in enumerate(cells) if v})
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_led_matrices())
+def test_uncopied_unit_pivots_match_the_copying_echelon(m):
+    f = m.field
+
+    def results():
+        rows = [{c: x for (r, c), x in m.entries.items() if r == i}
+                for i in range(m.rows)]
+        vectors = [dict(row) for row in rows]
+        return (rank(f, rows, m.cols), rref(m),
+                span_echelon(f, vectors, m.cols), vectors)
+
+    new = results()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlinalg, "_echelon", reference_echelon)
+        old = results()
+    assert new == old
+    # span_echelon leaves the caller's vectors as they were
+    assert new[3] == [{c: x for (r, c), x in m.entries.items() if r == i}
+                      for i in range(m.rows)]
+    for row in new[1].rref_rows:
+        assert all(f.is_canonical(x) and x for x in row.values())
+
+
 def test_rank_keeps_the_matrix_checks(F5, Q):
     assert rank(F5, [{0: 1, 2: 3}, {}, {0: 2, 2: 1}], 3) == 1
     for row, message in (({3: 1}, "out of range"), ({-1: 1}, "out of range"),

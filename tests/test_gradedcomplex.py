@@ -33,6 +33,7 @@ from dgkoszul.gradedcomplex import (
     is_quasi_iso,
     preimage,
     relabel,
+    replace,
     shift_complex,
 )
 
@@ -77,6 +78,45 @@ def test_homology_refuses_incomplete(F5):
     c = Complex(sp, GradedMap.zero(sp, sp, 1))
     with pytest.raises(WindowError):
         homology(c, 0)
+
+
+def test_degree_window_is_an_immutable_value():
+    # windows are compared, hashed and printed in violation messages
+    w = DegreeWindow(-2, 3)
+    assert w == DegreeWindow(-2, 3) and hash(w) == hash(DegreeWindow(-2, 3))
+    assert w != DegreeWindow(-2, 4) and w != (-2, 3)
+    assert len({w, DegreeWindow(-2, 3), DegreeWindow(0, 0)}) == 2
+    assert repr(w) == str(w) == "DegreeWindow(lo=-2, hi=3)"
+    assert f"{DegreeWindow(0, 0)}" == "DegreeWindow(lo=0, hi=0)"
+    for name in ("lo", "hi", "mid"):
+        with pytest.raises(AttributeError):
+            setattr(w, name, 0)
+    with pytest.raises(AttributeError):
+        del w.lo
+    assert (w.lo, w.hi) == (-2, 3) and 3 in w and 4 not in w
+    with pytest.raises(WindowError):
+        DegreeWindow(1, 0)
+
+
+def test_replace_rebuilds_a_record_by_its_constructor():
+    w = DegreeWindow(-2, 3)
+    assert replace(w, hi=5) == DegreeWindow(-2, 5) and w.hi == 3
+    assert replace(w) == w and replace(w) is not w
+    with pytest.raises(WindowError):
+        replace(w, lo=4)
+    with pytest.raises(TypeError):
+        replace(w, mid=0)
+    r = replace(gradedcomplex.DSquaredReport(False, 2, "x"), label="y")
+    assert (r.ok, r.degree, r.label) == (False, 2, "y")
+
+
+def test_check_d_squared_keeps_its_report_on_the_complex(F5):
+    c = two_step(F5)
+    r = check_d_squared(c)
+    assert r and check_d_squared(c) is r
+    # each complex has its own report, even on the same space and map
+    again = Complex(c.space, c.differential)
+    assert check_d_squared(again) is not r and check_d_squared(again)
 
 
 def test_homology_class_boundary_is_zero(F5):

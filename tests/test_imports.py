@@ -16,6 +16,9 @@ is marked on its line with ``# noqa: F401``.
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,6 +61,30 @@ def test_lint_catches_an_unused_import(tmp_path):
                  "from sys import argv  # noqa: F401\n"
                  "def f():\n    return path, sep\n")
     assert unused_imports(p) == ["mod.py:1: json"]
+
+
+# the standard-library modules ``dataclasses`` pulls in at import, which
+# a command's start-up does not pay for
+START_UP_FREE = ("dataclasses", "inspect", "ast", "dis")
+
+
+def test_cli_start_up_imports_no_dataclass_machinery():
+    code = ("import sys, dgkoszul.cli; print(' '.join(m for m in "
+            f"{START_UP_FREE!r} if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_imports_dataclasses(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                and any(a.name == "dataclasses" for a in node.names)
+                or isinstance(node, ast.ImportFrom)
+                and node.module == "dataclasses"]
 
 
 def private_imports(path: Path) -> list:

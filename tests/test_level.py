@@ -17,7 +17,7 @@ reference code only (``ref_cert_validate``, ``ref_cert_shift``,
 import functools
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import (HealthCheck, assume, event, given, settings,
@@ -31,10 +31,12 @@ from dgkoszul.gradedcomplex import (
     GradedSpace,
     StructureError,
     WindowError,
+    check_d_squared,
     check_relabelling,
     cone_space,
     induced_map_on_homology,
     is_chain_map,
+    replace,
     shift_complex,
 )
 from dgkoszul.dgstruct import (
@@ -1494,3 +1496,26 @@ def test_filtration_validator_matches_cone_spine(r, data):
         assert "stage" in v and re.search(r"'[^']+'", v), v
     if ref is not None:
         assert cert_to_dict(new) == ref_cert_to_dict(ref)
+
+
+def test_a_wrong_sign_in_f_fails_minimize_and_the_certificate(F5):
+    # check_d_squared keeps its report on the complex, so level-bound pays
+    # for one d² pass over F where minimize and cert_validate each ask.
+    # A sign flipped in F, on a complex of its own, still fails both
+    s2 = polynomial_algebra(F5, DegreeWindow(-12, 12), [("y1", 2), ("y2", 2)])
+    r = minimize(semifree_resolve(trivial_module(s2)))
+    fx, eps = r.realize()
+    assert check_d_squared(fx)
+    assert cert_validate(cert_from_resolution(r)).ok
+    cols = dict(fx.differential.cols)
+    l = next(l for l in sorted(cols) if len(cols[l]) > 1)
+    t = next(iter(cols[l]))
+    cols[l] = {**cols[l], t: F5.neg(cols[l][t])}
+    bad = replace(r, _realized=(with_cols(fx, cols), eps))
+    bad._class = class_of(r)
+    assert not check_d_squared(bad.realize()[0])
+    with pytest.raises(RuntimeError, match=r"d\^2 broke during minimization"):
+        minimize(bad)
+    rep = cert_validate(cert_from_resolution(bad))
+    assert not rep.ok
+    assert any("d∘d ≠ 0" in v for v in rep.violations), rep.violations

@@ -1,8 +1,6 @@
 """Minimal semifree resolutions, derived fibers, class, and freeness over
 homology."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -20,6 +18,7 @@ from dgkoszul.gradedcomplex import (
     homology_by_degree,
     homology_class,
     is_quasi_iso,
+    replace,
 )
 from dgkoszul.dgstruct import (
     DGModule,
