@@ -1,6 +1,6 @@
 """DG algebras, modules, coalgebras and comodules on named bases; graded
-dualization; the comodule-to-module functor and its dual; twisting
-cochain validation.
+dualization; the comodule-to-module functor; twisting cochain
+validation.
 
 Products and actions are given by rules, ``mult_pair(a, b)`` and
 ``act_pair(m, a)``, that compute the product of two basis labels on demand:
@@ -723,29 +723,6 @@ def comodule_to_module_F(n: DGComodule) -> DGModule:
                      f.mul(sgn, v), {m: f.one})
     return DGModule(n.carrier, dual, _sparse_rule(action), side="left",
                     name=f"F({n.name})" if n.name else "")
-
-
-def tD(n: DGComodule) -> DGModule:
-    """(-)^∨ ∘ F: right module over C^∨ on the dual complex, with
-    (φ·f)(m) = φ(f·m)."""
-    f = n.field
-    fm = comodule_to_module_F(n)
-    dual_alg = fm.over
-    dcx = dual_complex(n.carrier)
-    dsp = dcx.space
-    action: dict = {}
-    sp = n.space
-    for a, l in degree_compatible(dual_alg.space, sp,
-                                  sp.window.__contains__):
-        k = dual_alg.space.deg(a)
-        # (m'^*)·a has coefficient (a·m)_{m'} on m^*
-        for mp, v in fm.act_pair(a, l).items():
-            if dsp.deg(dual_label(mp)) + k not in dsp.window:
-                continue
-            vec_iadd(f, action.setdefault((dual_label(mp), a), {}), v,
-                     {dual_label(l): f.one})
-    return DGModule(dcx, dual_alg, _sparse_rule(action), side="right",
-                    name=f"tD({n.name})" if n.name else "")
 
 
 # -------------------------------------------------------------------------

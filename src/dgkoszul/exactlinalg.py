@@ -73,12 +73,6 @@ class FieldSpec:
     def from_int(self, n: int):
         return n % self.p if self.kind == "prime" else n
 
-    def add(self, a, b):
-        return (a + b) % self.p if self.kind == "prime" else a + b
-
-    def sub(self, a, b):
-        return (a - b) % self.p if self.kind == "prime" else a - b
-
     def neg(self, a):
         return (-a) % self.p if self.kind == "prime" else -a
 
@@ -321,8 +315,8 @@ def graph_kernel(g: dict, m: int) -> dict:
     column order, each vector 1 at its free column and 0 at the others.
     A vector lists its free column (its last position) first, then the
     rest in order, as the map's RREF kernel did: a resolution's kernel
-    generators take their terms in this order, and ``minimize`` cancels
-    the first unit term it meets, so the order shows in reports."""
+    generators take their terms in this order, so it fixes the term order
+    of their differentials and of F's columns."""
     return {k: {k: g[k][k], **{j: g[k][j] for j in sorted(g[k])[:-1]}}
             for k in sorted(g) if k < m}
 

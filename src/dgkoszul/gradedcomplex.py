@@ -220,17 +220,6 @@ class GradedMap:
                 cols[l] = img
         return GradedMap(other.source, self.target, self.shift + other.shift, cols)
 
-    def add(self, other: "GradedMap") -> "GradedMap":
-        f = self.target.field
-        cols = dict(self.cols)
-        for l, combo in other.cols.items():
-            s = vec_iadd(f, dict(cols.get(l, {})), f.one, combo)
-            if s:
-                cols[l] = s
-            else:
-                cols.pop(l, None)
-        return GradedMap(self.source, self.target, self.shift, cols)
-
     def __eq__(self, other):
         return (
             isinstance(other, GradedMap)

@@ -1,10 +1,10 @@
-"""Semifree resolutions of DG modules, minimization by Gaussian
-cancellation, the derived fiber, filtration class, and freeness of
-homology over the homology algebra.
+"""Minimal semifree resolutions of DG modules, the derived fiber,
+filtration class, and freeness of homology over the homology algebra.
 
 The resolution is built greedily degree by degree from the bounded end:
 first free generators hitting unhit homology classes of the module, then
-generators killing kernel classes of the comparison map.
+generators killing kernel classes of the comparison map.  Built so, it is
+minimal: no generator's differential has a unit arrow.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from dgkoszul.gradedcomplex import (
     is_quasi_iso,
     preimage,
 )
-from dgkoszul.dgstruct import DGAlgebra, DGModule, merge_terms
+from dgkoszul.dgstruct import DGAlgebra, DGModule
 from dgkoszul.barcobar import tensor_label
 
-ROUNDS_PER_DEGREE, SUBSTITUTIONS = 50, 200  # loop caps; hitting one: exit 5
+ROUNDS_PER_DEGREE = 50  # loop cap; hitting it: exit 5
 
 
 class SemifreeResolution:
@@ -115,7 +115,18 @@ def _realize(m: DGModule, parts) -> tuple:
 def semifree_resolve(m: DGModule,
                      depth: int | None = None) -> SemifreeResolution:
     """Greedy semifree resolution of a right module over its algebra
-    ``m.over``, built from the bounded end through ``depth``."""
+    ``m.over``, built from the bounded end through ``depth``.
+
+    The result is minimal: no d(g) has a unit arrow.  With A⁰ = K, a unit
+    term g⊗1 in a killer's d = z needs a generator g in the degree of the
+    cycle z.  In the building direction such a g hit a class and has
+    d g = 0, so g⊗1 is a zero (free) column at which every other class
+    representative is 0, and the kernel of H(ε) has coordinate 0 on the
+    classes new generators hit, since their images extend the image to a
+    basis.  In the non-positive direction g may also be a killer of the
+    round before, one degree below the cycle it kills; a cycle containing
+    its g⊗1 would make a combination of the classes killed there,
+    independent until then, a boundary."""
     if m.side != "right":
         raise StructureError("resolve right modules only")
     a = m.over
@@ -196,93 +207,14 @@ def semifree_resolve(m: DGModule,
                               direction, depth, realized)
 
 
-def _substitute_out(field, a: DGAlgebra, expr, drop, h, h_expr):
-    """Rewrite a differential term list, dropping ``drop`` and replacing
-    ``h`` (with algebra coefficient) by h_expr repeatedly."""
-    terms = list(expr)
-    for _ in range(SUBSTITUTIONS):
-        nxt = []
-        again = False
-        for g, al, c in terms:
-            if g == drop:
-                continue
-            if g == h:
-                again = True
-                for g2, b, c2 in h_expr:
-                    for t, v in a.mult_pair(b, al).items():
-                        nxt.append((g2, t, field.mul(field.mul(c, c2), v)))
-            else:
-                nxt.append((g, al, c))
-        terms = merge_terms(field, nxt)
-        if not again:
-            return terms
-    raise RuntimeError("cancellation substitution did not terminate")
-
-
 def minimize(r: SemifreeResolution) -> SemifreeResolution:
-    """Cancel generator pairs (g, h) where d(g) carries an invertible
-    scalar (unit algebra coefficient) on h; the result is minimal.  The
-    updated comparison is verified to stay a chain map."""
-    a = r.over
-    f = a.field
-    unit = a.unit
-    gens = list(r.generators)
-    diff = {l: merge_terms(f, terms) for l, terms in r.differential.items()}
-    comp = {l: dict(c) for l, c in r.comparison.items()}
-    while True:
-        pair = None
-        for gl, _, _ in gens:
-            for g2, al, c in diff.get(gl, []):
-                if al == unit:
-                    pair = (gl, g2, c)
-                    break
-            if pair:
-                break
-        if pair is None:
-            break
-        g, h, lam = pair
-        inv = f.inv(lam)
-        minus_inv = f.mul(f.from_int(-1), inv)
-        rest = [(g2, al, c) for g2, al, c in diff[g]
-                if not (g2 == h and al == unit)]
-        h_expr = [(g2, al, f.mul(minus_inv, c)) for g2, al, c in rest]
-        h_expr = _substitute_out(f, a, h_expr, g, h, h_expr)
-        new_gens = [t for t in gens if t[0] not in (g, h)]
-        new_diff = {}
-        new_comp = {}
-        for gl, _, _ in new_gens:
-            # coefficient of h with unit algebra part, used to correct
-            # the comparison of the cancelled pair
-            a_uh = {}
-            for g2, al, c in diff.get(gl, []):
-                if g2 == h:
-                    vec_iadd(f, a_uh, c, {al: f.one})
-            new_diff[gl] = _substitute_out(f, a, diff.get(gl, []),
-                                           g, h, h_expr)
-            correction = r.module.act(comp.get(g, {}), a_uh)
-            new_comp[gl] = vec_iadd(f, dict(comp.get(gl, {})), f.neg(inv),
-                                    correction)
-        gens, diff, comp = new_gens, new_diff, new_comp
-    # recompute stages from the cancelled differential
-    stage: dict = {}
-
-    def stage_of(gl, seen=()):
-        if gl in stage:
-            return stage[gl]
-        if gl in seen:
-            raise StructureError("cyclic differential after cancellation")
-        terms = diff.get(gl, [])
-        s = 0 if not terms else 1 + max(
-            stage_of(g2, seen + (gl,)) for g2, _, _ in terms)
-        stage[gl] = s
-        return s
-
-    gens = [(gl, d, stage_of(gl)) for gl, d, _ in gens]
-    # with no pair cancelled, F is the input's; it is checked all the same
-    out = SemifreeResolution(a, r.module, gens, diff, comp, r.direction,
-                             r.depth, r.realize()
-                             if len(gens) == len(r.generators) else None)
-    cx, eps = out.realize()
+    """``r`` itself, once checked: a resolution whose differential has a
+    unit arrow (an invertible scalar term) is refused, and d² and the
+    comparison ε are verified on its F.  ``semifree_resolve`` builds no
+    unit arrow; its docstring says why."""
+    if not r.is_minimal():
+        raise RuntimeError("internal: resolution has a unit arrow")
+    cx, eps = r.realize()
     bad = check_d_squared(cx)
     if not bad:
         raise RuntimeError(f"internal: d^2 broke during minimization "
@@ -291,7 +223,7 @@ def minimize(r: SemifreeResolution) -> SemifreeResolution:
     if not ok:
         raise RuntimeError(f"internal: comparison broke during "
                            f"minimization at {witness[:2]}")
-    return out
+    return r
 
 
 class DerivedFiber:

@@ -319,8 +319,8 @@ def reference_word_complex(carrier, shift, win, skip, quadratic, label):
                     for rep, width, sign, v in terms:
                         tgt = label(entries[:i] + rep + entries[i + width:])
                         if tgt in basis:
-                            s = f.add(col.get(tgt, f.zero),
-                                      f.mul(f.mul(sign, psgn), v))
+                            s = f.from_int(col.get(tgt, f.zero)
+                                           + f.mul(f.mul(sign, psgn), v))
                             if f.is_zero(s):
                                 col.pop(tgt, None)
                             else:
@@ -422,7 +422,8 @@ def letter_by_letter(carrier, shift, win, skip, quadratic, label):
             for rep, width, v in internal[x] + quadratic(x, y):
                 tgt = index.get(entries[:i] + rep + entries[i + width:])
                 if tgt is not None:
-                    s = f.add(col.get(tgt, f.zero), f.neg(v) if neg else v)
+                    s = f.from_int(col.get(tgt, f.zero)
+                                   + (f.neg(v) if neg else v))
                     if s:
                         col[tgt] = s
                     else:

@@ -444,6 +444,80 @@ def q_table(one, two, minus_one):
                          for x in "1abc" for y in "1abc"}}}}
 
 
+def presentation_with(section, name, spec, **top):
+    """PRESENTATION with one object replaced or added, and top-level keys
+    such as the field changed."""
+    doc = json.loads(json.dumps(PRESENTATION))
+    doc[section][name] = spec
+    return dict(doc, **top)
+
+
+MISSING = object()   # the file is not written
+
+
+@pytest.mark.parametrize("argv, doc, code, text", [
+    pytest.param(["koszul-pair", "--degrees", "2", "--field", "F4"], None, 2,
+                 "not a prime: 4", id="field-F4"),
+    pytest.param(["koszul-pair", "--degrees", "2", "--field", "Fx"], None, 2,
+                 "bad field spec 'Fx'", id="field-Fx"),
+    pytest.param(["koszul-pair", "--degrees", "2", "--field", "R"], None, 2,
+                 "bad field spec 'R'", id="field-R"),
+    pytest.param(["koszul-pair", "--degrees", "2", "--window", "3"], None, 2,
+                 "bad window '3'", id="window-3"),
+    pytest.param(["koszul-pair", "--degrees", "2", "--window", "a:b"], None,
+                 2, "bad window 'a:b'", id="window-a:b"),
+    pytest.param(["koszul-pair", "--degrees", "2", "--window=5:1"], None, 2,
+                 "window lo > hi", id="window-5:1"),
+    pytest.param(["validate"], MISSING, 2, "cannot read",
+                 id="unreadable-file"),
+    pytest.param(["validate"], [], 2, "must be a JSON object",
+                 id="top-level-array"),
+    pytest.param(["validate"], presentation_with(
+        "algebras", "A", dict(TABLE_ALGEBRA, basis={"zero": ["1"]})), 2,
+        "got 'zero'", id="basis-degree-zero"),
+    pytest.param(["validate"], presentation_with(
+        "algebras", "A", dict(TABLE_ALGEBRA, mult={"11": {"1": 1}})), 2,
+        "got '11'", id="mult-key-11"),
+    pytest.param(["validate"], presentation_with(
+        "algebras", "A", dict(TABLE_ALGEBRA, mult={"1|1": {"1": "1/0"}}),
+        field="Q"), 2, "bad rational '1/0'", id="rational-1/0"),
+    pytest.param(["validate"], presentation_with(
+        "coalgebras", "W", {"kind": "weird"}), 2,
+        "unknown coalgebra kind 'weird'", id="coalgebra-kind"),
+    pytest.param(["duality-check", "--degrees", "2", "--module", "weird"],
+                 None, 2, "unknown module spec 'weird'",
+                 id="duality-check-module"),
+    pytest.param(["validate"], presentation_with(
+        "algebras", "A", dict(TABLE_ALGEBRA, differential={"z": {}})), 4,
+        "unknown label 'z' at /algebras/A/differential/z",
+        id="differential-label"),
+    pytest.param(["validate"], presentation_with(
+        "algebras", "A", dict(TABLE_ALGEBRA, mult={"1|z": {"1": 1}})), 4,
+        "unknown label 'z' at /algebras/A/mult/1|z", id="mult-label"),
+    pytest.param(["homology", "--object", "Nope"], PRESENTATION, 4,
+                 "unknown object 'Nope'", id="homology-object"),
+    pytest.param(["validate"], presentation_with(
+        "algebras", "K0", {"kind": "trivial"}), 0, "", id="trivial-algebra"),
+    pytest.param(["duality-check", "--degrees", "2", "--module", "free"],
+                 None, 0, "", id="duality-check-free"),
+])
+def test_cli_paths(tmp_path, capsys, argv, doc, code, text):
+    # a refusal is one error line naming the fault, and its exit code,
+    # never a traceback
+    if doc is not None:
+        p = tmp_path / "pres.json"
+        if doc is not MISSING:
+            p.write_text(json.dumps(doc))
+        argv = argv + ["-p", str(p)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert text in err and "Traceback" not in err
+
+
 def test_integral_q_scalars_in_any_spelling_give_the_same_report(tmp_path):
     # over Q an integral scalar is read as an int whether it is written as
     # a JSON integer, as "n" or as "a/b"; the reports cannot tell them apart

@@ -1,5 +1,5 @@
-"""DG structures: preset validation, duals, the functors F and tD,
-twisting cochains."""
+"""DG structures: preset validation, duals, the functor F, twisting
+cochains."""
 
 import pytest
 
@@ -30,7 +30,6 @@ from dgkoszul.dgstruct import (
     module_direct_sum,
     module_shift,
     polynomial_algebra,
-    tD,
     trivial_algebra,
     trivial_comodule,
     trivial_module,
@@ -178,13 +177,6 @@ def test_functor_F_gives_valid_module(F5, window):
     n = comodule_over_self(c)
     m = comodule_to_module_F(n)
     assert m.side == "left"
-    assert validate_module(m).ok
-
-
-def test_functor_tD_gives_valid_right_module(F5, window):
-    c = exterior_coalgebra(F5, window, [("sy", 1)])
-    m = tD(comodule_over_self(c))
-    assert m.side == "right"
     assert validate_module(m).ok
 
 

@@ -4,9 +4,9 @@
 ``/`` only in ``FieldSpec.inv``; every top-level function and class it
 defines, and every method of such a class bar the dunder ones, is named
 somewhere else in the project and is reached from a command, module-level
-code, an acceptance criterion or a perfbench target; every parameter of a
-top-level function or method is read in its body, and every field of a
-class is read somewhere in the project.
+code or an acceptance criterion; every parameter of a top-level function
+or method is read in its body, and every field of a class is read
+somewhere in the project.
 
 No linter ships with the project, so these stdlib ``ast`` checks stand in
 for flake8's F401 and a dead-code finder.  An import meant as a re-export
@@ -213,7 +213,12 @@ def unreached_definitions(modules, entry: set) -> list:
     of names reaches from ``entry`` and the modules' top-level statements:
     a definition is reached when its name is used by reached code, and
     then so is its body (a class's: bases, decorators, fields and dunder
-    methods)."""
+    methods).
+
+    Names are matched without their owner, so a definition counts as
+    reached when reached code uses another object's attribute of the same
+    name: a method ``add`` would be reached by a call of ``Store.add`` or
+    ``set.add``."""
     funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
     names, defs = set(entry), []
     for path in modules:
@@ -246,12 +251,11 @@ def tracer_targets() -> list:
 
 
 def test_every_definition_is_reached():
-    # the CLI's entry point, the acceptance criteria and the functions
-    # perfbench wraps; a definition only unit tests call is dead weight
+    # the CLI's entry point and the acceptance criteria; a definition that
+    # only unit tests or perfbench's tracer name is dead weight
     acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(
         encoding="utf-8"))
-    entry = {"main"} | used_names([acceptance]) | {
-        fn for _, fn, *_ in tracer_targets()}
+    entry = {"main"} | used_names([acceptance])
     assert unreached_definitions(MODULES, entry) == []
 
 
@@ -386,11 +390,12 @@ def test_lint_catches_an_unread_field(tmp_path):
 def test_tracer_targets_resolve():
     # perfbench wraps engine functions by name and only lists the ones it
     # cannot find, so a rename would silently zero its per-layer metrics.
-    # ``exactlinalg.solve`` is gone on purpose (the graph echelon gives
-    # preimages): its counters read 0 until the tracer drops the target
+    # ``dgstruct.tD`` (no command used it) and ``exactlinalg.solve`` (the
+    # graph echelon gives preimages) are gone on purpose: their counters
+    # read 0 until the tracer drops the targets
     targets = tracer_targets()
     assert targets
     missing = [f"{mod}.{fn}" for mod, fn, *_ in targets
                if not callable(getattr(
                    importlib.import_module(f"dgkoszul.{mod}"), fn, None))]
-    assert missing == ["exactlinalg.solve"]
+    assert missing == ["dgstruct.tD", "exactlinalg.solve"]

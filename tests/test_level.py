@@ -697,7 +697,7 @@ def test_cone_whose_w_is_not_a_chain_map_refused(cert_k_poly, F5):
 
 def test_level_interval_realizes_each_generator_once(F5, monkeypatch):
     """For K3 over K[y1,y2,y3]: each generator's columns are computed once
-    (minimize cancels nothing and hands the same F on), the builder forms
+    (minimize hands its input, and so the same F, on), the builder forms
     no direct sum, the validator makes no relabel copy, and level_interval
     makes 1 chain-map check, in class_of."""
     from dgkoszul import gradedcomplex, level, resolve
@@ -814,7 +814,7 @@ class RefConeView:
                               (("c2:", c, target.d(x)),)):
                 for t, y in v.items():
                     t = tag + t
-                    if s := f.add(out.get(t, 0), f.mul(k, y)):
+                    if s := f.from_int(out.get(t, 0) + f.mul(k, y)):
                         out[t] = s
                     else:
                         del out[t]

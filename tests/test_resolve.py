@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from dgkoszul import resolve
 from dgkoszul.exactlinalg import FieldSpec, span_echelon, vec_iadd
 from dgkoszul.gradedcomplex import (
+    NEG_INF,
     POS_INF,
     Complex,
     DegreeWindow,
@@ -17,10 +18,12 @@ from dgkoszul.gradedcomplex import (
     homology,
     homology_by_degree,
     homology_class,
+    is_chain_map,
     is_quasi_iso,
     replace,
 )
 from dgkoszul.dgstruct import (
+    DGAlgebra,
     DGModule,
     exterior_algebra,
     free_module,
@@ -30,6 +33,7 @@ from dgkoszul.dgstruct import (
     trivial_module,
     truncated_module,
     truncated_polynomial_algebra,
+    validate_algebra,
     validate_module,
 )
 from dgkoszul.level import level_interval
@@ -125,16 +129,29 @@ def test_class_two_variables(F5, window):
     assert degs == [0, 1, 1, 2]
 
 
-def test_minimize_removes_unit_arrows(F5, window):
-    a = polynomial_algebra(F5, window, [("y", 2)])
-    m = truncated_module(a, "y", 2, 3)
-    raw = semifree_resolve(m)
-    r = minimize(raw)
-    assert r.is_minimal()
-    assert len(r.generators) <= len(raw.generators)
+def with_unit_arrow(f, window):
+    """The resolution e0, e1 of K over K[y], |y| = 2, plus a contractible
+    pair e2 → e3 with d(e2) = e3⊗1: still a resolution of K, but not a
+    minimal one."""
+    a = polynomial_algebra(f, window, [("y", 2)])
+    raw = semifree_resolve(trivial_module(a))
+    assert [(gl, d) for gl, d, _ in raw.generators] == [("e0", 0), ("e1", 1)]
+    return replace(raw, generators=raw.generators + [("e2", 3, 1),
+                                                     ("e3", 4, 0)],
+                   differential={**raw.differential,
+                                 "e2": [("e3", a.unit, f.one)], "e3": []},
+                   comparison={**raw.comparison, "e2": {}, "e3": {}},
+                   _realized=None)
+
+
+def test_minimize_refuses_a_unit_arrow(F5, window):
+    r = with_unit_arrow(F5, window)
+    assert not r.is_minimal()
     cx, eps = r.realize()
-    verdicts = is_quasi_iso(eps, cx, m.carrier)
-    assert all(v is not False for v in verdicts.values())
+    assert check_d_squared(cx) and is_chain_map(eps, cx, r.module.carrier)[0]
+    with pytest.raises(RuntimeError, match="internal: resolution has a "
+                                           "unit arrow"):
+        minimize(r)
 
 
 def test_derived_fiber_exterior_not_exhausted(F5, window):
@@ -170,11 +187,8 @@ def test_lemma1_dim_at_least_class(F5, Q, window):
 
 
 def test_class_requires_minimal(F5, window):
-    a = polynomial_algebra(F5, window, [("y", 2)])
-    raw = semifree_resolve(truncated_module(a, "y", 2, 3))
-    if not raw.is_minimal():
-        with pytest.raises(StructureError):
-            class_of(raw)
+    with pytest.raises(StructureError, match="needs a minimal resolution"):
+        class_of(with_unit_arrow(F5, window))
 
 
 def test_free_module_is_free_over_homology(F5, window):
@@ -419,3 +433,101 @@ def test_nakayama_count_matches_bar_tor1(m):
         assert first_kernel(rep) == (t, nonzero[t])
     if rep["free"] is True:
         assert ref["free"]
+
+
+# -------------------------------------------------------------------------
+# the greedy resolution is minimal
+# -------------------------------------------------------------------------
+
+def hypersurface(f, w, xdeg, p):
+    """K[x]⊗Λ(y) with d y = x^p, |x| = xdeg (even, of either sign) and
+    |y| = p·xdeg − 1, on the monomials x^i y^e that fit the window w.  Its
+    homology is K[x]/(x^p)."""
+    ydeg = p * xdeg - 1
+    exps, i = {}, 0
+    while i * xdeg in w:
+        exps[i, 0] = i * xdeg
+        if i * xdeg + ydeg in w:
+            exps[i, 1] = i * xdeg + ydeg
+        i += 1
+    power = {0: [], 1: ["x"]}
+    label = {v: "*".join(power.get(v[0], [f"x^{v[0]}"]) + ["y"] * v[1])
+             or "1" for v in exps}
+    basis: dict = {}
+    for v, n in exps.items():
+        basis.setdefault(n, []).append(label[v])
+    sp = GradedSpace(f, w, basis,
+                     bounds=(0, POS_INF) if xdeg > 0 else (NEG_INF, 0))
+    exp_of = {l: v for v, l in label.items()}
+
+    def mult_pair(a, b):
+        # x is even: no sign moves y past a power of x
+        (i, e), (j, k) = exp_of[a], exp_of[b]
+        t = label.get((i + j, e + k))
+        return {t: f.one} if t else {}
+
+    d = {label[v]: {label[(v[0] + p, 0)]: f.one} for v in exps
+         if v[1] and (v[0] + p, 0) in label}
+    return DGAlgebra(Complex(sp, GradedMap(sp, sp, 1, d)), "1", mult_pair,
+                     "non-negative" if xdeg > 0 else "non-positive",
+                     simply_connected=True,
+                     name=f"K[x]⊗Λ(y), dy = x^{p}")
+
+
+@pytest.mark.parametrize("xdeg", [2, -2])
+def test_hypersurface_is_a_dga(F5, xdeg):
+    a = hypersurface(F5, DegreeWindow(-12, 12), xdeg, 2)
+    assert validate_algebra(a).ok and a.carrier.d("y")
+    assert [h.dimension for _, h in sorted(homology_by_degree(
+        a.carrier).items()) if h.dimension] == [1, 1]
+
+
+@st.composite
+def resolution_cases(draw):
+    """A trivial, free, truncated, shifted or summed module over a preset
+    of either polarity (polynomial, truncated polynomial, exterior on
+    generators of degree ±3 or ±5) or over a DG algebra with d ≠ 0
+    (``hypersurface``), over F_2, F_5 or Q."""
+    f = draw(st.sampled_from(FIELDS))
+    hi = draw(st.integers(6, 10))
+    w = DegreeWindow(-hi, hi)
+    kind = draw(st.sampled_from(["polynomial", "truncated", "exterior",
+                                 "hypersurface"]))
+    if kind == "polynomial":
+        degs = draw(st.lists(st.sampled_from([2, 4]), min_size=1,
+                             max_size=2))
+        a = polynomial_algebra(f, w, [(f"y{i}", d)
+                                      for i, d in enumerate(degs)])
+    elif kind == "truncated":
+        a = truncated_polynomial_algebra(f, w, "y", 2,
+                                         draw(st.integers(2, 4)))
+    elif kind == "exterior":
+        sign = draw(st.sampled_from([1, -1]))
+        a = exterior_algebra(f, w, [("x", sign * draw(
+            st.sampled_from([3, 5])))])
+    else:
+        a = hypersurface(f, w, draw(st.sampled_from([2, -2])),
+                         draw(st.integers(2, 3)))
+
+    def module(depth):
+        kinds = ["trivial", "free"] + ["truncated"] * (kind == "polynomial")
+        k = draw(st.sampled_from(kinds + ["shifted", "summed"] * depth))
+        if k == "trivial":
+            return trivial_module(a)
+        if k == "free":
+            return free_module(a)
+        if k == "truncated":
+            return truncated_module(a, "y", 2, draw(st.integers(1, 4)))
+        if k == "shifted":
+            return module_shift(module(depth - 1), draw(st.integers(-3, 3)))
+        return module_direct_sum([module(depth - 1), module(depth - 1)])
+
+    return module(1)
+
+
+@PROPERTY
+@given(resolution_cases())
+def test_semifree_resolve_is_minimal(m):
+    r = semifree_resolve(m)
+    assert r.is_minimal()
+    assert minimize(r) is r

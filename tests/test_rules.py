@@ -45,7 +45,6 @@ from dgkoszul.dgstruct import (
     module_direct_sum,
     module_shift,
     polynomial_algebra,
-    tD,
     trivial_algebra,
     trivial_comodule,
     trivial_module,
@@ -84,7 +83,7 @@ def add_into(f, acc, c, v):
     it shares no code with the engine it checks."""
     out = dict(acc)
     for k, x in v.items():
-        s = f.add(out.get(k, f.zero), f.mul(c, x))
+        s = f.from_int(out.get(k, f.zero) + f.mul(c, x))
         if f.is_zero(s):
             out.pop(k, None)
         else:
@@ -227,7 +226,7 @@ def ref_dual_coalgebra(c, dual):
         for l1, l2, v in c.comult_label(l):
             sgn = f.from_int(koszul_sign(c.space.deg(l1), c.space.deg(l2)))
             col = table.setdefault((dual_label(l1), dual_label(l2)), {})
-            s = f.add(col.get(dual_label(l), f.zero), f.mul(sgn, v))
+            s = f.from_int(col.get(dual_label(l), f.zero) + f.mul(sgn, v))
             if f.is_zero(s):
                 col.pop(dual_label(l), None)
             else:
@@ -271,7 +270,7 @@ def ref_F(n, fm):
                 continue
             sgn = f.from_int(koszul_sign(sp.deg(m), n.over.space.deg(c)))
             col = table.setdefault((dual_label(c), l), {})
-            s = f.add(col.get(m, f.zero), f.mul(sgn, v))
+            s = f.from_int(col.get(m, f.zero) + f.mul(sgn, v))
             if f.is_zero(s):
                 col.pop(m, None)
             else:
@@ -280,31 +279,6 @@ def ref_F(n, fm):
         for l in labels_of(sp):
             if (a, l) not in table and dsp.deg(a) + sp.deg(l) in sp.window:
                 table[(a, l)] = {}
-    return table
-
-
-def ref_tD(n, fm, td):
-    f, sp, dsp = n.field, n.space, td.space
-    fm_table = ref_F(n, fm)
-    table = {}
-    for a in labels_of(fm.over.space):
-        k = fm.over.space.deg(a)
-        for l in labels_of(sp):
-            for mp, v in fm_table.get((a, l), {}).items():
-                key = (dual_label(mp), a)
-                if dsp.deg(dual_label(mp)) + k not in dsp.window:
-                    continue
-                col = table.setdefault(key, {})
-                s = f.add(col.get(dual_label(l), f.zero), v)
-                if f.is_zero(s):
-                    col.pop(dual_label(l), None)
-                else:
-                    col[dual_label(l)] = s
-    for a in labels_of(fm.over.space):
-        for phi in labels_of(dsp):
-            if (phi, a) not in table and \
-                    dsp.deg(phi) + fm.over.space.deg(a) in dsp.window:
-                table[(phi, a)] = {}
     return table
 
 
@@ -429,8 +403,6 @@ def test_dual_rules_match_tables(f, hi):
         for n in (trivial_comodule(c), comodule_over_self(c)):
             fm = comodule_to_module_F(n)
             assert_module_rule(fm, ref_F(n, fm))
-            td = tD(n)
-            assert_module_rule(td, ref_tD(n, fm, td))
 
 
 @pytest.mark.parametrize("which", ["polynomial", "truncated"])
@@ -735,8 +707,8 @@ def koszul_dga(f, polarity, x_deg, z_twice, hi, coeffs):
         for i in reversed(range(len(vs))):
             c = w.get(vs[i], f.zero)
             for k in range(i + 1, len(vs)):
-                c = f.sub(c, f.mul(alpha[vs[k]], lower[vs[k]].get(vs[i],
-                                                                   f.zero)))
+                c = f.from_int(c - f.mul(alpha[vs[k]],
+                                         lower[vs[k]].get(vs[i], f.zero)))
             alpha[vs[i]] = c
             if not f.is_zero(c):
                 out[label[vs[i]]] = c
