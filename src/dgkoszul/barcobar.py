@@ -4,8 +4,11 @@ tensor products and the two-sided resolution check.
 Bar and cobar share one word-complex builder, ``_word_complex``, and
 differ only in the quadratic part of the differential: bar merges two
 adjacent letters by the product, cobar splits one letter by the reduced
-coproduct.  Both twisted tensor products share one tensor-complex builder,
-``_tensor_complex``, and differ only in the twist term and their (co)action.
+coproduct.  The builder, the coproduct of the bar and the product of the
+cobar know a word by its position in its degree; its label is spelled
+only when a caller reads one.  Both twisted tensor products share one
+tensor-complex builder, ``_tensor_complex``, and differ only in the twist
+term and their (co)action.
 
 Sign conventions are generated from the global Koszul rule applied to
 suspension symbols; d^2 = 0 on every constructed complex is the
@@ -13,6 +16,8 @@ certificate that they are consistent.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from dgkoszul.exactlinalg import vec_iadd
 from dgkoszul.gradedcomplex import (
@@ -37,29 +42,15 @@ from dgkoszul.dgstruct import (
 
 
 # -------------------------------------------------------------------------
-# word labels
+# word complexes
 # -------------------------------------------------------------------------
-
-def _word_entries(label: str, brackets: str, what: str) -> tuple:
-    if not (label.startswith(brackets[0]) and label.endswith(brackets[1])):
-        raise ValueError(f"not a {what} word: {label!r}")
-    return tuple(label[1:-1].split("|")) if label[1:-1] else ()
-
 
 def bar_word_label(entries) -> str:
     return "[" + "|".join(entries) + "]"
 
 
-def bar_word_entries(label: str) -> tuple:
-    return _word_entries(label, "[]", "bar")
-
-
 def cobar_word_label(entries) -> str:
     return "<" + "|".join(entries) + ">"
-
-
-def cobar_word_entries(label: str) -> tuple:
-    return _word_entries(label, "<>", "cobar")
 
 
 def _known_above(sp: GradedSpace):
@@ -72,20 +63,105 @@ def _known_below(sp: GradedSpace):
     return NEG_INF if sp.bounds[0] >= sp.window.lo else sp.window.lo
 
 
+class WordSpace(GradedSpace):
+    """A space of words given by its dimensions: ``spell()`` gives its
+    labels on the first read of one; ``dim``, ``degrees`` and
+    ``total_dim`` read none."""
+
+    def __init__(self, field, window, dims: dict, bounds: tuple, spell):
+        self.field, self.window, self.bounds = field, window, bounds
+        self._dims = {n: k for n, k in sorted(dims.items()) if k}
+        self._spell = spell
+
+    def _spelled(self, name: str):
+        GradedSpace.__init__(self, self.field, self.window, self._spell(),
+                             self.bounds)
+        return self.__dict__[name]
+
+    basis = cached_property(lambda self: self._spelled("basis"))
+    _deg = cached_property(lambda self: self._spelled("_deg"))
+    _index = cached_property(lambda self: self._spelled("_index"))
+
+
+class WordComplex(Complex):
+    """Words by positions: those of magnitude m (|degree|, of sign
+    ``pol``) are each letter x, in label order, followed by each word of
+    magnitude m − ``mag[x]``, from position ``start[m][x]`` on.  d_n is
+    ``columns[n]``; the labelled map is derived on its first read."""
+
+    def __init__(self, space: WordSpace, columns: dict, pol, mag, start):
+        super().__init__(space, None)
+        self._columns, self.pol = columns, pol
+        self.mag, self.start = mag, start
+        for n, cols in columns.items():
+            top = space.dim(n + 1)
+            for j, col in enumerate(cols):
+                if col and (min(col) < 0 or max(col) >= top
+                            or not all(col.values())):
+                    t = next((t for t in col if not 0 <= t < top), None)
+                    raise StructureError(
+                        f"stored zero coefficient at {space.labels(n)[j]!r}"
+                        if t is None else f"image label {t!r} not in target")
+
+    def columns(self, n: int) -> list:
+        return self._columns.get(n, [])
+
+    @cached_property
+    def differential(self) -> GradedMap:
+        sp, cols = self.space, {}
+        for n, pcols in self._columns.items():
+            tgt = sp.labels(n + 1)
+            cols.update((l, {tgt[t]: v for t, v in col.items()})
+                        for l, col in zip(sp.labels(n), pcols) if col)
+        return GradedMap(sp, sp, 1, cols)
+
+    def first(self, m: int, j: int) -> tuple:
+        """(x, magnitude of u, position of u) for the word x·u at position
+        j of magnitude m > 0."""
+        for x, s in reversed(self.start[m].items()):
+            if s <= j:
+                return x, m - self.mag[x], j - s
+
+    def concat(self, m: int, j: int, k: int, i: int) -> int:
+        """The position of the word at (m, j) followed by the one at (k, i)."""
+        if not m:
+            return i
+        x, m, j = self.first(m, j)
+        return self.start[m + k + self.mag[x]][x] + self.concat(m, j, k, i)
+
+    def label(self, m: int, j: int):
+        """The label of the word at position j of magnitude m, or None
+        outside the window."""
+        words = self.space.basis.get(self.pol * m)
+        return words[j] if words else None
+
+    def letters(self) -> dict:
+        """{x: label of the word x} for the words x in the window, in
+        basis order."""
+        return {x: self.label(e, j) for _, j, e, x in sorted(
+            (self.pol * e, self.start[e][x], e, x)
+            for x, e in self.mag.items() if self.pol * e in self.window)}
+
+
 def _word_complex(carrier: Complex, shift: int, window: DegreeWindow | None,
-                  skip: str, quadratic, label, what: str):
+                  skip: str, quadratic, label, what: str) -> WordComplex:
     """The complex on words in the letters s^shift x, x a basis label of
     ``carrier`` other than ``skip``, shared by bar (shift -1) and cobar
     (shift +1); the window is trimmed to the degrees whose words use only
     known letters.  The words of magnitude m (|degree|) are each letter, in
-    label order, followed by the words of magnitude m − |letter|: sorted,
-    each labelled once.  d(x·u) is the terms at x, which are −s(dx) and the
-    terms ``(replacement, width, coefficient)`` of ``quadratic(x, y)`` (y
-    the first letter of u, None for the empty word) replacing ``width``
-    letters from x, plus (−1)^{|x|}·x·d(u), d(u) already built, also for a
-    tail u outside the window.  The terms at x are made once per letter
-    pair.  Unless a letter has carrier degree 0, no term at x is x-prefixed,
-    so the item order is that of the sum taken letter by letter.
+    label order, followed by the words of magnitude m − |letter|, so they
+    are sorted; the builder knows them by their positions
+    (``WordComplex``), and the space spells their labels
+    ``label(letters)`` on the first read of one.  d(x·u) is the terms at
+    x, which are −s(dx) and the terms ``(replacement, width,
+    coefficient)`` of ``quadratic(x, y)`` (y the first letter of u, None
+    for the empty word) replacing ``width`` letters from x, plus
+    (−1)^{|x|}·x·d(u), d(u) already built, also for a tail u outside the
+    window.  A term's target lies a fixed number of positions from u, the
+    same for each u of one first letter, so the terms at x are summed once
+    per letter pair and magnitude.  Unless a letter has carrier degree 0,
+    no term at x is x-prefixed, so the item order is that of the sum taken
+    letter by letter.
     """
     sp = carrier.space
     f = sp.field
@@ -114,63 +190,72 @@ def _word_complex(carrier: Complex, shift: int, window: DegreeWindow | None,
             win = DegreeWindow(min(lo, 0), min(w.hi, 0))
             bounds = (NEG_INF, 0)
         near, far = (win.lo, win.hi) if pol > 0 else (-win.hi, -win.lo)
-
-    def spelled(m):
-        # (x, entries of u, label of u) for the words x·u of magnitude m
-        for x, d in letters:
-            if (k := m - pol * d) >= 0:
-                for e, lu in zip(words[k], labels[k]):
-                    yield x, e, lu
-
-    words, labels = [[()]], [[label(())]]
-    pre = {x: {} for x, _ in letters}  # label of u -> label of x·u
+    mag = {x: pol * d for x, d in letters}
+    count, start = [1], [{}]
     for m in range(1, far + 1):
-        ws, ls = [], []
-        for x, e, lu in spelled(m):
-            ws.append((x,) + e)
-            ls.append(lab := label(ws[-1]))
-            pre[x][lu] = lab
-        words.append(ws)
-        labels.append(ls)
-    index = {e: l for ws, ls in zip(words, labels) for e, l in zip(ws, ls)}
+        s, k = {}, 0
+        for x, e in mag.items():
+            if m >= e and count[m - e]:
+                s[x], k = k, k + count[m - e]
+        start.append(s)
+        count.append(k)
+
+    def spell():
+        words = [[()]]
+        for m in range(1, far + 1):
+            words.append([(x,) + u for x in start[m]
+                          for u in words[m - mag[x]]])
+        return {pol * m: [label(u) for u in words[m]]
+                for m in range(near, far + 1)}
+
     p = f.p
     minus = f.from_int(-1)
-    odd = {l for l, d in letters if d % 2}
-    internal = {l: [((t,), 1, f.neg(v))
-                    for t, v in carrier.d(l).items() if t != skip]
-                for l, _ in letters}
+    internal = {x: [((t,), 1, f.neg(v))
+                    for t, v in carrier.d(x).items() if t != skip]
+                for x in mag}
     memo: dict = {}
-    full: dict = {}  # the columns of all words, tails outside the window too
+    full = [[{}]]  # the columns of all words, tails outside the window too
     # the magnitudes whose targets, at m + pol, are enumerated
     for m in range(1, far + (pol < 0)):
-        for x, e, lu in spelled(m):
-            y = e[0] if e else None
-            terms = memo.get((x, y))
-            if terms is None:
-                terms = memo[x, y] = internal[x] + quadratic(x, y)
-            col: dict = {}
-            get = col.get
-            for rep, width, v in terms:
-                tgt = index.get(rep + e[width - 1:])
-                if tgt is not None:
-                    s = get(tgt, 0) + v
+        top, cols = start[m + pol], []
+        for x in start[m]:
+            k = m - mag[x]
+            off, sg, tails = top.get(x), minus if mag[x] % 2 else 1, full[k]
+            for y, lo in start[k].items() if k else [(None, 0)]:
+                terms = memo.get((x, y))
+                if terms is None:
+                    terms = memo[x, y] = [t for t in internal[x] + quadratic(
+                        x, y) if all(r in mag for r in t[0])]
+                    if any(sum(map(mag.get, rep)) != mag[x] + pol + (
+                            mag[y] if width == 2 else 0)
+                           for rep, width, _ in terms):
+                        raise StructureError(f"{what}: a term of d at {x!r} "
+                                             "is not of degree one more")
+                at: dict = {}  # target less tail position -> coefficient
+                for rep, width, v in terms:
+                    c, mm = -lo if width == 2 else 0, m + pol
+                    for r in rep:
+                        c += start[mm][r]
+                        mm -= mag[r]
+                    s = at.get(c, 0) + v
                     if p is not None:
                         s %= p
                     if s:
-                        col[tgt] = s
+                        at[c] = s
                     else:
-                        col.pop(tgt, None)
-            px = pre[x]
-            if du := full.get(lu):
-                vec_iadd(f, col, minus if x in odd else 1,
-                         {px[t]: v for t, v in du.items()})
-            if col:
-                full[px[lu]] = col
-    basis = {pol * m: labels[m] for m in range(near, far + 1)}
-    bsp = GradedSpace(f, win, basis, bounds=bounds)
-    cols = {l: full[l] for m in range(near, far + 1) if near <= m + pol <= far
-            for l in labels[m] if l in full}
-    return Complex(bsp, GradedMap(bsp, bsp, 1, cols))
+                        at.pop(c, None)
+                for j in range(lo, lo + (count[k - mag[y]] if k else 1)):
+                    col = {j + c: v for c, v in at.items()}
+                    if du := tails[j]:
+                        vec_iadd(f, col, sg,
+                                 {off + t: v for t, v in du.items()})
+                    cols.append(col)
+        full.append(cols)
+    bsp = WordSpace(f, win, {pol * m: count[m] for m in range(near, far + 1)},
+                    bounds, spell)
+    return WordComplex(bsp, {pol * m: full[m] if near <= m + pol <= far
+                             else [{}] * count[m]
+                             for m in range(near, far + 1)}, pol, mag, start)
 
 
 # -------------------------------------------------------------------------
@@ -193,17 +278,30 @@ def bar(a: DGAlgebra, window: DegreeWindow | None = None) -> DGCoalgebra:
 
     cx = _word_complex(a.carrier, -1, window, a.unit, merge,
                        bar_word_label, "bar construction")
-    bsp = cx.space
+    bsp, start = cx.space, cx.start
+    cuts = {(0, 0): [((0, 0), (0, 0))]}
+
+    def cut(m, j):
+        # the cuts of the word at (m, j) into two words, by positions: those
+        # of x·u are (empty, x·u) and x·l, r for the cuts (l, r) of u
+        if (m, j) not in cuts:
+            x, k, i = cx.first(m, j)
+            e = cx.mag[x]
+            cuts[m, j] = [((0, 0), (m, j))] + [
+                ((e + lm, start[e + lm][x] + lj), r)
+                for (lm, lj), r in cut(k, i)]
+        return cuts[m, j]
 
     def comult_label(label: str) -> list:
         # deconcatenation, on demand: the cuts into two words of the space
         if label not in bsp:
             return []
-        entries = bar_word_entries(label)
-        cuts = [(bar_word_label(entries[:i]), bar_word_label(entries[i:]))
-                for i in range(len(entries) + 1)]
-        return [(left, right, f.one) for left, right in cuts
-                if left in bsp and right in bsp]
+        words, pol, out = bsp.basis, cx.pol, []
+        for (lm, lj), (rm, rj) in cut(pol * bsp.deg(label), bsp.index(label)):
+            left, right = words.get(pol * lm), words.get(pol * rm)
+            if left and right:
+                out.append((left[lj], right[rj], f.one))
+        return out
 
     unit = bar_word_label(())
     return DGCoalgebra(cx, comult_label, {unit: f.one}, unit,
@@ -214,14 +312,8 @@ def canonical_tau(a: DGAlgebra, window: DegreeWindow | None = None,
                   barc: DGCoalgebra | None = None) -> TwistingCochain:
     """τ : B(a) → a, the identity on length-one words."""
     b = barc if barc is not None else bar(a, window)
-    f = a.field
-    cols = {}
-    for l in b.space:
-        entries = bar_word_entries(l)
-        if len(entries) == 1:
-            cols[l] = {entries[0]: f.one}
-    gm = GradedMap(b.space, a.space, 1, cols)
-    return TwistingCochain(b, a, gm)
+    cols = {l: {x: a.field.one} for x, l in b.carrier.letters().items()}
+    return TwistingCochain(b, a, GradedMap(b.space, a.space, 1, cols))
 
 
 # -------------------------------------------------------------------------
@@ -250,8 +342,8 @@ def cobar(c: DGCoalgebra, window: DegreeWindow | None = None) -> DGAlgebra:
         # degree lies in the window is a basis label
         if osp.deg(a) + osp.deg(b) not in osp.window:
             return {}
-        return {cobar_word_label(cobar_word_entries(a)
-                                 + cobar_word_entries(b)): f.one}
+        (m, j), (k, i) = ((cx.pol * osp.deg(l), osp.index(l)) for l in (a, b))
+        return {cx.label(m + k, cx.concat(m, j, k, i)): f.one}
 
     nonneg = osp.bounds[0] == 0
     return DGAlgebra(cx, cobar_word_label(()), mult_pair,
@@ -265,16 +357,9 @@ def canonical_tau0(c: DGCoalgebra, window: DegreeWindow | None = None,
     """τ₀ : c → Ω(c), desuspension inclusion on the coaugmentation
     cokernel."""
     om = cobarc if cobarc is not None else cobar(c, window)
-    f = c.field
-    cols = {}
-    for l in c.space:
-        if l == c.coaug:
-            continue
-        gen = cobar_word_label((l,))
-        if gen in om.space:
-            cols[l] = {gen: f.one}
-    gm = GradedMap(c.space, om.space, 1, cols)
-    return TwistingCochain(c, om, gm)
+    words = om.carrier.letters()
+    cols = {l: {words[l]: c.field.one} for l in c.space if l in words}
+    return TwistingCochain(c, om, GradedMap(c.space, om.space, 1, cols))
 
 
 # -------------------------------------------------------------------------
@@ -308,23 +393,11 @@ def tensor_label(a: str, b: str) -> str:
     return f"{a}@{b}"
 
 
-def _split_tensor_label(label: str, spa: GradedSpace):
-    """Split "x@y" at the unique position where the left part is a label
-    of spa."""
-    pos = -1
-    while True:
-        pos = label.find("@", pos + 1)
-        if pos < 0:
-            raise ValueError(f"cannot split tensor label {label!r}")
-        if label[:pos] in spa and label[pos + 1:]:
-            return label[:pos], label[pos + 1:]
-
-
 def _tensor_complex(x, y, window: DegreeWindow | None, twist):
     """x ⊗ y on its complete tensor window with d = d⊗1 + (−1)^{|x|}1⊗d +
     twist, shared by both twisted tensor products.  ``twist(xl, yl)``
     yields the twist terms of xl⊗yl as (x label, y label, coefficient).
-    Returns the complex and {label: (x label, y label)}."""
+    The complex's ``pairs`` is {label: (x label, y label)}."""
     f = x.field
     xs, ys = x.space, y.space
     win = tensor_window(xs, ys, window)
@@ -353,7 +426,9 @@ def _tensor_complex(x, y, window: DegreeWindow | None, twist):
                 vec_iadd(f, col, v, {tgt: f.one})
         if col:
             cols[label] = col
-    return Complex(sp, GradedMap(sp, sp, 1, cols)), pairs
+    cx = Complex(sp, GradedMap(sp, sp, 1, cols))
+    cx.pairs = pairs
+    return cx
 
 
 def twisted_tensor_right(m: DGModule, t: TwistingCochain,
@@ -377,7 +452,8 @@ def twisted_tensor_right(m: DGModule, t: TwistingCochain,
             for tl, u in m.act({ml: f.one}, ta).items():
                 yield tl, c2, f.mul(f.mul(sgn, v), u)
 
-    cx, pairs = _tensor_complex(m, c, window, twist)
+    cx = _tensor_complex(m, c, window, twist)
+    pairs = cx.pairs
 
     def coaction_label(label: str) -> list:
         # 1⊗Δ_C, on demand
@@ -409,8 +485,8 @@ def twisted_tensor_left(n: DGComodule, t: TwistingCochain,
                 for tl, u in a.multiply(ta, {al: f.one}).items():
                     yield n1, tl, f.mul(f.mul(sgn, v), u)
 
-    cx, pairs = _tensor_complex(n, a, window, twist)
-    sp = cx.space
+    cx = _tensor_complex(n, a, window, twist)
+    sp, pairs = cx.space, cx.pairs
 
     def act_pair(label: str, bl: str) -> dict:
         """(n ⊗ a)·b = n ⊗ ab."""
@@ -441,8 +517,8 @@ def two_sided_check(a: DGAlgebra, c: DGCoalgebra, t: TwistingCochain,
     full = twisted_tensor_left(half, t, window)
     cols = {}
     for label in full.space:
-        hl, yl = _split_tensor_label(label, half.space)
-        xl, cl = _split_tensor_label(hl, a.space)
+        hl, yl = full.carrier.pairs[label]
+        xl, cl = half.carrier.pairs[hl]
         eps = c.counit.get(cl, f.zero)
         if f.is_zero(eps):
             continue

@@ -1,18 +1,23 @@
 """Bar/cobar constructions and twisted tensor products: homology oracles,
-Maurer-Cartan residuals, acyclicity, the letter-by-letter reference."""
+Maurer-Cartan residuals, acyclicity, the letter-by-letter reference and
+the label-keyed builder."""
 
+import contextlib
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dgkoszul import barcobar
-from dgkoszul.exactlinalg import FieldSpec
+from dgkoszul import barcobar, cli
+from dgkoszul.exactlinalg import FieldSpec, vec_iadd
 from dgkoszul.gradedcomplex import (
+    NEG_INF,
+    POS_INF,
     Complex,
     DegreeWindow,
     GradedSpace,
+    WindowError,
     check_d_squared,
     homology,
 )
@@ -45,6 +50,7 @@ from dgkoszul.barcobar import (
     twisted_tensor_left,
     twisted_tensor_right,
 )
+from test_resolve import hypersurface
 
 
 def homology_dims(cx):
@@ -570,3 +576,171 @@ def test_bar_and_cobar_of_a_dga_match_the_letter_by_letter_builder(
     assert len(calls) == 2
     for cx, args in calls:
         assert_same_words_and_columns(cx, letter_by_letter(*args))
+
+
+# -------------------------------------------------------------------------
+# the word complex on positions against the label-keyed builder
+# -------------------------------------------------------------------------
+
+def label_keyed_word_complex(carrier, shift, window, skip, quadratic, label,
+                             what):
+    """The word-complex builder as it was before words were kept by their
+    positions: every word spelled and looked up by its letters, the
+    columns keyed by labels.  The oracle for ``barcobar._word_complex``."""
+    sp = carrier.space
+    f = sp.field
+    w = window or sp.window
+    letters = sorted((l, sp.deg(l) + shift) for l in sp if l != skip)
+    if not letters:
+        win, bounds, pol, near, far = w, (0, 0), 1, 0, 0
+    else:
+        degs = [d for _, d in letters]
+        assert 0 not in degs and not min(degs) < 0 < max(degs)
+        pol = 1 if degs[0] > 0 else -1
+        if pol > 0:
+            ka = POS_INF if sp.bounds[1] <= sp.window.hi else sp.window.hi
+            hi = w.hi if ka == POS_INF else min(w.hi, int(ka) + shift)
+            win = DegreeWindow(max(w.lo, 0), max(hi, 0))
+            bounds = (0, POS_INF)
+        else:
+            kb = NEG_INF if sp.bounds[0] >= sp.window.lo else sp.window.lo
+            lo = w.lo if kb == NEG_INF else max(w.lo, int(kb) - shift)
+            win = DegreeWindow(min(lo, 0), min(w.hi, 0))
+            bounds = (NEG_INF, 0)
+        near, far = (win.lo, win.hi) if pol > 0 else (-win.hi, -win.lo)
+
+    def spelled(m):
+        for x, d in letters:
+            if (k := m - pol * d) >= 0:
+                for e, lu in zip(words[k], labels[k]):
+                    yield x, e, lu
+
+    words, labels = [[()]], [[label(())]]
+    pre = {x: {} for x, _ in letters}
+    for m in range(1, far + 1):
+        ws, ls = [], []
+        for x, e, lu in spelled(m):
+            ws.append((x,) + e)
+            ls.append(lab := label(ws[-1]))
+            pre[x][lu] = lab
+        words.append(ws)
+        labels.append(ls)
+    index = {e: l for ws, ls in zip(words, labels) for e, l in zip(ws, ls)}
+    p = f.p
+    minus = f.from_int(-1)
+    odd = {l for l, d in letters if d % 2}
+    internal = {l: [((t,), 1, f.neg(v))
+                    for t, v in carrier.d(l).items() if t != skip]
+                for l, _ in letters}
+    memo: dict = {}
+    full: dict = {}
+    for m in range(1, far + (pol < 0)):
+        for x, e, lu in spelled(m):
+            y = e[0] if e else None
+            terms = memo.get((x, y))
+            if terms is None:
+                terms = memo[x, y] = internal[x] + quadratic(x, y)
+            col: dict = {}
+            for rep, width, v in terms:
+                tgt = index.get(rep + e[width - 1:])
+                if tgt is not None:
+                    s = col.get(tgt, 0) + v
+                    if p is not None:
+                        s %= p
+                    if s:
+                        col[tgt] = s
+                    else:
+                        col.pop(tgt, None)
+            px = pre[x]
+            if du := full.get(lu):
+                vec_iadd(f, col, minus if x in odd else 1,
+                         {px[t]: v for t, v in du.items()})
+            if col:
+                full[px[lu]] = col
+    basis = {pol * m: labels[m] for m in range(near, far + 1)}
+    bsp = GradedSpace(f, win, basis, bounds=bounds)
+    cols = {l: full[l] for m in range(near, far + 1) if near <= m + pol <= far
+            for l in labels[m] if l in full}
+    return Complex(bsp, GradedMap(bsp, bsp, 1, cols))
+
+
+@st.composite
+def word_complex_cases(draw):
+    """A preset (``small_algebras``) or K[x]⊗Λ(y) with dy = x^p, |x| = ±2
+    (``hypersurface``, so the letters' internal d is nonzero), and a
+    requested window for its bar and its dual's cobar that may reach past
+    the algebra's window, where the builder trims it (``_known_above`` for
+    positive words, ``_known_below`` for negative ones), or None."""
+    if draw(st.booleans()):
+        a = draw(small_algebras())
+    else:
+        f = draw(st.sampled_from([FieldSpec.prime(2), FieldSpec.prime(5),
+                                  FieldSpec.rationals()]))
+        hi = draw(st.integers(5, 10))
+        a = hypersurface(f, DegreeWindow(-hi, hi),
+                         draw(st.sampled_from([2, -2])), draw(st.integers(2, 3)))
+    hi = a.space.window.hi
+    lo = draw(st.integers(-hi - 3, hi))
+    return a, draw(st.none() | st.builds(
+        DegreeWindow, st.just(lo), st.integers(max(lo, -hi), hi + 3)))
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(word_complex_cases())
+def test_word_complex_matches_the_label_keyed_builder(case):
+    """bar of the algebra and cobar of its dual, in both polarities: the
+    same labels in the same order in every degree, the same columns in the
+    same item order, the same effective window and bounds, and position
+    columns equal to those of the label-keyed complex."""
+    a, window = case
+    built = []
+    build = barcobar._word_complex
+
+    def spy(*args):
+        try:
+            old = label_keyed_word_complex(*args)
+        except WindowError as e:  # a window wholly past 0 on the far side
+            with pytest.raises(WindowError, match=str(e)):
+                build(*args)
+            raise
+        built.append((build(*args), old))
+        return built[-1][0]
+
+    with mock.patch.object(barcobar, "_word_complex", spy):
+        for construct, source, w in (
+                (bar, a, window), (cobar, graded_dual_algebra(a),
+                                   window and DegreeWindow(-window.hi,
+                                                           -window.lo))):
+            with contextlib.suppress(WindowError):
+                construct(source, w)
+    for new, old in built:
+        assert (new.space.window, new.space.bounds) == (old.space.window,
+                                                        old.space.bounds)
+        assert new.space.degrees() == old.space.degrees()
+        for n in old.space.degrees():
+            assert list(new.space.labels(n)) == list(old.space.labels(n))
+            assert new.columns(n) == old.columns(n)
+        assert list(new.differential.cols) == list(old.differential.cols)
+        for l, col in old.differential.cols.items():
+            assert list(new.d(l).items()) == list(col.items()), l
+
+
+def test_bar_reports_without_spelling_a_label(monkeypatch):
+    """The bar command's report on K[y]/(y^4) at ±18 (dimensions, the d²
+    verdict and homology dimensions) spells no word label: the only label
+    made is the unit's, for the counit."""
+    calls = []
+    label = barcobar.bar_word_label
+    monkeypatch.setattr(barcobar, "bar_word_label",
+                        lambda entries: calls.append(entries) or label(entries))
+    w = DegreeWindow(-18, 18)
+    a = truncated_polynomial_algebra(FieldSpec.prime(5), w, "y", 2, 4)
+    cx = bar(a, w).carrier
+    assert sum(cli.space_dims(cx).values()) == cx.space.total_dim() == 4786
+    assert check_d_squared(cx)
+    assert cli.homology_dims(cx) == {"0": 1, "1": 1, "6": 1, "7": 1,
+                                     "12": 1, "13": 1}
+    assert calls == [()] and "basis" not in vars(cx.space)
+    assert list(cx.space.labels(3)) == ["[y|y|y]", "[y^2]"]
+    assert len(calls) == 1 + cx.space.total_dim()

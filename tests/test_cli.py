@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report content, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 from types import SimpleNamespace
@@ -860,3 +861,62 @@ def test_malformed_presentation_never_crashes(tmp_path, path, value):
         code, err = _run_quiet(argv + ["-p", str(p)])
         assert code in (0, 2, 3, 4), (path, value, argv, err)
         assert "Traceback" not in err, (path, value, argv, err)
+
+
+# -------------------------------------------------------------------------
+# report bytes pinned across versions
+# -------------------------------------------------------------------------
+
+def criterion_10_presentation(field):
+    return {"schema_version": 1, "field": field, "window": [-16, 16],
+            "algebras": {
+                "S": {"kind": "polynomial", "generators": [["y", 2]]},
+                "E": {"kind": "exterior", "generators": [["x", -3]]}},
+            "coalgebras": {"Sd": {"kind": "dual", "of": "S"}},
+            "modules": {"K": {"kind": "trivial", "over": "S"}}}
+
+
+TRUNCATED_BAR = {"schema_version": 1, "field": "F5", "window": [-18, 18],
+                 "algebras": {"T": {"kind": "truncated_polynomial",
+                                    "name": "y", "degree": 2, "power": 4}}}
+
+# the sha256 of each ``--json`` report, recorded before the bar and cobar
+# word complexes were built on positions; the words' labels, their order
+# and the reports must not change with how the words are stored
+REPORT_SHA256 = [
+    ("F5", ["bar", "--algebra", "S"],
+     "126e4935cf17ae4e53aabdfc7b751b61e22176722014da6a0a1762927300f76f"),
+    ("F5", ["cobar", "--coalgebra", "Sd"],
+     "bc6ed32fad0d6083c5d37287f95c5893b7f17c65f938c443995031efede3e81e"),
+    ("F5", ["ext", "--algebra", "E"],
+     "e16f1678629a3caa64a5ac6932e18b46d0c5d9f3aac78aa4e88222b69e9f830e"),
+    ("F5", ["koszul-check", "--degrees", "2", "--window=-12:12"],
+     "3cc019d85fb01c17b0267ddc57c590aba345a9a9edf9ace623faacc46f833a4e"),
+    ("F7", ["bar", "--algebra", "S"],
+     "ab2617dbc5e1970b5310cd21d3ec7ef80e7e913977092b3a0694d655e032759f"),
+    ("F7", ["cobar", "--coalgebra", "Sd"],
+     "c6f6701f2939dfbb7d27c114e5b0b4480747c78d094f232258d3799c6c814c57"),
+    ("F7", ["ext", "--algebra", "E"],
+     "cd0cf9fef8a02bc27636e7bf4d80117669048f6e0a1708f9da5bb27fca729809"),
+    ("F7", ["koszul-check", "--degrees", "2", "--window=-12:12",
+            "--field", "F7"],
+     "4bcaab630c6491bdd007222e5718908a4c1117bd280673da60715b5a4d863d78"),
+    (None, ["bar", "--algebra", "T"],
+     "8702c12210c1a0e6dc3749e947d2c10fe92e117f95f8257b4e5e750bff4525ef"),
+]
+
+
+@pytest.mark.parametrize("field,argv,sha", REPORT_SHA256,
+                         ids=[f"{a[0]}-{f or 'T'}"
+                              for f, a, _ in REPORT_SHA256])
+def test_report_bytes_are_pinned(tmp_path, field, argv, sha):
+    """bar, cobar, ext and koszul-check on the criterion-10 fixture at F_5
+    and F_7, and the bar of K[y]/(y^4) at ±18, write the recorded bytes."""
+    doc = criterion_10_presentation(field) if field else TRUNCATED_BAR
+    p = tmp_path / "fix.json"
+    p.write_text(json.dumps(doc))
+    if argv[0] != "koszul-check":
+        argv = [argv[0], "-p", str(p)] + argv[1:]
+    out = tmp_path / "out.json"
+    assert main(argv + ["--json", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgkoszul import exactlinalg, gradedcomplex
-from dgkoszul.barcobar import bar
+from dgkoszul.barcobar import WordComplex, bar
 from dgkoszul.dgstruct import truncated_polynomial_algebra
 from dgkoszul.exactlinalg import (
     FieldSpec,
@@ -344,6 +344,56 @@ def test_check_d_squared_finds_a_planted_failure(F5, Q):
     d["c"] = {"e": Fraction(3, 2)}
     r = check_d_squared(Complex(sp, GradedMap(sp, sp, 1, d)))
     assert (r.ok, r.degree, r.label) == (False, 0, "a")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_wrong_sign_in_a_position_column_fails_where_the_label_check_did(
+        data):
+    """A sign flipped at one entry of the bar of K[y]/(y^4) over F_5 at ±12,
+    kept as position columns, an entry whose target has a nonzero column:
+    the check fails, at the degree and label the label-by-label check
+    reports on the same complex keyed by labels."""
+    f = FieldSpec.prime(5)
+    a = truncated_polynomial_algebra(f, DegreeWindow(-12, 12), "y", 2, 4)
+    cx = bar(a).carrier
+    sp = cx.space
+    entries = [(n, j, t) for n in sp.degrees()
+               for j, col in enumerate(cx.columns(n)) for t in col
+               if cx.columns(n + 1)[t]]
+    n, j, t = data.draw(st.sampled_from(entries))
+    planted = {m: [dict(col) for col in cx.columns(m)] for m in sp.degrees()}
+    planted[n][j][t] = f.neg(planted[n][j][t])
+    r = check_d_squared(WordComplex(sp, planted, cx.pol, cx.mag, cx.start))
+    labelled = Complex(sp, GradedMap(sp, sp, 1, {
+        l: {sp.labels(m + 1)[s]: v for s, v in col.items()}
+        for m, cols in planted.items()
+        for l, col in zip(sp.labels(m), cols) if col}))
+    assert not r and (r.ok, r.degree, r.label) == per_label_d_squared(
+        labelled)
+
+
+def test_position_columns_are_refused_as_labelled_ones_are(F5):
+    """A target outside the next degree or a stored zero in a position
+    column is refused with the text ``GradedMap`` gives for labels."""
+    sp = GradedSpace(F5, DegreeWindow(-4, 4), {0: ["a"], 1: ["b", "c"]})
+    for columns, message in (
+            ({0: [{2: 1}]}, "image label 2 not in target"),
+            ({0: [{-1: 1}]}, "image label -1 not in target"),
+            ({0: [{0: 1, 1: 0}]}, "stored zero coefficient at 'a'"),
+            ({0: [{0: 1}], 1: [{}, {0: 1}]}, "image label 0 not in target")):
+        with pytest.raises(StructureError, match=message):
+            WordComplex(sp, columns, 1, {}, [{}])
+    with pytest.raises(StructureError, match="stored zero coefficient at 'a'"):
+        GradedMap(sp, sp, 1, {"a": {"b": 1, "c": 0}})
+    a = truncated_polynomial_algebra(F5, DegreeWindow(-8, 8), "y", 2, 4)
+    cx = bar(a).carrier
+    cols = {n: [dict(col) for col in cx.columns(n)]
+            for n in cx.space.degrees()}
+    cols[2][0] = {t: 0 for t in cols[2][0]}
+    with pytest.raises(StructureError, match=r"stored zero coefficient at "
+                       r"'\[y\|y\]'"):
+        WordComplex(cx.space, cols, cx.pol, cx.mag, cx.start)
 
 
 def test_graded_map_refuses_labels_outside_its_spaces(F5):
