@@ -162,9 +162,10 @@ def bilinear(field: FieldSpec, rule, x: dict, y: dict) -> dict:
     return out
 
 
-def _check_entries(field: FieldSpec, rows: int, cols: int, items) -> None:
-    """What ``SparseMatrix`` and ``rank`` refuse (ValueError) in the pairs
-    (row index, {column: scalar}), ``is_canonical`` written out."""
+def check_entries(field: FieldSpec, rows: int, cols: int, items) -> None:
+    """What ``SparseMatrix``, ``rank`` and ``homology_dims`` refuse
+    (ValueError) in the pairs (row index, {column: scalar}),
+    ``is_canonical`` written out."""
     p = field.p
     for r, row in items:
         for c, v in row.items():
@@ -185,8 +186,8 @@ class SparseMatrix:
     def __init__(self, rows: int, cols: int, field: FieldSpec, entries: dict):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        _check_entries(field, rows, cols,
-                       ((r, {c: v}) for (r, c), v in entries.items()))
+        check_entries(field, rows, cols,
+                      ((r, {c: v}) for (r, c), v in entries.items()))
         self.rows = rows
         self.cols = cols
         self.field = field
@@ -235,7 +236,7 @@ def rank(field: FieldSpec, rows: list, cols: int) -> int:
     """Rank of the row dicts (column -> scalar) in ``cols`` columns, which
     it consumes: ``_echelon`` alone, under ``SparseMatrix``'s checks.  A
     matrix, its transpose and its column permutations share their rank."""
-    _check_entries(field, len(rows), cols, enumerate(rows))
+    check_entries(field, len(rows), cols, enumerate(rows))
     return len(_echelon(field, rows))
 
 

@@ -4,16 +4,19 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dgkoszul import cli, resolve
+from dgkoszul import cli, gradedcomplex, resolve
+from dgkoszul.barcobar import WordComplex
 from dgkoszul.cli import EXIT_INTERNAL, EXIT_VALIDATION, EXIT_VERDICT, main
 from dgkoszul.exactlinalg import FieldSpec
 from dgkoszul.gradedcomplex import (
-    Complex, DegreeWindow, GradedMap, GradedSpace)
+    Complex, DegreeWindow, GradedMap, GradedSpace, StructureError,
+    check_d_squared)
 
 PRESENTATION = {
     "schema_version": 1,
@@ -97,6 +100,40 @@ def test_construction_reports_no_homology_without_d_squared(
     assert code == EXIT_VERDICT
     assert rep["dims"] == {"0": 1, "1": 1, "2": 1}
     assert rep["homology_dims"] is None and rep["d_squared_ok"] is False
+
+
+@pytest.mark.parametrize("argv", [["bar", "--algebra", "S"],
+                                  ["cobar", "--coalgebra", "Sd"]],
+                         ids=["bar", "cobar"])
+def test_a_wrong_sign_in_a_construction_gives_no_homology_dims(
+        tmp_path, pres, monkeypatch, argv):
+    # one sign flipped in the stored columns of the bar of S or the cobar
+    # of Sd, at an entry whose target has a nonzero column: the d² check
+    # fails, so homology_dims (which would refuse the complex) is not
+    # read, and the report and exit code are those of any d² failure
+    construct = getattr(cli, argv[0])
+    built = {}
+
+    def planted(x, window):
+        cx = built["cx"] = construct(x, window).carrier
+        cols = {n: [dict(col) for col in cx.columns(n)]
+                for n in cx.space.degrees()}
+        n, j, t = next((n, j, t) for n in sorted(cols)
+                       for j, col in enumerate(cols[n]) for t in col
+                       if cx.columns(n + 1)[t])
+        cols[n][j][t] = cx.field.neg(cols[n][j][t])
+        built["bad"] = WordComplex(cx.space, cols, cx.pol, cx.mag, cx.start)
+        return SimpleNamespace(carrier=built["bad"])
+
+    monkeypatch.setattr(cli, argv[0], planted)
+    code, rep = run_json(tmp_path, [argv[0], "-p", pres] + argv[1:])
+    assert code == EXIT_VERDICT
+    assert rep["dims"] == cli.space_dims(built["cx"])
+    assert rep["homology_dims"] is None and rep["d_squared_ok"] is False
+    r = check_d_squared(built["bad"])
+    with pytest.raises(StructureError, match=re.escape(
+            f"d^2 != 0 at degree {r.degree}, label {r.label!r}")):
+        gradedcomplex.homology_dims(built["bad"])
 
 
 def test_generators_piling_up_is_exit_validation(tmp_path, capsys):
@@ -880,9 +917,17 @@ TRUNCATED_BAR = {"schema_version": 1, "field": "F5", "window": [-18, 18],
                  "algebras": {"T": {"kind": "truncated_polynomial",
                                     "name": "y", "degree": 2, "power": 4}}}
 
+DOCUMENTS = {"F5": criterion_10_presentation("F5"),
+             "F7": criterion_10_presentation("F7"),
+             "T": TRUNCATED_BAR,
+             "T22": {**TRUNCATED_BAR, "window": [-22, 22]}}
+
 # the sha256 of each ``--json`` report, recorded before the bar and cobar
 # word complexes were built on positions; the words' labels, their order
-# and the reports must not change with how the words are stored
+# and the reports must not change with how the words are stored.  The
+# homology of S, and the bar of K[y]/(y^4) at ±22, where
+# ``homology_dims`` eliminates d_18 (1,738 columns), were recorded
+# before ``homology_dims`` bounded its ranks
 REPORT_SHA256 = [
     ("F5", ["bar", "--algebra", "S"],
      "126e4935cf17ae4e53aabdfc7b751b61e22176722014da6a0a1762927300f76f"),
@@ -892,6 +937,8 @@ REPORT_SHA256 = [
      "e16f1678629a3caa64a5ac6932e18b46d0c5d9f3aac78aa4e88222b69e9f830e"),
     ("F5", ["koszul-check", "--degrees", "2", "--window=-12:12"],
      "3cc019d85fb01c17b0267ddc57c590aba345a9a9edf9ace623faacc46f833a4e"),
+    ("F5", ["homology", "--object", "S"],
+     "4cb2097b346a8aa86d65d7847c86e616e5401d568dff9959a064a0064b53328e"),
     ("F7", ["bar", "--algebra", "S"],
      "ab2617dbc5e1970b5310cd21d3ec7ef80e7e913977092b3a0694d655e032759f"),
     ("F7", ["cobar", "--coalgebra", "Sd"],
@@ -901,20 +948,23 @@ REPORT_SHA256 = [
     ("F7", ["koszul-check", "--degrees", "2", "--window=-12:12",
             "--field", "F7"],
      "4bcaab630c6491bdd007222e5718908a4c1117bd280673da60715b5a4d863d78"),
-    (None, ["bar", "--algebra", "T"],
+    ("F7", ["homology", "--object", "S"],
+     "acf8748e887e71ae9cdb5a3c3d123eab4c3ea81a8f56347dd74d985c845033e6"),
+    ("T", ["bar", "--algebra", "T"],
      "8702c12210c1a0e6dc3749e947d2c10fe92e117f95f8257b4e5e750bff4525ef"),
+    ("T22", ["bar", "--algebra", "T"],
+     "2ed173fae21fe8e3b052e1c18b804567e2f295fcf569715e63ebd0ca61242f48"),
 ]
 
 
-@pytest.mark.parametrize("field,argv,sha", REPORT_SHA256,
-                         ids=[f"{a[0]}-{f or 'T'}"
-                              for f, a, _ in REPORT_SHA256])
-def test_report_bytes_are_pinned(tmp_path, field, argv, sha):
-    """bar, cobar, ext and koszul-check on the criterion-10 fixture at F_5
-    and F_7, and the bar of K[y]/(y^4) at ±18, write the recorded bytes."""
-    doc = criterion_10_presentation(field) if field else TRUNCATED_BAR
+@pytest.mark.parametrize("doc,argv,sha", REPORT_SHA256,
+                         ids=[f"{a[0]}-{d}" for d, a, _ in REPORT_SHA256])
+def test_report_bytes_are_pinned(tmp_path, doc, argv, sha):
+    """bar, cobar, ext, koszul-check and homology on the criterion-10
+    fixture at F_5 and F_7, and the bar of K[y]/(y^4) at ±18 and ±22,
+    write the recorded bytes."""
     p = tmp_path / "fix.json"
-    p.write_text(json.dumps(doc))
+    p.write_text(json.dumps(DOCUMENTS[doc]))
     if argv[0] != "koszul-check":
         argv = [argv[0], "-p", str(p)] + argv[1:]
     out = tmp_path / "out.json"

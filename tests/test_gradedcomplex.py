@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgkoszul import exactlinalg, gradedcomplex
-from dgkoszul.barcobar import WordComplex, bar
-from dgkoszul.dgstruct import truncated_polynomial_algebra
+from dgkoszul.barcobar import WordComplex, bar, cobar
+from dgkoszul.dgstruct import (
+    graded_dual_algebra,
+    truncated_polynomial_algebra,
+)
 from dgkoszul.exactlinalg import (
     FieldSpec,
     SparseMatrix,
@@ -36,6 +39,7 @@ from dgkoszul.gradedcomplex import (
     replace,
     shift_complex,
 )
+from test_barcobar import small_algebras
 
 
 def two_step(f, w=None):
@@ -284,6 +288,158 @@ def test_euler_characteristic_of_homology(c):
         sum((-1) ** n * d for n, d in homology_dims(c).items())
 
 
+def ref_homology_dims(c):
+    """``homology_dims`` as it was: one ``rank`` per block, on its columns
+    with target positions reversed, and no bounds."""
+    sp, win, ranks = c.space, c.window, {}
+    for n in range(win.lo - 1, win.hi + 1):
+        top = sp.dim(n + 1) - 1
+        ranks[n] = exactlinalg.rank(
+            c.field, [{top - t: v for t, v in col.items()}
+                      for col in c.columns(n)], top + 1)
+    dims = {n: sp.dim(n) - ranks[n] - ranks[n - 1]
+            for n in range(win.lo, win.hi + 1) if sp.homology_computable(n)}
+    return {n: d for n, d in dims.items() if d}
+
+
+def rank_bounds(c):
+    """{n: (low, high)} for each block d_n that ``homology_dims`` reads:
+    the number of distinct last positions among its nonzero columns, and
+    the bound that d∘d = 0 gives from its neighbours' counts."""
+    sp, win = c.space, c.window
+    low = {n: len({max(col) for col in c.columns(n) if col})
+           for n in range(win.lo - 1, win.hi + 1)}
+    return {n: (r, min(sp.dim(n) - low.get(n - 1, 0),
+                       sp.dim(n + 1) - low.get(n + 1, 0)))
+            for n, r in low.items()}
+
+
+@st.composite
+def known_homology_complexes(draw):
+    """(complex, {n: dim H^n}) over F_2, F_5 or Q on degrees 0..4: a
+    direct sum of pieces K →u K (u a nonzero scalar) and lone K's, whose
+    count per degree is the homology, then each degree's basis changed by
+    a random invertible matrix E on its coordinates, a product of
+    elementary operations: d_n becomes d_n·E⁻¹ and d_{n−1} becomes
+    E·d_{n−1}."""
+    f = draw(st.sampled_from(FIELDS))
+    p = f.p
+
+    def add(a, b):
+        return (a + b) % p if p else a + b
+
+    dims, pieces, homology_of = [0] * 5, [], {}
+    for _ in range(draw(st.integers(0, 12))):
+        n = draw(st.integers(0, 4))
+        if n < 4 and draw(st.booleans()):
+            pieces.append((n, dims[n], dims[n + 1],
+                           draw(scalars(f, nonzero=True))))
+            dims[n + 1] += 1
+        else:
+            homology_of[n] = homology_of.get(n, 0) + 1
+        dims[n] += 1
+    # dense d_n, dim C^{n+1} rows by dim C^n columns
+    d = {n: [[f.zero] * dims[n] for _ in range(dims[n + 1] if n < 4 else 0)]
+         for n in range(5)}
+    for n, j, i, u in pieces:
+        d[n][i][j] = u
+    for n in range(5):
+        for _ in range(draw(st.integers(0, 3 * dims[n]))):
+            i, j = (draw(st.integers(0, dims[n] - 1)) for _ in range(2))
+            c = draw(scalars(f, nonzero=True))
+            below, above = d.get(n - 1, []), d[n]
+            if i == j:      # coordinate x_i times c
+                if below:
+                    below[i] = [f.mul(c, v) for v in below[i]]
+                for row in above:
+                    row[i] = f.mul(f.inv(c), row[i])
+            else:           # x_i += c·x_j: row i of d_{n−1}, column j of d_n
+                if below:
+                    below[i] = [add(v, f.mul(c, w))
+                                for v, w in zip(below[i], below[j])]
+                for row in above:
+                    row[j] = add(row[j], f.neg(f.mul(c, row[i])))
+    sp = GradedSpace(f, DegreeWindow(-1, 5),
+                     {n: [f"e{n}.{j}" for j in range(dims[n])]
+                      for n in range(5)})
+    cols = {f"e{n}.{j}": {f"e{n + 1}.{i}": row[j]
+                          for i, row in enumerate(d[n]) if row[j]}
+            for n in range(4) for j in range(dims[n])}
+    return Complex(sp, GradedMap(sp, sp, 1,
+                                 {l: v for l, v in cols.items() if v})), \
+        {n: h for n, h in homology_of.items() if h}
+
+
+@st.composite
+def bar_and_cobar_of_presets(draw):
+    """(bar of a preset or cobar of its graded dual, None), on a window
+    drawn around 0 that may reach past the preset's, where the builder
+    trims it."""
+    a = draw(small_algebras())
+    hi = a.space.window.hi
+    w = draw(st.none() | st.builds(DegreeWindow, st.integers(-hi - 3, 0),
+                                   st.integers(0, hi + 3)))
+    if draw(st.booleans()):
+        return bar(a, w).carrier, None
+    return cobar(graded_dual_algebra(a), w).carrier, None
+
+
+def test_homology_dims_match_one_rank_per_block(monkeypatch):
+    """Against ``ref_homology_dims`` and the known homology: each block's
+    rank lies between its bounds, ``rank`` runs exactly on the blocks
+    whose bounds differ, and over the examples some nonzero block is
+    closed by its bounds, some is eliminated, and some has columns whose
+    last positions collide."""
+    eliminated, seen = [], {"closed": 0, "gap": 0, "collision": 0}
+    rank = gradedcomplex.rank
+
+    def counting_rank(field, rows, cols):
+        eliminated.append((len(rows), cols))
+        return rank(field, rows, cols)
+
+    monkeypatch.setattr(gradedcomplex, "rank", counting_rank)
+
+    @settings(max_examples=300, deadline=None)
+    @given(known_homology_complexes() | bar_and_cobar_of_presets())
+    def check(case):
+        c, known = case
+        eliminated.clear()
+        dims = homology_dims(c)
+        assert dims == ref_homology_dims(c)
+        assert known is None or dims == known
+        bounds = rank_bounds(c)
+        for n, (low, high) in bounds.items():
+            top = c.dim(n + 1) - 1
+            r = exactlinalg.rank(c.field, [{top - t: v for t, v in col.items()}
+                                           for col in c.columns(n)], top + 1)
+            assert low <= r <= high
+            nonzero = sum(1 for col in c.columns(n) if col)
+            seen["closed"] += bool(nonzero) and low == high
+            seen["gap"] += bool(nonzero) and low < high
+            seen["collision"] += low < nonzero
+        assert eliminated == [(c.dim(n), c.dim(n + 1))
+                              for n, (low, high) in bounds.items()
+                              if low < high]
+
+    check()
+    assert all(seen.values()), seen
+
+
+def test_homology_dims_refuses_a_complex_that_fails_d_squared(F5):
+    """A sign planted in d(a): check_d_squared's degree and label."""
+    sp = GradedSpace(F5, DegreeWindow(-1, 3),
+                     {0: ["a"], 1: ["b", "c"], 2: ["e"]})
+    d = {"a": {"b": 1, "c": F5.neg(1)}, "b": {"e": 1}, "c": {"e": 1}}
+    assert homology_dims(Complex(sp, GradedMap(sp, sp, 1, d))) == {}
+    d["a"] = {"b": 1, "c": 1}
+    bad = Complex(sp, GradedMap(sp, sp, 1, d))
+    r = check_d_squared(bad)
+    assert not r and (r.degree, r.label) == (0, "a")
+    with pytest.raises(StructureError,
+                       match=r"^d\^2 != 0 at degree 0, label 'a'$"):
+        homology_dims(bad)
+
+
 def per_label_d_squared(c):
     """The d² check as it was: d applied twice through ``Complex.d``, label
     by label in degree and basis order; (ok, degree, label)."""
@@ -417,11 +573,12 @@ def test_homology_dims_at_known_bounds(F5):
     assert homology_dims(split_circle(F5)) == {0: 1, 1: 1}
 
 
-def test_homology_dims_eliminates_each_block_once(monkeypatch):
-    # one rank, hence one forward pass, per degree of the window and the
-    # one below it, in that order; no RREF, and no block cached.  The
-    # columns with positions reversed touch 35,617 row entries at ±18;
-    # unreversed 51,761, the blocks' own rows 122,225.
+def test_homology_dims_eliminates_only_the_blocks_with_a_gap(monkeypatch):
+    # rank runs on d_0, d_6 and d_12 of the bar of K[y]/(y^4) at ±18, the
+    # blocks where the count of distinct last positions (0, 4 and 70 of
+    # 0, 5 and 110 nonzero columns) is below the bound from d∘d = 0; one
+    # forward pass each, no RREF, and no block cached.  Eliminating every
+    # block touched 35,617 row entries; these three touch 771.
     shapes, passes, touched = [], [], [0]
     rank, echelon = gradedcomplex.rank, exactlinalg._echelon
     sub_multiple = exactlinalg._sub_multiple
@@ -451,11 +608,12 @@ def test_homology_dims_eliminates_each_block_once(monkeypatch):
     w = DegreeWindow(-18, 18)
     cx = bar(truncated_polynomial_algebra(f, w, "y", 2, 4), w).carrier
     assert homology_dims(cx) == {0: 1, 1: 1, 6: 1, 7: 1, 12: 1, 13: 1}
-    win = cx.window
-    assert shapes == [(cx.dim(n), cx.dim(n + 1))
-                      for n in range(win.lo - 1, win.hi + 1)]
+    gaps = [n for n, (low, high) in rank_bounds(cx).items() if low < high]
+    assert gaps == [0, 6, 12]
+    assert shapes == [(cx.dim(n), cx.dim(n + 1)) for n in gaps] == \
+        [(1, 1), (8, 12), (116, 182)]
     assert passes == [rows for rows, _ in shapes]
-    assert touched[0] <= 40_000, touched
+    assert touched[0] <= 1_000, touched
     assert cx._graphs == {}
 
 

@@ -1,8 +1,12 @@
 """Exterior/polynomial Koszul duality: pairs, Loewy lengths, level
 duality, Ext tables."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from dgkoszul import koszul
+from dgkoszul.exactlinalg import FieldSpec
 from dgkoszul.gradedcomplex import (
     Complex,
     DegreeWindow,
@@ -20,7 +24,7 @@ from dgkoszul.dgstruct import (
     validate_comodule,
     validate_module,
 )
-from dgkoszul.barcobar import twisted_tensor_left
+from dgkoszul.barcobar import WordComplex, twisted_tensor_left
 from dgkoszul.koszul import (
     chain_loewy_length,
     cobar_polynomial_check,
@@ -34,6 +38,7 @@ from dgkoszul.koszul import (
     make_koszul_pair,
 )
 from dgkoszul.resolve import is_free_over_homology
+from test_gradedcomplex import ref_homology_dims
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +164,62 @@ def test_cobar_polynomial_check_two_vars(F5, window):
     assert {n: v for n, v in r["dims"].items() if v} \
         == {0: 1, 4: 2, 8: 3, 12: 4}
     assert r["commutators_bound"]
+
+
+@pytest.mark.parametrize("check,construct", [
+    (exterior_tor_check, "bar"), (cobar_polynomial_check, "cobar")],
+    ids=["tor", "cobar"])
+def test_tor_and_cobar_checks_read_homology_of_a_d_squared_checked_complex(
+        monkeypatch, check, construct):
+    """Criterion 3's calls: each bar or cobar whose homology is read has
+    passed its d² check, and each report is the one that one rank per
+    block gives."""
+    built, real = [], getattr(koszul, construct)
+
+    def keep(x, window):
+        built.append(real(x, window))
+        return built[-1]
+
+    monkeypatch.setattr(koszul, construct, keep)
+    w12 = DegreeWindow(-12, 12)
+    for f in (FieldSpec.prime(2), FieldSpec.rationals()):
+        for degs in ([-3], [-3, -3]):
+            rep = check(f, degs, w12)
+            assert rep["ok"] and built[-1].carrier._d_squared
+            with monkeypatch.context() as m:
+                m.setattr(koszul, "homology_dims", ref_homology_dims)
+                assert check(f, degs, w12) == rep
+                assert built[-1].carrier._d_squared is None
+
+
+@pytest.mark.parametrize("check,construct", [
+    (exterior_tor_check, "bar"), (cobar_polynomial_check, "cobar")],
+    ids=["tor", "cobar"])
+def test_tor_and_cobar_checks_refuse_a_wrong_sign(F5, window, monkeypatch,
+                                                  check, construct):
+    """A sign flipped in the bar or cobar that the check reads, at an
+    entry whose target has a nonzero column (at ±16; in the bar at ±12
+    every target's column is 0): refused with the first failing degree
+    and label, where the dimensions were once read."""
+    real, planted = getattr(koszul, construct), []
+
+    def flipped(x, window):
+        cx = real(x, window).carrier
+        cols = {n: [dict(col) for col in cx.columns(n)]
+                for n in cx.space.degrees()}
+        n, j, t = next((n, j, t) for n in sorted(cols)
+                       for j, col in enumerate(cols[n]) for t in col
+                       if cx.columns(n + 1)[t])
+        cols[n][j][t] = F5.neg(cols[n][j][t])
+        planted.append(WordComplex(cx.space, cols, cx.pol, cx.mag, cx.start))
+        return SimpleNamespace(carrier=planted[-1])
+
+    monkeypatch.setattr(koszul, construct, flipped)
+    with pytest.raises(StructureError, match="d\\^2 != 0") as e:
+        check(F5, [-3, -3], window)
+    r = check_d_squared(planted[-1])
+    assert not r and str(e.value) == \
+        f"d^2 != 0 at degree {r.degree}, label {r.label!r}"
 
 
 def test_koszul_pair_check_two_sided(F5, window, pair2):
