@@ -367,9 +367,9 @@ def canonical_tau0(c: DGCoalgebra, window: DegreeWindow | None = None,
 # -------------------------------------------------------------------------
 
 def tensor_window(spa: GradedSpace, spb: GradedSpace,
-                  requested: DegreeWindow | None = None) -> DegreeWindow:
+                  requested: DegreeWindow | None) -> DegreeWindow:
     """Degree range on which the tensor product of two (possibly
-    truncated) spaces has a complete basis."""
+    truncated) spaces has a complete basis, within ``requested`` if given."""
     lo = spa.bounds[0] + spb.bounds[0]
     hi = spa.bounds[1] + spb.bounds[1]
     ka, kb = _known_above(spa), _known_above(spb)
@@ -508,10 +508,11 @@ def twisted_tensor_left(n: DGComodule, t: TwistingCochain,
 # checks
 # -------------------------------------------------------------------------
 
-def two_sided_check(a: DGAlgebra, c: DGCoalgebra, t: TwistingCochain,
-                    window: DegreeWindow | None = None) -> dict:
-    """Builds A⊗_τC⊗_τA and checks that x⊗c⊗y ↦ ε(c)·xy is a
-    quasi-isomorphism onto A; per-degree verdicts."""
+def two_sided_check(t: TwistingCochain,
+                    window: DegreeWindow | None) -> dict:
+    """Builds A⊗_τC⊗_τA for τ : C → A and checks that x⊗c⊗y ↦ ε(c)·xy
+    is a quasi-isomorphism onto A; per-degree verdicts."""
+    a, c = t.target, t.source
     f = a.field
     half = twisted_tensor_right(free_module(a), t, window)
     full = twisted_tensor_left(half, t, window)

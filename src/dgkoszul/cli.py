@@ -469,26 +469,17 @@ def _resolution(args):
     return semifree_resolve(m, args.depth), report
 
 
-def _resolution_report(report: dict, r) -> dict:
+def cmd_minimize(args) -> int:
+    """``resolve`` and ``minimize``: the generators, class and exhaustion
+    of the resolution, once ``minimize`` has refused a unit arrow and
+    checked d² on F and the comparison ε."""
+    r, report = _resolution(args)
+    r = minimize(r)
     report["generators"] = [[gl, d, s] for gl, d, s in
                             sorted(r.generators, key=lambda g: (g[1], g[0]))]
-    report["minimal"] = minimal = r.is_minimal()
-    if minimal:
-        cls, exhausted = class_of(r)
-        report["class"] = cls
-        report["exhausted"] = exhausted
-    return report
-
-
-def cmd_resolve(args) -> int:
-    r, report = _resolution(args)
-    emit(_resolution_report(report, r), args)
-    return EXIT_OK
-
-
-def cmd_minimize(args) -> int:
-    r, report = _resolution(args)
-    emit(_resolution_report(report, minimize(r)), args)
+    report["minimal"] = True
+    report["class"], report["exhausted"] = class_of(r)
+    emit(report, args)
     return EXIT_OK
 
 
@@ -552,8 +543,7 @@ def cmd_koszul_check(args) -> int:
 
 def cmd_ext(args) -> int:
     store = parse_presentation(args.presentation)
-    table = koszul.ext_algebra(store.get("algebras", args.algebra),
-                               store.window)
+    table = koszul.ext_algebra(store.get("algebras", args.algebra))
     report = base_report("ext", store.field, store.window)
     report["algebra"] = args.algebra
     report["dims"] = {str(n): d for n, d in sorted(table["dims"].items())}
@@ -630,7 +620,7 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
                 (("--algebra", {"required": True}),)),
         "cobar": ("cobar construction of a named coalgebra", cmd_cobar,
                   True, (("--coalgebra", {"required": True}),)),
-        "resolve": ("resolve a module", cmd_resolve, True, module),
+        "resolve": ("resolve a module", cmd_minimize, True, module),
         "minimize": ("minimize a module", cmd_minimize, True, module),
         "level-bound": ("certified level bounds for a module",
                         cmd_level_bound, True, module),

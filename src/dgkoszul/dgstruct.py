@@ -45,9 +45,9 @@ from dgkoszul.gradedcomplex import (
 
 
 class ValidationReport:
-    def __init__(self, ok: bool, violations: list | None = None):
+    def __init__(self, ok: bool):
         self.ok = ok
-        self.violations = [] if violations is None else violations
+        self.violations = []
 
     def __bool__(self):
         return self.ok
@@ -213,7 +213,7 @@ class DGModule:
 
     @classmethod
     def from_table(cls, carrier: Complex, over: DGAlgebra, table: dict,
-                   side: str = "right", name: str = "") -> "DGModule":
+                   side: str = "right") -> "DGModule":
         """Module whose action is read from ``table``, keyed (module,
         algebra) label for a right module and (algebra, module) for a
         left one."""
@@ -221,7 +221,7 @@ class DGModule:
         left, right = (msp, asp) if side == "right" else (asp, msp)
         return cls(carrier, over,
                    _table_rule(table, left, right, msp.window, "action"),
-                   side=side, name=name)
+                   side=side)
 
     @property
     def field(self):
@@ -862,12 +862,12 @@ def free_module(a: DGAlgebra) -> DGModule:
     return DGModule(a.carrier, a, a.mult_pair, side="right", name=a.name)
 
 
-def trivial_module(a: DGAlgebra, label: str = "1m") -> DGModule:
-    """K with the augmentation action."""
+def trivial_module(a: DGAlgebra) -> DGModule:
+    """K with the augmentation action, on the label "1m"."""
     f = a.field
-    sp = GradedSpace(f, a.space.window, {0: [label]}, bounds=(0, 0))
+    sp = GradedSpace(f, a.space.window, {0: ["1m"]}, bounds=(0, 0))
     cx = Complex(sp, GradedMap.zero(sp, sp, 1))
-    fixed = {label: f.one}
+    fixed = {"1m": f.one}
 
     def act_pair(m: str, x: str) -> dict:
         return fixed if x == a.unit else {}
@@ -914,9 +914,9 @@ def module_shift(m: DGModule, k: int) -> DGModule:
                     name=f"Σ^{k}{m.name}" if m.name else "")
 
 
-def module_direct_sum(ms: list, tags: list | None = None):
-    """Direct sum of right modules over a common algebra.  Each summand
-    acts by its own rule on its tagged labels."""
+def module_direct_sum(ms: list):
+    """Direct sum of right modules over a common algebra, summand i
+    tagged "i".  Each summand acts by its own rule on its tagged labels."""
     from dgkoszul.gradedcomplex import direct_sum as _ds
     if not ms:
         raise StructureError("empty direct sum")
@@ -926,7 +926,7 @@ def module_direct_sum(ms: list, tags: list | None = None):
             raise StructureError("direct sum over different algebras")
         if m.side != "right":
             raise StructureError("direct sum of right modules only")
-    tags = tags or [str(i) for i in range(len(ms))]
+    tags = [str(i) for i in range(len(ms))]
     total = _ds([m.carrier for m in ms], tags)
     summand = {f"{tag}:{l}": (tag, m, l)
                for tag, m in zip(tags, ms) for l in m.space}
@@ -945,9 +945,10 @@ def comodule_over_self(c: DGCoalgebra) -> DGComodule:
     return DGComodule(c.carrier, c, c.comult_label, name=c.name)
 
 
-def trivial_comodule(c: DGCoalgebra, label: str = "1n") -> DGComodule:
+def trivial_comodule(c: DGCoalgebra) -> DGComodule:
+    """K with the coaugmentation coaction, on the label "1n"."""
     f = c.field
-    sp = GradedSpace(f, c.space.window, {0: [label]}, bounds=(0, 0))
+    sp = GradedSpace(f, c.space.window, {0: ["1n"]}, bounds=(0, 0))
     cx = Complex(sp, GradedMap.zero(sp, sp, 1))
-    return DGComodule(cx, c, lambda l: [(label, c.coaug, f.one)]
-                      if l == label else [], name="K")
+    return DGComodule(cx, c, lambda l: [("1n", c.coaug, f.one)]
+                      if l == "1n" else [], name="K")

@@ -197,7 +197,7 @@ class GradedMap:
                     raise StructureError(f"stored zero coefficient at {l!r}")
 
     @classmethod
-    def zero(cls, source, target, shift=0):
+    def zero(cls, source, target, shift):
         return cls(source, target, shift, {})
 
     def apply_label(self, label: str) -> dict:
@@ -449,13 +449,12 @@ def relabel(prefix: str, combo: dict) -> dict:
     return {prefix + l: v for l, v in combo.items()}
 
 
-def direct_sum(complexes: list, tags: list | None = None) -> Complex:
+def direct_sum(complexes: list, tags: list) -> Complex:
     """Direct sum with label disambiguation: label l of summand i becomes
     "{tags[i]}:l"."""
     if not complexes:
         raise ValueError("empty direct sum needs an ambient field/window")
     f = complexes[0].field
-    tags = tags or [str(i) for i in range(len(complexes))]
     lo = max(c.window.lo for c in complexes)
     hi = min(c.window.hi for c in complexes)
     # degrees where every summand is complete

@@ -29,6 +29,7 @@ from dgkoszul.dgstruct import (
     graded_dual_algebra,
     graded_dual_coalgebra,
     comodule_to_module_F,
+    dual_label,
     polynomial_algebra,
     validate_algebra,
     validate_coalgebra,
@@ -36,7 +37,9 @@ from dgkoszul.dgstruct import (
 )
 from dgkoszul.barcobar import (
     bar,
+    bar_word_label,
     cobar,
+    cobar_word_label,
     twisted_tensor_right,
     two_sided_check,
 )
@@ -79,16 +82,14 @@ def make_koszul_pair(field, window: DegreeWindow, degrees) -> KoszulPair:
     return KoszulPair(degrees, sv, lv, tau)
 
 
-def koszul_R(pair: KoszulPair, m: DGModule,
-             window: DegreeWindow | None = None) -> DGComodule:
+def koszul_R(pair: KoszulPair, m: DGModule) -> DGComodule:
     """R = −⊗_τ ∧ΣV : right SV-modules to right ∧ΣV-comodules."""
-    return twisted_tensor_right(m, pair.tau, window)
+    return twisted_tensor_right(m, pair.tau)
 
 
-def eta(pair: KoszulPair, m: DGModule,
-        window: DegreeWindow | None = None) -> DGModule:
+def eta(pair: KoszulPair, m: DGModule) -> DGModule:
     """η = F∘R: a left module over the exterior algebra (∧ΣV)^∨."""
-    return comodule_to_module_F(koszul_R(pair, m, window))
+    return comodule_to_module_F(koszul_R(pair, m))
 
 
 # -------------------------------------------------------------------------
@@ -231,10 +232,10 @@ def _qiso_onto_single_class(cx: Complex) -> bool:
 # Ext algebras and Example-4.6 style checks
 # -------------------------------------------------------------------------
 
-def ext_algebra(a: DGAlgebra, window: DegreeWindow | None = None) -> dict:
+def ext_algebra(a: DGAlgebra) -> dict:
     """H((B a)^∨) with its multiplication table on canonical homology
-    representatives: Ext_A(K, K)."""
-    b = bar(a, window)
+    representatives: Ext_A(K, K), on a's window."""
+    b = bar(a)
     dual = graded_dual_coalgebra(b)
     hd = homology_by_degree(dual.carrier)
     dims = {n: h.dimension for n, h in hd.items() if h.dimension}
@@ -293,8 +294,8 @@ def exterior_tor_check(field, gen_degrees,
     expected = _poly_dims([d - 1 for d in gen_degrees],
                           window.lo, window.hi)
     expected = {n: v for n, v in expected.items() if n in checkable}
-    primitive = all(not b.reduced_comult(f"[{nm}]")
-                    for nm in names if f"[{nm}]" in b.space)
+    words = [bar_word_label([nm]) for nm in names]
+    primitive = all(not b.reduced_comult(w) for w in words if w in b.space)
     ok = dims == expected and primitive
     return {"ok": ok, "dims": dims, "expected": expected,
             "primitive_ok": primitive, "checkable": checkable}
@@ -323,8 +324,8 @@ def cobar_polynomial_check(field, gen_degrees,
     f = field
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
-            u = f"<{names[i]}*>"
-            v = f"<{names[j]}*>"
+            u, v = (cobar_word_label([dual_label(names[k])])
+                    for k in (i, j))
             if u not in om.space or v not in om.space:
                 continue
             uv = om.multiply({u: f.one}, {v: f.one})
@@ -349,7 +350,7 @@ def koszul_pair_check(pair: KoszulPair,
     """τ residual plus the two-sided quasi-isomorphism
     SV⊗_τ∧ΣV⊗_τSV → SV."""
     tau_rep = validate_twisting_cochain(pair.tau)
-    two = two_sided_check(pair.algebra, pair.coalgebra, pair.tau, window)
+    two = two_sided_check(pair.tau, window)
     return {"ok": tau_rep.ok and two["ok"],
             "tau_ok": tau_rep.ok,
             "two_sided": two}

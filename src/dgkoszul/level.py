@@ -55,10 +55,8 @@ class Leaf:
     the subject onto canonical_coproduct(base, shifts, subject window):
     {label: (target label, coefficient)}."""
 
-    def __init__(self, subject: Complex, shifts: list, witness: dict | None,
-                 name: str = "leaf"):
+    def __init__(self, subject: Complex, shifts: list, witness: dict | None):
         self.subject, self.shifts, self.witness = subject, shifts, witness
-        self.name = name
 
     @property
     def claimed(self) -> int:
@@ -82,8 +80,8 @@ class RetractNode:
     inner.subject, and retraction back."""
 
     def __init__(self, subject: Complex, inner, section: GradedMap,
-                 retraction: GradedMap, name: str = "retract"):
-        self.subject, self.inner, self.name = subject, inner, name
+                 retraction: GradedMap):
+        self.subject, self.inner = subject, inner
         self.section, self.retraction = section, retraction
 
     @property

@@ -39,7 +39,7 @@ ROUNDS_PER_DEGREE = 50  # loop cap; hitting it: exit 5
 class SemifreeResolution:
     def __init__(self, over: DGAlgebra, module: DGModule, generators: list,
                  differential: dict, comparison: dict, direction: int,
-                 depth: int, _realized: tuple | None = None):
+                 depth: int, _realized: tuple | None):
         # generators: (label, degree, stage); differential: label -> list
         # of (generator label, algebra label, coefficient); comparison:
         # label -> combination in the module; direction: +1 built upward,
@@ -115,7 +115,8 @@ def _realize(m: DGModule, parts) -> tuple:
 def semifree_resolve(m: DGModule,
                      depth: int | None = None) -> SemifreeResolution:
     """Greedy semifree resolution of a right module over its algebra
-    ``m.over``, built from the bounded end through ``depth``.
+    ``m.over``, built from the bounded end through ``depth``, which may
+    not lie past the last degree whose homology the window computes.
 
     The result is minimal: no d(g) has a unit arrow.  With A⁰ = K, a unit
     term g⊗1 in a killer's d = z needs a generator g in the degree of the
@@ -148,6 +149,13 @@ def semifree_resolve(m: DGModule,
     if (depth - start) * direction < 0:
         raise StructureError(f"depth {depth} lies before the module's "
                              f"bounded end {start}")
+    # homology at n reads degrees n ± 1, so F has none at a window end
+    win = m.space.window
+    last = win.hi - 1 if direction > 0 else win.lo + 1
+    if (depth - last) * direction > 0:
+        raise StructureError(f"depth {depth} lies past {last}, the last "
+                             f"degree whose homology the window "
+                             f"{win.lo}:{win.hi} computes")
     generators: list = []     # (label, degree, stage)
     stage: dict = {}
     differential: dict = {}
@@ -271,9 +279,9 @@ def derived_fiber(r: SemifreeResolution) -> DerivedFiber:
     return DerivedFiber(dict(sorted(dims.items())), class_of(r)[1])
 
 
-def lemma1_report(m: DGModule, depth: int | None = None):
+def lemma1_report(m: DGModule):
     """dim H(M⊗^L K), class, and the consistency verdict dim >= class."""
-    r = minimize(semifree_resolve(m, depth))
+    r = minimize(semifree_resolve(m))
     cls, exhausted = class_of(r)
     dim = len(r.generators)
     if exhausted and dim < cls:

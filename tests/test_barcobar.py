@@ -201,7 +201,7 @@ def test_twisted_tensor_left_d_squared(F5):
 
 def test_two_sided_quasi_iso(F5, window):
     t = koszul_tau(F5, window)
-    r = two_sided_check(t.target, t.source, t, window)
+    r = two_sided_check(t, window)
     assert r["ok"]
     assert all(v is True or v == "unverifiable at boundary"
                for v in r["by_degree"].values())

@@ -162,6 +162,26 @@ def test_resolve_and_minimize(tmp_path, pres):
     assert rep2["class"] == 2
 
 
+def test_resolve_and_minimize_give_one_report(tmp_path, pres, monkeypatch,
+                                              capsys):
+    # one handler: resolve runs minimize's checks, and the reports differ
+    # only in their command
+    for module in ("K", "F", "M2"):
+        reps = [run_json(tmp_path, [command, "-p", pres, "--module", module,
+                                    "--over", "S"])
+                for command in ("resolve", "minimize")]
+        assert reps[0][0] == reps[1][0] == 0
+        assert reps[0][1]["command"] == "resolve"
+        assert {**reps[0][1], "command": "minimize"} == reps[1][1]
+    monkeypatch.setattr(resolve, "is_chain_map",
+                        lambda *args: (False, ("e0", 0)))
+    for command in ("resolve", "minimize"):
+        assert main([command, "-p", pres, "--module", "K",
+                     "--over", "S"]) == EXIT_INTERNAL
+        assert ("RuntimeError: internal: comparison broke during "
+                "minimization") in capsys.readouterr().err
+
+
 def test_level_bound_report(tmp_path, pres):
     code, rep = run_json(
         tmp_path,
@@ -205,6 +225,31 @@ def test_depth_before_the_bounded_end_is_refused(capsys, pres6):
         assert main(argv + ["--depth", "-1"]) == EXIT_VALIDATION
         assert "depth -1 lies before the module's bounded end 0" in \
             capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, depths, last", [
+    (["level-bound", "--module", "K", "--over", "S"], (6, 9), 5),
+    (["level-bound", "--module", "KE", "--over", "E"], (-6, -9), -5),
+    (["duality-check", "--degrees", "2", "--window=-6:6", "--module",
+      "trivial"], (6, 9), 5)], ids=["non-negative", "non-positive", "duality"])
+def test_depth_past_the_window_is_refused(tmp_path, capsys, argv, depths,
+                                          last):
+    # homology at the window's end degree reads a degree outside it, so a
+    # depth there is refused by name before any resolving; the algebras
+    # of a Koszul pair are non-negative
+    if argv[0] == "level-bound":
+        doc = dict(PRESENTATION, window=[-6, 6], modules={
+            **PRESENTATION["modules"], "KE": {"kind": "trivial",
+                                              "over": "E"}})
+        p = tmp_path / "fix6.json"
+        p.write_text(json.dumps(doc))
+        argv = argv + ["-p", str(p)]
+    for depth in depths:
+        assert main(argv + ["--depth", str(depth)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: depth {depth} lies past {last}, the last degree whose "
+            "homology the window -6:6 computes\n")
+    assert run_json(tmp_path, argv + ["--depth", str(last)])[0] == 0
 
 
 def test_depth_at_the_bounded_end(tmp_path, pres6):

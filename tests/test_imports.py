@@ -5,7 +5,8 @@
 defines, and every method of such a class bar the dunder ones, is named
 somewhere else in the project and is reached from a command, module-level
 code or an acceptance criterion; every parameter of a top-level function
-or method is read in its body, and every field of a class is read
+or method is read in its body, and every defaulted one is passed by some
+call and omitted by another; and every field of a class is read
 somewhere in the project.
 
 No linter ships with the project, so these stdlib ``ast`` checks stand in
@@ -317,6 +318,119 @@ def test_lint_catches_an_unused_parameter(tmp_path):
                  "        return [x for _ in range(3)]\n")
     assert unused_parameters(p) == ["mod.py:1: f(b)", "mod.py:1: f(d)",
                                     "mod.py:1: f(args)", "mod.py:8: m(y)"]
+
+
+def defaulted_parameters(path: Path) -> list:
+    """(line, qualified name, callee name, parameter, position) for each
+    defaulted parameter of a top-level function or method, dunders other
+    than ``__init__`` skipped.  The callee of ``__init__`` is its class;
+    the position counts from the first argument a call writes (after
+    ``self`` or ``cls``), and is None for a keyword-only parameter."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    funcs = [(None, node) for node in tree.body if isinstance(node, defs)]
+    funcs += [(cls, node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+              for node in cls.body if isinstance(node, defs)
+              and (node.name == "__init__" or not (
+                  node.name.startswith("__") and node.name.endswith("__")))]
+    out = []
+    for cls, fn in funcs:
+        args = fn.args
+        pos = args.posonlyargs + args.args
+        bound = cls is not None and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod"
+            for d in fn.decorator_list)
+        callee = cls.name if fn.name == "__init__" else fn.name
+        first = len(pos) - len(args.defaults)
+        name = f"{cls.name}.{fn.name}" if cls else fn.name
+        out += [(fn.lineno, name, callee, p.arg, i - bound)
+                for i, p in enumerate(pos) if i >= first]
+        out += [(fn.lineno, name, callee, p.arg, None)
+                for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                if d is not None]
+    return out
+
+
+def call_arguments(roots) -> list:
+    """(callee name, positions written, keywords written) for each call in
+    a .py file under ``roots`` whose callee is a name or an attribute; a
+    call ``cls(...)`` names the class it is written in.  A starred
+    argument writes every position (the count is None) and a ``**``
+    argument every keyword (the keywords are None)."""
+    out = []
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            owner = {}  # id of a cls(...) call -> its innermost class
+            for cls in ast.walk(tree):
+                if isinstance(cls, ast.ClassDef):
+                    owner.update((id(node), cls.name)
+                                 for node in ast.walk(cls))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute)
+                        else None)
+                if name == "cls":
+                    name = owner.get(id(node), name)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords}
+                out.append((name, None if starred else len(node.args),
+                            None if None in keywords else keywords))
+    return out
+
+
+def unvaried_defaults(modules, roots) -> list:
+    """Defaulted parameters that no call under ``roots`` passes, or that
+    every such call passes.  A default never overridden is a constant
+    under a parameter's name, and one always overridden is a required
+    parameter: either way the default is a setting no call varies.
+
+    Calls are matched to a definition by callee name alone, as
+    ``defaulted_parameters`` gives it.  So two definitions of one name
+    share their calls: ``DGModule.from_table``'s ``side`` counts the calls
+    of ``DGAlgebra.from_table``.  A starred call writes every position, so
+    ``RetractNode(subject, inner, *maps)`` would hide a default left to
+    its last parameters.  A call through an expression, such as
+    ``type(r)(...)`` or a stored callback, counts for no definition."""
+    calls = call_arguments(roots)
+    out = []
+    for path in modules:
+        for line, fn, callee, param, pos in defaulted_parameters(path):
+            passed = [kws is None or param in kws
+                      or pos is not None and (n is None or n > pos)
+                      for name, n, kws in calls if name == callee]
+            if not any(passed):
+                out.append(f"{path.name}:{line}: {fn}({param}) never passed")
+            elif all(passed):
+                out.append(f"{path.name}:{line}: {fn}({param}) always passed")
+    return out
+
+
+def test_every_default_is_varied():
+    assert unvaried_defaults(MODULES, SOURCES) == []
+
+
+def test_lint_catches_an_unvaried_default(tmp_path):
+    p = tmp_path / "mod.py"
+    p.write_text("def never_set(a, label='1m'):\n    return a, label\n\n"
+                 "def always_set(a, window=None):\n    return a, window\n\n"
+                 "def varied(a, b=0, *, c=1):\n    return a, b, c\n\n"
+                 "class Box:\n"
+                 "    def __init__(self, x, y=0):\n        self.x = x + y\n\n"
+                 "    @classmethod\n"
+                 "    def make(cls, x):\n        return cls(x, 1)\n\n"
+                 "    @staticmethod\n"
+                 "    def pick(x, y=0):\n        return x + y\n\n"
+                 "    def __repr__(self, z=0):\n        return str(z)\n\n"
+                 "never_set(1)\nalways_set(1, None)\nalways_set(2, window=3)\n"
+                 "varied(1)\nvaried(1, c=2)\nvaried(*[1, 2])\n"
+                 "Box(1)\nBox.pick(1)\nBox.pick(**{'y': 2})\n")
+    assert unvaried_defaults([p], [tmp_path]) == [
+        "mod.py:1: never_set(label) never passed",
+        "mod.py:4: always_set(window) always passed"]
 
 
 def read_attributes(roots) -> set:

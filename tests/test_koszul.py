@@ -119,7 +119,7 @@ def test_level_duality_values(F5, window, pair2):
 
 def test_ext_algebra_of_poly(F5, window):
     a = polynomial_algebra(F5, window, [("y", 2)])
-    r = ext_algebra(a, window)
+    r = ext_algebra(a)
     assert r["dims"] == {-1: 1, 0: 1}
     # the exterior generator squares to zero
     sq = r["products"].get(((-1, 0), (-1, 0)))
@@ -128,7 +128,7 @@ def test_ext_algebra_of_poly(F5, window):
 
 def test_ext_algebra_of_exterior_is_polynomial(F5, window):
     e = exterior_algebra(F5, window, [("x", -3)])
-    r = ext_algebra(e, window)
+    r = ext_algebra(e)
     assert r["dims"] == {0: 1, 4: 1, 8: 1, 12: 1}
     prod = r["products"][((4, 0), (4, 0))]
     assert list(prod) == [(8, 0)] and not F5.is_zero(prod[(8, 0)])

@@ -348,7 +348,7 @@ def test_realization_matches_reference(mod):
     assert minimize(r) is r
     # the lazy path, for a resolution handed no F
     fresh = type(r)(r.over, r.module, r.generators, r.differential,
-                    r.comparison, r.direction, r.depth)
+                    r.comparison, r.direction, r.depth, None)
     cx, eps = fresh.realize()
     assert_same_complex(cx, rcx)
     assert_same_map(eps, reps)
