@@ -37,7 +37,6 @@ from dgkoszul.barcobar import bar, cobar
 from dgkoszul.resolve import (
     class_of,
     derived_fiber,
-    minimize,
     semifree_resolve,
 )
 from dgkoszul.level import cert_to_dict, level_interval
@@ -471,10 +470,9 @@ def _resolution(args):
 
 def cmd_minimize(args) -> int:
     """``resolve`` and ``minimize``: the generators, class and exhaustion
-    of the resolution, once ``minimize`` has refused a unit arrow and
-    checked d² on F and the comparison ε."""
+    of the resolution, which refused a unit arrow and checked d² on F and
+    the comparison ε when it was built."""
     r, report = _resolution(args)
-    r = minimize(r)
     report["generators"] = [[gl, d, s] for gl, d, s in
                             sorted(r.generators, key=lambda g: (g[1], g[0]))]
     report["minimal"] = True
@@ -485,7 +483,6 @@ def cmd_minimize(args) -> int:
 
 def cmd_level_bound(args) -> int:
     r, report = _resolution(args)
-    r = minimize(r)
     fib = derived_fiber(r)
     side = level_interval(r)
     report["fiber_dims"] = {str(n): d for n, d in fib.dimensions.items()}

@@ -193,9 +193,6 @@ class SparseMatrix:
         self.field = field
         self.entries = entries
 
-    def __repr__(self):
-        return f"SparseMatrix({self.rows}x{self.cols} over {self.field}, {len(self.entries)} entries)"
-
 
 class RrefResult:
     def __init__(self, rank: int, pivots: list, rref_rows: list):

@@ -16,6 +16,7 @@ from dgkoszul.gradedcomplex import (
     homology_by_degree,
     homology_class,
     homology_dims,
+    is_chain_map,
     is_quasi_iso,
 )
 from dgkoszul.dgstruct import (
@@ -43,7 +44,7 @@ from dgkoszul.barcobar import (
     twisted_tensor_right,
     two_sided_check,
 )
-from dgkoszul.resolve import minimize, semifree_resolve
+from dgkoszul.resolve import semifree_resolve
 from dgkoszul.level import level_interval
 
 
@@ -182,7 +183,7 @@ def level_duality_check(pair: KoszulPair, m: DGModule,
     if m.over is not pair.algebra:
         raise StructureError("level duality needs a module over the "
                              "pair's algebra")
-    side = level_interval(minimize(semifree_resolve(m, depth)))
+    side = level_interval(semifree_resolve(m, depth))
     if side.valid is False:
         raise StructureError("resolution certificate failed to validate")
     side_a = {"class": side.cls, "exhausted": side.exhausted,
@@ -223,6 +224,9 @@ def _qiso_onto_single_class(cx: Complex) -> bool:
     sp = GradedSpace(f, cx.space.window, {n: ["1k"]}, bounds=(n, n))
     k = Complex(sp, GradedMap.zero(sp, sp, 1))
     fmap = GradedMap(sp, cx.space, 0, {"1k": rep})
+    ok, witness = is_chain_map(fmap, k, cx)
+    if not ok:
+        raise StructureError(f"not a chain map; first failure {witness[:2]}")
     verdicts = is_quasi_iso(fmap, k, cx)
     return all(v is True or v == "unverifiable at boundary"
                for v in verdicts.values())
@@ -345,12 +349,11 @@ def cobar_polynomial_check(field, gen_degrees,
             "checkable": checkable}
 
 
-def koszul_pair_check(pair: KoszulPair,
-                      window: DegreeWindow | None = None) -> dict:
+def koszul_pair_check(pair: KoszulPair) -> dict:
     """τ residual plus the two-sided quasi-isomorphism
     SV⊗_τ∧ΣV⊗_τSV → SV."""
     tau_rep = validate_twisting_cochain(pair.tau)
-    two = two_sided_check(pair.tau, window)
+    two = two_sided_check(pair.tau, None)
     return {"ok": tau_rep.ok and two["ok"],
             "tau_ok": tau_rep.ok,
             "two_sided": two}

@@ -283,7 +283,7 @@ def cert_from_resolution(r: SemifreeResolution) -> LevelCertificate:
     if not class_of(r)[1]:
         raise StructureError("resolution not exhausted; refusing to "
                              "certify a truncated class")
-    base, one, fx = r.over.carrier, r.over.field.one, r.realize()[0]
+    base, one, fx = r.over.carrier, r.over.field.one, r.fx
     stages = sorted({s for _, _, s in r.generators})
     gens = [[(gl, d) for gl, d, s in sorted(r.generators) if s == st]
             for st in stages]

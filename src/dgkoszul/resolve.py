@@ -37,34 +37,35 @@ ROUNDS_PER_DEGREE = 50  # loop cap; hitting it: exit 5
 
 
 class SemifreeResolution:
+    """A minimal semifree resolution F → M, checked once when built: a
+    unit arrow in d is refused, and d² = 0 on F and ε : F → M as a chain
+    map are verified.  Every reader may rely on all three."""
+
     def __init__(self, over: DGAlgebra, module: DGModule, generators: list,
                  differential: dict, comparison: dict, direction: int,
-                 depth: int, _realized: tuple | None):
+                 depth: int, fx: Complex, eps: GradedMap):
         # generators: (label, degree, stage); differential: label -> list
         # of (generator label, algebra label, coefficient); comparison:
         # label -> combination in the module; direction: +1 built upward,
-        # -1 downward
+        # -1 downward; fx: F as a K-complex; eps: ε : F → M
         self.over, self.module, self.generators = over, module, generators
         self.differential, self.comparison = differential, comparison
         self.direction, self.depth = direction, depth
-        self._realized = _realized
+        self.fx, self.eps = fx, eps
         # class_of's verdict depends on depth: not a parameter, so that
         # replace recomputes it
         self._class = None
-
-    def is_minimal(self) -> bool:
-        unit = self.over.unit
-        return all(al != unit
-                   for terms in self.differential.values()
-                   for _, al, _ in terms)
-
-    def realize(self):
-        """The underlying K-complex of F and the comparison chain map."""
-        if self._realized is None:
-            self._realized = _realize(self.module, [_generator_part(
-                self.module, gl, gd, self.differential.get(gl, []),
-                self.comparison.get(gl, {})) for gl, gd, _ in self.generators])
-        return self._realized
+        if any(al == over.unit for terms in differential.values()
+               for _, al, _ in terms):
+            raise RuntimeError("internal: resolution has a unit arrow")
+        bad = check_d_squared(fx)
+        if not bad:
+            raise RuntimeError(f"internal: d^2 broke during minimization "
+                               f"at {bad.label!r}")
+        ok, witness = is_chain_map(eps, fx, module.carrier)
+        if not ok:
+            raise RuntimeError(f"internal: comparison broke during "
+                               f"minimization at {witness[:2]}")
 
 
 def _generator_part(m: DGModule, gl, gd, terms, w) -> tuple:
@@ -127,7 +128,9 @@ def semifree_resolve(m: DGModule,
     basis.  In the non-positive direction g may also be a killer of the
     round before, one degree below the cycle it kills; a cycle containing
     its g⊗1 would make a combination of the classes killed there,
-    independent until then, a boundary."""
+    independent until then, a boundary.  The resolution's constructor
+    checks that once more, with d² on F and ε as a chain map, on the F of
+    the last round."""
     if m.side != "right":
         raise StructureError("resolve right modules only")
     a = m.over
@@ -212,26 +215,7 @@ def semifree_resolve(m: DGModule,
                                      f"degree, unstable at degree {n}")
             raise RuntimeError(f"resolution did not stabilize at degree {n}")
     return SemifreeResolution(a, m, generators, differential, comparison,
-                              direction, depth, realized)
-
-
-def minimize(r: SemifreeResolution) -> SemifreeResolution:
-    """``r`` itself, once checked: a resolution whose differential has a
-    unit arrow (an invertible scalar term) is refused, and d² and the
-    comparison ε are verified on its F.  ``semifree_resolve`` builds no
-    unit arrow; its docstring says why."""
-    if not r.is_minimal():
-        raise RuntimeError("internal: resolution has a unit arrow")
-    cx, eps = r.realize()
-    bad = check_d_squared(cx)
-    if not bad:
-        raise RuntimeError(f"internal: d^2 broke during minimization "
-                           f"at {bad.label!r}")
-    ok, witness = is_chain_map(eps, cx, r.module.carrier)
-    if not ok:
-        raise RuntimeError(f"internal: comparison broke during "
-                           f"minimization at {witness[:2]}")
-    return r
+                              direction, depth, *realized)
 
 
 class DerivedFiber:
@@ -244,12 +228,10 @@ def class_of(r: SemifreeResolution):
     means that no generator lies within two degrees of the depth cut, and
     that past the cut ε : F → M is a quasi-isomorphism wherever both
     homologies are computable in the window: a generator the cut left out
-    shows there as a class that ε misses or kills.  Computed once per
-    resolution."""
+    shows there as a class that ε misses or kills.  ε was checked as a
+    chain map when r was built.  Computed once per resolution."""
     if r._class is not None:
         return r._class
-    if not r.is_minimal():
-        raise StructureError("class_of needs a minimal resolution")
     stages = {s for _, _, s in r.generators}
     win = r.module.space.window
     if r.direction > 0:
@@ -258,8 +240,8 @@ def class_of(r: SemifreeResolution):
         band, past = (r.depth, r.depth + 2), (win.lo, r.depth - 1)
     exhausted = not any(band[0] <= d <= band[1] for _, d, _ in r.generators)
     if exhausted and past[0] <= past[1]:
-        cx, eps = r.realize()
-        verdicts = is_quasi_iso(eps, cx, r.module.carrier, DegreeWindow(*past))
+        verdicts = is_quasi_iso(r.eps, r.fx, r.module.carrier,
+                                DegreeWindow(*past))
         exhausted = False not in verdicts.values()
     r._class = (len(stages), exhausted)
     return r._class
@@ -281,7 +263,7 @@ def derived_fiber(r: SemifreeResolution) -> DerivedFiber:
 
 def lemma1_report(m: DGModule):
     """dim H(M⊗^L K), class, and the consistency verdict dim >= class."""
-    r = minimize(semifree_resolve(m))
+    r = semifree_resolve(m)
     cls, exhausted = class_of(r)
     dim = len(r.generators)
     if exhausted and dim < cls:

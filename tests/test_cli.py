@@ -164,8 +164,7 @@ def test_resolve_and_minimize(tmp_path, pres):
 
 def test_resolve_and_minimize_give_one_report(tmp_path, pres, monkeypatch,
                                               capsys):
-    # one handler: resolve runs minimize's checks, and the reports differ
-    # only in their command
+    # one handler: the reports differ only in their command
     for module in ("K", "F", "M2"):
         reps = [run_json(tmp_path, [command, "-p", pres, "--module", module,
                                     "--over", "S"])
@@ -421,6 +420,32 @@ def test_engine_fault_is_exit_internal(monkeypatch, capsys, pres, name,
     assert main(argv) == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert "Traceback" in err and f"RuntimeError: {message}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["resolve", "--module", "K", "--over", "S"],
+    ["minimize", "--module", "K", "--over", "S"],
+    ["level-bound", "--module", "K", "--over", "S"],
+    ["duality-check", "--degrees", "2", "--window=-8:8", "--module",
+     "trivial"],
+], ids=["resolve", "minimize", "level-bound", "duality-check"])
+@pytest.mark.parametrize("name,value,message", [
+    ("check_d_squared", lambda cx: gradedcomplex.DSquaredReport(
+        False, 0, "e0@1"),
+     "internal: d^2 broke during minimization at 'e0@1'"),
+    ("is_chain_map", lambda *args: (False, (0, "e0@1", {"x": 1})),
+     "internal: comparison broke during minimization at (0, 'e0@1')"),
+], ids=["d-squared", "comparison"])
+def test_a_failed_resolution_check_is_exit_internal(monkeypatch, capsys, pres,
+                                                    argv, name, value,
+                                                    message):
+    # the resolution runs its checks once, when it is built, for every
+    # command that resolves; a failure keeps its message and exit 5
+    monkeypatch.setattr(resolve, name, value)
+    if argv[0] != "duality-check":
+        argv = argv + ["-p", pres]
+    assert main(argv) == EXIT_INTERNAL
+    assert f"RuntimeError: {message}\n" in capsys.readouterr().err
 
 
 def test_exit_dangling_reference(tmp_path):

@@ -530,6 +530,14 @@ def test_non_prime_rejected():
         FieldSpec.prime(6)
 
 
+def test_fields_compare_by_kind_and_prime(F5):
+    fresh = FieldSpec.prime(5)
+    assert fresh is not F5 and fresh == F5 and hash(fresh) == hash(F5)
+    assert F5 != FieldSpec.prime(7)
+    assert F5 != FieldSpec.rationals()
+    assert F5 != "F5"
+
+
 def ordered(obj):
     """obj with every dict as its list of items, so that key order counts."""
     if isinstance(obj, dict):

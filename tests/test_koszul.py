@@ -1,6 +1,7 @@
 """Exterior/polynomial Koszul duality: pairs, Loewy lengths, level
 duality, Ext tables."""
 
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -24,7 +25,8 @@ from dgkoszul.dgstruct import (
     validate_comodule,
     validate_module,
 )
-from dgkoszul.barcobar import WordComplex, twisted_tensor_left
+from dgkoszul.barcobar import (WordComplex, twisted_tensor_left,
+                               two_sided_check)
 from dgkoszul.koszul import (
     chain_loewy_length,
     cobar_polynomial_check,
@@ -223,14 +225,42 @@ def test_tor_and_cobar_checks_refuse_a_wrong_sign(F5, window, monkeypatch,
 
 
 def test_koszul_pair_check_two_sided(F5, window, pair2):
-    r = koszul_pair_check(pair2, window)
+    r = koszul_pair_check(pair2)
     assert r["ok"] and r["tau_ok"] and r["two_sided"]["ok"]
 
 
 def test_koszul_pair_check_rank_two(F5, window):
     p = make_koszul_pair(F5, window, [2, 2])
-    r = koszul_pair_check(p, window)
+    r = koszul_pair_check(p)
     assert r["ok"]
+
+
+def test_each_quasi_iso_check_makes_one_chain_map_check(pair2, monkeypatch):
+    # is_quasi_iso presumes a chain map, so each caller checks it once:
+    # two_sided_check before it asks, and _qiso_onto_single_class on the
+    # map from the shifted ground field, which it refuses if it fails
+    from dgkoszul import barcobar, gradedcomplex
+    from dgkoszul.dgstruct import free_module
+    calls = []
+    real = gradedcomplex.is_chain_map
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for mod in (gradedcomplex, barcobar, koszul):
+        monkeypatch.setattr(mod, "is_chain_map", counted)
+    assert two_sided_check(pair2.tau, None)["ok"]
+    assert len(calls) == 1
+    calls.clear()
+    n = eta(pair2, free_module(pair2.algebra))
+    assert koszul._qiso_onto_single_class(n.carrier)
+    assert len(calls) == 1
+    monkeypatch.setattr(koszul, "is_chain_map",
+                        lambda *args: (False, (0, "1k", {})))
+    with pytest.raises(StructureError, match=re.escape(
+            "not a chain map; first failure (0, '1k')")):
+        koszul._qiso_onto_single_class(n.carrier)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

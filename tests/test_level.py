@@ -14,6 +14,7 @@ reference code only (``ref_cert_validate``, ``ref_cert_shift``,
 ``ref_cert_to_dict``).
 """
 
+import copy
 import functools
 import re
 from collections import Counter
@@ -52,7 +53,6 @@ from dgkoszul.dgstruct import (
 from dgkoszul.resolve import (
     SemifreeResolution,
     class_of,
-    minimize,
     semifree_resolve,
 )
 from dgkoszul.level import (
@@ -82,7 +82,7 @@ def poly(F5, window):
 
 @pytest.fixture(scope="module")
 def r_k_poly(poly):
-    return minimize(semifree_resolve(trivial_module(poly)))
+    return semifree_resolve(trivial_module(poly))
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +95,7 @@ def cert_k2(F5, window):
     """K over K[y1,y2]: three stages, and d of a top-stage label has two
     terms."""
     a = polynomial_algebra(F5, window, [("y1", 2), ("y2", 2)])
-    return cert_from_resolution(minimize(semifree_resolve(trivial_module(a))))
+    return cert_from_resolution(semifree_resolve(trivial_module(a)))
 
 
 def leaf_identity(base, shifts) -> Leaf:
@@ -190,7 +190,7 @@ def test_cert_from_koszul_resolution(cert_k_poly):
 
 
 def test_cert_truncated_module(poly):
-    r = minimize(semifree_resolve(truncated_module(poly, "y", 2, 3)))
+    r = semifree_resolve(truncated_module(poly, "y", 2, 3))
     c = cert_from_resolution(r)
     assert c.claimed_level == 2
     assert cert_validate(c).ok
@@ -198,7 +198,7 @@ def test_cert_truncated_module(poly):
 
 def test_cert_two_variables(F5, window):
     a = polynomial_algebra(F5, window, [("y1", 2), ("y2", 2)])
-    r = minimize(semifree_resolve(trivial_module(a)))
+    r = semifree_resolve(trivial_module(a))
     c = cert_from_resolution(r)
     assert c.claimed_level == 3
     assert cert_validate(c).ok
@@ -477,12 +477,13 @@ def test_filtration_quotient_must_have_fs_in_stage_d(F5, window):
 def test_level_interval_checks_each_witness_once(F5, monkeypatch):
     # K3 over K[y1,y2,y3] has class 4: a filtration of four stages with a
     # leaf on each.  The leaf witnesses are relabellings and the stages
-    # are checked by d² on F, without is_chain_map; what remains is the
-    # check in class_of: no cone map, no second check in the builder
+    # are checked by d² on F, without is_chain_map; ε was checked when r
+    # was built, so class_of makes no check: no cone map, no second check
+    # in the builder
     from dgkoszul import gradedcomplex, level, resolve
     a = polynomial_algebra(F5, DegreeWindow(-8, 8),
                            [("y1", 2), ("y2", 2), ("y3", 2)])
-    r = minimize(semifree_resolve(trivial_module(a)))
+    r = semifree_resolve(trivial_module(a))
     calls = []
     checked = gradedcomplex.is_chain_map
 
@@ -494,7 +495,7 @@ def test_level_interval_checks_each_witness_once(F5, monkeypatch):
         monkeypatch.setattr(mod, "is_chain_map", counted)
     side = level.level_interval(r)
     assert side.upper == 4 and side.valid
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_cert_shift_checks_each_cone_map_once(F5, monkeypatch):
@@ -504,7 +505,7 @@ def test_cert_shift_checks_each_cone_map_once(F5, monkeypatch):
     from dgkoszul import gradedcomplex, level
     a = polynomial_algebra(F5, DegreeWindow(-8, 8),
                            [("y1", 2), ("y2", 2), ("y3", 2)])
-    cert = cert_from_resolution(minimize(semifree_resolve(trivial_module(a))))
+    cert = cert_from_resolution(semifree_resolve(trivial_module(a)))
     calls = []
     checked = gradedcomplex.is_chain_map
 
@@ -607,7 +608,7 @@ def test_filtration_check_reads_each_label_once(F5, monkeypatch):
     from dgkoszul import gradedcomplex, level
     a = polynomial_algebra(F5, DegreeWindow(-8, 8),
                            [("y1", 2), ("y2", 2), ("y3", 2)])
-    cert = cert_from_resolution(minimize(semifree_resolve(trivial_module(a))))
+    cert = cert_from_resolution(semifree_resolve(trivial_module(a)))
     parts = {id(p.subject) for p in cert.tree.parts}
     chain_maps, d_calls = [], Counter()
     checked, d = gradedcomplex.is_chain_map, Complex.d
@@ -696,10 +697,10 @@ def test_cone_whose_w_is_not_a_chain_map_refused(cert_k_poly, F5):
 
 
 def test_level_interval_realizes_each_generator_once(F5, monkeypatch):
-    """For K3 over K[y1,y2,y3]: each generator's columns are computed once
-    (minimize hands its input, and so the same F, on), the builder forms
-    no direct sum, the validator makes no relabel copy, and level_interval
-    makes 1 chain-map check, in class_of."""
+    """For K3 over K[y1,y2,y3]: each generator's columns are computed once,
+    the builder forms no direct sum, the validator makes no relabel copy,
+    and from semifree_resolve on, through class_of and level_interval,
+    ε is checked as a chain map once, when the resolution is built."""
     from dgkoszul import gradedcomplex, level, resolve
     a = polynomial_algebra(F5, DegreeWindow(-8, 8),
                            [("y1", 2), ("y2", 2), ("y3", 2)])
@@ -732,11 +733,9 @@ def test_level_interval_realizes_each_generator_once(F5, monkeypatch):
         for name, fn in wrapped.items():
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, fn)
-    r0 = semifree_resolve(trivial_module(a))
-    r = minimize(r0)
-    assert r.realize() is r0.realize()
+    r = semifree_resolve(trivial_module(a))
     assert sorted(parts) == sorted(gl for gl, _, _ in r.generators)
-    del checks[:]
+    assert len(checks) == 1
     side = level_interval(r)
     assert side.upper == 4 and side.valid
     assert not [p for p in relabels if "cert_validate" in p]
@@ -751,7 +750,7 @@ def test_level_interval_of_the_zero_module(F5, window):
     sp = GradedSpace(F5, window, {}, bounds=(0, 0))
     zero = DGModule(Complex(sp, GradedMap.zero(sp, sp, 1)), a,
                     lambda ml, x: {})
-    side = level_interval(minimize(semifree_resolve(zero)))
+    side = level_interval(semifree_resolve(zero))
     assert (side.cls, side.lower, side.upper, side.valid) == (0, 0, 0, True)
 
 
@@ -887,7 +886,7 @@ def cone_base(field: str, base: str) -> Complex:
     a = polynomial_algebra(f, win, [("y", 2)])
     if base == "K[y]":
         return a.carrier
-    return minimize(semifree_resolve(trivial_module(a))).realize()[0]
+    return semifree_resolve(trivial_module(a)).fx
 
 
 @settings(PROPERTY, max_examples=60)
@@ -1101,7 +1100,7 @@ def resolutions(draw):
         m = free_module(a)
     else:
         m = truncated_module(a, "y", 2, draw(st.integers(1, 3)))
-    r = minimize(semifree_resolve(m))
+    r = semifree_resolve(m)
     assume(class_of(r)[1])                  # exhausted in the window
     return r
 
@@ -1244,15 +1243,13 @@ def ref_spine_from_resolution(r: SemifreeResolution) -> LevelCertificate:
     over the realized F, and the root subject is F itself.  Nothing is
     checked here: callers validate with cert_validate, as level_interval
     does."""
-    if not r.is_minimal():
-        raise StructureError("certificate needs a minimal resolution")
     cls, exhausted = class_of(r)
     if not exhausted:
         raise StructureError("resolution not exhausted; refusing to "
                              "certify a truncated class")
     base = r.over.carrier
     one = base.field.one
-    fx = r.realize()[0]
+    fx = r.fx
     stages = sorted({s for _, _, s in r.generators})
     if not stages:
         return LevelCertificate(base, fx, empty_leaf(base))
@@ -1427,7 +1424,7 @@ def small_resolutions(draw):
     hi = last + draw(st.integers(5, 7))
     a = polynomial_algebra(f, DegreeWindow(-hi, hi),
                            [(f"y{i}", d) for i, d in enumerate(degs)])
-    r = minimize(semifree_resolve(make(a)))
+    r = semifree_resolve(make(a))
     assert class_of(r)[1]
     return r
 
@@ -1444,7 +1441,7 @@ def test_filtration_validator_matches_cone_spine(r, data):
     agree (a spine builder that refuses is a failed verdict), each
     violation names a stage and a label, and the serialized forms are
     equal."""
-    fx, f = r.realize()[0], r.over.field
+    fx, f = r.fx, r.over.field
     node = cert_from_resolution(r).tree
     kinds = ["none", "flipped-d", "flipped-witness", "dropped-label",
              "part-subject"] + (["term-above"] if moved_up(node) else [])
@@ -1458,9 +1455,10 @@ def test_filtration_validator_matches_cone_spine(r, data):
         else:
             l, t, u = moved_up(node)
             cols[l] = {(u if x == t else x): v for x, v in cols[l].items()}
-        bad = replace(r, _realized=(with_cols(fx, cols), r.realize()[1]))
-        bad._class = class_of(r)
-        r = bad
+        # planted after the resolution's own checks passed, which would
+        # refuse this F: what is tested is the certificate
+        r = copy.copy(r)
+        r.fx = with_cols(fx, cols)
     new = cert_from_resolution(r)
     try:
         ref = ref_spine_from_resolution(r)
@@ -1498,24 +1496,26 @@ def test_filtration_validator_matches_cone_spine(r, data):
         assert cert_to_dict(new) == ref_cert_to_dict(ref)
 
 
-def test_a_wrong_sign_in_f_fails_minimize_and_the_certificate(F5):
+def test_a_wrong_sign_in_f_fails_the_resolution_and_the_certificate(F5):
     # check_d_squared keeps its report on the complex, so level-bound pays
-    # for one d² pass over F where minimize and cert_validate each ask.
-    # A sign flipped in F, on a complex of its own, still fails both
+    # for one d² pass over F where the resolution and cert_validate each
+    # ask.  A sign flipped in F, on a complex of its own, fails both: the
+    # resolution refuses it when built, and the certificate validator when
+    # it is planted in a certificate of the good resolution
     s2 = polynomial_algebra(F5, DegreeWindow(-12, 12), [("y1", 2), ("y2", 2)])
-    r = minimize(semifree_resolve(trivial_module(s2)))
-    fx, eps = r.realize()
-    assert check_d_squared(fx)
-    assert cert_validate(cert_from_resolution(r)).ok
-    cols = dict(fx.differential.cols)
+    r = semifree_resolve(trivial_module(s2))
+    cert = cert_from_resolution(r)
+    assert check_d_squared(r.fx)
+    assert cert_validate(cert).ok
+    cols = dict(r.fx.differential.cols)
     l = next(l for l in sorted(cols) if len(cols[l]) > 1)
     t = next(iter(cols[l]))
     cols[l] = {**cols[l], t: F5.neg(cols[l][t])}
-    bad = replace(r, _realized=(with_cols(fx, cols), eps))
-    bad._class = class_of(r)
-    assert not check_d_squared(bad.realize()[0])
+    bad = with_cols(r.fx, cols)
+    assert not check_d_squared(bad)
     with pytest.raises(RuntimeError, match=r"d\^2 broke during minimization"):
-        minimize(bad)
-    rep = cert_validate(cert_from_resolution(bad))
+        replace(r, fx=bad)
+    rep = cert_validate(LevelCertificate(cert.base, bad,
+                                         replace(cert.tree, subject=bad)))
     assert not rep.ok
     assert any("d∘d ≠ 0" in v for v in rep.violations), rep.violations

@@ -31,7 +31,6 @@ from dgkoszul.resolve import (
     class_of,
     derived_fiber,
     is_free_over_homology,
-    minimize,
     semifree_resolve,
 )
 
@@ -51,8 +50,8 @@ def test_shared_columns_and_rules_unchanged(F5):
     bs = bar(s, window)
     om = cobar(sd, window)
     k = trivial_module(s)
-    r = minimize(semifree_resolve(k))
-    rcx, eps = r.realize()
+    r = semifree_resolve(k)
+    rcx, eps = r.fx, r.eps
     ka = trivial_algebra(F5, window)
     kk = trivial_module(ka)
     om0 = cobar(graded_dual_algebra(ka), window)
