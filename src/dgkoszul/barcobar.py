@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from dgkoszul.exactlinalg import vec_iadd
+from dgkoszul.exactlinalg import check_entries, vec_iadd
 from dgkoszul.gradedcomplex import (
     Complex,
     DegreeWindow,
@@ -87,7 +87,8 @@ class WordComplex(Complex):
     """Words by positions: those of magnitude m (|degree|, of sign
     ``pol``) are each letter x, in label order, followed by each word of
     magnitude m − ``mag[x]``, from position ``start[m][x]`` on.  d_n is
-    ``columns[n]``; the labelled map is derived on its first read."""
+    ``columns[n]``; the labelled map is derived on its first read.  A
+    fault ``check_entries`` finds is named as ``GradedMap`` names it."""
 
     def __init__(self, space: WordSpace, columns: dict, pol, mag, start):
         super().__init__(space, None)
@@ -95,13 +96,13 @@ class WordComplex(Complex):
         self.mag, self.start = mag, start
         for n, cols in columns.items():
             top = space.dim(n + 1)
-            for j, col in enumerate(cols):
-                if col and (min(col) < 0 or max(col) >= top
-                            or not all(col.values())):
-                    t = next((t for t in col if not 0 <= t < top), None)
-                    raise StructureError(
-                        f"stored zero coefficient at {space.labels(n)[j]!r}"
-                        if t is None else f"image label {t!r} not in target")
+            try:
+                check_entries(space.field, len(cols), top, enumerate(cols))
+            except ValueError:
+                tgt = space.labels(n + 1)
+                GradedMap(space, space, 1, {l: {
+                    tgt[t] if 0 <= t < top else t: v for t, v in col.items()}
+                    for l, col in zip(space.labels(n), cols)})
 
     def columns(self, n: int) -> list:
         return self._columns.get(n, [])
@@ -508,14 +509,13 @@ def twisted_tensor_left(n: DGComodule, t: TwistingCochain,
 # checks
 # -------------------------------------------------------------------------
 
-def two_sided_check(t: TwistingCochain,
-                    window: DegreeWindow | None) -> dict:
+def two_sided_check(t: TwistingCochain) -> dict:
     """Builds A⊗_τC⊗_τA for τ : C → A and checks that x⊗c⊗y ↦ ε(c)·xy
     is a quasi-isomorphism onto A; per-degree verdicts."""
     a, c = t.target, t.source
     f = a.field
-    half = twisted_tensor_right(free_module(a), t, window)
-    full = twisted_tensor_left(half, t, window)
+    half = twisted_tensor_right(free_module(a), t)
+    full = twisted_tensor_left(half, t)
     cols = {}
     for label in full.space:
         hl, yl = full.carrier.pairs[label]

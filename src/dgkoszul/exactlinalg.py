@@ -163,9 +163,8 @@ def bilinear(field: FieldSpec, rule, x: dict, y: dict) -> dict:
 
 
 def check_entries(field: FieldSpec, rows: int, cols: int, items) -> None:
-    """What ``SparseMatrix``, ``rank`` and ``homology_dims`` refuse
-    (ValueError) in the pairs (row index, {column: scalar}),
-    ``is_canonical`` written out."""
+    """What ``SparseMatrix``, ``rank`` and ``WordComplex`` refuse in the
+    pairs (row index, {column: scalar}), ``is_canonical`` written out."""
     p = field.p
     for r, row in items:
         for c, v in row.items():

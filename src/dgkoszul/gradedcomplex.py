@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dgkoszul.exactlinalg import (
     FieldSpec,
-    check_entries,
     graph_kernel,
     graph_reduce,
     graph_span,
@@ -174,7 +173,8 @@ class GradedMap:
     Stored columnwise: ``cols[label]`` is the image of a source basis
     element as a sparse combination of target basis labels.  Images whose
     degree falls outside the target window must be truncated by the caller
-    (constructions do this explicitly and track completeness).
+    (constructions do this explicitly and track completeness).  Each entry
+    is checked here (StructureError), and by no reader again.
     """
 
     def __init__(self, source: GradedSpace, target: GradedSpace, shift: int,
@@ -184,6 +184,7 @@ class GradedMap:
         self.shift = shift
         self.cols = cols
         sdeg, tdeg = source._deg, target._deg
+        canonical = target.field.is_canonical
         for l, combo in cols.items():
             if l not in sdeg:
                 raise StructureError(f"column label {l!r} not in source")
@@ -193,8 +194,9 @@ class GradedMap:
                     raise StructureError(
                         f"map not homogeneous of shift {shift} at {l!r}"
                         if t in tdeg else f"image label {t!r} not in target")
-                if not v:
-                    raise StructureError(f"stored zero coefficient at {l!r}")
+                if not (v and canonical(v)):
+                    bad = "non-canonical" if v else "stored zero"
+                    raise StructureError(f"{bad} coefficient at {l!r}")
 
     @classmethod
     def zero(cls, source, target, shift):
@@ -357,23 +359,21 @@ def homology_by_degree(c: Complex) -> dict:
 def homology_dims(c: Complex) -> dict:
     """{n: dim H^n} where computable and nonzero: dim C^n − rank d_n −
     rank d_{n−1}, refused (StructureError) unless ``check_d_squared``
-    passes.  Columns of d_n with distinct last positions are independent,
-    so their number bounds rank d_n below; d∘d = 0 bounds it above by
-    dim C^n − rank d_{n−1} and by dim C^{n+1} − rank d_{n+1}.  Only a block
-    whose bounds differ is eliminated, by ``rank`` on its columns with
-    target positions reversed; no block's columns are kept (bar of
-    K[y]/(y^4), F_5, ±22, Python 3.11 on 2 cores: 0.030 s, 0.011 s of it
-    for d_18, the one large such block, 0.015 s unreversed; 0.13 s with
-    one ``rank`` per block)."""
+    passes; no entry is checked again.  Columns of d_n with distinct last
+    positions are independent, so their number bounds rank d_n below;
+    d∘d = 0 bounds it above by dim C^n − rank d_{n−1} and by
+    dim C^{n+1} − rank d_{n+1}.  Only a block whose bounds differ is
+    eliminated, by ``rank`` on its columns with target positions reversed;
+    no block's columns are kept (bar of K[y]/(y^4), F_5, ±22, Python 3.11
+    on 2 cores: 0.017 s, 0.011 s of it for d_18, the one large such block,
+    0.015 s unreversed; 0.13 s with one ``rank`` per block)."""
     dsq = check_d_squared(c)
     if not dsq:
         raise StructureError(f"d^2 != 0 at degree {dsq.degree}, "
                              f"label {dsq.label!r}")
-    sp, win, f, low = c.space, c.window, c.field, {}
-    for n in range(win.lo - 1, win.hi + 1):
-        cols = c.columns(n)
-        check_entries(f, len(cols), sp.dim(n + 1), enumerate(cols))
-        low[n] = len({max(col) for col in cols if col})
+    sp, win, f = c.space, c.window, c.field
+    low = {n: len({max(col) for col in c.columns(n) if col})
+           for n in range(win.lo - 1, win.hi + 1)}
     ranks = dict(low)
     for n, r in low.items():
         if r < min(sp.dim(n) - low.get(n - 1, 0),

@@ -353,7 +353,7 @@ def koszul_pair_check(pair: KoszulPair) -> dict:
     """τ residual plus the two-sided quasi-isomorphism
     SV⊗_τ∧ΣV⊗_τSV → SV."""
     tau_rep = validate_twisting_cochain(pair.tau)
-    two = two_sided_check(pair.tau, None)
+    two = two_sided_check(pair.tau)
     return {"ok": tau_rep.ok and two["ok"],
             "tau_ok": tau_rep.ok,
             "two_sided": two}

@@ -283,7 +283,7 @@ def cert_from_resolution(r: SemifreeResolution) -> LevelCertificate:
     if not class_of(r)[1]:
         raise StructureError("resolution not exhausted; refusing to "
                              "certify a truncated class")
-    base, one, fx = r.over.carrier, r.over.field.one, r.fx
+    base, one, fx = r.module.over.carrier, r.module.over.field.one, r.fx
     stages = sorted({s for _, _, s in r.generators})
     gens = [[(gl, d) for gl, d, s in sorted(r.generators) if s == st]
             for st in stages]
@@ -449,8 +449,8 @@ class LevelInterval:
 
 
 def level_interval(r: SemifreeResolution) -> LevelInterval:
-    """The certified interval for the level of ``r.module`` over
-    ``r.over`` from its minimal resolution r; no upper bound unless r is
+    """The certified interval for the level of ``r.module`` over its
+    algebra from its minimal resolution r; no upper bound unless r is
     exhausted."""
     cls, exhausted = class_of(r)
     lower = level_lower_bound(cls, is_free_over_homology(r.module)["free"])

@@ -30,7 +30,7 @@ from dgkoszul.gradedcomplex import (
     is_quasi_iso,
     preimage,
 )
-from dgkoszul.dgstruct import DGAlgebra, DGModule
+from dgkoszul.dgstruct import DGModule
 from dgkoszul.barcobar import tensor_label
 
 ROUNDS_PER_DEGREE = 50  # loop cap; hitting it: exit 5
@@ -41,21 +41,21 @@ class SemifreeResolution:
     unit arrow in d is refused, and d² = 0 on F and ε : F → M as a chain
     map are verified.  Every reader may rely on all three."""
 
-    def __init__(self, over: DGAlgebra, module: DGModule, generators: list,
+    def __init__(self, module: DGModule, generators: list,
                  differential: dict, comparison: dict, direction: int,
                  depth: int, fx: Complex, eps: GradedMap):
         # generators: (label, degree, stage); differential: label -> list
         # of (generator label, algebra label, coefficient); comparison:
         # label -> combination in the module; direction: +1 built upward,
         # -1 downward; fx: F as a K-complex; eps: ε : F → M
-        self.over, self.module, self.generators = over, module, generators
+        self.module, self.generators = module, generators
         self.differential, self.comparison = differential, comparison
         self.direction, self.depth = direction, depth
         self.fx, self.eps = fx, eps
         # class_of's verdict depends on depth: not a parameter, so that
         # replace recomputes it
         self._class = None
-        if any(al == over.unit for terms in differential.values()
+        if any(al == module.over.unit for terms in differential.values()
                for _, al, _ in terms):
             raise RuntimeError("internal: resolution has a unit arrow")
         bad = check_d_squared(fx)
@@ -214,7 +214,7 @@ def semifree_resolve(m: DGModule,
                 raise StructureError(f"resolution generators pile up in one "
                                      f"degree, unstable at degree {n}")
             raise RuntimeError(f"resolution did not stabilize at degree {n}")
-    return SemifreeResolution(a, m, generators, differential, comparison,
+    return SemifreeResolution(m, generators, differential, comparison,
                               direction, depth, *realized)
 
 

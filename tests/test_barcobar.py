@@ -17,6 +17,7 @@ from dgkoszul.gradedcomplex import (
     Complex,
     DegreeWindow,
     GradedSpace,
+    StructureError,
     WindowError,
     check_d_squared,
     homology,
@@ -201,7 +202,7 @@ def test_twisted_tensor_left_d_squared(F5):
 
 def test_two_sided_quasi_iso(F5, window):
     t = koszul_tau(F5, window)
-    r = two_sided_check(t, window)
+    r = two_sided_check(t)
     assert r["ok"]
     assert all(v is True or v == "unverifiable at boundary"
                for v in r["by_degree"].values())
@@ -526,6 +527,29 @@ def test_tail_recurrence_matches_the_letter_by_letter_builder(args):
                                 label, "test")
     assert_same_words_and_columns(cx, letter_by_letter(
         carrier, shift, cx.space.window, skip, quadratic, label))
+
+
+def test_word_complex_refusals(F5):
+    """Letters of mixed suspended sign, which validation's polarity check
+    keeps from every presentation, so ``bar`` is called directly; and a
+    ``quadratic`` term of the wrong degree, from a hand-built rule."""
+    sp = GradedSpace(F5, DegreeWindow(-4, 4),
+                     {-1: ["w"], 0: ["1"], 3: ["z"]}, bounds=(-1, 3))
+    carrier = Complex(sp, GradedMap.zero(sp, sp, 1))
+    a = DGAlgebra(carrier, "1", lambda x, y: {}, "non-negative")
+    with pytest.raises(StructureError, match="^bar construction: letters "
+                       "of mixed suspended sign; word enumeration does "
+                       "not terminate$"):
+        bar(a)
+    sp = GradedSpace(F5, DegreeWindow(-4, 4), {0: ["1"], 2: ["a"]},
+                     bounds=(0, 2))
+    carrier = Complex(sp, GradedMap.zero(sp, sp, 1))
+    # s⁻¹a·s⁻¹a merged into s⁻¹a: degree 1, where 3 is due
+    with pytest.raises(StructureError, match="^test: a term of d at 'a' "
+                       "is not of degree one more$"):
+        barcobar._word_complex(carrier, -1, None, "1",
+                               lambda x, y: [] if y is None
+                               else [(("a",), 2, 1)], bar_word_label, "test")
 
 
 def koszul_dga(f, e):

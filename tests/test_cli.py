@@ -667,6 +667,24 @@ def test_exit_validation_ungraded_product(tmp_path, capsys, basis):
         assert err.endswith("at /algebras/A\n")
 
 
+def test_exit_validation_bar_letter_of_suspended_degree_zero(tmp_path,
+                                                             capsys):
+    # z of degree 1 validates, but s⁻¹z has degree 0: words of every length
+    # share a degree, so the bar is refused before any word is built
+    doc = presentation_with("algebras", "A", dict(
+        TABLE_ALGEBRA, basis={"0": ["1"], "1": ["z"]},
+        mult={"1|1": {"1": 1}, "1|z": {"z": 1}, "z|1": {"z": 1},
+              "z|z": {}}))
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", "-p", str(p)]) == 0
+    capsys.readouterr()
+    assert main(["bar", "-p", str(p), "--algebra", "A"]) == 3
+    assert capsys.readouterr().err == (
+        "error: bar construction: letter of suspended degree 0 (not simply "
+        "connected); word counts per degree are unbounded\n")
+
+
 @pytest.mark.parametrize("degrees", [",", "2,,2", "2,", ",2", ""])
 def test_exit_parse_error_empty_degree(capsys, degrees):
     # an empty entry is a malformed list, not a pair with fewer generators

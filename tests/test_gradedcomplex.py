@@ -1,5 +1,6 @@
 """Graded complexes: homology oracles, cones, relabelling witnesses."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -537,7 +538,8 @@ def test_position_columns_are_refused_as_labelled_ones_are(F5):
             ({0: [{2: 1}]}, "image label 2 not in target"),
             ({0: [{-1: 1}]}, "image label -1 not in target"),
             ({0: [{0: 1, 1: 0}]}, "stored zero coefficient at 'a'"),
-            ({0: [{0: 1}], 1: [{}, {0: 1}]}, "image label 0 not in target")):
+            ({0: [{0: 1}], 1: [{}, {0: 1}]}, "image label 0 not in target"),
+            ({0: [{0: 1, 1: 5}]}, "non-canonical coefficient at 'a'")):
         with pytest.raises(StructureError, match=message):
             WordComplex(sp, columns, 1, {}, [{}])
     with pytest.raises(StructureError, match="stored zero coefficient at 'a'"):
@@ -561,10 +563,61 @@ def test_graded_map_refuses_labels_outside_its_spaces(F5):
             ({"a": {"b": 0}}, "stored zero coefficient at 'a'")):
         with pytest.raises(StructureError, match=message):
             GradedMap(sp, sp, 1, cols)
-    # a non-canonical coefficient passes here, and rank refuses it
-    cx = Complex(sp, GradedMap(sp, sp, 1, {"a": {"b": 7}}))
-    with pytest.raises(ValueError, match="non-canonical"):
-        homology_dims(cx)
+    # a non-canonical coefficient is refused here too, not by a reader
+    with pytest.raises(StructureError,
+                       match="^non-canonical coefficient at 'a'$"):
+        GradedMap(sp, sp, 1, {"a": {"b": 7}})
+
+
+NON_CANONICAL = [(FieldSpec.prime(5), v)
+                 for v in (5, True, Fraction(2), 2.0)] + [
+                     (FieldSpec.rationals(), 0.5)]
+
+
+@pytest.mark.parametrize("f,v", NON_CANONICAL, ids=repr)
+def test_a_non_canonical_scalar_is_refused_where_it_is_stored(f, v):
+    """Planted in a labelled map, or in the position columns of the ±8 bar
+    of K[y]/(y^4) after they passed once: refused at construction, with
+    the same text for labels and for positions."""
+    sp = GradedSpace(f, DegreeWindow(-4, 4), {0: ["a"], 1: ["b", "c"]})
+    with pytest.raises(StructureError,
+                       match="^non-canonical coefficient at 'a'$"):
+        GradedMap(sp, sp, 1, {"a": {"b": 1, "c": v}})
+    w = DegreeWindow(-8, 8)
+    cx = bar(truncated_polynomial_algebra(f, w, "y", 2, 4), w).carrier
+    cols = {n: [dict(col) for col in cx.columns(n)]
+            for n in cx.space.degrees()}
+    cols[2][0][next(iter(cols[2][0]))] = v
+    with pytest.raises(StructureError,
+                       match=r"^non-canonical coefficient at '\[y\|y\]'$"):
+        WordComplex(cx.space, cols, cx.pol, cx.mag, cx.start)
+
+
+def test_each_stored_entry_is_checked_once(monkeypatch):
+    """Building the ±8 bar of K[y]/(y^4) scans each degree's columns once;
+    ``homology_dims`` then scans only the blocks ``rank`` eliminates."""
+    f, w = FieldSpec.prime(5), DegreeWindow(-8, 8)
+    a = truncated_polynomial_algebra(f, w, "y", 2, 4)
+    scans, ranks = [], []
+    check, rank = exactlinalg.check_entries, gradedcomplex.rank
+
+    def counting_check(field, rows, cols, items):
+        scans.append((rows, cols))
+        check(field, rows, cols, items)
+
+    def counting_rank(field, rows, cols):
+        ranks.append((len(rows), cols))
+        return rank(field, rows, cols)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dgkoszul") and hasattr(module, "check_entries"):
+            monkeypatch.setattr(module, "check_entries", counting_check)
+    monkeypatch.setattr(gradedcomplex, "rank", counting_rank)
+    cx = bar(a, w).carrier
+    assert scans == [(cx.dim(n), cx.dim(n + 1)) for n in cx._columns]
+    scans.clear()
+    assert homology_dims(cx) == {0: 1, 1: 1, 6: 1, 7: 1}
+    assert ranks and scans == ranks
 
 
 def test_homology_dims_at_known_bounds(F5):

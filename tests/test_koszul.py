@@ -250,7 +250,7 @@ def test_each_quasi_iso_check_makes_one_chain_map_check(pair2, monkeypatch):
 
     for mod in (gradedcomplex, barcobar, koszul):
         monkeypatch.setattr(mod, "is_chain_map", counted)
-    assert two_sided_check(pair2.tau, None)["ok"]
+    assert two_sided_check(pair2.tau)["ok"]
     assert len(calls) == 1
     calls.clear()
     n = eta(pair2, free_module(pair2.algebra))

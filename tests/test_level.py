@@ -1205,7 +1205,7 @@ def test_two_copy_compose_keeps_a_scaled_witness(r, k):
     validates, and so does its cone spine form under the earlier
     validator.  A leaf shift that puts a degree of F outside the window
     cuts the leaf's subject and Σ^k of F's certificate alike."""
-    f = r.over.field
+    f = r.module.over.field
     c = scaled_parts(cert_from_resolution(r))
     leaf = leaf_identity(c.subject, [k, k])
     upper = scaled_root(LevelCertificate(c.subject, leaf.subject, leaf))
@@ -1247,7 +1247,7 @@ def ref_spine_from_resolution(r: SemifreeResolution) -> LevelCertificate:
     if not exhausted:
         raise StructureError("resolution not exhausted; refusing to "
                              "certify a truncated class")
-    base = r.over.carrier
+    base = r.module.over.carrier
     one = base.field.one
     fx = r.fx
     stages = sorted({s for _, _, s in r.generators})
@@ -1441,7 +1441,7 @@ def test_filtration_validator_matches_cone_spine(r, data):
     agree (a spine builder that refuses is a failed verdict), each
     violation names a stage and a label, and the serialized forms are
     equal."""
-    fx, f = r.fx, r.over.field
+    fx, f = r.fx, r.module.over.field
     node = cert_from_resolution(r).tree
     kinds = ["none", "flipped-d", "flipped-witness", "dropped-label",
              "part-subject"] + (["term-above"] if moved_up(node) else [])

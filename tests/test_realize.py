@@ -168,7 +168,7 @@ def ref_cert_from_resolution(r):
     if not exhausted:
         raise StructureError("resolution not exhausted; refusing to "
                              "certify a truncated class")
-    base = r.over.carrier
+    base = r.module.over.carrier
     base_labels = list(base.space)
     one = base.field.one
 
