@@ -485,8 +485,8 @@ def cmd_level_bound(args) -> int:
     r, report = _resolution(args)
     fib = derived_fiber(r)
     side = level_interval(r)
-    report["fiber_dims"] = {str(n): d for n, d in fib.dimensions.items()}
-    report["fiber_dim_total"] = sum(fib.dimensions.values())
+    report["fiber_dims"] = {str(n): d for n, d in fib.items()}
+    report["fiber_dim_total"] = sum(fib.values())
     report["exhausted"] = side.exhausted
     report["class"] = side.cls
     report["lower_bound"] = side.lower

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic and sparse matrices over F_p and Q.
+"""Exact scalar arithmetic and elimination over F_p and Q.
 
 Every rank, kernel, span and preimage computation in the engine funnels
 through this module.  Arithmetic is exact: canonical residues over a
@@ -6,10 +6,12 @@ prime field; over the rationals an ``int`` or a ``fractions.Fraction``,
 where an integral value may be either.  Equal values are ``==`` and hash alike, so mixed
 arithmetic stays exact and dict keys and comparisons keep their meaning.
 True division of two ints would give a float: only ``FieldSpec.inv``
-divides.  Both fields share one forward elimination over row dicts,
-``_echelon``: ``rank`` is it alone, ``rref`` back-substitutes, and
-``span_echelon`` is ``rref`` with the positions reversed.  One
-``graph_span`` of a map gives its kernel, its image and its preimages.
+divides.  A matrix is a list of row dicts (column -> nonzero scalar),
+and both fields share one forward elimination over them, ``_echelon``:
+``rank`` is it alone, and ``span_echelon`` reverses the positions and
+back-substitutes.  Each checks its entries once, with ``check_entries``.
+One ``graph_span`` of a map gives its kernel, its image and its
+preimages.
 
 Combinations are sparse dicts key -> nonzero scalar.  ``vec_iadd`` is the
 shared accumulator: it adds c·v into a caller-owned dict in place and drops
@@ -163,8 +165,9 @@ def bilinear(field: FieldSpec, rule, x: dict, y: dict) -> dict:
 
 
 def check_entries(field: FieldSpec, rows: int, cols: int, items) -> None:
-    """What ``SparseMatrix``, ``rank`` and ``WordComplex`` refuse in the
-    pairs (row index, {column: scalar}), ``is_canonical`` written out."""
+    """What ``rank``, ``span_echelon`` and ``WordComplex`` refuse in the
+    pairs (row index, {column: scalar}): an index out of range, a stored
+    zero or a non-canonical scalar, ``is_canonical`` written out."""
     p = field.p
     for r, row in items:
         for c, v in row.items():
@@ -175,31 +178,6 @@ def check_entries(field: FieldSpec, rows: int, cols: int, items) -> None:
             if (type(v) is not int or not 0 < v < p if p else
                     type(v) is not int and not isinstance(v, Fraction)):
                 raise ValueError(f"non-canonical scalar at ({r},{c}): {v!r}")
-
-
-class SparseMatrix:
-    """Immutable-by-convention sparse matrix; no stored entry is zero."""
-
-    __slots__ = ("rows", "cols", "field", "entries")
-
-    def __init__(self, rows: int, cols: int, field: FieldSpec, entries: dict):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative dimensions")
-        check_entries(field, rows, cols,
-                      ((r, {c: v}) for (r, c), v in entries.items()))
-        self.rows = rows
-        self.cols = cols
-        self.field = field
-        self.entries = entries
-
-
-class RrefResult:
-    def __init__(self, rank: int, pivots: list, rref_rows: list):
-        # rref_rows: the canonical RREF, a list of sparse row dicts
-        self.rank, self.pivots, self.rref_rows = rank, pivots, rref_rows
-
-    def __eq__(self, other):
-        return type(other) is RrefResult and vars(self) == vars(other)
 
 
 def _echelon(field: FieldSpec, rows: list) -> dict:
@@ -230,8 +208,8 @@ def _echelon(field: FieldSpec, rows: list) -> dict:
 
 def rank(field: FieldSpec, rows: list, cols: int) -> int:
     """Rank of the row dicts (column -> scalar) in ``cols`` columns, which
-    it consumes: ``_echelon`` alone, under ``SparseMatrix``'s checks.  A
-    matrix, its transpose and its column permutations share their rank."""
+    it consumes: ``_echelon`` alone, under ``check_entries``.  A matrix,
+    its transpose and its column permutations share their rank."""
     check_entries(field, len(rows), cols, enumerate(rows))
     return len(_echelon(field, rows))
 
@@ -256,23 +234,6 @@ def _sub_multiple(row: dict, a, prow: dict, p) -> None:
                 del row[k]
 
 
-def rref(m: SparseMatrix) -> RrefResult:
-    """Canonical reduced row echelon form (zero rows last) with rank and
-    pivots: ``_echelon``, back-substituted."""
-    rows = [dict() for _ in range(m.rows)]
-    for (r, c), v in m.entries.items():
-        rows[r][c] = v
-    piv = _echelon(m.field, rows)
-    pivots = sorted(piv)
-    for c in reversed(pivots):
-        prow = piv[c]
-        for k in [k for k in prow if k != c and k in piv]:
-            _sub_multiple(prow, prow[k], piv[k], m.field.p)
-    out = [piv[c] for c in pivots]
-    out += [dict() for _ in range(m.rows - len(pivots))]
-    return RrefResult(len(pivots), pivots, out)
-
-
 def span_echelon(field: FieldSpec, vectors, dim: int) -> dict:
     """Reduced echelon basis of the span of sparse vectors of length dim:
     {last nonzero position: row}, each row 1 at its key and 0 at the others.
@@ -280,15 +241,21 @@ def span_echelon(field: FieldSpec, vectors, dim: int) -> dict:
     The missing positions give the unit vectors that extend the span to the
     whole space, the unit pivots of [vectors | I].  Any x less Σ x[k]·row k
     over the keys is 0 at every key, and is 0 iff x lies in the span.  The
-    elimination is ``rref`` with the positions reversed.
+    vectors are eliminated as fresh rows with the positions reversed, so
+    a leading position is a last one, then back-substituted from the
+    highest pivot down; the keys come in decreasing order.
     """
     top = dim - 1
-    m = SparseMatrix(len(vectors), dim, field,
-                     {(r, top - i): x for r, v in enumerate(vectors)
-                      for i, x in v.items()})
-    res = rref(m)
-    return {top - pc: {top - k: x for k, x in row.items()}
-            for pc, row in zip(res.pivots, res.rref_rows)}
+    rows = [{top - i: x for i, x in v.items()} for v in vectors]
+    check_entries(field, len(rows), dim, enumerate(rows))
+    piv = _echelon(field, rows)
+    pivots = sorted(piv)
+    for c in reversed(pivots):
+        prow = piv[c]
+        for k in [k for k in prow if k != c and k in piv]:
+            _sub_multiple(prow, prow[k], piv[k], field.p)
+    return {top - c: {top - k: x for k, x in piv[c].items()}
+            for c in pivots}
 
 
 def graph_span(field: FieldSpec, columns: list, rows: int) -> dict:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from dgkoszul.exactlinalg import (graph_kernel, graph_span, span_echelon,
+from dgkoszul.exactlinalg import (graph_kernel, graph_span, rank,
                                   vec_iadd)
 from dgkoszul.gradedcomplex import (
     Complex,
@@ -42,15 +42,16 @@ class SemifreeResolution:
     map are verified.  Every reader may rely on all three."""
 
     def __init__(self, module: DGModule, generators: list,
-                 differential: dict, comparison: dict, direction: int,
-                 depth: int, fx: Complex, eps: GradedMap):
+                 differential: dict, comparison: dict, depth: int,
+                 fx: Complex, eps: GradedMap):
         # generators: (label, degree, stage); differential: label -> list
         # of (generator label, algebra label, coefficient); comparison:
-        # label -> combination in the module; direction: +1 built upward,
-        # -1 downward; fx: F as a K-complex; eps: ε : F → M
+        # label -> combination in the module; fx: F as a K-complex;
+        # eps: ε : F → M.  It is built upward over a non-negative algebra,
+        # downward over a non-positive one
         self.module, self.generators = module, generators
         self.differential, self.comparison = differential, comparison
-        self.direction, self.depth = direction, depth
+        self.depth = depth
         self.fx, self.eps = fx, eps
         # class_of's verdict depends on depth: not a parameter, so that
         # replace recomputes it
@@ -215,12 +216,7 @@ def semifree_resolve(m: DGModule,
                                      f"degree, unstable at degree {n}")
             raise RuntimeError(f"resolution did not stabilize at degree {n}")
     return SemifreeResolution(m, generators, differential, comparison,
-                              direction, depth, *realized)
-
-
-class DerivedFiber:
-    def __init__(self, dimensions: dict, exhausted: bool):
-        self.dimensions, self.exhausted = dimensions, exhausted
+                              depth, *realized)
 
 
 def class_of(r: SemifreeResolution):
@@ -234,7 +230,7 @@ def class_of(r: SemifreeResolution):
         return r._class
     stages = {s for _, _, s in r.generators}
     win = r.module.space.window
-    if r.direction > 0:
+    if r.module.over.polarity == "non-negative":
         band, past = (r.depth - 2, r.depth), (r.depth + 1, win.hi)
     else:
         band, past = (r.depth, r.depth + 2), (win.lo, r.depth - 1)
@@ -254,11 +250,10 @@ def level_lower_bound(cls: int, free: bool | None) -> int:
     return 0 if cls == 0 else 2 if free is False else 1
 
 
-def derived_fiber(r: SemifreeResolution) -> DerivedFiber:
-    """F ⊗_A K for a minimal resolution F: zero differential, dimensions =
-    minimal generator counts per degree."""
-    dims = Counter(d for _, d, _ in r.generators)
-    return DerivedFiber(dict(sorted(dims.items())), class_of(r)[1])
+def derived_fiber(r: SemifreeResolution) -> dict:
+    """{degree: dimension} of F ⊗_A K for a minimal resolution F: zero
+    differential, so the minimal generator counts per degree."""
+    return dict(sorted(Counter(d for _, d, _ in r.generators).items()))
 
 
 def lemma1_report(m: DGModule):
@@ -314,10 +309,10 @@ def is_free_over_homology(m: DGModule) -> dict:
                for y in ha[t - s].representatives]
         if None in dec:
             raise StructureError("image of a cycle is not a cycle")
-        rank = len(span_echelon(a.field, dec, d))
-        kernel[t] = sum(gens[s] * n for s, n in need.items()) - rank
+        r = rank(a.field, dec, d)
+        kernel[t] = sum(gens[s] * n for s, n in need.items()) - r
         if d:
-            gens[t] = d - rank
+            gens[t] = d - r
     free = (False if any(kernel.values())
             else len(kernel) == len(walk) or None)
     return {"free": free, "kernel": kernel,

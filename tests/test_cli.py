@@ -16,7 +16,8 @@ from dgkoszul.cli import EXIT_INTERNAL, EXIT_VALIDATION, EXIT_VERDICT, main
 from dgkoszul.exactlinalg import FieldSpec
 from dgkoszul.gradedcomplex import (
     Complex, DegreeWindow, GradedMap, GradedSpace, StructureError,
-    check_d_squared)
+    check_d_squared, replace)
+from dgkoszul.level import cert_from_resolution, cert_validate
 
 PRESENTATION = {
     "schema_version": 1,
@@ -646,6 +647,52 @@ def test_integral_q_scalars_in_any_spelling_give_the_same_report(tmp_path):
     # the cycle a + 2b, reduced at its last position: (1/2)a + b
     assert json.loads(reports[0][3])["representatives"] == [
         {"a": "1/2", "b": "1"}]
+
+
+def truncated_exterior_table():
+    """A = K[y]/(y³) ⊗ Λ(x) over F_5 at ±16 as a table, |y| = 2, |x| = 3,
+    with d x = y² and the free module F over it.  A monomial yⁱxʲ is named
+    "y"·i + "x"·j ("y2" for y², "1" for the unit); |y| is even, so every
+    product of two monomials is +1 times a monomial or 0."""
+    names = {(0, 0): "1", (1, 0): "y", (2, 0): "y2",
+             (0, 1): "x", (1, 1): "yx", (2, 1): "y2x"}
+    basis: dict = {}
+    for (i, j), name in names.items():
+        basis.setdefault(str(2 * i + 3 * j), []).append(name)
+    mult = {f"{names[a]}|{names[b]}":
+            {names[ab]: 1} if (ab := (a[0] + b[0], a[1] + b[1])) in names
+            else {}
+            for a in names for b in names}
+    return {"schema_version": 1, "field": "F5", "window": [-16, 16],
+            "algebras": {"A": {
+                "kind": "table", "unit": "1", "polarity": "non-negative",
+                "basis": basis, "differential": {"x": {"y2": 1}},
+                "mult": mult}},
+            "modules": {"F": {"kind": "free", "over": "A"}}}
+
+
+def test_level_bound_certifies_a_stage_with_its_own_d(tmp_path):
+    # over an algebra with d ≠ 0 a stage quotient of the resolution keeps
+    # the part of F's d inside the stage: here d(e0@x) = e0@y2
+    p = tmp_path / "a.json"
+    p.write_text(json.dumps(truncated_exterior_table()))
+    code, rep = run_json(tmp_path, ["level-bound", "-p", str(p),
+                                    "--module", "F", "--over", "A"])
+    assert code == 0
+    assert (rep["class"], rep["exhausted"], rep["certificate_valid"]) == \
+        (1, True, True)
+    assert (rep["lower_bound"], rep["upper_bound"]) == (1, 1)
+    cert = cert_from_resolution(resolve.semifree_resolve(
+        cli.parse_presentation(str(p)).modules["F"]))
+    [leaf] = cert.tree.parts
+    q = leaf.subject
+    assert q.d("e0@x") == {"e0@y2": 1}
+    cols = {**q.differential.cols, "e0@x": {"e0@y2": 4}}
+    bad = replace(leaf, subject=Complex(q.space, GradedMap(
+        q.space, q.space, 1, cols)))
+    assert cert_validate(replace(cert, tree=replace(
+        cert.tree, parts=[bad]))).violations == [
+        "root: stage 0: quotient's d differs from F's at 'e0@x'"]
 
 
 @pytest.mark.parametrize("basis", [

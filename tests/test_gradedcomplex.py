@@ -12,12 +12,7 @@ from dgkoszul.dgstruct import (
     graded_dual_algebra,
     truncated_polynomial_algebra,
 )
-from dgkoszul.exactlinalg import (
-    FieldSpec,
-    SparseMatrix,
-    rref,
-    vec_iadd,
-)
+from dgkoszul.exactlinalg import FieldSpec, vec_iadd
 from dgkoszul.gradedcomplex import (
     Complex,
     DegreeWindow,
@@ -41,6 +36,13 @@ from dgkoszul.gradedcomplex import (
     shift_complex,
 )
 from test_barcobar import small_algebras
+from test_exactlinalg import (
+    Matrix,
+    from_columns,
+    reference_kernel,
+    reference_rref,
+    reference_solve,
+)
 
 
 def two_step(f, w=None):
@@ -178,42 +180,9 @@ def complexes(draw, fields=FIELDS):
                                  {l: v for l, v in cols.items() if v}))
 
 
-def from_columns(cols, rows, f):
-    return SparseMatrix(rows, len(cols), f, {(i, j): v
-                                             for j, col in enumerate(cols)
-                                             for i, v in col.items()})
-
-
 def d_columns(c, n):
     """The columns of d_n in coordinates of Cⁿ⁺¹."""
     return [c.space.to_coords(c.d(l), n + 1) for l in c.labels(n)]
-
-
-def rref_kernel(m):
-    """The canonical kernel basis that ``rref`` once returned: one vector
-    per free column, 1 there, minus the RREF entries at the pivots."""
-    f = m.field
-    r = rref(m)
-    kernel = {free: {free: f.one} for free in range(m.cols)
-              if free not in r.pivots}
-    for pc, row in zip(r.pivots, r.rref_rows):
-        for k, coef in row.items():
-            if k != pc:
-                kernel[k][pc] = f.neg(coef)
-    return list(kernel.values())
-
-
-def rref_solve(m, b):
-    """The solution that ``solve`` once gave: the RREF of [m | b], free
-    variables zero, or None when b's column is a pivot."""
-    aug = SparseMatrix(m.rows, m.cols + 1, m.field,
-                       {**m.entries, **{(r, m.cols): v for r, v in b.items()
-                                        if v}})
-    r = rref(aug)
-    if r.pivots and r.pivots[-1] == m.cols:
-        return None
-    return {pc: r.rref_rows[i][m.cols] for i, pc in enumerate(r.pivots)
-            if r.rref_rows[i].get(m.cols, 0)}
 
 
 def reference_homology(c, n):
@@ -222,16 +191,16 @@ def reference_homology(c, n):
     kernel vectors among the pivots of [im | ker]."""
     f, dim = c.field, c.dim(n)
     dn1 = d_columns(c, n - 1)
-    im = [dn1[p] for p in rref(from_columns(dn1, dim, f)).pivots]
-    ker = rref_kernel(from_columns(d_columns(c, n), c.dim(n + 1), f))
-    pivots = rref(from_columns(im + ker, dim, f)).pivots
+    im = [dn1[p] for p in reference_rref(from_columns(dn1, dim, f))[1]]
+    ker = reference_kernel(from_columns(d_columns(c, n), c.dim(n + 1), f))
+    pivots = reference_rref(from_columns(im + ker, dim, f))[1]
     return im, [ker[p - len(im)] for p in pivots if p >= len(im)]
 
 
 def reference_class(c, n, im, reps, cycle):
     """The earlier class lookup: one solution on [im | reps]."""
-    x = rref_solve(from_columns(im + reps, c.dim(n), c.field),
-                   c.space.to_coords(cycle, n))
+    x = reference_solve(from_columns(im + reps, c.dim(n), c.field),
+                        c.space.to_coords(cycle, n))
     return {i - len(im): v for i, v in x.items() if i >= len(im)}
 
 
@@ -261,8 +230,8 @@ def test_homology_and_class_match_reference(c, data):
         assert reference_class(c, n, im, reps, cycle) == expected
         assert homology_class(c, n, boundary) == {}
         # the preimage with free variables zero, as ``solve`` gave it
-        x = rref_solve(from_columns(d_columns(c, n - 1), c.dim(n), f),
-                       c.space.to_coords(boundary, n))
+        x = reference_solve(from_columns(d_columns(c, n - 1), c.dim(n), f),
+                            c.space.to_coords(boundary, n))
         assert preimage(c, n, boundary) == c.space.from_coords(x, n - 1)
         assert c.d(preimage(c, n, boundary)) == boundary
         if reps:
@@ -654,7 +623,7 @@ def test_homology_dims_eliminates_only_the_blocks_with_a_gap(monkeypatch):
     monkeypatch.setattr(gradedcomplex, "rank", counting_rank)
     monkeypatch.setattr(exactlinalg, "_echelon", counting_echelon)
     monkeypatch.setattr(exactlinalg, "_sub_multiple", counting_sub)
-    for module, name in ((exactlinalg, "rref"), (exactlinalg, "span_echelon"),
+    for module, name in ((exactlinalg, "span_echelon"),
                          (gradedcomplex, "graph_span")):
         monkeypatch.setattr(module, name, refused)
     f = FieldSpec.prime(5)
@@ -710,7 +679,8 @@ def two_term(name, rows, cols, entries):
     m = {(k // cols, k % cols): v for k, v in enumerate(entries) if v}
     d = {s: {t: m[j, i] for j, t in enumerate(tgt) if (j, i) in m}
          for i, s in enumerate(src)}
-    rank = rref(SparseMatrix(rows, cols, FieldSpec.rationals(), m)).rank
+    rank = len(reference_rref(Matrix(rows, cols, FieldSpec.rationals(),
+                                     m))[1])
     return {0: src, 1: tgt}, d, [cols - rank, rows - rank]
 
 

@@ -91,8 +91,9 @@ def test_no_module_imports_dataclasses(path):
 def private_imports(path: Path) -> list:
     """Underscore-prefixed names, dunders aside, imported from a
     ``dgkoszul`` module.  A module reaches another's helpers through its
-    public functions, so that ``_rref_rows`` stays behind ``rref``, which
-    perfbench traces."""
+    public functions, so that ``_echelon`` stays behind ``rank`` and
+    ``span_echelon``, the two entry points of the elimination, each of
+    which checks its entries once."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     return [f"{path.name}:{node.lineno}: {alias.name}"
             for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
@@ -108,14 +109,14 @@ def test_no_private_imports(path):
 
 def test_lint_catches_a_private_import(tmp_path):
     p = tmp_path / "mod.py"
-    p.write_text("from dgkoszul.exactlinalg import _rref_rows, rref\n"
+    p.write_text("from dgkoszul.exactlinalg import _echelon, rank\n"
                  "from os import _exit\n"
                  "from dgkoszul import __version__\n"
                  "from dgkoszul.gradedcomplex import homology as _h\n"
                  "def f():\n"
                  "    from dgkoszul import _version\n"
-                 "    return _rref_rows, rref, _exit, __version__, _h, _version\n")
-    assert private_imports(p) == ["mod.py:1: _rref_rows", "mod.py:6: _version"]
+                 "    return _echelon, rank, _exit, __version__, _h, _version\n")
+    assert private_imports(p) == ["mod.py:1: _echelon", "mod.py:6: _version"]
 
 
 def true_divisions(path: Path) -> list:
@@ -504,13 +505,16 @@ def test_lint_catches_an_unread_field(tmp_path):
 def test_tracer_targets_resolve():
     # perfbench wraps engine functions by name and only lists the ones it
     # cannot find, so a rename would silently zero its per-layer metrics.
-    # ``dgstruct.tD`` (no command used it), ``exactlinalg.solve`` (the
-    # graph echelon gives preimages) and ``resolve.minimize`` (the
-    # resolution checks itself when built) are gone on purpose: their
-    # counters read 0 until the tracer drops the targets
+    # ``dgstruct.tD`` (no command used it), ``exactlinalg.rref``
+    # (``span_echelon`` eliminates its vectors itself),
+    # ``exactlinalg.solve`` (the graph echelon gives preimages) and
+    # ``resolve.minimize`` (the resolution checks itself when built) are
+    # gone on purpose: their counters read 0 until the tracer drops the
+    # targets
     targets = tracer_targets()
     assert targets
     missing = [f"{mod}.{fn}" for mod, fn, *_ in targets
                if not callable(getattr(
                    importlib.import_module(f"dgkoszul.{mod}"), fn, None))]
-    assert missing == ["dgstruct.tD", "exactlinalg.solve", "resolve.minimize"]
+    assert missing == ["dgstruct.tD", "exactlinalg.rref", "exactlinalg.solve",
+                       "resolve.minimize"]

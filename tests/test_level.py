@@ -273,6 +273,36 @@ def test_bogus_retract_rejected(F5, window):
     assert any("retraction" in v or "section" in v for v in rep.violations)
 
 
+def test_empty_leaf_over_a_nonzero_subject_rejected(poly):
+    # a level-0 claim for K[y], which is not zero
+    x = poly.carrier
+    rep = cert_validate(LevelCertificate(x, x, Leaf(x, [], {})))
+    assert rep.violations == ["root: empty leaf with nonzero subject"]
+
+
+def test_retract_whose_section_is_not_a_chain_map_rejected(F5, window):
+    # u, a cycle, sent to a of the complex a → b: d(s(u)) = b ≠ s(d(u))
+    sp = GradedSpace(F5, window, {0: ["a"], 1: ["b"]})
+    c = Complex(sp, GradedMap(sp, sp, 1, {"a": {"b": F5.one}}))
+    leaf = leaf_identity(c, [0])
+    usp = GradedSpace(F5, window, {0: ["u"]})
+    u = Complex(usp, GradedMap.zero(usp, usp, 1))
+    section = GradedMap(usp, leaf.subject.space, 0, {"u": {"s0:a": F5.one}})
+    retraction = GradedMap.zero(leaf.subject.space, usp, 0)
+    rep = cert_validate(LevelCertificate(
+        c, u, RetractNode(u, leaf, section, retraction)))
+    assert len(rep.violations) == 1
+    assert rep.violations[0].startswith(
+        "root: section not a chain map at ")
+
+
+def test_tree_over_another_subject_rejected(cert_k_poly, poly):
+    # the tree certifies F, the resolution of K; the claim is for K[y]
+    assert cert_validate(cert_k_poly).ok
+    rep = cert_validate(replace(cert_k_poly, subject=poly.carrier))
+    assert rep.violations == ["root subject mismatch"]
+
+
 def test_leaf_witness_outside_coproduct_rejected(F5, window, poly):
     # Λ(x,z) has zero d, so its identity commutes with every differential;
     # Σ^{-100}K[y] is empty in the window, so the identity lands outside it
